@@ -64,7 +64,7 @@ def _run_beacons(params: SINRParameters, slots: int):
     rngs = spawn_agent_rngs(np.random.default_rng(16), N_AGENTS)
     power = params.min_power_for(1.5)
     agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-    simulator = Simulator(agents, Channel(params), engine="batch", trace_level="counts")
+    simulator = Simulator(agents, Channel(params), trace_level="counts")
     simulator.run(slots)
     return simulator.trace.successful_receptions, [agent.heard for agent in agents]
 

@@ -29,11 +29,12 @@ import time
 
 import numpy as np
 
-from repro.experiments import map_trials, map_trials_cold, shared_state
+from repro.experiments import map_trials, shared_state
 from repro.geometry import deployment_by_name
 from repro.sinr import CachedChannel, NodeArrayCache, SINRParameters
 from repro.state import DecodeWorkspace, NetworkState
 from repro.dynamics import RayleighFading
+from tests.oracles import map_trials_cold
 
 N_AGENTS = 256
 N_SLOTS = 2000

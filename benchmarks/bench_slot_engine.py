@@ -4,9 +4,10 @@ Runs the same 256-agent, 2000-slot beacon workload twice:
 
 * **fast**: batch engine, ``resolve_indices`` over the cached attenuation
   matrix, columnar counts trace;
-* **seed**: the PR-1 slot path - legacy engine (per-object ``act``/
-  ``resolve``), cached node distances, and the seed per-listener decode loop
-  (``decode_reference``) with the record trace.
+* **seed**: the PR-1 slot path - the ``LegacySimulator`` oracle
+  (per-object ``act``/``resolve``), cached node distances, and the seed
+  per-listener decode loop (``decode_reference``) with the record trace;
+  both oracles live in ``tests/oracles``.
 
 In timed runs (``--benchmark-only``, ``scripts/run_benchmarks.py``, the
 non-blocking CI micro-benchmark job) this asserts PR 2's acceptance
@@ -25,7 +26,7 @@ import numpy as np
 from repro.geometry import deployment_by_name
 from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
 from repro.sinr import CachedChannel, Channel, SINRParameters, Transmission
-from repro.sinr.channel import decode_reference
+from tests.oracles import LegacySimulator, decode_reference
 
 N_AGENTS = 256
 N_SLOTS = 2000
@@ -78,7 +79,7 @@ def _make_agents(params: SINRParameters) -> list[ProbeAgent]:
 
 def _run_fast(params: SINRParameters, slots: int):
     agents = _make_agents(params)
-    simulator = Simulator(agents, Channel(params), engine="batch", trace_level="counts")
+    simulator = Simulator(agents, Channel(params), trace_level="counts")
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 
@@ -86,7 +87,7 @@ def _run_fast(params: SINRParameters, slots: int):
 def _run_seed(params: SINRParameters, slots: int):
     agents = _make_agents(params)
     channel = SeedDecodeChannel(params, [agent.node for agent in agents])
-    simulator = Simulator(agents, channel, engine="legacy", trace_level="records")
+    simulator = LegacySimulator(agents, channel, trace_level="records")
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 

@@ -2,10 +2,10 @@
 
 Two claims, each asserted in every mode:
 
-* **Scale** (``bench_tiled_decode_50k``): an E1/E9-style decode workload -
-  slot groups resolved over the whole universe plus far-aggregated
-  affectance row totals - completes at ``n = 50,000`` with the tiled
-  store's derived structures inside a 256 MiB budget, where the dense
+* **Scale** (``bench_tiled_decode_50k``): an E1-style decode workload -
+  slot groups resolved over the whole universe - completes at
+  ``n = 50,000`` with the tiled store's row caches inside a 256 MiB
+  budget, where the dense
   store *provably cannot allocate*: its distance + attenuation matrices
   alone need ``2 * n^2 * 8`` bytes (40 GB at 50k), asserted arithmetically
   against the budget because Linux overcommit would let a live allocation
@@ -13,9 +13,7 @@ Two claims, each asserted in every mode:
 * **No regression at small n** (``bench_tiled_vs_dense_4096``): replaying a
   fixed slot schedule (what a computed schedule does every sweep) at
   ``n = 4096``, the tiled store decodes bitwise-identically to dense and
-  within ``RUNTIME_RATIO_CEILING`` of its steady-state runtime, while the
-  far-field affectance row totals stay within the declared
-  ``far_error_bound()`` of the dense accumulator.
+  within ``RUNTIME_RATIO_CEILING`` of its steady-state runtime.
 
 Timed runs also print a same-n speed/memory curve (dense vs tiled) so the
 crossover is visible in the benchmark log.
@@ -27,21 +25,13 @@ import time
 
 import numpy as np
 
-from repro.geometry import Node, Point, deployment_by_name
-from repro.links import Link
-from repro.sinr import (
-    AffectanceAccumulator,
-    CachedChannel,
-    LinearPower,
-    LinkArrayCache,
-    SINRParameters,
-    TiledAffectanceTotals,
-)
-from repro.state import DecodeWorkspace, TiledNetworkState
+from repro.geometry import deployment_by_name
+from repro.sinr import CachedChannel, SINRParameters
+from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 
 #: The headline scale; the dense store would need 40 GB of matrices here.
 N_LARGE = 50_000
-#: Byte budget for the tiled store's derived structures at the large n.
+#: Byte budget for the tiled store's row caches at the large n.
 LARGE_BUDGET_BYTES = 256 * 1024 * 1024
 #: Same-n comparison size (dense still comfortable: 268 MB of matrices).
 N_COMPARE = 4096
@@ -76,24 +66,10 @@ def _run_sweep(
     return out
 
 
-def _short_links(count: int, span: float, rng: np.random.Generator) -> list[Link]:
-    links = []
-    for i in range(count):
-        a = rng.uniform(0.0, span, size=2)
-        b = a + rng.uniform(-2.0, 2.0, size=2)
-        links.append(
-            Link(
-                Node(2 * i, Point(float(a[0]), float(a[1]))),
-                Node(2 * i + 1, Point(float(b[0]), float(b[1]))),
-            )
-        )
-    return links
-
-
 def bench_tiled_decode_50k(benchmark):
     n = N_LARGE if benchmark.enabled else 2000
     budget = LARGE_BUDGET_BYTES if benchmark.enabled else 4 * 1024 * 1024
-    params = SINRParameters().with_overrides(store="tiled")
+    params = SINRParameters()
     rng = np.random.default_rng(29)
     nodes = deployment_by_name("uniform", n, rng)
 
@@ -122,21 +98,9 @@ def bench_tiled_decode_50k(benchmark):
     decode_sweeps()
     first_pass = time.perf_counter() - start
 
-    # Far-aggregated affectance totals over a link universe on the same
-    # field: the E9-style selection loop's data structure at scale.
-    link_rng = np.random.default_rng(37)
-    links = _short_links(n // 25 if benchmark.enabled else 64, 400.0, link_rng)
-    cache = LinkArrayCache(links)
-    power = LinearPower.for_noise(SINRParameters())
-    totals = TiledAffectanceTotals(cache, power, SINRParameters(), state=state)
-    for index in range(0, len(links), 4):
-        totals.add(index)
-    assert np.isfinite(totals.totals()).all()
-    assert totals.far_error_bound() < np.inf
-
     resident = state.resident_bytes()
     assert resident <= budget, (
-        f"derived tiled structures ({resident / 1e6:.1f} MB) exceeded the "
+        f"tiled row caches ({resident / 1e6:.1f} MB) exceeded the "
         f"{budget / 1e6:.0f} MB budget"
     )
 
@@ -149,20 +113,20 @@ def bench_tiled_decode_50k(benchmark):
     print(
         f"tiled decode at n={n}: {SLOT_GROUPS} slot groups x {SWEEPS} sweeps in "
         f"{first_pass:.2f}s cold; resident {resident / 1e6:.1f} MB of a "
-        f"{budget / 1e6:.0f} MB budget (dense would need {dense_matrix_bytes / 1e9:.1f} GB); "
-        f"far error bound {totals.far_error_bound():.3f}"
+        f"{budget / 1e6:.0f} MB budget (dense would need {dense_matrix_bytes / 1e9:.1f} GB)"
     )
 
 
 def bench_tiled_vs_dense_4096(benchmark):
     n = N_COMPARE if benchmark.enabled else 512
-    params_dense = SINRParameters()
-    params_tiled = params_dense.with_overrides(store="tiled")
+    params = SINRParameters()
     nodes = deployment_by_name("uniform", n, np.random.default_rng(41))
     schedule = _schedule(n, np.random.default_rng(43))
 
-    dense_channel = CachedChannel(params_dense, nodes)
-    tiled_channel = CachedChannel(params_tiled, nodes)
+    # Both stores are built explicitly: past the size rule's boundary the
+    # default would pick the tiled store for both channels.
+    dense_channel = CachedChannel(params, state=NetworkState(nodes))
+    tiled_channel = CachedChannel(params, state=TiledNetworkState(nodes))
     dense_ws, tiled_ws = DecodeWorkspace(), DecodeWorkspace()
 
     # Warm sweep: dense materializes its matrices, tiled fills its row cache.
@@ -183,30 +147,6 @@ def bench_tiled_vs_dense_4096(benchmark):
         assert np.array_equal(dense_best, tiled_best)
         assert np.array_equal(dense_ok, tiled_ok)
 
-    # Far-field row totals stay within the declared bound of the dense
-    # accumulator over a wide-field link universe.
-    links = _short_links(max(64, n // 2), 400.0, np.random.default_rng(47))
-    power = LinearPower.for_noise(params_dense)
-    link_cache = LinkArrayCache(links)
-    dense_totals = AffectanceAccumulator(link_cache.affectance_matrix(power, params_dense))
-    tiled_totals = TiledAffectanceTotals(link_cache, power, params_dense, tile_size=40.0)
-    for index in range(0, len(links), 2):
-        dense_totals.add(index)
-        tiled_totals.add(index)
-    bound = tiled_totals.far_error_bound()
-    exact = dense_totals.totals()
-    approx = tiled_totals.totals()
-    positive = exact > 0.0
-    worst = float(np.abs(approx[positive] - exact[positive]).max(initial=0.0)) if positive.any() else 0.0
-    relative = (
-        float((np.abs(approx[positive] - exact[positive]) / exact[positive]).max())
-        if positive.any()
-        else 0.0
-    )
-    assert relative <= bound + 1e-12, (
-        f"far-field row-sum error {relative:.4f} exceeds declared bound {bound:.4f}"
-    )
-
     if not benchmark.enabled:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         return
@@ -220,7 +160,7 @@ def bench_tiled_vs_dense_4096(benchmark):
     dense_state = dense_channel.cache.state
     dense_bytes = (
         dense_state.distance_matrix().nbytes
-        + dense_state.attenuation_matrix(params_dense.alpha).nbytes
+        + dense_state.attenuation_matrix(params.alpha).nbytes
     )
     tiled_state = tiled_channel.cache.state
     assert isinstance(tiled_state, TiledNetworkState)
@@ -231,10 +171,6 @@ def bench_tiled_vs_dense_4096(benchmark):
         f"  n={n}  dense {dense_time * 1e3:7.1f}ms {dense_bytes / 1e6:8.1f}MB | "
         f"tiled {tiled_time * 1e3:7.1f}ms {tiled_state.resident_bytes() / 1e6:8.1f}MB | "
         f"ratio {ratio:.3f}"
-    )
-    print(
-        f"  far-field totals: declared bound {bound:.4f}, measured relative "
-        f"error {relative:.4f} (worst abs {worst:.2e})"
     )
     assert ratio <= RUNTIME_RATIO_CEILING, (
         f"tiled steady-state decode {ratio:.2f}x dense at n={n} "

@@ -161,7 +161,7 @@ def gauges_table(
     """Aligned table of every gauge (last-written value) in a registry.
 
     Gauges record point-in-time quantities - resident bytes of the tiled
-    geometry store, near pairs currently held - where the last value, not a
+    geometry store, fabric worker counts - where the last value, not a
     running total, is the number of interest.
     """
     rows = [

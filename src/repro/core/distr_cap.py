@@ -34,13 +34,8 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..links import Link, LinkSet, length_class_index
-from ..sinr import (
-    MAX_CACHED_CHANNEL_NODES,
-    LinearPower,
-    LinkArrayCache,
-    SINRParameters,
-)
-from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..sinr import LinearPower, LinkArrayCache, SINRParameters
+from ..state import DecodeWorkspace, NetworkState
 from .power_solver import is_power_controllable
 
 __all__ = ["DistrCapResult", "DistrCapSelector"]
@@ -108,16 +103,8 @@ class DistrCapSelector:
             return DistrCapResult(LinkSet(), 0, 0, True)
 
         linear = LinearPower.for_noise(self.params)
-        # One node-geometry store for the whole run: the node-to-node
-        # distance matrix is materialized once, and every phase slot's
-        # LinkArrayCache (over its oriented sub-universe) gathers its
-        # sender->receiver block from it - bitwise the hypot values it would
-        # otherwise recompute per slot.  Bounded like every other O(n^2)
-        # upgrade site: past MAX_CACHED_CHANNEL_NODES endpoints the slots
-        # fall back to computing their own small blocks.  Under
-        # store="tiled" the state is O(n) with no matrices to materialize
-        # and no ceiling: slots share its slot map and compute exact
-        # rectangles from coordinates at any n.
+        # One node-geometry store for the whole run, shared by every phase
+        # slot's LinkArrayCache (over its oriented sub-universe).
         state = self._geometry_state(link_list)
         phases = self._partition_into_phases(link_list, link_rounds)
         tau = self.constants.distr_cap_tau
@@ -162,16 +149,18 @@ class DistrCapSelector:
 
     # -- internals ----------------------------------------------------------
 
-    def _geometry_state(self, link_list: Sequence[Link]) -> NetworkState | None:
+    def _geometry_state(self, link_list: Sequence[Link]) -> NetworkState:
         """The run's shared node-geometry store (also used by the netsim
-        overlay, so both paths gather bitwise-identical distance blocks)."""
-        if self.params.store == "tiled":
-            return TiledNetworkState.from_links(link_list)
-        state = NetworkState.from_links(link_list)
-        if len(state) <= MAX_CACHED_CHANNEL_NODES:
+        overlay, so both paths gather bitwise-identical distance blocks).
+
+        A dense store materializes its distance matrix once, so every slot
+        gathers its sender->receiver block from it; a tiled one serves the
+        same hypot values computed from coordinates per slot.
+        """
+        state = NetworkState.for_links(link_list)
+        if state.materializes_matrices:
             state.distance_matrix()
-            return state
-        return None
+        return state
 
     def _partition_into_phases(
         self,
@@ -196,7 +185,7 @@ class DistrCapSelector:
         rng: np.random.Generator,
         probability: float,
         threshold: float,
-        state: NetworkState | None,
+        state: NetworkState,
         *,
         forward: bool,
     ) -> list[Link]:

@@ -33,16 +33,9 @@ import numpy as np
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConvergenceError
 from ..links import Link, LinkSet
-from ..sinr import (
-    MAX_CACHED_CHANNEL_NODES,
-    CachedChannel,
-    Channel,
-    PowerAssignment,
-    SINRParameters,
-    Transmission,
-)
+from ..sinr import CachedChannel, PowerAssignment, SINRParameters
 from ..sinr.channel import ensure_positive_powers
-from ..state import NetworkState, TiledNetworkState
+from ..state import NetworkState
 from .schedule import Schedule
 
 __all__ = ["DistributedScheduler", "DistributedScheduleResult"]
@@ -157,37 +150,19 @@ class DistributedScheduler:
         for contender in contenders:
             contender.power = power.power(contender.link)
         # The frame simulation runs on a fixed node universe (the link
-        # endpoints), so one NetworkState owns the node-to-node geometry,
-        # computed once; every frame's resolution gathers blocks from it
-        # through the channel's view (bounded: the store holds an O(n^2)
-        # matrix).  With a cached channel each frame is resolved on index
-        # arrays (no Transmission/Reception marshalling).  The tiled store
-        # removes the ceiling: O(n) memory, exact rectangles, so the index
-        # fast path stays engaged at any endpoint count.
-        endpoint_state = (
-            TiledNetworkState.from_links(link_list)
-            if self.params.store == "tiled"
-            else NetworkState.from_links(link_list)
+        # endpoints), so one NetworkState owns the node-to-node geometry and
+        # every frame is resolved on index arrays against it (no
+        # Transmission/Reception marshalling).
+        channel = CachedChannel(self.params, state=NetworkState.for_links(link_list))
+        cache = channel.cache
+        sender_idx = np.array(
+            [cache.index_of_id(c.link.sender.id) for c in contenders], dtype=np.intp
         )
-        channel: Channel = (
-            CachedChannel(self.params, state=endpoint_state)
-            if self.params.store == "tiled"
-            or len(endpoint_state) <= MAX_CACHED_CHANNEL_NODES
-            else Channel(self.params)
+        receiver_idx = np.array(
+            [cache.index_of_id(c.link.receiver.id) for c in contenders], dtype=np.intp
         )
-        sender_idx: np.ndarray | None = None
-        receiver_idx: np.ndarray | None = None
-        power_arr: np.ndarray | None = None
-        if type(channel) is CachedChannel:
-            cache = channel.cache
-            sender_idx = np.array(
-                [cache.index_of_id(c.link.sender.id) for c in contenders], dtype=np.intp
-            )
-            receiver_idx = np.array(
-                [cache.index_of_id(c.link.receiver.id) for c in contenders], dtype=np.intp
-            )
-            power_arr = np.array([c.power for c in contenders], dtype=float)
-            ensure_positive_powers(power_arr)
+        power_arr = np.array([c.power for c in contenders], dtype=float)
+        ensure_positive_powers(power_arr)
         schedule = Schedule()
         frames = 0
         remaining = len(contenders)
@@ -200,12 +175,9 @@ class DistributedScheduler:
             # Frames are slot pairs: data at 2*(frame-1), ack right after
             # (slot-dependent gain models draw fresh fades per physical slot).
             first_slot = 2 * (frames - 1)
-            if sender_idx is not None:
-                successful = self._run_frame_indices(
-                    attempts, channel, sender_idx, receiver_idx, power_arr, first_slot
-                )
-            else:
-                successful = self._run_frame(attempts, channel, first_slot)
+            successful = self._run_frame_indices(
+                attempts, channel, sender_idx, receiver_idx, power_arr, first_slot
+            )
             for contender in attempts:
                 if contender in successful:
                     contender.scheduled_frame = frames - 1
@@ -258,7 +230,7 @@ class DistributedScheduler:
         power_arr: np.ndarray,
         first_slot: int = 0,
     ) -> set[_LinkContender]:
-        """Index-array frame resolution (same outcome as :meth:`_run_frame`).
+        """Run the data + acknowledgment slots; return the fully successful links.
 
         Both slots are resolved through
         :meth:`~repro.sinr.channel.CachedChannel.resolve_indices`; a link
@@ -294,40 +266,3 @@ class DistributedScheduler:
         )
         final = data_ok[ack_listening[ack_ok & (ack_best == ack_listening)]]
         return {attempts[int(i)] for i in final}
-
-    def _run_frame(
-        self,
-        attempts: Sequence[_LinkContender],
-        channel: Channel,
-        first_slot: int = 0,
-    ) -> set[_LinkContender]:
-        """Run the data + acknowledgment slots; return the fully successful links."""
-        # Data slot: senders transmit, everybody else listens.
-        data_transmissions = [
-            Transmission(sender=c.link.sender, power=c.power, message=c.link)
-            for c in attempts
-        ]
-        receivers = [c.link.receiver for c in attempts]
-        data_receptions = channel.resolve(data_transmissions, receivers, slot=first_slot)
-        data_ok = [
-            c
-            for c in attempts
-            if data_receptions.get(c.link.receiver.id) is not None
-            and data_receptions[c.link.receiver.id].sender.id == c.link.sender.id
-        ]
-        if not data_ok:
-            return set()
-        # Acknowledgment slot: the receivers of successful data answer on the
-        # dual link with the same power; the original senders listen.
-        ack_transmissions = [
-            Transmission(sender=c.link.receiver, power=c.power, message=c.link)
-            for c in data_ok
-        ]
-        ack_listeners = [c.link.sender for c in data_ok]
-        ack_receptions = channel.resolve(ack_transmissions, ack_listeners, slot=first_slot + 1)
-        return {
-            c
-            for c in data_ok
-            if ack_receptions.get(c.link.sender.id) is not None
-            and ack_receptions[c.link.sender.id].sender.id == c.link.receiver.id
-        }

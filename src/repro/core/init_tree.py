@@ -34,7 +34,7 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ProtocolError
-from ..geometry import Node, node_distance_matrix
+from ..geometry import Node, diameter
 from ..links import Link
 from ..runtime import AckMessage, BroadcastMessage, ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
 from ..sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
@@ -307,9 +307,7 @@ class InitialTreeBuilder:
                 stored_degrees={only.id: 0},
             )
 
-        distances = node_distance_matrix(node_list)
-        np.fill_diagonal(distances, 0.0)
-        delta = float(distances.max())
+        delta = diameter(node_list)
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import InfeasiblePowerError, ProtocolError
-from ..geometry import Node, node_distance_matrix
+from ..geometry import Node, diameter
 from ..links import Link, LinkSet
 from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower, is_feasible
 from .bitree import BiTree
@@ -150,8 +150,7 @@ class TreeViaCapacity:
                 tree=tree, power=ExplicitPower({}), power_mode=self.power_mode
             )
 
-        distances = node_distance_matrix(node_list)
-        delta = float(distances.max())
+        delta = diameter(node_list)
         cap = self.max_iterations
         if cap is None:
             cap = 40 * int(math.ceil(math.log2(max(len(node_list), 2)))) + 40

@@ -19,7 +19,8 @@ Two design rules keep the existing machinery intact:
   functions of ``(model configuration, sender id, receiver id, slot)``
   computed with a vectorized SplitMix64 hash, not draws from a shared
   stream.  The same seed therefore yields the same fade regardless of query
-  order, subset, engine (batch vs legacy) or worker process - exactly the
+  order, subset, decode path (index arrays vs node objects) or worker
+  process - exactly the
   property the parallel experiment harness needs - and a fade matrix query
   costs O(|tx| * |rx|) with no per-universe state to invalidate when nodes
   move or churn.

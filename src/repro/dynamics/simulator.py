@@ -38,7 +38,7 @@ from ..obs.runtime import OBS
 from ..obs.spans import begin_span, end_span, span
 from ..sinr import CachedChannel, ExplicitPower, LinkArrayCache, SINRParameters, is_feasible
 from ..sinr.power import PowerAssignment
-from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..state import DecodeWorkspace, NetworkState
 from .churn import ChurnProcess
 from .gain import GainModel
 from .mobility import MobilityModel
@@ -256,16 +256,8 @@ class DynamicSimulator:
         # One geometry store for the whole run: mobility patches rows, churn
         # splices release/assign slots, and the channel's cache is a view of
         # it re-anchored to the tree's node order - no per-event rebuilds.
-        # store="tiled" swaps in the O(n) tiled state; moves/splices then
-        # cost only bookkeeping (tile grid and row caches rebuild lazily)
-        # instead of O(k * capacity) matrix patches.
         node_list = list(tree.nodes.values())
-        if self.state is not None:
-            state = self.state
-        elif self.eval_params.store == "tiled":
-            state = TiledNetworkState(node_list)
-        else:
-            state = NetworkState(node_list)
+        state = self.state if self.state is not None else NetworkState.for_nodes(node_list)
         channel = CachedChannel(self.eval_params, node_list, state=state)
         mobility, churn = self.scenario.mobility, self.scenario.churn
         if mobility is not None:

@@ -25,7 +25,6 @@ from .parallel import (
     default_workers,
     get_fabric,
     map_trials,
-    map_trials_cold,
     shared_state,
 )
 from .runner import ExperimentResult, average_rows, make_deployment, run_sweep
@@ -64,7 +63,6 @@ __all__ = [
     "make_deployment",
     "run_sweep",
     "map_trials",
-    "map_trials_cold",
     "default_workers",
     "shared_state",
     "TrialFabric",

@@ -34,10 +34,6 @@ class ExperimentConfig:
             over ``k`` worker processes; ``-1`` uses all cores but one.
             Results are identical either way (trials are deterministically
             seeded from their own arguments).
-        store: optional geometry-store selector, ``"dense"`` or
-            ``"tiled"``.  ``None`` (default) leaves ``params.store``
-            untouched; a value overrides it for the whole run, so one config
-            knob flips every trial of a sweep onto the tiled O(n) store.
     """
 
     sizes: tuple[int, ...] = (32, 64, 128)
@@ -48,13 +44,6 @@ class ExperimentConfig:
     constants: AlgorithmConstants = DEFAULT_CONSTANTS
     delta_sweep_size: int = 48
     workers: int = 1
-    store: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.store is not None and self.store != self.params.store:
-            # Frozen dataclass: thread the selector into the params bundle so
-            # every consumer (channels, states, accumulators) sees one truth.
-            object.__setattr__(self, "params", self.params.with_overrides(store=self.store))
 
     @staticmethod
     def quick() -> "ExperimentConfig":

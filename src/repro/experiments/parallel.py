@@ -25,10 +25,10 @@ matrices.  :func:`map_trials` now runs on a persistent **trial fabric**:
   :func:`shared_state`;
 * trials are dispatched in contiguous *chunks*, cutting per-task overhead.
 
-The pre-fabric behaviour - cold pool, every argument pickled per task - is
-preserved as :func:`map_trials_cold`, the oracle the parity tests and
-benchmarks compare against.  Results are bit-identical on every path
-because the trial function receives exactly the same argument values.
+The pre-fabric behaviour - cold pool, every argument pickled per task -
+lives on in the test suite as the ``map_trials_cold`` oracle the parity
+tests and benchmarks compare against.  Results are bit-identical on every
+path because the trial function receives exactly the same argument values.
 
 The trial function must be picklable (a module-level function), as must its
 argument tuples and returned rows; every experiment module here follows that
@@ -56,7 +56,6 @@ __all__ = [
     "usable_cpu_count",
     "default_workers",
     "map_trials",
-    "map_trials_cold",
     "shared_state",
     "TrialFabric",
     "get_fabric",
@@ -436,22 +435,3 @@ def map_trials(
         state_alphas=state_alphas,
         chunksize=chunksize,
     )
-
-
-def map_trials_cold(
-    trial_fn: Callable[[_A], _R],
-    trial_args: Iterable[_A],
-    *,
-    workers: int | None = None,
-) -> list[_R]:
-    """The pre-fabric oracle: a cold pool per sweep, full args pickled per task.
-
-    Kept so parity tests and the fabric benchmark can compare the persistent
-    shared-memory path against the exact per-sweep cost model it replaced.
-    """
-    items: Sequence[Any] = list(trial_args)
-    count = _resolve_workers(workers, len(items))
-    if count <= 1:
-        return [trial_fn(args) for args in items]
-    with ProcessPoolExecutor(max_workers=min(count, len(items))) as pool:
-        return list(pool.map(trial_fn, items))

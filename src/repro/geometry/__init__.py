@@ -11,7 +11,7 @@ from .deployment import (
     uniform_random,
     validate_deployment,
 )
-from .node import Node, node_distance_matrix, nodes_from_points, nodes_to_array
+from .node import Node, diameter, node_distance_matrix, nodes_from_points, nodes_to_array
 from .point import (
     Point,
     distance,
@@ -41,6 +41,7 @@ __all__ = [
     "nodes_from_points",
     "nodes_to_array",
     "node_distance_matrix",
+    "diameter",
     "uniform_random",
     "grid",
     "clustered",

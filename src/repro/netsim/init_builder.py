@@ -40,7 +40,7 @@ from ..core.init_tree import InitAgent, InitialTreeBuilder, InitialTreeResult, r
 from ..core.quantities import num_rounds_for_delta
 from ..core.repair import TreeRepairer
 from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
-from ..geometry import Node, node_distance_matrix
+from ..geometry import Node, diameter
 from ..obs.spans import span
 from ..runtime import ExecutionTrace, spawn_agent_rngs
 from ..sinr import Channel, ExplicitPower, SINRParameters, UniformPower
@@ -180,9 +180,7 @@ class NetInitBuilder:
                 send_budget={only.id: 0},
             )
 
-        distances = node_distance_matrix(node_list)
-        np.fill_diagonal(distances, 0.0)
-        delta = float(distances.max())
+        delta = diameter(node_list)
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
 
@@ -203,11 +201,8 @@ class NetInitBuilder:
             interval=1,
             miss_threshold=self.miss_threshold,
         )
-        # The plain Channel is upgraded to a CachedChannel by the inherited
-        # Simulator init path: always for n <= MAX_CACHED_CHANNEL_NODES, and
-        # at any n when ``params.store == "tiled"`` (the O(n) tiled geometry
-        # store has no matrix to materialize, so batch index decoding stays
-        # engaged for 50k+ node networks).
+        # The plain Channel is upgraded to a CachedChannel over a store
+        # chosen by size by the inherited Simulator init path.
         sim = NetSimulator(
             agents,
             Channel(self.params),

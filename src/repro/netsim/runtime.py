@@ -73,7 +73,7 @@ class NetSimulator(Simulator):
         trace: ExecutionTrace | None = None,
         trace_level: str = "records",
     ) -> None:
-        super().__init__(agents, channel, trace, trace_level=trace_level, engine="batch")
+        super().__init__(agents, channel, trace, trace_level=trace_level)
         self.transport: Transport = transport if transport is not None else PerfectTransport()
         self.detector = (
             detector

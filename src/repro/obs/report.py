@@ -17,7 +17,6 @@ and exports the registry on request as a Perfetto-loadable Chrome trace
 Usage:
     python -m repro.obs report                       # E13, quick config
     python -m repro.obs report --experiment E1 --workers 2
-    python -m repro.obs report --experiment E1 --store tiled
     python -m repro.obs report --trace e13.trace.json --jsonl e13.jsonl
     python -m repro.obs report --allocs --top 20
 """
@@ -55,13 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="trial-fabric workers; counters merge exactly at any count (default 1)",
-    )
-    parser.add_argument(
-        "--store",
-        choices=("dense", "tiled"),
-        default=None,
-        help="geometry store override; 'tiled' runs the sweep on the O(n) "
-        "store and surfaces its gauges (near-pairs, resident bytes)",
     )
     parser.add_argument(
         "--trace",
@@ -114,7 +106,7 @@ def run_report(args: argparse.Namespace) -> int:
         )
         return 2
     config = ExperimentConfig.full() if args.full else ExperimentConfig.quick()
-    config = dataclasses.replace(config, workers=args.workers, store=args.store)
+    config = dataclasses.replace(config, workers=args.workers)
 
     instrumentation = None if args.no_kernel_timers else instrument_kernels()
     try:

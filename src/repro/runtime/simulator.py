@@ -6,21 +6,16 @@ channel, and delivers to every listening agent whatever (if anything) that
 agent decoded.  This is exactly the execution model of the paper: synchronized
 clocks, slotted time, a single shared channel, no carrier sensing.
 
-Two slot engines implement that contract:
-
-* ``engine="batch"`` (default) - agents are polled through
-  :meth:`~repro.runtime.agent.NodeAgent.act_batch`, transmitter/listener
-  indices and powers are collected into arrays, and the channel is resolved
-  through :meth:`~repro.sinr.channel.CachedChannel.resolve_indices` in one
-  vectorized pass that gathers its attenuation/fade blocks from the
-  channel's backing :class:`~repro.state.NetworkState`;
-  :class:`~repro.sinr.Reception` objects are built only for the listeners
-  that decode.  Results are bit-for-bit identical to the seed engine (the
-  decode arithmetic is shared and agents consume the same randomness either
-  way).
-* ``engine="legacy"`` - the seed per-object path (``act`` returning
-  :class:`Transmission`, ``Channel.resolve`` over node objects), kept as the
-  parity oracle and benchmark baseline.
+Agents are polled through :meth:`~repro.runtime.agent.NodeAgent.act_batch`,
+transmitter/listener indices and powers are collected into arrays, and the
+channel is resolved through
+:meth:`~repro.sinr.channel.CachedChannel.resolve_indices` in one vectorized
+pass that gathers its attenuation/fade blocks from the channel's backing
+:class:`~repro.state.NetworkState`; :class:`~repro.sinr.Reception` objects
+are built only for the listeners that decode.  Results are bit-for-bit
+identical to the seed per-object engine, which the test suite keeps as its
+parity oracle (the decode arithmetic is shared and agents consume the same
+randomness either way).
 
 The ``trace_level`` knob selects the trace backend when no trace is passed:
 ``"records"`` (seed :class:`ExecutionTrace`), ``"columnar"`` (flat arrays,
@@ -37,7 +32,7 @@ import numpy as np
 from ..exceptions import ProtocolError
 from ..obs.runtime import OBS
 from ..obs.spans import span
-from ..sinr import MAX_CACHED_CHANNEL_NODES, CachedChannel, Channel, Reception, Transmission
+from ..sinr import CachedChannel, Channel, Reception, Transmission
 from ..sinr.channel import ensure_positive_powers
 from ..state import DecodeWorkspace
 from .agent import NodeAgent
@@ -67,8 +62,6 @@ class Simulator:
             ``trace_level``).
         trace_level: trace backend to create when ``trace`` is ``None``:
             ``"records"``, ``"columnar"`` or ``"counts"``.
-        engine: ``"batch"`` (vectorized slot engine) or ``"legacy"`` (seed
-            per-object path).
     """
 
     def __init__(
@@ -78,28 +71,18 @@ class Simulator:
         trace: ExecutionTrace | None = None,
         *,
         trace_level: str = "records",
-        engine: str = "batch",
     ):
         ids = [agent.node_id for agent in agents]
         if len(ids) != len(set(ids)):
             raise ProtocolError("duplicate node ids among agents")
-        if engine not in ("batch", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         if trace_level not in _TRACE_LEVELS:
             raise ValueError(f"unknown trace_level {trace_level!r}, expected one of {_TRACE_LEVELS}")
         self.agents: list[NodeAgent] = list(agents)
         # The agent set is fixed for the simulator's lifetime, so a plain
         # channel is upgraded to one viewing a NetworkState over the agents'
-        # nodes - the store that owns the O(n^2) distance/attenuation
-        # matrices every slot's decode gathers from (bounded by
-        # MAX_CACHED_CHANNEL_NODES); subclassed channels are left untouched.
-        # Under store="tiled" the upgrade is unconditional: the tiled state
-        # is O(n), so there is no node-count ceiling to respect - this is
-        # the init path (NetSimulator included, via inheritance) that lets
-        # n >= 50k runs keep the batch decode engine.
-        if type(channel) is Channel and (
-            len(self.agents) <= MAX_CACHED_CHANNEL_NODES or channel.params.store == "tiled"
-        ):
+        # nodes (its store chosen by size), which every slot's decode
+        # gathers from; subclassed channels are left untouched.
+        if type(channel) is Channel:
             channel = CachedChannel(channel.params, [agent.node for agent in self.agents])
         self.channel = channel
         if trace is None:
@@ -108,7 +91,6 @@ class Simulator:
             else:
                 trace = ColumnarTrace(reception_detail=(trace_level == "columnar"))
         self.trace = trace
-        self._engine = engine
         self._slot = 0
         self._node_ids: list[int] = ids
         self._pos_by_id: dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}
@@ -129,8 +111,8 @@ class Simulator:
         # received-power matrix and per-listener vectors live in these
         # reused buffers (results are consumed within the slot, so the
         # view-until-next-decode contract holds by construction).
-        self._workspace = DecodeWorkspace() if engine == "batch" else None
-        if engine == "batch" and type(self.channel) is CachedChannel:
+        self._workspace = DecodeWorkspace()
+        if type(self.channel) is CachedChannel:
             try:
                 self._cache_idx = np.array(
                     [self.channel.cache.index_of_id(node_id) for node_id in ids], dtype=np.intp
@@ -173,12 +155,8 @@ class Simulator:
         records, ``None`` under a columnar trace (which does not materialize
         per-slot objects).
         """
-        if self._engine == "legacy":
-            return self._step_legacy(label)
         return self._step_batch(label)
 
-    # -- batch engine --------------------------------------------------------
-    #
     # The batch step is split into three seams - poll, decode, deliver - so
     # that alternative engines (the fault-injected message-passing runtime in
     # ``repro.netsim``) can reuse the exact decode arithmetic while changing
@@ -222,7 +200,7 @@ class Simulator:
         pairs: list[tuple[int, int]] = []
         if tx_pos:
             # Validate before branching so a non-positive power raises even
-            # in slots with no listeners, exactly like the legacy engine
+            # in slots with no listeners, exactly like the seed engine
             # (where Transmission.__post_init__ runs for every action).
             power_arr = np.array(powers, dtype=float)
             ensure_positive_powers(power_arr)
@@ -296,49 +274,11 @@ class Simulator:
         self._slot += 1
         return record
 
-    # -- legacy engine (seed path, parity oracle) ----------------------------
-
-    def _step_legacy(self, label: str) -> SlotRecord | None:
-        transmissions: list[Transmission] = []
-        transmitter_ids: list[int] = []
-        listeners = []
-        for agent in self.agents:
-            action = agent.act(self._slot)
-            if action is None:
-                listeners.append(agent.node)
-            else:
-                if action.sender.id != agent.node_id:
-                    raise ProtocolError(
-                        f"agent {agent.node_id} attempted to transmit as node {action.sender.id}"
-                    )
-                transmissions.append(action)
-                transmitter_ids.append(agent.node_id)
-
-        receptions = self._resolve_objects(transmissions, listeners, self._slot)
-        for agent in self.agents:
-            agent.observe(self._slot, receptions.get(agent.node_id))
-
-        record = self.trace.append_slot(
-            self._slot,
-            transmitter_ids,
-            [(listener, rec.sender.id) for listener, rec in receptions.items()],
-            label,
-        )
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.inc("sim.slots")
-            if transmitter_ids:
-                registry.inc("sim.transmissions", len(transmitter_ids))
-            if receptions:
-                registry.inc("sim.receptions", len(receptions))
-        self._slot += 1
-        return record
-
     def run(self, slots: int, label: str = "") -> ExecutionTrace:
         """Execute a fixed number of slots."""
         if slots < 0:
             raise ValueError("slots must be non-negative")
-        with span("sim.run", slots=slots, label=label, engine=self._engine):
+        with span("sim.run", slots=slots, label=label):
             for _ in range(slots):
                 self.step(label)
         return self.trace

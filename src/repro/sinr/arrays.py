@@ -53,14 +53,11 @@ from .._types import BoolArray, FloatArray
 from ..contracts import hot_kernel
 from ..geometry import Node
 from ..links import Link
-from ..obs.runtime import OBS
 from ..state import (
     DecodeWorkspace,
     NetworkState,
     TiledNetworkState,
     attenuation_from_distances,
-    build_tile_grid,
-    far_tile_power_sums,
     pairwise_distances,
 )
 from .parameters import SINRParameters
@@ -68,13 +65,11 @@ from .power import PowerAssignment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamics uses sinr)
     from ..dynamics.gain import GainModel
-    from ..state.tiled import TileGrid
 
 __all__ = [
     "LinkArrayCache",
     "NodeArrayCache",
     "AffectanceAccumulator",
-    "TiledAffectanceTotals",
     "affectance_matrix_from_arrays",
     "sinr_values_from_arrays",
 ]
@@ -645,8 +640,9 @@ class NodeArrayCache:
             with ``state``, the view covers the state's live nodes in
             insertion order.
         state: an existing :class:`~repro.state.NetworkState` to view,
-            shared with other caches/channels; a private one is created from
-            ``nodes`` when omitted.
+            shared with other caches/channels; when omitted, a private one
+            is created from ``nodes`` by :meth:`NetworkState.for_nodes`,
+            which picks the store by size.
     """
 
     def __init__(
@@ -656,7 +652,7 @@ class NodeArrayCache:
         state: NetworkState | None = None,
     ) -> None:
         if state is None:
-            state = NetworkState(() if nodes is None else nodes)
+            state = NetworkState.for_nodes(() if nodes is None else nodes)
             nodes = None
         self._state = state
         if nodes is None:
@@ -1039,373 +1035,6 @@ class AffectanceAccumulator:
             member_totals = self._totals[mem] + self._matrix[index, mem]
             worst = max(worst, member_totals.max())
         return float(worst)
-
-    def fits(self, index: int, limit: float) -> bool:
-        """Whether adding ``index`` keeps every total at most ``limit``."""
-        return self.max_total_with(index) <= limit
-
-
-#: Target mean receiver population per tile when TiledAffectanceTotals
-#: derives a tile size from the receiver bounding box.
-_TARGET_LINKS_PER_TILE = 8
-
-
-class TiledAffectanceTotals:
-    """Near-exact / far-aggregated affectance row totals over a link universe.
-
-    The tiled counterpart of :class:`AffectanceAccumulator`: it tracks
-    ``totals[j] ~= sum_{i in S} affectance(i, j)`` for a growing/shrinking
-    member set ``S`` *without ever materializing the O(m^2) affectance
-    matrix* - the structure that walls the dense accumulator out of
-    m >= 50k universes (a 50k x 50k float matrix is 20 GB).
-
-    The decomposition splits each member's row by receiver distance:
-
-    * **near** (receiver within :attr:`near_cutoff` of the member's sender,
-      tile-radius padded): the exact per-pair affectance from
-      :meth:`LinkArrayCache.affectance_block` - bit-for-bit the dense
-      matrix entries, accumulated in the same insertion order, so a run
-      whose pairs are all near is *bitwise equal* to the dense accumulator;
-    * **far**: the member contributes ``P_i / d(s_i, c_t)**alpha`` to each
-      far tile ``t`` through its centroid (kernel
-      :func:`repro.state.far_tile_power_sums`), and a receiver reads its
-      tile's aggregate scaled by its own precomputed row factor
-      ``K_j = cost_j * l_j**alpha / P_j`` - O(tiles) per add instead of
-      O(m).  Same-sender pairs (zero affectance by definition, self pair
-      included) are corrected exactly at query time from the recorded
-      add-time far tiles.
-
-    **Error contract.**  For every far pair the relative error of the
-    centroid approximation is at most ``(1 + r/d)**alpha - 1`` (tile radius
-    ``r``, centroid distance ``d``); the running maximum actually incurred
-    is :meth:`far_error_bound`, so ``|total(j) - dense_total(j)| <=
-    far_error_bound() * dense_total(j)`` - *provided no far pair's raw
-    affectance reaches the ``1 + epsilon`` cap* (the aggregate carries no
-    per-pair cap).  The default near cutoff guarantees that proviso by
-    construction: it is floored at the distance beyond which even the
-    strongest sender's raw affectance on any link stays below the cap.
-    The bound is reported into a backing :class:`TiledNetworkState` (when
-    given) so ``far_error_bound()`` surfaces per run.
-
-    Limitations (documented, enforced): every link cost must be finite
-    (feasible SINR margin) and ``params.effective_gain_model`` must be
-    ``None`` - per-pair fades have no tile aggregate.
-
-    Args:
-        cache: the link universe (struct-of-arrays view).
-        power: per-link power assignment.
-        params: SINR parameters (deterministic gain model only).
-        state: optional backing :class:`TiledNetworkState`; supplies the
-            tile size, couples the near cutoff to its throttled near radius
-            and receives the incurred error bound / near-load samples.
-        tile_size: receiver-tile edge length override.
-        near_cutoff: exactness radius override (floored at the cap-safety
-            distance either way).
-        members: initial member indices, added in order.
-    """
-
-    def __init__(
-        self,
-        cache: LinkArrayCache,
-        power: PowerAssignment,
-        params: SINRParameters,
-        *,
-        state: TiledNetworkState | None = None,
-        tile_size: float | None = None,
-        near_cutoff: float | None = None,
-        members: Iterable[int] = (),
-    ) -> None:
-        if params.effective_gain_model is not None:
-            raise ValueError(
-                "TiledAffectanceTotals requires the deterministic gain model; "
-                "per-pair fades cannot be tile-aggregated"
-            )
-        self._cache = cache
-        self._power = power
-        self._params = params
-        self._state = state
-        m = len(cache)
-        powers = cache.powers(power)
-        if np.any(powers <= 0):
-            raise ValueError("all link powers must be positive")
-        self._powers = powers
-        lengths = cache.lengths
-        # Per-column row factor K_j = cost_j * l_j**alpha / P_j: exactly the
-        # cost arithmetic of _affectance_kernel, so near and far halves
-        # price a column identically.
-        if params.noise == 0:
-            costs = np.full(m, params.beta)
-        else:
-            margins = 1.0 - params.beta * params.noise * lengths**params.alpha / powers
-            costs = np.where(margins > 0, params.beta / np.maximum(margins, 1e-300), np.inf)
-        if m and not np.all(np.isfinite(costs)):
-            raise ValueError(
-                "every link must have a feasible SINR margin (finite cost); "
-                "infinite-cost links make far-field aggregation meaningless"
-            )
-        self._K = costs * lengths**params.alpha / powers
-        if tile_size is None:
-            tile_size = state.tile_size if state is not None else self._derive_tile_size()
-        if tile_size <= 0:
-            raise ValueError(f"tile_size must be positive, got {tile_size}")
-        self._tile_size = float(tile_size)
-        self._grid: "TileGrid" = build_tile_grid(
-            cache.receiver_xy, np.arange(m, dtype=np.intp), self._tile_size, m
-        )
-        self._tile_of = self._grid.tile_index_by_slot
-        # Cap-safety floor: beyond this distance even the strongest sender's
-        # raw affectance on any column stays below the 1 + epsilon cap, so
-        # the uncapped far aggregate cannot overshoot a capped dense entry.
-        cap = 1.0 + params.epsilon
-        if m:
-            p_max = float(powers.max())
-            self._cap_floor = float(
-                (lengths * (costs * p_max / (powers * cap)) ** (1.0 / params.alpha)).max()
-            )
-        else:
-            self._cap_floor = 0.0
-        self._near_cutoff_override = None if near_cutoff is None else float(near_cutoff)
-        # Column indices per sender id, for the exact same-sender far
-        # correction (zero affectance by definition).
-        cols_by_sender: dict[int, list[int]] = {}
-        for j, sender_id in enumerate(cache.sender_ids.tolist()):
-            cols_by_sender.setdefault(int(sender_id), []).append(j)
-        self._cols_by_sender = {
-            sender_id: np.array(cols, dtype=np.intp)
-            for sender_id, cols in cols_by_sender.items()
-        }
-        self._exact = np.zeros(m, dtype=float)
-        self._far = np.zeros(self._grid.tile_count, dtype=float)
-        self._members: list[int] = []
-        self._member_array: np.ndarray | None = None
-        self._in_set = np.zeros(m, dtype=bool)
-        self._members_by_sender: dict[int, list[int]] = {}
-        self._near_idx: dict[int, np.ndarray] = {}
-        self._far_tiles: dict[int, np.ndarray] = {}
-        self._far_tile_sets: dict[int, frozenset[int]] = {}
-        self._near_pairs = 0
-        self._incurred_bound = 0.0
-        for index in members:
-            self.add(index)
-
-    def _derive_tile_size(self) -> float:
-        receivers = self._cache.receiver_xy
-        m = receivers.shape[0]
-        if m == 0:
-            return 1.0
-        span = float(max(np.ptp(receivers[:, 0]), np.ptp(receivers[:, 1])))
-        if span <= 0.0:
-            return 1.0
-        tiles_per_axis = max(1.0, np.ceil(np.sqrt(m / _TARGET_LINKS_PER_TILE)))
-        return span / tiles_per_axis
-
-    # -- configuration / reporting -------------------------------------------
-
-    @property
-    def tile_size(self) -> float:
-        """Edge length of the receiver tiles."""
-        return self._tile_size
-
-    @property
-    def near_cutoff(self) -> float:
-        """Current exactness radius around a member's sender.
-
-        Tracks the backing state's (possibly throttled) near radius when one
-        is attached, and is always floored at the cap-safety distance - the
-        error contract never degrades below soundness, whatever the
-        throttle does.
-        """
-        if self._near_cutoff_override is not None:
-            base = self._near_cutoff_override
-        elif self._state is not None:
-            base = self._state.near_cutoff
-        else:
-            base = 2.0 * self._tile_size
-        return max(base, self._cap_floor)
-
-    def far_error_bound(self) -> float:
-        """Worst-case relative far-field error actually incurred (running max).
-
-        ``0.0`` until a far aggregation happens; an all-near run is exact.
-        """
-        return self._incurred_bound
-
-    @property
-    def near_pairs_held(self) -> int:
-        """Exact per-pair entries currently accumulated (the near memory load)."""
-        return self._near_pairs
-
-    # -- membership ----------------------------------------------------------
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """Current member indices, in insertion order."""
-        return tuple(self._members)
-
-    def member_indices(self) -> np.ndarray:
-        """Current member indices as an integer array (cached between edits)."""
-        if self._member_array is None:
-            self._member_array = np.array(self._members, dtype=np.intp)
-        return self._member_array
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self._in_set[index])
-
-    # -- the near/far split ---------------------------------------------------
-
-    def _split_tiles(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(near tile indices, far tile indices, centroid distances) for a sender."""
-        grid = self._grid
-        sx = self._cache.sender_xy[index, 0]
-        sy = self._cache.sender_xy[index, 1]
-        d = np.hypot(grid.centroids[:, 0] - sx, grid.centroids[:, 1] - sy)
-        far_mask = d > self.near_cutoff + grid.radii
-        return np.flatnonzero(~far_mask), np.flatnonzero(far_mask), d
-
-    def _near_members(self, near_tiles: np.ndarray) -> np.ndarray:
-        grid = self._grid
-        if near_tiles.size == 0:
-            return np.empty(0, dtype=np.intp)
-        parts = [grid.members(int(t)) for t in near_tiles.tolist()]
-        return np.concatenate(parts)
-
-    def _far_contrib(self, index: int, tiles: np.ndarray) -> np.ndarray:
-        """The member's per-tile far aggregate - one kernel call, so the add,
-        the remove and the same-sender correction all reproduce the exact
-        same floats."""
-        return far_tile_power_sums(
-            self._cache.sender_xy[index : index + 1],
-            self._powers[index : index + 1],
-            self._grid.centroids[tiles],
-            self._params.alpha,
-        )
-
-    def add(self, index: int) -> None:
-        """Add a universe index to the member set (O(near pairs + tiles))."""
-        index = int(index)
-        if self._in_set[index]:
-            raise ValueError(f"index {index} is already a member")
-        near_tiles, far_tiles, d = self._split_tiles(index)
-        near_idx = self._near_members(near_tiles)
-        if near_idx.size:
-            block = self._cache.affectance_block(
-                np.array([index], dtype=np.intp), near_idx, self._power, self._params
-            )
-            self._exact[near_idx] += block[0]
-        if far_tiles.size:
-            self._far[far_tiles] += self._far_contrib(index, far_tiles)
-            ratios = self._grid.radii[far_tiles] / np.maximum(d[far_tiles], 1e-300)
-            bound = float((1.0 + ratios.max()) ** self._params.alpha - 1.0)
-            if bound > self._incurred_bound:
-                self._incurred_bound = bound
-                if self._state is not None:
-                    self._state.note_far_error_bound(bound)
-        self._in_set[index] = True
-        self._members.append(index)
-        self._member_array = None
-        self._members_by_sender.setdefault(
-            int(self._cache.sender_ids[index]), []
-        ).append(index)
-        self._near_idx[index] = near_idx
-        self._far_tiles[index] = far_tiles
-        self._far_tile_sets[index] = frozenset(far_tiles.tolist())
-        self._near_pairs += int(near_idx.size)
-        if self._state is not None:
-            self._state.note_near_load(self._near_pairs)
-        if OBS.enabled:
-            OBS.registry.gauge("tiled.near_pairs").set(float(self._near_pairs))
-
-    def remove(self, index: int) -> None:
-        """Remove a member, exactly inverting its add-time contributions."""
-        index = int(index)
-        if not self._in_set[index]:
-            raise ValueError(f"index {index} is not a member")
-        near_idx = self._near_idx.pop(index)
-        far_tiles = self._far_tiles.pop(index)
-        del self._far_tile_sets[index]
-        if near_idx.size:
-            block = self._cache.affectance_block(
-                np.array([index], dtype=np.intp), near_idx, self._power, self._params
-            )
-            self._exact[near_idx] -= block[0]
-        if far_tiles.size:
-            self._far[far_tiles] -= self._far_contrib(index, far_tiles)
-        self._in_set[index] = False
-        self._members.remove(index)
-        self._member_array = None
-        self._members_by_sender[int(self._cache.sender_ids[index])].remove(index)
-        self._near_pairs -= int(near_idx.size)
-        if self._state is not None:
-            self._state.note_near_load(self._near_pairs)
-        if OBS.enabled:
-            OBS.registry.gauge("tiled.near_pairs").set(float(self._near_pairs))
-
-    # -- queries --------------------------------------------------------------
-
-    def total(self, index: int) -> float:
-        """Approximate affectance the member set exerts on universe index ``index``.
-
-        Exact near contributions plus the receiver tile's far aggregate
-        scaled by ``K_index``, with the member's same-sender far mass (zero
-        affectance by definition) subtracted exactly as it was added.
-        """
-        index = int(index)
-        tile = int(self._tile_of[index])
-        value = float(self._exact[index]) + float(self._K[index]) * float(self._far[tile])
-        for i in self._members_by_sender.get(int(self._cache.sender_ids[index]), ()):
-            if tile in self._far_tile_sets[i]:
-                tile_arr = np.array([tile], dtype=np.intp)
-                value -= float(self._K[index]) * float(self._far_contrib(i, tile_arr)[0])
-        return value
-
-    def totals(self) -> np.ndarray:
-        """Per-index totals vector (near exact, far tile-aggregated)."""
-        out = self._exact + self._K * self._far[self._tile_of]
-        for i in self._members:
-            cols = self._cols_by_sender[int(self._cache.sender_ids[i])]
-            far_set = self._far_tile_sets[i]
-            if not far_set or cols.size == 0:
-                continue
-            col_tiles = self._tile_of[cols]
-            mask = np.fromiter(
-                (int(t) in far_set for t in col_tiles.tolist()),
-                dtype=bool,
-                count=cols.size,
-            )
-            affected = cols[mask]
-            if affected.size:
-                corr = far_tile_power_sums(
-                    self._cache.sender_xy[i : i + 1],
-                    self._powers[i : i + 1],
-                    self._grid.centroids[self._tile_of[affected]],
-                    self._params.alpha,
-                )
-                out[affected] -= self._K[affected] * corr
-        return out
-
-    def max_total_with(self, index: int) -> float:
-        """Worst per-member total if ``index`` joined the member set.
-
-        Same contract as :meth:`AffectanceAccumulator.max_total_with`; the
-        candidate's row onto the members is computed exactly, the standing
-        totals carry the far-field approximation (within
-        :meth:`far_error_bound`).
-        """
-        index = int(index)
-        if self._in_set[index]:
-            raise ValueError(f"index {index} is already a member")
-        totals = self.totals()
-        worst = float(totals[index])
-        if self._members:
-            mem = self.member_indices()
-            row = self._cache.affectance_block(
-                np.array([index], dtype=np.intp), mem, self._power, self._params
-            )[0]
-            worst = max(worst, float((totals[mem] + row).max()))
-        return worst
 
     def fits(self, index: int, limit: float) -> bool:
         """Whether adding ``index`` keeps every total at most ``limit``."""

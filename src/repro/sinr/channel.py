@@ -15,8 +15,9 @@ transmitter-to-listener matrix resolves every listener at once
 for the listeners that actually decode something.  The slot-loop hot path can
 skip node-object marshalling entirely via :meth:`Channel.resolve_indices`,
 which works on integer indices into a :class:`~repro.sinr.arrays.NodeArrayCache`.
-The seed per-listener loop is preserved as :func:`decode_reference` so parity
-tests (and benchmarks) can pin the vectorized pass against it bit-for-bit.
+The seed per-listener loop lives on in the test suite as the
+``decode_reference`` oracle, so parity tests (and benchmarks) can pin the
+vectorized pass against it bit-for-bit.
 
 Two further gears sit on top of the vectorized pass (PR 5):
 
@@ -42,7 +43,7 @@ import numpy as np
 from .._types import DecodeTriple, FloatArray
 from ..contracts import hot_kernel
 from ..geometry import Node
-from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..state import DecodeWorkspace, NetworkState
 from .arrays import NodeArrayCache
 from .parameters import SINRParameters
 
@@ -51,10 +52,8 @@ __all__ = [
     "Reception",
     "Channel",
     "CachedChannel",
-    "MAX_CACHED_CHANNEL_NODES",
     "decode_arrays",
     "decode_many",
-    "decode_reference",
     "ensure_positive_powers",
 ]
 
@@ -133,8 +132,8 @@ def decode_arrays(
         the row index of its strongest transmitter, the SINR of that signal
         (``inf`` when there is no interference and no noise), and whether the
         SINR clears ``beta``.  The arithmetic is elementwise identical to the
-        seed per-listener loop (:func:`decode_reference`); parity tests pin
-        this bit-for-bit.
+        seed per-listener loop (the ``decode_reference`` test oracle);
+        parity tests pin this bit-for-bit.
     """
     if workspace is None:
         with np.errstate(divide="ignore"):
@@ -307,37 +306,6 @@ def _decode_received_stack(
     ok = ws.bools("many.ok", trials, nrx)
     np.greater_equal(sinr, params.beta, out=ok)
     return best, sinr, ok
-
-
-def decode_reference(
-    transmissions: Sequence[Transmission],
-    active_listeners: Sequence[Node],
-    dist: np.ndarray,
-    powers: np.ndarray,
-    params: SINRParameters,
-    fade: np.ndarray | None = None,
-) -> dict[int, Reception]:
-    """The seed per-listener decode loop, kept as the parity/benchmark oracle."""
-    with np.errstate(divide="ignore"):
-        received = powers[:, None] / np.maximum(dist, 1e-300) ** params.alpha
-    received = np.where(dist <= 0, np.inf, received)
-    if fade is not None:
-        received = received * fade
-
-    total = received.sum(axis=0) + params.noise
-    results: dict[int, Reception] = {}
-    for j, listener in enumerate(active_listeners):
-        signals = received[:, j]
-        best = int(np.argmax(signals))
-        interference = total[j] - signals[best]
-        if interference <= 0:
-            sinr = np.inf
-        else:
-            sinr = float(signals[best] / interference)
-        if sinr >= params.beta:
-            t = transmissions[best]
-            results[listener.id] = Reception(sender=t.sender, message=t.message, sinr=sinr)
-    return results
 
 
 class Channel:
@@ -702,27 +670,21 @@ class Channel:
         return np.hypot(xy[:, 0] - receiver.x, xy[:, 1] - receiver.y)
 
 
-# Node count above which the O(n^2) cached matrices are not worth their
-# memory (8 bytes * n^2 each for the distance matrix plus one attenuation
-# matrix per alpha queried; 2048 nodes ~ 33 MB per matrix, typically ~66 MB
-# total).  Upgrade sites consult this.
-MAX_CACHED_CHANNEL_NODES = 2048
-
-
 class CachedChannel(Channel):
-    """Channel over a *fixed node universe*, backed by cached distances.
+    """Channel over a *fixed node universe*, backed by its geometry store.
 
-    The node-to-node distance matrix is computed once; every call to
-    :meth:`resolve` then slices it by transmitter/listener index instead of
-    rebuilding coordinate arrays from the node objects.  Results are
+    Every call to :meth:`resolve` gathers its distances from the universe's
+    :class:`~repro.state.NetworkState` by transmitter/listener index instead
+    of rebuilding coordinate arrays from the node objects.  Results are
     identical to :class:`Channel` (the distances are the same hypot values,
     merely precomputed).  Transmissions or listeners involving nodes outside
-    the universe fall back to the uncached distance computation.
+    the universe are resolved from their coordinates instead.
 
     Args:
         params: the physical-model parameters.
         nodes: the node universe (e.g. all simulator agents' nodes, or every
-            endpoint of a link set being scheduled).
+            endpoint of a link set being scheduled); its store is chosen by
+            size (:meth:`~repro.state.NetworkState.for_nodes`).
         cache: an existing :class:`NodeArrayCache` over the same universe to
             share instead of building a new one - several channels with
             different parameters (e.g. one per gain model under study) can
@@ -745,19 +707,11 @@ class CachedChannel(Channel):
     ) -> None:
         super().__init__(params)
         if cache is None:
-            if state is not None:
-                cache = NodeArrayCache(nodes, state=state)
-            elif nodes is None:
+            if nodes is None and state is None:
                 raise ValueError(
                     "CachedChannel needs a node universe: pass nodes, cache or state"
                 )
-            elif params.store == "tiled":
-                # The store switch: an O(n) tiled state instead of the dense
-                # O(n^2) matrices.  Decode rectangles stay bitwise-equal to
-                # the dense gather, so this channel's results are identical.
-                cache = NodeArrayCache(state=TiledNetworkState(nodes))
-            else:
-                cache = NodeArrayCache(nodes)
+            cache = NodeArrayCache(nodes, state=state)
         elif state is not None and cache.state is not state:
             raise ValueError("pass either cache or state, not both")
         self.cache = cache

@@ -11,6 +11,7 @@ threshold, and ``N`` the ambient noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -41,14 +42,10 @@ class SINRParameters:
             path, bit-for-bit.  The model must be a pure function of
             ``(configuration, node ids, slot)`` so cached matrices keyed by
             this parameter bundle stay valid.
-        store: geometry-store selector, ``"dense"`` (default) or
-            ``"tiled"``.  Dense materializes the exact O(n^2) matrices and
-            stays the parity oracle at small n; tiled
-            (:class:`repro.state.TiledNetworkState`) is O(n), exact inside
-            the near radius with tile-aggregated far fields, and is what
-            unlocks n >= 50k runs.  The model arithmetic is identical under
-            both; only row-*total* far fields carry a declared, bounded
-            approximation (see ``TiledAffectanceTotals.far_error_bound``).
+
+    Raises:
+        ConfigurationError: if a numeric field is non-finite (NaN or
+            infinite) or outside its range.
     """
 
     alpha: float = 3.0
@@ -57,9 +54,14 @@ class SINRParameters:
     epsilon: float = 0.1
     max_power: float | None = None
     gain_model: "GainModel | None" = None
-    store: str = "dense"
 
     def __post_init__(self) -> None:
+        # NaN compares false against every bound below, so it must be
+        # rejected explicitly before the range checks.
+        for name in ("alpha", "beta", "noise", "epsilon", "max_power"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.alpha <= 2.0:
             raise ConfigurationError(f"alpha must exceed 2, got {self.alpha}")
         if self.beta <= 0.0:
@@ -70,8 +72,6 @@ class SINRParameters:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_power is not None and self.max_power <= 0.0:
             raise ConfigurationError(f"max_power must be positive, got {self.max_power}")
-        if self.store not in ("dense", "tiled"):
-            raise ConfigurationError(f"store must be 'dense' or 'tiled', got {self.store!r}")
 
     def min_power_for(self, length: float, slack: float = 2.0) -> float:
         """Smallest power keeping the link cost ``c(u, v)`` at most ``slack * beta``.

@@ -13,12 +13,11 @@ the same expressions on the same floats.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._types import FloatArray, IntpArray
+from .._types import FloatArray
 from ..contracts import hot_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scratch imports nothing back)
@@ -27,16 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scratch imports noth
 __all__ = [
     "pairwise_distances",
     "attenuation_from_distances",
-    "tile_codes",
     "distance_rect_from_xy",
     "attenuation_rect_from_xy",
-    "far_tile_power_sums",
 ]
-
-#: Tile-coordinate packing: the signed (ix, iy) axis-index pair is packed as
-#: ``ix * _TILE_SPAN + iy`` into one int64, so a tile identity is a single
-#: sortable scalar (the grid build sorts/uniques these codes).
-_TILE_SPAN = 2**32
 
 
 @hot_kernel(oracle="hypot", allocates=True)
@@ -70,32 +62,6 @@ def attenuation_from_distances(dist: FloatArray, alpha: float) -> FloatArray:
     att = np.maximum(dist, 1e-300) ** alpha
     att[dist <= 0] = 0.0
     return att
-
-
-def _tile_codes_reference(xy: FloatArray, tile_size: float) -> IntpArray:
-    """Scalar-loop oracle for :func:`tile_codes` (parity target, not a hot path)."""
-    codes = np.empty(len(xy), dtype=np.int64)
-    for pos, (x, y) in enumerate(np.asarray(xy, dtype=float).tolist()):
-        ix = int(math.floor(x / tile_size))
-        iy = int(math.floor(y / tile_size))
-        codes[pos] = ix * _TILE_SPAN + iy
-    return codes
-
-
-@hot_kernel(oracle="_tile_codes_reference", allocates=True)
-def tile_codes(xy: FloatArray, tile_size: float) -> IntpArray:
-    """Packed int64 tile identity for each point of ``xy`` on a uniform grid.
-
-    The axis index is ``floor(coord / tile_size)`` - the same binning rule as
-    :class:`repro.geometry.GridIndex` - packed as ``ix * 2**32 + iy``, which
-    is injective while ``|iy| < 2**31`` (the y index occupies one width-2**32
-    residue window per x index), so one ``np.unique`` over the codes recovers
-    the occupied tiles.  Sorting by code groups points tile-by-tile, which is
-    how the tiled store builds its member lists, centroids and radii in
-    O(n log n).
-    """
-    ij = np.floor(np.asarray(xy, dtype=float) / tile_size).astype(np.int64)
-    return ij[:, 0] * _TILE_SPAN + ij[:, 1]
 
 
 @hot_kernel(oracle="pairwise_distances")
@@ -152,47 +118,3 @@ def attenuation_rect_from_xy(
     np.less_equal(dist, 0.0, out=colocated)
     np.copyto(att, 0.0, where=colocated)
     return att
-
-
-def _far_tile_reference(
-    tx_xy: FloatArray,
-    tx_power: FloatArray,
-    centroids: FloatArray,
-    alpha: float,
-) -> FloatArray:
-    """Scalar-loop oracle for :func:`far_tile_power_sums`."""
-    sums = np.zeros(len(centroids), dtype=float)
-    points = np.asarray(centroids, dtype=float).tolist()
-    senders = np.asarray(tx_xy, dtype=float).tolist()
-    powers = np.asarray(tx_power, dtype=float).tolist()
-    for t, (cx, cy) in enumerate(points):
-        acc = 0.0
-        for (x, y), p in zip(senders, powers):
-            d = math.hypot(cx - x, cy - y)
-            acc += p / max(d, 1e-300) ** alpha
-        sums[t] = acc
-    return sums
-
-
-@hot_kernel(oracle="_far_tile_reference", allocates=True)
-def far_tile_power_sums(
-    tx_xy: FloatArray,
-    tx_power: FloatArray,
-    centroids: FloatArray,
-    alpha: float,
-) -> FloatArray:
-    """Per-tile received-power aggregate ``sum_i P_i / max(|c_t - x_i|, eps)**alpha``.
-
-    The far-field half of the tiled affectance decomposition: every sender
-    beyond the near radius contributes to a tile through its centroid
-    distance instead of through per-receiver entries, collapsing an
-    ``O(m)``-column row update to ``O(tiles)``.  Senders accumulate in index
-    order with one vectorized sweep over tiles each, so adding members one
-    at a time (the accumulator's incremental path) reproduces a batch call
-    bit-for-bit - which is what makes ``remove`` an exact inverse of ``add``.
-    """
-    sums = np.zeros(centroids.shape[0], dtype=float)
-    for i in range(tx_xy.shape[0]):
-        d = np.hypot(centroids[:, 0] - tx_xy[i, 0], centroids[:, 1] - tx_xy[i, 1])
-        sums += tx_power[i] / np.maximum(d, 1e-300) ** alpha
-    return sums

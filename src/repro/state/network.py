@@ -42,12 +42,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamics/links use s
     from ..dynamics.gain import GainModel
     from ..links import Link
 
-__all__ = ["NetworkState"]
+__all__ = ["DENSE_BUDGET_BYTES", "NetworkState"]
+
+#: Largest footprint of the dense store's distance matrix plus one
+#: attenuation matrix (``16 * n**2`` bytes) for which
+#: :meth:`NetworkState.for_nodes` picks the dense store: n <= 2048.  Larger
+#: universes get the O(n) :class:`~repro.state.TiledNetworkState`, whose
+#: decode rectangles are bitwise equal, so the choice never changes a result.
+DENSE_BUDGET_BYTES = 64 * 1024 * 1024
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _link_endpoints(links: Iterable["Link"]) -> list[Node]:
+    """Unique link endpoints by node id, sender before receiver, in link order."""
+    endpoints: dict[int, Node] = {}
+    for link in links:
+        endpoints.setdefault(link.sender.id, link.sender)
+        endpoints.setdefault(link.receiver.id, link.receiver)
+    return list(endpoints.values())
 
 
 class NetworkState:
@@ -64,10 +80,6 @@ class NetworkState:
     #: so the adopted views outlive the exporting process's unlink.
     _shm_keepalive: list[object]
 
-    #: Store discriminator mirrored by ``SINRParameters.store``: the dense
-    #: store materializes O(capacity^2) matrices; the tiled subclass
-    #: (:class:`repro.state.TiledNetworkState`) overrides both.
-    store: str = "dense"
     #: Whether whole derived matrices exist to be gathered from.  Consumers
     #: such as ``NodeArrayCache`` dispatch on this instead of isinstance, so
     #: third-party stores can opt in to either protocol.
@@ -177,14 +189,29 @@ class NetworkState:
         """State over the unique endpoints of a link collection.
 
         Endpoints are deduplicated by node id in first-appearance order
-        (sender before receiver, per link).  This is the one implementation
-        of the endpoint-collection idiom every link-driven consumer uses.
+        (sender before receiver, per link).
         """
-        endpoints: dict[int, Node] = {}
-        for link in links:
-            endpoints.setdefault(link.sender.id, link.sender)
-            endpoints.setdefault(link.receiver.id, link.receiver)
-        return cls(endpoints.values(), capacity=capacity)
+        return cls(_link_endpoints(links), capacity=capacity)
+
+    @staticmethod
+    def for_nodes(nodes: Iterable[Node]) -> "NetworkState":
+        """The geometry store for a node universe, chosen by its size.
+
+        Dense while its distance matrix plus one attenuation matrix fit in
+        :data:`DENSE_BUDGET_BYTES`, tiled above.  This is the one place that
+        decides between the two stores.
+        """
+        node_list = list(nodes)
+        if 16 * len(node_list) ** 2 <= DENSE_BUDGET_BYTES:
+            return NetworkState(node_list)
+        from .tiled import TiledNetworkState  # the subclass imports this module
+
+        return TiledNetworkState(node_list)
+
+    @staticmethod
+    def for_links(links: Iterable["Link"]) -> "NetworkState":
+        """:meth:`for_nodes` over the unique endpoints of a link collection."""
+        return NetworkState.for_nodes(_link_endpoints(links))
 
     # -- membership ----------------------------------------------------------
 

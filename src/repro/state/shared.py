@@ -56,12 +56,9 @@ class SharedStateSpec:
     ids: SharedArraySpec
     distances: SharedArraySpec | None
     attenuation: tuple[tuple[float, SharedArraySpec], ...]
-    #: Store discriminator; workers re-materialize the same store kind.
-    #: Defaulted for backward compatibility with pre-tiled specs.
-    store: str = "dense"
-    #: Tiled-store configuration (tile_size, budget_bytes, near_rings); only
-    #: meaningful when ``store == "tiled"``.
-    tile: tuple[float, int, int] | None = None
+    #: Row-cache budget of an exported :class:`TiledNetworkState`, so
+    #: workers re-materialize the same store kind; ``None`` for a dense one.
+    tiled_budget_bytes: int | None = None
 
     @property
     def block_names(self) -> tuple[str, ...]:
@@ -166,22 +163,13 @@ def export_state(
             block.close()
             block.unlink()
         raise
-    tile_config: tuple[float, int, int] | None = None
-    if tiled:
-        config = cast(TiledNetworkState, state).tile_config
-        tile_config = (
-            float(config["tile_size"]),
-            int(config["budget_bytes"]),
-            int(config["near_rings"]),
-        )
     return StateExport(
         SharedStateSpec(
             xy=xy_spec,
             ids=ids_spec,
             distances=dist_spec,
             attenuation=tuple(att_specs),
-            store=state.store,
-            tile=tile_config,
+            tiled_budget_bytes=cast(TiledNetworkState, state).budget_bytes if tiled else None,
         ),
         blocks,
     )
@@ -209,14 +197,8 @@ def attach_state(spec: SharedStateSpec) -> NetworkState:
         keepalive.append(block)
         attenuation[alpha] = matrix
     state: NetworkState
-    if getattr(spec, "store", "dense") == "tiled":
-        tile = spec.tile
-        if tile is not None:
-            state = TiledNetworkState.from_arrays(
-                xy, ids, tile_size=tile[0], budget_bytes=tile[1], near_rings=tile[2]
-            )
-        else:
-            state = TiledNetworkState.from_arrays(xy, ids)
+    if spec.tiled_budget_bytes is not None:
+        state = TiledNetworkState.from_arrays(xy, ids, budget_bytes=spec.tiled_budget_bytes)
     else:
         state = NetworkState.from_arrays(xy, ids, distances=distances, attenuation=attenuation)
     # The blocks must outlive the adopted views; anchoring them on the state

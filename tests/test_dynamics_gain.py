@@ -26,9 +26,9 @@ from repro.sinr import (
     UniformPower,
     decode_arrays,
 )
-from repro.sinr.channel import decode_reference
 
 from .conftest import make_node
+from .oracles import LegacySimulator, decode_reference
 
 
 class TestModelProperties:
@@ -217,12 +217,12 @@ class _Beacon(NodeAgent):
 
 
 class TestFadingChannel:
-    def _run(self, params, engine, slots=60, n=24):
+    def _run(self, params, simulator_cls=Simulator, slots=60, n=24):
         nodes = uniform_random(n, np.random.default_rng(42))
         rngs = spawn_agent_rngs(np.random.default_rng(43), n)
         power = params.min_power_for(2.0)
         agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-        simulator = Simulator(agents, Channel(params), engine=engine)
+        simulator = simulator_cls(agents, Channel(params))
         simulator.run(slots)
         return [agent.heard for agent in agents], simulator.trace
 
@@ -233,21 +233,21 @@ class TestFadingChannel:
     )
     def test_batch_and_legacy_engines_agree_under_fading(self, params, model):
         faded = params.with_overrides(gain_model=model)
-        batch, _ = self._run(faded, "batch")
-        legacy, _ = self._run(faded, "legacy")
+        batch, _ = self._run(faded)
+        legacy, _ = self._run(faded, LegacySimulator)
         assert batch == legacy
 
     def test_same_seed_reproduces_trace(self, params):
         faded = params.with_overrides(gain_model=RayleighFading(seed=11))
-        a, trace_a = self._run(faded, "batch")
-        b, trace_b = self._run(faded, "batch")
+        a, trace_a = self._run(faded)
+        b, trace_b = self._run(faded)
         assert a == b
         assert trace_a.successful_receptions == trace_b.successful_receptions
 
     def test_fading_changes_outcomes(self, params):
-        plain, _ = self._run(params, "batch")
+        plain, _ = self._run(params)
         faded, _ = self._run(
-            params.with_overrides(gain_model=RayleighFading(seed=11)), "batch"
+            params.with_overrides(gain_model=RayleighFading(seed=11))
         )
         assert plain != faded
 

@@ -18,12 +18,13 @@ from repro.experiments import (
     default_workers,
     get_fabric,
     map_trials,
-    map_trials_cold,
     shared_state,
 )
 from repro.experiments import e1_init, e9_capacity, e10_fading, f3_uniform_lower_bound
 from repro.geometry import deployment_by_name
 from repro.state import NetworkState
+
+from .oracles import map_trials_cold
 
 
 def _square(args: tuple[int, int]) -> int:

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry import Node, Point, node_distance_matrix, nodes_from_points, nodes_to_array
+from repro.geometry import (
+    Node,
+    Point,
+    diameter,
+    node_distance_matrix,
+    nodes_from_points,
+    nodes_to_array,
+)
+from repro.geometry import node as node_module
 
 
 class TestNode:
@@ -46,3 +54,23 @@ class TestConstructors:
         matrix = node_distance_matrix(nodes)
         assert matrix[0, 1] == pytest.approx(4.0)
         assert np.allclose(matrix, matrix.T)
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("count", [2, 3, 17, 64])
+    @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 18])
+    def test_bitwise_equal_to_matrix_max(self, count, block_pairs, monkeypatch):
+        monkeypatch.setattr(node_module, "_DIAMETER_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(count)
+        nodes = nodes_from_points(
+            [Point(float(x), float(y)) for x, y in rng.uniform(-1e3, 1e3, size=(count, 2))]
+        )
+        assert diameter(nodes) == float(node_distance_matrix(nodes).max())
+
+    def test_fewer_than_two_nodes(self):
+        assert diameter([]) == 0.0
+        assert diameter([Node(0, Point(3, 4))]) == 0.0
+
+    def test_nan_coordinate_propagates(self):
+        nodes = nodes_from_points([Point(0, 0), Point(float("nan"), 1), Point(5, 5)])
+        assert np.isnan(diameter(nodes))

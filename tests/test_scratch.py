@@ -160,6 +160,8 @@ class TestChannelWorkspaceParity:
         from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
         from repro.sinr import Channel, Transmission
 
+        from .oracles import LegacySimulator
+
         params = SINRParameters()
 
         class Beacon(NodeAgent):
@@ -185,15 +187,15 @@ class TestChannelWorkspaceParity:
 
         power = params.min_power_for(1.5)
 
-        def run(engine):
+        def run(simulator_cls):
             rngs = spawn_agent_rngs(np.random.default_rng(2), len(universe))
             agents = [Beacon(node, rng, power) for node, rng in zip(universe, rngs)]
-            simulator = Simulator(agents, Channel(params), engine=engine)
+            simulator = simulator_cls(agents, Channel(params))
             simulator.run(60)
             return [agent.heard for agent in agents], simulator.trace
 
-        batch_heard, batch_trace = run("batch")
-        legacy_heard, legacy_trace = run("legacy")
+        batch_heard, batch_trace = run(Simulator)
+        legacy_heard, legacy_trace = run(LegacySimulator)
         assert batch_heard == legacy_heard
         assert batch_trace.successful_receptions == legacy_trace.successful_receptions
 

@@ -40,6 +40,12 @@ class TestValidation:
             with pytest.raises(ConfigurationError):
                 SINRParameters(max_power=bad_cap)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "noise", "epsilon", "max_power"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            SINRParameters(**{field: value})
+
     def test_max_power_unset_means_uncapped(self):
         assert SINRParameters().max_power is None
         assert SINRParameters(max_power=None).max_power is None

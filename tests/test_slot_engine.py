@@ -5,7 +5,8 @@ Pins, on randomized instances and on the documented edge cases:
 * the vectorized ``Channel._decode`` / ``decode_arrays`` against the seed
   per-listener loop (``decode_reference``), bit-for-bit;
 * ``resolve_indices`` against ``Channel.resolve``;
-* the batch simulator engine against the seed (legacy) engine, including
+* the batch simulator engine against the seed (legacy) engine, the
+  ``LegacySimulator`` oracle, including
   delivered observations and traces;
 * the columnar trace against the record-based trace.
 """
@@ -24,10 +25,10 @@ from repro.sinr import (
     SINRParameters,
     Transmission,
     decode_arrays,
-    decode_reference,
 )
 
 from .conftest import make_node
+from .oracles import LegacySimulator, decode_reference
 
 
 class _SeedDecodeChannel(Channel):
@@ -233,8 +234,8 @@ class TestEngineParity:
         slots = 60
         batch_agents = _coin_agents(params, 25, seed)
         legacy_agents = _coin_agents(params, 25, seed)
-        batch = Simulator(batch_agents, Channel(params), engine="batch")
-        legacy = Simulator(legacy_agents, Channel(params), engine="legacy")
+        batch = Simulator(batch_agents, Channel(params))
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="parity")
         legacy.run(slots, label="parity")
         assert batch.trace.records == legacy.trace.records
@@ -244,8 +245,8 @@ class TestEngineParity:
         slots = 40
         batch_agents = _coin_agents(params, 18, 11)
         legacy_agents = _coin_agents(params, 18, 11)
-        batch = Simulator(batch_agents, Channel(params), engine="batch", trace_level="columnar")
-        legacy = Simulator(legacy_agents, Channel(params), engine="legacy")
+        batch = Simulator(batch_agents, Channel(params), trace_level="columnar")
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="col")
         legacy.run(slots, label="col")
         assert batch.trace.records == legacy.trace.records
@@ -258,8 +259,8 @@ class TestEngineParity:
         slots = 40
         counts_agents = _coin_agents(params, 18, 13)
         record_agents = _coin_agents(params, 18, 13)
-        counts = Simulator(counts_agents, Channel(params), engine="batch", trace_level="counts")
-        records = Simulator(record_agents, Channel(params), engine="batch")
+        counts = Simulator(counts_agents, Channel(params), trace_level="counts")
+        records = Simulator(record_agents, Channel(params))
         counts.run(slots)
         records.run(slots)
         assert counts.trace.slots_used == records.trace.slots_used
@@ -278,7 +279,7 @@ class TestEngineParity:
                 return {}
 
         agents = _coin_agents(params, 10, 17)
-        simulator = Simulator(agents, MuteChannel(params), engine="batch")
+        simulator = Simulator(agents, MuteChannel(params))
         simulator.run(30)
         assert all(not agent.heard for agent in agents)
         assert simulator.trace.successful_receptions == 0
@@ -292,14 +293,14 @@ class TestEngineParity:
 
         agents = _coin_agents(params, 4, 23)
         bad = [BadPowerAgent(a.node, a.rng, a.power) for a in agents]
-        simulator = Simulator(bad, Channel(params), engine="batch")
+        simulator = Simulator(bad, Channel(params))
         with pytest.raises(ValueError, match="power must be positive"):
             simulator.step()
 
     def test_invalid_engine_and_trace_level_rejected(self, params):
         agents = _coin_agents(params, 4, 19)
-        with pytest.raises(ValueError):
-            Simulator(agents, Channel(params), engine="warp")
+        with pytest.raises(TypeError):  # the batch engine is the only engine
+            Simulator(agents, Channel(params), engine="legacy")
         with pytest.raises(ValueError):
             Simulator(agents[:2], Channel(params), trace_level="everything")
 
