@@ -17,6 +17,11 @@ wrong as the heartbeats let it be.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
+from .._types import IntpArray
 from ..exceptions import ConfigurationError, NodeCrashedError
 from ..obs.runtime import OBS
 
@@ -26,13 +31,27 @@ __all__ = ["HeartbeatDetector"]
 class HeartbeatDetector:
     """Tracks per-node liveness and last-reported protocol status.
 
+    The per-node state - consecutive misses, suspicion, last "done" flag -
+    lives in arrays aligned with ``node_ids``, and one :meth:`observe` call
+    applies a whole heartbeat slot.
+
     Args:
-        node_ids: the monitored nodes.
+        node_ids: the monitored nodes (distinct).
         interval: slots between expected heartbeats.
         miss_threshold: consecutive misses before a node is suspected.
     """
 
-    __slots__ = ("_done", "_interval", "_misses", "_suspected", "_threshold", "node_ids")
+    __slots__ = (
+        "_done",
+        "_ids",
+        "_interval",
+        "_misses",
+        "_order",
+        "_sorted_ids",
+        "_suspected",
+        "_threshold",
+        "node_ids",
+    )
 
     def __init__(
         self,
@@ -48,12 +67,18 @@ class HeartbeatDetector:
                 f"miss_threshold must be positive, got {miss_threshold}"
             )
         self.node_ids = list(node_ids)
+        if len(set(self.node_ids)) != len(self.node_ids):
+            raise ConfigurationError("detector node ids must be distinct")
         self._interval = interval
         self._threshold = miss_threshold
-        self._misses: dict[int, int] = {node_id: 0 for node_id in self.node_ids}
-        self._suspected: set[int] = set()
+        self._ids = np.asarray(self.node_ids, dtype=np.int64)
+        self._order = np.argsort(self._ids, kind="stable")
+        self._sorted_ids = self._ids[self._order]
+        count = len(self.node_ids)
+        self._misses = np.zeros(count, dtype=np.int64)
+        self._suspected = np.zeros(count, dtype=bool)
         #: last status each node reported (protocol "done" flag).
-        self._done: dict[int, bool] = {node_id: False for node_id in self.node_ids}
+        self._done = np.zeros(count, dtype=bool)
 
     @property
     def interval(self) -> int:
@@ -63,44 +88,72 @@ class HeartbeatDetector:
         """Whether ``slot`` is a heartbeat slot (all nodes share the phase)."""
         return slot % self._interval == 0
 
-    def observe_heartbeat(self, node_id: int, slot: int, *, done: bool) -> None:
-        """Record an arrived heartbeat: resets misses, refreshes status."""
-        self._misses[node_id] = 0
-        self._suspected.discard(node_id)
-        self._done[node_id] = done
-        if OBS.enabled:
-            OBS.registry.inc("netsim.heartbeats")
+    def _rows(self, node_ids: Sequence[int] | np.ndarray) -> IntpArray:
+        """Monitor positions of ``node_ids``; unknown ids are an error."""
+        ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+        at = np.searchsorted(self._sorted_ids, ids)
+        known = at < len(self._sorted_ids)
+        known[known] = self._sorted_ids[at[known]] == ids[known]
+        if not known.all():
+            raise ConfigurationError(
+                f"ids not monitored by this detector: {ids[~known][:5].tolist()}"
+            )
+        return self._order[at]
 
-    def observe_miss(self, node_id: int, slot: int) -> None:
-        """Record a missed heartbeat; may push the node into the suspects."""
-        misses = self._misses[node_id] + 1
-        self._misses[node_id] = misses
+    def observe(
+        self,
+        arrived: Sequence[int] | np.ndarray,
+        done: Sequence[bool] | np.ndarray,
+        missed: Sequence[int] | np.ndarray,
+    ) -> None:
+        """Apply one heartbeat slot.
+
+        Args:
+            arrived: ids whose heartbeat arrived - their misses reset and
+                their suspicion clears.
+            done: the protocol status each arrived heartbeat reported,
+                aligned with ``arrived``.
+            missed: ids whose heartbeat was lost or never sent - a node
+                reaching ``miss_threshold`` consecutive misses is suspected.
+        """
+        hit = self._rows(arrived)
+        self._misses[hit] = 0
+        self._suspected[hit] = False
+        self._done[hit] = np.asarray(done, dtype=bool)
+        lost = self._rows(missed)
+        self._misses[lost] += 1
+        tripped = lost[self._misses[lost] >= self._threshold]
         if OBS.enabled:
-            OBS.registry.inc("netsim.heartbeat_misses")
-        if misses >= self._threshold:
-            if OBS.enabled and node_id not in self._suspected:
-                OBS.registry.inc("netsim.suspicions")
-            self._suspected.add(node_id)
+            registry = OBS.registry
+            if len(hit):
+                registry.inc("netsim.heartbeats", len(hit))
+            if len(lost):
+                registry.inc("netsim.heartbeat_misses", len(lost))
+            fresh = int(np.count_nonzero(~self._suspected[tripped]))
+            if fresh:
+                registry.inc("netsim.suspicions", fresh)
+        self._suspected[tripped] = True
 
     def suspected_ids(self) -> frozenset[int]:
         """Nodes currently suspected crashed."""
-        return frozenset(self._suspected)
+        return frozenset(self._ids[self._suspected].tolist())
 
     def alive_view(self) -> list[int]:
         """Nodes currently believed alive, in monitor order."""
-        return [node_id for node_id in self.node_ids if node_id not in self._suspected]
+        return self._ids[~self._suspected].tolist()
 
     def active_view(self) -> int:
         """Number of alive-believed nodes whose last status was not done."""
-        return sum(
-            1
-            for node_id in self.node_ids
-            if node_id not in self._suspected and not self._done[node_id]
-        )
+        return int(np.count_nonzero(~(self._suspected | self._done)))
 
     def require_alive(self, node_id: int) -> None:
-        """Raise :class:`NodeCrashedError` if ``node_id`` is suspected down."""
-        if node_id in self._suspected:
+        """Raise :class:`NodeCrashedError` if ``node_id`` is suspected down.
+
+        An id the detector does not monitor is never suspected.
+        """
+        at = int(np.searchsorted(self._sorted_ids, node_id))
+        monitored = at < len(self._sorted_ids) and self._sorted_ids[at] == node_id
+        if monitored and self._suspected[self._order[at]]:
             raise NodeCrashedError(
                 f"node {node_id} is suspected crashed "
                 f"(missed >= {self._threshold} heartbeats)"

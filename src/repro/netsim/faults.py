@@ -20,6 +20,7 @@ draw onto a crash window in slot time.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -73,22 +74,32 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delay_prob <= 1.0:
             raise ConfigurationError(f"delay_prob must be in [0, 1], got {self.delay_prob}")
-        if self.mean_slots < 1.0:
-            raise ConfigurationError(f"mean_slots must be >= 1, got {self.mean_slots}")
+        if not (math.isfinite(self.mean_slots) and self.mean_slots >= 1.0):
+            raise ConfigurationError(
+                f"mean_slots must be finite and >= 1, got {self.mean_slots}"
+            )
         if self.max_slots < 1:
             raise ConfigurationError(f"max_slots must be positive, got {self.max_slots}")
 
-    def delays(self, seed: int, src_id: int, dst_ids: np.ndarray, slot: int) -> IntpArray:
-        """Per-receiver delivery delays for one sender's slot-``slot`` message."""
+    def delays(
+        self, seed: int, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int
+    ) -> IntpArray:
+        """Delivery delays of ``src -> dst`` messages sent at ``slot``.
+
+        ``src_ids`` and ``dst_ids`` broadcast against each other: one sender
+        against its receivers, or aligned pair arrays of a whole slot.
+        """
+        src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
+        shape = np.broadcast_shapes(src.shape, dst.shape)
         if self.delay_prob <= 0.0:
-            return np.zeros(dst.shape, dtype=np.intp)
-        u_late = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src_id, dst, slot, 1))
-        u_size = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src_id, dst, slot, 2))
+            return np.zeros(shape, dtype=np.intp)
+        u_late = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src, dst, slot, 1))
+        u_size = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src, dst, slot, 2))
         # Geometric with the requested mean: ceil(log(u) / log(1 - 1/mean)).
         p = 1.0 / self.mean_slots
         if p >= 1.0:
-            size = np.ones(dst.shape, dtype=np.intp)
+            size = np.ones(shape, dtype=np.intp)
         else:
             size = np.ceil(np.log(u_size) / np.log1p(-p)).astype(np.intp)
         size = np.clip(size, 1, self.max_slots)
@@ -106,6 +117,14 @@ class CrashWindow:
     start_slot: int
     end_slot: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.start_slot < 0:
+            raise ConfigurationError(f"start_slot must be non-negative, got {self.start_slot}")
+        if self.end_slot is not None and self.end_slot <= self.start_slot:
+            raise ConfigurationError(
+                f"end_slot {self.end_slot} must exceed start_slot {self.start_slot}"
+            )
+
     def covers(self, slot: int) -> bool:
         if slot < self.start_slot:
             return False
@@ -114,17 +133,13 @@ class CrashWindow:
 
 @dataclass(frozen=True)
 class CrashSchedule:
-    """A set of crash windows, queried per (node, slot).
+    """A set of crash windows, queried per slot.
 
     Attributes:
         windows: the node-down intervals; one node may have several.
     """
 
     windows: tuple[CrashWindow, ...] = ()
-
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id`` is down at ``slot``."""
-        return any(w.node_id == node_id and w.covers(slot) for w in self.windows)
 
     def crashed_ids(self, slot: int) -> frozenset[int]:
         """Ids of every node down at ``slot``."""
@@ -249,9 +264,14 @@ class Partition:
             return False
         return self.end_slot is None or slot < self.end_slot
 
-    def severs(self, src_id: int, dst_id: int, slot: int) -> bool:
-        """Whether the partition cuts the ``src -> dst`` message at ``slot``."""
-        return self.active(slot) and ((src_id in self.left) != (dst_id in self.left))
+    def severs(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> BoolArray:
+        """Which broadcast ``src -> dst`` messages the cut severs at ``slot``."""
+        src = np.asarray(src_ids, dtype=np.int64)
+        dst = np.asarray(dst_ids, dtype=np.int64)
+        if not self.active(slot):
+            return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
+        left = np.fromiter(self.left, dtype=np.int64, count=len(self.left))
+        return np.isin(src, left) != np.isin(dst, left)
 
 
 @dataclass(frozen=True)
@@ -308,38 +328,38 @@ class FaultPlan:
         )
 
     # -- message-level draws ------------------------------------------------
+    #
+    # Every draw is elementwise in its id arrays, which broadcast against
+    # each other: asking about one message or a whole slot's worth in one
+    # call yields the same uint64 hash per message.
 
-    def dropped(self, src_id: int, dst_ids: np.ndarray, slot: int) -> BoolArray:
-        """Per-receiver drop decisions for one sender's slot-``slot`` message."""
+    def dropped(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> BoolArray:
+        """Drop decisions of ``src -> dst`` messages sent at ``slot``."""
+        src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
-        out = np.zeros(dst.shape, dtype=bool)
+        out = np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
         if self.drop_prob > 0.0:
-            u = _uniform_open(_hash_u64(_DROP_STREAM, self.seed, src_id, dst, slot))
+            u = _uniform_open(_hash_u64(_DROP_STREAM, self.seed, src, dst, slot))
             out |= u < self.drop_prob
         for partition in self.partitions:
-            if partition.active(slot):
-                src_left = src_id in partition.left
-                out |= np.fromiter(
-                    ((int(d) in partition.left) != src_left for d in dst),
-                    dtype=bool,
-                    count=len(dst),
-                )
+            out |= partition.severs(src, dst, slot)
         return out
 
-    def delays(self, src_id: int, dst_ids: np.ndarray, slot: int) -> IntpArray:
-        """Per-receiver delivery delays (0 = arrives in the send slot)."""
-        dst = np.asarray(dst_ids, dtype=np.int64)
+    def delays(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> IntpArray:
+        """Delivery delays of ``src -> dst`` messages (0 = the send slot)."""
         if self.latency is None:
-            return np.zeros(dst.shape, dtype=np.intp)
-        return self.latency.delays(self.seed, src_id, dst, slot)
+            src = np.asarray(src_ids)
+            dst = np.asarray(dst_ids)
+            return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=np.intp)
+        return self.latency.delays(self.seed, src_ids, dst_ids, slot)
 
-    def heartbeat_dropped(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id``'s heartbeat at ``slot`` is lost."""
+    def heartbeat_dropped(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """Which of ``node_ids``' heartbeats at ``slot`` are lost."""
+        ids = np.asarray(node_ids, dtype=np.int64)
         prob = self.drop_prob if self.heartbeat_drop_prob is None else self.heartbeat_drop_prob
         if prob <= 0.0:
-            return False
-        u = _uniform_open(_hash_u64(_HEARTBEAT_STREAM, self.seed, node_id, slot))
-        return bool(u < prob)
+            return np.zeros(ids.shape, dtype=bool)
+        return _uniform_open(_hash_u64(_HEARTBEAT_STREAM, self.seed, ids, slot)) < prob
 
 
 class FaultTrace:

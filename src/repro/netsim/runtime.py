@@ -75,17 +75,25 @@ class NetSimulator(Simulator):
     ) -> None:
         super().__init__(agents, channel, trace, trace_level=trace_level)
         self.transport: Transport = transport if transport is not None else PerfectTransport()
-        self.detector = (
+        self._detector = (
             detector
             if detector is not None
             else HeartbeatDetector(list(self._node_ids), interval=1)
         )
-        unknown = set(self.detector.node_ids) - set(self._node_ids)
+        unknown = set(self._detector.node_ids) - set(self._node_ids)
         if unknown:
             raise ConfigurationError(
                 f"detector monitors ids outside the agent set: {sorted(unknown)[:5]}"
             )
-        self._crashed = [False] * len(self.agents)
+        self._ids = np.asarray(self._node_ids, dtype=np.int64)
+        self._crashed = np.zeros(len(self.agents), dtype=bool)
+        monitored = set(self._detector.node_ids)
+        #: agent positions the detector monitors, in node order.
+        self._monitored_pos = np.array(
+            [i for i, node_id in enumerate(self._node_ids) if node_id in monitored],
+            dtype=np.intp,
+        )
+        self._is_done = [agent.is_done for agent in self.agents]
         #: mature slot -> [(sequence, dst position, reception)], FIFO by sequence.
         self._pending: dict[int, list[tuple[int, int, Reception]]] = {}
         self._pending_seq = 0
@@ -100,25 +108,35 @@ class NetSimulator(Simulator):
     # -- fault bookkeeping ---------------------------------------------------
 
     @property
+    def detector(self) -> HeartbeatDetector:
+        """The failure detector; fixed at construction, since the monitored
+        positions are resolved against it once."""
+        return self._detector
+
+    @property
     def fault_trace(self) -> FaultTrace | None:
         """The transport's fault recorder, when it keeps one."""
         return getattr(self.transport, "trace", None)
 
     def crashed_ids(self) -> frozenset[int]:
         """Ids of the nodes currently down."""
-        return frozenset(
-            node_id
-            for node_id, crashed in zip(self._node_ids, self._crashed)
-            if crashed
-        )
+        return frozenset(self._ids[self._crashed].tolist())
 
     def _sync_crashes(self, slot: int) -> None:
-        """Apply the transport's crash windows, firing agent transitions."""
+        """Apply the transport's crash windows, firing agent transitions.
+
+        Only nodes whose state changed are visited, in position order.
+        """
+        down_ids = self.transport.crashed_ids(slot)
+        if not down_ids and not self._crashed.any():
+            return
+        pos_by_id = self._pos_by_id
+        now = np.zeros_like(self._crashed)
+        now[[pos_by_id[node_id] for node_id in down_ids if node_id in pos_by_id]] = True
         trace = self.fault_trace
-        for i, node_id in enumerate(self._node_ids):
-            down = self.transport.is_crashed(node_id, slot)
-            if down == self._crashed[i]:
-                continue
+        for i in np.flatnonzero(now != self._crashed).tolist():
+            down = bool(now[i])
+            node_id = self._node_ids[i]
             self._crashed[i] = down
             if down:
                 self.agents[i].on_crash(slot)
@@ -137,7 +155,7 @@ class NetSimulator(Simulator):
 
     def _poll_batch(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
         self._sync_crashes(slot)
-        if not any(self._crashed):
+        if not self._crashed.any():
             tx_pos, powers, messages = super()._poll_batch(slot)
         else:
             # Crashed agents are not polled at all: they consume no
@@ -145,8 +163,9 @@ class NetSimulator(Simulator):
             tx_pos, powers, messages = [], [], []
             listening = self._listening
             listening[:] = True
+            crashed = self._crashed.tolist()
             for i, act_batch in enumerate(self._act_batch):
-                if self._crashed[i]:
+                if crashed[i]:
                     listening[i] = False
                     continue
                 action = act_batch(slot)
@@ -213,23 +232,29 @@ class NetSimulator(Simulator):
         return receptions, pairs
 
     def _deliver_batch(self, slot: int, receptions: list[Reception | None]) -> None:
+        crashed = self._crashed.tolist()
         for i, (observe, reception) in enumerate(zip(self._observe, receptions)):
-            if self._crashed[i]:
+            if crashed[i]:
                 continue
             observe(slot, reception)
 
     def _emit_heartbeats(self, slot: int) -> None:
-        detector = self.detector
+        """One heartbeat slot: crashed nodes miss, live ones are hashed."""
+        detector = self._detector
         if not detector.expects_heartbeat(slot):
             return
-        monitored = set(detector.node_ids)
-        for i, node_id in enumerate(self._node_ids):
-            if node_id not in monitored:
-                continue
-            if self._crashed[i] or not self.transport.heartbeat_delivered(node_id, slot):
-                detector.observe_miss(node_id, slot)
-            else:
-                detector.observe_heartbeat(node_id, slot, done=self.agents[i].is_done())
+        monitored = self._monitored_pos
+        down = self._crashed[monitored]
+        live = monitored[~down]
+        delivered = self.transport.heartbeat_delivered(self._ids[live], slot)
+        arrived = live[delivered]
+        missed = np.concatenate((monitored[down], live[~delivered]))
+        is_done = self._is_done
+        detector.observe(
+            self._ids[arrived],
+            [is_done[i]() for i in arrived.tolist()],
+            self._ids[missed],
+        )
 
     def _step_batch(self, label: str) -> SlotRecord | None:
         slot = self._slot

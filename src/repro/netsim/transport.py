@@ -8,6 +8,11 @@ bit for bit.  A :class:`FaultyTransport` consults a
 :class:`~repro.netsim.faults.FaultPlan` per message and records what it did
 to a :class:`~repro.netsim.faults.FaultTrace`.
 
+Every query is per slot and batched: :meth:`Transport.admit` decides all of
+a slot's decoded deliveries, :meth:`Transport.heartbeat_delivered` all of its
+heartbeats and :meth:`Transport.crashed_ids` its whole down set, so a slot
+costs one vectorized hash call per fault stream rather than one per node.
+
 The ``slot_offset`` lets a follow-up run (e.g. the tree-completion patch
 after crashes) continue the same fault streams instead of replaying the
 drops of slot 0: the hash is keyed on ``slot + offset``.
@@ -43,12 +48,16 @@ class Transport(ABC):
         """
 
     @abstractmethod
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        """Ids of every node down at ``slot``."""
+
     def is_crashed(self, node_id: int, slot: int) -> bool:
         """Whether ``node_id`` is down at ``slot``."""
+        return node_id in self.crashed_ids(slot)
 
     @abstractmethod
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id``'s out-of-band heartbeat at ``slot`` arrives."""
+    def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """Which of ``node_ids``' out-of-band heartbeats at ``slot`` arrive."""
 
 
 class PerfectTransport(Transport):
@@ -62,11 +71,11 @@ class PerfectTransport(Transport):
         count = len(np.asarray(dst_ids))
         return np.ones(count, dtype=bool), np.zeros(count, dtype=np.intp)
 
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        return False
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        return frozenset()
 
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
-        return True
+    def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        return np.ones(len(node_ids), dtype=bool)
 
 
 class FaultyTransport(Transport):
@@ -98,39 +107,35 @@ class FaultyTransport(Transport):
         src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
         hashed_slot = slot + self.slot_offset
-        delivered = np.ones(len(dst), dtype=bool)
-        delay = np.zeros(len(dst), dtype=np.intp)
-        # Group by sender: the plan's draws are vectorized over receivers of
-        # one sender's message, and the hash keys make the grouping
-        # immaterial to the outcome.
-        for src_id in np.unique(src):
-            mask = src == src_id
-            targets = dst[mask]
-            drops = self.plan.dropped(int(src_id), targets, hashed_slot)
-            delays = self.plan.delays(int(src_id), targets, hashed_slot)
-            delivered[mask] = ~drops
-            delay[mask] = np.where(drops, 0, delays)
-            for dst_id, was_dropped, d in zip(targets, drops, delays):
-                if was_dropped:
-                    self.trace.record_drop(slot, int(src_id), int(dst_id))
-                elif d:
-                    self.trace.record_delay(slot, int(src_id), int(dst_id), int(d))
+        drops = self.plan.dropped(src, dst, hashed_slot)
+        delay = np.where(drops, 0, self.plan.delays(src, dst, hashed_slot))
+        delivered = ~drops
+        delayed = delay > 0
+        if drops.any() or delayed.any():
+            # Trace order: by sender id, then by pair order within a sender.
+            order = np.argsort(src, kind="stable")
+            trace = self.trace
+            for k in order[drops[order]].tolist():
+                trace.record_drop(slot, int(src[k]), int(dst[k]))
+            for k in order[delayed[order]].tolist():
+                trace.record_delay(slot, int(src[k]), int(dst[k]), int(delay[k]))
         if OBS.enabled:
             registry = OBS.registry
-            drop_count = len(dst) - int(delivered.sum())
+            drop_count = int(drops.sum())
             if drop_count:
                 registry.inc("netsim.dropped", drop_count)
-            delay_count = int((delay > 0).sum())
+            delay_count = int(delayed.sum())
             if delay_count:
                 registry.inc("netsim.delayed", delay_count)
         return delivered, delay
 
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        return self.plan.crashes.is_crashed(node_id, slot + self.slot_offset)
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        return self.plan.crashes.crashed_ids(slot + self.slot_offset)
 
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
+    def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        ids = np.asarray(node_ids, dtype=np.int64)
         hashed_slot = slot + self.slot_offset
-        if self.plan.heartbeat_dropped(node_id, hashed_slot):
+        lost = self.plan.heartbeat_dropped(ids, hashed_slot)
+        for node_id in ids[lost].tolist():
             self.trace.record_heartbeat_loss(hashed_slot, node_id)
-            return False
-        return True
+        return ~lost

@@ -141,10 +141,11 @@ class TestTransports:
         base = FaultyTransport(plan)
         shifted = FaultyTransport(plan, slot_offset=1000)
         continuation = FaultyTransport(plan)
+        ids = np.array([7])
         for slot in range(64):
-            base.heartbeat_delivered(7, slot)
-            shifted.heartbeat_delivered(7, slot)
-            continuation.heartbeat_delivered(7, slot + 1000)
+            base.heartbeat_delivered(ids, slot)
+            shifted.heartbeat_delivered(ids, slot)
+            continuation.heartbeat_delivered(ids, slot + 1000)
         assert base.trace.summary()["heartbeat_losses"] > 0
         assert base.trace.digest() != shifted.trace.digest()
         assert shifted.trace.digest() == continuation.trace.digest()
@@ -162,24 +163,24 @@ class TestTransports:
 class TestHeartbeatDetector:
     def test_suspects_after_threshold_and_recovers(self):
         detector = HeartbeatDetector([1, 2], miss_threshold=3)
-        for slot in range(3):
-            detector.observe_miss(1, slot)
+        for _ in range(3):
+            detector.observe([], [], [1])
         assert detector.suspected_ids() == {1}
         assert detector.alive_view() == [2]
-        detector.observe_heartbeat(1, 3, done=False)
+        detector.observe([1], [False], [])
         assert detector.suspected_ids() == frozenset()
 
     def test_active_view_counts_not_done_alive(self):
         detector = HeartbeatDetector([1, 2, 3], miss_threshold=1)
-        detector.observe_heartbeat(1, 0, done=True)
-        detector.observe_miss(2, 0)
+        detector.observe([1], [True], [2])
         assert detector.active_view() == 1  # only node 3
 
     def test_require_alive_raises(self):
         detector = HeartbeatDetector([1], miss_threshold=1)
-        detector.observe_miss(1, 0)
+        detector.observe([], [], [1])
         with pytest.raises(NodeCrashedError):
             detector.require_alive(1)
+        detector.require_alive(7)  # unmonitored ids are never suspected
 
 
 class TestNetSimulatorSemantics:

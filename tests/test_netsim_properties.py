@@ -89,8 +89,10 @@ class TestFaultDeterminism:
 
     def test_heartbeat_loss_is_per_identity(self):
         plan = FaultPlan(seed=9, drop_prob=0.0, heartbeat_drop_prob=0.5)
-        history = [plan.heartbeat_dropped(3, slot) for slot in range(100)]
-        assert history == [plan.heartbeat_dropped(3, slot) for slot in range(100)]
+        history = [bool(plan.heartbeat_dropped(np.array([3]), slot)[0]) for slot in range(100)]
+        assert history == [
+            bool(plan.heartbeat_dropped(np.array([3]), slot)[0]) for slot in range(100)
+        ]
         assert any(history) and not all(history)
 
 
