@@ -3,7 +3,7 @@
 Runs the same 256-agent, 2000-slot beacon workload twice:
 
 * **fast**: batch engine, ``resolve_indices`` over the cached attenuation
-  matrix, columnar counts trace;
+  matrix, columnar trace;
 * **seed**: the PR-1 slot path - the ``LegacySimulator`` oracle
   (per-object ``act``/``resolve``), cached node distances, and the seed
   per-listener decode loop (``decode_reference``) with the record trace;
@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from repro.geometry import deployment_by_name
-from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
+from repro.runtime import ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
 from repro.sinr import CachedChannel, Channel, SINRParameters, Transmission
 from tests.oracles import LegacySimulator, decode_reference
 
@@ -79,7 +79,7 @@ def _make_agents(params: SINRParameters) -> list[ProbeAgent]:
 
 def _run_fast(params: SINRParameters, slots: int):
     agents = _make_agents(params)
-    simulator = Simulator(agents, Channel(params), trace_level="counts")
+    simulator = Simulator(agents, Channel(params))
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 
@@ -87,7 +87,7 @@ def _run_fast(params: SINRParameters, slots: int):
 def _run_seed(params: SINRParameters, slots: int):
     agents = _make_agents(params)
     channel = SeedDecodeChannel(params, [agent.node for agent in agents])
-    simulator = LegacySimulator(agents, channel, trace_level="records")
+    simulator = LegacySimulator(agents, channel, trace=ExecutionTrace())
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 

@@ -323,9 +323,7 @@ class InitialTreeBuilder:
             )
             for node, agent_rng in zip(node_list, agent_rngs)
         ]
-        # Columnar trace: the slot loop is the hot path and only aggregate
-        # counts (plus on-demand records) are ever read from the result.
-        simulator = Simulator(agents, Channel(self.params), trace_level="columnar")
+        simulator = Simulator(agents, Channel(self.params))
 
         rounds_used = 0
         sweeps_used = 0

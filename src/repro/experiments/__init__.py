@@ -20,13 +20,7 @@ from . import (
     f3_uniform_lower_bound,
 )
 from .config import ExperimentConfig
-from .parallel import (
-    TrialFabric,
-    default_workers,
-    get_fabric,
-    map_trials,
-    shared_state,
-)
+from .parallel import TrialFabric, default_workers, get_fabric, map_trials
 from .runner import ExperimentResult, average_rows, make_deployment, run_sweep
 
 ALL_EXPERIMENTS = {
@@ -64,7 +58,6 @@ __all__ = [
     "run_sweep",
     "map_trials",
     "default_workers",
-    "shared_state",
     "TrialFabric",
     "get_fabric",
     "ALL_EXPERIMENTS",

@@ -57,25 +57,18 @@ def run_sweep(trial_fn: Callable[[tuple], Any], config: ExperimentConfig) -> lis
     """Evaluate a module-level trial function over ``config.trials()``.
 
     Fans out over ``config.workers`` processes on the persistent trial
-    fabric (see :mod:`repro.experiments.parallel`); the config is broadcast
-    once per sweep through shared memory, each task carries only its
-    ``(n, seed)`` tail, and every trial receives the same ``(config, n,
-    seed)`` tuple it always has - results come back in sweep order,
+    fabric (see :mod:`repro.experiments.parallel`); every trial receives
+    its ``(config, n, seed)`` tuple, and results come back in sweep order,
     bit-identical at any worker count.
     """
-    trials = [(n, seed) for n, seed in config.trials()]
+    trials = [(config, n, seed) for n, seed in config.trials()]
     with span(
         "experiment.sweep",
         trial_fn=getattr(trial_fn, "__name__", str(trial_fn)),
         trials=len(trials),
         workers=config.workers,
     ):
-        return map_trials(
-            trial_fn,
-            trials,
-            workers=config.workers,
-            shared=config,
-        )
+        return map_trials(trial_fn, trials, workers=config.workers)
 
 
 def average_rows(

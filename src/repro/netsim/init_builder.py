@@ -208,7 +208,6 @@ class NetInitBuilder:
             Channel(self.params),
             self._make_transport(),
             detector=detector,
-            trace_level="columnar",
         )
         driver = RoundDriver(sim)
 

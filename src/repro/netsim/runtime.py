@@ -59,8 +59,8 @@ class NetSimulator(Simulator):
         transport: delivery policy (drops, delays, crashes, partitions).
         detector: failure detector fed by out-of-band heartbeats; a default
             one monitoring every agent each slot is created if omitted.
-        trace: optional pre-existing trace to append to.
-        trace_level: trace backend to create when ``trace`` is ``None``.
+        trace: optional pre-existing trace to append to (default: a fresh
+            :class:`~repro.runtime.ColumnarTrace`).
     """
 
     def __init__(
@@ -71,9 +71,8 @@ class NetSimulator(Simulator):
         *,
         detector: HeartbeatDetector | None = None,
         trace: ExecutionTrace | None = None,
-        trace_level: str = "records",
     ) -> None:
-        super().__init__(agents, channel, trace, trace_level=trace_level)
+        super().__init__(agents, channel, trace)
         self.transport: Transport = transport if transport is not None else PerfectTransport()
         self._detector = (
             detector

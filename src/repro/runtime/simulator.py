@@ -17,10 +17,9 @@ identical to the seed per-object engine, which the test suite keeps as its
 parity oracle (the decode arithmetic is shared and agents consume the same
 randomness either way).
 
-The ``trace_level`` knob selects the trace backend when no trace is passed:
-``"records"`` (seed :class:`ExecutionTrace`), ``"columnar"`` (flat arrays,
-records materialized on demand) or ``"counts"`` (columnar without per-slot
-reception detail).
+Without an explicit trace the simulator records into a
+:class:`ColumnarTrace` (flat arrays, records materialized on demand); pass
+``trace=ExecutionTrace()`` for the seed record store.
 """
 
 from __future__ import annotations
@@ -49,19 +48,14 @@ def spawn_agent_rngs(rng: np.random.Generator, count: int) -> list[np.random.Gen
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
-_TRACE_LEVELS = ("records", "columnar", "counts")
-
-
 class Simulator:
     """Runs a collection of agents over a shared SINR channel.
 
     Args:
         agents: the per-node protocol agents.
         channel: the SINR channel instance.
-        trace: optional pre-existing trace to append to (overrides
-            ``trace_level``).
-        trace_level: trace backend to create when ``trace`` is ``None``:
-            ``"records"``, ``"columnar"`` or ``"counts"``.
+        trace: optional pre-existing trace to append to (default: a fresh
+            :class:`ColumnarTrace`).
     """
 
     def __init__(
@@ -69,14 +63,10 @@ class Simulator:
         agents: Sequence[NodeAgent],
         channel: Channel,
         trace: ExecutionTrace | None = None,
-        *,
-        trace_level: str = "records",
     ):
         ids = [agent.node_id for agent in agents]
         if len(ids) != len(set(ids)):
             raise ProtocolError("duplicate node ids among agents")
-        if trace_level not in _TRACE_LEVELS:
-            raise ValueError(f"unknown trace_level {trace_level!r}, expected one of {_TRACE_LEVELS}")
         self.agents: list[NodeAgent] = list(agents)
         # The agent set is fixed for the simulator's lifetime, so a plain
         # channel is upgraded to one viewing a NetworkState over the agents'
@@ -85,12 +75,7 @@ class Simulator:
         if type(channel) is Channel:
             channel = CachedChannel(channel.params, [agent.node for agent in self.agents])
         self.channel = channel
-        if trace is None:
-            if trace_level == "records":
-                trace = ExecutionTrace()
-            else:
-                trace = ColumnarTrace(reception_detail=(trace_level == "columnar"))
-        self.trace = trace
+        self.trace = trace if trace is not None else ColumnarTrace()
         self._slot = 0
         self._node_ids: list[int] = ids
         self._pos_by_id: dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}

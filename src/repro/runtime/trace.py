@@ -8,9 +8,7 @@ Two trace backends share one API:
   per-slot offsets.  Appending a slot touches no per-slot Python containers,
   which is what the batch slot engine needs; the ``records`` /
   ``slots_used`` / ``busy_slots`` API is preserved on top by materializing
-  :class:`SlotRecord` views on demand.  With ``reception_detail=False``
-  ("counts" level) only per-slot transmission/reception counts are kept,
-  for experiments that never read individual receptions.
+  :class:`SlotRecord` views on demand.
 """
 
 from __future__ import annotations
@@ -118,40 +116,19 @@ class ColumnarTrace(ExecutionTrace):
 
     Args:
         metadata: free-form experiment metadata, as on :class:`ExecutionTrace`.
-        reception_detail: when ``False``, individual transmitter/listener ids
-            are dropped and only per-slot counts are kept (``trace_level
-            ="counts"``); ``records`` and ``slots_with_label`` are then
-            unavailable, but every aggregate (``slots_used``, ``busy_slots``,
-            ``transmissions_sent``, ``successful_receptions``, ``summary``)
-            still works.
     """
 
-    def __init__(
-        self,
-        metadata: dict[str, Any] | None = None,
-        *,
-        reception_detail: bool = True,
-    ):
+    def __init__(self, metadata: dict[str, Any] | None = None):
         # Deliberately no super().__init__(): `records` is a materialized
         # property here, not storage.
         self.metadata: dict[str, Any] = dict(metadata) if metadata is not None else {}
-        self.reception_detail = reception_detail
         self._slots = array("q")
         self._labels: list[str] = []
-        self._tx_counts = array("q")
-        self._rx_counts = array("q")
-        if reception_detail:
-            self._tx_flat: array | None = array("q")
-            self._tx_offsets: array | None = array("q", [0])
-            self._rx_listeners: array | None = array("q")
-            self._rx_senders: array | None = array("q")
-            self._rx_offsets: array | None = array("q", [0])
-        else:
-            self._tx_flat = None
-            self._tx_offsets = None
-            self._rx_listeners = None
-            self._rx_senders = None
-            self._rx_offsets = None
+        self._tx_flat = array("q")
+        self._tx_offsets = array("q", [0])
+        self._rx_listeners = array("q")
+        self._rx_senders = array("q")
+        self._rx_offsets = array("q", [0])
         self._materialized: list[SlotRecord] | None = None
 
     # -- writing -------------------------------------------------------------
@@ -165,15 +142,12 @@ class ColumnarTrace(ExecutionTrace):
     ) -> None:
         self._slots.append(slot)
         self._labels.append(label)
-        self._tx_counts.append(len(transmitter_ids))
-        self._rx_counts.append(len(reception_pairs))
-        if self.reception_detail:
-            self._tx_flat.extend(transmitter_ids)
-            self._tx_offsets.append(len(self._tx_flat))
-            for listener_id, sender_id in reception_pairs:
-                self._rx_listeners.append(listener_id)
-                self._rx_senders.append(sender_id)
-            self._rx_offsets.append(len(self._rx_listeners))
+        self._tx_flat.extend(transmitter_ids)
+        self._tx_offsets.append(len(self._tx_flat))
+        for listener_id, sender_id in reception_pairs:
+            self._rx_listeners.append(listener_id)
+            self._rx_senders.append(sender_id)
+        self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
         return None
 
@@ -188,12 +162,6 @@ class ColumnarTrace(ExecutionTrace):
     @property
     def records(self) -> list[SlotRecord]:
         """Materialized :class:`SlotRecord` view of the columns (cached)."""
-        if not self.reception_detail:
-            raise ValueError(
-                "this trace was collected with trace_level='counts' and retains "
-                "no per-slot transmitter/reception detail; use the aggregate "
-                "properties or collect with trace_level='columnar'"
-            )
         if self._materialized is None:
             records = []
             for k in range(len(self._slots)):
@@ -218,14 +186,15 @@ class ColumnarTrace(ExecutionTrace):
 
     @property
     def transmissions_sent(self) -> int:
-        return int(sum(self._tx_counts))
+        return self._tx_offsets[-1]
 
     @property
     def successful_receptions(self) -> int:
-        return int(sum(self._rx_counts))
+        return self._rx_offsets[-1]
 
     def busy_slots(self) -> int:
-        return sum(1 for count in self._tx_counts if count)
+        offsets = self._tx_offsets
+        return sum(1 for k in range(len(self._slots)) if offsets[k + 1] > offsets[k])
 
     def slots_with_label(self, label: str) -> list[SlotRecord]:
         return [r for r in self.records if r.label == label]

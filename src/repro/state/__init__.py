@@ -9,9 +9,7 @@ instead of rebuilding per event.  :class:`TiledNetworkState` is the exact
 O(n) sibling for universes whose dense matrices would not fit;
 :meth:`NetworkState.for_nodes` chooses between the two by size.
 :class:`DecodeWorkspace` provides the scratch arenas the decode kernels
-reuse instead of allocating per slot, and :mod:`repro.state.shared` exports
-a state's arrays through POSIX shared memory so worker processes read them
-zero-copy.
+reuse instead of allocating per slot.
 """
 
 from .kernels import (
@@ -22,7 +20,6 @@ from .kernels import (
 )
 from .network import DENSE_BUDGET_BYTES, NetworkState
 from .scratch import DecodeWorkspace
-from .shared import SharedStateSpec, StateExport, attach_state, export_state
 from .tiled import DEFAULT_TILE_BUDGET_BYTES, TiledNetworkState
 
 __all__ = [
@@ -31,10 +28,6 @@ __all__ = [
     "DENSE_BUDGET_BYTES",
     "DEFAULT_TILE_BUDGET_BYTES",
     "DecodeWorkspace",
-    "SharedStateSpec",
-    "StateExport",
-    "attach_state",
-    "export_state",
     "attenuation_from_distances",
     "attenuation_rect_from_xy",
     "distance_rect_from_xy",

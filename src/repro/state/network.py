@@ -76,10 +76,6 @@ class NetworkState:
             callers can pre-reserve headroom to defer the first growth).
     """
 
-    #: Shared-memory blocks anchored by :func:`repro.state.shared.attach_state`
-    #: so the adopted views outlive the exporting process's unlink.
-    _shm_keepalive: list[object]
-
     #: Whether whole derived matrices exist to be gathered from.  Consumers
     #: such as ``NodeArrayCache`` dispatch on this instead of isinstance, so
     #: third-party stores can opt in to either protocol.
@@ -110,79 +106,12 @@ class NetworkState:
         self._distances: np.ndarray | None = None
         self._attenuation: dict[float, np.ndarray] = {}
         self._fades: dict[object, np.ndarray | None] = {}
-        self._readonly = False
         #: Bumped on every mutation; views use it to refresh gathered copies.
         self.version = 0
         #: Cumulative count of derived-matrix cells rewritten incrementally
         #: (the "patch cost"); a full rebuild would have cost capacity**2
         #: cells per materialized matrix per event.
         self.cells_patched = 0
-
-    @classmethod
-    def from_arrays(
-        cls,
-        xy: np.ndarray,
-        ids: np.ndarray,
-        *,
-        distances: np.ndarray | None = None,
-        attenuation: dict[float, np.ndarray] | None = None,
-    ) -> "NetworkState":
-        """Adopt existing arrays as a *read-only* state, without copying.
-
-        This is how a worker process views a state another process exported
-        through shared memory (:mod:`repro.state.shared`): ``xy``/``ids``
-        (and any pre-materialized distance/attenuation matrices) become the
-        state's backing arrays as-is, every slot is live, and all mutating
-        operations raise - the memory may be mapped read-only and shared
-        with other processes.
-
-        Args:
-            xy: ``(n, 2)`` coordinates; slot ``k`` is node ``k``.
-            ids: ``(n,)`` node ids, all distinct and non-negative.
-            distances: optional pre-materialized ``(n, n)`` distance matrix.
-            attenuation: optional ``{alpha: (n, n) matrix}`` store.
-        """
-        state = cls.__new__(cls)
-        xy = np.asarray(xy, dtype=float)
-        ids = np.asarray(ids, dtype=np.int64)
-        n = ids.shape[0]
-        if xy.shape != (n, 2):
-            raise ValueError(f"xy shape {xy.shape} does not match {n} ids")
-        if np.any(ids < 0):
-            raise ValueError("adopted ids must be non-negative (every slot is live)")
-        state._capacity = n
-        state._xy = _freeze(xy)
-        state._ids = _freeze(ids)
-        state._nodes = [
-            Node(id=int(node_id), position=Point(float(x), float(y)))
-            for node_id, (x, y) in zip(ids.tolist(), xy.tolist())
-        ]
-        state._slot_by_id = {int(node_id): i for i, node_id in enumerate(ids.tolist())}
-        if len(state._slot_by_id) != n:
-            raise ValueError("duplicate node ids among the adopted arrays")
-        state._free = []
-        state._distances = None if distances is None else _freeze(np.asarray(distances, dtype=float))
-        state._attenuation = {
-            float(alpha): _freeze(np.asarray(matrix, dtype=float))
-            for alpha, matrix in (attenuation or {}).items()
-        }
-        state._fades = {}
-        state._readonly = True
-        state.version = 0
-        state.cells_patched = 0
-        return state
-
-    @property
-    def readonly(self) -> bool:
-        """Whether this state is an immutable (e.g. shared-memory) view."""
-        return self._readonly
-
-    def _check_mutable(self) -> None:
-        if self._readonly:
-            raise ValueError(
-                "this NetworkState is a read-only shared view; topology "
-                "changes must be applied by the owning process"
-            )
 
     @classmethod
     def from_links(cls, links: Iterable["Link"], *, capacity: int | None = None) -> "NetworkState":
@@ -272,7 +201,6 @@ class NetworkState:
         Returns:
             The slots assigned to the nodes, in argument order.
         """
-        self._check_mutable()
         node_list = list(nodes)
         if not node_list:
             return np.empty(0, dtype=np.intp)
@@ -310,7 +238,6 @@ class NetworkState:
         Returns:
             The freed slots, in argument order.
         """
-        self._check_mutable()
         id_list = [int(node_id) for node_id in node_ids]
         if not id_list:
             return np.empty(0, dtype=np.intp)
@@ -330,7 +257,6 @@ class NetworkState:
 
     def move_nodes(self, slots: np.ndarray, new_xy: np.ndarray) -> None:
         """Move live nodes to new coordinates, patching rows/columns in O(k * capacity)."""
-        self._check_mutable()
         idx = np.asarray(slots, dtype=np.intp)
         if idx.size == 0:
             return

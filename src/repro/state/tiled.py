@@ -76,7 +76,7 @@ class TiledNetworkState(NetworkState):
     """Exact O(n) geometry store: rectangles from coordinates, no O(n^2) matrices.
 
     Drop-in for :class:`NetworkState` behind every consumer that dispatches
-    on :attr:`materializes_matrices` (the caches, the channel, the fabric);
+    on :attr:`materializes_matrices` (the caches and the channel);
     the whole-matrix accessors raise instead of allocating quadratically.
 
     Args:
@@ -96,42 +96,10 @@ class TiledNetworkState(NetworkState):
         budget_bytes: int = DEFAULT_TILE_BUDGET_BYTES,
     ) -> None:
         super().__init__(nodes, capacity=capacity)
-        self._init_tiled(budget_bytes)
-
-    def _init_tiled(self, budget_bytes: int) -> None:
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
         self._budget_bytes = int(budget_bytes)
         self._row_caches: dict[float, _RowCache] = {}
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_arrays(
-        cls,
-        xy: np.ndarray,
-        ids: np.ndarray,
-        *,
-        distances: np.ndarray | None = None,
-        attenuation: dict[float, np.ndarray] | None = None,
-        budget_bytes: int = DEFAULT_TILE_BUDGET_BYTES,
-    ) -> "TiledNetworkState":
-        """Adopt coordinate/id arrays as a read-only tiled view (fabric attach).
-
-        The tiled store never holds dense matrices, so pre-materialized
-        ``distances``/``attenuation`` blocks are rejected rather than
-        silently adopted - the exporter should not have produced them for a
-        tiled state.
-        """
-        if distances is not None or attenuation:
-            raise ValueError(
-                "TiledNetworkState adopts coordinates only; dense matrix "
-                "blocks have no tiled counterpart"
-            )
-        state = super().from_arrays(xy, ids)
-        assert isinstance(state, TiledNetworkState)
-        state._init_tiled(budget_bytes)
-        return state
 
     # -- reporting -------------------------------------------------------------
 

@@ -19,8 +19,8 @@ def map_trials_cold(
 ) -> list[_R]:
     """A cold pool per sweep, full args pickled per task.
 
-    Parity tests and the fabric benchmark compare the persistent
-    shared-memory path against the exact per-sweep cost model it replaced.
+    Parity tests compare the persistent chunked fabric against the
+    per-sweep cold pool it replaced.
     """
     items: Sequence[Any] = list(trial_args)
     count = _resolve_workers(workers, len(items))

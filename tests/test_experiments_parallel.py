@@ -3,26 +3,17 @@
 The workers>1 path must produce bit-identical results to the sequential
 path: trials are deterministically seeded from their own arguments, and
 ``map_trials`` preserves sweep order.  These tests exercise the real
-persistent-fabric branch (shared-memory config broadcast, chunked tasks,
-worker-side payload cache) *and* the legacy cold-pool oracle
-(``map_trials_cold``), and pin both against the sequential results.
+persistent-fabric branch (reused pool, chunked tasks) *and* the legacy
+cold-pool oracle (``map_trials_cold``), and pin both against the sequential
+results.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.experiments import (
-    ExperimentConfig,
-    default_workers,
-    get_fabric,
-    map_trials,
-    shared_state,
-)
+from repro.experiments import ExperimentConfig, default_workers, get_fabric, map_trials
 from repro.experiments import e1_init, e9_capacity, e10_fading, f3_uniform_lower_bound
-from repro.geometry import deployment_by_name
-from repro.state import NetworkState
 
 from .oracles import map_trials_cold
 
@@ -31,29 +22,6 @@ def _square(args: tuple[int, int]) -> int:
     """Module-level (picklable) trial function."""
     base, offset = args
     return base * base + offset
-
-
-def _shared_square(args: tuple[dict, int]) -> int:
-    """Trial tail + broadcast payload, reassembled by the fabric."""
-    payload, value = args
-    return payload["scale"] * value * value
-
-
-def _state_digest(args: tuple[int]) -> tuple[int, float]:
-    """Trial that reads the sweep's broadcast NetworkState zero-copy."""
-    (seed,) = args
-    state = shared_state()
-    assert state is not None
-    dist = state.distance_matrix()
-    rng = np.random.default_rng(seed)
-    row = int(rng.integers(len(state)))
-    return row, float(dist[row].sum())
-
-
-def _mutate_state(args: tuple[int]) -> None:
-    """Misbehaving trial: tries to mutate the sweep's broadcast state."""
-    (slot,) = args
-    shared_state().move_nodes(np.array([slot]), np.array([[0.0, 0.0]]))
 
 
 class TestMapTrials:
@@ -102,38 +70,14 @@ class TestMapTrials:
             == [_square(a) for a in args]
         )
 
-
-class TestSharedBroadcast:
-    def test_shared_payload_pickled_once_per_sweep(self):
-        payload = {"scale": 3}
-        tails = [(i,) for i in range(8)]
-        expected = [_shared_square((payload, i)) for i in range(8)]
-        assert map_trials(_shared_square, tails, workers=1, shared=payload) == expected
-        assert map_trials(_shared_square, tails, workers=2, shared=payload) == expected
-
-    def test_state_broadcast_zero_copy(self):
-        nodes = deployment_by_name("uniform", 32, np.random.default_rng(6))
-        state = NetworkState(nodes)
-        state.distance_matrix()
-        tails = [(seed,) for seed in range(6)]
-        sequential = map_trials(_state_digest, tails, workers=1, state=state)
-        fabric = map_trials(
-            _state_digest, tails, workers=2, state=state, state_alphas=(3.0,)
-        )
-        assert fabric == sequential
-        # The broadcast is scoped to the sweep: no state outside one.
-        assert shared_state() is None
-
-    def test_broadcast_state_frozen_on_every_path(self):
-        """A trial mutating the broadcast raises at any worker count."""
-        nodes = deployment_by_name("uniform", 8, np.random.default_rng(2))
-        state = NetworkState(nodes)
-        for workers in (1, 2):
-            with pytest.raises(Exception, match="read-only"):
-                map_trials(_mutate_state, [(0,), (1,)], workers=workers, state=state)
-        # The sweep-scoped freeze lifts afterwards in the owning process.
-        assert not state.readonly
-        state.move_nodes(np.array([0]), np.array([[0.5, 0.5]]))
+    @pytest.mark.parametrize("chunksize", [0, -1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_chunksize_rejected_on_every_path(self, workers, chunksize):
+        # A non-positive chunk size once dropped every trial on the pool
+        # path (and crashed inside range() for 0) while the sequential path
+        # ignored it; both paths now reject it up front.
+        with pytest.raises(ValueError, match="chunksize"):
+            map_trials(_square, [(1, 0), (2, 0), (3, 0)], workers=workers, chunksize=chunksize)
 
     def test_consecutive_sweeps_reuse_the_pool(self):
         fabric = get_fabric(2)
@@ -144,12 +88,6 @@ class TestSharedBroadcast:
         assert fabric._pool is pool  # same executor, no per-sweep cold start
         assert first == [0, 1, 4, 9]
         assert second == [1, 2, 5, 10]
-
-    def test_distinct_broadcasts_per_sweep(self):
-        tails = [(i,) for i in range(4)]
-        for scale in (2, 5):
-            result = map_trials(_shared_square, tails, workers=2, shared={"scale": scale})
-            assert result == [scale * i * i for i in range(4)]
 
 
 class TestExperimentWorkers:

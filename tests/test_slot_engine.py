@@ -235,7 +235,7 @@ class TestEngineParity:
         batch_agents = _coin_agents(params, 25, seed)
         legacy_agents = _coin_agents(params, 25, seed)
         batch = Simulator(batch_agents, Channel(params))
-        legacy = LegacySimulator(legacy_agents, Channel(params))
+        legacy = LegacySimulator(legacy_agents, Channel(params), trace=ExecutionTrace())
         batch.run(slots, label="parity")
         legacy.run(slots, label="parity")
         assert batch.trace.records == legacy.trace.records
@@ -245,8 +245,8 @@ class TestEngineParity:
         slots = 40
         batch_agents = _coin_agents(params, 18, 11)
         legacy_agents = _coin_agents(params, 18, 11)
-        batch = Simulator(batch_agents, Channel(params), trace_level="columnar")
-        legacy = LegacySimulator(legacy_agents, Channel(params))
+        batch = Simulator(batch_agents, Channel(params))
+        legacy = LegacySimulator(legacy_agents, Channel(params), trace=ExecutionTrace())
         batch.run(slots, label="col")
         legacy.run(slots, label="col")
         assert batch.trace.records == legacy.trace.records
@@ -254,22 +254,6 @@ class TestEngineParity:
         assert batch.trace.transmissions_sent == legacy.trace.transmissions_sent
         assert batch.trace.successful_receptions == legacy.trace.successful_receptions
         assert batch.trace.busy_slots() == legacy.trace.busy_slots()
-
-    def test_counts_trace_matches_records_trace(self, params):
-        slots = 40
-        counts_agents = _coin_agents(params, 18, 13)
-        record_agents = _coin_agents(params, 18, 13)
-        counts = Simulator(counts_agents, Channel(params), trace_level="counts")
-        records = Simulator(record_agents, Channel(params))
-        counts.run(slots)
-        records.run(slots)
-        assert counts.trace.slots_used == records.trace.slots_used
-        assert counts.trace.transmissions_sent == records.trace.transmissions_sent
-        assert counts.trace.successful_receptions == records.trace.successful_receptions
-        assert counts.trace.busy_slots() == records.trace.busy_slots()
-        assert counts.trace.summary() == records.trace.summary()
-        with pytest.raises(ValueError):
-            counts.trace.records
 
     def test_batch_engine_falls_back_on_custom_channel(self, params):
         # A Channel subclass may override resolve(); the batch engine must
@@ -301,8 +285,8 @@ class TestEngineParity:
         agents = _coin_agents(params, 4, 19)
         with pytest.raises(TypeError):  # the batch engine is the only engine
             Simulator(agents, Channel(params), engine="legacy")
-        with pytest.raises(ValueError):
-            Simulator(agents[:2], Channel(params), trace_level="everything")
+        with pytest.raises(TypeError):  # the columnar trace is the only default
+            Simulator(agents[:2], Channel(params), trace_level="records")
 
 
 class TestColumnarTrace:
@@ -320,17 +304,6 @@ class TestColumnarTrace:
 
     def test_is_an_execution_trace(self):
         assert isinstance(ColumnarTrace(), ExecutionTrace)
-
-    def test_counts_mode_aggregates_only(self):
-        trace = ColumnarTrace(reception_detail=False)
-        trace.append_slot(0, [5, 6], [(7, 5)], "x")
-        assert trace.slots_used == 1
-        assert trace.transmissions_sent == 2
-        assert trace.successful_receptions == 1
-        with pytest.raises(ValueError):
-            trace.records
-        with pytest.raises(ValueError):
-            trace.slots_with_label("x")
 
 
 class TestLinkSucceedsVectorized:

@@ -42,8 +42,6 @@ from repro.state import (
     DecodeWorkspace,
     NetworkState,
     TiledNetworkState,
-    attach_state,
-    export_state,
 )
 from repro.state import network as state_network
 from repro.state.kernels import (
@@ -205,24 +203,6 @@ class TestTiledNetworkStateParity:
         nodes = _make_nodes(rng, 3)
         assert NetworkState(nodes).materializes_matrices
         assert not TiledNetworkState(nodes).materializes_matrices
-
-    def test_export_attach_roundtrip(self, rng):
-        tiled = TiledNetworkState(_make_nodes(rng, 25), budget_bytes=1 << 20)
-        live = tiled.live_slots()
-        with export_state(tiled) as export:
-            assert export.spec.tiled_budget_bytes == 1 << 20
-            attached = attach_state(export.spec)
-            assert isinstance(attached, TiledNetworkState)
-            assert attached.budget_bytes == tiled.budget_bytes
-            assert np.array_equal(
-                attached.distance_rect(live[:5], live), tiled.distance_rect(live[:5], live)
-            )
-
-    def test_from_arrays_rejects_dense_blocks(self, rng):
-        xy = rng.uniform(0.0, 10.0, size=(4, 2))
-        ids = np.arange(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="coordinates only"):
-            TiledNetworkState.from_arrays(xy, ids, distances=np.zeros((4, 4)))
 
 
 class TestNodeArrayCacheTiledDispatch:

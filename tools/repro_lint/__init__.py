@@ -8,15 +8,14 @@ unit tests enforce only incidentally:
 * ``out=`` destinations must not alias a read operand (``RL002``),
 * randomness is drawn from argument-seeded generators or counter hashes,
   never from hidden global state (``RL003``),
-* worker processes treat shared :class:`~repro.state.NetworkState` objects as
-  read-only, and every mutating method routes through ``_check_mutable``
-  (``RL004``),
+* a :class:`~repro.state.NetworkState` handed to a function changes only
+  through its public mutators, which bump the ``version`` counter its views
+  refresh on - never through private-attribute writes (``RL004``),
 * every public hot kernel is pinned bit-for-bit against a reference oracle by
   at least one test (``RL005``).
 
 ``repro-lint`` checks those contracts at the AST level, so a violation fails
-CI when it is written, not three PRs later as a heisenbug in a worker
-process.  Rules are plugins (see :mod:`tools.repro_lint.rules`); findings can
+CI when it is written, not three PRs later as a heisenbug.  Rules are plugins (see :mod:`tools.repro_lint.rules`); findings can
 be suppressed inline with ``# repro-lint: disable=RL001`` (comma-separated
 codes, or ``all``) or grandfathered in a committed baseline file.
 

@@ -1,28 +1,14 @@
-"""RL004 — shared/adopted ``NetworkState`` objects are read-only.
+"""RL004 — no private-attribute writes on a ``NetworkState`` parameter.
 
-The parallel fabric maps one physical copy of a state's arrays into every
-worker (:func:`repro.state.attach_state` / ``shared_state()``), and
-:meth:`NetworkState.from_arrays` adopts caller memory without copying.  A
-write through any of these would corrupt every sibling worker — numpy's
-``writeable`` flag catches array stores at runtime, but attribute-level
-mutation (and mutator *methods*) would only fail probabilistically.
-
-Three sub-checks:
-
-a. names bound from ``attach_state(...)``/``shared_state()``/
-   ``NetworkState.from_arrays(...)`` must not receive attribute or element
-   stores, and must not have mutator methods
-   (``add_nodes``/``remove_nodes``/``move_nodes``) called on them;
-b. functions taking a ``NetworkState``-annotated parameter must not write to
-   its private (``_``-prefixed) attributes — internals bypass the
-   ``_check_mutable`` gate;
-c. inside the ``NetworkState`` class itself, every *public* method that
-   unlocks its arrays (``.flags.writeable = True``) must first route through
-   ``self._check_mutable()``, so adopted/attached states reject mutation.
-
-Deliberate exceptions (the shared-memory lifetime anchor, the fabric's
-readonly toggling around sequential fallback) carry inline
-``# repro-lint: disable=RL004`` comments.
+One :class:`~repro.state.NetworkState` is shared by every view over it: the
+node cache, the cached channel and any number of link caches gather from
+the same instance and refresh their copies when its ``version`` counter
+moves.  The public mutators (``add_nodes``/``remove_nodes``/``move_nodes``)
+bump that counter after patching the derived matrices; a function that
+writes a private (``_``-prefixed) attribute of a state it was handed skips
+both, leaving every view serving stale blocks.  So functions taking a
+``NetworkState``-annotated parameter must not assign to its private
+attributes.
 """
 
 from __future__ import annotations
@@ -30,40 +16,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from ..astutil import dotted_parts, root_name
 from ..engine import Finding, Module
 from . import Rule
 
 __all__ = ["SharedStateMutation"]
-
-_ADOPTING_CALLS = frozenset({"attach_state", "shared_state", "from_arrays"})
-_MUTATOR_METHODS = frozenset({"add_nodes", "remove_nodes", "move_nodes"})
-
-
-def _is_adopting_call(node: ast.expr) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    parts = dotted_parts(node.func)
-    return bool(parts) and parts[-1] in _ADOPTING_CALLS
-
-
-def _scopes(tree: ast.Module) -> Iterable[tuple[str, list[ast.stmt]]]:
-    yield "<module>", tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.body
-
-
-def _walk_scope(stmts: list[ast.stmt]) -> Iterable[ast.AST]:
-    """Walk statements without crossing into nested function/class scopes."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue  # nested scope boundary: yielded, not entered
-        for child in ast.iter_child_nodes(node):
-            stack.append(child)
 
 
 class SharedStateMutation(Rule):
@@ -72,68 +28,6 @@ class SharedStateMutation(Rule):
     severity = "error"
 
     def check(self, module: Module) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        for scope_name, body in _scopes(module.tree):
-            findings.extend(self._check_adopted_names(module, scope_name, body))
-        findings.extend(self._check_annotated_params(module))
-        findings.extend(self._check_mutable_routing(module))
-        return findings
-
-    # -- (a) names bound from adopting constructors ------------------------
-
-    def _check_adopted_names(
-        self, module: Module, scope_name: str, body: list[ast.stmt]
-    ) -> Iterable[Finding]:
-        tainted: set[str] = set()
-        for stmt in body:
-            for node in _walk_scope([stmt]):
-                if isinstance(node, ast.Assign) and _is_adopting_call(node.value):
-                    tainted.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-                elif isinstance(node, (ast.Assign, ast.AugAssign)) and tainted:
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    for target in targets:
-                        if isinstance(target, (ast.Attribute, ast.Subscript)):
-                            root = root_name(target)
-                            if root in tainted:
-                                yield Finding(
-                                    code=self.code,
-                                    message=(
-                                        f"write through '{root}', a NetworkState adopted "
-                                        "from shared/caller memory; shared states are "
-                                        "read-only in workers"
-                                    ),
-                                    path=module.path,
-                                    line=node.lineno,
-                                    end_line=node.end_lineno or node.lineno,
-                                    severity=self.severity,
-                                    symbol=scope_name,
-                                )
-                if isinstance(node, ast.Call) and tainted:
-                    func = node.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATOR_METHODS
-                        and root_name(func) in tainted
-                    ):
-                        yield Finding(
-                            code=self.code,
-                            message=(
-                                f"mutator '.{func.attr}()' called on "
-                                f"'{root_name(func)}', a NetworkState adopted from "
-                                "shared/caller memory"
-                            ),
-                            path=module.path,
-                            line=node.lineno,
-                            end_line=node.end_lineno or node.lineno,
-                            severity=self.severity,
-                            symbol=scope_name,
-                        )
-
-    # -- (b) private-attribute writes on annotated parameters --------------
-
-    def _check_annotated_params(self, module: Module) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -167,7 +61,8 @@ class SharedStateMutation(Rule):
                             message=(
                                 f"write to private attribute "
                                 f"'{target.value.id}.{target.attr}' bypasses the "
-                                "NetworkState._check_mutable gate"
+                                "NetworkState mutators and the version counter "
+                                "its views refresh on"
                             ),
                             path=module.path,
                             line=sub.lineno,
@@ -175,50 +70,3 @@ class SharedStateMutation(Rule):
                             severity=self.severity,
                             symbol=node.name,
                         )
-
-    # -- (c) mutating methods must route through _check_mutable ------------
-
-    def _check_mutable_routing(self, module: Module) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or node.name != "NetworkState":
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if item.name.startswith("_"):
-                    continue  # private helpers are reached via checked mutators
-                unlocks = any(
-                    isinstance(sub, ast.Assign)
-                    and any(
-                        isinstance(t, ast.Attribute)
-                        and t.attr == "writeable"
-                        and isinstance(t.value, ast.Attribute)
-                        and t.value.attr == "flags"
-                        for t in sub.targets
-                    )
-                    and isinstance(sub.value, ast.Constant)
-                    and sub.value.value is True
-                    for sub in ast.walk(item)
-                )
-                if not unlocks:
-                    continue
-                routed = any(
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "_check_mutable"
-                    for sub in ast.walk(item)
-                )
-                if not routed:
-                    yield Finding(
-                        code=self.code,
-                        message=(
-                            f"mutating method 'NetworkState.{item.name}' unlocks "
-                            "its arrays without calling self._check_mutable(); "
-                            "adopted/attached states would accept the write"
-                        ),
-                        path=module.path,
-                        line=item.lineno,
-                        end_line=item.lineno,
-                        severity=self.severity,
-                        symbol=f"NetworkState.{item.name}",
-                    )
