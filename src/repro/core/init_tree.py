@@ -22,6 +22,16 @@ Practical constants (see ``repro.constants``) do not guarantee the w.h.p.
 single-sweep termination, so the builder optionally repeats the whole round
 sweep until a single active node remains; the extra slots are included in the
 reported cost.
+
+Init is a local algorithm: in every slot each node applies a pure function of
+its own state, its own coin and what it decoded.  :class:`InitialTreeBuilder`
+therefore runs it as a :class:`~repro.runtime.LockstepProgram` - the per-node
+state is a set of arrays and each slot is one NumPy step over the whole node
+set, stepped by the :class:`~repro.runtime.Simulator` - while
+:class:`InitAgent` keeps the same protocol as a per-node state machine for
+the message-passing runtime (``repro.netsim``), which needs its crash and
+recovery hooks.  Every node draws its coins from its own stream, so both
+engines consume identical randomness and produce bit-identical runs.
 """
 
 from __future__ import annotations
@@ -33,15 +43,34 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
-from ..exceptions import ProtocolError
+from ..exceptions import ConfigurationError, ProtocolError
 from ..geometry import Node, diameter
-from ..links import Link
-from ..runtime import AckMessage, BroadcastMessage, ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
+from ..runtime import (
+    AckMessage,
+    BroadcastMessage,
+    ExecutionTrace,
+    LockstepProgram,
+    NodeAgent,
+    Simulator,
+    spawn_agent_rngs,
+)
 from ..sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
-__all__ = ["InitAgent", "InitialTreeBuilder", "InitialTreeResult", "round_power"]
+__all__ = [
+    "InitAgent",
+    "InitState",
+    "InitialTreeBuilder",
+    "InitialTreeResult",
+    "round_power",
+    "validate_init_nodes",
+]
+
+#: Coins pre-drawn per node each time the array engine refills its stream.
+_COIN_BLOCK = 64
+
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
 
 def round_power(round_index: int, params: SINRParameters, slack: float = 2.0) -> float:
@@ -228,6 +257,204 @@ class InitAgent(NodeAgent):
         return len({record.peer_id for record in self.records})
 
 
+def validate_init_nodes(nodes: Sequence[Node]) -> None:
+    """Reject an ``Init`` input the protocol cannot run on, before any slot.
+
+    Raises:
+        ProtocolError: if two nodes share an id.
+        ConfigurationError: if a node has a NaN or infinite coordinate.
+    """
+    ids = [node.id for node in nodes]
+    if len(set(ids)) != len(ids):
+        raise ProtocolError("duplicate node ids among the Init nodes")
+    for node in nodes:
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            raise ConfigurationError(
+                f"node {node.id} has a non-finite coordinate ({node.x}, {node.y})"
+            )
+
+
+@dataclass
+class InitState:
+    """Per-node outcome of an ``Init`` run; entry ``i`` is node position ``i``.
+
+    Attributes:
+        active: whether the node is still active (the root, once converged).
+        parent_pos: position of the adopted parent, ``-1`` while none.
+        parent_slot_pair: slot-pair index in which the parent was adopted.
+        parent_round: round in which the parent was adopted.
+        stored_degree: number of distinct peers the node stored links with.
+    """
+
+    active: np.ndarray
+    parent_pos: np.ndarray
+    parent_slot_pair: np.ndarray
+    parent_round: np.ndarray
+    stored_degree: np.ndarray
+
+    @classmethod
+    def fresh(cls, n: int) -> "InitState":
+        """Every node active, parentless and with no stored link."""
+        return cls(
+            active=np.ones(n, dtype=bool),
+            parent_pos=np.full(n, -1, dtype=np.intp),
+            parent_slot_pair=np.zeros(n, dtype=np.int64),
+            parent_round=np.zeros(n, dtype=np.int64),
+            stored_degree=np.zeros(n, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_agents(cls, agents: Sequence[InitAgent]) -> "InitState":
+        """The state the per-node :class:`InitAgent` machines ended in."""
+        pos_by_id = {agent.node_id: i for i, agent in enumerate(agents)}
+        state = cls.fresh(len(agents))
+        for i, agent in enumerate(agents):
+            state.active[i] = agent.active
+            state.stored_degree[i] = agent.stored_degree()
+            if agent.parent_id is not None:
+                state.parent_pos[i] = pos_by_id[agent.parent_id]
+                state.parent_slot_pair[i] = agent.parent_slot_pair
+                state.parent_round[i] = agent.parent_round
+        return state
+
+
+class _CoinStreams:
+    """Every node's private coin stream, read from pre-drawn blocks.
+
+    ``Generator.random(B)`` returns the same numbers as ``B`` scalar
+    ``random()`` calls, so reading row ``i`` of the block through a per-node
+    cursor replays exactly the coins node ``i``'s :class:`InitAgent` draws
+    from the same generator.  Only rows that run out are refilled.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self._rngs = rngs
+        self._block = np.empty((len(rngs), _COIN_BLOCK))
+        for row, rng in zip(self._block, rngs):
+            row[:] = rng.random(_COIN_BLOCK)
+        self._cursor = np.zeros(len(rngs), dtype=np.intp)
+
+    def draw(self, pos: np.ndarray) -> np.ndarray:
+        """One coin for each node position in ``pos`` (distinct positions)."""
+        at = self._cursor[pos]
+        spent = at == _COIN_BLOCK
+        if spent.any():
+            for i in pos[spent].tolist():
+                self._block[i] = self._rngs[i].random(_COIN_BLOCK)
+            at[spent] = 0
+        self._cursor[pos] = at + 1
+        return self._block[pos, at]
+
+
+class _InitProgram(LockstepProgram):
+    """Lockstep ``Init`` as an array program: one NumPy step per slot.
+
+    Node ``i`` is position ``i`` of the node list.  Even slots are the
+    broadcast half of a slot-pair, odd slots its ack half.  The slot order,
+    the decode calls and every node's coin sequence match the per-agent
+    protocol, so traces and trees are bit-identical to it.
+    """
+
+    def __init__(
+        self,
+        node_list: Sequence[Node],
+        params: SINRParameters,
+        constants: AlgorithmConstants,
+        rngs: Sequence[np.random.Generator],
+    ):
+        n = len(node_list)
+        self.nodes = node_list
+        self.params = params
+        self.p_broadcast = constants.broadcast_probability
+        self.p_ack = constants.ack_probability
+        self.xs = [node.x for node in node_list]
+        self.ys = [node.y for node in node_list]
+        self.coins = _CoinStreams(rngs)
+        self.state = InitState.fresh(n)
+        self._round = 0
+        self._powers = np.empty(n)
+        self._lower = self._upper = 0.0
+        #: (listeners, senders) of the current pair's broadcast slot.
+        self._heard = (_NO_POSITIONS, _NO_POSITIONS)
+        #: (ackers, acked broadcasters) of the current pair's ack slot.
+        self._acks = (_NO_POSITIONS, _NO_POSITIONS)
+        #: acked broadcaster of each acker during an ack slot, ``-1`` elsewhere.
+        self._target = np.full(n, -1, dtype=np.intp)
+        #: (node, peer) positions of every stored link, both directions alike.
+        self._links: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def active_count(self) -> int:
+        return int(np.count_nonzero(self.state.active))
+
+    def begin_round(self, round_index: int) -> None:
+        """Set the fixed power and the length class of round ``round_index``."""
+        self._round = round_index
+        self._powers.fill(round_power(round_index, self.params))
+        self._lower, self._upper = 2.0 ** (round_index - 1), 2.0**round_index
+
+    def transmit(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        state = self.state
+        if slot % 2 == 0:
+            # Broadcast slot: every active node flips its broadcast coin.
+            active = np.flatnonzero(state.active)
+            broadcasters = active[self.coins.draw(active) < self.p_broadcast]
+            return broadcasters, self._powers[: broadcasters.size]
+
+        # Ack slot: an active listener whose decoded hello comes from the
+        # round's length class flips its ack coin.  The class test stays on
+        # math.hypot (as Node.distance_to) so its boundaries are bit-exact.
+        rx, src = self._heard
+        heard = state.active[rx]
+        ackers, targets = rx[heard], src[heard]
+        if ackers.size:
+            xs, ys = self.xs, self.ys
+            lower, upper = self._lower, self._upper
+            in_class = [
+                lower <= math.hypot(xs[a] - xs[b], ys[a] - ys[b]) < upper
+                for a, b in zip(ackers.tolist(), targets.tolist())
+            ]
+            ackers, targets = ackers[in_class], targets[in_class]
+            acks = self.coins.draw(ackers) < self.p_ack
+            ackers, targets = ackers[acks], targets[acks]
+            # An acker stores the link whether or not its ack gets through.
+            self._links.append((ackers, targets))
+        self._acks = (ackers, targets)
+        return ackers, self._powers[: ackers.size]
+
+    def receive(self, slot: int, listeners: np.ndarray, senders: np.ndarray) -> None:
+        if slot % 2 == 0:
+            self._heard = (listeners, senders)
+            return
+        # A listener that decodes an ack addressed to it is one of this
+        # pair's broadcasters (ack targets are; they never ack themselves):
+        # it adopts the acker as parent and retires.
+        if listeners.size:
+            ackers, targets = self._acks
+            target = self._target
+            target[ackers] = targets
+            adopted = target[senders] == listeners
+            target[ackers] = -1
+            children, parents = listeners[adopted], senders[adopted]
+            state = self.state
+            state.parent_pos[children] = parents
+            state.parent_slot_pair[children] = slot // 2
+            state.parent_round[children] = self._round
+            state.active[children] = False
+            self._links.append((children, parents))
+
+    def finish(self) -> InitState:
+        """The final state, with stored degrees counted from the link log."""
+        n = len(self.nodes)
+        if self._links:
+            nodes = np.concatenate([node for node, _ in self._links])
+            peers = np.concatenate([peer for _, peer in self._links])
+            # Sort-and-compare rather than np.unique, which imports numpy.ma.
+            links = np.sort(nodes * n + peers)
+            distinct = links[np.append(True, links[1:] != links[:-1])]
+            self.state.stored_degree[:] = np.bincount(distinct // n, minlength=n)
+        return self.state
+
+
 @dataclass
 class InitialTreeResult:
     """Outcome of running ``Init`` on a set of nodes.
@@ -287,11 +514,14 @@ class InitialTreeBuilder:
 
         Raises:
             ProtocolError: if more than one active node remains after
-                ``max_sweeps`` sweeps (practically unreachable with defaults).
+                ``max_sweeps`` sweeps (practically unreachable with defaults),
+                or if two nodes share an id.
+            ConfigurationError: if a node has a non-finite coordinate.
         """
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
+        validate_init_nodes(node_list)
         if len(node_list) == 1:
             only = node_list[0]
             tree = BiTree.from_parent_map([only], only.id, {})
@@ -310,20 +540,11 @@ class InitialTreeBuilder:
         delta = diameter(node_list)
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
-
-        agent_rngs = spawn_agent_rngs(rng, len(node_list))
-        agents = [
-            InitAgent(
-                node=node,
-                rng=agent_rng,
-                params=self.params,
-                constants=self.constants,
-                rounds_per_sweep=rounds_per_sweep,
-                slot_pairs_per_round=pairs_per_round,
-            )
-            for node, agent_rng in zip(node_list, agent_rngs)
-        ]
-        simulator = Simulator(agents, Channel(self.params))
+        program = _InitProgram(
+            node_list, self.params, self.constants, spawn_agent_rngs(rng, len(node_list))
+        )
+        simulator = Simulator(program, Channel(self.params))
+        step = simulator.step
 
         rounds_used = 0
         sweeps_used = 0
@@ -333,68 +554,83 @@ class InitialTreeBuilder:
                 # The first sweep always runs in full (the paper's algorithm has
                 # no early termination); later sweeps stop as soon as a single
                 # active node remains.
-                if sweep > 0 and self._active_count(agents) <= 1:
+                if sweep > 0 and program.active_count() <= 1:
                     break
                 rounds_used += 1
+                program.begin_round(round_index)
+                broadcast = f"init:sweep{sweep}:round{round_index}:broadcast"
+                ack = f"init:sweep{sweep}:round{round_index}:ack"
                 for _ in range(pairs_per_round):
-                    simulator.step(label=f"init:sweep{sweep}:round{round_index}:broadcast")
-                    simulator.step(label=f"init:sweep{sweep}:round{round_index}:ack")
-            if self._active_count(agents) <= 1:
+                    step(broadcast)
+                    step(ack)
+            if program.active_count() <= 1:
                 break
-        if self._active_count(agents) > 1:
+        if program.active_count() > 1:
             raise ProtocolError(
                 f"Init did not converge to a single active node within {self.max_sweeps} sweeps"
             )
 
         return self._extract_result(
-            node_list, agents, simulator, delta, rounds_used, sweeps_used
+            node_list,
+            program.finish(),
+            simulator.trace,
+            simulator.current_slot,
+            delta,
+            rounds_used,
+            sweeps_used,
         )
-
-    @staticmethod
-    def _active_count(agents: Sequence[InitAgent]) -> int:
-        return sum(1 for agent in agents if agent.active)
 
     def _extract_result(
         self,
         node_list: Sequence[Node],
-        agents: Sequence[InitAgent],
-        simulator: Simulator,
+        state: InitState,
+        trace: ExecutionTrace,
+        slots_used: int,
         delta: float,
         rounds_used: int,
         sweeps_used: int,
     ) -> InitialTreeResult:
-        node_map = {node.id: node for node in node_list}
-        root_candidates = [agent.node_id for agent in agents if agent.active]
-        if len(root_candidates) != 1:
-            raise ProtocolError(f"expected exactly one root, found {len(root_candidates)}")
-        root_id = root_candidates[0]
+        """Assemble the result from a converged run's per-node state."""
+        roots = np.flatnonzero(state.active)
+        if roots.size != 1:
+            raise ProtocolError(f"expected exactly one root, found {roots.size}")
+        root = int(roots[0])
+        ids = [node.id for node in node_list]
 
         parent: dict[int, int] = {}
         slots: dict[int, int] = {}
         link_rounds: dict[tuple[int, int], int] = {}
         power_map: dict[tuple[int, int], float] = {}
-        for agent in agents:
-            if agent.node_id == root_id:
+        powers: dict[int, float] = {}
+        rows = zip(
+            state.parent_pos.tolist(),
+            state.parent_slot_pair.tolist(),
+            state.parent_round.tolist(),
+        )
+        for i, (parent_pos, slot_pair, round_index) in enumerate(rows):
+            if i == root:
                 continue
-            if agent.parent_id is None or agent.parent_slot_pair is None or agent.parent_round is None:
-                raise ProtocolError(f"inactive node {agent.node_id} has no recorded parent")
-            parent[agent.node_id] = agent.parent_id
-            slots[agent.node_id] = agent.parent_slot_pair
-            power = round_power(agent.parent_round, self.params)
-            link_rounds[(agent.node_id, agent.parent_id)] = agent.parent_round
-            power_map[(agent.node_id, agent.parent_id)] = power
-            power_map[(agent.parent_id, agent.node_id)] = power
+            if parent_pos < 0:
+                raise ProtocolError(f"inactive node {ids[i]} has no recorded parent")
+            child, parent_id = ids[i], ids[parent_pos]
+            parent[child] = parent_id
+            slots[child] = slot_pair
+            if round_index not in powers:
+                powers[round_index] = round_power(round_index, self.params)
+            link_rounds[(child, parent_id)] = round_index
+            power_map[(child, parent_id)] = powers[round_index]
+            power_map[(parent_id, child)] = powers[round_index]
 
-        tree = BiTree.from_parent_map(node_list, root_id, parent, slots)
+        tree = BiTree.from_parent_map(node_list, ids[root], parent, slots)
         fallback = UniformPower.for_max_length(self.params, max(delta, 1.0))
         return InitialTreeResult(
             tree=tree,
-            slots_used=simulator.current_slot,
+            slots_used=slots_used,
             rounds_used=rounds_used,
             sweeps_used=sweeps_used,
             delta=delta,
             power=ExplicitPower(power_map, fallback=fallback),
             link_rounds=link_rounds,
-            trace=simulator.trace,
-            stored_degrees={agent.node_id: agent.stored_degree() for agent in agents},
+            trace=trace,
+            stored_degrees=dict(zip(ids, state.stored_degree.tolist())),
         )

@@ -36,7 +36,14 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.bitree import BiTree
-from ..core.init_tree import InitAgent, InitialTreeBuilder, InitialTreeResult, round_power
+from ..core.init_tree import (
+    InitAgent,
+    InitialTreeBuilder,
+    InitialTreeResult,
+    InitState,
+    round_power,
+    validate_init_nodes,
+)
 from ..core.quantities import num_rounds_for_delta
 from ..core.repair import TreeRepairer
 from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
@@ -158,13 +165,15 @@ class NetInitBuilder:
 
         Raises:
             ProtocolError: if the run does not converge and the delivery mode
-                offers no completion path.
+                offers no completion path, or if two nodes share an id.
+            ConfigurationError: if a node has a non-finite coordinate.
             NodeCrashedError: if crashes leave nothing to span, or leave
                 damage that ``"fire-and-forget"`` cannot repair.
         """
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
+        validate_init_nodes(node_list)
         if len(node_list) == 1:
             only = node_list[0]
             return NetInitResult(
@@ -302,7 +311,15 @@ class NetInitBuilder:
         """Clean convergence: reuse the lockstep extractor verbatim (parity)."""
         oracle: InitialTreeResult = InitialTreeBuilder(
             self.params, self.constants, self.max_sweeps
-        )._extract_result(node_list, agents, sim, delta, rounds_used, sweeps_used)
+        )._extract_result(
+            node_list,
+            InitState.from_agents(agents),
+            sim.trace,
+            sim.current_slot,
+            delta,
+            rounds_used,
+            sweeps_used,
+        )
         return NetInitResult(
             tree=oracle.tree,
             slots_used=oracle.slots_used,

@@ -84,7 +84,6 @@ class NetSimulator(Simulator):
             raise ConfigurationError(
                 f"detector monitors ids outside the agent set: {sorted(unknown)[:5]}"
             )
-        self._ids = np.asarray(self._node_ids, dtype=np.int64)
         self._crashed = np.zeros(len(self.agents), dtype=bool)
         monitored = set(self._detector.node_ids)
         #: agent positions the detector monitors, in node order.
@@ -181,18 +180,19 @@ class NetSimulator(Simulator):
         self,
         slot: int,
         receptions: list[Reception | None],
-        pairs: list[tuple[int, int]],
-    ) -> tuple[list[Reception | None], list[tuple[int, int]]]:
+        rx_ids: np.ndarray,
+        src_ids: np.ndarray,
+    ) -> tuple[list[Reception | None], np.ndarray, np.ndarray]:
         """Filter decoded deliveries through the transport and the queue."""
         matured = self._pending.pop(slot, [])
-        if pairs:
-            dst_ids = np.array([dst for dst, _ in pairs], dtype=np.int64)
-            src_ids = np.array([src for _, src in pairs], dtype=np.int64)
-            delivered, delay = self.transport.admit(slot, src_ids, dst_ids)
+        if not rx_ids.size and not matured:
+            return receptions, rx_ids, src_ids
+        pairs: list[tuple[int, int]] = []
+        if rx_ids.size:
+            delivered, delay = self.transport.admit(slot, src_ids, rx_ids)
             if bool(delivered.all()) and not delay.any() and not matured:
-                return receptions, pairs
-            kept_pairs: list[tuple[int, int]] = []
-            for k, (dst_id, src_id) in enumerate(pairs):
+                return receptions, rx_ids, src_ids
+            for k, (dst_id, src_id) in enumerate(zip(rx_ids.tolist(), src_ids.tolist())):
                 pos = self._pos_by_id[dst_id]
                 if not delivered[k]:
                     receptions[pos] = None
@@ -206,8 +206,7 @@ class NetSimulator(Simulator):
                     )
                     self._pending_seq += 1
                     continue
-                kept_pairs.append((dst_id, src_id))
-            pairs = kept_pairs
+                pairs.append((dst_id, src_id))
         for _, pos, reception in sorted(matured, key=lambda item: item[0]):
             if self._crashed[pos]:
                 self.crash_drops += 1
@@ -228,7 +227,8 @@ class NetSimulator(Simulator):
                 pairs = [(dst, src) for dst, src in pairs if dst != self._node_ids[pos]]
             receptions[pos] = reception
             pairs.append((self._node_ids[pos], reception.sender.id))
-        return receptions, pairs
+        kept = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return receptions, kept[:, 0], kept[:, 1]
 
     def _deliver_batch(self, slot: int, receptions: list[Reception | None]) -> None:
         crashed = self._crashed.tolist()
@@ -258,19 +258,17 @@ class NetSimulator(Simulator):
     def _step_batch(self, label: str) -> SlotRecord | None:
         slot = self._slot
         tx_pos, powers, messages = self._poll_batch(slot)
-        receptions, pairs = self._decode_batch(slot, tx_pos, powers, messages)
-        receptions, pairs = self._apply_transport(slot, receptions, pairs)
+        receptions, rx_ids, src_ids = self._decode_batch(slot, tx_pos, powers, messages)
+        receptions, rx_ids, src_ids = self._apply_transport(slot, receptions, rx_ids, src_ids)
         self._deliver_batch(slot, receptions)
-        record = self.trace.append_slot(
-            slot, [self._node_ids[i] for i in tx_pos], pairs, label
-        )
+        record = self.trace.append_slot(slot, self._ids[tx_pos], rx_ids, src_ids, label)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("netsim.slots")
             if tx_pos:
                 registry.inc("netsim.sends", len(tx_pos))
-            if pairs:
-                registry.inc("netsim.deliveries", len(pairs))
+            if rx_ids.size:
+                registry.inc("netsim.deliveries", int(rx_ids.size))
         self._slot += 1
         self._emit_heartbeats(slot)
         return record

@@ -5,12 +5,17 @@ Every distributed algorithm in the library is written as a subclass of
 each slot whether to transmit (and what and at which power) or to listen, and
 updating its state from whatever the channel delivers.  Agents never see
 global state; the simulator is the only component that touches the channel.
+
+A protocol whose per-slot rule is a pure function of each node's own state
+can instead be written as one :class:`LockstepProgram`: the state of every
+node lives in arrays and the program answers for the whole node set at once.
+The simulator steps both kinds alike.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from ..exceptions import ProtocolError
 from ..geometry import Node
 from ..sinr import Reception, Transmission
 
-__all__ = ["NodeAgent"]
+__all__ = ["LockstepProgram", "NodeAgent"]
 
 
 class NodeAgent(ABC):
@@ -104,3 +109,26 @@ class NodeAgent(ABC):
     def summary(self) -> dict[str, Any]:
         """Small diagnostic dictionary (protocol-specific)."""
         return {"node_id": self.node_id, "done": self.is_done()}
+
+
+class LockstepProgram(ABC):
+    """The protocol of a fixed node set, run as array operations.
+
+    Node ``i`` is position ``i`` of :attr:`nodes`.  In every slot the
+    simulator asks the program which positions transmit (and at which
+    powers), resolves the slot through the SINR channel, and hands back the
+    positions that decoded together with the position each one decoded.
+    Messages are implicit: a program knows what each of its transmitters
+    sent.
+    """
+
+    #: the simulated nodes, in position order.
+    nodes: Sequence[Node]
+
+    @abstractmethod
+    def transmit(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions transmitting in ``slot`` (distinct) and their powers."""
+
+    @abstractmethod
+    def receive(self, slot: int, listeners: np.ndarray, senders: np.ndarray) -> None:
+        """``listeners[k]`` decoded ``senders[k]`` in ``slot`` (positions)."""

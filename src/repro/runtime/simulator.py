@@ -17,6 +17,12 @@ identical to the seed per-object engine, which the test suite keeps as its
 parity oracle (the decode arithmetic is shared and agents consume the same
 randomness either way).
 
+The simulator also runs a :class:`~repro.runtime.agent.LockstepProgram` -
+a protocol whose per-node state lives in arrays - in place of the agents:
+each slot then asks the program for its transmitter positions, decodes them
+through the same channel call and hands the program the decoded
+(listener, sender) positions, with no per-node Python in between.
+
 Without an explicit trace the simulator records into a
 :class:`ColumnarTrace` (flat arrays, records materialized on demand); pass
 ``trace=ExecutionTrace()`` for the seed record store.
@@ -24,7 +30,7 @@ Without an explicit trace the simulator records into a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,10 +40,13 @@ from ..obs.spans import span
 from ..sinr import CachedChannel, Channel, Reception, Transmission
 from ..sinr.channel import ensure_positive_powers
 from ..state import DecodeWorkspace
-from .agent import NodeAgent
+from .agent import LockstepProgram, NodeAgent
 from .trace import ColumnarTrace, ExecutionTrace, SlotRecord
 
 __all__ = ["Simulator", "spawn_agent_rngs"]
+
+#: Positions of an empty slot (no transmitter, or no decode).
+_NO_IDS = np.zeros(0, dtype=np.intp)
 
 
 def spawn_agent_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
@@ -52,7 +61,9 @@ class Simulator:
     """Runs a collection of agents over a shared SINR channel.
 
     Args:
-        agents: the per-node protocol agents.
+        agents: the per-node protocol agents, or one
+            :class:`~repro.runtime.agent.LockstepProgram` running the
+            protocol of every node as arrays.
         channel: the SINR channel instance.
         trace: optional pre-existing trace to append to (default: a fresh
             :class:`ColumnarTrace`).
@@ -60,34 +71,42 @@ class Simulator:
 
     def __init__(
         self,
-        agents: Sequence[NodeAgent],
+        agents: Sequence[NodeAgent] | LockstepProgram,
         channel: Channel,
         trace: ExecutionTrace | None = None,
     ):
-        ids = [agent.node_id for agent in agents]
+        if isinstance(agents, LockstepProgram):
+            self.program: LockstepProgram | None = agents
+            self.agents: list[NodeAgent] = []
+            nodes = list(agents.nodes)
+        else:
+            self.program = None
+            self.agents = list(agents)
+            nodes = [agent.node for agent in self.agents]
+        ids = [node.id for node in nodes]
         if len(ids) != len(set(ids)):
             raise ProtocolError("duplicate node ids among agents")
-        self.agents: list[NodeAgent] = list(agents)
-        # The agent set is fixed for the simulator's lifetime, so a plain
-        # channel is upgraded to one viewing a NetworkState over the agents'
+        # The node set is fixed for the simulator's lifetime, so a plain
+        # channel is upgraded to one viewing a NetworkState over the
         # nodes (its store chosen by size), which every slot's decode
         # gathers from; subclassed channels are left untouched.
         if type(channel) is Channel:
-            channel = CachedChannel(channel.params, [agent.node for agent in self.agents])
+            channel = CachedChannel(channel.params, nodes)
         self.channel = channel
         self.trace = trace if trace is not None else ColumnarTrace()
         self._slot = 0
         self._node_ids: list[int] = ids
+        self._ids = np.asarray(ids, dtype=np.int64)
         self._pos_by_id: dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}
         # Hot-loop hoists: the agent set is fixed for the simulator's
         # lifetime, so bound methods and nodes are captured once instead of
         # being looked up per agent per slot.
-        self._nodes = [agent.node for agent in self.agents]
+        self._nodes = nodes
         self._act_batch = [agent.act_batch for agent in self.agents]
         self._observe = [agent.observe for agent in self.agents]
-        self._listening = np.empty(len(self.agents), dtype=bool)
-        # Index of each agent's node in the channel's distance cache, when the
-        # channel is exactly a CachedChannel covering every agent (a subclass
+        self._listening = np.empty(len(nodes), dtype=bool)
+        # Index of each node in the channel's distance cache, when the
+        # channel is exactly a CachedChannel covering every node (a subclass
         # may override `resolve`, so it must keep going through the object
         # path).
         self._cache_idx: np.ndarray | None = None
@@ -105,7 +124,7 @@ class Simulator:
             except KeyError:
                 self._cache_idx = None
             else:
-                # Agent position == cache index (the simulator built the
+                # Node position == cache index (the simulator built the
                 # channel itself, or an identical universe was passed): the
                 # decode can run against all columns with a cheap row gather
                 # and mask transmitters afterwards.
@@ -140,6 +159,8 @@ class Simulator:
         records, ``None`` under a columnar trace (which does not materialize
         per-slot objects).
         """
+        if self.program is not None:
+            return self._step_program(label)
         return self._step_batch(label)
 
     # The batch step is split into three seams - poll, decode, deliver - so
@@ -170,19 +191,18 @@ class Simulator:
         tx_pos: list[int],
         powers: list[float],
         messages: list[Any],
-    ) -> tuple[list[Reception | None], list[tuple[int, int]]]:
+    ) -> tuple[list[Reception | None], np.ndarray, np.ndarray]:
         """Resolve the slot's transmissions through the SINR channel.
 
-        Returns per-agent-position receptions plus the (listener id, sender
-        id) pairs in trace order.
+        Returns per-agent-position receptions plus the listener and sender
+        id arrays of the decodes, in trace order.
         """
-        node_ids = self._node_ids
         nodes = self._nodes
         n = len(nodes)
         listening = self._listening
 
         receptions: list[Reception | None] = [None] * n
-        pairs: list[tuple[int, int]] = []
+        rx_pos = src_pos = _NO_IDS
         if tx_pos:
             # Validate before branching so a non-positive power raises even
             # in slots with no listeners, exactly like the seed engine
@@ -190,37 +210,11 @@ class Simulator:
             power_arr = np.array(powers, dtype=float)
             ensure_positive_powers(power_arr)
         if tx_pos and len(tx_pos) < n:
-            if self._full_universe:
+            if self._cache_idx is not None:
                 tx_arr = np.array(tx_pos, dtype=np.intp)
-                best, sinr, ok = self.channel.resolve_indices_full(
-                    tx_arr, power_arr, slot=slot, workspace=self._workspace
-                )
-                # Half-duplex: transmitter columns never decode.
-                for pos in np.nonzero(ok & listening)[0].tolist():
-                    b = int(best[pos])
-                    src = tx_pos[b]
-                    receptions[pos] = Reception(
-                        sender=nodes[src], message=messages[b], sinr=float(sinr[pos])
-                    )
-                    pairs.append((node_ids[pos], node_ids[src]))
-            elif self._cache_idx is not None:
-                tx_arr = np.array(tx_pos, dtype=np.intp)
-                rx_arr = np.nonzero(listening)[0]
-                best, sinr, ok = self.channel.resolve_indices(
-                    self._cache_idx[tx_arr],
-                    self._cache_idx[rx_arr],
-                    power_arr,
-                    slot=slot,
-                    workspace=self._workspace,
-                )
-                for j in np.nonzero(ok)[0].tolist():
-                    b = int(best[j])
-                    src = tx_pos[b]
-                    pos = int(rx_arr[j])
-                    receptions[pos] = Reception(
-                        sender=nodes[src], message=messages[b], sinr=float(sinr[j])
-                    )
-                    pairs.append((node_ids[pos], node_ids[src]))
+                rx_pos, rx_best, rx_sinr_arr = self._decode_positions(slot, tx_arr, power_arr)
+                src_pos = tx_arr[rx_best]
+                rx_sinr = rx_sinr_arr.tolist()
             else:
                 # Custom channel (or agents outside the cache): go through the
                 # node-object protocol so overridden `resolve` semantics hold.
@@ -231,10 +225,44 @@ class Simulator:
                 listeners = [nodes[i] for i in np.nonzero(listening)[0].tolist()]
                 resolved = self._resolve_objects(transmissions, listeners, slot)
                 for node_id, reception in resolved.items():
-                    pos = self._pos_by_id[node_id]
-                    receptions[pos] = reception
-                    pairs.append((node_id, reception.sender.id))
-        return receptions, pairs
+                    receptions[self._pos_by_id[node_id]] = reception
+                rx_ids = np.fromiter(resolved, dtype=np.int64, count=len(resolved))
+                src_ids = np.array([rec.sender.id for rec in resolved.values()], dtype=np.int64)
+                return receptions, rx_ids, src_ids
+            for pos, b, value in zip(rx_pos.tolist(), rx_best.tolist(), rx_sinr):
+                receptions[pos] = Reception(
+                    sender=nodes[tx_pos[b]], message=messages[b], sinr=value
+                )
+        return receptions, self._ids[rx_pos], self._ids[src_pos]
+
+    def _decode_positions(
+        self, slot: int, tx_arr: np.ndarray, power_arr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode one slot over the cached channel, by node position.
+
+        Only positions marked in ``self._listening`` may decode.  Returns the
+        decoding positions, the index into ``tx_arr`` of the sender each one
+        decoded, and their SINRs.
+        """
+        listening = self._listening
+        if self._full_universe:
+            best, sinr, ok = self.channel.resolve_indices_full(
+                tx_arr, power_arr, slot=slot, workspace=self._workspace
+            )
+            # Half-duplex: transmitter columns never decode.
+            rx_pos = np.flatnonzero(ok & listening)
+            return rx_pos, best[rx_pos], sinr[rx_pos]
+        assert self._cache_idx is not None
+        rx_arr = np.flatnonzero(listening)
+        best, sinr, ok = self.channel.resolve_indices(
+            self._cache_idx[tx_arr],
+            self._cache_idx[rx_arr],
+            power_arr,
+            slot=slot,
+            workspace=self._workspace,
+        )
+        decoded = np.flatnonzero(ok)
+        return rx_arr[decoded], best[decoded], sinr[decoded]
 
     def _deliver_batch(self, slot: int, receptions: list[Reception | None]) -> None:
         """Deliver the slot outcome to every agent, in agent order."""
@@ -244,18 +272,45 @@ class Simulator:
     def _step_batch(self, label: str) -> SlotRecord | None:
         slot = self._slot
         tx_pos, powers, messages = self._poll_batch(slot)
-        receptions, pairs = self._decode_batch(slot, tx_pos, powers, messages)
+        receptions, rx_ids, src_ids = self._decode_batch(slot, tx_pos, powers, messages)
         self._deliver_batch(slot, receptions)
-        record = self.trace.append_slot(
-            slot, [self._node_ids[i] for i in tx_pos], pairs, label
-        )
+        return self._record(slot, self._ids[tx_pos], rx_ids, src_ids, label)
+
+    def _step_program(self, label: str) -> SlotRecord | None:
+        """One slot of the lockstep program: poll, decode and deliver as arrays."""
+        slot = self._slot
+        program = self.program
+        assert program is not None
+        tx, powers = program.transmit(slot)
+        rx = src = _NO_IDS
+        if tx.size:
+            ensure_positive_powers(powers)
+            if tx.size < len(self._nodes):
+                if self._cache_idx is None:
+                    raise ProtocolError(
+                        "a lockstep program needs a CachedChannel holding all its nodes"
+                    )
+                listening = self._listening
+                listening[:] = True
+                listening[tx] = False
+                rx, best, _ = self._decode_positions(slot, tx, powers)
+                src = tx[best]
+        program.receive(slot, rx, src)
+        ids = self._ids
+        return self._record(slot, ids[tx], ids[rx], ids[src], label)
+
+    def _record(
+        self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str
+    ) -> SlotRecord | None:
+        """Trace the slot, count it and advance the clock."""
+        record = self.trace.append_slot(slot, tx_ids, rx_ids, src_ids, label)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("sim.slots")
-            if tx_pos:
-                registry.inc("sim.transmissions", len(tx_pos))
-            if pairs:
-                registry.inc("sim.receptions", len(pairs))
+            if tx_ids.size:
+                registry.inc("sim.transmissions", int(tx_ids.size))
+            if rx_ids.size:
+                registry.inc("sim.receptions", int(rx_ids.size))
         self._slot += 1
         return record
 
@@ -267,37 +322,3 @@ class Simulator:
             for _ in range(slots):
                 self.step(label)
         return self.trace
-
-    def run_until(
-        self,
-        predicate: Callable[["Simulator"], bool],
-        max_slots: int,
-        label: str = "",
-    ) -> ExecutionTrace:
-        """Execute slots until ``predicate(self)`` holds or ``max_slots`` elapse.
-
-        The predicate is evaluated before each slot; if it is already true no
-        slot is executed.
-
-        Raises:
-            ProtocolError: if the slot budget is exhausted without the
-                predicate becoming true.
-        """
-        executed = 0
-        with span("sim.run_until", max_slots=max_slots, label=label):
-            while not predicate(self):
-                if executed >= max_slots:
-                    raise ProtocolError(
-                        f"predicate not satisfied within {max_slots} slots (label={label!r})"
-                    )
-                self.step(label)
-                executed += 1
-        return self.trace
-
-    def all_done(self) -> bool:
-        """Whether every agent reports completion."""
-        return all(agent.is_done() for agent in self.agents)
-
-    def agents_by_id(self) -> dict[int, NodeAgent]:
-        """Mapping from node id to agent."""
-        return {agent.node_id: agent for agent in self.agents}

@@ -5,21 +5,32 @@ Two trace backends share one API:
 * :class:`ExecutionTrace` - the seed record-based store: one
   :class:`SlotRecord` (tuple of transmitter ids + reception dict) per slot.
 * :class:`ColumnarTrace` - a columnar store: flat integer arrays plus
-  per-slot offsets.  Appending a slot touches no per-slot Python containers,
-  which is what the batch slot engine needs; the ``records`` /
-  ``slots_used`` / ``busy_slots`` API is preserved on top by materializing
-  :class:`SlotRecord` views on demand.
+  per-slot offsets.  Appending a slot extends each column in one call from
+  the engine's id arrays, touching no per-slot Python containers; the
+  ``records`` / ``slots_used`` / ``busy_slots`` API is preserved on top by
+  materializing :class:`SlotRecord` views on demand.
+
+Both take a slot as three parallel id sequences - transmitters, then the
+listeners that decoded and the sender each one decoded - given as lists or
+as integer NumPy arrays.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["SlotRecord", "ExecutionTrace", "ColumnarTrace"]
 
+#: A column of node ids for one slot: a list or an integer array.
+Ids = Sequence[int] | np.ndarray
 
-from dataclasses import dataclass
+
+def _as_list(ids: Ids) -> list[int]:
+    return ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
 
 
 @dataclass(frozen=True)
@@ -59,19 +70,21 @@ class ExecutionTrace:
     def append_slot(
         self,
         slot: int,
-        transmitter_ids: Sequence[int],
-        reception_pairs: Sequence[tuple[int, int]],
+        transmitter_ids: Ids,
+        listener_ids: Ids,
+        sender_ids: Ids,
         label: str = "",
     ) -> SlotRecord | None:
-        """Append one slot from its components (the slot engine's entry point).
+        """Append one slot from its components (the slot engines' entry point).
 
-        Returns the stored :class:`SlotRecord`; columnar backends return
-        ``None`` instead of materializing one.
+        ``listener_ids[k]`` decoded ``sender_ids[k]``.  Returns the stored
+        :class:`SlotRecord`; columnar backends return ``None`` instead of
+        materializing one.
         """
         record = SlotRecord(
             slot=slot,
-            transmitters=tuple(transmitter_ids),
-            receptions=dict(reception_pairs),
+            transmitters=tuple(_as_list(transmitter_ids)),
+            receptions=dict(zip(_as_list(listener_ids), _as_list(sender_ids))),
             label=label,
         )
         self.record(record)
@@ -136,17 +149,17 @@ class ColumnarTrace(ExecutionTrace):
     def append_slot(
         self,
         slot: int,
-        transmitter_ids: Sequence[int],
-        reception_pairs: Sequence[tuple[int, int]],
+        transmitter_ids: Ids,
+        listener_ids: Ids,
+        sender_ids: Ids,
         label: str = "",
     ) -> None:
         self._slots.append(slot)
         self._labels.append(label)
-        self._tx_flat.extend(transmitter_ids)
+        _extend(self._tx_flat, transmitter_ids)
         self._tx_offsets.append(len(self._tx_flat))
-        for listener_id, sender_id in reception_pairs:
-            self._rx_listeners.append(listener_id)
-            self._rx_senders.append(sender_id)
+        _extend(self._rx_listeners, listener_ids)
+        _extend(self._rx_senders, sender_ids)
         self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
         return None
@@ -154,7 +167,11 @@ class ColumnarTrace(ExecutionTrace):
     def record(self, record: SlotRecord) -> None:
         """Append one :class:`SlotRecord` by decomposing it into columns."""
         self.append_slot(
-            record.slot, record.transmitters, list(record.receptions.items()), record.label
+            record.slot,
+            record.transmitters,
+            list(record.receptions),
+            list(record.receptions.values()),
+            record.label,
         )
 
     # -- reading -------------------------------------------------------------
@@ -198,3 +215,9 @@ class ColumnarTrace(ExecutionTrace):
 
     def slots_with_label(self, label: str) -> list[SlotRecord]:
         return [r for r in self.records if r.label == label]
+
+
+def _extend(column: array, ids: Ids) -> None:
+    """Extend an ``array("q")`` column by one slot's ids in a single call."""
+    if len(ids):
+        column.frombytes(np.asarray(ids, dtype=np.int64).tobytes())

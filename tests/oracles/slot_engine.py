@@ -39,7 +39,8 @@ class LegacySimulator(Simulator):
         record = self.trace.append_slot(
             self._slot,
             transmitter_ids,
-            [(listener, rec.sender.id) for listener, rec in receptions.items()],
+            list(receptions),
+            [rec.sender.id for rec in receptions.values()],
             label,
         )
         if OBS.enabled:

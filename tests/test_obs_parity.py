@@ -10,14 +10,23 @@ experiment (E1) and a netsim experiment (E13):
   deterministic consequence of the simulated protocol, and the trial
   fabric's payload merge is a commutative sum, so workers=1 and workers=2
   produce identical counter snapshots (spans are wall-clock and excluded).
+
+The array ``Init`` engine also reports the same slot counters as the
+per-agent protocol it replaces.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.core import InitialTreeBuilder
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
+from repro.geometry import uniform_random
 from repro.obs import OBS, MetricsRegistry, instrument_kernels, telemetry
+from repro.sinr import SINRParameters
+
+from .oracles import build_init_reference
 
 E1_CONFIG = ExperimentConfig(sizes=(16, 24), seeds=(1,))
 E13_CONFIG = ExperimentConfig(sizes=(16,), seeds=(1,))
@@ -73,3 +82,18 @@ class TestWorkerCountParity:
         duo, duo_registry = run_case(experiment_id, config, enabled=True, workers=2)
         assert comparable(solo) == comparable(duo)
         assert solo_registry.snapshot()["counters"] == duo_registry.snapshot()["counters"]
+
+
+class TestInitEngineCounters:
+    def test_slot_counters_match_per_agent_protocol(self):
+        nodes = uniform_random(40, np.random.default_rng(6))
+        builder = InitialTreeBuilder(SINRParameters())
+        with telemetry() as engine_registry:
+            builder.build(nodes, np.random.default_rng(1))
+        with telemetry() as oracle_registry:
+            build_init_reference(builder, nodes, np.random.default_rng(1))
+        keys = ("sim.slots", "sim.transmissions", "sim.receptions")
+        engine = engine_registry.counter_totals()
+        oracle = oracle_registry.counter_totals()
+        assert engine["sim.slots"] > 0 and engine["sim.receptions"] > 0
+        assert [engine.get(key) for key in keys] == [oracle.get(key) for key in keys]

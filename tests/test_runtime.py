@@ -9,8 +9,10 @@ from repro.exceptions import ProtocolError
 from repro.runtime import (
     AckMessage,
     BroadcastMessage,
+    ColumnarTrace,
     DataMessage,
     ExecutionTrace,
+    LockstepProgram,
     NodeAgent,
     Simulator,
     SlotRecord,
@@ -41,6 +43,23 @@ class _BeaconAgent(NodeAgent):
 
     def is_done(self) -> bool:
         return bool(self.heard)
+
+
+class _BeaconProgram(LockstepProgram):
+    """Position 0 transmits in every even slot; records every decode."""
+
+    def __init__(self, nodes, power: float):
+        self.nodes = nodes
+        self.power = power
+        self.heard: list[tuple[int, int, int]] = []
+
+    def transmit(self, slot: int):
+        if slot % 2 == 0:
+            return np.array([0], dtype=np.intp), np.array([self.power])
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+
+    def receive(self, slot: int, listeners, senders) -> None:
+        self.heard += [(slot, rx, src) for rx, src in zip(listeners.tolist(), senders.tolist())]
 
 
 def _make_simulator(params) -> tuple[Simulator, list[_BeaconAgent]]:
@@ -105,16 +124,6 @@ class TestSimulator:
         assert trace.slots_used == 4
         assert simulator.current_slot == 4
 
-    def test_run_until_predicate(self, params):
-        simulator, agents = _make_simulator(params)
-        simulator.run_until(lambda sim: agents[1].is_done(), max_slots=10)
-        assert agents[1].is_done()
-
-    def test_run_until_budget_exhausted_raises(self, params):
-        simulator, _ = _make_simulator(params)
-        with pytest.raises(ProtocolError):
-            simulator.run_until(lambda sim: False, max_slots=3)
-
     def test_duplicate_agent_ids_rejected(self, params):
         node = make_node(0, 0, 0)
         rngs = spawn_agent_rngs(np.random.default_rng(0), 2)
@@ -125,10 +134,32 @@ class TestSimulator:
         with pytest.raises(ProtocolError):
             Simulator(agents, Channel(params))
 
-    def test_all_done_and_agents_by_id(self, params):
+
+class TestLockstepProgram:
+    def test_program_matches_agents(self, params):
         simulator, agents = _make_simulator(params)
-        assert not simulator.all_done()
-        assert simulator.agents_by_id()[0] is agents[0]
+        simulator.run(4, label="beacon")
+        program = _BeaconProgram([agent.node for agent in agents], agents[0].power)
+        lockstep = Simulator(program, Channel(params))
+        lockstep.run(4, label="beacon")
+        assert lockstep.current_slot == 4
+        assert lockstep.trace.records == simulator.trace.records
+        assert program.heard == [(0, 1, 0), (0, 2, 0), (2, 1, 0), (2, 2, 0)]
+        assert agents[1].heard == [(0, 0), (2, 0)]
+
+    def test_program_needs_a_cached_channel(self, params):
+        class OpaqueChannel(Channel):
+            pass
+
+        _, agents = _make_simulator(params)
+        program = _BeaconProgram([agent.node for agent in agents], agents[0].power)
+        with pytest.raises(ProtocolError, match="CachedChannel"):
+            Simulator(program, OpaqueChannel(params)).step()
+
+    def test_program_duplicate_ids_rejected(self, params):
+        node = make_node(0, 0, 0)
+        with pytest.raises(ProtocolError, match="duplicate node ids"):
+            Simulator(_BeaconProgram([node, node], 1.0), Channel(params))
 
 
 class TestTrace:
@@ -148,3 +179,20 @@ class TestTrace:
         summary = trace.summary()
         assert summary["slots_used"] == 1
         assert summary["phase"] == "test"
+
+    def test_append_slot_takes_lists_or_arrays(self):
+        slots = [(0, [4, 7], [1, 2], [4, 7], "a"), (1, [], [], [], "b"), (2, [3], [5], [3], "a")]
+        columns = ("_slots", "_labels", "_tx_flat", "_tx_offsets", "_rx_listeners", "_rx_senders", "_rx_offsets")
+        for backend in (ColumnarTrace, ExecutionTrace):
+            from_lists, from_arrays = backend(), backend()
+            for slot, tx, rx, src, label in slots:
+                from_lists.append_slot(slot, tx, rx, src, label)
+                from_arrays.append_slot(
+                    slot, np.array(tx, dtype=np.int64), np.array(rx, dtype=np.intp), np.array(src), label
+                )
+            assert from_arrays.records == from_lists.records
+            assert from_lists.records[0].receptions == {1: 4, 2: 7}
+            if backend is ColumnarTrace:
+                assert [getattr(from_arrays, c) for c in columns] == [
+                    getattr(from_lists, c) for c in columns
+                ]
