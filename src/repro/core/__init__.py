@@ -14,7 +14,7 @@ from .capacity import (
 from .connectivity import ConnectivityProtocol
 from .distr_cap import DistrCapResult, DistrCapSelector
 from .distributed_scheduling import DistributedScheduler, DistributedScheduleResult
-from .init_tree import InitAgent, InitialTreeBuilder, InitialTreeResult, round_power
+from .init_tree import InitialTreeBuilder, InitialTreeResult, round_power
 from .mean_power_selection import MeanPowerSelectionResult, MeanPowerSelector
 from .power_control import MeanPowerRescheduler, RescheduleResult
 from .power_solver import (
@@ -41,7 +41,6 @@ __all__ = [
     "Schedule",
     "ConnectivityProtocol",
     # initial tree
-    "InitAgent",
     "InitialTreeBuilder",
     "InitialTreeResult",
     "round_power",

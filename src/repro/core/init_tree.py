@@ -24,42 +24,34 @@ sweep until a single active node remains; the extra slots are included in the
 reported cost.
 
 Init is a local algorithm: in every slot each node applies a pure function of
-its own state, its own coin and what it decoded.  :class:`InitialTreeBuilder`
-therefore runs it as a :class:`~repro.runtime.LockstepProgram` - the per-node
-state is a set of arrays and each slot is one NumPy step over the whole node
-set, stepped by the :class:`~repro.runtime.Simulator` - while
-:class:`InitAgent` keeps the same protocol as a per-node state machine for
-the message-passing runtime (``repro.netsim``), which needs its crash and
-recovery hooks.  Every node draws its coins from its own stream, so both
-engines consume identical randomness and produce bit-identical runs.
+its own state, its own coin and what it decoded.  It is therefore written once,
+as a :class:`~repro.runtime.LockstepProgram` - the per-node state is a set of
+arrays and each slot is one NumPy step over the whole node set.
+:class:`InitialTreeBuilder` steps it with the lockstep
+:class:`~repro.runtime.Simulator`; ``repro.netsim``'s builder steps the same
+program over a lossy transport, through its crash and recovery hooks and its
+handling of delayed messages.  Every node draws its coins from its own
+stream, so runs are reproducible bit for bit; the test suite keeps a per-node
+state machine of the protocol as the oracle both builders are pinned to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError, ProtocolError
 from ..geometry import Node, diameter
-from ..runtime import (
-    AckMessage,
-    BroadcastMessage,
-    ExecutionTrace,
-    LockstepProgram,
-    NodeAgent,
-    Simulator,
-    spawn_agent_rngs,
-)
-from ..sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
+from ..runtime import ExecutionTrace, LockstepProgram, Simulator, spawn_agent_rngs
+from ..sinr import Channel, ExplicitPower, SINRParameters, UniformPower
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
 __all__ = [
-    "InitAgent",
     "InitState",
     "InitialTreeBuilder",
     "InitialTreeResult",
@@ -89,189 +81,32 @@ def round_power(round_index: int, params: SINRParameters, slack: float = 2.0) ->
     return params.beta * reach**params.alpha
 
 
-@dataclass(frozen=True)
-class _LinkRecord:
-    """A link stored by a node, with its schedule time stamp (slot-pair index)."""
-
-    peer_id: int
-    outgoing: bool
-    slot_pair: int
-    round_index: int
-
-
-class InitAgent(NodeAgent):
-    """Per-node state machine of the ``Init`` protocol.
-
-    The agent derives the current round and slot-pair phase from the global
-    slot index using only globally known quantities (``n``, ``Delta``, the
-    protocol constants), as permitted by the paper's model (Section 5).
-    """
-
-    def __init__(
-        self,
-        node: Node,
-        rng: np.random.Generator,
-        params: SINRParameters,
-        constants: AlgorithmConstants,
-        rounds_per_sweep: int,
-        slot_pairs_per_round: int,
-    ):
-        super().__init__(node, rng)
-        self.params = params
-        self.constants = constants
-        self.rounds_per_sweep = rounds_per_sweep
-        self.slot_pairs_per_round = slot_pairs_per_round
-
-        self.active = True
-        self.parent_id: int | None = None
-        self.parent_slot_pair: int | None = None
-        self.parent_round: int | None = None
-        self.records: list[_LinkRecord] = []
-
-        self._is_broadcaster = False
-        self._pending_broadcast: BroadcastMessage | None = None
-        self._round_powers: dict[int, float] = {}
-
-    # -- time bookkeeping ---------------------------------------------------
-
-    def _slot_pair(self, slot: int) -> int:
-        return slot // 2
-
-    def _phase(self, slot: int) -> int:
-        return slot % 2
-
-    def _round(self, slot: int) -> int:
-        pair = self._slot_pair(slot)
-        return (pair // self.slot_pairs_per_round) % self.rounds_per_sweep + 1
-
-    def _round_power(self, round_index: int) -> float:
-        """Round power, memoized (it is evaluated once per agent per slot)."""
-        power = self._round_powers.get(round_index)
-        if power is None:
-            power = round_power(round_index, self.params)
-            self._round_powers[round_index] = power
-        return power
-
-    # -- protocol -----------------------------------------------------------
-
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        power, message = action
-        return Transmission(sender=self.node, power=power, message=message)
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
-        phase = self._phase(slot)
-        round_index = self._round(slot)
-
-        if phase == 0:
-            self._pending_broadcast = None
-            self._is_broadcaster = False
-            if not self.active:
-                return None
-            if self.rng.random() < self.constants.broadcast_probability:
-                self._is_broadcaster = True
-                return (
-                    self._round_power(round_index),
-                    BroadcastMessage(sender=self.node, round_index=round_index),
-                )
-            return None
-
-        # phase == 1: acknowledgment slot.
-        if not self.active:
-            return None
-        if self._is_broadcaster:
-            return None  # listen for acknowledgments
-        broadcast = self._pending_broadcast
-        if broadcast is None:
-            return None
-        distance = self.node.distance_to(broadcast.sender)
-        lower, upper = 2.0 ** (round_index - 1), 2.0**round_index
-        if not (lower <= distance < upper):
-            return None
-        if self.rng.random() >= self.constants.ack_probability:
-            return None
-        pair = self._slot_pair(slot)
-        # Store both directions now (the paper notes this may create stray
-        # links if the acknowledgment is lost; they are cleaned up later).
-        self.records.append(
-            _LinkRecord(peer_id=broadcast.sender_id, outgoing=False, slot_pair=pair, round_index=round_index)
-        )
-        self.records.append(
-            _LinkRecord(peer_id=broadcast.sender_id, outgoing=True, slot_pair=pair, round_index=round_index)
-        )
-        return (
-            self._round_power(round_index),
-            AckMessage(
-                sender=self.node, target_id=broadcast.sender_id, round_index=round_index, slot_pair=pair
-            ),
-        )
-
-    def observe(self, slot: int, reception: Reception | None) -> None:
-        if reception is None:
-            return
-        phase = self._phase(slot)
-        round_index = self._round(slot)
-        if phase == 0:
-            if self.active and not self._is_broadcaster and isinstance(reception.message, BroadcastMessage):
-                self._pending_broadcast = reception.message
-            return
-        # phase == 1
-        if (
-            self.active
-            and self._is_broadcaster
-            and isinstance(reception.message, AckMessage)
-            and reception.message.target_id == self.node_id
-        ):
-            ack = reception.message
-            pair = self._slot_pair(slot)
-            self.parent_id = ack.sender_id
-            self.parent_slot_pair = pair
-            self.parent_round = round_index
-            self.records.append(
-                _LinkRecord(peer_id=ack.sender_id, outgoing=True, slot_pair=pair, round_index=round_index)
-            )
-            self.records.append(
-                _LinkRecord(peer_id=ack.sender_id, outgoing=False, slot_pair=pair, round_index=round_index)
-            )
-            self.active = False
-
-    def is_done(self) -> bool:
-        return not self.active
-
-    def on_crash(self, slot: int) -> None:
-        # Links and parent adoption survive a crash (they are committed
-        # state); only the intra-slot-pair context is volatile.
-        self._pending_broadcast = None
-        self._is_broadcaster = False
-
-    def on_recover(self, slot: int) -> None:
-        # The slot pair the pending broadcast belonged to has passed while
-        # the node was down, so the ack it would trigger must not be sent.
-        self._pending_broadcast = None
-        self._is_broadcaster = False
-
-    def stored_degree(self) -> int:
-        """Number of distinct peers this node stored links with (Theorem 7's |Lu|)."""
-        return len({record.peer_id for record in self.records})
-
-
 def validate_init_nodes(nodes: Sequence[Node]) -> None:
     """Reject an ``Init`` input the protocol cannot run on, before any slot.
 
     Raises:
         ProtocolError: if two nodes share an id.
-        ConfigurationError: if a node has a NaN or infinite coordinate.
+        ConfigurationError: if a node has a NaN or infinite coordinate, or
+            two nodes share a position (a zero distance is an infinite gain).
     """
     ids = [node.id for node in nodes]
     if len(set(ids)) != len(ids):
         raise ProtocolError("duplicate node ids among the Init nodes")
-    for node in nodes:
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            raise ConfigurationError(
-                f"node {node.id} has a non-finite coordinate ({node.x}, {node.y})"
-            )
+    xs = np.array([node.x for node in nodes], dtype=float)
+    ys = np.array([node.y for node in nodes], dtype=float)
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        bad = nodes[int(np.argmin(finite))]
+        raise ConfigurationError(f"node {bad.id} has a non-finite coordinate ({bad.x}, {bad.y})")
+    # Sorted by (x, y), coincident nodes are neighbours.
+    order = np.lexsort((ys, xs))
+    same = (np.diff(xs[order]) == 0) & (np.diff(ys[order]) == 0)
+    if same.any():
+        k = int(np.argmax(same))
+        first, second = nodes[int(order[k])], nodes[int(order[k + 1])]
+        raise ConfigurationError(
+            f"nodes {first.id} and {second.id} share the position ({first.x}, {first.y})"
+        )
 
 
 @dataclass
@@ -303,27 +138,13 @@ class InitState:
             stored_degree=np.zeros(n, dtype=np.int64),
         )
 
-    @classmethod
-    def from_agents(cls, agents: Sequence[InitAgent]) -> "InitState":
-        """The state the per-node :class:`InitAgent` machines ended in."""
-        pos_by_id = {agent.node_id: i for i, agent in enumerate(agents)}
-        state = cls.fresh(len(agents))
-        for i, agent in enumerate(agents):
-            state.active[i] = agent.active
-            state.stored_degree[i] = agent.stored_degree()
-            if agent.parent_id is not None:
-                state.parent_pos[i] = pos_by_id[agent.parent_id]
-                state.parent_slot_pair[i] = agent.parent_slot_pair
-                state.parent_round[i] = agent.parent_round
-        return state
-
 
 class _CoinStreams:
     """Every node's private coin stream, read from pre-drawn blocks.
 
     ``Generator.random(B)`` returns the same numbers as ``B`` scalar
     ``random()`` calls, so reading row ``i`` of the block through a per-node
-    cursor replays exactly the coins node ``i``'s :class:`InitAgent` draws
+    cursor replays exactly the coins node ``i`` would draw one at a time
     from the same generator.  Only rows that run out are refilled.
     """
 
@@ -347,12 +168,19 @@ class _CoinStreams:
 
 
 class _InitProgram(LockstepProgram):
-    """Lockstep ``Init`` as an array program: one NumPy step per slot.
+    """``Init`` as an array program: one NumPy step per slot.
 
     Node ``i`` is position ``i`` of the node list.  Even slots are the
-    broadcast half of a slot-pair, odd slots its ack half.  The slot order,
-    the decode calls and every node's coin sequence match the per-agent
-    protocol, so traces and trees are bit-identical to it.
+    broadcast half of a slot-pair, odd slots its ack half.  A hello carries
+    only its sender; an ack also carries the broadcaster it acknowledges.
+
+    The message-passing runtime adds crashes and stale frames.  A crash or a
+    recovery wipes the node's slot-pair context (the hello it heard, whether
+    it broadcast), and a crashed node flips no coin until it recovers.  A
+    delayed frame is handled as the node would handle any frame in the slot
+    it matures in: a hello heard in a broadcast slot counts as heard, an ack
+    in an ack slot is adopted by an active broadcaster of the pair it
+    targets, and anything else is ignored.
     """
 
     def __init__(
@@ -374,12 +202,19 @@ class _InitProgram(LockstepProgram):
         self._round = 0
         self._powers = np.empty(n)
         self._lower = self._upper = 0.0
+        #: broadcasters of the current pair.
+        self._broadcasters = _NO_POSITIONS
         #: (listeners, senders) of the current pair's broadcast slot.
         self._heard = (_NO_POSITIONS, _NO_POSITIONS)
+        #: whether a stale hello was heard in the current pair; its ack may
+        #: then target a node that is not one of the pair's broadcasters.
+        self._stale_hello = False
         #: (ackers, acked broadcasters) of the current pair's ack slot.
         self._acks = (_NO_POSITIONS, _NO_POSITIONS)
         #: acked broadcaster of each acker during an ack slot, ``-1`` elsewhere.
         self._target = np.full(n, -1, dtype=np.intp)
+        #: crashed positions, once the runtime has reported a crash.
+        self._down: np.ndarray | None = None
         #: (node, peer) positions of every stored link, both directions alike.
         self._links: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -395,9 +230,13 @@ class _InitProgram(LockstepProgram):
     def transmit(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         state = self.state
         if slot % 2 == 0:
-            # Broadcast slot: every active node flips its broadcast coin.
-            active = np.flatnonzero(state.active)
+            # Broadcast slot: every active node that is up flips its
+            # broadcast coin.
+            up = state.active if self._down is None else state.active & ~self._down
+            active = np.flatnonzero(up)
             broadcasters = active[self.coins.draw(active) < self.p_broadcast]
+            self._broadcasters = broadcasters
+            self._stale_hello = False
             return broadcasters, self._powers[: broadcasters.size]
 
         # Ack slot: an active listener whose decoded hello comes from the
@@ -426,21 +265,79 @@ class _InitProgram(LockstepProgram):
             self._heard = (listeners, senders)
             return
         # A listener that decodes an ack addressed to it is one of this
-        # pair's broadcasters (ack targets are; they never ack themselves):
-        # it adopts the acker as parent and retires.
+        # pair's broadcasters (ack targets are, unless a stale hello drew
+        # the ack): it adopts the acker as parent and retires.
         if listeners.size:
-            ackers, targets = self._acks
-            target = self._target
-            target[ackers] = targets
-            adopted = target[senders] == listeners
-            target[ackers] = -1
-            children, parents = listeners[adopted], senders[adopted]
-            state = self.state
-            state.parent_pos[children] = parents
-            state.parent_slot_pair[children] = slot // 2
-            state.parent_round[children] = self._round
-            state.active[children] = False
-            self._links.append((children, parents))
+            adopted = self.message(slot, senders) == listeners
+            if self._stale_hello:
+                adopted &= self._broadcast_now(listeners)
+            self._adopt(slot, listeners[adopted], senders[adopted])
+
+    def _adopt(self, slot: int, children: np.ndarray, parents: np.ndarray) -> None:
+        state = self.state
+        state.parent_pos[children] = parents
+        state.parent_slot_pair[children] = slot // 2
+        state.parent_round[children] = self._round
+        state.active[children] = False
+        self._links.append((children, parents))
+
+    def _broadcast_now(self, positions: np.ndarray) -> np.ndarray:
+        """Which of ``positions`` are active and broadcast in this pair."""
+        mask = np.zeros(len(self.nodes), dtype=bool)
+        mask[self._broadcasters] = True
+        return mask[positions] & self.state.active[positions]
+
+    # -- message-passing runtime hooks --------------------------------------
+
+    def done(self) -> np.ndarray:
+        return ~self.state.active
+
+    def message(self, slot: int, senders: np.ndarray) -> np.ndarray:
+        """``-1`` for a hello, the acknowledged position for an ack."""
+        if slot % 2 == 0:
+            return np.full(senders.size, -1, dtype=np.intp)
+        ackers, targets = self._acks
+        target = self._target
+        target[ackers] = targets
+        sent = target[senders]
+        target[ackers] = -1
+        return sent
+
+    def receive_late(
+        self, slot: int, listeners: np.ndarray, senders: np.ndarray, messages: np.ndarray
+    ) -> None:
+        if slot % 2 == 0:
+            hello = messages < 0
+            if hello.any():
+                rx = np.concatenate((self._heard[0], listeners[hello]))
+                src = np.concatenate((self._heard[1], senders[hello]))
+                # Ackers transmit in position order, as every fresh listener.
+                order = np.argsort(rx, kind="stable")
+                self._heard = (rx[order], src[order])
+                self._stale_hello = True
+            return
+        adopted = (messages == listeners) & self._broadcast_now(listeners)
+        self._adopt(slot, listeners[adopted], senders[adopted])
+
+    def on_crash(self, positions: np.ndarray, slot: int) -> None:
+        if self._down is None:
+            self._down = np.zeros(len(self.nodes), dtype=bool)
+        self._down[positions] = True
+        self._forget(positions)
+
+    def on_recover(self, positions: np.ndarray, slot: int) -> None:
+        assert self._down is not None
+        self._down[positions] = False
+        self._forget(positions)
+
+    def _forget(self, positions: np.ndarray) -> None:
+        """Drop the slot-pair context of ``positions``; links and parents stay."""
+        gone = np.zeros(len(self.nodes), dtype=bool)
+        gone[positions] = True
+        rx, src = self._heard
+        kept = ~gone[rx]
+        self._heard = (rx[kept], src[kept])
+        self._broadcasters = self._broadcasters[~gone[self._broadcasters]]
 
     def finish(self) -> InitState:
         """The final state, with stored degrees counted from the link log."""
@@ -450,8 +347,9 @@ class _InitProgram(LockstepProgram):
             peers = np.concatenate([peer for _, peer in self._links])
             # Sort-and-compare rather than np.unique, which imports numpy.ma.
             links = np.sort(nodes * n + peers)
-            distinct = links[np.append(True, links[1:] != links[:-1])]
-            self.state.stored_degree[:] = np.bincount(distinct // n, minlength=n)
+            first = np.ones(links.size, dtype=bool)
+            first[1:] = links[1:] != links[:-1]
+            self.state.stored_degree[:] = np.bincount(links[first] // n, minlength=n)
         return self.state
 
 

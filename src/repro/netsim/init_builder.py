@@ -1,9 +1,11 @@
 """``Init`` over a lossy transport: build the bi-tree and survive the faults.
 
 :class:`NetInitBuilder` runs the exact protocol of :class:`~repro.core
-.init_tree.InitialTreeBuilder` - same agents, same labels, same sweep
-structure - but over a :class:`~repro.netsim.runtime.NetSimulator`, with the
-lockstep builder's god's-eye agent reads replaced by the failure detector's
+.init_tree.InitialTreeBuilder` - the same array program, same labels, same
+sweep structure - but stepped by a :class:`~repro.netsim.runtime
+.NetSimulator`, which reports crashes and recoveries to the program and
+hands it delayed frames when they mature, and with the lockstep builder's
+god's-eye reads of the protocol state replaced by the failure detector's
 view.  Under a faultless plan every seam collapses to the lockstep engine,
 so the message trace and the resulting tree are bit-identical to the oracle
 (the parity tests pin this).  Under faults, the outcome depends on the
@@ -37,10 +39,9 @@ import numpy as np
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.bitree import BiTree
 from ..core.init_tree import (
-    InitAgent,
     InitialTreeBuilder,
-    InitialTreeResult,
     InitState,
+    _InitProgram,
     round_power,
     validate_init_nodes,
 )
@@ -171,40 +172,21 @@ class NetInitBuilder:
                 damage that ``"fire-and-forget"`` cannot repair.
         """
         node_list = list(nodes)
-        if not node_list:
-            raise ProtocolError("cannot build a tree on zero nodes")
-        validate_init_nodes(node_list)
-        if len(node_list) == 1:
-            only = node_list[0]
-            return NetInitResult(
-                tree=BiTree.from_parent_map([only], only.id, {}),
-                slots_used=0,
-                rounds_used=0,
-                sweeps_used=0,
-                delta=1.0,
-                power=ExplicitPower({}),
-                link_rounds={},
-                trace=ExecutionTrace(),
-                stored_degrees={only.id: 0},
-                send_budget={only.id: 0},
+        if len(node_list) <= 1:
+            # Nothing to send: the lockstep builder's result (or error) stands.
+            only = InitialTreeBuilder(self.params, self.constants, self.max_sweeps).build(
+                node_list, rng
             )
+            return NetInitResult(**vars(only), send_budget={node_list[0].id: 0})
+        validate_init_nodes(node_list)
 
         delta = diameter(node_list)
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
 
-        agent_rngs = spawn_agent_rngs(rng, len(node_list))
-        agents = [
-            InitAgent(
-                node=node,
-                rng=agent_rng,
-                params=self.params,
-                constants=self.constants,
-                rounds_per_sweep=rounds_per_sweep,
-                slot_pairs_per_round=pairs_per_round,
-            )
-            for node, agent_rng in zip(node_list, agent_rngs)
-        ]
+        program = _InitProgram(
+            node_list, self.params, self.constants, spawn_agent_rngs(rng, len(node_list))
+        )
         detector = HeartbeatDetector(
             [node.id for node in node_list],
             interval=1,
@@ -213,12 +195,13 @@ class NetInitBuilder:
         # The plain Channel is upgraded to a CachedChannel over a store
         # chosen by size by the inherited Simulator init path.
         sim = NetSimulator(
-            agents,
+            program,
             Channel(self.params),
             self._make_transport(),
             detector=detector,
         )
         driver = RoundDriver(sim)
+        step = sim.step
 
         rounds_used = 0
         sweeps_used = 0
@@ -233,27 +216,26 @@ class NetInitBuilder:
                 with span("init.sweep", sweep=sweep):
                     for round_index in range(1, rounds_per_sweep + 1):
                         # Same structure as the lockstep builder, but the
-                        # early-out reads the detector's view, never agent
-                        # state: the first sweep always runs in full, later
-                        # sweeps stop as soon as at most one alive-believed
-                        # node still reports "active".
+                        # early-out reads the detector's view, never the
+                        # program's state: the first sweep always runs in
+                        # full, later sweeps stop as soon as at most one
+                        # alive-believed node still reports "active".
                         if sweep > 0 and driver.remaining_active() <= 1:
                             break
                         rounds_used += 1
+                        program.begin_round(round_index)
+                        broadcast = f"init:sweep{sweep}:round{round_index}:broadcast"
+                        ack = f"init:sweep{sweep}:round{round_index}:ack"
                         with span("init.round", sweep=sweep, round=round_index):
                             for _ in range(pairs_per_round):
-                                sim.step(label=f"init:sweep{sweep}:round{round_index}:broadcast")
-                                sim.step(label=f"init:sweep{sweep}:round{round_index}:ack")
+                                step(broadcast)
+                                step(ack)
                 if driver.remaining_active() <= 1:
                     break
 
+        state = program.finish()
         crashed_now = sim.crashed_ids()
-        parent_probe = {
-            agent.node_id: agent.parent_id
-            for agent in agents
-            if agent.parent_id is not None
-        }
-        cycle_cuts = self._cycle_cuts(parent_probe)
+        cycle_cuts = self._cycle_cuts(node_list, state)
 
         if self.delivery == "fire-and-forget":
             if crashed_now:
@@ -267,26 +249,21 @@ class NetInitBuilder:
                     "delayed acknowledgments formed a parent cycle; "
                     'use delivery="reliable" to have it cut and repaired'
                 )
-            if sum(1 for agent in agents if agent.active) > 1:
+            if program.active_count() > 1:
                 raise ProtocolError(
                     f"Init did not converge to a single active node within "
                     f"{self.max_sweeps} sweeps"
                 )
-            return self._lockstep_result(node_list, agents, sim, delta, rounds_used, sweeps_used)
+            return self._lockstep_result(node_list, state, sim, delta, rounds_used, sweeps_used)
 
         # Reliable mode: anything short of a clean single-root run is
         # completed through the repairer.
         if not any(node.id not in crashed_now for node in node_list):
             raise NodeCrashedError("every node crashed during Init; nothing to span")
-        active_alive = [
-            agent.node_id
-            for agent in agents
-            if agent.active and agent.node_id not in crashed_now
-        ]
-        if not crashed_now and not cycle_cuts and len(active_alive) == 1:
-            return self._lockstep_result(node_list, agents, sim, delta, rounds_used, sweeps_used)
+        if not crashed_now and not cycle_cuts and program.active_count() == 1:
+            return self._lockstep_result(node_list, state, sim, delta, rounds_used, sweeps_used)
         return self._complete_with_repair(
-            node_list, agents, sim, delta, rounds_used, sweeps_used,
+            node_list, state, sim, delta, rounds_used, sweeps_used,
             crashed_now, cycle_cuts, rng,
         )
 
@@ -302,35 +279,19 @@ class NetInitBuilder:
     def _lockstep_result(
         self,
         node_list: Sequence[Node],
-        agents: Sequence[InitAgent],
+        state: InitState,
         sim: NetSimulator,
         delta: float,
         rounds_used: int,
         sweeps_used: int,
     ) -> NetInitResult:
         """Clean convergence: reuse the lockstep extractor verbatim (parity)."""
-        oracle: InitialTreeResult = InitialTreeBuilder(
-            self.params, self.constants, self.max_sweeps
-        )._extract_result(
-            node_list,
-            InitState.from_agents(agents),
-            sim.trace,
-            sim.current_slot,
-            delta,
-            rounds_used,
-            sweeps_used,
+        oracle = InitialTreeBuilder(self.params, self.constants, self.max_sweeps)._extract_result(
+            node_list, state, sim.trace, sim.current_slot, delta, rounds_used, sweeps_used
         )
         return NetInitResult(
-            tree=oracle.tree,
-            slots_used=oracle.slots_used,
-            rounds_used=oracle.rounds_used,
-            sweeps_used=oracle.sweeps_used,
-            delta=oracle.delta,
-            power=oracle.power,
-            link_rounds=oracle.link_rounds,
-            trace=oracle.trace,
-            stored_degrees=oracle.stored_degrees,
-            send_budget=dict(sim.send_budget),
+            **vars(oracle),
+            send_budget=sim.send_budget,
             fault_summary=sim.fault_summary(),
             fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
         )
@@ -338,7 +299,7 @@ class NetInitBuilder:
     def _complete_with_repair(
         self,
         node_list: Sequence[Node],
-        agents: Sequence[InitAgent],
+        state: InitState,
         sim: NetSimulator,
         delta: float,
         rounds_used: int,
@@ -355,31 +316,42 @@ class NetInitBuilder:
         loss environment minus the crash windows, with its fault counters
         offset past the main run.
         """
+        ids = [node.id for node in node_list]
+        links = [
+            (ids[i], ids[parent_pos], slot_pair, round_index)
+            for i, (parent_pos, slot_pair, round_index) in enumerate(
+                zip(
+                    state.parent_pos.tolist(),
+                    state.parent_slot_pair.tolist(),
+                    state.parent_round.tolist(),
+                )
+            )
+            if parent_pos >= 0
+        ]
         parent: dict[int, int] = {}
         slots: dict[int, int] = {}
         power_map: dict[tuple[int, int], float] = {}
-        for agent in agents:
-            if agent.parent_id is None or agent.node_id in cycle_cuts:
+        for child, parent_id, slot_pair, round_index in links:
+            if child in cycle_cuts:
                 continue
-            assert agent.parent_slot_pair is not None and agent.parent_round is not None
-            parent[agent.node_id] = agent.parent_id
-            slots[agent.node_id] = agent.parent_slot_pair
-            power = round_power(agent.parent_round, self.params)
-            power_map[(agent.node_id, agent.parent_id)] = power
-            power_map[(agent.parent_id, agent.node_id)] = power
+            parent[child] = parent_id
+            slots[child] = slot_pair
+            power = round_power(round_index, self.params)
+            power_map[(child, parent_id)] = power
+            power_map[(parent_id, child)] = power
 
         # Root: the unique alive active node if there is one; otherwise the
         # smallest parentless id (preferring alive nodes).  Parentless nodes
         # always exist - the pointer graph is acyclic after the cuts.
         active_alive = [
-            agent.node_id
-            for agent in agents
-            if agent.active and agent.node_id not in crashed_now
+            node_id
+            for node_id, active in zip(ids, state.active.tolist())
+            if active and node_id not in crashed_now
         ]
         if len(active_alive) == 1:
             root_id = active_alive[0]
         else:
-            parentless = [node.id for node in node_list if node.id not in parent]
+            parentless = [node_id for node_id in ids if node_id not in parent]
             alive_parentless = [nid for nid in parentless if nid not in crashed_now]
             root_id = min(alive_parentless) if alive_parentless else min(parentless)
 
@@ -407,11 +379,9 @@ class NetInitBuilder:
         )
 
         link_rounds = {
-            (agent.node_id, agent.parent_id): agent.parent_round
-            for agent in agents
-            if agent.parent_id is not None
-            and agent.parent_round is not None
-            and repair.tree.parent.get(agent.node_id) == agent.parent_id
+            (child, parent_id): round_index
+            for child, parent_id, _, round_index in links
+            if repair.tree.parent.get(child) == parent_id
         }
         return NetInitResult(
             tree=repair.tree,
@@ -422,12 +392,12 @@ class NetInitBuilder:
             power=repair.power,
             link_rounds=link_rounds,
             trace=sim.trace,
-            stored_degrees={agent.node_id: agent.stored_degree() for agent in agents},
+            stored_degrees=dict(zip(ids, state.stored_degree.tolist())),
             crashed=crashed_now,
             reattached=repair.reattached,
             completed_by_repair=bool(repair.reattached) or repair.slots_used > 0,
             completion_slots=repair.slots_used,
-            send_budget=dict(sim.send_budget),
+            send_budget=sim.send_budget,
             fault_summary=sim.fault_summary(),
             fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
         )
@@ -441,7 +411,7 @@ class NetInitBuilder:
         return self.plan.without_crashes()
 
     @staticmethod
-    def _cycle_cuts(parent: dict[int, int]) -> list[int]:
+    def _cycle_cuts(node_list: Sequence[Node], state: InitState) -> list[int]:
         """Nodes whose parent pointer must be cut to leave an acyclic forest.
 
         The slot-synchronous protocol cannot form a cycle, but a *delayed*
@@ -449,6 +419,12 @@ class NetInitBuilder:
         per cycle (the largest id on it) loses its pointer and re-attaches as
         an orphan.
         """
+        ids = [node.id for node in node_list]
+        parent = {
+            ids[i]: ids[parent_pos]
+            for i, parent_pos in enumerate(state.parent_pos.tolist())
+            if parent_pos >= 0
+        }
         color: dict[int, int] = {}
         cuts: list[int] = []
         for start in sorted(parent):

@@ -1,34 +1,41 @@
 """The fault-injected message-passing runtime.
 
-:class:`NetSimulator` executes the same :class:`~repro.runtime.agent
-.NodeAgent` protocol machines as the lockstep :class:`~repro.runtime
-.simulator.Simulator`, but every decoded message passes through an explicit
-:class:`~repro.netsim.transport.Transport` before it reaches an agent:
+:class:`NetSimulator` executes the same protocols as the lockstep
+:class:`~repro.runtime.simulator.Simulator` - per-node
+:class:`~repro.runtime.agent.NodeAgent` machines or one array
+:class:`~repro.runtime.agent.LockstepProgram` - but every decoded message
+passes through an explicit :class:`~repro.netsim.transport.Transport` before
+it is delivered:
 
 * a message may be **dropped** (Bernoulli loss or a link partition) - the
   sender's interference still happened, only the delivery is lost;
 * a message may be **delayed** - it matures in a later slot and is handed to
   the receiver then, provided the receiver is listening (half-duplex) and up;
-* a node may be **crashed** - it is neither polled (consuming no randomness)
-  nor delivered to until its recovery slot, and its agent sees
-  :meth:`~repro.runtime.agent.NodeAgent.on_crash` /
-  :meth:`~repro.runtime.agent.NodeAgent.on_recover` transitions;
+* a node may be **crashed** - it neither transmits nor listens (an agent is
+  not even polled, so it consumes no randomness) until its recovery slot.
+  Agents learn of it through :meth:`~repro.runtime.agent.NodeAgent.on_crash`
+  / :meth:`~repro.runtime.agent.NodeAgent.on_recover`; a program through
+  :meth:`~repro.runtime.agent.LockstepProgram.on_crash` /
+  :meth:`~repro.runtime.agent.LockstepProgram.on_recover` over the positions
+  whose state changed;
 * out-of-band **heartbeats** feed a :class:`~repro.netsim.detector
   .HeartbeatDetector`, whose view of liveness and progress is what round
-  drivers act on instead of the lockstep engine's god's-eye agent reads.
+  drivers act on instead of the lockstep engine's god's-eye reads.
 
 Composed with :class:`~repro.netsim.transport.PerfectTransport`, every seam
-reduces to the lockstep batch engine: the same poll order, the same decode
+reduces to the lockstep engine: the same transmitters, the same decode
 arithmetic, the same delivery order - so the zero-fault message trace and
 protocol outcome are bit-identical to ``runtime.Simulator`` (the parity
-tests pin this), and the lockstep engine remains the oracle for everything
-the transport can perturb.
+tests pin this).
 
-Delivery bookkeeping: at most one message reaches an agent per slot (the
+Delivery bookkeeping: at most one message reaches a node per slot (the
 radio decodes one frame).  A matured delayed message takes precedence over a
 fresh decode in the same slot - it is older - and the displaced fresh frame
 is counted in ``receiver_busy_drops``.  With zero latency the maturity queue
-is empty and the rule never fires.
+is empty and the rule never fires.  Agents get a delayed message back as its
+:class:`~repro.sinr.Reception`; a program gets the int its
+:meth:`~repro.runtime.agent.LockstepProgram.message` gave for the frame at
+send time, through :meth:`~repro.runtime.agent.LockstepProgram.receive_late`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..obs.runtime import OBS
-from ..runtime.agent import NodeAgent
+from ..runtime.agent import LockstepProgram, NodeAgent
 from ..runtime.simulator import Simulator
 from ..runtime.trace import ExecutionTrace, SlotRecord
 from ..sinr import Channel, Reception
@@ -54,7 +61,9 @@ class NetSimulator(Simulator):
     """Message-passing runtime: the batch slot engine behind a lossy transport.
 
     Args:
-        agents: the per-node protocol agents.
+        agents: the per-node protocol agents, or one
+            :class:`~repro.runtime.agent.LockstepProgram` running the
+            protocol of every node as arrays.
         channel: the SINR channel instance.
         transport: delivery policy (drops, delays, crashes, partitions).
         detector: failure detector fed by out-of-band heartbeats; a default
@@ -65,7 +74,7 @@ class NetSimulator(Simulator):
 
     def __init__(
         self,
-        agents: Sequence[NodeAgent],
+        agents: Sequence[NodeAgent] | LockstepProgram,
         channel: Channel,
         transport: Transport | None = None,
         *,
@@ -84,19 +93,23 @@ class NetSimulator(Simulator):
             raise ConfigurationError(
                 f"detector monitors ids outside the agent set: {sorted(unknown)[:5]}"
             )
-        self._crashed = np.zeros(len(self.agents), dtype=bool)
+        self._crashed = np.zeros(len(self._nodes), dtype=bool)
         monitored = set(self._detector.node_ids)
-        #: agent positions the detector monitors, in node order.
+        #: node positions the detector monitors, in node order.
         self._monitored_pos = np.array(
             [i for i, node_id in enumerate(self._node_ids) if node_id in monitored],
             dtype=np.intp,
         )
         self._is_done = [agent.is_done for agent in self.agents]
-        #: mature slot -> [(sequence, dst position, reception)], FIFO by sequence.
+        #: agent path: mature slot -> [(sequence, dst position, reception)],
+        #: FIFO by sequence.
         self._pending: dict[int, list[tuple[int, int, Reception]]] = {}
         self._pending_seq = 0
-        #: per-node transmissions actually attempted (retries included).
-        self.send_budget: dict[int, int] = {node_id: 0 for node_id in self._node_ids}
+        #: program path: mature slot -> [(dst, src, message) position arrays],
+        #: in send order.
+        self._late: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        #: per-position transmissions actually attempted (retries included).
+        self._sends = np.zeros(len(self._nodes), dtype=np.int64)
         #: fresh decodes displaced by a matured delayed message (or a matured
         #: message arriving while its receiver transmitted).
         self.receiver_busy_drops = 0
@@ -120,34 +133,48 @@ class NetSimulator(Simulator):
         """Ids of the nodes currently down."""
         return frozenset(self._ids[self._crashed].tolist())
 
-    def _sync_crashes(self, slot: int) -> None:
-        """Apply the transport's crash windows, firing agent transitions.
+    @property
+    def send_budget(self) -> dict[int, int]:
+        """Per node id, the transmissions actually attempted (retries included)."""
+        return dict(zip(self._node_ids, self._sends.tolist()))
 
-        Only nodes whose state changed are visited, in position order.
-        """
+    def _sync_crashes(self, slot: int) -> None:
+        """Apply the transport's crash windows, firing the crash hooks of the
+        nodes whose state changed, in position order."""
         down_ids = self.transport.crashed_ids(slot)
         if not down_ids and not self._crashed.any():
             return
         pos_by_id = self._pos_by_id
         now = np.zeros_like(self._crashed)
         now[[pos_by_id[node_id] for node_id in down_ids if node_id in pos_by_id]] = True
+        changed = np.flatnonzero(now != self._crashed)
+        if not changed.size:
+            return
+        self._crashed[changed] = now[changed]
+        went_down = changed[now[changed]]
+        came_up = changed[~now[changed]]
         trace = self.fault_trace
-        for i in np.flatnonzero(now != self._crashed).tolist():
-            down = bool(now[i])
-            node_id = self._node_ids[i]
-            self._crashed[i] = down
-            if down:
-                self.agents[i].on_crash(slot)
-                if trace is not None:
-                    trace.record_crash(slot, node_id)
-                if OBS.enabled:
-                    OBS.registry.inc("netsim.crashes")
-            else:
-                self.agents[i].on_recover(slot)
-                if trace is not None:
-                    trace.record_recovery(slot, node_id)
-                if OBS.enabled:
-                    OBS.registry.inc("netsim.recoveries")
+        if trace is not None:
+            for i in went_down.tolist():
+                trace.record_crash(slot, self._node_ids[i])
+            for i in came_up.tolist():
+                trace.record_recovery(slot, self._node_ids[i])
+        if OBS.enabled:
+            if went_down.size:
+                OBS.registry.inc("netsim.crashes", int(went_down.size))
+            if came_up.size:
+                OBS.registry.inc("netsim.recoveries", int(came_up.size))
+        program = self.program
+        if program is not None:
+            if went_down.size:
+                program.on_crash(went_down, slot)
+            if came_up.size:
+                program.on_recover(came_up, slot)
+            return
+        for i in went_down.tolist():
+            self.agents[i].on_crash(slot)
+        for i in came_up.tolist():
+            self.agents[i].on_recover(slot)
 
     # -- engine seams --------------------------------------------------------
 
@@ -172,8 +199,7 @@ class NetSimulator(Simulator):
                     powers.append(action[0])
                     messages.append(action[1])
                     listening[i] = False
-        for i in tx_pos:
-            self.send_budget[self._node_ids[i]] += 1
+        self._sends[tx_pos] += 1
         return tx_pos, powers, messages
 
     def _apply_transport(
@@ -183,7 +209,8 @@ class NetSimulator(Simulator):
         rx_ids: np.ndarray,
         src_ids: np.ndarray,
     ) -> tuple[list[Reception | None], np.ndarray, np.ndarray]:
-        """Filter decoded deliveries through the transport and the queue."""
+        """Agent path of the transport: filter decoded deliveries through it
+        and the maturity queue."""
         matured = self._pending.pop(slot, [])
         if not rx_ids.size and not matured:
             return receptions, rx_ids, src_ids
@@ -248,12 +275,12 @@ class NetSimulator(Simulator):
         delivered = self.transport.heartbeat_delivered(self._ids[live], slot)
         arrived = live[delivered]
         missed = np.concatenate((monitored[down], live[~delivered]))
-        is_done = self._is_done
-        detector.observe(
-            self._ids[arrived],
-            [is_done[i]() for i in arrived.tolist()],
-            self._ids[missed],
-        )
+        if self.program is not None:
+            done = self.program.done()[arrived]
+        else:
+            is_done = self._is_done
+            done = [is_done[i]() for i in arrived.tolist()]
+        detector.observe(self._ids[arrived], done, self._ids[missed])
 
     def _step_batch(self, label: str) -> SlotRecord | None:
         slot = self._slot
@@ -261,12 +288,91 @@ class NetSimulator(Simulator):
         receptions, rx_ids, src_ids = self._decode_batch(slot, tx_pos, powers, messages)
         receptions, rx_ids, src_ids = self._apply_transport(slot, receptions, rx_ids, src_ids)
         self._deliver_batch(slot, receptions)
-        record = self.trace.append_slot(slot, self._ids[tx_pos], rx_ids, src_ids, label)
+        return self._finish_slot(slot, self._ids[tx_pos], rx_ids, src_ids, label)
+
+    def _step_program(self, label: str) -> SlotRecord | None:
+        slot = self._slot
+        program = self.program
+        assert program is not None
+        self._sync_crashes(slot)
+        crashed = self._crashed
+        tx, powers = program.transmit(slot)
+        up = ~crashed[tx]
+        if not up.all():
+            tx, powers = tx[up], powers[up]
+        self._sends[tx] += 1
+        rx, src = self._decode_program(slot, tx, powers, crashed)
+        rx, src, late = self._admit_positions(slot, tx, rx, src)
+        program.receive(slot, rx, src)
+        if late is not None:
+            program.receive_late(slot, *late)
+            rx = np.concatenate((rx, late[0]))
+            src = np.concatenate((src, late[1]))
+        ids = self._ids
+        return self._finish_slot(slot, ids[tx], ids[rx], ids[src], label)
+
+    def _admit_positions(
+        self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+        """Program path of the transport: the fresh deliveries that arrive
+        now, and the delayed ones maturing now as ``(listeners, senders,
+        messages)`` (``None`` when there are none), all by position."""
+        if rx.size:
+            ids = self._ids
+            delivered, delay = self.transport.admit(slot, ids[src], ids[rx])
+            later = delay > 0
+            if later.any():
+                # Held with what the program says each frame carries.
+                dst, sender, delay = rx[later], src[later], delay[later]
+                message = self.program.message(slot, sender)
+                for d in sorted(set(delay.tolist())):
+                    at = delay == d
+                    self._late.setdefault(slot + d, []).append((dst[at], sender[at], message[at]))
+                delivered = delivered & ~later
+            if not delivered.all():
+                rx, src = rx[delivered], src[delivered]
+        chunks = self._late.pop(slot, None)
+        if chunks is None:
+            return rx, src, None
+        dst, sender, message = (np.concatenate(column) for column in zip(*chunks))
+        n = len(self._nodes)
+        crashed = self._crashed[dst]
+        sending = np.zeros(n, dtype=bool)
+        sending[tx] = True
+        # Half-duplex: a receiver that transmitted in the arrival slot misses it.
+        busy = ~crashed & sending[dst]
+        kept = ~(crashed | busy)
+        dst, sender, message = dst[kept], sender[kept], message[kept]
+        # The older (matured) frame wins the receive buffer: the last one
+        # matured for a receiver displaces earlier ones and any fresh frame.
+        order = np.arange(dst.size)
+        last = np.full(n, -1, dtype=np.intp)
+        np.maximum.at(last, dst, order)
+        wins = last[dst] == order
+        taken = np.zeros(n, dtype=bool)
+        taken[dst] = True
+        fresh = ~taken[rx]
+        crash_drops = int(crashed.sum())
+        busy_drops = int(busy.sum()) + int(dst.size - wins.sum()) + int(rx.size - fresh.sum())
+        self.crash_drops += crash_drops
+        self.receiver_busy_drops += busy_drops
+        if OBS.enabled:
+            if crash_drops:
+                OBS.registry.inc("netsim.crash_drops", crash_drops)
+            if busy_drops:
+                OBS.registry.inc("netsim.receiver_busy_drops", busy_drops)
+        return rx[fresh], src[fresh], (dst[wins], sender[wins], message[wins])
+
+    def _finish_slot(
+        self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str
+    ) -> SlotRecord | None:
+        """Trace and count the slot, advance the clock, emit heartbeats."""
+        record = self.trace.append_slot(slot, tx_ids, rx_ids, src_ids, label)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("netsim.slots")
-            if tx_pos:
-                registry.inc("netsim.sends", len(tx_pos))
+            if tx_ids.size:
+                registry.inc("netsim.sends", int(tx_ids.size))
             if rx_ids.size:
                 registry.inc("netsim.deliveries", int(rx_ids.size))
         self._slot += 1
@@ -289,7 +395,7 @@ class NetSimulator(Simulator):
         }
         summary["receiver_busy_drops"] = self.receiver_busy_drops
         summary["crash_drops"] = self.crash_drops
-        summary["transmissions"] = sum(self.send_budget.values())
+        summary["transmissions"] = int(self._sends.sum())
         retries = 0
         timeouts = 0
         for agent in self.agents:

@@ -9,7 +9,8 @@ global state; the simulator is the only component that touches the channel.
 A protocol whose per-slot rule is a pure function of each node's own state
 can instead be written as one :class:`LockstepProgram`: the state of every
 node lives in arrays and the program answers for the whole node set at once.
-The simulator steps both kinds alike.
+The simulator steps both kinds alike, and so does the message-passing
+runtime, which also reports crashes and delayed frames to either kind.
 """
 
 from __future__ import annotations
@@ -132,3 +133,36 @@ class LockstepProgram(ABC):
     @abstractmethod
     def receive(self, slot: int, listeners: np.ndarray, senders: np.ndarray) -> None:
         """``listeners[k]`` decoded ``senders[k]`` in ``slot`` (positions)."""
+
+    # The message-passing runtime (``repro.netsim``) also calls the hooks
+    # below; the lockstep simulator never does.
+
+    def done(self) -> np.ndarray:
+        """Per position, whether the node's protocol has finished (heartbeats
+        report it)."""
+        return np.zeros(len(self.nodes), dtype=bool)
+
+    def on_crash(self, positions: np.ndarray, slot: int) -> None:
+        """``positions`` went down at ``slot``.  Until they recover they are
+        neither asked to transmit nor delivered to; a program should draw no
+        randomness for them."""
+
+    def on_recover(self, positions: np.ndarray, slot: int) -> None:
+        """``positions`` came back up at ``slot``."""
+
+    # A program that runs over a transport with latency defines these two.
+
+    def message(self, slot: int, senders: np.ndarray) -> np.ndarray:
+        """What each of ``senders`` transmitted in ``slot``, one int each.
+
+        Asked for the frames the transport delays, which
+        :meth:`receive_late` gets back when they mature.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not take delayed frames")
+
+    def receive_late(
+        self, slot: int, listeners: np.ndarray, senders: np.ndarray, messages: np.ndarray
+    ) -> None:
+        """Delayed frames maturing in ``slot``: ``listeners[k]`` receives
+        ``messages[k]``, sent by ``senders[k]`` in an earlier slot."""
+        raise NotImplementedError(f"{type(self).__name__} does not take delayed frames")

@@ -282,22 +282,35 @@ class Simulator:
         program = self.program
         assert program is not None
         tx, powers = program.transmit(slot)
-        rx = src = _NO_IDS
-        if tx.size:
-            ensure_positive_powers(powers)
-            if tx.size < len(self._nodes):
-                if self._cache_idx is None:
-                    raise ProtocolError(
-                        "a lockstep program needs a CachedChannel holding all its nodes"
-                    )
-                listening = self._listening
-                listening[:] = True
-                listening[tx] = False
-                rx, best, _ = self._decode_positions(slot, tx, powers)
-                src = tx[best]
+        rx, src = self._decode_program(slot, tx, powers)
         program.receive(slot, rx, src)
         ids = self._ids
         return self._record(slot, ids[tx], ids[rx], ids[src], label)
+
+    def _decode_program(
+        self, slot: int, tx: np.ndarray, powers: np.ndarray, down: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode a program's transmitters at ``powers``, by position.
+
+        Every position that neither transmits nor is marked in ``down``
+        listens.  Returns the decoding positions and the position each one
+        decoded.
+        """
+        if not tx.size:
+            return _NO_IDS, _NO_IDS
+        ensure_positive_powers(powers)
+        if tx.size == len(self._nodes):
+            return _NO_IDS, _NO_IDS
+        if self._cache_idx is None:
+            raise ProtocolError("a lockstep program needs a CachedChannel holding all its nodes")
+        listening = self._listening
+        if down is None:
+            listening[:] = True
+        else:
+            np.logical_not(down, out=listening)
+        listening[tx] = False
+        rx, best, _ = self._decode_positions(slot, tx, powers)
+        return rx, tx[best]
 
     def _record(
         self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str

@@ -4,11 +4,7 @@ from .affectance import (
     affectance,
     affectance_between_links,
     affectance_matrix,
-    average_affectance,
-    incoming_affectance,
     link_cost,
-    outgoing_affectance,
-    total_affectance,
 )
 from .arrays import (
     AffectanceAccumulator,
@@ -60,10 +56,6 @@ __all__ = [
     "affectance",
     "affectance_between_links",
     "affectance_matrix",
-    "incoming_affectance",
-    "outgoing_affectance",
-    "total_affectance",
-    "average_affectance",
     "FeasibilityReport",
     "feasibility_report",
     "is_feasible",

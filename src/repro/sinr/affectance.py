@@ -11,9 +11,10 @@ A link set ``L`` is feasible exactly when the total affectance on each of its
 links from the other senders is at most 1 (the thresholded rewriting of
 Eqn. (1) adopted in the paper).
 
-This module provides scalar forms (used by tests and by the distributed
-agents, which can only measure what they receive) and vectorized matrix forms
-(used by schedulers, validators and benchmarks).
+This module provides the affectance between single senders and links (the
+definition, used by ``pair_weight`` and by the tests that pin the vectorized
+forms) and the pairwise affectance matrix of a link set (used by schedulers,
+validators and benchmarks).
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "affectance",
     "affectance_between_links",
     "affectance_matrix",
-    "incoming_affectance",
-    "outgoing_affectance",
-    "total_affectance",
-    "average_affectance",
 ]
 
 
@@ -141,34 +138,3 @@ def affectance_matrix(
     """
     cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
     return np.array(cache.affectance_matrix(power, params))
-
-
-def incoming_affectance(
-    links: Sequence[Link], power: PowerAssignment, params: SINRParameters
-) -> np.ndarray:
-    """Total affectance suffered by each link from all other links in the set."""
-    return affectance_matrix(links, power, params).sum(axis=0)
-
-
-def outgoing_affectance(
-    links: Sequence[Link], power: PowerAssignment, params: SINRParameters
-) -> np.ndarray:
-    """Total affectance each link's sender causes on the other links in the set."""
-    return affectance_matrix(links, power, params).sum(axis=1)
-
-
-def total_affectance(
-    links: Sequence[Link], power: PowerAssignment, params: SINRParameters
-) -> float:
-    """Sum of all pairwise affectances within the set (``a_L(L)``)."""
-    return float(affectance_matrix(links, power, params).sum())
-
-
-def average_affectance(
-    links: Sequence[Link], power: PowerAssignment, params: SINRParameters
-) -> float:
-    """Average incoming affectance per link (0 for sets of size < 2)."""
-    m = len(links)
-    if m < 2:
-        return 0.0
-    return total_affectance(links, power, params) / m

@@ -150,6 +150,13 @@ class TestInputRejection:
         with pytest.raises(ConfigurationError, match="non-finite coordinate"):
             builder.build([Node(0, Point(0.0, math.nan))], np.random.default_rng(0))
 
+    def test_coincident_nodes(self, builder):
+        # A zero distance is an infinite gain: both builders once built
+        # {0: 2, 2: 1} on this input.
+        nodes = [Node(0, Point(0.0, 0.0)), Node(1, Point(3.0, 0.0)), Node(2, Point(0.0, 0.0))]
+        with pytest.raises(ConfigurationError, match="nodes 0 and 2 share the position"):
+            builder.build(nodes, np.random.default_rng(0))
+
     def test_duplicate_ids(self, builder):
         nodes = [Node(0, Point(0.0, 0.0)), Node(0, Point(3.0, 0.0))]
         with pytest.raises(ProtocolError, match="duplicate node ids"):

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_CONSTANTS
-from repro.core.init_tree import InitAgent
 from repro.core.quantities import num_rounds_for_delta
 from repro.exceptions import ConfigurationError
 from repro.geometry import diameter, uniform_random
@@ -37,7 +36,7 @@ from repro.obs.runtime import telemetry
 from repro.runtime import spawn_agent_rngs
 from repro.sinr import Channel, SINRParameters
 
-from .oracles import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
+from .oracles import InitAgent, OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
 
 PARAMS = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, epsilon=0.1)
 N = 14

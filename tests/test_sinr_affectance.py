@@ -15,11 +15,7 @@ from repro.sinr import (
     affectance,
     affectance_between_links,
     affectance_matrix,
-    average_affectance,
-    incoming_affectance,
     link_cost,
-    outgoing_affectance,
-    total_affectance,
 )
 
 from .conftest import make_node
@@ -104,23 +100,12 @@ class TestAffectanceMatrix:
         matrix = affectance_matrix([first, second], power, params)
         assert matrix[0, 1] < 1e-6
 
-    def test_incoming_and_outgoing_sums(self, params, chain_links):
-        power = UniformPower.for_max_length(params, 4.0)
-        matrix = affectance_matrix(list(chain_links), power, params)
-        assert np.allclose(incoming_affectance(list(chain_links), power, params), matrix.sum(axis=0))
-        assert np.allclose(outgoing_affectance(list(chain_links), power, params), matrix.sum(axis=1))
-
-    def test_total_and_average(self, params, chain_links):
-        power = UniformPower.for_max_length(params, 4.0)
-        total = total_affectance(list(chain_links), power, params)
-        avg = average_affectance(list(chain_links), power, params)
-        assert avg == pytest.approx(total / len(chain_links))
-
     def test_empty_and_singleton(self, params):
         power = UniformPower(1.0)
         assert affectance_matrix([], power, params).shape == (0, 0)
         link = Link(make_node(0, 0, 0), make_node(1, 1, 0))
-        assert average_affectance([link], UniformPower.for_max_length(params, 1.0), params) == 0.0
+        matrix = affectance_matrix([link], UniformPower.for_max_length(params, 1.0), params)
+        assert matrix.tolist() == [[0.0]]
 
     def test_same_sender_entries_zeroed(self, params):
         shared = make_node(0, 0, 0)
