@@ -2,8 +2,8 @@
 
 Two micro-benchmarks for the PR-3 dynamics subsystem:
 
-* **bench_dynamics_fading_decode** - the batch slot engine running a beacon
-  workload under per-slot Rayleigh fading.  Timed as the headline number;
+* **bench_dynamics_fading_decode** - the slot engine stepping a beacon
+  program under per-slot Rayleigh fading.  Timed as the headline number;
   in all modes it asserts the two correctness anchors: the deterministic
   gain model is bit-identical to no model at all, and the same fading seed
   reproduces identical outcomes.
@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.dynamics import DeterministicPathLoss, RayleighFading
 from repro.geometry import deployment_by_name
-from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
-from repro.sinr import Channel, NodeArrayCache, SINRParameters, Transmission
+from repro.runtime import Simulator
+from repro.sinr import Channel, NodeArrayCache, SINRParameters
+from tests.beacon import BeaconProgram
 
 N_AGENTS = 128
 N_SLOTS = 600
@@ -34,39 +35,13 @@ MOVE_ROUNDS = 25
 INVALIDATION_SPEEDUP_FLOOR = 3.0
 
 
-class _Beacon(NodeAgent):
-    """Deterministic beacon: transmits every 8th slot, staggered by node id."""
-
-    def __init__(self, node, rng, power):
-        super().__init__(node, rng)
-        self.power = power
-        self.phase = node.id % 8
-        self.heard = 0
-
-    def act_batch(self, slot):
-        if slot & 7 == self.phase:
-            return self.power, None
-        return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
-
-    def observe(self, slot, reception):
-        if reception is not None:
-            self.heard += 1
-
-
 def _run_beacons(params: SINRParameters, slots: int):
+    """Every node beacons every 8th slot, staggered by node id."""
     nodes = deployment_by_name("uniform", N_AGENTS, np.random.default_rng(15))
-    rngs = spawn_agent_rngs(np.random.default_rng(16), N_AGENTS)
-    power = params.min_power_for(1.5)
-    agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-    simulator = Simulator(agents, Channel(params))
+    program = BeaconProgram(nodes, params.min_power_for(1.5), period=8)
+    simulator = Simulator(program, Channel(params))
     simulator.run(slots)
-    return simulator.trace.successful_receptions, [agent.heard for agent in agents]
+    return simulator.trace.successful_receptions, [len(frames) for frames in program.heard]
 
 
 def bench_dynamics_fading_decode(benchmark):

@@ -1,13 +1,14 @@
-"""Slot-engine benchmark: vectorized batch engine vs the seed (PR-1) slot path.
+"""Slot-engine benchmark: the array engine vs the seed slot path.
 
-Runs the same 256-agent, 2000-slot beacon workload twice:
+Runs the same 256-node, 2000-slot beacon workload twice:
 
-* **fast**: batch engine, ``resolve_indices`` over the cached attenuation
-  matrix, columnar trace;
-* **seed**: the PR-1 slot path - the ``LegacySimulator`` oracle
-  (per-object ``act``/``resolve``), cached node distances, and the seed
-  per-listener decode loop (``decode_reference``) with the record trace;
-  both oracles live in ``tests/oracles``.
+* **fast**: ``Simulator`` stepping the beacon as one lockstep program,
+  ``resolve_indices_full`` over the cached attenuation matrix, columnar
+  trace;
+* **seed**: the original slot path - the ``LegacySimulator`` oracle stepping
+  the beacon as one agent per node (per-object ``act``/``resolve``), cached
+  node distances, and the seed per-listener decode loop
+  (``decode_reference``); both oracles live in ``tests/oracles``.
 
 In timed runs (``--benchmark-only``, ``scripts/run_benchmarks.py``, the
 non-blocking CI micro-benchmark job) this asserts PR 2's acceptance
@@ -24,38 +25,16 @@ import time
 import numpy as np
 
 from repro.geometry import deployment_by_name
-from repro.runtime import ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
-from repro.sinr import CachedChannel, Channel, SINRParameters, Transmission
+from repro.runtime import Simulator, spawn_agent_rngs
+from repro.sinr import CachedChannel, Channel, SINRParameters
+from tests.beacon import BeaconAgent, BeaconProgram
 from tests.oracles import LegacySimulator, decode_reference
 
 N_AGENTS = 256
 N_SLOTS = 2000
 SPEEDUP_FLOOR = 5.0
-
-
-class ProbeAgent(NodeAgent):
-    """Deterministic beacon: transmits every 8th slot, staggered by node id."""
-
-    def __init__(self, node, rng, power):
-        super().__init__(node, rng)
-        self.power = power
-        self.phase = node.id % 8
-        self.heard = 0
-
-    def act_batch(self, slot):
-        if slot & 7 == self.phase:
-            return self.power, None
-        return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
-
-    def observe(self, slot, reception):
-        if reception is not None:
-            self.heard += 1
+#: Every node beacons every 8th slot, staggered by node id.
+PERIOD = 8
 
 
 class SeedDecodeChannel(CachedChannel):
@@ -70,26 +49,25 @@ class SeedDecodeChannel(CachedChannel):
         return decode_reference(transmissions, active_listeners, dist, powers, self.params)
 
 
-def _make_agents(params: SINRParameters) -> list[ProbeAgent]:
-    nodes = deployment_by_name("uniform", N_AGENTS, np.random.default_rng(5))
-    rngs = spawn_agent_rngs(np.random.default_rng(6), N_AGENTS)
-    power = params.min_power_for(1.5)
-    return [ProbeAgent(node, rng, power) for node, rng in zip(nodes, rngs)]
+def _nodes():
+    return deployment_by_name("uniform", N_AGENTS, np.random.default_rng(5))
 
 
 def _run_fast(params: SINRParameters, slots: int):
-    agents = _make_agents(params)
-    simulator = Simulator(agents, Channel(params))
+    program = BeaconProgram(_nodes(), params.min_power_for(1.5), period=PERIOD)
+    simulator = Simulator(program, Channel(params))
     simulator.run(slots)
-    return simulator.trace, [agent.heard for agent in agents]
+    return simulator.trace, [len(frames) for frames in program.heard]
 
 
 def _run_seed(params: SINRParameters, slots: int):
-    agents = _make_agents(params)
-    channel = SeedDecodeChannel(params, [agent.node for agent in agents])
-    simulator = LegacySimulator(agents, channel, trace=ExecutionTrace())
+    nodes = _nodes()
+    rngs = spawn_agent_rngs(np.random.default_rng(6), N_AGENTS)
+    power = params.min_power_for(1.5)
+    agents = [BeaconAgent(node, rng, power, period=PERIOD) for node, rng in zip(nodes, rngs)]
+    simulator = LegacySimulator(agents, SeedDecodeChannel(params, nodes))
     simulator.run(slots)
-    return simulator.trace, [agent.heard for agent in agents]
+    return simulator.trace, [len(agent.heard) for agent in agents]
 
 
 def _timed(fn, repeats: int) -> tuple[float, object]:

@@ -1,7 +1,7 @@
 """E13 - Loss resilience: ``Init`` over a faulty transport, and its price.
 
 The paper's protocols assume a perfect stack below the SINR channel.  This
-experiment runs the same ``Init`` agents over the netsim message runtime at
+experiment runs the same ``Init`` program over the netsim message runtime at
 increasing message-loss rates and measures the overhead against the lockstep
 oracle: extra slots (the protocol's redundancy re-absorbs every dropped
 acknowledgment), extra transmissions (the send budget), and - in the crash

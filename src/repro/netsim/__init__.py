@@ -2,12 +2,12 @@
 
 The lockstep :class:`~repro.runtime.simulator.Simulator` assumes a perfect
 stack: every decoded message is delivered in its slot and nodes never die.
-This package runs the *same* protocol agents over an explicit transport that
-can drop, delay, partition and crash - with every fault drawn from stateless
-counter-hashed randomness, so a fault trace is bit-reproducible across runs,
-scheduling orders and worker counts.  Composed with a perfect transport the
-runtime reduces exactly to the lockstep batch engine, which therefore stays
-the oracle for everything the faults perturb.
+This package steps the *same* lockstep programs over an explicit transport
+that can drop, delay, partition and crash - with every fault drawn from
+stateless counter-hashed randomness, so a fault trace is bit-reproducible
+across runs, scheduling orders and worker counts.  Composed with a perfect
+transport the runtime reduces exactly to the lockstep engine, which
+therefore stays the oracle for everything the faults perturb.
 
 Layers (bottom up): :mod:`.faults` (seeded fault models), :mod:`.transport`
 (delivery policy), :mod:`.detector` (heartbeat failure detection),
@@ -27,13 +27,7 @@ from .aggregation import (
     run_convergecast,
     run_dissemination,
 )
-from .delivery import (
-    AckResponderAgent,
-    OutstandingSend,
-    ReliableOutbox,
-    ReliableSenderAgent,
-    RetryPolicy,
-)
+from .delivery import OutstandingSend, ReliableOutbox, RetryPolicy
 from .detector import HeartbeatDetector
 from .distr_cap_builder import NetDistrCapBuilder, NetDistrCapResult
 from .driver import RoundDriver
@@ -57,7 +51,6 @@ from .runtime import NetSimulator
 from .transport import FaultyTransport, PerfectTransport, Transport
 
 __all__ = [
-    "AckResponderAgent",
     "BullyElection",
     "CrashSchedule",
     "CrashWindow",
@@ -80,7 +73,6 @@ __all__ = [
     "Partition",
     "PerfectTransport",
     "ReliableOutbox",
-    "ReliableSenderAgent",
     "RetryPolicy",
     "RoundDriver",
     "Transport",

@@ -1,41 +1,28 @@
-"""Delivery semantics agents can opt into.
+"""Reliable-delivery bookkeeping protocols can opt into.
 
 The paper's protocols are fire-and-forget: a broadcast is sent once and the
 protocol's own redundancy (repeated slot pairs) absorbs loss.  This module
 adds the other mode a lossy transport makes necessary: **reliable unicast**
 with acknowledgments, per-message retry budgets, timeouts and exponential
-backoff.  A :class:`ReliableOutbox` tracks each outstanding message; the
-owning agent retransmits whatever :meth:`ReliableOutbox.due` returns and the
-outbox raises :class:`~repro.exceptions.DeliveryTimeout` when a message
-exhausts its attempts.  Retries are real transmissions, so they land in the
-runtime's per-node send budget and inflate the round-complexity metrics -
-which is exactly the overhead the loss-resilience experiments measure.
-
-:class:`ReliableSenderAgent` and :class:`AckResponderAgent` are a minimal
-protocol pair exercising the mode end to end over :class:`~repro.netsim
-.runtime.NetSimulator`; the chaos tests run them at double-digit loss.
+backoff.  A :class:`ReliableOutbox` tracks each outstanding message; its
+owner retransmits whatever :meth:`ReliableOutbox.due` returns and the outbox
+raises :class:`~repro.exceptions.DeliveryTimeout` when a message exhausts
+its attempts.  Leader election tracks each candidate's claims in one;
+retries are real transmissions, so they inflate the round-complexity
+metrics - which is exactly the overhead the loss-resilience experiments
+measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from ..exceptions import ConfigurationError, DeliveryTimeout
-from ..geometry import Node
 from ..obs.runtime import OBS
-from ..runtime import AckMessage, DataMessage, NodeAgent
-from ..sinr import Reception, Transmission
 
-__all__ = [
-    "AckResponderAgent",
-    "OutstandingSend",
-    "ReliableOutbox",
-    "ReliableSenderAgent",
-    "RetryPolicy",
-]
+__all__ = ["OutstandingSend", "ReliableOutbox", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +36,8 @@ class RetryPolicy:
     Attributes:
         max_attempts: total transmissions allowed per message (>= 1).
         timeout_slots: slots to wait for an ack after the first attempt.
-        backoff: multiplicative backoff on the timeout per retry.
+        backoff: multiplicative backoff on the timeout per retry (finite,
+            >= 1).
     """
 
     max_attempts: int = 5
@@ -65,8 +53,8 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"timeout_slots must be positive, got {self.timeout_slots}"
             )
-        if self.backoff < 1.0:
-            raise ConfigurationError(f"backoff must be >= 1, got {self.backoff}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 1.0):
+            raise ConfigurationError(f"backoff must be finite and >= 1, got {self.backoff}")
 
     def deadline_after(self, slot: int, attempt: int) -> int:
         """Slot at which attempt ``attempt`` (0-based) times out."""
@@ -85,7 +73,7 @@ class OutstandingSend:
 
 
 class ReliableOutbox:
-    """Per-agent bookkeeping of unacked reliable sends.
+    """Per-sender bookkeeping of unacked reliable sends.
 
     Args:
         policy: retry budget and pacing.
@@ -161,129 +149,3 @@ class ReliableOutbox:
                 OBS.registry.inc("netsim.retries")
             ready.append(send)
         return ready
-
-
-class ReliableSenderAgent(NodeAgent):
-    """Delivers a fixed batch of payloads to one peer, reliably.
-
-    Sends one :class:`~repro.runtime.message.DataMessage` at a time (stop and
-    wait), retransmitting per the outbox's policy until every payload is
-    acked or a message times out.
-
-    Args:
-        node: the controlled node.
-        rng: agent randomness (unused; the schedule is deterministic).
-        dst_id: the receiving node's id.
-        payloads: the payload sequence to deliver, in order.
-        power: transmission power.
-        policy: retry policy (default :class:`RetryPolicy`).
-        strict: raise :class:`DeliveryTimeout` on budget exhaustion when
-            ``True``, otherwise record the loss and move on.
-    """
-
-    def __init__(
-        self,
-        node: Node,
-        rng: np.random.Generator,
-        *,
-        dst_id: int,
-        payloads: list[Any],
-        power: float,
-        policy: RetryPolicy | None = None,
-        strict: bool = True,
-    ) -> None:
-        super().__init__(node, rng)
-        self.dst_id = dst_id
-        self.payloads = list(payloads)
-        self.power = power
-        self.outbox = ReliableOutbox(policy)
-        self.strict = strict
-        self.acked = 0
-        self._next_key = 0
-
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(sender=self.node, power=action[0], message=action[1])
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
-        due = self.outbox.due(slot, strict=self.strict)
-        if due:
-            send = due[0]
-            return self.power, send.payload
-        if len(self.outbox) == 0 and self._next_key < len(self.payloads):
-            key = self._next_key
-            self._next_key += 1
-            payload = DataMessage(
-                sender=self.node,
-                payload=self.payloads[key],
-                destination_id=self.dst_id,
-                metadata={"key": key},
-            )
-            return self.power, self.outbox.post(key, payload, self.dst_id, slot)
-        return None
-
-    def observe(self, slot: int, reception: Reception | None) -> None:
-        if reception is None:
-            return
-        message = reception.message
-        if isinstance(message, AckMessage) and message.target_id == self.node_id:
-            if self.outbox.ack(message.slot_pair):
-                self.acked += 1
-
-    def is_done(self) -> bool:
-        return (
-            self._next_key >= len(self.payloads)
-            and len(self.outbox) == 0
-        )
-
-
-class AckResponderAgent(NodeAgent):
-    """Acknowledges every :class:`DataMessage` addressed to it."""
-
-    def __init__(self, node: Node, rng: np.random.Generator, *, power: float) -> None:
-        super().__init__(node, rng)
-        self.power = power
-        self.received: dict[int, Any] = {}
-        self._pending_ack: AckMessage | None = None
-
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(sender=self.node, power=action[0], message=action[1])
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
-        if self._pending_ack is not None:
-            ack = self._pending_ack
-            self._pending_ack = None
-            return self.power, ack
-        return None
-
-    def observe(self, slot: int, reception: Reception | None) -> None:
-        if reception is None:
-            return
-        message = reception.message
-        if (
-            isinstance(message, DataMessage)
-            and message.destination_id == self.node_id
-        ):
-            key = int(message.metadata.get("key", -1))
-            self.received.setdefault(key, message.payload)
-            # `slot_pair` carries the message key back, which is all the
-            # sender needs to clear its outbox (dup-acks are harmless).
-            self._pending_ack = AckMessage(
-                sender=self.node, target_id=message.sender_id, slot_pair=key
-            )
-
-    def is_done(self) -> bool:
-        # A responder is a pure service: it is "done" whenever no ack is
-        # waiting to go out, which lets all-nodes quorums complete.
-        return self._pending_ack is None
-
-    def on_crash(self, slot: int) -> None:
-        self._pending_ack = None
-
-    def on_recover(self, slot: int) -> None:
-        self._pending_ack = None

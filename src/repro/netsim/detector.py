@@ -10,7 +10,7 @@ zero-fault run costs exactly the lockstep slot count.
 
 The detector's *view* - who is alive, who is done - is what the round driver
 and the netsim ``Init`` builder act on, replacing the lockstep simulator's
-god's-eye reads of agent state.  Under zero faults the view coincides with
+god's-eye reads of protocol state.  Under zero faults the view coincides with
 ground truth at every round boundary; under faults it is exactly as stale or
 wrong as the heartbeats let it be.
 """

@@ -170,7 +170,7 @@ class NetDistrCapBuilder:
                 ]
                 # A candidate with a downed endpoint sits the phase out; it
                 # consumes no randomness, matching the runtime's rule that
-                # crashed agents are never polled.
+                # crashed nodes neither transmit nor draw.
                 alive = [
                     link for link in eligible if not self._link_down(transport, link, forward_slot)
                 ]

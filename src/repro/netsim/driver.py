@@ -1,6 +1,6 @@
 """Round driver: advance on quorum-or-timeout instead of global lockstep.
 
-The lockstep builders read agent state directly between slots ("is exactly
+The lockstep builders read protocol state directly between slots ("is exactly
 one node still active?") - a god's-eye view no real deployment has.  The
 :class:`RoundDriver` replaces those reads with the failure detector's view:
 a protocol phase runs until a *quorum* of the nodes the detector believes
@@ -79,7 +79,7 @@ class RoundDriver:
         """Step until quorum (or ``predicate``) holds or the budget times out.
 
         The predicate is evaluated every ``check_every`` slots from the
-        detector's view only - never from direct agent state.  Returns
+        detector's view only - never from direct protocol state.  Returns
         ``(slots executed, completed before timeout)``.
         """
         if max_slots < 0:

@@ -6,7 +6,7 @@ windows and link partitions - behind pure functions of ``(seed, sender,
 receiver, slot)``.  All draws go through the same SplitMix64 counter hash the
 fading models use (see :mod:`repro.dynamics.gain`), never through a shared
 RNG stream, so a fault trace is bit-reproducible regardless of query order,
-agent scheduling, node subsets or worker count: the drop decision for message
+polling order, node subsets or worker count: the drop decision for message
 ``(u, v, t)`` is the same whether it is the first or the millionth question
 asked of the plan.
 

@@ -1,19 +1,13 @@
-"""Distributed runtime: agents, messages, lock-step slotted simulator."""
+"""Distributed runtime: lockstep programs, the slotted simulator, traces."""
 
-from .agent import LockstepProgram, NodeAgent
-from .message import AckMessage, BroadcastMessage, DataMessage
+from .agent import LockstepProgram
 from .simulator import Simulator, spawn_agent_rngs
-from .trace import ColumnarTrace, ExecutionTrace, SlotRecord
+from .trace import ExecutionTrace, SlotRecord
 
 __all__ = [
     "LockstepProgram",
-    "NodeAgent",
-    "BroadcastMessage",
-    "AckMessage",
-    "DataMessage",
     "Simulator",
     "spawn_agent_rngs",
-    "ColumnarTrace",
     "ExecutionTrace",
     "SlotRecord",
 ]

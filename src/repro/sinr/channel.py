@@ -682,7 +682,7 @@ class CachedChannel(Channel):
 
     Args:
         params: the physical-model parameters.
-        nodes: the node universe (e.g. all simulator agents' nodes, or every
+        nodes: the node universe (e.g. every node a simulator steps, or every
             endpoint of a link set being scheduled); its store is chosen by
             size (:meth:`~repro.state.NetworkState.for_nodes`).
         cache: an existing :class:`NodeArrayCache` over the same universe to

@@ -3,20 +3,21 @@
 :class:`InitAgent` is ``Init`` written as one state machine per node.  Two
 references step it slot by slot:
 
-* :func:`build_init_reference` runs one agent per node through the batch
-  :class:`~repro.runtime.Simulator`; ``InitialTreeBuilder.build`` must
-  reproduce its result and trace bit for bit.
-* :func:`build_net_init_reference` runs the agents through
-  :class:`~repro.netsim.NetSimulator`'s agent path, crash hooks and delayed
-  messages included, and assembles the result from the agents as the
-  message-passing builder used to; ``NetInitBuilder.build`` must reproduce
-  its result, fault trace, detector views and counters.
+* :func:`build_init_reference` runs one agent per node through the seed
+  slot engine :class:`~tests.oracles.slot_engine.LegacySimulator`;
+  ``InitialTreeBuilder.build`` must reproduce its result and trace bit for
+  bit.
+* :func:`build_net_init_reference` runs the agents through the per-agent
+  runtime :class:`~tests.oracles.netsim.OracleNetSimulator`, crash hooks
+  and delayed messages included, and assembles the result from the agents
+  as the message-passing builder used to; ``NetInitBuilder.build`` must
+  reproduce its result, fault trace, detector views and counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,22 +34,14 @@ from repro.core.quantities import num_rounds_for_delta
 from repro.core.repair import TreeRepairer
 from repro.exceptions import NodeCrashedError, ProtocolError
 from repro.geometry import Node, diameter
-from repro.netsim import (
-    HeartbeatDetector,
-    NetInitBuilder,
-    NetInitResult,
-    NetSimulator,
-    RoundDriver,
-)
+from repro.netsim import FaultyTransport, NetInitBuilder, NetInitResult, RoundDriver, Transport
 from repro.obs.spans import span
-from repro.runtime import (
-    AckMessage,
-    BroadcastMessage,
-    NodeAgent,
-    Simulator,
-    spawn_agent_rngs,
-)
+from repro.runtime import spawn_agent_rngs
 from repro.sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
+
+from .agent import AckMessage, BroadcastMessage, NodeAgent
+from .netsim import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
+from .slot_engine import LegacySimulator
 
 __all__ = [
     "InitAgent",
@@ -126,13 +119,6 @@ class InitAgent(NodeAgent):
     # -- protocol -----------------------------------------------------------
 
     def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        power, message = action
-        return Transmission(sender=self.node, power=power, message=message)
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
         phase = self._phase(slot)
         round_index = self._round(slot)
 
@@ -143,7 +129,8 @@ class InitAgent(NodeAgent):
                 return None
             if self.rng.random() < self.constants.broadcast_probability:
                 self._is_broadcaster = True
-                return (
+                return Transmission(
+                    self.node,
                     self._round_power(round_index),
                     BroadcastMessage(sender=self.node, round_index=round_index),
                 )
@@ -172,7 +159,8 @@ class InitAgent(NodeAgent):
         self.records.append(
             _LinkRecord(peer_id=broadcast.sender_id, outgoing=True, slot_pair=pair, round_index=round_index)
         )
-        return (
+        return Transmission(
+            self.node,
             self._round_power(round_index),
             AckMessage(
                 sender=self.node, target_id=broadcast.sender_id, round_index=round_index, slot_pair=pair
@@ -267,7 +255,7 @@ def state_from_agents(agents: Sequence[InitAgent]) -> InitState:
 def build_init_reference(
     builder: InitialTreeBuilder, nodes: Sequence[Node], rng: np.random.Generator
 ) -> InitialTreeResult:
-    """Run ``builder``'s ``Init`` through per-node agents and ``Simulator``."""
+    """Run ``builder``'s ``Init`` through per-node agents and the seed engine."""
     node_list = list(nodes)
     if len(node_list) <= 1:
         return builder.build(node_list, rng)
@@ -277,7 +265,7 @@ def build_init_reference(
     rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
     pairs_per_round = builder.constants.slot_pairs_per_round(len(node_list))
     agents = make_init_agents(node_list, rng, builder.params, builder.constants)
-    simulator = Simulator(agents, Channel(builder.params))
+    simulator = LegacySimulator(agents, Channel(builder.params))
 
     def active_count() -> int:
         return sum(1 for agent in agents if agent.active)
@@ -313,9 +301,16 @@ def build_init_reference(
 class ReferenceNetInitBuilder(NetInitBuilder):
     """``NetInitBuilder`` with the per-agent main run and agent-read result.
 
-    Completion patches run through this class too, so a reliable run with
-    repair is per-agent all the way down.
+    The run goes through :class:`OracleNetSimulator` with the scalar
+    transport and detector oracles.  Completion patches run through this
+    class too, so a reliable run with repair is per-agent all the way down.
     """
+
+    def _make_transport(self) -> Transport:
+        transport = super()._make_transport()
+        if isinstance(transport, FaultyTransport):
+            return OracleFaultyTransport(transport.plan, slot_offset=transport.slot_offset)
+        return transport
 
     def build(self, nodes: Sequence[Node], rng: np.random.Generator) -> NetInitResult:
         node_list = list(nodes)
@@ -327,12 +322,14 @@ class ReferenceNetInitBuilder(NetInitBuilder):
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
         agents = make_init_agents(node_list, rng, self.params, self.constants)
-        detector = HeartbeatDetector(
+        detector = OracleHeartbeatDetector(
             [node.id for node in node_list],
             interval=1,
             miss_threshold=self.miss_threshold,
         )
-        sim = NetSimulator(agents, Channel(self.params), self._make_transport(), detector=detector)
+        sim = OracleNetSimulator(
+            agents, Channel(self.params), self._make_transport(), detector=detector
+        )
         driver = RoundDriver(sim)
 
         rounds_used = 0
@@ -392,7 +389,7 @@ class ReferenceNetInitBuilder(NetInitBuilder):
         self,
         node_list: Sequence[Node],
         agents: Sequence[InitAgent],
-        sim: NetSimulator,
+        sim: OracleNetSimulator,
         delta: float,
         rounds_used: int,
         sweeps_used: int,
@@ -425,7 +422,7 @@ class ReferenceNetInitBuilder(NetInitBuilder):
         self,
         node_list: Sequence[Node],
         agents: Sequence[InitAgent],
-        sim: NetSimulator,
+        sim: OracleNetSimulator,
         delta: float,
         rounds_used: int,
         sweeps_used: int,

@@ -1,27 +1,49 @@
-"""The seed per-object slot engine (oracle of the batch ``Simulator``)."""
+"""The seed per-object slot engine (oracle of the lockstep ``Simulator``)."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.exceptions import ProtocolError
 from repro.obs import OBS
-from repro.runtime import Simulator, SlotRecord
-from repro.sinr import Transmission
+from repro.runtime import ExecutionTrace
+from repro.sinr import CachedChannel, Channel, Transmission
+
+from .agent import NodeAgent
 
 
-class LegacySimulator(Simulator):
-    """``Simulator`` stepping through ``NodeAgent.act`` and ``Channel.resolve``.
+class LegacySimulator:
+    """Steps one :class:`NodeAgent` per node through ``Channel.resolve``.
 
     Every slot builds :class:`~repro.sinr.Transmission` objects from the
-    agents' ``act`` and resolves them over node objects, exactly as the seed
-    engine did; the batch engine must reproduce its traces and deliveries.
+    agents' ``act``, resolves them over node objects and hands each agent
+    its :class:`~repro.sinr.Reception`, exactly as the seed engine did; the
+    array engine must reproduce its traces and deliveries.  A plain
+    :class:`Channel` is upgraded to a :class:`CachedChannel` over the
+    agents' nodes, as ``Simulator`` does.
     """
 
-    def step(self, label: str = "") -> SlotRecord | None:
+    def __init__(self, agents: Sequence[NodeAgent], channel: Channel):
+        self.agents = list(agents)
+        nodes = [agent.node for agent in self.agents]
+        if len({node.id for node in nodes}) != len(nodes):
+            raise ProtocolError("duplicate node ids among agents")
+        if type(channel) is Channel:
+            channel = CachedChannel(channel.params, nodes)
+        self.channel = channel
+        self.trace = ExecutionTrace()
+        self._slot = 0
+
+    @property
+    def current_slot(self) -> int:
+        return self._slot
+
+    def step(self, label: str = "") -> None:
+        slot = self._slot
         transmissions: list[Transmission] = []
-        transmitter_ids: list[int] = []
         listeners = []
         for agent in self.agents:
-            action = agent.act(self._slot)
+            action = agent.act(slot)
             if action is None:
                 listeners.append(agent.node)
             else:
@@ -30,14 +52,19 @@ class LegacySimulator(Simulator):
                         f"agent {agent.node_id} attempted to transmit as node {action.sender.id}"
                     )
                 transmissions.append(action)
-                transmitter_ids.append(agent.node_id)
 
-        receptions = self._resolve_objects(transmissions, listeners, self._slot)
+        # The slot reaches the channel only under a slot-dependent gain
+        # model, so channels overriding the two-argument resolve still work.
+        if self.channel.params.effective_gain_model is not None:
+            receptions = self.channel.resolve(transmissions, listeners, slot)
+        else:
+            receptions = self.channel.resolve(transmissions, listeners)
         for agent in self.agents:
-            agent.observe(self._slot, receptions.get(agent.node_id))
+            agent.observe(slot, receptions.get(agent.node_id))
 
-        record = self.trace.append_slot(
-            self._slot,
+        transmitter_ids = [t.sender.id for t in transmissions]
+        self.trace.append_slot(
+            slot,
             transmitter_ids,
             list(receptions),
             [rec.sender.id for rec in receptions.values()],
@@ -51,4 +78,8 @@ class LegacySimulator(Simulator):
             if receptions:
                 registry.inc("sim.receptions", len(receptions))
         self._slot += 1
-        return record
+
+    def run(self, slots: int, label: str = "") -> ExecutionTrace:
+        for _ in range(slots):
+            self.step(label)
+        return self.trace

@@ -16,7 +16,7 @@ from repro.dynamics import (
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet
-from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
+from repro.runtime import Simulator, spawn_agent_rngs
 from repro.sinr import (
     CachedChannel,
     Channel,
@@ -27,6 +27,7 @@ from repro.sinr import (
     decode_arrays,
 )
 
+from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
 from .oracles import LegacySimulator, decode_reference
 
@@ -192,39 +193,26 @@ class TestDeterministicParity:
         assert e1_init.run(base).rows == e1_init.run(tagged).rows
 
 
-class _Beacon(NodeAgent):
-    """Deterministic beacon agent used for fading-channel engine parity."""
-
-    def __init__(self, node, rng, power):
-        super().__init__(node, rng)
-        self.power = power
-        self.heard: list[tuple[int, int]] = []
-
-    def act_batch(self, slot):
-        if slot % 5 == self.node_id % 5:
-            return self.power, ("b", self.node_id)
-        return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
-
-    def observe(self, slot, reception):
-        if reception is not None:
-            self.heard.append((slot, reception.sender.id))
-
-
 class TestFadingChannel:
-    def _run(self, params, simulator_cls=Simulator, slots=60, n=24):
-        nodes = uniform_random(n, np.random.default_rng(42))
-        rngs = spawn_agent_rngs(np.random.default_rng(43), n)
-        power = params.min_power_for(2.0)
-        agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-        simulator = simulator_cls(agents, Channel(params))
+    def _nodes(self, n=24):
+        return uniform_random(n, np.random.default_rng(42))
+
+    def _run(self, params, slots=60):
+        """A period-5 beacon program; per node, the (slot, sender) it heard."""
+        program = BeaconProgram(self._nodes(), params.min_power_for(2.0), period=5)
+        simulator = Simulator(program, Channel(params))
         simulator.run(slots)
-        return [agent.heard for agent in agents], simulator.trace
+        return program.heard, simulator.trace
+
+    def _run_legacy(self, params, slots=60):
+        """:meth:`_run` as one agent per node on the seed engine."""
+        nodes = self._nodes()
+        rngs = spawn_agent_rngs(np.random.default_rng(43), len(nodes))
+        power = params.min_power_for(2.0)
+        agents = [BeaconAgent(node, rng, power, period=5) for node, rng in zip(nodes, rngs)]
+        legacy = LegacySimulator(agents, Channel(params))
+        legacy.run(slots)
+        return [agent.heard for agent in agents], legacy.trace
 
     @pytest.mark.parametrize(
         "model",
@@ -233,9 +221,11 @@ class TestFadingChannel:
     )
     def test_batch_and_legacy_engines_agree_under_fading(self, params, model):
         faded = params.with_overrides(gain_model=model)
-        batch, _ = self._run(faded)
-        legacy, _ = self._run(faded, LegacySimulator)
+        batch, batch_trace = self._run(faded)
+        legacy, legacy_trace = self._run_legacy(faded)
         assert batch == legacy
+        assert batch_trace.records == legacy_trace.records
+        assert batch_trace.successful_receptions > 0
 
     def test_same_seed_reproduces_trace(self, params):
         faded = params.with_overrides(gain_model=RayleighFading(seed=11))

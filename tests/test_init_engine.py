@@ -44,7 +44,7 @@ def deploy(kind: str, n: int, seed: int) -> list[Node]:
 
 
 def trace_columns(trace) -> tuple:
-    """Every column of a ``ColumnarTrace``, labels included."""
+    """Every column of an ``ExecutionTrace``, labels included."""
     return (
         list(trace._slots),
         list(trace._labels),

@@ -15,7 +15,6 @@ from repro.exceptions import (
 )
 from repro.geometry import uniform_random
 from repro.netsim import (
-    AckResponderAgent,
     CrashSchedule,
     CrashWindow,
     FaultPlan,
@@ -27,12 +26,12 @@ from repro.netsim import (
     Partition,
     PerfectTransport,
     ReliableOutbox,
-    ReliableSenderAgent,
     RetryPolicy,
     RoundDriver,
 )
 from repro.sinr import Channel, SINRParameters
 
+from .beacon import BeaconProgram
 from .conftest import make_node
 
 PARAMS = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, epsilon=0.1)
@@ -44,24 +43,13 @@ def _pair():
     return [make_node(0, 0.0, 0.0), make_node(1, 1.0, 0.0)]
 
 
-def _reliable_pair(plan=None, *, payloads=3, policy=None, strict=True, detector=None):
-    sender_node, receiver_node = _pair()
-    rngs = [np.random.default_rng(7), np.random.default_rng(8)]
-    sender = ReliableSenderAgent(
-        sender_node,
-        rngs[0],
-        dst_id=receiver_node.id,
-        payloads=[f"payload-{i}" for i in range(payloads)],
-        power=LINK_POWER,
-        policy=policy,
-        strict=strict,
-    )
-    receiver = AckResponderAgent(receiver_node, rngs[1], power=LINK_POWER)
+def _beacon_pair(plan=None, *, detector=None):
+    """Node 0 beacons in even slots, node 1 in odd ones; each is done once
+    it has heard the other."""
+    program = BeaconProgram(_pair(), LINK_POWER)
     transport = PerfectTransport() if plan is None else FaultyTransport(plan)
-    sim = NetSimulator(
-        [sender, receiver], Channel(PARAMS), transport, detector=detector
-    )
-    return sender, receiver, sim
+    sim = NetSimulator(program, Channel(PARAMS), transport, detector=detector)
+    return program, sim
 
 
 class TestExceptions:
@@ -199,62 +187,52 @@ class TestNetSimulatorSemantics:
         assert outcome.fault_summary["dropped"] == 0
 
     def test_crashed_agents_not_polled_and_budget_counts(self):
-        sender, receiver, _ = _reliable_pair()
         plan = FaultPlan(crashes=CrashSchedule((CrashWindow(1, 2, 6),)))
-        sender2, receiver2, sim = _reliable_pair(plan, policy=RetryPolicy(max_attempts=20))
-        for _ in range(40):
+        program, sim = _beacon_pair(plan)
+        for _ in range(10):
             sim.step("chatter")
-            if sender2.is_done():
-                break
-        assert sender2.is_done()
         assert sim.crashed_ids() == frozenset()
+        # Node 1 neither beacons (slots 3, 5) nor hears (slots 2, 4) while down.
+        assert [record.transmitters for record in sim.trace.records] == [
+            (0,), (1,), (0,), (), (0,), (), (0,), (1,), (0,), (1,)
+        ]
+        assert program.heard == [[(1, 1), (7, 1), (9, 1)], [(0, 0), (6, 0), (8, 0)]]
         summary = sim.fault_summary()
         assert summary["crashes"] == 1 and summary["recoveries"] == 1
-        assert sim.send_budget[sender2.node_id] >= 3
+        assert sim.send_budget == {0: 5, 1: 3}
         assert sum(sim.send_budget.values()) == summary["transmissions"]
 
     def test_delayed_message_matures_later(self):
         plan = FaultPlan(seed=2, latency=LatencyModel(delay_prob=1.0, mean_slots=1.0, max_slots=1))
-        sender, receiver, sim = _reliable_pair(plan, payloads=1, policy=RetryPolicy(max_attempts=10))
-        for _ in range(20):
+        program = BeaconProgram(_pair(), LINK_POWER, senders=[0])
+        sim = NetSimulator(program, Channel(PARAMS), FaultyTransport(plan))
+        for _ in range(6):
             sim.step("delayed")
-            if sender.is_done():
-                break
-        assert sender.is_done()
-        assert len(sim.fault_trace.delayed) >= 1
-        assert receiver.received
+        assert len(sim.fault_trace.delayed) == 3
+        # Every frame lands one slot late, in a slot node 1 listens in; the
+        # trace shows it there, and the program gets its send slot back.
+        assert program.late == [(1, 1, 0, 0), (3, 1, 0, 2), (5, 1, 0, 4)]
+        assert program.heard[1] == [(1, 0), (3, 0), (5, 0)]
+        assert [record.receptions for record in sim.trace.records] == [
+            {}, {1: 0}, {}, {1: 0}, {}, {1: 0}
+        ]
+        assert sim.fault_summary()["receiver_busy_drops"] == 0
 
-    def test_permanent_partition_times_out_reliable_send(self):
-        plan = FaultPlan(partitions=(Partition(frozenset({0}),),))
-        sender, _, sim = _reliable_pair(
-            plan, payloads=1, policy=RetryPolicy(max_attempts=3, timeout_slots=2)
-        )
-        with pytest.raises(DeliveryTimeout):
-            for _ in range(100):
-                sim.step("partitioned")
-
-    def test_lenient_mode_records_timeouts(self):
-        plan = FaultPlan(partitions=(Partition(frozenset({0}),),))
-        sender, _, sim = _reliable_pair(
-            plan,
-            payloads=2,
-            policy=RetryPolicy(max_attempts=2, timeout_slots=2),
-            strict=False,
-        )
-        for _ in range(60):
-            sim.step("partitioned")
-        assert sender.outbox.timeouts == [0, 1]
-        assert sender.acked == 0
+    def test_delayed_message_to_a_transmitter_is_lost(self):
+        # Both nodes beacon in alternate slots, so every frame delayed by
+        # one slot reaches a receiver that is transmitting (half-duplex).
+        plan = FaultPlan(seed=2, latency=LatencyModel(delay_prob=1.0, mean_slots=1.0, max_slots=1))
+        program, sim = _beacon_pair(plan)
+        for _ in range(6):
+            sim.step("delayed")
+        assert program.late == [] and program.heard == [[], []]
+        assert sim.fault_summary()["receiver_busy_drops"] == 5
 
     def test_detector_scope_validated(self):
-        nodes = _pair()
-        agents = [
-            AckResponderAgent(node, np.random.default_rng(i), power=LINK_POWER)
-            for i, node in enumerate(nodes)
-        ]
+        program = BeaconProgram(_pair(), LINK_POWER)
         with pytest.raises(ConfigurationError):
             NetSimulator(
-                agents,
+                program,
                 Channel(PARAMS),
                 detector=HeartbeatDetector([99]),
             )
@@ -280,28 +258,64 @@ class TestReliableOutbox:
         assert outbox.ack(0) is False
         assert len(outbox) == 0
 
+    def test_unacked_send_times_out(self):
+        outbox = ReliableOutbox(RetryPolicy(max_attempts=3, timeout_slots=2))
+        outbox.post(0, "m", dst_id=1, slot=0)
+        resent = []
+        with pytest.raises(DeliveryTimeout, match="message 0 to node 1 unacked after 3"):
+            for slot in range(100):
+                if outbox.due(slot):
+                    resent.append(slot)
+        # Deadlines 0 + 2, then 2 + 2 * 2**1, then 6 + 2 * 2**2 = 14.
+        assert resent == [2, 6] and slot == 14
+        assert len(outbox) == 0 and outbox.retries == 2
+
+    def test_lenient_mode_records_timeouts(self):
+        outbox = ReliableOutbox(RetryPolicy(max_attempts=2, timeout_slots=2))
+        outbox.post(0, "a", dst_id=1, slot=0)
+        outbox.post(1, "b", dst_id=1, slot=0)
+        for slot in range(60):
+            outbox.due(slot, strict=False)
+        assert outbox.timeouts == [0, 1]
+        assert outbox.retries == 2
+        assert len(outbox) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_attempts": 0},
+            {"timeout_slots": 0},
+            {"backoff": 0.5},
+            {"backoff": float("nan")},
+            {"backoff": float("inf")},
+        ],
+        ids=["max_attempts=0", "timeout_slots=0", "backoff=0.5", "backoff=nan", "backoff=inf"],
+    )
+    def test_retry_policy_validation(self, bad):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**bad)
+
 
 class TestRoundDriver:
     def test_quorum_validation(self):
-        _, _, sim = _reliable_pair()
+        _, sim = _beacon_pair()
         with pytest.raises(ConfigurationError):
             RoundDriver(sim, quorum=0.0)
 
     def test_run_until_quorum_stops_early(self):
-        sender, _, sim = _reliable_pair(payloads=1)
+        program, sim = _beacon_pair()
         driver = RoundDriver(sim)
-        executed, done = driver.run_until_quorum(50, "reliable")
-        assert done and executed < 50
-        assert sender.is_done()
+        executed, done = driver.run_until_quorum(50, "beacon")
+        assert done and executed == 2
+        assert program.done().all()
 
     def test_run_until_quorum_times_out_under_partition(self):
         plan = FaultPlan(partitions=(Partition(frozenset({0}),),))
-        _, _, sim = _reliable_pair(
-            plan, payloads=1, policy=RetryPolicy(max_attempts=100, timeout_slots=2)
-        )
+        program, sim = _beacon_pair(plan)
         driver = RoundDriver(sim)
         executed, done = driver.run_until_quorum(30, "partitioned")
         assert executed == 30 and not done
+        assert not program.done().any()
 
 
 class TestNetInitParity:

@@ -1,14 +1,15 @@
 """Pins the batched netsim fault plane against its per-node oracle.
 
 ``FaultyTransport.admit``, ``heartbeat_delivered`` and ``crashed_ids`` answer
-a whole slot in one vectorized call, and ``HeartbeatDetector.observe``
-applies a whole heartbeat slot at once.  The oracles in
-``tests/oracles/netsim.py`` are the per-sender / per-node loops they
-replaced.  Over random plans - drops, heartbeat loss, latency, partitions,
-crash-stop and crash-recover windows, a transport slot offset and a detector
-watching a strict subset of the nodes - both must produce the same fault
-trace (list by list, in order), digest, detector views, send budgets,
-execution trace and telemetry counters.
+a whole slot in one vectorized call, ``HeartbeatDetector.observe`` applies a
+whole heartbeat slot at once, and ``NetSimulator`` steps ``Init`` as one
+array program.  The oracles in ``tests/oracles/netsim.py`` are the
+per-sender / per-node / per-agent loops they replaced, here stepping one
+``InitAgent`` per node.  Over random plans - drops, heartbeat loss,
+latency, partitions, crash-stop and crash-recover windows, a transport slot
+offset and a detector watching a strict subset of the nodes - both must
+produce the same fault trace (list by list, in order), digest, detector
+views, send budgets, execution trace, parents and telemetry counters.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_CONSTANTS
+from repro.core.init_tree import _InitProgram
 from repro.core.quantities import num_rounds_for_delta
 from repro.exceptions import ConfigurationError
 from repro.geometry import diameter, uniform_random
@@ -87,9 +89,16 @@ def _plans(draw) -> FaultPlan:
     )
 
 
+ROUNDS = num_rounds_for_delta(max(diameter(NODES), 1.0))
+PAIRS = DEFAULT_CONSTANTS.slot_pairs_per_round(N)
+
+
+def _program(seed: int) -> _InitProgram:
+    rngs = spawn_agent_rngs(np.random.default_rng(seed), N)
+    return _InitProgram(NODES, PARAMS, DEFAULT_CONSTANTS, rngs)
+
+
 def _agents(seed: int) -> list[InitAgent]:
-    rounds = num_rounds_for_delta(max(diameter(NODES), 1.0))
-    pairs = DEFAULT_CONSTANTS.slot_pairs_per_round(N)
     rngs = spawn_agent_rngs(np.random.default_rng(seed), N)
     return [
         InitAgent(
@@ -97,22 +106,22 @@ def _agents(seed: int) -> list[InitAgent]:
             rng=rng,
             params=PARAMS,
             constants=DEFAULT_CONSTANTS,
-            rounds_per_sweep=rounds,
-            slot_pairs_per_round=pairs,
+            rounds_per_sweep=ROUNDS,
+            slot_pairs_per_round=PAIRS,
         )
         for node, rng in zip(NODES, rngs)
     ]
 
 
-def _run(sim_cls, transport, detector, seed: int):
-    with telemetry() as registry:
-        sim = sim_cls(_agents(seed), Channel(PARAMS), transport, detector=detector)
-        views = []
-        for _ in range(SLOTS):
-            sim.step("chaos")
-            views.append(
-                (detector.suspected_ids(), detector.alive_view(), detector.active_view())
-            )
+def _run(sim, transport, detector, program=None):
+    """Step ``sim`` for ``SLOTS`` slots, opening each round of ``program``
+    where an ``InitAgent`` derives it from the slot."""
+    views = []
+    for slot in range(SLOTS):
+        if program is not None and slot % (2 * PAIRS) == 0:
+            program.begin_round(slot // (2 * PAIRS) % ROUNDS + 1)
+        sim.step("chaos")
+        views.append((detector.suspected_ids(), detector.alive_view(), detector.active_view()))
     trace = transport.trace
     return {
         "fault_lists": (
@@ -127,8 +136,6 @@ def _run(sim_cls, transport, detector, seed: int):
         "send_budget": sim.send_budget,
         "summary": sim.fault_summary(),
         "records": sim.trace.records,
-        "parents": [agent.parent_id for agent in sim.agents],
-        "counters": registry.counter_totals(),
     }
 
 
@@ -148,18 +155,25 @@ class TestBatchedFaultPlaneParity:
         self, plan, slot_offset, monitored, interval, miss_threshold, seed
     ):
         watched = [node_id for node_id, keep in zip(IDS, monitored) if keep]
-        new = _run(
-            NetSimulator,
-            FaultyTransport(plan, slot_offset=slot_offset),
-            HeartbeatDetector(watched, interval=interval, miss_threshold=miss_threshold),
-            seed,
+        program = _program(seed)
+        transport = FaultyTransport(plan, slot_offset=slot_offset)
+        detector = HeartbeatDetector(watched, interval=interval, miss_threshold=miss_threshold)
+        with telemetry() as registry:
+            sim = NetSimulator(program, Channel(PARAMS), transport, detector=detector)
+            new = _run(sim, transport, detector, program)
+        new["counters"] = registry.counter_totals()
+        new["parents"] = [IDS[p] if p >= 0 else None for p in program.state.parent_pos.tolist()]
+
+        agents = _agents(seed)
+        transport = OracleFaultyTransport(plan, slot_offset=slot_offset)
+        detector = OracleHeartbeatDetector(
+            watched, interval=interval, miss_threshold=miss_threshold
         )
-        oracle = _run(
-            OracleNetSimulator,
-            OracleFaultyTransport(plan, slot_offset=slot_offset),
-            OracleHeartbeatDetector(watched, interval=interval, miss_threshold=miss_threshold),
-            seed,
-        )
+        with telemetry() as registry:
+            sim = OracleNetSimulator(agents, Channel(PARAMS), transport, detector=detector)
+            oracle = _run(sim, transport, detector)
+        oracle["counters"] = registry.counter_totals()
+        oracle["parents"] = [agent.parent_id for agent in agents]
         assert new == oracle
 
     @settings(max_examples=40, deadline=None)
@@ -190,7 +204,7 @@ class TestBatchedFaultPlaneParity:
         assert arrived.tolist() == [oracle.node_heartbeat_delivered(i, slot) for i in IDS]
         assert new.trace.heartbeat_losses == oracle.trace.heartbeat_losses
         assert [new.is_crashed(i, slot) for i in IDS] == [
-            oracle.node_crashed(i, slot) for i in IDS
+            oracle.is_crashed(i, slot) for i in IDS
         ]
 
 

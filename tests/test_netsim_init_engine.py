@@ -1,11 +1,11 @@
 """Parity of netsim ``Init`` (the array program) with the per-agent protocol.
 
 ``NetInitBuilder.build`` steps the same array program as the lockstep
-builder, over ``NetSimulator``'s program path: crashes reach it through its
-crash hooks and delayed frames through ``receive_late``.  The oracle in
+builder, over ``NetSimulator``: crashes reach it through its crash hooks and
+delayed frames through ``receive_late``.  The oracle in
 ``tests/oracles/init.py`` runs one ``InitAgent`` per node through the
-runtime's agent path and assembles the result from the agents.  Over random
-fault plans - drops, heartbeat loss, latency, partitions, crash-stop and
+per-agent runtime ``OracleNetSimulator`` and assembles the result from the
+agents.  Over random fault plans - drops, heartbeat loss, latency, partitions, crash-stop and
 crash-recover windows - both must agree on every result field, every fault
 trace list and digest, the detector's views after every slot, every trace
 column and every telemetry counter, completion patches included.
@@ -38,7 +38,7 @@ from repro.obs.runtime import telemetry
 from repro.sinr import SINRParameters
 from repro.state import NetworkState, TiledNetworkState, network
 
-from .oracles import build_net_init_reference
+from .oracles import OracleNetSimulator, build_net_init_reference
 
 PARAMS = SINRParameters()
 N_MAX = 24
@@ -122,28 +122,34 @@ def _result_fields(result) -> dict:
 
 
 @contextmanager
-def _watching_runtimes() -> Iterator[list[tuple[NetSimulator, list]]]:
-    """Record every ``NetSimulator`` stepped in the block and its detector
-    views after each of its slots."""
-    runs: list[tuple[NetSimulator, list]] = []
+def _watching_runtimes() -> Iterator[list[tuple[object, list]]]:
+    """Record every runtime (``NetSimulator`` or its per-agent oracle)
+    stepped in the block and its detector views after each of its slots."""
+    runs: list[tuple[object, list]] = []
     views_of: dict[int, list] = {}
-    real_step = NetSimulator.step
+    real_steps = {cls: cls.step for cls in (NetSimulator, OracleNetSimulator)}
 
-    def step(self, label=""):
-        record = real_step(self, label)
-        views = views_of.get(id(self))
-        if views is None:
-            views = views_of[id(self)] = []
-            runs.append((self, views))
-        detector = self.detector
-        views.append((detector.suspected_ids(), detector.alive_view(), detector.active_view()))
-        return record
+    def watched(real_step):
+        def step(self, label=""):
+            real_step(self, label)
+            views = views_of.get(id(self))
+            if views is None:
+                views = views_of[id(self)] = []
+                runs.append((self, views))
+            detector = self.detector
+            views.append(
+                (detector.suspected_ids(), detector.alive_view(), detector.active_view())
+            )
 
-    NetSimulator.step = step
+        return step
+
+    for cls, real_step in real_steps.items():
+        cls.step = watched(real_step)
     try:
         yield runs
     finally:
-        NetSimulator.step = real_step
+        for cls, real_step in real_steps.items():
+            cls.step = real_step
 
 
 def _observe(build: Callable[[], object]) -> dict:

@@ -156,48 +156,24 @@ class TestChannelWorkspaceParity:
             assert_same(got, expected)
 
     def test_simulator_batch_engine_unchanged(self, universe):
-        """The workspace-backed batch engine equals the legacy seed engine."""
-        from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
-        from repro.sinr import Channel, Transmission
+        """The workspace-backed array engine equals the legacy seed engine."""
+        from repro.runtime import Simulator, spawn_agent_rngs
+        from repro.sinr import Channel
 
+        from .beacon import BeaconAgent, BeaconProgram
         from .oracles import LegacySimulator
 
         params = SINRParameters()
-
-        class Beacon(NodeAgent):
-            def __init__(self, node, rng, power):
-                super().__init__(node, rng)
-                self.power = power
-                self.heard = 0
-
-            def act_batch(self, slot):
-                if slot % 5 == self.node.id % 5:
-                    return self.power, ("b", self.node.id)
-                return None
-
-            def act(self, slot):
-                action = self.act_batch(slot)
-                if action is None:
-                    return None
-                return Transmission(self.node, action[0], action[1])
-
-            def observe(self, slot, reception):
-                if reception is not None:
-                    self.heard += 1
-
         power = params.min_power_for(1.5)
-
-        def run(simulator_cls):
-            rngs = spawn_agent_rngs(np.random.default_rng(2), len(universe))
-            agents = [Beacon(node, rng, power) for node, rng in zip(universe, rngs)]
-            simulator = simulator_cls(agents, Channel(params))
-            simulator.run(60)
-            return [agent.heard for agent in agents], simulator.trace
-
-        batch_heard, batch_trace = run(Simulator)
-        legacy_heard, legacy_trace = run(LegacySimulator)
-        assert batch_heard == legacy_heard
-        assert batch_trace.successful_receptions == legacy_trace.successful_receptions
+        program = BeaconProgram(universe, power, period=5)
+        batch = Simulator(program, Channel(params))
+        batch.run(60)
+        rngs = spawn_agent_rngs(np.random.default_rng(2), len(universe))
+        agents = [BeaconAgent(node, rng, power, period=5) for node, rng in zip(universe, rngs)]
+        legacy = LegacySimulator(agents, Channel(params))
+        legacy.run(60)
+        assert program.heard == [agent.heard for agent in agents]
+        assert batch.trace.records == legacy.trace.records
 
 
 class TestStackedDecodeParity:

@@ -5,10 +5,10 @@ Pins, on randomized instances and on the documented edge cases:
 * the vectorized ``Channel._decode`` / ``decode_arrays`` against the seed
   per-listener loop (``decode_reference``), bit-for-bit;
 * ``resolve_indices`` against ``Channel.resolve``;
-* the batch simulator engine against the seed (legacy) engine, the
-  ``LegacySimulator`` oracle, including
-  delivered observations and traces;
-* the columnar trace against the record-based trace.
+* the array simulator engine stepping a beacon program against the seed
+  (legacy) engine, the ``LegacySimulator`` oracle, stepping the same
+  protocol as agents, including delivered observations and traces;
+* the columnar trace's record round trip.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Node, Point
-from repro.runtime import ColumnarTrace, ExecutionTrace, NodeAgent, Simulator, SlotRecord, spawn_agent_rngs
+from repro.runtime import ExecutionTrace, Simulator, SlotRecord, spawn_agent_rngs
 from repro.sinr import (
     CachedChannel,
     Channel,
@@ -27,6 +27,7 @@ from repro.sinr import (
     decode_arrays,
 )
 
+from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
 from .oracles import LegacySimulator, decode_reference
 
@@ -193,38 +194,25 @@ class TestResolveIndicesParity:
         assert best.size == 0
 
 
-class _CoinAgent(NodeAgent):
-    """Transmits with probability 0.3; records everything it hears."""
-
-    def __init__(self, node, rng, power):
-        super().__init__(node, rng)
-        self.power = power
-        self.heard: list[tuple[int, int, float]] = []
-
-    def act_batch(self, slot):
-        if self.rng.random() < 0.3:
-            return self.power, ("beacon", self.node.id, slot)
-        return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
-
-    def observe(self, slot, reception):
-        if reception is not None:
-            self.heard.append((slot, reception.sender.id, reception.sinr))
+def _coin_nodes(n, seed):
+    xy = np.random.default_rng(seed).uniform(0.0, 15.0, size=(n, 2))
+    return [Node(id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
 
 
-def _coin_agents(params, n, seed):
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 15.0, size=(n, 2))
-    nodes = [Node(id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+def _coin_program(params, n, seed) -> BeaconProgram:
+    """Every node beacons on its own 0.3 coin."""
+    rngs = spawn_agent_rngs(np.random.default_rng(seed + 1), n)
+    return BeaconProgram(_coin_nodes(n, seed), params.min_power_for(3.0), rngs=rngs)
+
+
+def _coin_agents(params, n, seed) -> list[BeaconAgent]:
+    """:func:`_coin_program` as one agent per node."""
     power = params.min_power_for(3.0)
     return [
-        _CoinAgent(node, agent_rng, power)
-        for node, agent_rng in zip(nodes, spawn_agent_rngs(np.random.default_rng(seed + 1), n))
+        BeaconAgent(node, agent_rng, power, coin=True)
+        for node, agent_rng in zip(
+            _coin_nodes(n, seed), spawn_agent_rngs(np.random.default_rng(seed + 1), n)
+        )
     ]
 
 
@@ -232,21 +220,21 @@ class TestEngineParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_equals_legacy(self, params, seed):
         slots = 60
-        batch_agents = _coin_agents(params, 25, seed)
+        program = _coin_program(params, 25, seed)
         legacy_agents = _coin_agents(params, 25, seed)
-        batch = Simulator(batch_agents, Channel(params))
-        legacy = LegacySimulator(legacy_agents, Channel(params), trace=ExecutionTrace())
+        batch = Simulator(program, Channel(params))
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="parity")
         legacy.run(slots, label="parity")
         assert batch.trace.records == legacy.trace.records
-        assert [a.heard for a in batch_agents] == [a.heard for a in legacy_agents]
+        assert program.heard == [a.heard for a in legacy_agents]
 
     def test_batch_with_columnar_trace_equals_legacy_records(self, params):
         slots = 40
-        batch_agents = _coin_agents(params, 18, 11)
+        program = _coin_program(params, 18, 11)
         legacy_agents = _coin_agents(params, 18, 11)
-        batch = Simulator(batch_agents, Channel(params))
-        legacy = LegacySimulator(legacy_agents, Channel(params), trace=ExecutionTrace())
+        batch = Simulator(program, Channel(params))
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="col")
         legacy.run(slots, label="col")
         assert batch.trace.records == legacy.trace.records
@@ -255,43 +243,27 @@ class TestEngineParity:
         assert batch.trace.successful_receptions == legacy.trace.successful_receptions
         assert batch.trace.busy_slots() == legacy.trace.busy_slots()
 
-    def test_batch_engine_falls_back_on_custom_channel(self, params):
-        # A Channel subclass may override resolve(); the batch engine must
-        # route through the object path, not bypass it via index arrays.
-        class MuteChannel(Channel):
-            def resolve(self, transmissions, listeners):
-                return {}
-
-        agents = _coin_agents(params, 10, 17)
-        simulator = Simulator(agents, MuteChannel(params))
-        simulator.run(30)
-        assert all(not agent.heard for agent in agents)
-        assert simulator.trace.successful_receptions == 0
-
     def test_bad_power_raises_even_when_every_agent_transmits(self, params):
-        # Matches the legacy engine, where Transmission.__post_init__ raises
+        # As in the legacy engine, where Transmission.__post_init__ raises
         # for every action even in a slot with no listeners.
-        class BadPowerAgent(_CoinAgent):
-            def act_batch(self, slot):
-                return 0.0, None
-
-        agents = _coin_agents(params, 4, 23)
-        bad = [BadPowerAgent(a.node, a.rng, a.power) for a in agents]
-        simulator = Simulator(bad, Channel(params))
+        program = BeaconProgram(_coin_nodes(4, 23), 0.0, period=1)
+        simulator = Simulator(program, Channel(params))
         with pytest.raises(ValueError, match="power must be positive"):
             simulator.step()
 
     def test_invalid_engine_and_trace_level_rejected(self, params):
-        agents = _coin_agents(params, 4, 19)
-        with pytest.raises(TypeError):  # the batch engine is the only engine
-            Simulator(agents, Channel(params), engine="legacy")
-        with pytest.raises(TypeError):  # the columnar trace is the only default
-            Simulator(agents[:2], Channel(params), trace_level="records")
+        program = _coin_program(params, 4, 19)
+        with pytest.raises(TypeError):  # the array engine is the only engine
+            Simulator(program, Channel(params), engine="legacy")
+        with pytest.raises(TypeError):  # the columnar trace is the only trace
+            Simulator(program, Channel(params), trace_level="records")
+        with pytest.raises(TypeError):  # every simulator records into its own trace
+            Simulator(program, Channel(params), trace=ExecutionTrace())
 
 
 class TestColumnarTrace:
     def test_record_roundtrip(self):
-        trace = ColumnarTrace(metadata={"phase": "t"})
+        trace = ExecutionTrace(metadata={"phase": "t"})
         trace.record(SlotRecord(slot=0, transmitters=(1, 2), receptions={3: 1}, label="a"))
         trace.record(SlotRecord(slot=1, transmitters=(), receptions={}, label="b"))
         assert trace.slots_used == 2
@@ -301,9 +273,6 @@ class TestColumnarTrace:
         assert trace.records[0] == SlotRecord(0, (1, 2), {3: 1}, "a")
         assert len(trace.slots_with_label("b")) == 1
         assert trace.summary()["phase"] == "t"
-
-    def test_is_an_execution_trace(self):
-        assert isinstance(ColumnarTrace(), ExecutionTrace)
 
 
 class TestLinkSucceedsVectorized:

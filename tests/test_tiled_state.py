@@ -51,6 +51,8 @@ from repro.state.kernels import (
     pairwise_distances,
 )
 
+from .beacon import BeaconProgram
+
 ALPHAS = (2.5, 3.0)
 SHADOW = LogNormalShadowing(sigma_db=5.0, seed=42)
 
@@ -317,17 +319,8 @@ class TestStoreSizeRule:
         assert isinstance(NodeArrayCache(nodes).state, TiledNetworkState)
         assert isinstance(CachedChannel(SINRParameters(), nodes).cache.state, TiledNetworkState)
 
-        class Silent:
-            def __init__(self, node):
-                self.node, self.node_id = node, node.id
-
-            def act_batch(self, slot):
-                return None
-
-            def observe(self, slot, reception):
-                pass
-
-        simulator = Simulator([Silent(node) for node in nodes], Channel(SINRParameters()))
+        silent = BeaconProgram(nodes, 1.0, senders=[])
+        simulator = Simulator(silent, Channel(SINRParameters()))
         assert isinstance(simulator.channel.cache.state, TiledNetworkState)
 
 
