@@ -9,7 +9,7 @@ machinery.
 
 We reproduce the comparator's *shape* with full knowledge of the instance:
 
-* build the Euclidean MST (networkx);
+* build the Euclidean MST (Prim over the pairwise distance matrix);
 * orient it towards a root (yielding an aggregation tree);
 * schedule it centrally with first-fit under (a) solved power control per slot
   group via iterative refinement, or (b) an oblivious power scheme.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
+import numpy as np
 
 from ..exceptions import ProtocolError
 from ..geometry import Node
@@ -77,26 +77,42 @@ def euclidean_mst_tree(nodes: Sequence[Node], root_id: int | None = None) -> BiT
     node_list = list(nodes)
     if not node_list:
         raise ProtocolError("cannot build an MST on zero nodes")
-    by_id = {node.id: node for node in node_list}
+    ids = [node.id for node in node_list]
     if root_id is None:
-        root_id = min(by_id)
-    if root_id not in by_id:
+        root_id = min(ids)
+    if root_id not in ids:
         raise ProtocolError(f"unknown root id {root_id}")
     if len(node_list) == 1:
         return BiTree.from_parent_map(node_list, root_id, {})
 
-    graph = nx.Graph()
-    graph.add_nodes_from(by_id)
-    for i, first in enumerate(node_list):
-        for second in node_list[i + 1 :]:
-            graph.add_edge(first.id, second.id, weight=first.distance_to(second))
-    mst = nx.minimum_spanning_tree(graph, weight="weight")
+    # Prim from the root over the Node.distance_to values: each vertex joins
+    # the grown tree through its cheapest edge, whose far end is its parent.
+    dist = np.array([[first.distance_to(second) for second in node_list] for first in node_list])
+    root = ids.index(root_id)
+    joined = np.zeros(len(node_list), dtype=bool)
+    joined[root] = True
+    cheapest = dist[root].copy()
+    via = np.full(len(node_list), root)
+    children: list[list[int]] = [[] for _ in node_list]
+    for _ in range(len(node_list) - 1):
+        index = int(np.argmin(np.where(joined, np.inf, cheapest)))
+        joined[index] = True
+        children[via[index]].append(index)
+        closer = dist[index] < cheapest
+        cheapest[closer] = dist[index][closer]
+        via[closer] = index
 
+    # Breadth-first from the root, children by ascending link length: the
+    # parent map's order, which the first-fit schedule visits, is that of a
+    # BFS over an MST built in length order (Kruskal's).
     parent: dict[int, int] = {}
-    depth: dict[int, int] = {root_id: 0}
-    for child, parent_id in nx.bfs_predecessors(mst, root_id):
-        parent[child] = parent_id
-        depth[child] = depth[parent_id] + 1
+    depth = {root_id: 0}
+    queue = [root]
+    for index in queue:
+        for child in sorted(children[index], key=lambda c: dist[index, c]):
+            parent[ids[child]] = ids[index]
+            depth[ids[child]] = depth[ids[index]] + 1
+            queue.append(child)
     # Schedule stamps: deeper nodes' links earlier (valid aggregation order).
     max_depth = max(depth.values(), default=0)
     slots = {child: max_depth - depth[child] for child in parent}
@@ -157,10 +173,9 @@ def ordered_first_fit_schedule(tree: BiTree, power: PowerAssignment, params) -> 
     """
     from ..sinr import affectance_matrix
 
-    order = sorted(
-        (child for child in tree.parent),
-        key=lambda child: -tree.depth_of(child),
-    )
+    depth = tree.depths()
+    children = tree.children_map()
+    order = sorted(tree.parent, key=lambda child: -depth[child])
     schedule = Schedule()
     slot_members: list[list[Link]] = []
     slot_nodes: list[set[int]] = []
@@ -169,7 +184,7 @@ def ordered_first_fit_schedule(tree: BiTree, power: PowerAssignment, params) -> 
     for child in order:
         link = Link(tree.nodes[child], tree.nodes[tree.parent[child]])
         earliest = 0
-        for grandchild in tree.children(child):
+        for grandchild in children.get(child, ()):
             if grandchild in child_slot:
                 earliest = max(earliest, child_slot[grandchild] + 1)
         placed = False

@@ -12,14 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from ..exceptions import ScheduleError
 from ..geometry import Node
 from ..links import Link, LinkSet
 from .schedule import Schedule
 
 __all__ = ["BiTree"]
+
+
+def _reach(adjacency: Mapping[int, Iterable[int]], start: int) -> list[int]:
+    """Ids reachable from ``start`` along ``adjacency``, in BFS order."""
+    order = [start]
+    seen = {start}
+    for node_id in order:
+        for other in adjacency.get(node_id, ()):
+            if other not in seen:
+                seen.add(other)
+                order.append(other)
+    return order
 
 
 @dataclass
@@ -118,6 +128,13 @@ class BiTree:
         """Ids of the children of ``node_id``."""
         return sorted(child for child, parent in self.parent.items() if parent == node_id)
 
+    def children_map(self) -> dict[int, list[int]]:
+        """Children of every node that has any, in parent-map order."""
+        children: dict[int, list[int]] = {}
+        for child, parent in self.parent.items():
+            children.setdefault(parent, []).append(child)
+        return children
+
     def parent_of(self, node_id: int) -> int | None:
         """Parent id of ``node_id`` (``None`` for the root)."""
         if node_id == self.root_id:
@@ -142,9 +159,25 @@ class BiTree:
             depth += 1
         return depth
 
+    def depths(self) -> dict[int, int]:
+        """Hop depth of every id the root reaches, by one BFS down the children map.
+
+        Raises:
+            ScheduleError: if some node is not connected to the root.
+        """
+        order = _reach(self.children_map(), self.root_id)
+        depth = {self.root_id: 0}
+        for node_id in order[1:]:
+            depth[node_id] = depth[self.parent[node_id]] + 1
+        unreached = self.nodes.keys() - depth.keys()
+        if unreached:
+            raise ScheduleError(f"node {min(unreached)} is not connected to the root")
+        return depth
+
     def depth(self) -> int:
         """Maximum node depth (tree height in hops)."""
-        return max((self.depth_of(node_id) for node_id in self.nodes), default=0)
+        depths = self.depths()
+        return max((depths[node_id] for node_id in self.nodes), default=0)
 
     def path_to_root(self, node_id: int) -> list[int]:
         """Node ids on the path from ``node_id`` to the root, inclusive."""
@@ -158,18 +191,7 @@ class BiTree:
 
     def subtree_nodes(self, node_id: int) -> set[int]:
         """Ids of all descendants of ``node_id``, including itself."""
-        result = {node_id}
-        frontier = [node_id]
-        children_map: dict[int, list[int]] = {}
-        for child, parent in self.parent.items():
-            children_map.setdefault(parent, []).append(child)
-        while frontier:
-            current = frontier.pop()
-            for child in children_map.get(current, ()):
-                if child not in result:
-                    result.add(child)
-                    frontier.append(child)
-        return result
+        return set(_reach(self.children_map(), node_id))
 
     def degrees(self) -> dict[int, int]:
         """Undirected tree degree of each node (children count + 1 for parent)."""
@@ -185,19 +207,20 @@ class BiTree:
 
     # -- graph views ---------------------------------------------------------
 
-    def to_digraph(self) -> nx.DiGraph:
-        """A networkx digraph containing both directions of every tree edge."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes.keys())
-        for link in self.all_links():
-            graph.add_edge(link.sender.id, link.receiver.id, length=link.length)
-        return graph
-
     def is_strongly_connected(self) -> bool:
-        """Whether the bidirectional link set strongly connects all nodes."""
+        """Whether the bidirectional link set strongly connects all nodes.
+
+        Over the nodes plus every scheduled link's endpoints; each link stands
+        for both directions, so one undirected BFS decides it.
+        """
         if len(self.nodes) <= 1:
             return True
-        return nx.is_strongly_connected(self.to_digraph())
+        neighbours: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
+        for link in self.aggregation_schedule:
+            sender, receiver = link.endpoint_ids
+            neighbours.setdefault(sender, []).append(receiver)
+            neighbours.setdefault(receiver, []).append(sender)
+        return len(_reach(neighbours, next(iter(neighbours)))) == len(neighbours)
 
     # -- validation -----------------------------------------------------------
 
@@ -206,7 +229,8 @@ class BiTree:
 
         Raises:
             ScheduleError: if the parent map is not a spanning in-tree rooted
-                at ``root_id`` or the schedule does not cover the tree links.
+                at ``root_id`` or the schedule's links are not exactly the
+                tree links.
         """
         if self.root_id not in self.nodes:
             raise ScheduleError("root id missing from node map")
@@ -219,33 +243,36 @@ class BiTree:
             raise ScheduleError(
                 f"parent map mismatch: missing={sorted(missing)[:5]} extra={sorted(extra)[:5]}"
             )
-        for node_id in self.nodes:
-            self.depth_of(node_id)  # raises on cycles / disconnection
-        self.aggregation_schedule.validate_covers(
-            Link(self.nodes[c], self.nodes[p]) for c, p in self.parent.items()
-        )
+        self.depths()  # raises on cycles / disconnection
+        tree_links = [Link(self.nodes[c], self.nodes[p]) for c, p in self.parent.items()]
+        self.aggregation_schedule.validate_covers(tree_links)
+        extra = len(self.aggregation_schedule) - len(tree_links)
+        if extra:
+            raise ScheduleError(f"{extra} scheduled links are not tree links")
 
     def validate_aggregation_order(self) -> None:
         """Check the aggregation-tree scheduling order.
 
         Every link (x, y) must be scheduled strictly after every link whose
-        sender is a proper descendant of x.
+        sender is a proper descendant of x.  Strict ``<`` is transitive, so
+        comparing each link with its direct children's links suffices.
 
         Raises:
-            ScheduleError: when the order is violated.
+            ScheduleError: when the order is violated, a tree link is not
+                scheduled, or the parent map names an id outside ``nodes``.
         """
+        slot: dict[int, int] = {}
         for child_id, parent_id in self.parent.items():
+            if child_id not in self.nodes or parent_id not in self.nodes:
+                raise ScheduleError(f"parent map references unknown node ({child_id}->{parent_id})")
             link = Link(self.nodes[child_id], self.nodes[parent_id])
-            own_slot = self.aggregation_schedule.slot_of(link)
-            for descendant in self.subtree_nodes(child_id) - {child_id}:
-                descendant_parent = self.parent[descendant]
-                descendant_link = Link(self.nodes[descendant], self.nodes[descendant_parent])
-                descendant_slot = self.aggregation_schedule.slot_of(descendant_link)
-                if descendant_slot >= own_slot:
-                    raise ScheduleError(
-                        f"aggregation order violated: link {descendant_link.endpoint_ids} "
-                        f"(slot {descendant_slot}) must precede {link.endpoint_ids} (slot {own_slot})"
-                    )
+            slot[child_id] = self.aggregation_schedule.slot_of(link)
+        for child_id, parent_id in self.parent.items():
+            if parent_id in slot and slot[child_id] >= slot[parent_id]:
+                raise ScheduleError(
+                    f"aggregation order violated: link {child_id}->{parent_id} (slot "
+                    f"{slot[child_id]}) must precede its parent's (slot {slot[parent_id]})"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

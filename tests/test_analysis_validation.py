@@ -15,6 +15,7 @@ from repro.analysis import (
 from repro.core import InitialTreeBuilder, Schedule, BiTree
 from repro.exceptions import ScheduleError
 from repro.geometry import uniform_random
+from repro.links import Link
 from repro.sinr import SINRParameters, UniformPower
 
 from .conftest import make_node
@@ -55,6 +56,20 @@ class TestValidateBitree:
         power = UniformPower.for_max_length(params, 5.0)
         report = validate_bitree(tree, nodes, power, params)
         assert not report.aggregation_order
+
+    def test_dangling_parent_reported(self, params):
+        nodes = [make_node(i, 2.0 * i, 0.0) for i in range(4)]
+        tree = BiTree(
+            nodes={node.id: node for node in nodes},
+            root_id=3,
+            parent={0: 1, 1: 2, 2: 99},
+            aggregation_schedule=Schedule({Link(nodes[0], nodes[1]): 0, Link(nodes[1], nodes[2]): 1}),
+        )
+        power = UniformPower.for_max_length(params, 2.0)
+        report = validate_bitree(tree, nodes, power, params, check_latency=False)
+        assert not report.spanning
+        assert not report.aggregation_order
+        assert any(issue.startswith("ordering:") for issue in report.issues)
 
     def test_raise_wrapper(self, valid_solution):
         params, nodes, outcome = valid_solution
