@@ -45,9 +45,10 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError, ProtocolError
-from ..geometry import Node, diameter
+from ..geometry import Node
 from ..runtime import ExecutionTrace, LockstepProgram, Simulator, spawn_agent_rngs
-from ..sinr import Channel, ExplicitPower, SINRParameters, UniformPower
+from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
+from ..state import NetworkState
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
@@ -159,7 +160,7 @@ class _CoinStreams:
         """One coin for each node position in ``pos`` (distinct positions)."""
         at = self._cursor[pos]
         spent = at == _COIN_BLOCK
-        if spent.any():
+        if np.count_nonzero(spent):
             for i in pos[spent].tolist():
                 self._block[i] = self._rngs[i].random(_COIN_BLOCK)
             at[spent] = 0
@@ -233,7 +234,7 @@ class _InitProgram(LockstepProgram):
             # Broadcast slot: every active node that is up flips its
             # broadcast coin.
             up = state.active if self._down is None else state.active & ~self._down
-            active = np.flatnonzero(up)
+            active = up.nonzero()[0]
             broadcasters = active[self.coins.draw(active) < self.p_broadcast]
             self._broadcasters = broadcasters
             self._stale_hello = False
@@ -243,6 +244,9 @@ class _InitProgram(LockstepProgram):
         # round's length class flips its ack coin.  The class test stays on
         # math.hypot (as Node.distance_to) so its boundaries are bit-exact.
         rx, src = self._heard
+        if not rx.size:
+            self._acks = (_NO_POSITIONS, _NO_POSITIONS)
+            return _NO_POSITIONS, self._powers[:0]
         heard = state.active[rx]
         ackers, targets = rx[heard], src[heard]
         if ackers.size:
@@ -407,14 +411,29 @@ class InitialTreeBuilder:
         self.constants = constants
         self.max_sweeps = max_sweeps
 
-    def build(self, nodes: Sequence[Node], rng: np.random.Generator) -> InitialTreeResult:
+    def build(
+        self,
+        nodes: Sequence[Node],
+        rng: np.random.Generator,
+        *,
+        state: NetworkState | None = None,
+    ) -> InitialTreeResult:
         """Run ``Init`` on ``nodes`` and return the resulting bi-tree.
+
+        Args:
+            nodes: the nodes to connect.
+            rng: source of every node's coin stream.
+            state: the geometry store to decode from; it must hold exactly
+                ``nodes``, in order (e.g. a :meth:`NetworkState.subset` of a
+                larger run's store).  By default one is built over ``nodes``
+                with :meth:`NetworkState.for_nodes`.
 
         Raises:
             ProtocolError: if more than one active node remains after
                 ``max_sweeps`` sweeps (practically unreachable with defaults),
                 or if two nodes share an id.
-            ConfigurationError: if a node has a non-finite coordinate.
+            ConfigurationError: if a node has a non-finite coordinate, or
+                ``state`` does not hold exactly ``nodes``.
         """
         node_list = list(nodes)
         if not node_list:
@@ -435,13 +454,17 @@ class InitialTreeBuilder:
                 stored_degrees={only.id: 0},
             )
 
-        delta = diameter(node_list)
+        if state is None:
+            state = NetworkState.for_nodes(node_list)
+        elif list(state) != node_list:
+            raise ConfigurationError("the geometry store must hold exactly the Init nodes, in order")
+        delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
         program = _InitProgram(
             node_list, self.params, self.constants, spawn_agent_rngs(rng, len(node_list))
         )
-        simulator = Simulator(program, Channel(self.params))
+        simulator = Simulator(program, CachedChannel(self.params, state=state))
         step = simulator.step
 
         rounds_used = 0

@@ -23,12 +23,13 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import InfeasiblePowerError, ProtocolError
-from ..geometry import Node, diameter
+from ..geometry import Node
 from ..links import Link, LinkSet
 from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower, is_feasible
+from ..state import NetworkState
 from .bitree import BiTree
 from .distr_cap import DistrCapSelector
-from .init_tree import InitialTreeBuilder
+from .init_tree import InitialTreeBuilder, validate_init_nodes
 from .mean_power_selection import MeanPowerSelector
 from .power_solver import solve_power
 from .tree_subset import degree_bounded_subset
@@ -136,13 +137,20 @@ class TreeViaCapacity:
     def build(self, nodes: Sequence[Node], rng: np.random.Generator) -> TreeViaCapacityResult:
         """Run the full framework on ``nodes``.
 
+        Every iteration's ``Init`` decodes from one geometry store: the
+        deployment's, then at each iteration a :meth:`NetworkState.subset`
+        of the previous one over the shrinking population.
+
         Raises:
             ProtocolError: if the population does not shrink to one node
-                within the iteration cap.
+                within the iteration cap, or if two nodes share an id.
+            ConfigurationError: if a node has a non-finite coordinate, or
+                two nodes share a position.
         """
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
+        validate_init_nodes(node_list)
         all_nodes = {node.id: node for node in node_list}
         if len(node_list) == 1:
             tree = BiTree.from_parent_map(node_list, node_list[0].id, {})
@@ -150,7 +158,8 @@ class TreeViaCapacity:
                 tree=tree, power=ExplicitPower({}), power_mode=self.power_mode
             )
 
-        delta = diameter(node_list)
+        state = NetworkState.for_nodes(node_list)
+        delta = state.max_distance()
         cap = self.max_iterations
         if cap is None:
             cap = 40 * int(math.ceil(math.log2(max(len(node_list), 2)))) + 40
@@ -175,7 +184,7 @@ class TreeViaCapacity:
                     f"TreeViaCapacity did not converge within {cap} iterations "
                     f"({len(population)} nodes still active)"
                 )
-            init_result = builder.build(population, rng)
+            init_result = builder.build(population, rng, state=state)
             tree_links = init_result.tree.aggregation_links()
             subset = degree_bounded_subset(tree_links, self.constants.degree_cap_rho)
             candidates = subset.subset if len(subset.subset) > 0 else tree_links
@@ -196,6 +205,9 @@ class TreeViaCapacity:
 
             retired = {link.sender.id for link in selected}
             population = [node for node in population if node.id not in retired]
+            # P_{i+1} is a subset of P_i: gather its store from this one and
+            # let this one go, so at most two are alive at a time.
+            state = state.subset(population)
             construction_slots += init_result.slots_used + selection_slots
             iterations.append(
                 IterationRecord(

@@ -48,10 +48,11 @@ from ..core.init_tree import (
 from ..core.quantities import num_rounds_for_delta
 from ..core.repair import TreeRepairer
 from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
-from ..geometry import Node, diameter
+from ..geometry import Node
 from ..obs.spans import span
 from ..runtime import ExecutionTrace, spawn_agent_rngs
-from ..sinr import Channel, ExplicitPower, SINRParameters, UniformPower
+from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
+from ..state import NetworkState
 from .detector import HeartbeatDetector
 from .driver import RoundDriver
 from .faults import FaultPlan
@@ -180,7 +181,8 @@ class NetInitBuilder:
             return NetInitResult(**vars(only), send_budget={node_list[0].id: 0})
         validate_init_nodes(node_list)
 
-        delta = diameter(node_list)
+        state = NetworkState.for_nodes(node_list)
+        delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
 
@@ -192,11 +194,9 @@ class NetInitBuilder:
             interval=1,
             miss_threshold=self.miss_threshold,
         )
-        # The plain Channel is upgraded to a CachedChannel over a store
-        # chosen by size by the inherited Simulator init path.
         sim = NetSimulator(
             program,
-            Channel(self.params),
+            CachedChannel(self.params, state=state),
             self._make_transport(),
             detector=detector,
         )

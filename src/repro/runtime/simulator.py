@@ -21,13 +21,13 @@ parity oracle.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from ..exceptions import ProtocolError
 from ..obs.runtime import OBS
 from ..obs.spans import span
 from ..sinr import CachedChannel, Channel
 from ..sinr.channel import ensure_positive_powers
-from ..state import DecodeWorkspace
 from .agent import LockstepProgram
 from .trace import ExecutionTrace
 
@@ -37,12 +37,22 @@ __all__ = ["Simulator", "spawn_agent_rngs"]
 _NO_IDS = np.zeros(0, dtype=np.intp)
 
 
-def spawn_agent_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent child generators from a parent generator."""
+def spawn_agent_rngs(rng: Generator, count: int) -> list[Generator]:
+    """Create ``count`` independent child generators from a parent generator.
+
+    Child ``i`` is ``default_rng(seed_i)`` for a 63-bit seed drawn from
+    ``rng``, built directly from the seed's little-endian uint32 words (one
+    word below ``2**32``, two above) - the entropy ``SeedSequence`` would
+    derive from the integer, so the streams are the same.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
     seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
+    words = np.empty((count, 2), dtype=np.uint32)
+    words[:, 0] = seeds & 0xFFFFFFFF
+    words[:, 1] = seeds >> 32
+    widths = np.where(words[:, 1] > 0, 2, 1).tolist()
+    return [Generator(PCG64(SeedSequence(row[:width]))) for row, width in zip(words, widths)]
 
 
 class Simulator:
@@ -96,11 +106,6 @@ class Simulator:
         self._full_universe = len(channel.cache) == len(ids) and bool(
             np.array_equal(self._cache_idx, np.arange(len(ids)))
         )
-        # Scratch arena for the decode: every slot's gathered blocks,
-        # received-power matrix and per-listener vectors live in these
-        # reused buffers (results are consumed within the slot, so the
-        # view-until-next-decode contract holds by construction).
-        self._workspace = DecodeWorkspace()
 
     @property
     def current_slot(self) -> int:
@@ -118,6 +123,11 @@ class Simulator:
         slot = self._slot
         program = self.program
         tx, powers = program.transmit(slot)
+        if not tx.size:
+            # Nobody transmits (about half of Init's slots): nothing to decode.
+            program.receive(slot, _NO_IDS, _NO_IDS)
+            self._record(slot, _NO_IDS, _NO_IDS, _NO_IDS, label)
+            return
         rx, src = self._decode_program(slot, tx, powers)
         program.receive(slot, rx, src)
         ids = self._ids
@@ -137,26 +147,24 @@ class Simulator:
         ensure_positive_powers(powers)
         if tx.size == len(self._nodes):
             return _NO_IDS, _NO_IDS
+        if self._full_universe:
+            # ``ok`` is a fresh array: mask it in place.  Half-duplex:
+            # transmitter columns never decode, nor do down nodes.
+            best, _, ok = self.channel.resolve_indices_full(tx, powers, slot=slot)
+            ok[tx] = False
+            if down is not None:
+                ok[down] = False
+            rx = ok.nonzero()[0]
+            return rx, tx[best[rx]]
         listening = self._listening
         if down is None:
             listening[:] = True
         else:
             np.logical_not(down, out=listening)
         listening[tx] = False
-        if self._full_universe:
-            best, _, ok = self.channel.resolve_indices_full(
-                tx, powers, slot=slot, workspace=self._workspace
-            )
-            # Half-duplex: transmitter columns never decode.
-            rx = np.flatnonzero(ok & listening)
-            return rx, tx[best[rx]]
         rx = np.flatnonzero(listening)
         best, _, ok = self.channel.resolve_indices(
-            self._cache_idx[tx],
-            self._cache_idx[rx],
-            powers,
-            slot=slot,
-            workspace=self._workspace,
+            self._cache_idx[tx], self._cache_idx[rx], powers, slot=slot
         )
         decoded = np.flatnonzero(ok)
         return rx[decoded], tx[best[decoded]]

@@ -85,10 +85,13 @@ class ExecutionTrace:
         point); ``listener_ids[k]`` decoded ``sender_ids[k]``."""
         self._slots.append(slot)
         self._labels.append(label)
-        _extend(self._tx_flat, transmitter_ids)
+        # Each column grows by one slot's ids in a single call.
+        if len(transmitter_ids):
+            self._tx_flat.frombytes(np.asarray(transmitter_ids, dtype=np.int64).tobytes())
         self._tx_offsets.append(len(self._tx_flat))
-        _extend(self._rx_listeners, listener_ids)
-        _extend(self._rx_senders, sender_ids)
+        if len(listener_ids):
+            self._rx_listeners.frombytes(np.asarray(listener_ids, dtype=np.int64).tobytes())
+            self._rx_senders.frombytes(np.asarray(sender_ids, dtype=np.int64).tobytes())
         self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
 
@@ -158,9 +161,3 @@ class ExecutionTrace:
             "successful_receptions": self.successful_receptions,
             **self.metadata,
         }
-
-
-def _extend(column: array, ids: Ids) -> None:
-    """Extend an ``array("q")`` column by one slot's ids in a single call."""
-    if len(ids):
-        column.frombytes(np.asarray(ids, dtype=np.int64).tobytes())

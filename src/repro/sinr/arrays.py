@@ -828,19 +828,23 @@ class NodeArrayCache:
     ) -> np.ndarray:
         """Rectangle gather from a capacity-sized state matrix.
 
-        With a workspace, the whole-view contiguous case (the static hot
-        path) is a single row-take into the arena - the leading ``n``
-        columns of the gathered rows *are* the block - and general
-        rectangles are two-stage takes; without one, the classic ``np.ix_``
-        gather allocates.  All paths copy the same cells bit-for-bit.
+        The whole-view contiguous case (the static hot path) is a single
+        row-take - dense index ``k`` is slot ``k``, and the leading ``n``
+        columns of the gathered rows *are* the block - into the arena when
+        one is given.  General rectangles are two-stage takes into the
+        arena, or one allocating ``np.ix_`` gather without it.  All paths
+        copy the same cells bit-for-bit.
         """
+        if cols is None and self._contiguous:
+            n = self._slots.size
+            if workspace is None:
+                return base.take(rows, axis=0)[:, :n]
+            stage = workspace.floats(key + ".rows", len(rows), base.shape[1])
+            np.take(base, rows, axis=0, out=stage)
+            return stage[:, :n]
         r, c = self._slot_rows_cols(rows, cols)
         if workspace is None:
             return base[np.ix_(r, c)]
-        if cols is None and self._contiguous:
-            stage = workspace.floats(key + ".rows", r.size, base.shape[1])
-            np.take(base, r, axis=0, out=stage)
-            return stage[:, : self._slots.size]
         return _take_block(base, r, c, workspace, key)
 
     def _sparse_state(self) -> "TiledNetworkState":

@@ -35,6 +35,7 @@ Two further gears sit on top of the vectorized pass (PR 5):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -63,11 +64,15 @@ def ensure_positive_powers(powers: np.ndarray) -> None:
 
     The index-array engines never build :class:`Transmission` objects, so
     they validate their power vectors through this single helper instead of
-    each re-implementing ``__post_init__``'s rule.
+    each re-implementing ``__post_init__``'s rule: every power must be
+    positive and finite.  ``minimum.reduce`` propagates a NaN, which fails
+    the ``> 0`` test, and ``maximum.reduce`` sees an infinity.
     """
-    if np.any(powers <= 0):
-        bad = powers[powers <= 0][0]
-        raise ValueError(f"transmission power must be positive, got {bad}")
+    if powers.size and not (
+        np.minimum.reduce(powers) > 0 and np.maximum.reduce(powers) < math.inf
+    ):
+        bad = powers[~((powers > 0) & (powers < math.inf))][0]
+        raise ValueError(f"transmission power must be positive and finite, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,10 @@ class Transmission:
     message: Any = None
 
     def __post_init__(self) -> None:
-        if self.power <= 0:
-            raise ValueError(f"transmission power must be positive, got {self.power}")
+        if not 0 < self.power < math.inf:
+            raise ValueError(
+                f"transmission power must be positive and finite, got {self.power}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,25 +142,24 @@ def decode_arrays(
         seed per-listener loop (the ``decode_reference`` test oracle);
         parity tests pin this bit-for-bit.
     """
-    if workspace is None:
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if workspace is None:
             received = powers[:, None] / np.maximum(dist, 1e-300) ** params.alpha
-        received = np.where(dist <= 0, np.inf, received)
-        if fade is not None:
-            received = received * fade
-        return _decode_received(received, params)
+            received = np.where(dist <= 0, np.inf, received)
+            if fade is not None:
+                received = received * fade
+            return _decode_received(received, params)
 
-    received = workspace.floats("decode.received", *dist.shape)
-    np.maximum(dist, 1e-300, out=received)
-    np.power(received, params.alpha, out=received)
-    with np.errstate(divide="ignore"):
+        received = workspace.floats("decode.received", *dist.shape)
+        np.maximum(dist, 1e-300, out=received)
+        np.power(received, params.alpha, out=received)
         np.divide(powers[:, None], received, out=received)
-    colocated = workspace.bools("decode.colocated", *dist.shape)
-    np.less_equal(dist, 0, out=colocated)
-    np.copyto(received, np.inf, where=colocated)
-    if fade is not None:
-        np.multiply(received, fade, out=received)
-    return _decode_received(received, params, workspace)
+        colocated = workspace.bools("decode.colocated", *dist.shape)
+        np.less_equal(dist, 0, out=colocated)
+        np.copyto(received, np.inf, where=colocated)
+        if fade is not None:
+            np.multiply(received, fade, out=received)
+        return _decode_received(received, params, workspace)
 
 
 @hot_kernel()
@@ -162,25 +168,29 @@ def _decode_received(
     params: SINRParameters,
     workspace: DecodeWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode from the received-signal matrix (see :func:`decode_arrays`)."""
+    """Decode from the received-signal matrix (see :func:`decode_arrays`).
+
+    Callers run it under ``np.errstate(divide="ignore", invalid="ignore")``,
+    once for the whole decode chain.
+    """
+    # The strongest signal is taken with maximum.reduce: the value at the
+    # argmax row, bit-identical to a fancy-index gather (a NaN column has
+    # its NaN at both).
     if workspace is None:
-        total = received.sum(axis=0) + params.noise
+        total = np.add.reduce(received, axis=0)
+        total += params.noise
         best = received.argmax(axis=0)
-        best_signal = received[best, np.arange(received.shape[1])]
+        best_signal = np.maximum.reduce(received, axis=0)
         # A colocated transmitter (dist <= 0) makes the received entry
         # infinite; the seed loop then evaluates inf - inf = nan and decodes
         # nothing, so the nan must propagate here rather than be replaced.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interference = total - best_signal
-            ratio = best_signal / interference
-        sinr = np.where(interference <= 0, np.inf, ratio)
-        ok = sinr >= params.beta
-        return best, sinr, ok
+        interference = total - best_signal
+        sinr = best_signal / interference
+        sinr[interference <= 0] = np.inf
+        return best, sinr, sinr >= params.beta
 
     # Zero-allocation variant: same elementwise operations, destinations
-    # reused from the arena.  The strongest signal is gathered with
-    # maximum.reduce - the value at the argmax row, bit-identical to the
-    # allocating path's fancy-index gather.
+    # reused from the arena.
     n = received.shape[1]
     total = workspace.floats("decode.total", n)
     np.add.reduce(received, axis=0, out=total)
@@ -191,9 +201,8 @@ def _decode_received(
     np.maximum.reduce(received, axis=0, out=best_signal)
     interference = workspace.floats("decode.interference", n)
     sinr = workspace.floats("decode.sinr", n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.subtract(total, best_signal, out=interference)
-        np.divide(best_signal, interference, out=sinr)
+    np.subtract(total, best_signal, out=interference)
+    np.divide(best_signal, interference, out=sinr)
     no_interference = workspace.bools("decode.mask", n)
     np.less_equal(interference, 0, out=no_interference)
     np.copyto(sinr, np.inf, where=no_interference)
@@ -457,20 +466,7 @@ class Channel:
                 np.zeros(rx.size, dtype=float),
                 np.zeros(rx.size, dtype=bool),
             )
-        # The state stores max(d, 1e-300)**alpha with colocated pairs zeroed,
-        # so the gather-and-divide below reproduces the uncached
-        # `np.where(dist <= 0, inf, powers / max(dist, 1e-300)**alpha)`
-        # bit-for-bit without a float power per slot.
-        attenuation = cache.attenuation_block(
-            self.params.alpha, tx, rx, workspace=workspace
-        )
-        received = self._received_from_attenuation(
-            attenuation, powers, workspace, tx.size, rx.size
-        )
-        fade = self._index_fade(cache, tx, rx, slot, workspace)
-        if fade is not None:
-            received = self._apply_fade(received, fade, workspace)
-        return _decode_received(received, self.params, workspace)
+        return self._decode_block(cache, tx, rx, powers, slot, workspace)
 
     def resolve_indices_full(
         self,
@@ -498,14 +494,33 @@ class Channel:
                 np.zeros(len(cache), dtype=float),
                 np.zeros(len(cache), dtype=bool),
             )
-        attenuation = cache.attenuation_block(self.params.alpha, tx, workspace=workspace)
-        received = self._received_from_attenuation(
-            attenuation, powers, workspace, tx.size, len(cache)
-        )
-        fade = self._index_fade(cache, tx, None, slot, workspace)
-        if fade is not None:
-            received = self._apply_fade(received, fade, workspace)
-        return _decode_received(received, self.params, workspace)
+        return self._decode_block(cache, tx, None, powers, slot, workspace)
+
+    def _decode_block(
+        self,
+        cache: NodeArrayCache,
+        tx: np.ndarray,
+        rx: np.ndarray | None,
+        powers: np.ndarray,
+        slot: int | None,
+        workspace: DecodeWorkspace | None,
+    ) -> DecodeTriple:
+        """Decode ``tx`` at ``powers`` on the ``rx`` columns (``None`` = all).
+
+        The state stores ``max(d, 1e-300)**alpha`` with colocated pairs
+        zeroed, so the gather-and-divide reproduces the uncached
+        ``np.where(dist <= 0, inf, powers / max(dist, 1e-300)**alpha)``
+        bit-for-bit without a float power per slot.
+        """
+        attenuation = cache.attenuation_block(self.params.alpha, tx, rx, workspace=workspace)
+        fade = self._index_fade(cache, tx, rx, slot, workspace)
+        # One error state for the chain: a power over a zero attenuation is
+        # the colocated pair's inf, and inf - inf the NaN that decodes nothing.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            received = self._received_from_attenuation(attenuation, powers, workspace)
+            if fade is not None:
+                received = self._apply_fade(received, fade, workspace)
+            return _decode_received(received, self.params, workspace)
 
     @staticmethod
     @hot_kernel()
@@ -513,17 +528,16 @@ class Channel:
         attenuation: np.ndarray,
         powers: np.ndarray,
         workspace: DecodeWorkspace | None,
-        ntx: int,
-        nrx: int,
     ) -> np.ndarray:
-        """``powers[:, None] / attenuation``, into the arena when one is given."""
+        """``powers[:, None] / attenuation``, into the arena when one is given.
+
+        Callers ignore the divide-by-zero of a colocated pair.
+        """
         power_col = np.asarray(powers, dtype=float)[:, None]
         if workspace is None:
-            with np.errstate(divide="ignore"):
-                return power_col / attenuation
-        received = workspace.floats("decode.received", ntx, nrx)
-        with np.errstate(divide="ignore"):
-            np.divide(power_col, attenuation, out=received)
+            return power_col / attenuation
+        received = workspace.floats("decode.received", *attenuation.shape)
+        np.divide(power_col, attenuation, out=received)
         return received
 
     @staticmethod

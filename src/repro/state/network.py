@@ -142,6 +142,55 @@ class NetworkState:
         """:meth:`for_nodes` over the unique endpoints of a link collection."""
         return NetworkState.for_nodes(_link_endpoints(links))
 
+    def subset(self, nodes: Iterable[Node]) -> "NetworkState":
+        """The store for ``nodes``, a subset of this store's live nodes.
+
+        The result is a fresh store over ``nodes`` in the given order, chosen
+        by :meth:`for_nodes`.  When both stores are dense, every matrix this
+        store has materialized is gathered (``np.ix_``) instead of
+        recomputed: the same floats a fresh store would derive, without the
+        pairwise work.  Callers that shrink a population step by step chain
+        these, so each step pays one gather.
+
+        Raises:
+            ValueError: if a node is not live here, sits elsewhere than this
+                store holds it, or appears twice.
+        """
+        node_list = list(nodes)
+        try:
+            slots = np.array([self._slot_by_id[node.id] for node in node_list], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"node {exc.args[0]!r} is not live in this store") from None
+        sub = NetworkState.for_nodes(node_list)
+        if not np.array_equal(sub.xy, self._xy[slots], equal_nan=True):
+            raise ValueError("the subset's nodes must sit where this store holds them")
+        if self._distances is not None and sub.materializes_matrices:
+            grid = np.ix_(slots, slots)
+            sub._distances = _freeze(self._distances[grid])
+            sub._attenuation = {
+                alpha: _freeze(att[grid]) for alpha, att in self._attenuation.items()
+            }
+            sub._fades = {
+                model: None if fade is None else _freeze(fade[grid])
+                for model, fade in self._fades.items()
+            }
+        return sub
+
+    def max_distance(self) -> float:
+        """Largest distance between two live nodes (``0.0`` for fewer than two).
+
+        The maximum of the distance matrix, which holds the same ``hypot``
+        values as :func:`~repro.geometry.diameter`; a maximum does not depend
+        on evaluation order, so the two are bitwise equal.
+        """
+        if len(self) < 2:
+            return 0.0
+        dist = self.distance_matrix()
+        if len(self) < self._capacity:
+            live = self.live_slots()
+            dist = dist[np.ix_(live, live)]
+        return float(dist.max())
+
     # -- membership ----------------------------------------------------------
 
     @property

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .._types import FloatArray, IntpArray
+from ..geometry import diameter
 from ..obs.runtime import OBS
 from .kernels import (
     attenuation_from_distances,
@@ -229,6 +230,14 @@ class TiledNetworkState(NetworkState):
         stage = workspace.floats(key, k, self._capacity)
         np.take(cache.rows, positions, axis=0, out=stage)
         return stage
+
+    def max_distance(self) -> float:
+        """Largest distance between two live nodes, in O(n) memory.
+
+        :func:`~repro.geometry.diameter` over the live nodes: the same
+        ``hypot`` values as the dense store's matrix maximum.
+        """
+        return diameter(list(self))
 
     # -- dense accessors (refused) ---------------------------------------------
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import ConnectivityProtocol, TreeViaCapacity
-from repro.exceptions import ProtocolError
-from repro.geometry import grid, uniform_random
+from repro.core import ConnectivityProtocol, TreeViaCapacity, tree_via_capacity
+from repro.exceptions import ConfigurationError, ProtocolError
+from repro.geometry import Node, Point, grid, uniform_random
 from repro.sinr import SINRParameters
 
 from .conftest import make_node
@@ -96,6 +97,39 @@ class TestTreeViaCapacityEdgeCases:
         nodes = grid(16, spacing=2.0)
         with pytest.raises(ProtocolError):
             TreeViaCapacity(params, max_iterations=1).build(nodes, rng)
+
+
+class TestTreeViaCapacityInput:
+    """Bad input is rejected at entry, as Init rejects it, before any geometry."""
+
+    @pytest.fixture
+    def no_geometry(self, monkeypatch):
+        def refuse(nodes):
+            raise AssertionError("geometry built before the input was validated")
+
+        monkeypatch.setattr(tree_via_capacity.NetworkState, "for_nodes", staticmethod(refuse))
+
+    def test_nan_single_node(self, params, rng):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            TreeViaCapacity(params).build([Node(0, Point(math.nan, 0.0))], rng)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinate_without_warning(self, params, rng, no_geometry, bad):
+        nodes = uniform_random(6, np.random.default_rng(1)) + [Node(99, Point(bad, 1.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                TreeViaCapacity(params).build(nodes, rng)
+
+    def test_coincident_nodes(self, params, rng, no_geometry):
+        nodes = [make_node(0, 0.0, 0.0), make_node(1, 4.0, 2.0), make_node(2, 4.0, 2.0)]
+        with pytest.raises(ConfigurationError, match="share the position"):
+            TreeViaCapacity(params).build(nodes, rng)
+
+    def test_duplicate_ids(self, params, rng, no_geometry):
+        nodes = [make_node(0, 0.0, 0.0), make_node(1, 4.0, 2.0), make_node(1, 8.0, 2.0)]
+        with pytest.raises(ProtocolError, match="duplicate node ids"):
+            TreeViaCapacity(params).build(nodes, rng)
 
 
 class TestConnectivityProtocolFacade:

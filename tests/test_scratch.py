@@ -13,17 +13,22 @@ import numpy as np
 import pytest
 
 from repro.dynamics import ComposedGain, DeterministicPathLoss, LogNormalShadowing, RayleighFading
-from repro.geometry import deployment_by_name
+from repro.geometry import Node, Point, deployment_by_name
 from repro.links import Link
 from repro.sinr import (
     CachedChannel,
     LinearPower,
     LinkArrayCache,
+    NodeArrayCache,
     SINRParameters,
+    Transmission,
     decode_arrays,
     decode_many,
 )
-from repro.state import DecodeWorkspace
+from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
+from repro.state.kernels import pairwise_distances
+
+from .oracles import decode_reference
 
 GAIN_MODELS = (
     None,
@@ -174,6 +179,86 @@ class TestChannelWorkspaceParity:
         legacy.run(60)
         assert program.heard == [agent.heard for agent in agents]
         assert batch.trace.records == legacy.trace.records
+
+
+def _view_channel(params, nodes, store: str, view: str) -> CachedChannel:
+    """A channel over ``nodes`` through the given store and view layout.
+
+    ``contiguous`` views put dense index ``k`` in slot ``k``; ``permuted``
+    views address a shuffled slot order in a store that also holds two
+    nodes outside the view.  ``dense+headroom`` leaves free slots, so the
+    state matrices are wider than the view.
+    """
+    extra = [Node(id=1000 + k, position=Point(50.0 + k, -3.0)) for k in range(2)]
+    universe = list(nodes) if view == "contiguous" else extra + list(nodes)[::-1]
+    if store == "tiled":
+        state = TiledNetworkState(universe)
+    elif store == "dense+headroom":
+        state = NetworkState(universe, capacity=len(universe) + 7)
+    else:
+        state = NetworkState(universe)
+    cache = NodeArrayCache(nodes, state=state)
+    assert cache._contiguous == (view == "contiguous")
+    return CachedChannel(params, cache=cache)
+
+
+def _reference_full(params, nodes, tx, powers, slot) -> dict:
+    """``decode_reference`` over every node as a listener, fades included."""
+    xy = np.array([[node.x, node.y] for node in nodes])
+    ids = np.array([node.id for node in nodes], dtype=np.int64)
+    model = params.effective_gain_model
+    fade = None
+    if model is not None:
+        fade = model.fade(ids[tx], ids, None if model.slot_invariant else slot)
+    transmissions = [Transmission(nodes[i], float(p)) for i, p in zip(tx.tolist(), powers)]
+    # The loop meets inf - inf on a colocated column, as the seed did.
+    with np.errstate(invalid="ignore"):
+        return decode_reference(
+            transmissions, nodes, pairwise_distances(xy[tx], xy), powers, params, fade
+        )
+
+
+def assert_matches_reference(result, reference: dict, nodes, tx) -> None:
+    """Decoded columns, senders and SINRs equal the per-listener loop's."""
+    best, sinr, ok = result
+    decoded = {
+        nodes[j].id: (nodes[int(tx[best[j]])].id, float(sinr[j])) for j in np.flatnonzero(ok)
+    }
+    assert decoded == {rx: (rec.sender.id, rec.sinr) for rx, rec in reference.items()}
+
+
+class TestDecodeWithoutArena:
+    """``resolve_indices_full`` with and without an arena, and the oracle.
+
+    The slot engine decodes without a workspace; both paths must stay
+    bitwise equal to each other and to ``decode_reference`` on every store
+    and view layout the contiguous one-``take`` gather distinguishes.
+    """
+
+    @pytest.mark.parametrize("model", GAIN_MODELS, ids=_model_name)
+    @pytest.mark.parametrize("view", ["contiguous", "permuted"])
+    @pytest.mark.parametrize("store", ["dense", "dense+headroom", "tiled"])
+    def test_full_decode_paths_agree(self, store, view, model):
+        params = SINRParameters(gain_model=model)
+        nodes = deployment_by_name("uniform", 30, np.random.default_rng(21))
+        # A listener sitting on node 0: its column is NaN whenever node 0
+        # transmits, and decodes nothing.
+        nodes.append(Node(id=99, position=nodes[0].position))
+        channel = _view_channel(params, nodes, store, view)
+        rng = np.random.default_rng(8)
+        ws = DecodeWorkspace()
+        for slot in range(10):
+            ntx = int(rng.integers(1, 6))
+            tx = np.sort(rng.choice(len(nodes), size=ntx, replace=False)).astype(np.intp)
+            if slot % 3 == 0 and 0 not in tx:
+                tx = np.concatenate(([0], tx[:-1])).astype(np.intp)
+            powers = rng.random(tx.size) + 0.2
+            plain = channel.resolve_indices_full(tx, powers, slot=slot)
+            arena = _copy(channel.resolve_indices_full(tx, powers, slot=slot, workspace=ws))
+            assert_same(plain, arena)
+            assert_matches_reference(plain, _reference_full(params, nodes, tx, powers, slot), nodes, tx)
+            if 0 in tx:
+                assert np.isnan(plain[1][len(nodes) - 1]) and not plain[2][len(nodes) - 1]
 
 
 class TestStackedDecodeParity:

@@ -26,6 +26,8 @@ from repro.sinr import (
     Transmission,
     decode_arrays,
 )
+from repro.sinr.channel import ensure_positive_powers
+from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 
 from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
@@ -185,6 +187,30 @@ class TestResolveIndicesParity:
         assert bool(ok[0]) == (1 in expected)
         assert bool(ok[1]) == (2 in expected)
 
+    @pytest.mark.parametrize("store", [NetworkState, TiledNetworkState])
+    def test_colocated_columns_decode_nothing(self, params, store):
+        # Listener 1 sits on transmitter 0: its received entry is infinite,
+        # inf - inf is NaN, and it decodes nothing on every path.
+        nodes = [make_node(0, 0.0, 0.0), make_node(1, 0.0, 0.0), make_node(2, 1.0, 0.0)]
+        nodes += [make_node(3, 9.0, 4.0), make_node(4, 2.0, 6.0)]
+        channel = CachedChannel(params, state=store(nodes))
+        tx, powers = np.array([0, 3]), np.array([2.0, 0.5])
+        for decoded in _index_decodes(channel, tx, powers):
+            best, sinr, ok = decoded
+            assert np.isnan(sinr[1]) and not ok[1]
+        _assert_decodes_agree(channel, nodes, tx, powers)
+
+    @pytest.mark.parametrize("store", [NetworkState, TiledNetworkState])
+    def test_single_transmitter_without_noise_is_infinite(self, store):
+        params = SINRParameters(noise=0.0)
+        nodes = [make_node(i, 3.0 * i, 1.0) for i in range(5)]
+        channel = CachedChannel(params, state=store(nodes))
+        tx, powers = np.array([2]), np.array([1e-6])
+        for best, sinr, ok in _index_decodes(channel, tx, powers):
+            listeners = np.array([0, 1, 3, 4])
+            assert np.all(sinr[listeners] == np.inf) and ok[listeners].all()
+        _assert_decodes_agree(channel, nodes, tx, powers)
+
     def test_empty_inputs(self, params):
         nodes = [make_node(0, 0.0, 0.0), make_node(1, 1.0, 0.0)]
         channel = CachedChannel(params, nodes)
@@ -192,6 +218,35 @@ class TestResolveIndicesParity:
         assert best.size == 2 and not ok.any()
         best, sinr, ok = channel.resolve_indices(np.array([0]), np.array([]), np.array([1.0]))
         assert best.size == 0
+
+
+def _index_decodes(channel, tx, powers):
+    """The whole-universe decode without and with an arena (copied)."""
+    plain = channel.resolve_indices_full(tx, powers)
+    arena = channel.resolve_indices_full(tx, powers, workspace=DecodeWorkspace())
+    return plain, tuple(np.array(part, copy=True) for part in arena)
+
+
+def _assert_decodes_agree(channel, nodes, tx, powers):
+    """Full and listener-subset decodes, with and without an arena, and the
+    per-listener oracle, agree bit for bit."""
+    plain, arena = _index_decodes(channel, tx, powers)
+    for left, right in zip(plain, arena):
+        assert np.array_equal(left, right, equal_nan=True)
+    rx = np.setdiff1d(np.arange(len(nodes)), tx)
+    subset = channel.resolve_indices(tx, rx, powers)
+    subset_arena = channel.resolve_indices(tx, rx, powers, workspace=DecodeWorkspace())
+    for full, left, right in zip(plain, subset, subset_arena):
+        assert np.array_equal(full[rx], left, equal_nan=True)
+        assert np.array_equal(left, right, equal_nan=True)
+    transmissions = [Transmission(nodes[i], float(p)) for i, p in zip(tx.tolist(), powers)]
+    dist = np.array([[nodes[i].distance_to(node) for node in nodes] for i in tx])
+    with np.errstate(invalid="ignore"):  # the loop meets inf - inf as the seed did
+        reference = decode_reference(transmissions, nodes, dist, powers, channel.params)
+    best, sinr, ok = plain
+    assert {
+        nodes[j].id: (nodes[int(tx[best[j]])].id, float(sinr[j])) for j in np.flatnonzero(ok)
+    } == {listener: (rec.sender.id, rec.sinr) for listener, rec in reference.items()}
 
 
 def _coin_nodes(n, seed):
@@ -251,6 +306,15 @@ class TestEngineParity:
         with pytest.raises(ValueError, match="power must be positive"):
             simulator.step()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_power_raises(self, params, bad):
+        # nan <= 0 is False, so a plain sign test would let NaN through and
+        # decode nothing; inf would swamp every listener.
+        program = BeaconProgram(_coin_nodes(4, 23), bad, period=2)
+        simulator = Simulator(program, Channel(params))
+        with pytest.raises(ValueError, match="power must be positive"):
+            simulator.step()
+
     def test_invalid_engine_and_trace_level_rejected(self, params):
         program = _coin_program(params, 4, 19)
         with pytest.raises(TypeError):  # the array engine is the only engine
@@ -259,6 +323,20 @@ class TestEngineParity:
             Simulator(program, Channel(params), trace_level="records")
         with pytest.raises(TypeError):  # every simulator records into its own trace
             Simulator(program, Channel(params), trace=ExecutionTrace())
+
+
+class TestPowerValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_batch_check_rejects(self, bad):
+        with pytest.raises(ValueError, match="power must be positive"):
+            ensure_positive_powers(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="power must be positive"):
+            Transmission(make_node(0, 0.0, 0.0), bad)
+
+    def test_batch_check_accepts(self):
+        ensure_positive_powers(np.array([1e-300, 1.0, 1e300]))
+        ensure_positive_powers(np.zeros(0))
+        Transmission(make_node(0, 0.0, 0.0), 1e300)
 
 
 class TestColumnarTrace:
