@@ -97,9 +97,8 @@ def simulate_convergecast(
     schedule = tree.aggregation_schedule
     failed = 0
     slots = 0
-    for slot in schedule.used_slots():
+    for _, group in sorted(schedule.slot_groups().items()):
         slots += 1
-        group = schedule.links_in_slot(slot)
         transmissions = [
             Transmission(
                 sender=link.sender,
@@ -144,9 +143,8 @@ def simulate_broadcast(
     schedule = tree.dissemination_schedule
     informed: set[int] = {tree.root_id}
     slots = 0
-    for slot in schedule.used_slots():
+    for _, group in sorted(schedule.slot_groups().items()):
         slots += 1
-        group = schedule.links_in_slot(slot)
         # One transmission per informed sender; its scheduled children listen.
         senders = {}
         for link in group:

@@ -116,7 +116,10 @@ class Schedule:
         """Mapping from slot index to the links assigned to it."""
         groups: dict[int, LinkSet] = {}
         for link, slot in self._slots.items():
-            groups.setdefault(slot, LinkSet()).add(link)
+            group = groups.get(slot)
+            if group is None:
+                group = groups[slot] = LinkSet()
+            group.add(link)
         return groups
 
     def links_in_slot(self, slot: int) -> LinkSet:

@@ -10,14 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .point import Point, distance_matrix, points_to_array
+from .point import Point, distance_matrix, max_distance_xy, points_to_array
 
 __all__ = ["Node", "diameter", "nodes_from_points", "node_distance_matrix", "nodes_to_array"]
-
-#: Pairs evaluated per block by :func:`diameter`, bounding its scratch memory.
-_DIAMETER_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -63,17 +58,7 @@ def node_distance_matrix(nodes: Sequence[Node]):
 def diameter(nodes: Sequence[Node]) -> float:
     """Largest pairwise distance between nodes (``0.0`` for fewer than two).
 
-    Bitwise equal to ``node_distance_matrix(nodes).max()``: each block of
-    rows runs the same ``hypot`` expression, and a maximum does not depend
-    on evaluation order.  Scratch memory is O(n) instead of O(n^2).
+    Bitwise equal to ``node_distance_matrix(nodes).max()``, in O(n) memory
+    and for most sets O(n) time (see :func:`~repro.geometry.point.max_distance_xy`).
     """
-    xy = nodes_to_array(nodes)
-    n = xy.shape[0]
-    rows = max(1, _DIAMETER_BLOCK_PAIRS // max(n, 1))
-    block_maxima = []
-    for start in range(0, n, rows):
-        diff = xy[start : start + rows, None, :] - xy[None, :, :]
-        block_maxima.append(np.hypot(diff[..., 0], diff[..., 1]).max())
-    # np.max, not the builtin: a NaN coordinate must propagate as it would
-    # through the full matrix.
-    return float(np.max(block_maxima)) if block_maxima else 0.0
+    return max_distance_xy(nodes_to_array(nodes))

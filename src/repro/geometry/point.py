@@ -21,8 +21,19 @@ __all__ = [
     "points_to_array",
     "min_pairwise_distance",
     "max_pairwise_distance",
+    "max_distance_xy",
     "distance_ratio",
 ]
+
+#: Pairs evaluated per block by the exact scan of :func:`max_distance_xy`,
+#: bounding its scratch memory.
+_DIAMETER_BLOCK_PAIRS = 1 << 18
+#: Relative slack of the :func:`max_distance_xy` filter, far above the
+#: few-ulp rounding of ``hypot`` and of a coordinate difference.
+_DIAMETER_SLACK = 1e-9
+#: Absolute slack of the filter: covers the rounding of subnormal results,
+#: where a relative bound does not hold.
+_DIAMETER_TINY = 1e-300
 
 
 @dataclass(frozen=True, order=True)
@@ -88,7 +99,57 @@ def max_pairwise_distance(points: Sequence[Point]) -> float:
     """Maximum distance between any two points (the diameter of the set)."""
     if len(points) < 2:
         raise ValueError("need at least two points to compute a pairwise distance")
-    return float(distance_matrix(points).max())
+    return max_distance_xy(points_to_array(points))
+
+
+def _hypot_to(xy: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Distance of every row of ``xy`` to ``point``, by the matrix's expression."""
+    diff = xy - point
+    return np.hypot(diff[:, 0], diff[:, 1])
+
+
+def _blocked_max_distance(xy: np.ndarray) -> float:
+    """Exact maximum over all pairs of ``xy``, scanned in row blocks (O(n) memory)."""
+    n = xy.shape[0]
+    rows = max(1, _DIAMETER_BLOCK_PAIRS // max(n, 1))
+    block_maxima = []
+    for start in range(0, n, rows):
+        diff = xy[start : start + rows, None, :] - xy[None, :, :]
+        block_maxima.append(np.hypot(diff[..., 0], diff[..., 1]).max())
+    # np.max, not the builtin: a NaN coordinate must propagate as it would
+    # through the full matrix.
+    return float(np.max(block_maxima)) if block_maxima else 0.0
+
+
+def max_distance_xy(xy: np.ndarray) -> float:
+    """Largest distance between two rows of an ``(n, 2)`` array (``0.0`` for n < 2).
+
+    Bitwise equal to ``distance_matrix(...).max()`` in O(n) memory, and for
+    most sets in O(n) time.  With ``c`` the bounding box's centre,
+    ``r_i = |p_i - c|`` and ``lb`` the farthest distance from the point
+    farthest from ``c`` (itself a pair distance, so ``lb <= D``), a pair
+    whose distance reaches ``lb`` satisfies ``|p_i - p_j| <= r_i + r_j <=
+    r_i + r_max`` by the triangle inequality.  So every point of such a
+    pair - the farthest pair among them - passes ``(r_i + r_max)(1 + s) + t
+    >= lb (1 - s)``, with the slack ``s`` far above the rounding of these
+    ``hypot`` values and ``t`` above that of subnormal ones.  The exact scan over the points that pass then sees
+    the same maximum, computed by the same expression.  A set whose points
+    all sit near one circle around ``c`` keeps them all and costs the full
+    O(n^2) scan.  Non-finite coordinates take the full scan, so a NaN
+    propagates as through the matrix.
+    """
+    if xy.shape[0] < 2 or not np.isfinite(xy).all():
+        return _blocked_max_distance(xy)
+    # 0.5*lo + 0.5*hi cannot overflow, so the centre is finite.
+    centre = 0.5 * xy.min(axis=0) + 0.5 * xy.max(axis=0)
+    radius = _hypot_to(xy, centre)
+    far = int(radius.argmax())
+    lower = float(_hypot_to(xy, xy[far]).max())
+    if lower == math.inf:
+        # A difference overflowed: no pair can exceed it.
+        return lower
+    bound = (radius + radius[far]) * (1.0 + _DIAMETER_SLACK) + _DIAMETER_TINY
+    return _blocked_max_distance(xy[bound >= lower * (1.0 - _DIAMETER_SLACK)])
 
 
 def distance_ratio(points: Sequence[Point]) -> float:

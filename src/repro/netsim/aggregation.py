@@ -181,9 +181,8 @@ def run_convergecast(
     sched_slots = 0
     total_slots = 0
     with span("netsim.convergecast", n=tree.size, links=len(tree.parent)):
-        for slot in schedule.used_slots():
+        for _, group in sorted(schedule.slot_groups().items()):
             sched_slots += 1
-            group = schedule.links_in_slot(slot)
             # Snapshot values and provenance at slot start, as the oracle
             # does: a link's message carries its sender's pre-slot aggregate.
             payloads = {
@@ -334,9 +333,8 @@ def run_dissemination(
     sched_slots = 0
     total_slots = 0
     with span("netsim.dissemination", n=tree.size, links=len(tree.parent)):
-        for slot in schedule.used_slots():
+        for _, group in sorted(schedule.slot_groups().items()):
             sched_slots += 1
-            group = schedule.links_in_slot(slot)
             informed_at_start = frozenset(informed)
             senders = {}
             for link in group:

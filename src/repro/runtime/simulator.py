@@ -149,8 +149,12 @@ class Simulator:
             return _NO_IDS, _NO_IDS
         if self._full_universe:
             # ``ok`` is a fresh array: mask it in place.  Half-duplex:
-            # transmitter columns never decode, nor do down nodes.
-            best, _, ok = self.channel.resolve_indices_full(tx, powers, slot=slot)
+            # transmitter columns never decode, nor do down nodes.  Winners
+            # are picked only where ``ok`` holds: a transmitter's own column
+            # never decodes (its own signal is infinite, the SINR NaN).
+            best, _, ok = self.channel.resolve_indices_full(
+                tx, powers, slot=slot, _decoded_only=True
+            )
             ok[tx] = False
             if down is not None:
                 ok[down] = False
@@ -164,7 +168,7 @@ class Simulator:
         listening[tx] = False
         rx = np.flatnonzero(listening)
         best, _, ok = self.channel.resolve_indices(
-            self._cache_idx[tx], self._cache_idx[rx], powers, slot=slot
+            self._cache_idx[tx], self._cache_idx[rx], powers, slot=slot, _decoded_only=True
         )
         decoded = np.flatnonzero(ok)
         return rx[decoded], tx[best[decoded]]

@@ -167,11 +167,14 @@ def _decode_received(
     received: np.ndarray,
     params: SINRParameters,
     workspace: DecodeWorkspace | None = None,
+    decoded_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode from the received-signal matrix (see :func:`decode_arrays`).
 
     Callers run it under ``np.errstate(divide="ignore", invalid="ignore")``,
-    once for the whole decode chain.
+    once for the whole decode chain.  ``decoded_only`` (allocating path)
+    picks the winner only in the columns that decode and leaves ``best`` 0
+    elsewhere: ``argmax`` is column-wise, so those winners are the same.
     """
     # The strongest signal is taken with maximum.reduce: the value at the
     # argmax row, bit-identical to a fancy-index gather (a NaN column has
@@ -179,7 +182,6 @@ def _decode_received(
     if workspace is None:
         total = np.add.reduce(received, axis=0)
         total += params.noise
-        best = received.argmax(axis=0)
         best_signal = np.maximum.reduce(received, axis=0)
         # A colocated transmitter (dist <= 0) makes the received entry
         # infinite; the seed loop then evaluates inf - inf = nan and decodes
@@ -187,7 +189,13 @@ def _decode_received(
         interference = total - best_signal
         sinr = best_signal / interference
         sinr[interference <= 0] = np.inf
-        return best, sinr, sinr >= params.beta
+        ok = sinr >= params.beta
+        if not decoded_only:
+            return received.argmax(axis=0), sinr, ok
+        best = np.zeros(received.shape[1], dtype=np.intp)
+        decoded = ok.nonzero()[0]
+        best[decoded] = received[:, decoded].argmax(axis=0)
+        return best, sinr, ok
 
     # Zero-allocation variant: same elementwise operations, destinations
     # reused from the arena.
@@ -440,6 +448,7 @@ class Channel:
         slot: int | None = None,
         *,
         workspace: DecodeWorkspace | None = None,
+        _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index-array fast path of :meth:`resolve` against a node cache.
 
@@ -456,7 +465,9 @@ class Channel:
             ``(best, sinr, ok)`` aligned to ``rx_indices``; ``best`` holds
             positions into ``tx_indices`` (see :func:`decode_arrays`).  With
             a ``workspace``, the arrays are views into it, valid until the
-            next decode through the same workspace.
+            next decode through the same workspace.  The simulator's
+            private ``_decoded_only`` leaves ``best`` 0 where ``ok`` is
+            false instead of picking a winner nobody reads.
         """
         tx = np.asarray(tx_indices, dtype=np.intp)
         rx = np.asarray(rx_indices, dtype=np.intp)
@@ -466,7 +477,7 @@ class Channel:
                 np.zeros(rx.size, dtype=float),
                 np.zeros(rx.size, dtype=bool),
             )
-        return self._decode_block(cache, tx, rx, powers, slot, workspace)
+        return self._decode_block(cache, tx, rx, powers, slot, workspace, _decoded_only)
 
     def resolve_indices_full(
         self,
@@ -476,6 +487,7 @@ class Channel:
         slot: int | None = None,
         *,
         workspace: DecodeWorkspace | None = None,
+        _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`resolve_indices` with the *whole universe* as listeners.
 
@@ -494,7 +506,7 @@ class Channel:
                 np.zeros(len(cache), dtype=float),
                 np.zeros(len(cache), dtype=bool),
             )
-        return self._decode_block(cache, tx, None, powers, slot, workspace)
+        return self._decode_block(cache, tx, None, powers, slot, workspace, _decoded_only)
 
     def _decode_block(
         self,
@@ -504,6 +516,7 @@ class Channel:
         powers: np.ndarray,
         slot: int | None,
         workspace: DecodeWorkspace | None,
+        decoded_only: bool,
     ) -> DecodeTriple:
         """Decode ``tx`` at ``powers`` on the ``rx`` columns (``None`` = all).
 
@@ -520,7 +533,7 @@ class Channel:
             received = self._received_from_attenuation(attenuation, powers, workspace)
             if fade is not None:
                 received = self._apply_fade(received, fade, workspace)
-            return _decode_received(received, self.params, workspace)
+            return _decode_received(received, self.params, workspace, decoded_only)
 
     @staticmethod
     @hot_kernel()
@@ -753,6 +766,7 @@ class CachedChannel(Channel):
         slot: int | None = None,
         *,
         workspace: DecodeWorkspace | None = None,
+        _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index-array fast path; indices address this channel's own cache."""
         return super().resolve_indices(
@@ -762,6 +776,7 @@ class CachedChannel(Channel):
             self.cache if cache is None else cache,
             slot,
             workspace=workspace,
+            _decoded_only=_decoded_only,
         )
 
     def resolve_indices_full(
@@ -772,6 +787,7 @@ class CachedChannel(Channel):
         slot: int | None = None,
         *,
         workspace: DecodeWorkspace | None = None,
+        _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole-universe fast path; indices address this channel's own cache."""
         return super().resolve_indices_full(
@@ -780,6 +796,7 @@ class CachedChannel(Channel):
             self.cache if cache is None else cache,
             slot,
             workspace=workspace,
+            _decoded_only=_decoded_only,
         )
 
     def resolve_indices_many(

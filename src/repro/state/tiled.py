@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .._types import FloatArray, IntpArray
-from ..geometry import diameter
+from ..geometry.point import max_distance_xy
 from ..obs.runtime import OBS
 from .kernels import (
     attenuation_from_distances,
@@ -50,18 +50,19 @@ DEFAULT_TILE_BUDGET_BYTES = 256 * 1024 * 1024
 class _RowCache:
     """FIFO cache of attenuation rows for one exponent (bounded row count)."""
 
-    __slots__ = ("cursor", "pos_of", "rows", "slot_at", "used", "version")
+    __slots__ = ("cursor", "row_of", "rows", "slot_at", "used", "version")
 
     def __init__(self, max_rows: int, capacity: int) -> None:
         self.rows = np.empty((max_rows, capacity), dtype=float)
+        # Cache row holding each slot (row -> slot and slot -> row), -1 = none.
         self.slot_at = np.full(max_rows, -1, dtype=np.intp)
-        self.pos_of: dict[int, int] = {}
+        self.row_of = np.full(capacity, -1, dtype=np.intp)
         self.cursor = 0
         self.used = 0
         self.version = -1
 
     def reset(self, version: int) -> None:
-        self.pos_of.clear()
+        self.row_of.fill(-1)
         self.slot_at.fill(-1)
         self.cursor = 0
         self.used = 0
@@ -177,54 +178,60 @@ class TiledNetworkState(NetworkState):
         computed by exactly the kernels the dense store patches with
         (``attenuation_from_distances(pairwise_distances(...))``), so the
         result is bitwise equal to ``np.take`` on a dense attenuation
-        matrix.  The cache holds at most ``(budget_bytes / 2) / (capacity *
-        8)`` rows per exponent; requests larger than that are computed
-        fresh (still exact, just uncached).  Any state mutation invalidates
-        the cache wholesale - rows are cheap to recompute and a stale row
-        can never be served.
+        matrix.  The row budget is ``(budget_bytes / 2) / (capacity * 8)``
+        rows per exponent, and the cache never holds more than
+        ``capacity`` of them (one per slot); requests larger than the
+        budget are computed fresh (still exact, just uncached).  Any state
+        mutation invalidates the cache wholesale - rows are cheap to
+        recompute and a stale row can never be served.
         """
         alpha = float(alpha)
         row_slots = np.asarray(row_slots, dtype=np.intp)
         k = int(row_slots.shape[0])
-        max_rows = max(1, (self._budget_bytes // 2) // max(1, self._capacity * 8))
+        capacity = self._capacity
+        budget_rows = max(1, (self._budget_bytes // 2) // max(1, capacity * 8))
+        if k > budget_rows:
+            # The request alone exceeds the row budget: serve it uncached.
+            return attenuation_rect_from_xy(self._xy[row_slots], self._xy, alpha, workspace, key)
+        # A ring of ``capacity`` rows already holds every slot, so a larger
+        # one would only reserve memory; the misses are the same.
+        max_rows = max(1, min(capacity, budget_rows))
         cache = self._row_caches.get(alpha)
-        if cache is None or cache.rows.shape != (max_rows, self._capacity):
-            cache = _RowCache(max_rows, self._capacity)
+        if cache is None or cache.rows.shape != (max_rows, capacity):
+            cache = _RowCache(max_rows, capacity)
             self._row_caches[alpha] = cache
         if cache.version != self.version:
             cache.reset(self.version)
-        if k > max_rows:
-            # The request alone exceeds the row budget: serve it uncached.
-            return attenuation_rect_from_xy(self._xy[row_slots], self._xy, alpha, workspace, key)
-        requested = [int(slot) for slot in row_slots.tolist()]
-        needed = set(requested)
-        missing = [slot for slot in dict.fromkeys(requested) if slot not in cache.pos_of]
-        if missing:
-            miss = np.asarray(missing, dtype=np.intp)
-            fresh = attenuation_from_distances(pairwise_distances(self._xy[miss], self._xy), alpha)
-            for offset, slot in enumerate(missing):
+        positions = cache.row_of[row_slots]
+        absent = positions < 0
+        if absent.any():
+            # Missing slots once each, in order of first appearance.
+            missing = row_slots[absent]
+            _, first = np.unique(missing, return_index=True)
+            missing = missing[np.sort(first)]
+            fresh = attenuation_from_distances(pairwise_distances(self._xy[missing], self._xy), alpha)
+            needed = np.zeros(capacity, dtype=bool)
+            needed[row_slots] = True
+            for offset, slot in enumerate(missing.tolist()):
                 pos = cache.cursor
                 # FIFO eviction, skipping rows the current request also needs.
                 while True:
                     holder = int(cache.slot_at[pos])
-                    if holder < 0 or holder not in needed:
+                    if holder < 0 or not needed[holder]:
                         break
                     pos = (pos + 1) % max_rows
-                evicted = int(cache.slot_at[pos])
-                if evicted >= 0:
-                    del cache.pos_of[evicted]
+                if holder >= 0:
+                    cache.row_of[holder] = -1
                 else:
                     cache.used += 1
                 cache.rows[pos] = fresh[offset]
                 cache.slot_at[pos] = slot
-                cache.pos_of[slot] = pos
+                cache.row_of[slot] = pos
                 cache.cursor = (pos + 1) % max_rows
+            positions = cache.row_of[row_slots]
             if OBS.enabled:
-                OBS.registry.inc("tiled.row_cache_miss", len(missing))
+                OBS.registry.inc("tiled.row_cache_miss", int(missing.shape[0]))
                 OBS.registry.gauge("tiled.resident_bytes").set(float(self.resident_bytes()))
-        positions = np.fromiter(
-            (cache.pos_of[slot] for slot in requested), dtype=np.intp, count=k
-        )
         if workspace is None:
             return cache.rows[positions]
         stage = workspace.floats(key, k, self._capacity)
@@ -234,10 +241,11 @@ class TiledNetworkState(NetworkState):
     def max_distance(self) -> float:
         """Largest distance between two live nodes, in O(n) memory.
 
-        :func:`~repro.geometry.diameter` over the live nodes: the same
-        ``hypot`` values as the dense store's matrix maximum.
+        :func:`~repro.geometry.point.max_distance_xy` over the live nodes'
+        coordinates (what :func:`~repro.geometry.diameter` computes): the
+        same ``hypot`` values as the dense store's matrix maximum.
         """
-        return diameter(list(self))
+        return max_distance_xy(self._xy[self.live_slots()])
 
     # -- dense accessors (refused) ---------------------------------------------
 

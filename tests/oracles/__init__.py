@@ -4,15 +4,16 @@ These are the slow-but-obvious counterparts of the vectorized paths in
 ``src/``: the per-listener decode loop, the per-agent protocol form and the
 two engines that step it (the per-object slot engine and the per-agent
 netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
-cold-pool trial map, the per-node netsim fault loops, and the quadratic
-bi-tree checks with the networkx MST.  They live with
-the tests because no production path runs them; each is compared
+cold-pool trial map, the per-node netsim fault loops, the quadratic
+bi-tree checks with the networkx MST, and the all-pairs diameter scan.
+They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
 
 from .agent import AckMessage, BroadcastMessage, NodeAgent
 from .decode import decode_reference
 from .fabric import map_trials_cold
+from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference
 from .netsim import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
 from .slot_engine import LegacySimulator
@@ -35,6 +36,7 @@ __all__ = [
     "build_init_reference",
     "build_net_init_reference",
     "decode_reference",
+    "diameter_reference",
     "euclidean_mst_tree_reference",
     "is_strongly_connected_reference",
     "map_trials_cold",

@@ -13,7 +13,7 @@ from repro.geometry import (
     nodes_from_points,
     nodes_to_array,
 )
-from repro.geometry import node as node_module
+from repro.geometry import point as point_module
 
 
 class TestNode:
@@ -60,7 +60,7 @@ class TestDiameter:
     @pytest.mark.parametrize("count", [2, 3, 17, 64])
     @pytest.mark.parametrize("block_pairs", [1, 50, 1 << 18])
     def test_bitwise_equal_to_matrix_max(self, count, block_pairs, monkeypatch):
-        monkeypatch.setattr(node_module, "_DIAMETER_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(point_module, "_DIAMETER_BLOCK_PAIRS", block_pairs)
         rng = np.random.default_rng(count)
         nodes = nodes_from_points(
             [Point(float(x), float(y)) for x, y in rng.uniform(-1e3, 1e3, size=(count, 2))]
