@@ -23,22 +23,30 @@ captures a constant fraction of the optimum.  The practical implementation
 additionally excludes candidates whose endpoints already appear in ``T'``
 (each node knows its own involvement), which enforces the "one link per node
 per slot" structure the final schedule needs.
+
+:meth:`DistrCapSelector.run_phases` is the one phase loop; a
+:class:`PhaseSeam` decides which candidates sit a slot out and which winners
+join ``T'`` (the netsim builder passes a fault-aware one).  The loop decodes
+from the caller's geometry store when one is given, else from its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
+from ..exceptions import ConfigurationError
+from ..geometry import Node
 from ..links import Link, LinkSet, length_class_index
 from ..sinr import LinearPower, LinkArrayCache, SINRParameters
 from ..state import DecodeWorkspace, NetworkState
 from .power_solver import is_power_controllable
 
-__all__ = ["DistrCapResult", "DistrCapSelector"]
+__all__ = ["DistrCapResult", "DistrCapSelector", "PhaseSeam"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,8 @@ class DistrCapResult:
 
     Attributes:
         selected: the selected link set ``T'``.
-        slots_used: channel slots consumed (two per phase).
+        slots_used: channel slots consumed (two per phase, plus any extra
+            slots the seam's admission spent).
         phases: number of length-class phases executed.
         power_controllable: whether the selected set passed the exact
             power-control feasibility test (it should, by Lemmas 17-18).
@@ -59,8 +68,70 @@ class DistrCapResult:
     power_controllable: bool
 
 
+class PhaseSeam:
+    """The per-slot hooks of the phase loop.  This base is the lockstep seam:
+    every candidate takes part in every slot, and every winner joins ``T'``
+    at no extra slot cost."""
+
+    __slots__ = ()
+
+    def stand(self, links: list[Link], slot: int) -> list[Link]:
+        """The links that take part in ``slot``; the others sit it out."""
+        return links
+
+    def admit(self, winners: list[Link], dual_slot: int) -> tuple[list[Link], int]:
+        """The winners of the phase ending at ``dual_slot`` that join ``T'``,
+        and the extra slots their admission took."""
+        return winners, 0
+
+
+def _within_threshold(block: np.ndarray, threshold: float) -> np.ndarray:
+    """Columns of ``block`` whose sum, added in row order, is at most ``threshold``.
+
+    ``np.add.accumulate`` adds sequentially down each column, so the last
+    row holds exactly the running sums of a scalar loop over the rows.  The
+    entries are affectances (``>= 0``), so a running sum above the
+    threshold stays above it, and a NaN compares False either way: the
+    result equals a loop that stops at the first excess.
+    """
+    return np.add.accumulate(block, axis=0)[-1] <= threshold
+
+
+def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> NetworkState:
+    """The store every slot of the run decodes from, after checking the input.
+
+    A given store must hold every endpoint where the links have it; without
+    one, a store over the links' endpoints is built.  A dense store
+    materializes its distance matrix once, so every slot gathers its
+    sender->receiver block from it; a tiled one serves the same hypot values
+    computed from coordinates per slot.
+    """
+    endpoints: dict[int, Node] = {}
+    for node in (node for link in links for node in link.endpoints):
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            raise ConfigurationError(f"endpoint {node.id} has a non-finite coordinate {node.position}")
+        if endpoints.setdefault(node.id, node).position != node.position:
+            raise ConfigurationError(f"endpoint {node.id} appears at two positions")
+    if state is None:
+        state = NetworkState.for_nodes(endpoints.values())
+    else:
+        missing = [node_id for node_id in endpoints if node_id not in state]
+        if missing:
+            raise ConfigurationError(f"the store lacks endpoint {missing[0]}")
+        ids = list(endpoints)
+        xy = np.array([(node.x, node.y) for node in endpoints.values()], dtype=float)
+        elsewhere = np.any(state.xy[[state.slot_of_id(i) for i in ids]] != xy, axis=1)
+        if elsewhere.any():
+            raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
+    if state.materializes_matrices:
+        state.distance_matrix()
+    return state
+
+
 class DistrCapSelector:
     """Distributed capacity selection with arbitrary (post-computed) power.
+
+    One selector may serve many runs: its decode workspace is reused.
 
     Args:
         params: physical-model parameters.
@@ -87,6 +158,7 @@ class DistrCapSelector:
         rng: np.random.Generator,
         *,
         link_rounds: Mapping[tuple[int, int], int] | None = None,
+        state: NetworkState | None = None,
     ) -> DistrCapResult:
         """Run the phased selection over the candidate set.
 
@@ -97,15 +169,37 @@ class DistrCapSelector:
                 ``Init`` round in which the link was formed; links formed in
                 the same round share a length class and are processed in the
                 same phase.  When absent, phases are derived from link lengths.
+            state: a geometry store holding every candidate endpoint at the
+                link's position, to decode from instead of building one.
+
+        Raises:
+            ConfigurationError: if an endpoint has a non-finite coordinate,
+                one id sits at two positions, or ``state`` lacks an endpoint
+                or holds it elsewhere.
+        """
+        return self.run_phases(candidates, rng, PhaseSeam(), link_rounds=link_rounds, state=state)
+
+    def run_phases(
+        self,
+        candidates: Sequence[Link] | LinkSet,
+        rng: np.random.Generator,
+        seam: PhaseSeam,
+        *,
+        link_rounds: Mapping[tuple[int, int], int] | None = None,
+        state: NetworkState | None = None,
+    ) -> DistrCapResult:
+        """The phase loop, with ``seam`` deciding sit-outs and admission.
+
+        Arguments as for :meth:`select`.
         """
         link_list = list(candidates)
         if not link_list:
             return DistrCapResult(LinkSet(), 0, 0, True)
 
-        linear = LinearPower.for_noise(self.params)
         # One node-geometry store for the whole run, shared by every phase
         # slot's LinkArrayCache (over its oriented sub-universe).
-        state = self._geometry_state(link_list)
+        state = _geometry_state(link_list, state)
+        linear = LinearPower.for_noise(self.params)
         phases = self._partition_into_phases(link_list, link_rounds)
         tau = self.constants.distr_cap_tau
         gamma = self.constants.duality_gamma
@@ -115,52 +209,37 @@ class DistrCapSelector:
         used_nodes: set[int] = set()
         slots_used = 0
         for _, phase_links in sorted(phases.items()):
+            forward_slot = slots_used
             slots_used += 2
-            eligible = [
-                link
-                for link in phase_links
-                if link.sender.id not in used_nodes and link.receiver.id not in used_nodes
-            ]
-            if not eligible:
+            eligible = [link for link in phase_links if used_nodes.isdisjoint(link.endpoint_ids)]
+            standing = seam.stand(eligible, forward_slot)
+            if not standing:
                 continue
             survivors = self._phase_slot(
-                eligible, selected, linear, rng, probability, tau / 4.0, state, forward=True
+                standing, selected, linear, rng, probability, tau / 4.0, state, forward=True
             )
             if not survivors:
                 continue
+            standing = seam.stand(survivors, forward_slot + 1)
+            if not standing:
+                continue
             winners = self._phase_slot(
-                survivors, selected, linear, rng, 1.0, gamma * tau / 4.0, state, forward=False
+                standing, selected, linear, rng, 1.0, gamma * tau / 4.0, state, forward=False
             )
-            for link in winners:
-                if link.sender.id in used_nodes or link.receiver.id in used_nodes:
-                    continue
-                selected.append(link)
-                used_nodes.add(link.sender.id)
-                used_nodes.add(link.receiver.id)
+            if not winners:
+                continue
+            admitted, extra_slots = seam.admit(winners, forward_slot + 1)
+            slots_used += extra_slots
+            for link in admitted:
+                if used_nodes.isdisjoint(link.endpoint_ids):
+                    selected.append(link)
+                    used_nodes.update(link.endpoint_ids)
 
         selected_set = LinkSet(selected)
         controllable = is_power_controllable(list(selected_set), self.params)
-        return DistrCapResult(
-            selected=selected_set,
-            slots_used=slots_used,
-            phases=len(phases),
-            power_controllable=controllable,
-        )
+        return DistrCapResult(selected_set, slots_used, len(phases), controllable)
 
     # -- internals ----------------------------------------------------------
-
-    def _geometry_state(self, link_list: Sequence[Link]) -> NetworkState:
-        """The run's shared node-geometry store (also used by the netsim
-        overlay, so both paths gather bitwise-identical distance blocks).
-
-        A dense store materializes its distance matrix once, so every slot
-        gathers its sender->receiver block from it; a tiled one serves the
-        same hypot values computed from coordinates per slot.
-        """
-        state = NetworkState.for_links(link_list)
-        if state.materializes_matrices:
-            state.distance_matrix()
-        return state
 
     def _partition_into_phases(
         self,
@@ -201,9 +280,6 @@ class DistrCapSelector:
         if not attempting:
             return []
 
-        def oriented(link: Link) -> Link:
-            return link if forward else link.dual
-
         # All transmitters in this slot: the selected set plus the attempting
         # candidates, each transmitting on its (oriented) link with linear
         # power.  Linear power of a link equals that of its dual (same length).
@@ -211,40 +287,27 @@ class DistrCapSelector:
         # ever read, so compute exactly that from the slot's LinkArrayCache
         # (same-sender pairs are zero there, matching the scalar rule that a
         # sender does not affect itself).
-        universe = [oriented(link) for link in list(selected) + list(attempting)]
-        transmitter_indices: list[int] = []
-        seen_senders: set[int] = set()
+        universe = [link if forward else link.dual for link in [*selected, *attempting]]
+        # Each sender transmits once, on its first link in the universe.
+        first_link_of: dict[int, int] = {}
         for index, o in enumerate(universe):
-            if o.sender.id in seen_senders:
-                continue
-            seen_senders.add(o.sender.id)
-            transmitter_indices.append(index)
+            first_link_of.setdefault(o.sender.id, index)
 
         cache = LinkArrayCache(universe, state=state)
         offset = len(universe) - len(attempting)
         block = cache.affectance_block(
-            transmitter_indices,
+            list(first_link_of.values()),
             np.arange(offset, len(universe)),
             linear,
             self.params,
             workspace=self._workspace,
         )
 
-        survivors: list[Link] = []
-        for position, link in enumerate(attempting):
-            target = universe[offset + position]
-            if target.receiver.id in seen_senders:
-                # The receiving endpoint is itself transmitting in this slot;
-                # it cannot measure anything (half-duplex).
-                continue
-            # Accumulate in transmitter order with the seed's early exit so
-            # the floating-point comparison against the threshold is
-            # reproduced exactly.
-            total = 0.0
-            for value in block[:, position]:
-                total += value
-                if total > threshold:
-                    break
-            if total <= threshold:
-                survivors.append(link)
-        return survivors
+        passed = _within_threshold(block, threshold).tolist()
+        # A receiving endpoint that is itself transmitting in this slot
+        # cannot measure anything (half-duplex).
+        return [
+            link
+            for position, link in enumerate(attempting)
+            if passed[position] and universe[offset + position].receiver.id not in first_link_of
+        ]

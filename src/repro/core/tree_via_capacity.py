@@ -28,9 +28,9 @@ from ..links import Link, LinkSet
 from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower, is_feasible
 from ..state import NetworkState
 from .bitree import BiTree
-from .distr_cap import DistrCapSelector
+from .distr_cap import DistrCapResult, DistrCapSelector
 from .init_tree import InitialTreeBuilder, validate_init_nodes
-from .mean_power_selection import MeanPowerSelector
+from .mean_power_selection import MeanPowerSelectionResult, MeanPowerSelector
 from .power_solver import solve_power
 from .tree_subset import degree_bounded_subset
 
@@ -137,9 +137,10 @@ class TreeViaCapacity:
     def build(self, nodes: Sequence[Node], rng: np.random.Generator) -> TreeViaCapacityResult:
         """Run the full framework on ``nodes``.
 
-        Every iteration's ``Init`` decodes from one geometry store: the
-        deployment's, then at each iteration a :meth:`NetworkState.subset`
-        of the previous one over the shrinking population.
+        Every iteration's ``Init`` and ``Distr-Cap`` decode from one
+        geometry store: the deployment's, then at each iteration a
+        :meth:`NetworkState.subset` of the previous one over the shrinking
+        population.  One selector serves every iteration.
 
         Raises:
             ProtocolError: if the population does not shrink to one node
@@ -170,6 +171,11 @@ class TreeViaCapacity:
         # later verified.
         self._mean_power = MeanPower.for_max_length(self.params, max(delta, 1.0))
         builder = InitialTreeBuilder(self.params, self.constants)
+        selector: DistrCapSelector | MeanPowerSelector = (
+            DistrCapSelector(self.params, self.constants)
+            if self.power_mode == "arbitrary"
+            else MeanPowerSelector(self.params)
+        )
         population = list(node_list)
         parent: dict[int, int] = {}
         slot_of_node: dict[int, int] = {}
@@ -189,7 +195,14 @@ class TreeViaCapacity:
             subset = degree_bounded_subset(tree_links, self.constants.degree_cap_rho)
             candidates = subset.subset if len(subset.subset) > 0 else tree_links
 
-            selected, selection_slots = self._select(candidates, init_result.link_rounds, rng)
+            # Every candidate is a tree link over P_i, so P_i's store (the one
+            # its Init just decoded from) holds them all.
+            outcome: DistrCapResult | MeanPowerSelectionResult = (
+                selector.select(candidates, rng, link_rounds=init_result.link_rounds, state=state)
+                if isinstance(selector, DistrCapSelector)
+                else selector.select(candidates, rng, power=self._mean_power)
+            )
+            selected, selection_slots = outcome.selected, outcome.slots_used
             if len(selected) == 0:
                 # Guarantee progress: fall back to the single shortest tree
                 # link, which is trivially feasible on its own.
@@ -239,20 +252,6 @@ class TreeViaCapacity:
         )
 
     # -- internals ----------------------------------------------------------
-
-    def _select(
-        self,
-        candidates: LinkSet,
-        link_rounds: dict[tuple[int, int], int],
-        rng: np.random.Generator,
-    ) -> tuple[LinkSet, int]:
-        if self.power_mode == "arbitrary":
-            outcome = DistrCapSelector(self.params, self.constants).select(
-                candidates, rng, link_rounds=link_rounds
-            )
-            return outcome.selected, outcome.slots_used
-        outcome = MeanPowerSelector(self.params).select(candidates, rng, power=self._mean_power)
-        return outcome.selected, outcome.slots_used
 
     @staticmethod
     def _enforce_slot_structure(selected: LinkSet) -> LinkSet:

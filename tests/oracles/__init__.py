@@ -5,13 +5,15 @@ These are the slow-but-obvious counterparts of the vectorized paths in
 two engines that step it (the per-object slot engine and the per-agent
 netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
 cold-pool trial map, the per-node netsim fault loops, the quadratic
-bi-tree checks with the networkx MST, and the all-pairs diameter scan.
+bi-tree checks with the networkx MST, the all-pairs diameter scan, and the
+netsim ``Distr-Cap`` builder's forked phase loop.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
 
 from .agent import AckMessage, BroadcastMessage, NodeAgent
 from .decode import decode_reference
+from .distr_cap import ReferenceNetDistrCapBuilder
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference
@@ -33,6 +35,7 @@ __all__ = [
     "OracleFaultyTransport",
     "OracleHeartbeatDetector",
     "OracleNetSimulator",
+    "ReferenceNetDistrCapBuilder",
     "build_init_reference",
     "build_net_init_reference",
     "decode_reference",

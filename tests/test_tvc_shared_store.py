@@ -9,7 +9,8 @@ because of it:
   and decode rectangles as a fresh store over the same nodes;
 * the store's ``max_distance`` equals ``geometry.diameter`` bit for bit;
 * ``Init`` on a given store equals ``Init`` building its own, in every
-  result field, trace included, and so does a whole TreeViaCapacity run;
+  result field, trace included, and a whole TreeViaCapacity run equals one
+  whose every ``Init`` and ``Distr-Cap`` builds its own store;
 * ``spawn_agent_rngs``, which builds every node's generator from the
   seed's uint32 words, gives the streams ``default_rng(int(seed))`` gives.
 
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import InitialTreeBuilder, InitialTreeResult, TreeViaCapacity
+from repro.core import DistrCapSelector, InitialTreeBuilder, InitialTreeResult, TreeViaCapacity
 from repro.dynamics import LogNormalShadowing
 from repro.exceptions import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
@@ -187,11 +188,16 @@ def test_tvc_equals_a_run_with_a_fresh_store_per_init(budget, mode, monkeypatch)
     nodes = uniform_random(60, np.random.default_rng(3))
     shared = TreeViaCapacity(PARAMS, power_mode=mode).build(nodes, np.random.default_rng(4))
     plain_build = InitialTreeBuilder.build
+    plain_select = DistrCapSelector.select
 
     def build_own_store(self, nodes, rng, *, state=None):
         return plain_build(self, nodes, rng)
 
+    def select_own_store(self, candidates, rng, *, link_rounds=None, state=None):
+        return plain_select(self, candidates, rng, link_rounds=link_rounds)
+
     monkeypatch.setattr(InitialTreeBuilder, "build", build_own_store)
+    monkeypatch.setattr(DistrCapSelector, "select", select_own_store)
     fresh = TreeViaCapacity(PARAMS, power_mode=mode).build(nodes, np.random.default_rng(4))
     assert (shared.tree.root_id, shared.tree.parent, shared.tree.slot_stamps()) == (
         fresh.tree.root_id,
