@@ -124,10 +124,6 @@ class BiTree:
         """
         return {link.sender.id: slot for link, slot in self.aggregation_schedule.items()}
 
-    def children(self, node_id: int) -> list[int]:
-        """Ids of the children of ``node_id``."""
-        return sorted(child for child, parent in self.parent.items() if parent == node_id)
-
     def children_map(self) -> dict[int, list[int]]:
         """Children of every node that has any, in parent-map order."""
         children: dict[int, list[int]] = {}
@@ -140,24 +136,6 @@ class BiTree:
         if node_id == self.root_id:
             return None
         return self.parent.get(node_id)
-
-    def depth_of(self, node_id: int) -> int:
-        """Number of hops from ``node_id`` to the root.
-
-        Raises:
-            ScheduleError: if the parent chain does not reach the root (cycle
-                or disconnection).
-        """
-        depth = 0
-        current = node_id
-        visited = {current}
-        while current != self.root_id:
-            current = self.parent.get(current, None)
-            if current is None or current in visited:
-                raise ScheduleError(f"node {node_id} is not connected to the root")
-            visited.add(current)
-            depth += 1
-        return depth
 
     def depths(self) -> dict[int, int]:
         """Hop depth of every id the root reaches, by one BFS down the children map.
@@ -178,16 +156,6 @@ class BiTree:
         """Maximum node depth (tree height in hops)."""
         depths = self.depths()
         return max((depths[node_id] for node_id in self.nodes), default=0)
-
-    def path_to_root(self, node_id: int) -> list[int]:
-        """Node ids on the path from ``node_id`` to the root, inclusive."""
-        path = [node_id]
-        while path[-1] != self.root_id:
-            nxt = self.parent.get(path[-1])
-            if nxt is None or nxt in path:
-                raise ScheduleError(f"node {node_id} is not connected to the root")
-            path.append(nxt)
-        return path
 
     def subtree_nodes(self, node_id: int) -> set[int]:
         """Ids of all descendants of ``node_id``, including itself."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -143,26 +143,35 @@ class InitState:
 class _CoinStreams:
     """Every node's private coin stream, read from pre-drawn blocks.
 
-    ``Generator.random(B)`` returns the same numbers as ``B`` scalar
-    ``random()`` calls, so reading row ``i`` of the block through a per-node
-    cursor replays exactly the coins node ``i`` would draw one at a time
-    from the same generator.  Only rows that run out are refilled.
+    A coin is ``Generator.random()``'s double: the top 53 bits of one raw
+    64-bit word of the node's bit generator, ``(x >> 11) * 2**-53``.  Row
+    ``i`` of the block holds node ``i``'s next raw words
+    (``bit_generator.random_raw``), and a whole block is converted at once,
+    so reading row ``i`` through a per-node cursor replays exactly the
+    coins node ``i`` would draw one at a time.  Only rows that run out are
+    refilled.
     """
 
+    __slots__ = ("_bits", "_block", "_cursor")
+
     def __init__(self, rngs: Sequence[np.random.Generator]):
-        self._rngs = rngs
-        self._block = np.empty((len(rngs), _COIN_BLOCK))
-        for row, rng in zip(self._block, rngs):
-            row[:] = rng.random(_COIN_BLOCK)
+        self._bits = [rng.bit_generator for rng in rngs]
+        self._block = self._raw_coins(range(len(self._bits)))
         self._cursor = np.zeros(len(rngs), dtype=np.intp)
+
+    def _raw_coins(self, rows: Iterable[int]) -> np.ndarray:
+        """The next block of coins of each node in ``rows``, one row each."""
+        raw = np.array([self._bits[i].random_raw(_COIN_BLOCK) for i in rows], dtype=np.uint64)
+        raw >>= np.uint64(11)
+        return raw.reshape(-1, _COIN_BLOCK) * 2.0**-53
 
     def draw(self, pos: np.ndarray) -> np.ndarray:
         """One coin for each node position in ``pos`` (distinct positions)."""
         at = self._cursor[pos]
         spent = at == _COIN_BLOCK
         if np.count_nonzero(spent):
-            for i in pos[spent].tolist():
-                self._block[i] = self._rngs[i].random(_COIN_BLOCK)
+            rows = pos[spent]
+            self._block[rows] = self._raw_coins(rows.tolist())
             at[spent] = 0
         self._cursor[pos] = at + 1
         return self._block[pos, at]

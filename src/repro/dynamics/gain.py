@@ -77,6 +77,29 @@ def _hash_u64(*components: np.ndarray | int) -> np.ndarray:
     return h
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _hash_int(*components: int) -> int:
+    """:func:`_hash_u64` of scalar components, in Python int arithmetic.
+
+    A component wraps to uint64 as NumPy converts it: a negative value
+    becomes its two's complement, and one outside ``[-2**63, 2**64)``
+    raises ``OverflowError``.  On scalars it is a few times cheaper than
+    NumPy's scalar arithmetic, which pays a ufunc dispatch per operation.
+    """
+    h = 0
+    for component in components:
+        value = int(component)
+        if not -(1 << 63) <= value <= _MASK64:
+            raise OverflowError(f"hash component {value} does not fit in 64 bits")
+        x = (h ^ (value & _MASK64)) + 0x9E3779B97F4A7C15 & _MASK64
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+        h = x ^ (x >> 31)
+    return h
+
+
 def _uniform_open(h: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to uniforms in the half-open interval (0, 1]."""
     return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)

@@ -246,7 +246,7 @@ class NetSimulator(Simulator):
         self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str
     ) -> None:
         """Trace and count the slot, advance the clock, emit heartbeats."""
-        self.trace.append_slot(slot, tx_ids, rx_ids, src_ids, label)
+        self.trace._append_owned(slot, tx_ids, rx_ids, src_ids, label)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("netsim.slots")

@@ -1,9 +1,11 @@
 """Execution traces and slot accounting for distributed runs.
 
 :class:`ExecutionTrace` stores a run as columns: flat integer arrays plus
-per-slot offsets.  Appending a slot extends each column in one call from
-the engine's id arrays, touching no per-slot Python containers; the
-``records`` view materializes one :class:`SlotRecord` per slot on demand.
+per-slot offsets.  Appending a slot only keeps the slot's id arrays (the
+slot engines hand theirs over, so their slots copy no bytes); the first
+read after appends flattens them into the columns in one concatenation
+per column.  The ``records`` view materializes one :class:`SlotRecord` per
+slot on demand.
 
 A slot is given as three parallel id sequences - transmitters, then the
 listeners that decoded and the sender each one decoded - as lists or as
@@ -12,7 +14,6 @@ integer NumPy arrays.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -22,6 +23,9 @@ __all__ = ["SlotRecord", "ExecutionTrace"]
 
 #: A column of node ids for one slot: a list or an integer array.
 Ids = Sequence[int] | np.ndarray
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_START = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,9 @@ class SlotRecord:
 class ExecutionTrace:
     """Accumulated record of a simulated protocol execution.
 
+    Appended slots wait as id arrays until a read flattens them into the
+    columns, so reads may interleave with appends at any point.
+
     Args:
         metadata: free-form experiment metadata, merged into :meth:`summary`.
     """
@@ -51,6 +58,7 @@ class ExecutionTrace:
     __slots__ = (
         "_labels",
         "_materialized",
+        "_pending",
         "_rx_listeners",
         "_rx_offsets",
         "_rx_senders",
@@ -62,13 +70,15 @@ class ExecutionTrace:
 
     def __init__(self, metadata: dict[str, Any] | None = None):
         self.metadata: dict[str, Any] = dict(metadata) if metadata is not None else {}
-        self._slots = array("q")
         self._labels: list[str] = []
-        self._tx_flat = array("q")
-        self._tx_offsets = array("q", [0])
-        self._rx_listeners = array("q")
-        self._rx_senders = array("q")
-        self._rx_offsets = array("q", [0])
+        #: (slot, transmitters, listeners, senders) of slots not yet flattened.
+        self._pending: list[tuple[int, Ids, Ids, Ids]] = []
+        self._slots = _NO_IDS
+        self._tx_flat = _NO_IDS
+        self._tx_offsets = _START
+        self._rx_listeners = _NO_IDS
+        self._rx_senders = _NO_IDS
+        self._rx_offsets = _START
         self._materialized: list[SlotRecord] | None = None
 
     # -- writing -------------------------------------------------------------
@@ -81,18 +91,31 @@ class ExecutionTrace:
         sender_ids: Ids,
         label: str = "",
     ) -> None:
-        """Append one slot from its components (the slot engines' entry
-        point); ``listener_ids[k]`` decoded ``sender_ids[k]``."""
-        self._slots.append(slot)
+        """Append one slot from its components; ``listener_ids[k]`` decoded
+        ``sender_ids[k]``.  The trace keeps copies of the id sequences."""
+        listener_ids = np.array(listener_ids, dtype=np.int64)
+        sender_ids = np.array(sender_ids, dtype=np.int64)
+        if listener_ids.size != sender_ids.size:
+            raise ValueError("every listener needs exactly one sender")
+        self._append_owned(
+            slot, np.array(transmitter_ids, dtype=np.int64), listener_ids, sender_ids, label
+        )
+
+    def _append_owned(
+        self,
+        slot: int,
+        transmitter_ids: np.ndarray,
+        listener_ids: np.ndarray,
+        sender_ids: np.ndarray,
+        label: str,
+    ) -> None:
+        """Append one slot whose integer id arrays the trace now owns.
+
+        The slot engines hand over arrays fresh from a gather and never
+        write them again, so the trace keeps them as they are, unchecked.
+        """
+        self._pending.append((slot, transmitter_ids, listener_ids, sender_ids))
         self._labels.append(label)
-        # Each column grows by one slot's ids in a single call.
-        if len(transmitter_ids):
-            self._tx_flat.frombytes(np.asarray(transmitter_ids, dtype=np.int64).tobytes())
-        self._tx_offsets.append(len(self._tx_flat))
-        if len(listener_ids):
-            self._rx_listeners.frombytes(np.asarray(listener_ids, dtype=np.int64).tobytes())
-            self._rx_senders.frombytes(np.asarray(sender_ids, dtype=np.int64).tobytes())
-        self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
 
     def record(self, record: SlotRecord) -> None:
@@ -105,48 +128,62 @@ class ExecutionTrace:
             record.label,
         )
 
+    def _flatten(self) -> None:
+        """Move the pending slots into the columns, one concatenation each."""
+        if not self._pending:
+            return
+        slots, tx, rx, src = zip(*self._pending)
+        self._pending.clear()
+        self._slots = np.concatenate((self._slots, np.array(slots, dtype=np.int64)))
+        self._tx_flat, self._tx_offsets = _extend(self._tx_flat, self._tx_offsets, tx)
+        self._rx_listeners, self._rx_offsets = _extend(self._rx_listeners, self._rx_offsets, rx)
+        self._rx_senders = np.concatenate((self._rx_senders, *src), dtype=np.int64)
+
     # -- reading -------------------------------------------------------------
 
     @property
     def records(self) -> list[SlotRecord]:
         """Materialized :class:`SlotRecord` view of the columns (cached)."""
         if self._materialized is None:
-            records = []
-            for k in range(len(self._slots)):
-                t0, t1 = self._tx_offsets[k], self._tx_offsets[k + 1]
-                r0, r1 = self._rx_offsets[k], self._rx_offsets[k + 1]
-                records.append(
-                    SlotRecord(
-                        slot=self._slots[k],
-                        transmitters=tuple(self._tx_flat[t0:t1]),
-                        receptions={
-                            self._rx_listeners[j]: self._rx_senders[j] for j in range(r0, r1)
-                        },
-                        label=self._labels[k],
-                    )
+            self._flatten()
+            tx, tx_at = self._tx_flat.tolist(), self._tx_offsets.tolist()
+            rx, src, rx_at = (
+                self._rx_listeners.tolist(),
+                self._rx_senders.tolist(),
+                self._rx_offsets.tolist(),
+            )
+            self._materialized = [
+                SlotRecord(
+                    slot=slot,
+                    transmitters=tuple(tx[tx_at[k] : tx_at[k + 1]]),
+                    receptions=dict(zip(rx[rx_at[k] : rx_at[k + 1]], src[rx_at[k] : rx_at[k + 1]])),
+                    label=label,
                 )
-            self._materialized = records
+                for k, (slot, label) in enumerate(zip(self._slots.tolist(), self._labels))
+            ]
         return self._materialized
 
     @property
     def slots_used(self) -> int:
         """Total number of slots recorded."""
-        return len(self._slots)
+        return len(self._labels)
 
     @property
     def transmissions_sent(self) -> int:
         """Total number of individual transmissions across all slots."""
-        return self._tx_offsets[-1]
+        self._flatten()
+        return int(self._tx_offsets[-1])
 
     @property
     def successful_receptions(self) -> int:
         """Total number of successful receptions across all slots."""
-        return self._rx_offsets[-1]
+        self._flatten()
+        return int(self._rx_offsets[-1])
 
     def busy_slots(self) -> int:
         """Number of slots in which at least one node transmitted."""
-        offsets = self._tx_offsets
-        return sum(1 for k in range(len(self._slots)) if offsets[k + 1] > offsets[k])
+        self._flatten()
+        return int(np.count_nonzero(np.diff(self._tx_offsets)))
 
     def slots_with_label(self, label: str) -> list[SlotRecord]:
         """All slot records carrying the given label."""
@@ -161,3 +198,11 @@ class ExecutionTrace:
             "successful_receptions": self.successful_receptions,
             **self.metadata,
         }
+
+
+def _extend(
+    flat: np.ndarray, offsets: np.ndarray, parts: Sequence[Ids]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``flat`` and its slot ``offsets`` extended by one slot per part."""
+    ends = offsets[-1] + np.cumsum([len(part) for part in parts], dtype=np.int64)
+    return np.concatenate((flat, *parts), dtype=np.int64), np.concatenate((offsets, ends))

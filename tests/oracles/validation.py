@@ -30,13 +30,32 @@ from repro.links import Link
 __all__ = [
     "euclidean_mst_tree_reference",
     "is_strongly_connected_reference",
+    "path_to_root",
     "validate_aggregation_order_reference",
     "validate_reference",
 ]
 
 
+def path_to_root(tree: BiTree, node_id: int) -> list[int]:
+    """Node ids on the parent chain from ``node_id`` to the root, inclusive.
+
+    Raises:
+        ScheduleError: if the chain does not reach the root (cycle or
+            disconnection).
+    """
+    path = [node_id]
+    seen = {node_id}
+    while path[-1] != tree.root_id:
+        nxt = tree.parent.get(path[-1])
+        if nxt is None or nxt in seen:
+            raise ScheduleError(f"node {node_id} is not connected to the root")
+        path.append(nxt)
+        seen.add(nxt)
+    return path
+
+
 def validate_reference(tree: BiTree) -> None:
-    """The structural invariants, checked with one ``depth_of`` walk per node."""
+    """The structural invariants, checked with one parent-chain walk per node."""
     if tree.root_id not in tree.nodes:
         raise ScheduleError("root id missing from node map")
     if tree.root_id in tree.parent:
@@ -49,7 +68,7 @@ def validate_reference(tree: BiTree) -> None:
             f"parent map mismatch: missing={sorted(missing)[:5]} extra={sorted(extra)[:5]}"
         )
     for node_id in tree.nodes:
-        tree.depth_of(node_id)  # raises on cycles / disconnection
+        path_to_root(tree, node_id)  # raises on cycles / disconnection
     tree.aggregation_schedule.validate_covers(
         Link(tree.nodes[c], tree.nodes[p]) for c, p in tree.parent.items()
     )

@@ -27,6 +27,7 @@ from .conftest import make_node
 from .oracles.validation import (
     euclidean_mst_tree_reference,
     is_strongly_connected_reference,
+    path_to_root,
     validate_aggregation_order_reference,
     validate_reference,
 )
@@ -171,7 +172,9 @@ class TestRegressions:
 
     def test_depths_match_depth_of(self):
         tree, _ = self._chain()
-        assert tree.depths() == {node_id: tree.depth_of(node_id) for node_id in tree.nodes}
+        assert tree.depths() == {
+            node_id: len(path_to_root(tree, node_id)) - 1 for node_id in tree.nodes
+        }
         assert tree.depth() == 3
 
 

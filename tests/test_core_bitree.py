@@ -9,6 +9,7 @@ from repro.exceptions import ScheduleError
 from repro.links import Link
 
 from .conftest import make_node
+from .oracles.validation import path_to_root
 
 
 def _simple_tree() -> tuple[BiTree, list]:
@@ -48,15 +49,16 @@ class TestConstruction:
 class TestStructure:
     def test_children_and_depth(self):
         tree, _ = _simple_tree()
-        assert tree.children(2) == [0, 1]
-        assert tree.children(4) == [2, 3]
-        assert tree.depth_of(0) == 2
+        children = tree.children_map()
+        assert sorted(children[2]) == [0, 1]
+        assert sorted(children[4]) == [2, 3]
+        assert tree.depths()[0] == 2
         assert tree.depth() == 2
 
     def test_path_to_root(self):
         tree, _ = _simple_tree()
-        assert tree.path_to_root(0) == [0, 2, 4]
-        assert tree.path_to_root(4) == [4]
+        assert path_to_root(tree, 0) == [0, 2, 4]
+        assert path_to_root(tree, 4) == [4]
 
     def test_subtree_nodes(self):
         tree, _ = _simple_tree()
@@ -141,4 +143,6 @@ class TestSchedules:
             aggregation_schedule=Schedule(),
         )
         with pytest.raises(ScheduleError):
-            tree.depth_of(0)
+            path_to_root(tree, 0)
+        with pytest.raises(ScheduleError, match="not connected"):
+            tree.depths()

@@ -29,10 +29,11 @@ def _leaves(tree):
 class TestTreeRepairer:
     def test_repair_after_internal_failures_restores_spanning_tree(self, built_tree, rng):
         params, _, outcome = built_tree
+        parents = outcome.tree.children_map()
         internal = [
             node_id
             for node_id in outcome.tree.nodes
-            if outcome.tree.children(node_id) and node_id != outcome.tree.root_id
+            if node_id in parents and node_id != outcome.tree.root_id
         ][:3]
         result = TreeRepairer(params).repair(outcome.tree, outcome.power, internal, rng)
         result.tree.validate()
@@ -61,10 +62,11 @@ class TestTreeRepairer:
 
     def test_new_slot_groups_are_feasible(self, built_tree, rng):
         params, _, outcome = built_tree
+        parents = outcome.tree.children_map()
         internal = [
             node_id
             for node_id in outcome.tree.nodes
-            if outcome.tree.children(node_id) and node_id != outcome.tree.root_id
+            if node_id in parents and node_id != outcome.tree.root_id
         ][:2]
         result = TreeRepairer(params).repair(outcome.tree, outcome.power, internal, rng)
         old_span = outcome.tree.aggregation_schedule.span
@@ -79,10 +81,11 @@ class TestTreeRepairer:
 
     def test_repair_cost_smaller_than_rebuild(self, built_tree, rng):
         params, nodes, outcome = built_tree
+        parents = outcome.tree.children_map()
         internal = [
             node_id
             for node_id in outcome.tree.nodes
-            if outcome.tree.children(node_id) and node_id != outcome.tree.root_id
+            if node_id in parents and node_id != outcome.tree.root_id
         ][:2]
         result = TreeRepairer(params).repair(outcome.tree, outcome.power, internal, rng)
         assert result.slots_used < outcome.slots_used

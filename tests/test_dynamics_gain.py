@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamics import (
     ComposedGain,
@@ -13,9 +15,12 @@ from repro.dynamics import (
     LogNormalShadowing,
     RayleighFading,
 )
+from repro.dynamics.gain import _hash_int, _hash_u64, _uniform_open
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet
+from repro.netsim import election_priority
+from repro.netsim.election import _ELECTION_STREAM
 from repro.runtime import Simulator, spawn_agent_rngs
 from repro.sinr import (
     CachedChannel,
@@ -377,3 +382,32 @@ class TestFadedLinkMatrices:
         assert not np.array_equal(
             cache.gain_matrix(params), cache.gain_matrix(faded)
         )
+
+
+class TestScalarHash:
+    """The pure-int SplitMix64 is the NumPy hash, value for value."""
+
+    word = st.integers(-(2**63), 2**64 - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(components=st.lists(word, min_size=1, max_size=5))
+    def test_matches_numpy_hash(self, components):
+        assert _hash_int(*components) == int(_hash_u64(*components))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**63 - 1, 2**63, 2**64 - 1])),
+        node_id=st.integers(-(2**63), 2**63 - 1),
+    )
+    def test_election_priority_unchanged(self, seed, node_id):
+        draw, tie = election_priority(seed, node_id)
+        reference = float(_uniform_open(_hash_u64(_ELECTION_STREAM, seed, node_id)))
+        assert (type(draw), type(tie)) == (float, int)
+        assert (draw, tie) == (reference, node_id)
+
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+    def test_out_of_range_overflows_alike(self, value):
+        with pytest.raises(OverflowError):
+            _hash_u64(1, value)
+        with pytest.raises(OverflowError):
+            _hash_int(1, value)

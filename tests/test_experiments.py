@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig, average_rows
 from repro.experiments import e1_init, e2_degree, e5_tvc_arbitrary, f1_comparison
 
@@ -29,6 +30,50 @@ class TestConfig:
     def test_with_overrides(self):
         config = ExperimentConfig().with_overrides(sizes=(8,))
         assert config.sizes == (8,)
+
+
+class TestConfigValidation:
+    """Bad knobs fail when the config is built, not when a trial runs."""
+
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ConfigurationError, match="sizes"):
+            ExperimentConfig(sizes=())
+
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="seeds"):
+            ExperimentConfig(seeds=())
+
+    def test_non_positive_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="sizes must be positive"):
+            ExperimentConfig(sizes=(8, 0))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ExperimentConfig(seeds=(1, -1))
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 2.0, 1.5])
+    def test_bad_delta_target_rejected(self, target):
+        with pytest.raises(ConfigurationError, match="delta targets"):
+            ExperimentConfig(delta_targets=(1.0e2, target))
+
+    def test_delta_sweep_size_without_room_for_outliers_rejected(self):
+        with pytest.raises(ConfigurationError, match="delta_sweep_size"):
+            ExperimentConfig(delta_sweep_size=4)
+        assert ExperimentConfig(delta_sweep_size=5).delta_sweep_size == 5
+
+    def test_unknown_deployment_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown deployment"):
+            ExperimentConfig(deployment="hexagonal")
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ExperimentConfig(workers=workers)
+        assert ExperimentConfig(workers=-1).workers == -1
+
+    def test_with_overrides_validates(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            ExperimentConfig.quick().with_overrides(workers=0)
 
 
 class TestAverageRows:

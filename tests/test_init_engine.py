@@ -4,7 +4,7 @@
 oracle in ``tests/oracles/init.py`` runs one ``InitAgent`` per node through
 ``Simulator``.  Both draw every node's coins from the same private stream,
 so they must agree on everything a result carries - tree, slot and round
-counts, link rounds, powers, stored degrees - and on every trace column,
+counts, link rounds, powers, stored degrees - and on every trace record,
 labels included.
 """
 
@@ -43,16 +43,13 @@ def deploy(kind: str, n: int, seed: int) -> list[Node]:
     return linear_chain(n, spacing=1.0 + seed % 3)
 
 
-def trace_columns(trace) -> tuple:
-    """Every column of an ``ExecutionTrace``, labels included."""
+def trace_contents(trace) -> tuple:
+    """Every slot of an ``ExecutionTrace`` and its summary, read through the
+    public views (which flatten pending slots): slot, label, transmitters
+    and receptions in order."""
     return (
-        list(trace._slots),
-        list(trace._labels),
-        list(trace._tx_flat),
-        list(trace._tx_offsets),
-        list(trace._rx_listeners),
-        list(trace._rx_senders),
-        list(trace._rx_offsets),
+        [(r.slot, r.label, r.transmitters, tuple(r.receptions.items())) for r in trace.records],
+        trace.summary(),
     )
 
 
@@ -67,7 +64,7 @@ def assert_same_run(engine, oracle) -> None:
     assert engine.power.as_dict() == oracle.power.as_dict()
     assert engine.power.fallback.level == oracle.power.fallback.level
     assert engine.stored_degrees == oracle.stored_degrees
-    assert trace_columns(engine.trace) == trace_columns(oracle.trace)
+    assert trace_contents(engine.trace) == trace_contents(oracle.trace)
 
 
 def run_both(params, nodes, seed, constants=DEFAULT_CONSTANTS):

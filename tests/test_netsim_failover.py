@@ -277,7 +277,7 @@ class TestZeroFaultParity:
 class TestDegradationContract:
     def test_crashed_subtree_reported_never_silent(self):
         built = _built(48, 23)
-        victim = built.tree.children(built.tree.root_id)[0]
+        victim = min(built.tree.children_map()[built.tree.root_id])
         plan = FaultPlan(seed=23, crashes=CrashSchedule((CrashWindow(victim, 0),)))
         result = run_convergecast(built.tree, built.power, PARAMS, plan=plan, quorum=0.5)
         subtree = built.tree.subtree_nodes(victim)
@@ -300,7 +300,7 @@ class TestDegradationContract:
 
     def test_lossy_dissemination_reports_missing(self):
         built = _built(32, 13)
-        victim = built.tree.children(built.tree.root_id)[0]
+        victim = min(built.tree.children_map()[built.tree.root_id])
         plan = FaultPlan(seed=13, crashes=CrashSchedule((CrashWindow(victim, 0),)))
         result = run_dissemination(built.tree, built.power, PARAMS, plan=plan, quorum=0.5)
         assert not result.complete

@@ -8,7 +8,7 @@ per-agent runtime ``OracleNetSimulator`` and assembles the result from the
 agents.  Over random fault plans - drops, heartbeat loss, latency, partitions, crash-stop and
 crash-recover windows - both must agree on every result field, every fault
 trace list and digest, the detector's views after every slot, every trace
-column and every telemetry counter, completion patches included.
+record and every telemetry counter, completion patches included.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.sinr import SINRParameters
 from repro.state import NetworkState, TiledNetworkState, network
 
 from .oracles import OracleNetSimulator, build_net_init_reference
+from .test_init_engine import trace_contents
 
 PARAMS = SINRParameters()
 N_MAX = 24
@@ -85,18 +86,6 @@ def _plans(draw, n: int) -> FaultPlan:
     )
 
 
-def _trace_columns(trace) -> tuple:
-    return (
-        list(trace._slots),
-        list(trace._labels),
-        list(trace._tx_flat),
-        list(trace._tx_offsets),
-        list(trace._rx_listeners),
-        list(trace._rx_senders),
-        list(trace._rx_offsets),
-    )
-
-
 def _result_fields(result) -> dict:
     return {
         "root": result.tree.root_id,
@@ -109,7 +98,7 @@ def _result_fields(result) -> dict:
         "power": result.power.as_dict(),
         "fallback": result.power.fallback.level,
         "link_rounds": result.link_rounds,
-        "trace": _trace_columns(result.trace),
+        "trace": trace_contents(result.trace),
         "stored_degrees": result.stored_degrees,
         "crashed": result.crashed,
         "reattached": result.reattached,
@@ -165,7 +154,7 @@ def _observe(build: Callable[[], object]) -> dict:
         runtimes.append(
             {
                 "views": views,
-                "trace": _trace_columns(sim.trace),
+                "trace": trace_contents(sim.trace),
                 "send_budget": sim.send_budget,
                 "summary": sim.fault_summary(),
                 "fault_lists": None

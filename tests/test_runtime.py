@@ -134,4 +134,5 @@ class TestTrace:
             )
         assert from_arrays.records == from_lists.records
         assert from_lists.records[0].receptions == {1: 4, 2: 7}
-        assert [getattr(from_arrays, c) for c in columns] == [getattr(from_lists, c) for c in columns]
+        for column in columns:
+            assert np.array_equal(getattr(from_arrays, column), getattr(from_lists, column))

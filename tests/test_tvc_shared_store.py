@@ -37,7 +37,7 @@ from repro.runtime import spawn_agent_rngs
 from repro.sinr import NodeArrayCache, SINRParameters
 from repro.state import NetworkState, TiledNetworkState, network
 
-from .test_init_engine import trace_columns
+from .test_init_engine import trace_contents
 
 PARAMS = SINRParameters()
 SHADOWING = LogNormalShadowing(sigma_db=6.0, seed=11)
@@ -99,7 +99,7 @@ def assert_same_init(got: InitialTreeResult, expected: InitialTreeResult) -> Non
             assert left.as_dict() == right.as_dict()
             assert left.fallback.level == right.fallback.level
         elif field.name == "trace":
-            assert trace_columns(left) == trace_columns(right)
+            assert trace_contents(left) == trace_contents(right)
             assert left.records == right.records
         else:
             assert left == right, field.name
