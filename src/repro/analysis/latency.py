@@ -3,10 +3,12 @@
 The bi-tree property (Definition 1) promises that once the structure and its
 schedule exist, an aggregation (convergecast), a broadcast, and any node-to-
 node message all complete within (twice) the schedule length.  These
-simulations *replay* a bi-tree's schedule on the real SINR channel and check
-that promise: every slot's transmissions are resolved physically, values are
-combined at parents (or forwarded to children), and the outcome is compared
-with the ground truth.
+functions check that promise in lockstep: they run the schedule replays of
+:mod:`repro.netsim.aggregation` through the lockstep
+:class:`~repro.netsim.aggregation.ReplaySeam` - every scheduled slot resolved
+physically, every decoded hop delivered, nothing retried - and report the
+outcome against the ground truth.  The netsim entries run the same loops over
+a faulty transport.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..core.bitree import BiTree
-from ..sinr import Channel, PowerAssignment, SINRParameters, Transmission
+from ..netsim.aggregation import ReplaySeam, replay_broadcast, replay_convergecast
+from ..sinr import PowerAssignment, SINRParameters
 
 __all__ = [
     "ConvergecastOutcome",
@@ -86,48 +89,17 @@ def simulate_convergecast(
         power: power assignment used by the tree links.
         params: physical-model parameters.
         values: initial value per node id (defaults to 1.0 each, so the
-            correct aggregate under addition is the number of nodes).
+            correct aggregate under addition is the number of nodes); an id
+            outside the tree raises :class:`~repro.exceptions.ConfigurationError`.
         combine: associative, commutative combination function.
     """
-    initial = {node_id: 1.0 for node_id in tree.nodes}
-    if values is not None:
-        initial.update({int(k): float(v) for k, v in values.items()})
-    accumulator = dict(initial)
-    channel = Channel(params)
-    schedule = tree.aggregation_schedule
-    failed = 0
-    slots = 0
-    for _, group in sorted(schedule.slot_groups().items()):
-        slots += 1
-        transmissions = [
-            Transmission(
-                sender=link.sender,
-                power=power.power(link),
-                message=(link.sender.id, accumulator[link.sender.id]),
-            )
-            for link in group
-        ]
-        listeners = [link.receiver for link in group]
-        receptions = channel.resolve(transmissions, listeners, slot=slots - 1)
-        for link in group:
-            reception = receptions.get(link.receiver.id)
-            if reception is None or reception.sender.id != link.sender.id:
-                failed += 1
-                continue
-            _, value = reception.message
-            accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
-
-    all_values = [initial[node_id] for node_id in tree.nodes]
-    expected = all_values[0]
-    for value in all_values[1:]:
-        expected = combine(expected, value)
-    root_value = accumulator[tree.root_id]
+    replay = replay_convergecast(tree, power, params, ReplaySeam(), values, combine)
     return ConvergecastOutcome(
-        slots=slots,
-        root_value=root_value,
-        expected_value=expected,
-        correct=abs(root_value - expected) < 1e-9 and failed == 0,
-        failed_links=failed,
+        slots=replay.slots,
+        root_value=replay.root_value,
+        expected_value=replay.expected_value,
+        correct=replay.correct,
+        failed_links=len(replay.failed),
     )
 
 
@@ -139,27 +111,7 @@ def simulate_broadcast(
     payload: object = "broadcast",
 ) -> BroadcastOutcome:
     """Replay the dissemination schedule and flood a message from the root."""
-    channel = Channel(params)
-    schedule = tree.dissemination_schedule
-    informed: set[int] = {tree.root_id}
-    slots = 0
-    for _, group in sorted(schedule.slot_groups().items()):
-        slots += 1
-        # One transmission per informed sender; its scheduled children listen.
-        senders = {}
-        for link in group:
-            if link.sender.id in informed:
-                senders.setdefault(link.sender.id, link)
-        transmissions = [
-            Transmission(sender=link.sender, power=power.power(link), message=payload)
-            for link in senders.values()
-        ]
-        listeners = [link.receiver for link in group]
-        receptions = channel.resolve(transmissions, listeners, slot=slots - 1)
-        for link in group:
-            reception = receptions.get(link.receiver.id)
-            if reception is not None and reception.sender.id == link.sender.id and link.sender.id in informed:
-                informed.add(link.receiver.id)
+    slots, informed = replay_broadcast(tree, power, params, ReplaySeam(), payload)
     return BroadcastOutcome(
         slots=slots,
         reached=len(informed),

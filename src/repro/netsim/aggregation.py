@@ -1,17 +1,27 @@
-"""Aggregation and dissemination over the faulty transport.
+"""Schedule replays: convergecast and broadcast on the SINR channel, in
+lockstep or over a faulty transport.
 
-:func:`run_convergecast` / :func:`run_dissemination` drive the paper's
-bi-tree schedules (:mod:`repro.core.schedule`) over a :class:`~repro.netsim
-.transport.Transport`.  The scheduled slots replay exactly like the lockstep
-oracles :func:`~repro.analysis.latency.simulate_convergecast` and
-:func:`~repro.analysis.latency.simulate_broadcast` - same physical resolve,
-same slot indices, same combine order - and every delivery is then filtered
-through the transport.  A hop the *transport* interfered with (a dropped
-delivery, a crashed endpoint) is retried in dedicated extra slots under a
-per-hop :class:`~repro.netsim.delivery.RetryPolicy` budget, serially and
+The bi-tree property (Definition 1) promises that an aggregation
+(convergecast) and a broadcast each complete within the schedule length.
+:func:`replay_convergecast` and :func:`replay_broadcast` are the one loop per
+direction that checks it: each scheduled slot is resolved physically at its
+schedule index, values are combined at parents in schedule order (or the
+message forwarded to children), and the outcome is compared with the ground
+truth.  A :class:`ReplaySeam` decides which endpoints are down, which
+decoded hops are delivered and whether a lost hop lands on retry; its base
+is the lockstep replay of :mod:`repro.analysis.latency` (nobody down, every
+decoded hop delivered, nothing retried).
+
+:func:`run_convergecast` / :func:`run_dissemination` run the same loops
+through a fault seam over a :class:`~repro.netsim.transport.Transport`.  A
+hop the *transport* interfered with (a dropped delivery, a crashed endpoint)
+is retried in dedicated extra slots under a per-hop
+:class:`~repro.netsim.delivery.RetryPolicy` budget, serially and
 contention-free, before the next scheduled slot fires - a parent transmits
 its accumulated value at its own slot, so late child deliveries must land
-first or be declared lost.
+first or be declared lost.  Pure SINR failures are deliberately *not*
+retried, so a zero-fault run is the lockstep replay: same slots, bitwise the
+same root value, same failure counts.
 
 Degradation contract: a hop that exhausts its retry budget makes the child's
 whole subtree *missing* - its value simply never reaches the root.  Missing
@@ -20,17 +30,10 @@ fraction is checked against a ``quorum``, and the run always terminates
 (every loop is bounded by the schedule and the retry budget - RL010).
 Nothing is ever silently dropped: ``contributing`` lists exactly whose
 values the root's aggregate contains.
-
-Zero-fault parity is pinned by the tests: with no faults the retry machinery
-never engages, and slots, the root value (bitwise) and the failure counts
-coincide with the lockstep replay.  Pure SINR failures are deliberately
-*not* retried - the oracle does not retry them, and retrying would break
-that equivalence; the transport's own interference is what the retry budget
-buys back.
 """
-
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -38,6 +41,7 @@ import numpy as np
 
 from ..core.bitree import BiTree
 from ..exceptions import ConfigurationError
+from ..links import Link
 from ..obs.runtime import OBS
 from ..obs.spans import span
 from ..sinr import Channel, PowerAssignment, SINRParameters, Transmission
@@ -46,12 +50,15 @@ from .faults import FaultPlan
 from .transport import FaultyTransport, PerfectTransport, Transport
 
 __all__ = [
+    "AggregationReplay",
     "NetConvergecastResult",
     "NetDisseminationResult",
+    "ReplaySeam",
+    "replay_broadcast",
+    "replay_convergecast",
     "run_convergecast",
     "run_dissemination",
 ]
-
 
 @dataclass(frozen=True)
 class NetConvergecastResult:
@@ -125,17 +132,273 @@ class NetDisseminationResult:
     fault_digest: str | None = None
 
 
-def _make_transport(plan: FaultPlan | None, slot_offset: int) -> Transport:
-    if slot_offset < 0:
-        raise ConfigurationError(f"slot_offset must be non-negative, got {slot_offset}")
-    if plan is None or plan.faultless:
-        return PerfectTransport()
-    return FaultyTransport(plan, slot_offset=slot_offset)
+@dataclass(frozen=True)
+class AggregationReplay:
+    """What one convergecast replay did.
+
+    Attributes:
+        slots: scheduled slots replayed.
+        root_value: the aggregate the root ended up with.
+        expected_value: the true aggregate, combined in node order.
+        correct: the two agree up to floating-point reassociation, and no
+            hop failed or was lost.
+        failed: hops the channel did not decode (never retried).
+        lost: hops the seam did not deliver, retries included.
+    """
+
+    slots: int
+    root_value: float
+    expected_value: float
+    correct: bool
+    failed: tuple[Link, ...]
+    lost: tuple[Link, ...]
 
 
-def _check_quorum(quorum: float) -> None:
+class ReplaySeam:
+    """The per-slot hooks of the schedule replays.  This base is the lockstep
+    seam: no endpoint is down, every decoded hop is delivered, and nothing
+    is retried."""
+
+    __slots__ = ()
+
+    def down(self) -> frozenset[int]:
+        """Ids down at the next scheduled slot; their links sit it out."""
+        return frozenset()
+
+    def deliver(self, hops: list[Link]) -> frozenset[tuple[int, int]]:
+        """Close the scheduled slot; the endpoint pairs of the decoded
+        ``hops`` whose delivery was lost."""
+        return frozenset()
+
+    def retry(self, link: Link) -> bool:
+        """Resend a hop the slot did not deliver; whether it landed."""
+        return False
+
+
+def _delivered(hops: list[Link], lost: frozenset[tuple[int, int]]) -> list[Link]:
+    """``hops``, in order, whose delivery was not lost."""
+    if not lost:
+        return hops
+    return [link for link in hops if link.endpoint_ids not in lost]
+
+
+def _stalled(
+    links: list[Link], down: frozenset[int], lost: frozenset[tuple[int, int]]
+) -> list[Link]:
+    """``links``, in order, that sat the slot out or whose delivery was lost."""
+    if not (down or lost):
+        return []
+    return [
+        link
+        for link in links
+        if link.endpoint_ids in lost or not down.isdisjoint(link.endpoint_ids)
+    ]
+
+
+def replay_convergecast(
+    tree: BiTree,
+    power: PowerAssignment,
+    params: SINRParameters,
+    seam: ReplaySeam,
+    values: Mapping[int, float] | None,
+    combine: Callable[[float, float], float],
+) -> AggregationReplay:
+    """Replay the aggregation schedule and aggregate values up to the root.
+
+    Each hop carries its sender's aggregate as it stood when the slot began;
+    a retried hop resends that same value before the next scheduled slot.
+
+    Raises:
+        ConfigurationError: if ``values`` names an id outside the tree.
+    """
+    initial = dict.fromkeys(tree.nodes, 1.0)
+    if values is not None:
+        given = {int(k): float(v) for k, v in values.items()}
+        foreign = [node_id for node_id in given if node_id not in initial]
+        if foreign:
+            raise ConfigurationError(f"values name id {min(foreign)}, which is not a tree node")
+        initial.update(given)
+    accumulator = dict(initial)
+    channel = Channel(params)
+    failed: list[Link] = []
+    lost: list[Link] = []
+    slots = 0
+    for _, group in sorted(tree.aggregation_schedule.slot_groups().items()):
+        down = seam.down()
+        live = [link for link in group if down.isdisjoint(link.endpoint_ids)] if down else group
+        transmissions = [
+            Transmission(link.sender, power.power(link), accumulator[link.sender.id])
+            for link in live
+        ]
+        receptions = channel.resolve(transmissions, [link.receiver for link in live], slot=slots)
+        slots += 1
+        hops: list[Link] = []
+        for link in live:
+            reception = receptions.get(link.receiver.id)
+            if reception is None or reception.sender.id != link.sender.id:
+                failed.append(link)  # a pure SINR failure: never retried
+            else:
+                hops.append(link)
+        dropped = seam.deliver(hops)
+        resend = [(link, accumulator[link.sender.id]) for link in _stalled(group, down, dropped)]
+        for link in _delivered(hops, dropped):
+            value = receptions[link.receiver.id].message
+            accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
+        for link, value in resend:
+            if seam.retry(link):
+                accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
+            else:
+                lost.append(link)
+
+    totals = iter(initial.values())
+    expected = next(totals)
+    for value in totals:
+        expected = combine(expected, value)
+    root_value = accumulator[tree.root_id]
+    return AggregationReplay(
+        slots=slots,
+        root_value=root_value,
+        expected_value=expected,
+        correct=math.isclose(root_value, expected, rel_tol=1e-9, abs_tol=1e-9)
+        and not failed
+        and not lost,
+        failed=tuple(failed),
+        lost=tuple(lost),
+    )
+
+
+def replay_broadcast(
+    tree: BiTree,
+    power: PowerAssignment,
+    params: SINRParameters,
+    seam: ReplaySeam,
+    payload: object,
+) -> tuple[int, set[int]]:
+    """Replay the dissemination schedule, flooding ``payload`` from the root.
+
+    Returns the scheduled slots and the ids the message reached.
+    """
+    channel = Channel(params)
+    informed = {tree.root_id}
+    slots = 0
+    for _, group in sorted(tree.dissemination_schedule.slot_groups().items()):
+        down = seam.down()
+        up = [link for link in group if down.isdisjoint(link.endpoint_ids)] if down else group
+        # Only senders informed when the slot begins forward the message.  A
+        # parent serving several children in one slot transmits once, and
+        # does so even when a child is down: the crash filter of a sender is
+        # its own, that of a hop both endpoints.
+        active = [link for link in group if link.sender.id in informed]
+        senders: dict[int, Link] = {}
+        for link in active:
+            if link.sender.id not in down:
+                senders.setdefault(link.sender.id, link)
+        transmissions = [
+            Transmission(sender=link.sender, power=power.power(link), message=payload)
+            for link in senders.values()
+        ]
+        receptions = channel.resolve(transmissions, [link.receiver for link in up], slot=slots)
+        slots += 1
+        hops: list[Link] = []
+        for link in up:
+            reception = receptions.get(link.receiver.id)
+            if reception is not None and reception.sender.id == link.sender.id:
+                hops.append(link)
+        dropped = seam.deliver(hops)
+        resend = _stalled(active, down, dropped)
+        informed.update(link.receiver.id for link in _delivered(hops, dropped))
+        for link in resend:
+            if seam.retry(link):
+                informed.add(link.receiver.id)
+    return slots, informed
+
+
+@dataclass(eq=False)
+class _FaultSeam(ReplaySeam):
+    """The replay hooks over a transport, with one run's slot clock.
+
+    Scheduled slots and retry slots share ``clock``, the slot index the
+    transport hashes; the channel decodes scheduled slots at their schedule
+    index and retry slots at their clock index.
+    """
+
+    transport: Transport
+    channel: Channel
+    power: PowerAssignment
+    max_attempts: int
+    clock: int = 0
+    retries: int = 0
+
+    def down(self) -> frozenset[int]:
+        return self.transport.crashed_ids(self.clock)
+
+    def deliver(self, hops: list[Link]) -> frozenset[tuple[int, int]]:
+        slot = self.clock
+        self.clock += 1
+        return frozenset(link.endpoint_ids for link in hops if not self._admitted(link, slot))
+
+    def retry(self, link: Link) -> bool:
+        """Each attempt is one contention-free slot, bounded by the budget."""
+        for _ in range(1, self.max_attempts):
+            slot = self.clock
+            self.clock += 1
+            self.retries += 1
+            if OBS.enabled:
+                OBS.registry.inc("netsim.agg_retries")
+            if not self.transport.crashed_ids(slot).isdisjoint(link.endpoint_ids):
+                continue
+            solo = self.channel.resolve(
+                [Transmission(sender=link.sender, power=self.power.power(link))],
+                [link.receiver],
+                slot=slot,
+            )
+            if link.receiver.id in solo and self._admitted(link, slot):
+                return True
+        return False
+
+    def _admitted(self, link: Link, slot: int) -> bool:
+        delivered, _ = self.transport.admit(
+            slot,
+            np.array([link.sender.id], dtype=np.int64),
+            np.array([link.receiver.id], dtype=np.int64),
+        )
+        return bool(delivered[0])
+
+
+def _fault_seam(
+    plan: FaultPlan | None,
+    policy: RetryPolicy | None,
+    quorum: float,
+    slot_offset: int,
+    power: PowerAssignment,
+    params: SINRParameters,
+) -> _FaultSeam:
+    """The fault seam of one netsim replay, after checking its knobs."""
     if not 0.0 < quorum <= 1.0:
         raise ConfigurationError(f"quorum must be in (0, 1], got {quorum}")
+    if slot_offset < 0:
+        raise ConfigurationError(f"slot_offset must be non-negative, got {slot_offset}")
+    transport: Transport = PerfectTransport()
+    if plan is not None and not plan.faultless:
+        transport = FaultyTransport(plan, slot_offset=slot_offset)
+    max_attempts = (policy if policy is not None else RetryPolicy()).max_attempts
+    return _FaultSeam(transport, Channel(params), power, max_attempts)
+
+
+def _contributing(tree: BiTree, dead: set[tuple[int, int]]) -> frozenset[int]:
+    """Ids whose values the root's aggregate contains.
+
+    A value travels up a chain of delivered hops, each scheduled before the
+    next one: a parent sends its aggregate as it stood when its own slot
+    began, so a child's value (retried or not) rides along only if the
+    child's slot comes first.  Walking the schedule from its last slot back,
+    ``onward[v]`` is the slot of v's latest hop that carries it to the root.
+    """
+    onward: dict[int, float] = {tree.root_id: math.inf}
+    for link, slot in sorted(tree.aggregation_schedule.items(), key=lambda item: -item[1]):
+        if link.endpoint_ids not in dead and onward.get(link.receiver.id, -math.inf) > slot:
+            onward.setdefault(link.sender.id, slot)
+    return frozenset(onward)
 
 
 def run_convergecast(
@@ -162,150 +425,32 @@ def run_convergecast(
             ``quorum_met``.
         slot_offset: added to every slot before fault hashing (chain after
             an ``Init`` run or an election).
-        values: initial value per node id (defaults to 1.0 each).
+        values: initial value per node id (defaults to 1.0 each); an id
+            outside the tree raises :class:`ConfigurationError`.
         combine: associative, commutative combination function.
     """
-    _check_quorum(quorum)
-    transport = _make_transport(plan, slot_offset)
-    retry_policy = policy if policy is not None else RetryPolicy()
-    initial = {node_id: 1.0 for node_id in tree.nodes}
-    if values is not None:
-        initial.update({int(k): float(v) for k, v in values.items()})
-    accumulator = dict(initial)
-    included: dict[int, set[int]] = {node_id: {node_id} for node_id in tree.nodes}
-    channel = Channel(params)
-    schedule = tree.aggregation_schedule
-    lost_children: list[int] = []
-    physical_failures = 0
-    retries = 0
-    sched_slots = 0
-    total_slots = 0
+    seam = _fault_seam(plan, policy, quorum, slot_offset, power, params)
     with span("netsim.convergecast", n=tree.size, links=len(tree.parent)):
-        for _, group in sorted(schedule.slot_groups().items()):
-            sched_slots += 1
-            # Snapshot values and provenance at slot start, as the oracle
-            # does: a link's message carries its sender's pre-slot aggregate.
-            payloads = {
-                link.sender.id: (accumulator[link.sender.id], frozenset(included[link.sender.id]))
-                for link in group
-            }
-            down = {
-                link.sender.id: (
-                    transport.is_crashed(link.sender.id, total_slots)
-                    or transport.is_crashed(link.receiver.id, total_slots)
-                )
-                for link in group
-            }
-            transmissions = [
-                Transmission(
-                    sender=link.sender,
-                    power=power.power(link),
-                    message=(link.sender.id, payloads[link.sender.id][0]),
-                )
-                for link in group
-                if not down[link.sender.id]
-            ]
-            listeners = [
-                link.receiver for link in group if not down[link.sender.id]
-            ]
-            # The physical replay is slot-for-slot the lockstep oracle's:
-            # same channel, same contention group, same slot index.
-            receptions = channel.resolve(transmissions, listeners, slot=sched_slots - 1)
-            pending: list = []
-            for link in group:
-                if down[link.sender.id]:
-                    pending.append(link)
-                    continue
-                reception = receptions.get(link.receiver.id)
-                if reception is None or reception.sender.id != link.sender.id:
-                    # Pure SINR failure: the oracle does not retry these, and
-                    # neither do we - parity over the zero-fault path.
-                    physical_failures += 1
-                    continue
-                delivered, _ = transport.admit(
-                    total_slots,
-                    np.array([link.sender.id], dtype=np.int64),
-                    np.array([link.receiver.id], dtype=np.int64),
-                )
-                if not delivered[0]:
-                    pending.append(link)
-                    continue
-                _, value = reception.message
-                accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
-                included[link.receiver.id] |= payloads[link.sender.id][1]
-            total_slots += 1
-            # Late deliveries must land before the next scheduled slot: the
-            # parent transmits its own aggregate at its own slot, so a child
-            # arriving later would be silently lost.  Each pending hop gets
-            # its own contention-free retry slots, bounded by the budget.
-            for link in pending:
-                recovered = False
-                for _ in range(1, retry_policy.max_attempts):
-                    retry_slot = total_slots
-                    total_slots += 1
-                    retries += 1
-                    if OBS.enabled:
-                        OBS.registry.inc("netsim.agg_retries")
-                    if transport.is_crashed(link.sender.id, retry_slot) or transport.is_crashed(
-                        link.receiver.id, retry_slot
-                    ):
-                        continue
-                    payload_value, payload_ids = payloads[link.sender.id]
-                    solo = channel.resolve(
-                        [
-                            Transmission(
-                                sender=link.sender,
-                                power=power.power(link),
-                                message=(link.sender.id, payload_value),
-                            )
-                        ],
-                        [link.receiver],
-                        slot=retry_slot,
-                    )
-                    reception = solo.get(link.receiver.id)
-                    if reception is None:
-                        continue
-                    delivered, _ = transport.admit(
-                        retry_slot,
-                        np.array([link.sender.id], dtype=np.int64),
-                        np.array([link.receiver.id], dtype=np.int64),
-                    )
-                    if not delivered[0]:
-                        continue
-                    accumulator[link.receiver.id] = combine(
-                        accumulator[link.receiver.id], payload_value
-                    )
-                    included[link.receiver.id] |= payload_ids
-                    recovered = True
-                    break
-                if not recovered:
-                    lost_children.append(link.sender.id)
-
-    all_values = [initial[node_id] for node_id in tree.nodes]
-    expected = all_values[0]
-    for value in all_values[1:]:
-        expected = combine(expected, value)
-    root_value = accumulator[tree.root_id]
-    contributing = frozenset(included[tree.root_id])
-    missing = tuple(sorted(set(lost_children)))
-    failed = physical_failures + len(missing)
+        replay = replay_convergecast(tree, power, params, seam, values, combine)
+    contributing = _contributing(tree, {link.endpoint_ids for link in replay.failed + replay.lost})
+    missing = tuple(sorted({link.sender.id for link in replay.lost}))
     degraded = bool(missing)
     if OBS.enabled and degraded:
         OBS.registry.inc("netsim.degraded_aggregations")
-    trace = getattr(transport, "trace", None)
+    trace = getattr(seam.transport, "trace", None)
     return NetConvergecastResult(
-        slots=total_slots,
-        scheduled_slots=sched_slots,
-        root_value=root_value,
-        expected_value=expected,
-        correct=abs(root_value - expected) < 1e-9 and failed == 0,
+        slots=seam.clock,
+        scheduled_slots=replay.slots,
+        root_value=replay.root_value,
+        expected_value=replay.expected_value,
+        correct=replay.correct,
         contributing=contributing,
         missing_subtrees=missing,
-        retries=retries,
-        failed_links=failed,
+        retries=seam.retries,
+        failed_links=len(replay.failed) + len(missing),
         degraded=degraded,
         quorum_met=len(contributing) >= quorum * len(tree.nodes),
-        root_alive=not transport.is_crashed(tree.root_id, max(total_slots - 1, 0)),
+        root_alive=not seam.transport.is_crashed(tree.root_id, max(seam.clock - 1, 0)),
         fault_summary=trace.summary() if trace is not None else {},
         fault_digest=trace.digest() if trace is not None else None,
     )
@@ -323,104 +468,22 @@ def run_dissemination(
     payload: object = "broadcast",
 ) -> NetDisseminationResult:
     """Flood a message down the tree over the transport, retrying lost hops."""
-    _check_quorum(quorum)
-    transport = _make_transport(plan, slot_offset)
-    retry_policy = policy if policy is not None else RetryPolicy()
-    channel = Channel(params)
-    schedule = tree.dissemination_schedule
-    informed: set[int] = {tree.root_id}
-    retries = 0
-    sched_slots = 0
-    total_slots = 0
+    seam = _fault_seam(plan, policy, quorum, slot_offset, power, params)
     with span("netsim.dissemination", n=tree.size, links=len(tree.parent)):
-        for _, group in sorted(schedule.slot_groups().items()):
-            sched_slots += 1
-            informed_at_start = frozenset(informed)
-            senders = {}
-            for link in group:
-                if link.sender.id in informed_at_start:
-                    senders.setdefault(link.sender.id, link)
-            # A parent may serve several children in one slot, so the crash
-            # filter is per link (endpoint pair), not per sender.
-            down = {
-                link.endpoint_ids: (
-                    transport.is_crashed(link.sender.id, total_slots)
-                    or transport.is_crashed(link.receiver.id, total_slots)
-                )
-                for link in group
-            }
-            transmissions = [
-                Transmission(sender=link.sender, power=power.power(link), message=payload)
-                for link in senders.values()
-                if not transport.is_crashed(link.sender.id, total_slots)
-            ]
-            listeners = [link.receiver for link in group if not down[link.endpoint_ids]]
-            receptions = channel.resolve(transmissions, listeners, slot=sched_slots - 1)
-            pending: list = []
-            for link in group:
-                if link.sender.id not in informed_at_start:
-                    continue
-                if down[link.endpoint_ids]:
-                    pending.append(link)
-                    continue
-                reception = receptions.get(link.receiver.id)
-                if reception is None or reception.sender.id != link.sender.id:
-                    continue  # pure SINR failure: not retried (oracle parity)
-                delivered, _ = transport.admit(
-                    total_slots,
-                    np.array([link.sender.id], dtype=np.int64),
-                    np.array([link.receiver.id], dtype=np.int64),
-                )
-                if not delivered[0]:
-                    pending.append(link)
-                    continue
-                informed.add(link.receiver.id)
-            total_slots += 1
-            for link in pending:
-                for _ in range(1, retry_policy.max_attempts):
-                    retry_slot = total_slots
-                    total_slots += 1
-                    retries += 1
-                    if OBS.enabled:
-                        OBS.registry.inc("netsim.agg_retries")
-                    if transport.is_crashed(link.sender.id, retry_slot) or transport.is_crashed(
-                        link.receiver.id, retry_slot
-                    ):
-                        continue
-                    solo = channel.resolve(
-                        [
-                            Transmission(
-                                sender=link.sender, power=power.power(link), message=payload
-                            )
-                        ],
-                        [link.receiver],
-                        slot=retry_slot,
-                    )
-                    reception = solo.get(link.receiver.id)
-                    if reception is None:
-                        continue
-                    delivered, _ = transport.admit(
-                        retry_slot,
-                        np.array([link.sender.id], dtype=np.int64),
-                        np.array([link.receiver.id], dtype=np.int64),
-                    )
-                    if delivered[0]:
-                        informed.add(link.receiver.id)
-                        break
-
+        scheduled, informed = replay_broadcast(tree, power, params, seam, payload)
     missing = tuple(sorted(set(tree.nodes) - informed))
     degraded = bool(missing)
     if OBS.enabled and degraded:
         OBS.registry.inc("netsim.degraded_aggregations")
-    trace = getattr(transport, "trace", None)
+    trace = getattr(seam.transport, "trace", None)
     return NetDisseminationResult(
-        slots=total_slots,
-        scheduled_slots=sched_slots,
+        slots=seam.clock,
+        scheduled_slots=scheduled,
         reached=len(informed),
         total=len(tree.nodes),
         complete=len(informed) == len(tree.nodes),
         missing=missing,
-        retries=retries,
+        retries=seam.retries,
         degraded=degraded,
         quorum_met=len(informed) >= quorum * len(tree.nodes),
         fault_summary=trace.summary() if trace is not None else {},

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -637,65 +637,6 @@ class Channel:
 
         return _decode_received_stack(received, self.params, ws)
 
-    def link_succeeds(
-        self,
-        sender: Node,
-        receiver: Node,
-        sender_power: float,
-        concurrent: Mapping[int, tuple[Node, float]] | Sequence[Transmission],
-        slot: int | None = None,
-    ) -> bool:
-        """Whether a specific sender->receiver transmission meets the threshold.
-
-        Args:
-            sender: transmitting node of the link under test.
-            receiver: intended receiver.
-            sender_power: power used by ``sender``.
-            concurrent: the other simultaneous transmissions, either as a
-                sequence of :class:`Transmission` or a mapping from node id to
-                ``(node, power)``.
-            slot: global slot index for slot-dependent gain models.
-        """
-        if isinstance(concurrent, Mapping):
-            others = [(node, power) for node, power in concurrent.values()]
-        else:
-            others = [(t.sender, t.power) for t in concurrent]
-        others = [(node, power) for node, power in others if node.id != sender.id]
-        if any(node.id == receiver.id for node, _ in others):
-            return False  # half-duplex: the receiver is busy transmitting
-        distance = sender.distance_to(receiver)
-        if distance <= 0:
-            return False
-        signal = sender_power / distance**self.params.alpha
-        model = self.params.effective_gain_model
-        if model is not None:
-            signal_fade = model.fade_pairs(
-                np.array([sender.id]), np.array([receiver.id]), slot
-            )
-            if signal_fade is not None:
-                signal *= float(signal_fade[0])
-        if others:
-            powers = np.array([power for _, power in others], dtype=float)
-            dist = self._distances_to_node(receiver, [node for node, _ in others])
-            received = powers / np.maximum(dist, 1e-300) ** self.params.alpha
-            if model is not None:
-                cross_fade = model.fade_pairs(
-                    np.array([node.id for node, _ in others], dtype=np.int64),
-                    np.full(len(others), receiver.id, dtype=np.int64),
-                    slot,
-                )
-                if cross_fade is not None:
-                    received = received * cross_fade
-            interference = float(received.sum())
-        else:
-            interference = 0.0
-        return signal / (self.params.noise + interference) >= self.params.beta
-
-    def _distances_to_node(self, receiver: Node, nodes: Sequence[Node]) -> np.ndarray:
-        """Distances from each of ``nodes`` to ``receiver`` (overridden by caches)."""
-        xy = np.array([[n.x, n.y] for n in nodes], dtype=float)
-        return np.hypot(xy[:, 0] - receiver.x, xy[:, 1] - receiver.y)
-
 
 class CachedChannel(Channel):
     """Channel over a *fixed node universe*, backed by its geometry store.
@@ -816,11 +757,3 @@ class CachedChannel(Channel):
             slots,
             workspace=workspace,
         )
-
-    def _distances_to_node(self, receiver: Node, nodes: Sequence[Node]) -> np.ndarray:
-        try:
-            rx = self.cache.index_of_id(receiver.id)
-            idx = np.array([self.cache.index_of_id(n.id) for n in nodes], dtype=np.intp)
-        except KeyError:
-            return super()._distances_to_node(receiver, nodes)
-        return self.cache.distance_block(idx, np.array([rx], dtype=np.intp))[:, 0]

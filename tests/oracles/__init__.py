@@ -5,14 +5,22 @@ These are the slow-but-obvious counterparts of the vectorized paths in
 two engines that step it (the per-object slot engine and the per-agent
 netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
 cold-pool trial map, the per-node netsim fault loops, the quadratic
-bi-tree checks with the networkx MST, the all-pairs diameter scan, and the
-netsim ``Distr-Cap`` builder's forked phase loop.
+bi-tree checks with the networkx MST, the all-pairs diameter scan, the
+netsim ``Distr-Cap`` builder's forked phase loop, the four forked schedule
+replays (lockstep and netsim, convergecast and broadcast), and the
+object-level single-link threshold test.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
 
 from .agent import AckMessage, BroadcastMessage, NodeAgent
-from .decode import decode_reference
+from .aggregation import (
+    run_convergecast_reference,
+    run_dissemination_reference,
+    simulate_broadcast_reference,
+    simulate_convergecast_reference,
+)
+from .decode import decode_reference, link_succeeds
 from .distr_cap import ReferenceNetDistrCapBuilder
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
@@ -42,7 +50,12 @@ __all__ = [
     "diameter_reference",
     "euclidean_mst_tree_reference",
     "is_strongly_connected_reference",
+    "link_succeeds",
     "map_trials_cold",
+    "run_convergecast_reference",
+    "run_dissemination_reference",
+    "simulate_broadcast_reference",
+    "simulate_convergecast_reference",
     "validate_aggregation_order_reference",
     "validate_reference",
 ]

@@ -7,6 +7,7 @@ import pytest
 from repro.sinr import Channel, SINRParameters, Transmission, UniformPower
 
 from .conftest import make_node
+from .oracles import link_succeeds
 
 
 class TestChannel:
@@ -88,24 +89,24 @@ class TestLinkSucceeds:
     def test_succeeds_without_interference(self, params):
         channel = Channel(params)
         sender, receiver = make_node(0, 0, 0), make_node(1, 1, 0)
-        assert channel.link_succeeds(sender, receiver, params.min_power_for(1.0), [])
+        assert link_succeeds(channel, sender, receiver, params.min_power_for(1.0), [])
 
     def test_fails_when_receiver_is_transmitting(self, params):
         channel = Channel(params)
         sender, receiver = make_node(0, 0, 0), make_node(1, 1, 0)
         concurrent = [Transmission(receiver, 1.0, "busy")]
-        assert not channel.link_succeeds(sender, receiver, params.min_power_for(1.0), concurrent)
+        assert not link_succeeds(channel, sender, receiver, params.min_power_for(1.0), concurrent)
 
     def test_fails_under_heavy_interference(self, params):
         channel = Channel(params)
         sender, receiver = make_node(0, 0, 0), make_node(1, 2, 0)
         jammer = make_node(2, 2.5, 0)
         concurrent = [Transmission(jammer, 1e6, "jam")]
-        assert not channel.link_succeeds(sender, receiver, params.min_power_for(2.0), concurrent)
+        assert not link_succeeds(channel, sender, receiver, params.min_power_for(2.0), concurrent)
 
     def test_concurrent_as_mapping(self, params):
         channel = Channel(params)
         sender, receiver = make_node(0, 0, 0), make_node(1, 1, 0)
         other = make_node(2, 500, 0)
         concurrent = {other.id: (other, 1.0)}
-        assert channel.link_succeeds(sender, receiver, params.min_power_for(1.0), concurrent)
+        assert link_succeeds(channel, sender, receiver, params.min_power_for(1.0), concurrent)

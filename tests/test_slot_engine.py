@@ -31,7 +31,7 @@ from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 
 from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
-from .oracles import LegacySimulator, decode_reference
+from .oracles import LegacySimulator, decode_reference, link_succeeds
 
 
 class _SeedDecodeChannel(Channel):
@@ -361,7 +361,7 @@ class TestLinkSucceedsVectorized:
         sender, receiver = nodes[-2], nodes[-1]
         power = float(rng.uniform(0.5, 20.0))
         channel = Channel(params)
-        result = channel.link_succeeds(sender, receiver, power, transmissions)
+        result = link_succeeds(channel, sender, receiver, power, transmissions)
 
         others = [
             (t.sender, t.power) for t in transmissions if t.sender.id != sender.id
@@ -385,8 +385,8 @@ class TestLinkSucceedsVectorized:
         plain = Channel(params)
         cached = CachedChannel(params, nodes)
         for power in (0.5, 3.0, 40.0):
-            assert plain.link_succeeds(sender, receiver, power, transmissions) == (
-                cached.link_succeeds(sender, receiver, power, transmissions)
+            assert link_succeeds(plain, sender, receiver, power, transmissions) == (
+                link_succeeds(cached, sender, receiver, power, transmissions)
             )
 
     def test_outside_universe_falls_back(self, params):
@@ -395,6 +395,6 @@ class TestLinkSucceedsVectorized:
         stranger = make_node(99, 0.5, 4.0)
         concurrent = [Transmission(stranger, 2.0, "j")]
         plain = Channel(params)
-        assert cached.link_succeeds(nodes[0], nodes[1], 5.0, concurrent) == (
-            plain.link_succeeds(nodes[0], nodes[1], 5.0, concurrent)
+        assert link_succeeds(cached, nodes[0], nodes[1], 5.0, concurrent) == (
+            link_succeeds(plain, nodes[0], nodes[1], 5.0, concurrent)
         )
