@@ -1,6 +1,8 @@
 """Telemetry overhead benchmarks (PR 8): disabled must be free, timers cheap.
 
-Three states of the stacked decode workload from ``bench_scratch_fabric``:
+Three states of a slot decode workload - 256 agents, 32 transmitters, one
+whole-universe ``resolve_indices_full`` per slot on a
+:class:`~repro.state.DecodeWorkspace`:
 
 * **plain** — no wrappers installed (the PR-5/PR-7 fast path);
 * **disabled** — timing wrappers installed but telemetry off, i.e. the
@@ -20,10 +22,12 @@ as artifacts.
 from __future__ import annotations
 
 import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.geometry import deployment_by_name
 from repro.obs import (
     MetricsRegistry,
     instrument_kernels,
@@ -34,22 +38,61 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-
-from benchmarks.bench_scratch_fabric import _decode_setup, _run_decode_stacked, _timed
+from repro.sinr import CachedChannel, SINRParameters
+from repro.state import DecodeWorkspace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+N_AGENTS = 256
+N_TRANSMITTERS = 32
 
 N_SLOTS_TIMED = 2000
 N_SLOTS_SMOKE = 120
 REPEATS = 7
-#: Telemetry off must cost nothing measurable: <= 2% on the stacked decode.
+#: Telemetry off must cost nothing measurable: <= 2% on the slot decode.
 DISABLED_OVERHEAD_CEILING = 1.02
 #: Kernel timers recording on every decode call: <= 15%.
 TIMERS_OVERHEAD_CEILING = 1.15
 
 
-def _assert_stacked_parity(candidate, reference) -> None:
-    """Chunk-for-chunk bitwise equality of two stacked decode runs."""
+def _decode_setup(slots: int):
+    params = SINRParameters()
+    nodes = deployment_by_name("uniform", N_AGENTS, np.random.default_rng(5))
+    channel = CachedChannel(params, nodes)
+    tx = np.arange(0, N_AGENTS, N_AGENTS // N_TRANSMITTERS, dtype=np.intp)
+    base = params.min_power_for(1.5)
+    # Deterministic per-slot power ramp: every slot decodes differently.
+    powers = base * (1.0 + 0.25 * ((np.arange(slots * len(tx)) % 97) / 97.0)).reshape(
+        slots, len(tx)
+    )
+    # Materialize the attenuation store once, outside timing.
+    channel.cache.state.attenuation_matrix(params.alpha)
+    return channel, tx, powers
+
+
+def _run_decode(channel, tx, powers):
+    """Every slot decoded on one scratch arena, its outputs snapshotted."""
+    workspace = DecodeWorkspace()
+    outputs = []
+    for slot in range(powers.shape[0]):
+        best, sinr, ok = channel.resolve_indices_full(
+            tx, powers[slot], slot=slot, workspace=workspace
+        )
+        outputs.append((best.copy(), sinr.copy(), ok.copy()))
+    return outputs
+
+
+def _timed(fn, repeats: int):
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _assert_parity(candidate, reference) -> None:
+    """Slot-for-slot bitwise equality of two decode runs."""
     assert len(candidate) == len(reference)
     for (cb, cs, co), (rb, rs, ro) in zip(candidate, reference):
         assert np.array_equal(cb, rb)
@@ -69,7 +112,7 @@ def bench_obs_overhead(benchmark):
     channel, tx, powers = _decode_setup(slots)
 
     def run_plain():
-        return _run_decode_stacked(channel, tx, powers)
+        return _run_decode(channel, tx, powers)
 
     registry = MetricsRegistry()
 
@@ -81,8 +124,8 @@ def bench_obs_overhead(benchmark):
             with telemetry(registry):
                 with span("bench.decode", slots=slots, mode="smoke"):
                     enabled = run_plain()
-        _assert_stacked_parity(disabled, plain)
-        _assert_stacked_parity(enabled, plain)
+        _assert_parity(disabled, plain)
+        _assert_parity(enabled, plain)
         assert registry.counter_totals().get("kernel.calls", 0) > 0
         _export_artifacts(registry)
         benchmark.pedantic(run_plain, rounds=1, iterations=1)
@@ -115,8 +158,8 @@ def bench_obs_overhead(benchmark):
             enabled_ts.append(dt)
     benchmark.pedantic(run_plain, rounds=1, iterations=1)
 
-    _assert_stacked_parity(disabled, plain)
-    _assert_stacked_parity(enabled, plain)
+    _assert_parity(disabled, plain)
+    _assert_parity(enabled, plain)
     assert registry.counter_totals().get("kernel.calls", 0) > 0
     _export_artifacts(registry)
 
@@ -128,16 +171,16 @@ def bench_obs_overhead(benchmark):
     )
     print()
     print(
-        f"telemetry overhead on stacked decode x {slots} slots "
+        f"telemetry overhead on slot decode x {slots} slots "
         f"(median of {REPEATS} per-repeat ratios): "
         f"plain {min(plain_ts):.3f}s, wrappers+off {disabled_ratio:.3f}x, "
         f"wrappers+timers {enabled_ratio:.3f}x"
     )
     assert disabled_ratio <= DISABLED_OVERHEAD_CEILING, (
-        f"disabled telemetry costs {disabled_ratio:.3f}x on the stacked decode "
+        f"disabled telemetry costs {disabled_ratio:.3f}x on the slot decode "
         f"(ceiling: {DISABLED_OVERHEAD_CEILING}x) — the guard idiom leaked"
     )
     assert enabled_ratio <= TIMERS_OVERHEAD_CEILING, (
-        f"kernel timers cost {enabled_ratio:.3f}x on the stacked decode "
+        f"kernel timers cost {enabled_ratio:.3f}x on the slot decode "
         f"(ceiling: {TIMERS_OVERHEAD_CEILING}x)"
     )

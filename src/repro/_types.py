@@ -9,8 +9,7 @@ self-describing and mypy-checkable.
 Shape conventions (by alias, as used across the kernels):
 
 * ``FloatArray`` — float64 data: coordinates ``(n, 2)``, matrices ``(n, n)``
-  or ``(ntx, nrx)``, per-listener vectors ``(nrx,)``, trial stacks
-  ``(T, ntx, nrx)``.
+  or ``(ntx, nrx)``, per-listener vectors ``(nrx,)``.
 * ``IntpArray`` — ``np.intp`` index vectors (slot indices, argmax results);
   the dtype numpy's take/argmax kernels require.
 * ``IdArray``  — ``int64`` node-id vectors; the dtype the SplitMix64 fade

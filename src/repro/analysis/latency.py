@@ -110,8 +110,11 @@ def simulate_broadcast(
     *,
     payload: object = "broadcast",
 ) -> BroadcastOutcome:
-    """Replay the dissemination schedule and flood a message from the root."""
-    slots, informed = replay_broadcast(tree, power, params, ReplaySeam(), payload)
+    """Replay the dissemination schedule and flood ``payload`` from the root.
+
+    Who hears the message does not depend on its content.
+    """
+    slots, informed = replay_broadcast(tree, power, params, ReplaySeam())
     return BroadcastOutcome(
         slots=slots,
         reached=len(informed),

@@ -23,8 +23,8 @@ wrapper frame on the hot path); its value is the metadata:
 
 Registering a new kernel means adding one decorator line::
 
-    @hot_kernel(oracle="decode_reference")
-    def decode_arrays(...): ...
+    @hot_kernel(oracle="pairwise_distances")
+    def distance_rect_from_xy(...): ...
 
 and the lint gate starts enforcing the contracts on it immediately.
 """

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from ..links import Link, LinkSet
-from ..sinr import Channel, MeanPower, PowerAssignment, SINRParameters, Transmission
+from ..sinr import CachedChannel, MeanPower, PowerAssignment, SINRParameters
+from ..state import TiledNetworkState
 from .quantities import upsilon
 
 __all__ = ["MeanPowerSelectionResult", "MeanPowerSelector"]
@@ -116,7 +117,9 @@ class MeanPowerSelector:
         probability = self.sampling_probability(max(n, 2), max(delta, 1.0))
         if power is None:
             power = MeanPower.for_max_length(self.params, max(longest, 1.0))
-        channel = Channel(self.params)
+        # The slot pairs decode sender x receiver rectangles only, which a
+        # tiled store computes from coordinates without an n x n matrix.
+        channel = CachedChannel(self.params, state=TiledNetworkState.from_links(link_list))
 
         slots_used = 0
         for attempt in range(1, max_attempts + 1):
@@ -142,7 +145,7 @@ class MeanPowerSelector:
         self,
         sampled: Sequence[Link],
         power: PowerAssignment,
-        channel: Channel,
+        channel: CachedChannel,
         first_slot: int = 0,
     ) -> list[Link]:
         """Data + acknowledgment slot for the sampled links; return the winners."""
@@ -151,32 +154,21 @@ class MeanPowerSelector:
             # One transmission per radio per slot.
             by_sender.setdefault(link.sender.id, link)
         attempts = list(by_sender.values())
-
-        data_transmissions = [
-            Transmission(sender=link.sender, power=power.power(link), message=link)
-            for link in attempts
-        ]
-        data_receptions = channel.resolve(
-            data_transmissions, [link.receiver for link in attempts], slot=first_slot
+        heard = channel.decoded_senders(
+            list(by_sender),
+            [power.power(link) for link in attempts],
+            [link.receiver.id for link in attempts],
+            first_slot,
         )
-        data_ok = [
-            link
-            for link in attempts
-            if data_receptions.get(link.receiver.id) is not None
-            and data_receptions[link.receiver.id].sender.id == link.sender.id
-        ]
+        data_ok = [link for link in attempts if heard.get(link.receiver.id) == link.sender.id]
         if not data_ok:
             return []
-        ack_transmissions = [
-            Transmission(sender=link.receiver, power=power.power(link), message=link)
-            for link in data_ok
-        ]
-        ack_receptions = channel.resolve(
-            ack_transmissions, [link.sender for link in data_ok], slot=first_slot + 1
+        # A receiver decodes one sender, so the acknowledging receivers are
+        # distinct radios too.
+        acked = channel.decoded_senders(
+            [link.receiver.id for link in data_ok],
+            [power.power(link) for link in data_ok],
+            [link.sender.id for link in data_ok],
+            first_slot + 1,
         )
-        return [
-            link
-            for link in data_ok
-            if ack_receptions.get(link.sender.id) is not None
-            and ack_receptions[link.sender.id].sender.id == link.receiver.id
-        ]
+        return [link for link in data_ok if acked.get(link.sender.id) == link.receiver.id]

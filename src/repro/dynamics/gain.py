@@ -5,9 +5,9 @@ loss ``P / d**alpha``.  This module generalizes that: a :class:`GainModel` is
 a multiplicative *fade factor* ``F`` on received power, so the signal from
 ``u`` at ``v`` in slot ``t`` becomes ``P_u * F(u, v, t) / d(u, v)**alpha``.
 A model plugs into the physical model through
-``SINRParameters(gain_model=...)``; every kernel (``decode_arrays``, the
-channel ``resolve`` paths, the :class:`~repro.sinr.arrays.LinkArrayCache`
-affectance/SINR/gain matrices) consults it.
+``SINRParameters(gain_model=...)``; every kernel (the channel's decode
+chain, the :class:`~repro.sinr.arrays.LinkArrayCache` affectance/SINR/gain
+matrices) consults it.
 
 Two design rules keep the existing machinery intact:
 
@@ -154,29 +154,6 @@ class GainModel(ABC):
         rx = np.asarray(rx_ids, dtype=np.int64)
         return self._pair_fade(tx, rx, slot)
 
-    def fade_stack(
-        self,
-        tx_ids: np.ndarray,
-        rx_ids: np.ndarray,
-        slots: np.ndarray,
-    ) -> np.ndarray | None:
-        """Stacked fade tensor ``F[t, i, j]`` for each slot in ``slots``.
-
-        This is the trial-stacked form :func:`~repro.sinr.channel
-        .decode_many` consumes: slot-invariant models return their 2D fade
-        matrix (broadcast across trials by the caller - no ``T``-fold
-        copy), slot-dependent models return one ``(T, |tx|, |rx|)`` tensor.
-        Every slice ``F[t]`` is bit-identical to ``fade(tx_ids, rx_ids,
-        slots[t])``; the counter-based hashes make the vectorized and the
-        per-slot evaluation literally the same arithmetic.
-        """
-        if self.slot_invariant:
-            return self.fade(tx_ids, rx_ids, None)
-        mats = [self.fade(tx_ids, rx_ids, int(slot)) for slot in np.asarray(slots)]
-        if not mats or mats[0] is None:
-            return None
-        return np.stack(mats)
-
 
 @dataclass(frozen=True)
 class DeterministicPathLoss(GainModel):
@@ -261,25 +238,6 @@ class RayleighFading(GainModel):
         with np.errstate(divide="ignore"):
             return -np.log(u)
 
-    def fade_stack(self, tx_ids, rx_ids, slots):
-        # One vectorized hash over the whole (slot, tx, rx) stack; the block
-        # index broadcasts through the same SplitMix64 mix a per-slot call
-        # feeds it through, so every slice is bit-identical to `fade`.
-        tx = np.asarray(tx_ids, dtype=np.int64)
-        rx = np.asarray(rx_ids, dtype=np.int64)
-        blocks = np.asarray(slots, dtype=np.int64) // self.block_slots
-        u = _uniform_open(
-            _hash_u64(
-                _RAYLEIGH_STREAM,
-                self.seed,
-                tx[None, :, None],
-                rx[None, None, :],
-                blocks[:, None, None],
-            )
-        )
-        with np.errstate(divide="ignore"):
-            return -np.log(u)
-
 
 @dataclass(frozen=True)
 class ComposedGain(GainModel):
@@ -302,20 +260,6 @@ class ComposedGain(GainModel):
         total: np.ndarray | None = None
         for model in self.models:
             fade = model._pair_fade(tx_ids, rx_ids, slot)
-            if fade is None:
-                continue
-            total = fade if total is None else total * fade
-        return total
-
-    def fade_stack(self, tx_ids, rx_ids, slots):
-        if self.slot_invariant:
-            return self.fade(tx_ids, rx_ids, None)
-        # Multiply the component stacks in model order (2D slot-invariant
-        # factors broadcast across the trial axis), matching the per-slot
-        # product elementwise.
-        total: np.ndarray | None = None
-        for model in self.models:
-            fade = model.fade_stack(tx_ids, rx_ids, slots)
             if fade is None:
                 continue
             total = fade if total is None else total * fade

@@ -44,7 +44,8 @@ from ..exceptions import ConfigurationError
 from ..links import Link
 from ..obs.runtime import OBS
 from ..obs.spans import span
-from ..sinr import Channel, PowerAssignment, SINRParameters, Transmission
+from ..sinr import CachedChannel, PowerAssignment, SINRParameters
+from ..state import TiledNetworkState
 from .delivery import RetryPolicy
 from .faults import FaultPlan
 from .transport import FaultyTransport, PerfectTransport, Transport
@@ -170,9 +171,16 @@ class ReplaySeam:
         ``hops`` whose delivery was lost."""
         return frozenset()
 
-    def retry(self, link: Link) -> bool:
-        """Resend a hop the slot did not deliver; whether it landed."""
+    def retry(self, link: Link, channel: CachedChannel) -> bool:
+        """Resend a hop the slot did not deliver, decoding on the replay's
+        ``channel``; whether it landed."""
         return False
+
+
+def _replay_channel(tree: BiTree, params: SINRParameters) -> CachedChannel:
+    """One replay's channel: a tiled store over the tree's links, which
+    computes the sender x receiver rectangles from coordinates."""
+    return CachedChannel(params, state=TiledNetworkState.from_links(tree.aggregation_schedule))
 
 
 def _delivered(hops: list[Link], lost: frozenset[tuple[int, int]]) -> list[Link]:
@@ -219,33 +227,36 @@ def replay_convergecast(
             raise ConfigurationError(f"values name id {min(foreign)}, which is not a tree node")
         initial.update(given)
     accumulator = dict(initial)
-    channel = Channel(params)
+    channel = _replay_channel(tree, params)
     failed: list[Link] = []
     lost: list[Link] = []
     slots = 0
     for _, group in sorted(tree.aggregation_schedule.slot_groups().items()):
         down = seam.down()
         live = [link for link in group if down.isdisjoint(link.endpoint_ids)] if down else group
-        transmissions = [
-            Transmission(link.sender, power.power(link), accumulator[link.sender.id])
-            for link in live
-        ]
-        receptions = channel.resolve(transmissions, [link.receiver for link in live], slot=slots)
+        heard = channel.decoded_senders(
+            [link.sender.id for link in live],
+            [power.power(link) for link in live],
+            [link.receiver.id for link in live],
+            slots,
+        )
         slots += 1
         hops: list[Link] = []
         for link in live:
-            reception = receptions.get(link.receiver.id)
-            if reception is None or reception.sender.id != link.sender.id:
-                failed.append(link)  # a pure SINR failure: never retried
-            else:
+            if heard.get(link.receiver.id) == link.sender.id:
                 hops.append(link)
+            else:
+                failed.append(link)  # a pure SINR failure: never retried
         dropped = seam.deliver(hops)
         resend = [(link, accumulator[link.sender.id]) for link in _stalled(group, down, dropped)]
+        # A sender transmits all slot (half-duplex), so no hop of this slot
+        # changes its aggregate: it delivers the value the slot began with.
         for link in _delivered(hops, dropped):
-            value = receptions[link.receiver.id].message
-            accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
+            accumulator[link.receiver.id] = combine(
+                accumulator[link.receiver.id], accumulator[link.sender.id]
+            )
         for link, value in resend:
-            if seam.retry(link):
+            if seam.retry(link, channel):
                 accumulator[link.receiver.id] = combine(accumulator[link.receiver.id], value)
             else:
                 lost.append(link)
@@ -272,13 +283,13 @@ def replay_broadcast(
     power: PowerAssignment,
     params: SINRParameters,
     seam: ReplaySeam,
-    payload: object,
 ) -> tuple[int, set[int]]:
-    """Replay the dissemination schedule, flooding ``payload`` from the root.
+    """Replay the dissemination schedule, flooding a message from the root.
 
-    Returns the scheduled slots and the ids the message reached.
+    Returns the scheduled slots and the ids the message reached; who hears
+    it does not depend on its content.
     """
-    channel = Channel(params)
+    channel = _replay_channel(tree, params)
     informed = {tree.root_id}
     slots = 0
     for _, group in sorted(tree.dissemination_schedule.slot_groups().items()):
@@ -293,22 +304,19 @@ def replay_broadcast(
         for link in active:
             if link.sender.id not in down:
                 senders.setdefault(link.sender.id, link)
-        transmissions = [
-            Transmission(sender=link.sender, power=power.power(link), message=payload)
-            for link in senders.values()
-        ]
-        receptions = channel.resolve(transmissions, [link.receiver for link in up], slot=slots)
+        heard = channel.decoded_senders(
+            list(senders),
+            [power.power(link) for link in senders.values()],
+            [link.receiver.id for link in up],
+            slots,
+        )
         slots += 1
-        hops: list[Link] = []
-        for link in up:
-            reception = receptions.get(link.receiver.id)
-            if reception is not None and reception.sender.id == link.sender.id:
-                hops.append(link)
+        hops = [link for link in up if heard.get(link.receiver.id) == link.sender.id]
         dropped = seam.deliver(hops)
         resend = _stalled(active, down, dropped)
         informed.update(link.receiver.id for link in _delivered(hops, dropped))
         for link in resend:
-            if seam.retry(link):
+            if seam.retry(link, channel):
                 informed.add(link.receiver.id)
     return slots, informed
 
@@ -319,11 +327,11 @@ class _FaultSeam(ReplaySeam):
 
     Scheduled slots and retry slots share ``clock``, the slot index the
     transport hashes; the channel decodes scheduled slots at their schedule
-    index and retry slots at their clock index.
+    index and retry slots at their clock index.  Each scheduled slot's hops
+    go to the transport in one ``admit`` call, in hop order.
     """
 
     transport: Transport
-    channel: Channel
     power: PowerAssignment
     max_attempts: int
     clock: int = 0
@@ -335,9 +343,12 @@ class _FaultSeam(ReplaySeam):
     def deliver(self, hops: list[Link]) -> frozenset[tuple[int, int]]:
         slot = self.clock
         self.clock += 1
-        return frozenset(link.endpoint_ids for link in hops if not self._admitted(link, slot))
+        if not hops:
+            return frozenset()
+        admitted = self._admit(slot, hops)
+        return frozenset(link.endpoint_ids for link, ok in zip(hops, admitted) if not ok)
 
-    def retry(self, link: Link) -> bool:
+    def retry(self, link: Link, channel: CachedChannel) -> bool:
         """Each attempt is one contention-free slot, bounded by the budget."""
         for _ in range(1, self.max_attempts):
             slot = self.clock
@@ -347,22 +358,21 @@ class _FaultSeam(ReplaySeam):
                 OBS.registry.inc("netsim.agg_retries")
             if not self.transport.crashed_ids(slot).isdisjoint(link.endpoint_ids):
                 continue
-            solo = self.channel.resolve(
-                [Transmission(sender=link.sender, power=self.power.power(link))],
-                [link.receiver],
-                slot=slot,
+            solo = channel.decoded_senders(
+                [link.sender.id], [self.power.power(link)], [link.receiver.id], slot
             )
-            if link.receiver.id in solo and self._admitted(link, slot):
+            if solo and self._admit(slot, [link])[0]:
                 return True
         return False
 
-    def _admitted(self, link: Link, slot: int) -> bool:
+    def _admit(self, slot: int, hops: list[Link]) -> list[bool]:
+        """The transport's verdict on each of ``hops``, decoded at ``slot``."""
         delivered, _ = self.transport.admit(
             slot,
-            np.array([link.sender.id], dtype=np.int64),
-            np.array([link.receiver.id], dtype=np.int64),
+            np.array([link.sender.id for link in hops], dtype=np.int64),
+            np.array([link.receiver.id for link in hops], dtype=np.int64),
         )
-        return bool(delivered[0])
+        return delivered.tolist()
 
 
 def _fault_seam(
@@ -371,7 +381,6 @@ def _fault_seam(
     quorum: float,
     slot_offset: int,
     power: PowerAssignment,
-    params: SINRParameters,
 ) -> _FaultSeam:
     """The fault seam of one netsim replay, after checking its knobs."""
     if not 0.0 < quorum <= 1.0:
@@ -382,7 +391,7 @@ def _fault_seam(
     if plan is not None and not plan.faultless:
         transport = FaultyTransport(plan, slot_offset=slot_offset)
     max_attempts = (policy if policy is not None else RetryPolicy()).max_attempts
-    return _FaultSeam(transport, Channel(params), power, max_attempts)
+    return _FaultSeam(transport, power, max_attempts)
 
 
 def _contributing(tree: BiTree, dead: set[tuple[int, int]]) -> frozenset[int]:
@@ -429,7 +438,7 @@ def run_convergecast(
             outside the tree raises :class:`ConfigurationError`.
         combine: associative, commutative combination function.
     """
-    seam = _fault_seam(plan, policy, quorum, slot_offset, power, params)
+    seam = _fault_seam(plan, policy, quorum, slot_offset, power)
     with span("netsim.convergecast", n=tree.size, links=len(tree.parent)):
         replay = replay_convergecast(tree, power, params, seam, values, combine)
     contributing = _contributing(tree, {link.endpoint_ids for link in replay.failed + replay.lost})
@@ -467,10 +476,13 @@ def run_dissemination(
     slot_offset: int = 0,
     payload: object = "broadcast",
 ) -> NetDisseminationResult:
-    """Flood a message down the tree over the transport, retrying lost hops."""
-    seam = _fault_seam(plan, policy, quorum, slot_offset, power, params)
+    """Flood ``payload`` down the tree over the transport, retrying lost hops.
+
+    Who hears the message does not depend on its content.
+    """
+    seam = _fault_seam(plan, policy, quorum, slot_offset, power)
     with span("netsim.dissemination", n=tree.size, links=len(tree.parent)):
-        scheduled, informed = replay_broadcast(tree, power, params, seam, payload)
+        scheduled, informed = replay_broadcast(tree, power, params, seam)
     missing = tuple(sorted(set(tree.nodes) - informed))
     degraded = bool(missing)
     if OBS.enabled and degraded:

@@ -18,8 +18,6 @@ from .channel import (
     Channel,
     Reception,
     Transmission,
-    decode_arrays,
-    decode_many,
 )
 from .feasibility import (
     FEASIBILITY_TOLERANCE,
@@ -68,8 +66,6 @@ __all__ = [
     "CachedChannel",
     "Transmission",
     "Reception",
-    "decode_arrays",
-    "decode_many",
     "LinkArrayCache",
     "NodeArrayCache",
     "AffectanceAccumulator",

@@ -3,34 +3,24 @@
 The channel is the *only* means of communication in the paper's model: in
 each slot some nodes transmit (each with a chosen power and message) and every
 non-transmitting node receives the message of the strongest sender whose SINR
-at that node meets the threshold ``beta`` - or nothing.
+at that node meets the threshold ``beta`` - or nothing.  The channel has no
+notion of time; its callers count slots and pass each slot's index on for
+slot-dependent fading.
 
-The :class:`Channel` is stateless with respect to time; the distributed
-simulator (``repro.runtime``) calls :meth:`Channel.resolve` once per slot and
-is responsible for slot accounting.
+There is one decode chain, on integer indices into a
+:class:`~repro.sinr.arrays.NodeArrayCache`: :meth:`Channel.resolve_indices`
+and :meth:`Channel.resolve_indices_full` run ``_decode_block`` ->
+``_decode_received``, one argmax/SINR/threshold pass over the
+transmitter-to-listener attenuation rectangle of the cache's store.  With a
+``workspace`` (:class:`~repro.state.DecodeWorkspace`) the kernels write into
+preallocated buffers, bit-identically.  The caller owns the protocol
+invariants (distinct senders, no transmitting listener, positive powers);
+:meth:`CachedChannel.decoded_senders` keeps them for callers in node ids.
 
-Decoding is fully vectorized: one argmax/SINR/threshold pass over the
-transmitter-to-listener matrix resolves every listener at once
-(:func:`decode_arrays`), and :class:`Reception` objects are constructed only
-for the listeners that actually decode something.  The slot-loop hot path can
-skip node-object marshalling entirely via :meth:`Channel.resolve_indices`,
-which works on integer indices into a :class:`~repro.sinr.arrays.NodeArrayCache`.
-The seed per-listener loop lives on in the test suite as the
-``decode_reference`` oracle, so parity tests (and benchmarks) can pin the
-vectorized pass against it bit-for-bit.
-
-Two further gears sit on top of the vectorized pass (PR 5):
-
-* every decode entry point accepts a ``workspace``
-  (:class:`~repro.state.DecodeWorkspace`): the kernels then write into the
-  arena's preallocated buffers via ``out=``/in-place ufuncs instead of
-  allocating temporaries per slot.  Outputs are bit-for-bit identical to
-  the allocating path and valid until the next decode into the same
-  workspace;
-* :func:`decode_many` evaluates ``T`` same-shape trials (Monte-Carlo fade
-  draws, per-slot power sweeps) as one ``(T, n, n)`` tensor pass, so batch
-  workloads amortize kernel dispatch across trials.  Each trial's decode is
-  bit-identical to a separate :func:`decode_arrays` call.
+Two adapters over the chain remain only because perfbench's tracer probes
+them by name: :meth:`Channel.resolve` (:class:`Transmission` in,
+:class:`Reception` out) and ``resolve_indices_many`` (a loop over trials).
+The seed per-listener loop is the test oracle ``decode_reference``.
 """
 
 from __future__ import annotations
@@ -41,10 +31,10 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .._types import DecodeTriple, FloatArray
+from .._types import DecodeTriple
 from ..contracts import hot_kernel
 from ..geometry import Node
-from ..state import DecodeWorkspace, NetworkState
+from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
 from .arrays import NodeArrayCache
 from .parameters import SINRParameters
 
@@ -53,8 +43,6 @@ __all__ = [
     "Reception",
     "Channel",
     "CachedChannel",
-    "decode_arrays",
-    "decode_many",
     "ensure_positive_powers",
 ]
 
@@ -105,63 +93,6 @@ class Reception:
     sinr: float
 
 
-@hot_kernel(oracle="decode_reference")
-def decode_arrays(
-    dist: np.ndarray,
-    powers: np.ndarray,
-    params: SINRParameters,
-    *,
-    fade: FloatArray | None = None,
-    workspace: DecodeWorkspace | None = None,
-) -> DecodeTriple:
-    """Vectorized SINR decode over a transmitter-to-listener distance matrix.
-
-    ``dist[i, j]`` is the distance from transmitter ``i`` to listener ``j``
-    and ``powers[i]`` the power of transmitter ``i``.  Every listener decodes
-    the transmitter with the strongest received signal at its location,
-    provided the SINR against all other signals meets ``params.beta``.
-
-    Args:
-        dist: transmitter-to-listener distance matrix.
-        powers: per-transmitter power vector.
-        params: physical-model parameters.
-        fade: optional multiplicative fade-factor matrix (same shape as
-            ``dist``) from a :class:`~repro.dynamics.gain.GainModel`; ``None``
-            leaves the deterministic path loss untouched - the code path is
-            then byte-identical to the seed kernel.
-        workspace: optional scratch arena; the kernel then runs on
-            preallocated buffers (zero per-call temporaries) and the
-            returned arrays are views into it, valid until the next decode
-            using the same workspace.
-
-    Returns:
-        ``(best, sinr, ok)``, each of length ``dist.shape[1]``: per listener,
-        the row index of its strongest transmitter, the SINR of that signal
-        (``inf`` when there is no interference and no noise), and whether the
-        SINR clears ``beta``.  The arithmetic is elementwise identical to the
-        seed per-listener loop (the ``decode_reference`` test oracle);
-        parity tests pin this bit-for-bit.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if workspace is None:
-            received = powers[:, None] / np.maximum(dist, 1e-300) ** params.alpha
-            received = np.where(dist <= 0, np.inf, received)
-            if fade is not None:
-                received = received * fade
-            return _decode_received(received, params)
-
-        received = workspace.floats("decode.received", *dist.shape)
-        np.maximum(dist, 1e-300, out=received)
-        np.power(received, params.alpha, out=received)
-        np.divide(powers[:, None], received, out=received)
-        colocated = workspace.bools("decode.colocated", *dist.shape)
-        np.less_equal(dist, 0, out=colocated)
-        np.copyto(received, np.inf, where=colocated)
-        if fade is not None:
-            np.multiply(received, fade, out=received)
-        return _decode_received(received, params, workspace)
-
-
 @hot_kernel()
 def _decode_received(
     received: np.ndarray,
@@ -169,8 +100,15 @@ def _decode_received(
     workspace: DecodeWorkspace | None = None,
     decoded_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode from the received-signal matrix (see :func:`decode_arrays`).
+    """Decode from the received-signal matrix ``received[i, j]``, the signal
+    of transmitter ``i`` at listener ``j``.
 
+    Every listener decodes the transmitter with the strongest received
+    signal, provided the SINR against all other signals meets
+    ``params.beta``.  Returns ``(best, sinr, ok)``, one entry per listener:
+    the row of its strongest transmitter, the SINR of that signal (``inf``
+    without interference and noise) and whether it clears ``beta``; the
+    arithmetic is elementwise that of the ``decode_reference`` test oracle.
     Callers run it under ``np.errstate(divide="ignore", invalid="ignore")``,
     once for the whole decode chain.  ``decoded_only`` (allocating path)
     picks the winner only in the columns that decode and leaves ``best`` 0
@@ -219,112 +157,6 @@ def _decode_received(
     return best, sinr, ok
 
 
-def _stacked_trials(dist: np.ndarray, powers: np.ndarray, fade: np.ndarray | None) -> int:
-    """Trial count of a :func:`decode_many` input set (ValueError if unstacked)."""
-    counts = set()
-    if dist.ndim == 3:
-        counts.add(dist.shape[0])
-    if powers.ndim == 2:
-        counts.add(powers.shape[0])
-    if fade is not None and fade.ndim == 3:
-        counts.add(fade.shape[0])
-    if not counts:
-        raise ValueError("no input carries a trial dimension; use decode_arrays")
-    if len(counts) > 1:
-        raise ValueError(f"inconsistent trial counts among the stacked inputs: {sorted(counts)}")
-    return counts.pop()
-
-
-@hot_kernel(oracle="decode_arrays")
-def decode_many(
-    dist: np.ndarray,
-    powers: np.ndarray,
-    params: SINRParameters,
-    *,
-    fade: FloatArray | None = None,
-    workspace: DecodeWorkspace | None = None,
-) -> DecodeTriple:
-    """Trial-stacked :func:`decode_arrays`: ``T`` same-shape trials, one pass.
-
-    Monte-Carlo sweeps evaluate the same geometry under ``T`` varying
-    conditions - per-trial fade draws, per-slot power vectors.  Calling
-    :func:`decode_arrays` per trial pays the kernel-dispatch overhead ``T``
-    times; this stacks the trials into one ``(T, ntx, nrx)`` tensor pass.
-    Inputs without a leading trial dimension are broadcast across trials:
-
-    Args:
-        dist: ``(ntx, nrx)`` shared geometry or ``(T, ntx, nrx)`` per trial.
-        powers: ``(ntx,)`` shared powers or ``(T, ntx)`` per trial.
-        params: physical-model parameters.
-        fade: ``None``, a shared ``(ntx, nrx)`` fade matrix (slot-invariant
-            models) or a ``(T, ntx, nrx)`` per-trial fade tensor.
-        workspace: optional scratch arena (reused tensors across calls).
-
-    Returns:
-        ``(best, sinr, ok)``, each of shape ``(T, nrx)``.  Every trial row
-        is bit-for-bit identical to a separate ``decode_arrays`` call on
-        that trial's inputs (the reductions run per trial slice with the
-        same memory layout; parity tests pin this).
-    """
-    dist = np.asarray(dist, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    if fade is not None:
-        fade = np.asarray(fade, dtype=float)
-    trials = _stacked_trials(dist, powers, fade)
-    ntx, nrx = dist.shape[-2:]
-    ws = DecodeWorkspace() if workspace is None else workspace
-
-    # The path-loss denominator is evaluated in the inputs' natural shape
-    # (once when the geometry is shared across trials), then broadcast.
-    att = ws.floats("many.att", *dist.shape)
-    np.maximum(dist, 1e-300, out=att)
-    np.power(att, params.alpha, out=att)
-    received = ws.floats("many.received", trials, ntx, nrx)
-    power_cube = powers[:, :, None] if powers.ndim == 2 else powers[None, :, None]
-    with np.errstate(divide="ignore"):
-        np.divide(power_cube, att if att.ndim == 3 else att[None], out=received)
-    colocated = ws.bools("many.colocated", *dist.shape)
-    np.less_equal(dist, 0, out=colocated)
-    np.copyto(received, np.inf, where=colocated if colocated.ndim == 3 else colocated[None])
-    if fade is not None:
-        np.multiply(received, fade if fade.ndim == 3 else fade[None], out=received)
-    return _decode_received_stack(received, params, ws)
-
-
-@hot_kernel()
-def _decode_received_stack(
-    received: np.ndarray, params: SINRParameters, ws: DecodeWorkspace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial decode of a ``(T, ntx, nrx)`` received tensor.
-
-    The single implementation of the stacked reduction tail
-    (:func:`decode_many` and :meth:`Channel.resolve_indices_many` both end
-    here).  The operation sequence mirrors :func:`_decode_received` exactly,
-    with the reductions over axis 1 - each trial slice reduces in the same
-    memory layout as the 2D kernel, which is what makes every trial row
-    bit-identical to a per-slot decode; do not reorder.
-    """
-    trials, _, nrx = received.shape
-    total = ws.floats("many.total", trials, nrx)
-    np.add.reduce(received, axis=1, out=total)
-    np.add(total, params.noise, out=total)
-    best = ws.ints("many.best", trials, nrx)
-    np.argmax(received, axis=1, out=best)
-    best_signal = ws.floats("many.signal", trials, nrx)
-    np.maximum.reduce(received, axis=1, out=best_signal)
-    interference = ws.floats("many.interference", trials, nrx)
-    sinr = ws.floats("many.sinr", trials, nrx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.subtract(total, best_signal, out=interference)
-        np.divide(best_signal, interference, out=sinr)
-    no_interference = ws.bools("many.mask", trials, nrx)
-    np.less_equal(interference, 0, out=no_interference)
-    np.copyto(sinr, np.inf, where=no_interference)
-    ok = ws.bools("many.ok", trials, nrx)
-    np.greater_equal(sinr, params.beta, out=ok)
-    return best, sinr, ok
-
-
 class Channel:
     """SINR channel resolving simultaneous transmissions into receptions.
 
@@ -362,6 +194,10 @@ class Channel:
         Returns:
             Mapping from listener node id to the :class:`Reception` it decoded.
             Listeners that decode nothing are absent from the mapping.
+
+        An adapter over :meth:`resolve_indices`, kept as a plain method of
+        this class because perfbench's tracer probes ``Channel.resolve`` by
+        name; nothing in ``src/`` calls it.
         """
         listener_list = [node for node in listeners]
         if not transmissions or not listener_list:
@@ -375,44 +211,28 @@ class Channel:
         if not active_listeners:
             return {}
 
-        dist = self._distances(transmissions, active_listeners)
+        cache = self._universe(transmissions, active_listeners)
+        index = cache.index_of_id
+        tx = np.array([index(node_id) for node_id in sender_ids], dtype=np.intp)
+        rx = np.array([index(node.id) for node in active_listeners], dtype=np.intp)
         powers = np.array([t.power for t in transmissions], dtype=float)
-        model = self.params.effective_gain_model
-        if model is None:
-            return self._decode(transmissions, active_listeners, dist, powers)
-        fade = model.fade(
-            np.array(sender_ids, dtype=np.int64),
-            np.array([n.id for n in active_listeners], dtype=np.int64),
-            slot,
-        )
-        return self._decode(transmissions, active_listeners, dist, powers, fade=fade)
-
-    def _distances(
-        self, transmissions: Sequence[Transmission], active_listeners: Sequence[Node]
-    ) -> np.ndarray:
-        """Transmitter-to-listener distance matrix (overridden by caches)."""
-        tx_xy = np.array([[t.sender.x, t.sender.y] for t in transmissions], dtype=float)
-        rx_xy = np.array([[n.x, n.y] for n in active_listeners], dtype=float)
-        diff = tx_xy[:, None, :] - rx_xy[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
-
-    def _decode(
-        self,
-        transmissions: Sequence[Transmission],
-        active_listeners: Sequence[Node],
-        dist: np.ndarray,
-        powers: np.ndarray,
-        fade: np.ndarray | None = None,
-    ) -> dict[int, Reception]:
-        """Resolve receptions from a transmitter-to-listener distance matrix."""
-        best, sinr, ok = decode_arrays(dist, powers, self.params, fade=fade)
+        best, sinr, ok = self._decode_block(cache, tx, rx, powers, slot, None, False)
         results: dict[int, Reception] = {}
-        for j in np.nonzero(ok)[0]:
+        for j in ok.nonzero()[0].tolist():
             t = transmissions[int(best[j])]
             results[active_listeners[j].id] = Reception(
                 sender=t.sender, message=t.message, sinr=float(sinr[j])
             )
         return results
+
+    def _universe(
+        self, transmissions: Sequence[Transmission], listeners: Sequence[Node]
+    ) -> NodeArrayCache:
+        """A tiled store over the call's distinct nodes (first node per id)."""
+        nodes = {t.sender.id: t.sender for t in transmissions}
+        for node in listeners:
+            nodes.setdefault(node.id, node)
+        return NodeArrayCache(state=TiledNetworkState(nodes.values()))
 
     def _index_fade(
         self,
@@ -463,7 +283,7 @@ class Channel:
 
         Returns:
             ``(best, sinr, ok)`` aligned to ``rx_indices``; ``best`` holds
-            positions into ``tx_indices`` (see :func:`decode_arrays`).  With
+            positions into ``tx_indices`` (see ``_decode_received``).  With
             a ``workspace``, the arrays are views into it, valid until the
             next decode through the same workspace.  The simulator's
             private ``_decoded_only`` leaves ``best`` 0 where ``ok`` is
@@ -572,81 +392,45 @@ class Channel:
         *,
         workspace: DecodeWorkspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial-stacked :meth:`resolve_indices_full`: ``T`` slots in one pass.
+        """``T`` slots of :meth:`resolve_indices_full` for one transmitter set.
 
-        Evaluates the *same transmitter set* under ``T`` per-trial power
-        vectors (and, for slot-dependent gain models, ``T`` fade draws) with
-        one attenuation gather and one tensor decode - the per-trial rows
-        are bit-identical to ``T`` separate :meth:`resolve_indices_full`
-        calls (parity tests pin this).
-
-        Args:
-            tx_indices: transmitter indices into ``cache`` (shared by all
-                trials).
-            powers: ``(T, ntx)`` per-trial powers, or ``(ntx,)`` shared.
-            cache: the node universe.
-            slots: length-``T`` global slot indices, consumed by
-                slot-dependent gain models; ``None`` uses the slot-free
-                draw for every trial.
-            workspace: optional scratch arena.
-
-        Returns:
-            ``(best, sinr, ok)``, each of shape ``(T, len(cache))``.
+        ``powers`` is ``(T, ntx)`` per trial or ``(ntx,)`` shared; ``slots``
+        holds the ``T`` slot indices (``None``: the slot-free draw, then
+        ``powers`` sizes the stack).  Row ``t`` of each ``(T, len(cache))``
+        output is the :meth:`resolve_indices_full` decode of trial ``t``.
+        A plain method of this class because perfbench's tracer probes
+        ``Channel.resolve_indices_many`` by name.
         """
-        tx = np.asarray(tx_indices, dtype=np.intp)
         powers = np.asarray(powers, dtype=float)
-        if slots is not None:
-            slots = np.asarray(slots, dtype=np.int64)
-            trials = slots.shape[0]
-        elif powers.ndim == 2:
-            trials = powers.shape[0]
-        else:
+        if slots is None and powers.ndim != 2:
             raise ValueError("pass slots or stacked (T, ntx) powers to size the trial stack")
-        n = len(cache)
-        if tx.size == 0 or n == 0:
-            return (
-                np.zeros((trials, n), dtype=np.intp),
-                np.zeros((trials, n), dtype=float),
-                np.zeros((trials, n), dtype=bool),
-            )
+        trials = powers.shape[0] if slots is None else len(slots)
         if powers.ndim == 2 and powers.shape[0] != trials:
-            raise ValueError(
-                f"powers stack has {powers.shape[0]} trials but slots has {trials}"
+            raise ValueError(f"powers stack has {powers.shape[0]} trials but slots has {trials}")
+        n = len(cache)
+        best = np.zeros((trials, n), dtype=np.intp)
+        sinr = np.zeros((trials, n), dtype=float)
+        ok = np.zeros((trials, n), dtype=bool)
+        for t in range(trials):
+            best[t], sinr[t], ok[t] = self.resolve_indices_full(
+                tx_indices,
+                powers[t] if powers.ndim == 2 else powers,
+                cache,
+                None if slots is None else int(slots[t]),
+                workspace=workspace,
             )
-        attenuation = cache.attenuation_block(self.params.alpha, tx, workspace=workspace)
-        ws = DecodeWorkspace() if workspace is None else workspace
-        received = ws.floats("many.received", trials, tx.size, n)
-        power_cube = powers[:, :, None] if powers.ndim == 2 else powers[None, :, None]
-        with np.errstate(divide="ignore"):
-            np.divide(power_cube, attenuation[None], out=received)
-
-        model = self.params.effective_gain_model
-        if model is not None:
-            if model.slot_invariant:
-                fade = cache.fade_block(model, tx, workspace=workspace)
-                if fade is not None:
-                    np.multiply(received, fade[None], out=received)
-            else:
-                fade = model.fade_stack(
-                    cache.ids[tx],
-                    cache.ids,
-                    np.zeros(trials, dtype=np.int64) if slots is None else slots,
-                )
-                if fade is not None:
-                    np.multiply(received, fade, out=received)
-
-        return _decode_received_stack(received, self.params, ws)
+        return best, sinr, ok
 
 
 class CachedChannel(Channel):
     """Channel over a *fixed node universe*, backed by its geometry store.
 
-    Every call to :meth:`resolve` gathers its distances from the universe's
-    :class:`~repro.state.NetworkState` by transmitter/listener index instead
-    of rebuilding coordinate arrays from the node objects.  Results are
-    identical to :class:`Channel` (the distances are the same hypot values,
-    merely precomputed).  Transmissions or listeners involving nodes outside
-    the universe are resolved from their coordinates instead.
+    Indices address the universe's :class:`NodeArrayCache`, whose
+    :class:`~repro.state.NetworkState` serves the attenuation rectangles.
+    :meth:`resolve` decodes from that store when every node of the call is
+    in the universe and from a store over the call's own nodes otherwise;
+    both give the same floats (the stores compute the same ``hypot``
+    values).
 
     Args:
         params: the physical-model parameters.
@@ -684,19 +468,42 @@ class CachedChannel(Channel):
             raise ValueError("pass either cache or state, not both")
         self.cache = cache
 
-    def _distances(
-        self, transmissions: Sequence[Transmission], active_listeners: Sequence[Node]
-    ) -> np.ndarray:
-        try:
-            tx_idx = np.array(
-                [self.cache.index_of_id(t.sender.id) for t in transmissions], dtype=np.intp
-            )
-            rx_idx = np.array(
-                [self.cache.index_of_id(n.id) for n in active_listeners], dtype=np.intp
-            )
-        except KeyError:
-            return super()._distances(transmissions, active_listeners)
-        return self.cache.distance_block(tx_idx, rx_idx)
+    def _universe(
+        self, transmissions: Sequence[Transmission], listeners: Sequence[Node]
+    ) -> NodeArrayCache:
+        """This channel's cache when it holds every node, else a tiled store."""
+        nodes = [t.sender for t in transmissions] + list(listeners)
+        if all(node.id in self.cache for node in nodes):
+            return self.cache
+        return super()._universe(transmissions, listeners)
+
+    def decoded_senders(
+        self,
+        sender_ids: Sequence[int],
+        powers: Sequence[float],
+        listener_ids: Sequence[int],
+        slot: int | None = None,
+    ) -> dict[int, int]:
+        """One slot in node ids: listener id -> id of the sender it decodes.
+
+        ``sender_ids[i]`` (distinct radios) transmits at ``powers[i]``.
+        Listeners that transmit are skipped (half-duplex) and a bad power
+        raises ``ValueError`` (:func:`ensure_positive_powers`).  Rows and
+        columns keep the given order, repeats included, so the decode is
+        bit-identical to :meth:`resolve` on the same slot.
+        """
+        power_array = np.array(powers, dtype=float)
+        ensure_positive_powers(power_array)
+        sending = set(sender_ids)
+        listening = [node_id for node_id in listener_ids if node_id not in sending]
+        if not sender_ids or not listening:
+            return {}
+        index = self.cache.index_of_id
+        tx = np.array([index(node_id) for node_id in sender_ids], dtype=np.intp)
+        rx = np.array([index(node_id) for node_id in listening], dtype=np.intp)
+        best, _, ok = self.resolve_indices(tx, rx, power_array, slot=slot, _decoded_only=True)
+        winners = best.tolist()
+        return {listening[j]: sender_ids[winners[j]] for j in ok.nonzero()[0].tolist()}
 
     def resolve_indices(
         self,
@@ -749,7 +556,11 @@ class CachedChannel(Channel):
         *,
         workspace: DecodeWorkspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial-stacked fast path; indices address this channel's own cache."""
+        """Per-trial loop; indices address this channel's own cache.
+
+        A plain method of this class because perfbench's tracer probes
+        ``CachedChannel.resolve_indices_many`` by name.
+        """
         return super().resolve_indices_many(
             tx_indices,
             powers,

@@ -128,7 +128,12 @@ class NetworkState:
 
         Dense while its distance matrix plus one attenuation matrix fit in
         :data:`DENSE_BUDGET_BYTES`, tiled above.  This is the one place that
-        decides between the two stores.
+        decides between the two stores by size.  The exception are callers
+        that decode explicit sender x receiver rectangles only (the schedule
+        replays of ``repro.netsim.aggregation`` and mean-power sampling):
+        they build a :class:`~repro.state.TiledNetworkState` at any size,
+        which computes those rectangles from coordinates without first
+        building the n x n matrices.
         """
         node_list = list(nodes)
         if 16 * len(node_list) ** 2 <= DENSE_BUDGET_BYTES:

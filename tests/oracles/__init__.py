@@ -7,8 +7,9 @@ netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
 cold-pool trial map, the per-node netsim fault loops, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
 netsim ``Distr-Cap`` builder's forked phase loop, the four forked schedule
-replays (lockstep and netsim, convergecast and broadcast), and the
-object-level single-link threshold test.
+replays (lockstep and netsim, convergecast and broadcast), mean-power
+sampling's object-path slot pair, and the object-level single-link
+threshold test.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
@@ -25,6 +26,7 @@ from .distr_cap import ReferenceNetDistrCapBuilder
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference
+from .mean_power import ReferenceMeanPowerSelector
 from .netsim import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
 from .slot_engine import LegacySimulator
 from .validation import (
@@ -43,6 +45,7 @@ __all__ = [
     "OracleFaultyTransport",
     "OracleHeartbeatDetector",
     "OracleNetSimulator",
+    "ReferenceMeanPowerSelector",
     "ReferenceNetDistrCapBuilder",
     "build_init_reference",
     "build_net_init_reference",

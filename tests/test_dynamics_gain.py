@@ -26,10 +26,10 @@ from repro.sinr import (
     CachedChannel,
     Channel,
     LinkArrayCache,
+    Reception,
     SINRParameters,
     Transmission,
     UniformPower,
-    decode_arrays,
 )
 
 from .beacon import BeaconAgent, BeaconProgram
@@ -129,11 +129,16 @@ class TestDeterministicParity:
         return LinkSet(Link(nodes[2 * i], nodes[2 * i + 1]) for i in range(m))
 
     def test_decode_arrays_parity(self, params, rng):
-        plain = params
+        """The index decode chain (once fronted by ``decode_arrays``)."""
         tagged = params.with_overrides(gain_model=DeterministicPathLoss())
-        dist = rng.uniform(0.1, 30.0, size=(6, 14))
+        plain_channel = CachedChannel(params, uniform_random(20, rng))
+        tagged_channel = CachedChannel(tagged, cache=plain_channel.cache)
+        tx, rx = np.arange(6), np.arange(6, 20)
         powers = rng.uniform(0.5, 80.0, size=6)
-        for a, b in zip(decode_arrays(dist, powers, plain), decode_arrays(dist, powers, tagged)):
+        for a, b in zip(
+            plain_channel.resolve_indices(tx, rx, powers),
+            tagged_channel.resolve_indices(tx, rx, powers, slot=17),
+        ):
             assert np.array_equal(a, b)
 
     def test_link_cache_matrices_parity(self, params, rng):
@@ -180,11 +185,13 @@ class TestDeterministicParity:
         model = LogNormalShadowing(sigma_db=0.0, seed=7)
         ids = np.arange(9)
         assert np.array_equal(model.fade(ids, ids), np.ones((9, 9)))
-        dist = rng.uniform(0.5, 10.0, size=(3, 9))
+        plain = CachedChannel(params, uniform_random(12, rng))
+        faded = CachedChannel(params.with_overrides(gain_model=model), cache=plain.cache)
+        tx, rx = np.arange(3), np.arange(3, 12)
         powers = rng.uniform(1.0, 10.0, size=3)
-        plain = decode_arrays(dist, powers, params)
-        faded = decode_arrays(dist, powers, params, fade=model.fade(np.arange(3), ids))
-        for a, b in zip(plain, faded):
+        for a, b in zip(
+            plain.resolve_indices(tx, rx, powers), faded.resolve_indices(tx, rx, powers)
+        ):
             assert np.array_equal(a, b)
 
     def test_experiment_row_parity(self):
@@ -257,16 +264,22 @@ class TestFadingChannel:
         assert np.array_equal(full, model.fade(cache.ids, cache.ids))
         tx = np.array([1, 6], dtype=np.intp)
         rx = np.array([0, 3, 9], dtype=np.intp)
-        powers = np.full(2, params.min_power_for(2.0))
-        via_cache = channel.resolve_indices(tx, rx, powers, slot=5)
-        direct = decode_arrays(
+        powers = np.array([params.min_power_for(40.0), params.min_power_for(2.0)])
+        best, sinr, ok = channel.resolve_indices(tx, rx, powers, slot=5)
+        senders, listeners = [nodes[i] for i in tx], [nodes[j] for j in rx]
+        transmissions = [Transmission(node, float(p)) for node, p in zip(senders, powers)]
+        direct = decode_reference(
+            transmissions,
+            listeners,
             cache.distance_matrix()[np.ix_(tx, rx)],
             powers,
             params,
-            fade=model.fade(cache.ids[tx], cache.ids[rx], 5),
+            model.fade(cache.ids[tx], cache.ids[rx], 5),
         )
-        for a, b in zip(via_cache, direct):
-            assert np.array_equal(a, b)
+        assert direct and direct == {
+            listeners[j].id: Reception(senders[best[j]], None, float(sinr[j]))
+            for j in np.flatnonzero(ok)
+        }
 
     def test_resolve_indices_full_matches_subset_under_fading(self, params):
         nodes = uniform_random(16, np.random.default_rng(1))
@@ -298,14 +311,10 @@ class TestFadingChannel:
             np.array([n.id for n in listeners]),
             slot=4,
         )
-        best, sinr, ok = decode_arrays(dist, powers, params, fade=fade)
+        faded = params.with_overrides(gain_model=RayleighFading(seed=2))
+        got = Channel(faded).resolve(transmissions, listeners, slot=4)
         reference = decode_reference(transmissions, listeners, dist, powers, params, fade)
-        for j, listener in enumerate(listeners):
-            if ok[j]:
-                assert listener.id in reference
-                assert reference[listener.id].sinr == float(sinr[j])
-            else:
-                assert listener.id not in reference
+        assert got and got == reference
 
 
 class TestFadedLinkMatrices:

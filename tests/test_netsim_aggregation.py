@@ -35,7 +35,7 @@ from repro.netsim import (
 )
 from repro.netsim.faults import CrashWindow
 from repro.obs import telemetry
-from repro.sinr import SINRParameters, UniformPower
+from repro.sinr import PowerAssignment, SINRParameters, UniformPower
 from repro.state import network
 
 from .oracles.aggregation import (
@@ -143,16 +143,17 @@ def _pairwise_reference(tree, power, params, source_id, destination_id) -> Pairw
 
 def _counted(fn, *args, **kwargs):
     """``fn``'s result, the netsim counters and span names it recorded, and
-    its faulty-transport admissions in call order.
+    its faulty-transport admissions as ``(slot, src, dst)`` in call order.
 
-    The fault digest sorts its events, so only the call log pins the order
-    in which hops are admitted.
+    The fault digest sorts its events, so only the admission log pins the
+    order in which hops are admitted.  It is flattened to one entry per
+    hop, so one call per slot and one call per hop log alike.
     """
     admitted = []
     admit = FaultyTransport.admit
 
     def logged(transport, slot, src_ids, dst_ids):
-        admitted.append((slot, list(src_ids), list(dst_ids)))
+        admitted.extend((slot, int(src), int(dst)) for src, dst in zip(src_ids, dst_ids))
         return admit(transport, slot, src_ids, dst_ids)
 
     with telemetry() as registry, pytest.MonkeyPatch.context() as patch:
@@ -267,3 +268,35 @@ class TestCorrectness:
         tree, power = _built(12, 1)
         with pytest.raises(ConfigurationError, match="not a tree node"):
             run_convergecast(tree, power, PARAMS, values={-1: 5.0})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (simulate_convergecast, simulate_convergecast_reference),
+            (simulate_broadcast, simulate_broadcast_reference),
+            (run_convergecast, run_convergecast_reference),
+            (run_dissemination, run_dissemination_reference),
+            (
+                lambda tree, power, params: pairwise_latency(tree, power, params, 0, 1),
+                lambda tree, power, params: _pairwise_reference(tree, power, params, 0, 1),
+            ),
+        ],
+        ids=[
+            "simulate_convergecast",
+            "simulate_broadcast",
+            "run_convergecast",
+            "run_dissemination",
+            "pairwise_latency",
+        ],
+    )
+    def test_zero_power_raises(self, entry):
+        """The channel rejects a non-positive power, as a ``Transmission`` did."""
+        tree, _ = _built(12, 1)
+        for replay in entry:
+            with pytest.raises(ValueError, match="positive and finite"):
+                replay(tree, _ZeroPower(), PARAMS)
+
+
+class _ZeroPower(PowerAssignment):
+    def power(self, link) -> float:
+        return 0.0

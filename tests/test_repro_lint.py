@@ -495,10 +495,11 @@ class TestAcceptanceCriteria:
         import repro.state  # noqa: F401
         from repro.contracts import KERNEL_REGISTRY
 
-        assert len(KERNEL_REGISTRY) >= 14
-        decode = KERNEL_REGISTRY["repro.sinr.channel:decode_arrays"]
-        assert decode.oracle == "decode_reference"
-        assert decode.allocates is False
+        assert len(KERNEL_REGISTRY) == 13
+        rect = KERNEL_REGISTRY["repro.state.kernels:attenuation_rect_from_xy"]
+        assert rect.oracle == "attenuation_from_distances"
+        assert rect.allocates is False
+        assert KERNEL_REGISTRY["repro.sinr.channel:_decode_received"].allocates is False
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The :class:`~repro.state.DecodeWorkspace` paths must be *indistinguishable*
 from the allocating paths they replace: same elementwise operations, reused
 destinations.  These tests pin that across random shapes, consecutive
 decodes reusing one arena (the no-aliasing property), capacity growth of
-the workspace, all three gain models, and the trial-stacked kernels.
+the workspace, all three gain models, and the per-trial
+``resolve_indices_many`` loop.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from repro.sinr import (
     NodeArrayCache,
     SINRParameters,
     Transmission,
-    decode_arrays,
-    decode_many,
 )
 from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 from repro.state.kernels import pairwise_distances
@@ -83,7 +82,16 @@ class TestDecodeWorkspace:
         assert ws.nbytes > 0
 
 
+def _decode_universe(params, n: int = 60) -> CachedChannel:
+    """A channel over ``n`` random nodes plus one sitting on node 0."""
+    nodes = deployment_by_name("uniform", n, np.random.default_rng(4))
+    nodes.append(Node(id=10_000, position=nodes[0].position))
+    return CachedChannel(params, nodes)
+
+
 class TestDecodeArraysParity:
+    """The index decode chain (once fronted by ``decode_arrays``) on an arena."""
+
     @pytest.mark.parametrize("model", GAIN_MODELS, ids=_model_name)
     def test_random_shapes_one_arena(self, model):
         """One workspace across many differently-shaped decodes == allocating.
@@ -94,42 +102,38 @@ class TestDecodeArraysParity:
         pools grow mid-sequence).
         """
         params = SINRParameters(gain_model=model)
+        channel = _decode_universe(params)
+        n = len(channel.cache)
         rng = np.random.default_rng(3)
         ws = DecodeWorkspace()
         for trial in range(25):
             ntx = int(rng.integers(1, 12))
             nrx = int(rng.integers(1, 48))
-            dist = rng.random((ntx, nrx)) * 10.0
+            tx = rng.choice(n, size=ntx, replace=False)
+            rx = rng.choice(n, size=nrx, replace=False)
             if trial % 4 == 0:
-                dist.flat[int(rng.integers(dist.size))] = 0.0  # colocated pair
+                tx[0], rx[0] = 0, n - 1  # colocated pair
             powers = rng.random(ntx) + 0.1
-            fade = None
-            if model is not None:
-                fade = model.fade(
-                    np.arange(ntx, dtype=np.int64),
-                    np.arange(nrx, dtype=np.int64),
-                    trial,
-                )
-            expected = decode_arrays(dist, powers, params, fade=fade)
-            got = decode_arrays(dist, powers, params, fade=fade, workspace=ws)
+            expected = channel.resolve_indices(tx, rx, powers, slot=trial)
+            got = channel.resolve_indices(tx, rx, powers, slot=trial, workspace=ws)
             assert_same(got, expected)
 
     def test_consecutive_decodes_do_not_corrupt_each_other(self):
         """Snapshot of decode A survives decode B through the same arena."""
-        params = SINRParameters()
+        channel = _decode_universe(SINRParameters())
         rng = np.random.default_rng(9)
         ws = DecodeWorkspace()
-        dist_a = rng.random((6, 20)) + 0.5
-        dist_b = rng.random((6, 20)) + 0.5
+        tx_a, tx_b = np.arange(6), np.arange(6, 12)
+        rx = np.arange(12, 32)
         powers = rng.random(6) + 0.5
-        snap_a = _copy(decode_arrays(dist_a, powers, params, workspace=ws))
-        live_a = decode_arrays(dist_a, powers, params, workspace=ws)
-        decode_arrays(dist_b, powers, params, workspace=ws)
+        snap_a = _copy(channel.resolve_indices(tx_a, rx, powers, workspace=ws))
+        live_a = channel.resolve_indices(tx_a, rx, powers, workspace=ws)
+        channel.resolve_indices(tx_b, rx, powers, workspace=ws)
         # The live views were overwritten by decode B (that is the arena
         # contract)...
-        assert_same(_copy(live_a), decode_arrays(dist_b, powers, params))
+        assert_same(_copy(live_a), channel.resolve_indices(tx_b, rx, powers))
         # ...but the snapshot equals the allocating result of decode A.
-        assert_same(snap_a, decode_arrays(dist_a, powers, params))
+        assert_same(snap_a, channel.resolve_indices(tx_a, rx, powers))
 
 
 class TestChannelWorkspaceParity:
@@ -262,33 +266,6 @@ class TestDecodeWithoutArena:
 
 
 class TestStackedDecodeParity:
-    @pytest.mark.parametrize("model", GAIN_MODELS, ids=_model_name)
-    def test_decode_many_equals_looped_decode_arrays(self, model):
-        params = SINRParameters(gain_model=model)
-        rng = np.random.default_rng(21)
-        ws = DecodeWorkspace()
-        for _ in range(6):
-            trials = int(rng.integers(1, 6))
-            ntx = int(rng.integers(1, 9))
-            nrx = int(rng.integers(1, 30))
-            dist = rng.random((ntx, nrx)) * 5.0
-            powers = rng.random((trials, ntx)) + 0.1
-            tx_ids = np.arange(ntx, dtype=np.int64)
-            rx_ids = np.arange(nrx, dtype=np.int64)
-            slots = np.arange(trials, dtype=np.int64)
-            fade = None if model is None else model.fade_stack(tx_ids, rx_ids, slots)
-            best, sinr, ok = decode_many(dist, powers, params, fade=fade, workspace=ws)
-            assert best.shape == sinr.shape == ok.shape == (trials, nrx)
-            for t in range(trials):
-                trial_fade = None if model is None else model.fade(tx_ids, rx_ids, int(slots[t]))
-                expected = decode_arrays(dist, powers[t], params, fade=trial_fade)
-                assert_same((best[t], sinr[t], ok[t]), expected)
-
-    def test_decode_many_requires_a_stack(self):
-        params = SINRParameters()
-        with pytest.raises(ValueError, match="trial dimension"):
-            decode_many(np.ones((2, 3)), np.ones(2), params)
-
     @pytest.mark.parametrize(
         "model",
         (
@@ -315,21 +292,16 @@ class TestStackedDecodeParity:
             expected = channel.resolve_indices_full(tx, powers[t], slot=int(slots[t]))
             assert_same((best[t], sinr[t], ok[t]), expected)
 
-    def test_fade_stack_matches_per_slot_fades(self):
-        tx = np.array([3, 9, 27], dtype=np.int64)
-        rx = np.array([1, 2, 5, 8], dtype=np.int64)
-        slots = np.array([0, 4, 9], dtype=np.int64)
-        for model in (
-            RayleighFading(seed=13, block_slots=3),
-            ComposedGain((LogNormalShadowing(sigma_db=3.0, seed=4), RayleighFading(seed=6))),
-        ):
-            stack = model.fade_stack(tx, rx, slots)
-            assert stack.shape == (3, 3, 4)
-            for t, slot in enumerate(slots.tolist()):
-                assert np.array_equal(stack[t], model.fade(tx, rx, slot))
-        shadowing = LogNormalShadowing(sigma_db=5.0, seed=2)
-        assert np.array_equal(shadowing.fade_stack(tx, rx, slots), shadowing.fade(tx, rx, None))
-        assert DeterministicPathLoss().fade_stack(tx, rx, slots) is None
+    def test_resolve_indices_many_sizes_the_stack(self):
+        nodes = deployment_by_name("uniform", 8, np.random.default_rng(2))
+        channel = CachedChannel(SINRParameters(), nodes)
+        tx = np.array([0, 3], dtype=np.intp)
+        with pytest.raises(ValueError, match="size the trial stack"):
+            channel.resolve_indices_many(tx, np.ones(2))
+        with pytest.raises(ValueError, match="3 trials but slots has 2"):
+            channel.resolve_indices_many(tx, np.ones((3, 2)), slots=np.arange(2))
+        best, sinr, ok = channel.resolve_indices_many(tx, np.ones(2), slots=np.arange(4))
+        assert best.shape == sinr.shape == ok.shape == (4, 8)
 
 
 class TestAffectanceWorkspaceParity:

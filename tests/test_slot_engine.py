@@ -2,8 +2,8 @@
 
 Pins, on randomized instances and on the documented edge cases:
 
-* the vectorized ``Channel._decode`` / ``decode_arrays`` against the seed
-  per-listener loop (``decode_reference``), bit-for-bit;
+* the decode chain behind ``Channel.resolve`` / ``resolve_indices`` against
+  the seed per-listener loop (``decode_reference``), bit-for-bit;
 * ``resolve_indices`` against ``Channel.resolve``;
 * the array simulator engine stepping a beacon program against the seed
   (legacy) engine, the ``LegacySimulator`` oracle, stepping the same
@@ -24,7 +24,6 @@ from repro.sinr import (
     NodeArrayCache,
     SINRParameters,
     Transmission,
-    decode_arrays,
 )
 from repro.sinr.channel import ensure_positive_powers
 from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
@@ -35,10 +34,24 @@ from .oracles import LegacySimulator, decode_reference, link_succeeds
 
 
 class _SeedDecodeChannel(Channel):
-    """Channel whose decode is the seed per-listener loop (the oracle)."""
+    """Channel whose ``resolve`` is the seed per-listener loop (the oracle)."""
 
-    def _decode(self, transmissions, active_listeners, dist, powers):
-        return decode_reference(transmissions, active_listeners, dist, powers, self.params)
+    def resolve(self, transmissions, listeners, slot=None):
+        sending = {t.sender.id for t in transmissions}
+        active = [node for node in listeners if node.id not in sending]
+        if not transmissions or not active:
+            return {}
+        dist = _hypot(
+            np.array([[t.sender.x, t.sender.y] for t in transmissions]),
+            np.array([[node.x, node.y] for node in active]),
+        )
+        powers = np.array([t.power for t in transmissions])
+        return decode_reference(transmissions, active, dist, powers, self.params)
+
+
+def _hypot(tx_xy, rx_xy):
+    diff = tx_xy[:, None, :] - rx_xy[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def _random_instance(rng: np.random.Generator, n: int, *, colocated: bool = False):
@@ -114,11 +127,16 @@ class TestDecodeParity:
         assert not transmitting & set(vectorized)
 
     def test_decode_arrays_matches_reference_elementwise(self, params):
+        """The index decode chain (once fronted by ``decode_arrays``)."""
         rng = np.random.default_rng(3)
-        dist = rng.uniform(0.0, 10.0, size=(6, 9))
-        dist[0, 0] = 0.0  # colocated pair
+        xy = rng.uniform(0.0, 10.0, size=(15, 2))
+        xy[6] = xy[0]  # colocated pair
+        nodes = [Node(id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+        dist = _hypot(xy[:6], xy[6:])
         powers = rng.uniform(0.1, 10.0, size=6)
-        best, sinr, ok = decode_arrays(dist, powers, params)
+        best, sinr, ok = Channel(params).resolve_indices(
+            np.arange(6), np.arange(6, 15), powers, NodeArrayCache(nodes)
+        )
         with np.errstate(divide="ignore"):
             received = powers[:, None] / np.maximum(dist, 1e-300) ** params.alpha
         received = np.where(dist <= 0, np.inf, received)
