@@ -48,7 +48,7 @@ def main() -> None:
           f"in {up.slots} slots; correct: {up.correct}")
 
     print("Broadcasting an alarm from the sink to every sensor ...")
-    down = simulate_broadcast(outcome.tree, outcome.power, params, payload="ALARM")
+    down = simulate_broadcast(outcome.tree, outcome.power, params)
     print(f"  reached {down.reached}/{down.total} sensors in {down.slots} slots")
 
     per_iteration = [record.selected_links for record in outcome.iterations]

@@ -107,12 +107,10 @@ def simulate_broadcast(
     tree: BiTree,
     power: PowerAssignment,
     params: SINRParameters,
-    *,
-    payload: object = "broadcast",
 ) -> BroadcastOutcome:
-    """Replay the dissemination schedule and flood ``payload`` from the root.
+    """Replay the dissemination schedule and flood a message from the root.
 
-    Who hears the message does not depend on its content.
+    Who hears the message does not depend on its content, so none is given.
     """
     slots, informed = replay_broadcast(tree, power, params, ReplaySeam())
     return BroadcastOutcome(
@@ -145,6 +143,6 @@ def pairwise_latency(
         values={node_id: (1.0 if node_id == source_id else 0.0) for node_id in tree.nodes},
         combine=max,
     )
-    down = simulate_broadcast(tree, power, params, payload=("relay", source_id))
+    down = simulate_broadcast(tree, power, params)
     delivered = up.correct and down.complete
     return PairwiseOutcome(slots=up.slots + down.slots, delivered=delivered)

@@ -111,9 +111,10 @@ class BiTree:
 
     @property
     def dissemination_schedule(self) -> Schedule:
-        """Schedule of the dissemination tree: same slots in reverse order."""
-        reversed_slots = self.aggregation_schedule.reversed()
-        return Schedule({link.dual: slot for link, slot in reversed_slots.items()})
+        """Schedule of the dissemination tree: the duals, same slots in reverse order."""
+        schedule = self.aggregation_schedule
+        top = schedule.span - 1
+        return Schedule({link.dual: top - slot for link, slot in schedule.items()})
 
     def slot_stamps(self) -> dict[int, int]:
         """Per-child slot stamp of its outgoing (child -> parent) link.

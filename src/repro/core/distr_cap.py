@@ -246,13 +246,18 @@ class DistrCapSelector:
         links: Sequence[Link],
         link_rounds: Mapping[tuple[int, int], int] | None,
     ) -> dict[int, list[Link]]:
+        rounds = {} if link_rounds is None else link_rounds
         phases: dict[int, list[Link]] = {}
-        shortest = min(link.length for link in links)
+        # Links without a formation round are phased by length class; the
+        # shortest link is measured only when some link needs it.
+        min_length: float | None = None
         for link in links:
-            if link_rounds is not None and link.endpoint_ids in link_rounds:
-                key = int(link_rounds[link.endpoint_ids])
+            if link.endpoint_ids in rounds:
+                key = int(rounds[link.endpoint_ids])
             else:
-                key = length_class_index(link.length, min_length=min(shortest, 1.0))
+                if min_length is None:
+                    min_length = min(min(other.length for other in links), 1.0)
+                key = length_class_index(link.length, min_length=min_length)
             phases.setdefault(key, []).append(link)
         return phases
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -366,35 +367,98 @@ class _InitProgram(LockstepProgram):
         return self.state
 
 
-@dataclass
+@dataclass(eq=False)
 class InitialTreeResult:
     """Outcome of running ``Init`` on a set of nodes.
 
+    The result keeps the run's converged per-node arrays.  The tree, its
+    powers, its link rounds and the stored degrees are assembled from them
+    on first read and cached, so a caller that needs only the tree's links
+    reads them by position (:meth:`link_positions`) and never builds them.
+
     Attributes:
-        tree: the constructed bi-tree.
+        nodes: the Init nodes; position ``i`` of every ``state`` array is
+            ``nodes[i]``.
+        state: the converged per-node state; the root is its one active
+            position.
+        params: the SINR parameters the round powers follow.
         slots_used: total channel slots consumed (Theorem 2's cost measure).
         rounds_used: number of protocol rounds executed (across all sweeps).
         sweeps_used: number of full round sweeps needed (1 matches the paper's
             single-pass guarantee; more indicate the practical constants
             needed extra passes).
         delta: the distance ratio of the instance.
-        power: the per-link powers actually used, for schedule verification.
-        link_rounds: round in which each aggregation link was formed (used by
-            ``Distr-Cap`` to phase links by length class).
         trace: the slot-by-slot execution trace.
-        stored_degrees: per node, the number of links it stored (including
-            stray links), the quantity bounded by Theorem 7.
     """
 
-    tree: BiTree
+    nodes: list[Node]
+    state: InitState
+    params: SINRParameters
     slots_used: int
     rounds_used: int
     sweeps_used: int
     delta: float
-    power: ExplicitPower
-    link_rounds: dict[tuple[int, int], int]
     trace: ExecutionTrace
-    stored_degrees: dict[int, int]
+
+    def link_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(child, parent) positions of every tree link, in child position order."""
+        children = np.flatnonzero(~self.state.active)
+        return children, self.state.parent_pos[children]
+
+    @cached_property
+    def _rows(self) -> list[tuple[int, int, int, int]]:
+        """(child id, parent id, slot-pair, round) of every tree link, by child position."""
+        state, nodes = self.state, self.nodes
+        children, parents = self.link_positions()
+        return [
+            (nodes[child].id, nodes[parent].id, slot_pair, round_index)
+            for child, parent, slot_pair, round_index in zip(
+                children.tolist(),
+                parents.tolist(),
+                state.parent_slot_pair[children].tolist(),
+                state.parent_round[children].tolist(),
+            )
+        ]
+
+    @cached_property
+    def tree(self) -> BiTree:
+        """The constructed bi-tree, each link in the slot-pair that formed it."""
+        root = self.nodes[int(np.flatnonzero(self.state.active)[0])]
+        parent = {child: parent for child, parent, _, _ in self._rows}
+        slots = {child: slot_pair for child, _, slot_pair, _ in self._rows}
+        return BiTree.from_parent_map(self.nodes, root.id, parent, slots)
+
+    @cached_property
+    def power(self) -> ExplicitPower:
+        """The per-link powers actually used, for schedule verification.
+
+        Both directions of a link get its round's power; a link outside the
+        tree falls back to a uniform power reaching the diameter, except on
+        a lone node, which has no link to power.
+        """
+        powers: dict[int, float] = {}
+        power_map: dict[tuple[int, int], float] = {}
+        for child, parent, _, round_index in self._rows:
+            if round_index not in powers:
+                powers[round_index] = round_power(round_index, self.params)
+            power_map[(child, parent)] = powers[round_index]
+            power_map[(parent, child)] = powers[round_index]
+        if len(self.nodes) == 1:
+            return ExplicitPower(power_map)
+        fallback = UniformPower.for_max_length(self.params, max(self.delta, 1.0))
+        return ExplicitPower(power_map, fallback=fallback)
+
+    @cached_property
+    def link_rounds(self) -> dict[tuple[int, int], int]:
+        """Round in which each aggregation link was formed (used by
+        ``Distr-Cap`` to phase links by length class)."""
+        return {(child, parent): round_index for child, parent, _, round_index in self._rows}
+
+    @cached_property
+    def stored_degrees(self) -> dict[int, int]:
+        """Per node, the number of links it stored (including stray links),
+        the quantity bounded by Theorem 7."""
+        return dict(zip((node.id for node in self.nodes), self.state.stored_degree.tolist()))
 
 
 class InitialTreeBuilder:
@@ -449,18 +513,15 @@ class InitialTreeBuilder:
             raise ProtocolError("cannot build a tree on zero nodes")
         validate_init_nodes(node_list)
         if len(node_list) == 1:
-            only = node_list[0]
-            tree = BiTree.from_parent_map([only], only.id, {})
             return InitialTreeResult(
-                tree=tree,
+                nodes=node_list,
+                state=InitState.fresh(1),
+                params=self.params,
                 slots_used=0,
                 rounds_used=0,
                 sweeps_used=0,
                 delta=1.0,
-                power=ExplicitPower({}),
-                link_rounds={},
                 trace=ExecutionTrace(),
-                stored_degrees={only.id: 0},
             )
 
         if state is None:
@@ -520,47 +581,25 @@ class InitialTreeBuilder:
         rounds_used: int,
         sweeps_used: int,
     ) -> InitialTreeResult:
-        """Assemble the result from a converged run's per-node state."""
+        """The result of a converged run, after checking its per-node state.
+
+        Raises:
+            ProtocolError: unless exactly one node is active and every other
+                one has a parent.
+        """
         roots = np.flatnonzero(state.active)
         if roots.size != 1:
             raise ProtocolError(f"expected exactly one root, found {roots.size}")
-        root = int(roots[0])
-        ids = [node.id for node in node_list]
-
-        parent: dict[int, int] = {}
-        slots: dict[int, int] = {}
-        link_rounds: dict[tuple[int, int], int] = {}
-        power_map: dict[tuple[int, int], float] = {}
-        powers: dict[int, float] = {}
-        rows = zip(
-            state.parent_pos.tolist(),
-            state.parent_slot_pair.tolist(),
-            state.parent_round.tolist(),
-        )
-        for i, (parent_pos, slot_pair, round_index) in enumerate(rows):
-            if i == root:
-                continue
-            if parent_pos < 0:
-                raise ProtocolError(f"inactive node {ids[i]} has no recorded parent")
-            child, parent_id = ids[i], ids[parent_pos]
-            parent[child] = parent_id
-            slots[child] = slot_pair
-            if round_index not in powers:
-                powers[round_index] = round_power(round_index, self.params)
-            link_rounds[(child, parent_id)] = round_index
-            power_map[(child, parent_id)] = powers[round_index]
-            power_map[(parent_id, child)] = powers[round_index]
-
-        tree = BiTree.from_parent_map(node_list, ids[root], parent, slots)
-        fallback = UniformPower.for_max_length(self.params, max(delta, 1.0))
+        orphans = np.flatnonzero(~state.active & (state.parent_pos < 0))
+        if orphans.size:
+            raise ProtocolError(f"inactive node {node_list[orphans[0]].id} has no recorded parent")
         return InitialTreeResult(
-            tree=tree,
+            nodes=list(node_list),
+            state=state,
+            params=self.params,
             slots_used=slots_used,
             rounds_used=rounds_used,
             sweeps_used=sweeps_used,
             delta=delta,
-            power=ExplicitPower(power_map, fallback=fallback),
-            link_rounds=link_rounds,
             trace=trace,
-            stored_degrees=dict(zip(ids, state.stored_degree.tolist())),
         )

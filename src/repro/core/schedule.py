@@ -112,14 +112,11 @@ class Schedule:
             return 0
         return max(self._slots.values()) + 1
 
-    def slot_groups(self) -> dict[int, LinkSet]:
-        """Mapping from slot index to the links assigned to it."""
-        groups: dict[int, LinkSet] = {}
+    def slot_groups(self) -> dict[int, list[Link]]:
+        """Mapping from slot index to the links assigned to it, in assignment order."""
+        groups: dict[int, list[Link]] = {}
         for link, slot in self._slots.items():
-            group = groups.get(slot)
-            if group is None:
-                group = groups[slot] = LinkSet()
-            group.add(link)
+            groups.setdefault(slot, []).append(link)
         return groups
 
     def links_in_slot(self, slot: int) -> LinkSet:
@@ -138,7 +135,7 @@ class Schedule:
         """Slot indices whose link groups violate feasibility under ``power``."""
         bad: list[int] = []
         for slot, group in sorted(self.slot_groups().items()):
-            report = feasibility_report(list(group), power, params, check_structure=check_structure)
+            report = feasibility_report(group, power, params, check_structure=check_structure)
             if not report.feasible:
                 bad.append(slot)
         return bad

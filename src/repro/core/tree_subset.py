@@ -9,17 +9,21 @@ iteration make constant-factor progress.
 Computing ``T(M)`` is local: every node knows its own degree (it stored its
 links), tells its neighbours over the existing tree, and each link decides
 whether it belongs to ``T(M)`` from its two endpoints' degrees.  Here the
-computation is performed directly on the link set; the one-sweep message cost
-is accounted for by the callers (it is O(schedule length of T)).
+computation is performed directly on the link set (:func:`degree_bounded_subset`)
+or, for a tree held as a parent array, as one mask over its links
+(:func:`degree_bounded_mask`); the one-sweep message cost is accounted for by
+the callers (it is O(schedule length of T)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..links import LinkSet
 
-__all__ = ["DegreeBoundedSubset", "degree_bounded_subset"]
+__all__ = ["DegreeBoundedSubset", "degree_bounded_mask", "degree_bounded_subset"]
 
 
 @dataclass(frozen=True)
@@ -61,3 +65,19 @@ def degree_bounded_subset(tree_links: LinkSet, rho: int) -> DegreeBoundedSubset:
     return DegreeBoundedSubset(
         subset=subset, low_degree_nodes=low_degree, rho=rho, fraction=fraction
     )
+
+
+def degree_bounded_mask(children: np.ndarray, parents: np.ndarray, n: int, rho: int) -> np.ndarray:
+    """``T(M)`` of a tree given by its links' endpoint positions, as a mask.
+
+    Link ``k`` runs from position ``children[k]`` to ``parents[k]`` (both
+    below ``n``); it is in ``T(M)`` when both endpoints have tree degree at
+    most ``rho``.
+
+    Raises:
+        ValueError: if ``rho`` is not positive.
+    """
+    if rho < 1:
+        raise ValueError("rho must be a positive integer")
+    low = np.bincount(children, minlength=n) + np.bincount(parents, minlength=n) <= rho
+    return low[children] & low[parents]

@@ -32,7 +32,7 @@ from .distr_cap import DistrCapResult, DistrCapSelector
 from .init_tree import InitialTreeBuilder, validate_init_nodes
 from .mean_power_selection import MeanPowerSelectionResult, MeanPowerSelector
 from .power_solver import solve_power
-from .tree_subset import degree_bounded_subset
+from .tree_subset import degree_bounded_mask
 
 __all__ = ["TreeViaCapacity", "TreeViaCapacityResult", "IterationRecord", "PowerMode"]
 
@@ -42,6 +42,11 @@ PowerMode = Literal["arbitrary", "mean"]
 # solution sits exactly on the feasibility boundary, which floating point and
 # large dynamic ranges (high-Delta instances) can tip over.
 _POWER_MARGIN = 1.05
+
+
+def _links(nodes: Sequence[Node], children: np.ndarray, parents: np.ndarray) -> list[Link]:
+    """The links ``nodes[children[k]] -> nodes[parents[k]]``, in that order."""
+    return [Link(nodes[c], nodes[p]) for c, p in zip(children.tolist(), parents.tolist())]
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,7 @@ class TreeViaCapacity:
             if self.power_mode == "arbitrary"
             else MeanPowerSelector(self.params)
         )
+        rho = self.constants.degree_cap_rho
         population = list(node_list)
         parent: dict[int, int] = {}
         slot_of_node: dict[int, int] = {}
@@ -191,21 +197,29 @@ class TreeViaCapacity:
                     f"({len(population)} nodes still active)"
                 )
             init_result = builder.build(population, rng, state=state)
-            tree_links = init_result.tree.aggregation_links()
-            subset = degree_bounded_subset(tree_links, self.constants.degree_cap_rho)
-            candidates = subset.subset if len(subset.subset) > 0 else tree_links
+            # T(M) is read off Init's parent array; only its links (all tree
+            # links when it is empty) become Link objects.
+            children, parents = init_result.link_positions()
+            tree_size = children.size
+            in_subset = degree_bounded_mask(children, parents, len(population), rho)
+            if in_subset.any():
+                children, parents = children[in_subset], parents[in_subset]
+            candidates = _links(population, children, parents)
 
             # Every candidate is a tree link over P_i, so P_i's store (the one
             # its Init just decoded from) holds them all.
-            outcome: DistrCapResult | MeanPowerSelectionResult = (
-                selector.select(candidates, rng, link_rounds=init_result.link_rounds, state=state)
-                if isinstance(selector, DistrCapSelector)
-                else selector.select(candidates, rng, power=self._mean_power)
-            )
+            outcome: DistrCapResult | MeanPowerSelectionResult
+            if isinstance(selector, DistrCapSelector):
+                rounds = init_result.state.parent_round[children].tolist()
+                link_rounds = {link.endpoint_ids: r for link, r in zip(candidates, rounds)}
+                outcome = selector.select(candidates, rng, link_rounds=link_rounds, state=state)
+            else:
+                outcome = selector.select(candidates, rng, power=self._mean_power)
             selected, selection_slots = outcome.selected, outcome.slots_used
             if len(selected) == 0:
                 # Guarantee progress: fall back to the single shortest tree
                 # link, which is trivially feasible on its own.
+                tree_links = _links(population, *init_result.link_positions())
                 shortest = min(tree_links, key=lambda link: (link.length, link.endpoint_ids))
                 selected = LinkSet([shortest])
             selected = self._enforce_slot_structure(selected)
@@ -226,12 +240,12 @@ class TreeViaCapacity:
                 IterationRecord(
                     index=iteration,
                     population=len(retired) + len(population),
-                    tree_links=len(tree_links),
+                    tree_links=tree_size,
                     candidate_links=len(candidates),
                     selected_links=len(selected),
                     init_slots=init_result.slots_used,
                     selection_slots=selection_slots,
-                    progress_fraction=len(selected) / max(len(tree_links), 1),
+                    progress_fraction=len(selected) / max(tree_size, 1),
                 )
             )
             iteration += 1

@@ -167,7 +167,7 @@ def replay_schedule(
     """
     cache = channel.cache
     if groups is None:
-        groups = [list(group) for _, group in sorted(schedule.slot_groups().items())]
+        groups = [group for _, group in sorted(schedule.slot_groups().items())]
     successes = 0
     total = 0
     slots = 0
@@ -315,7 +315,7 @@ class DynamicSimulator:
                         mobility.reset(channel.cache.xy, rng, channel.cache.ids)
 
             schedule = tree.aggregation_schedule
-            groups = [list(group) for _, group in sorted(schedule.slot_groups().items())]
+            groups = [group for _, group in sorted(schedule.slot_groups().items())]
             if groups:
                 # Per-group link caches view the run's shared state, so the
                 # feasibility checks gather from the one distance store the

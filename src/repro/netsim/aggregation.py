@@ -474,11 +474,10 @@ def run_dissemination(
     policy: RetryPolicy | None = None,
     quorum: float = 1.0,
     slot_offset: int = 0,
-    payload: object = "broadcast",
 ) -> NetDisseminationResult:
-    """Flood ``payload`` down the tree over the transport, retrying lost hops.
+    """Flood a message down the tree over the transport, retrying lost hops.
 
-    Who hears the message does not depend on its content.
+    Who hears the message does not depend on its content, so none is given.
     """
     seam = _fault_seam(plan, policy, quorum, slot_offset, power)
     with span("netsim.dissemination", n=tree.size, links=len(tree.parent)):

@@ -32,7 +32,7 @@ other orphans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.bitree import BiTree
 from ..core.init_tree import (
     InitialTreeBuilder,
+    InitialTreeResult,
     InitState,
     _InitProgram,
     round_power,
@@ -108,6 +109,22 @@ class NetInitResult:
     send_budget: dict[int, int] = field(default_factory=dict)
     fault_summary: dict[str, int] = field(default_factory=dict)
     fault_digest: str | None = None
+
+    @classmethod
+    def of_lockstep(cls, result: InitialTreeResult, **transport: Any) -> "NetInitResult":
+        """A lockstep result's values, with ``transport``'s fields added."""
+        return cls(
+            tree=result.tree,
+            slots_used=result.slots_used,
+            rounds_used=result.rounds_used,
+            sweeps_used=result.sweeps_used,
+            delta=result.delta,
+            power=result.power,
+            link_rounds=result.link_rounds,
+            trace=result.trace,
+            stored_degrees=result.stored_degrees,
+            **transport,
+        )
 
 
 class NetInitBuilder:
@@ -178,7 +195,7 @@ class NetInitBuilder:
             only = InitialTreeBuilder(self.params, self.constants, self.max_sweeps).build(
                 node_list, rng
             )
-            return NetInitResult(**vars(only), send_budget={node_list[0].id: 0})
+            return NetInitResult.of_lockstep(only, send_budget={node_list[0].id: 0})
         validate_init_nodes(node_list)
 
         state = NetworkState.for_nodes(node_list)
@@ -289,8 +306,8 @@ class NetInitBuilder:
         oracle = InitialTreeBuilder(self.params, self.constants, self.max_sweeps)._extract_result(
             node_list, state, sim.trace, sim.current_slot, delta, rounds_used, sweeps_used
         )
-        return NetInitResult(
-            **vars(oracle),
+        return NetInitResult.of_lockstep(
+            oracle,
             send_budget=sim.send_budget,
             fault_summary=sim.fault_summary(),
             fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),

@@ -187,8 +187,7 @@ class NetSimulator(Simulator):
             program.receive_late(slot, *late)
             rx = np.concatenate((rx, late[0]))
             src = np.concatenate((src, late[1]))
-        ids = self._ids
-        self._finish_slot(slot, ids[tx], ids[rx], ids[src], label)
+        self._finish_slot(slot, tx, rx, src, label)
 
     def _admit_positions(
         self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray
@@ -243,17 +242,18 @@ class NetSimulator(Simulator):
         return rx[fresh], src[fresh], (dst[wins], sender[wins], message[wins])
 
     def _finish_slot(
-        self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str
+        self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray, label: str
     ) -> None:
-        """Trace and count the slot, advance the clock, emit heartbeats."""
-        self.trace._append_owned(slot, tx_ids, rx_ids, src_ids, label)
+        """Trace (by position) and count the slot, advance the clock, emit
+        heartbeats."""
+        self.trace._append_owned(slot, tx, rx, src, label, self._ids)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("netsim.slots")
-            if tx_ids.size:
-                registry.inc("netsim.sends", int(tx_ids.size))
-            if rx_ids.size:
-                registry.inc("netsim.deliveries", int(rx_ids.size))
+            if tx.size:
+                registry.inc("netsim.sends", int(tx.size))
+            if rx.size:
+                registry.inc("netsim.deliveries", int(rx.size))
         self._slot += 1
         self._emit_heartbeats(slot)
 

@@ -41,15 +41,19 @@ __all__ = [
     "uninstrument_kernels",
 ]
 
-#: Modules whose import populates ``KERNEL_REGISTRY`` with every registered
+#: Modules whose import populates ``KERNEL_REGISTRY`` with every timed
 #: kernel; imported up front so instrumentation coverage does not depend on
 #: what the caller happened to import first.
 _KERNEL_HOME_MODULES = (
     "repro.state.kernels",
-    "repro.state.scratch",
     "repro.sinr.arrays",
     "repro.sinr.channel",
 )
+
+#: Registered kernels left unwrapped.  The decode arena's buffer lookup is
+#: bookkeeping a decode calls several times a slot, not decode work: a
+#: wrapper there would cost more than it measures.
+_UNTIMED = frozenset({"repro.state.scratch:DecodeWorkspace._buffer"})
 
 #: One patched definition site: ``setattr(owner, attr, original)`` undoes it.
 _Patch = tuple[Any, str, Any]
@@ -133,7 +137,8 @@ def kernel_timers_active() -> bool:
 
 
 def instrument_kernels() -> KernelInstrumentation:
-    """Install timing wrappers on every registered hot kernel.
+    """Install timing wrappers on every registered hot kernel but the
+    decode arena's buffer lookup.
 
     Idempotent: a second call while wrappers are installed returns the
     existing handle.  Counters only accumulate while ``OBS.enabled`` is
@@ -148,7 +153,8 @@ def instrument_kernels() -> KernelInstrumentation:
         importlib.import_module(module_name)
     patches: list[_Patch] = []
     wrappers: dict[int, Callable] = {}
-    for key, contract in sorted(KERNEL_REGISTRY.items()):
+    timed = sorted((key, c) for key, c in KERNEL_REGISTRY.items() if key not in _UNTIMED)
+    for key, contract in timed:
         func = _KERNEL_FUNCS[key]
         wrapper = _timed_wrapper(contract.name, func)
         wrappers[id(func)] = wrapper
@@ -175,9 +181,7 @@ def instrument_kernels() -> KernelInstrumentation:
             if wrapper is not None:
                 patches.append((module, attr, value))
                 setattr(module, attr, wrapper)
-    _ACTIVE = KernelInstrumentation(
-        patches, tuple(contract.name for contract in KERNEL_REGISTRY.values())
-    )
+    _ACTIVE = KernelInstrumentation(patches, tuple(contract.name for _, contract in timed))
     return _ACTIVE
 
 

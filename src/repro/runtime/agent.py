@@ -39,7 +39,11 @@ class LockstepProgram(ABC):
 
     @abstractmethod
     def transmit(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions transmitting in ``slot`` (distinct) and their powers."""
+        """Positions transmitting in ``slot`` (distinct) and their powers.
+
+        The engine keeps the position array for its trace, so the program
+        must not write it afterwards (nor the arrays :meth:`receive` gets).
+        """
 
     @abstractmethod
     def receive(self, slot: int, listeners: np.ndarray, senders: np.ndarray) -> None:

@@ -202,8 +202,7 @@ class Simulator:
             return
         rx, src = self._decode_program(slot, tx, powers)
         program.receive(slot, rx, src)
-        ids = self._ids
-        self._record(slot, ids[tx], ids[rx], ids[src], label)
+        self._record(slot, tx, rx, src, label)
 
     def _decode_program(
         self, slot: int, tx: np.ndarray, powers: np.ndarray, down: np.ndarray | None = None
@@ -246,17 +245,17 @@ class Simulator:
         return rx[decoded], tx[best[decoded]]
 
     def _record(
-        self, slot: int, tx_ids: np.ndarray, rx_ids: np.ndarray, src_ids: np.ndarray, label: str
+        self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray, label: str
     ) -> None:
-        """Trace the slot, count it and advance the clock."""
-        self.trace._append_owned(slot, tx_ids, rx_ids, src_ids, label)
+        """Trace the slot (by position), count it and advance the clock."""
+        self.trace._append_owned(slot, tx, rx, src, label, self._ids)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("sim.slots")
-            if tx_ids.size:
-                registry.inc("sim.transmissions", int(tx_ids.size))
-            if rx_ids.size:
-                registry.inc("sim.receptions", int(rx_ids.size))
+            if tx.size:
+                registry.inc("sim.transmissions", int(tx.size))
+            if rx.size:
+                registry.inc("sim.receptions", int(rx.size))
         self._slot += 1
 
     def run(self, slots: int, label: str = "") -> ExecutionTrace:

@@ -9,7 +9,9 @@ slot on demand.
 
 A slot is given as three parallel id sequences - transmitters, then the
 listeners that decoded and the sender each one decoded - as lists or as
-integer NumPy arrays.
+integer NumPy arrays.  The slot engines hand over node positions instead,
+with the array of their nodes' ids; the trace maps them to ids once per
+column when it flattens.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class ExecutionTrace:
         "_labels",
         "_materialized",
         "_pending",
+        "_pending_ids",
         "_rx_listeners",
         "_rx_offsets",
         "_rx_senders",
@@ -73,6 +76,8 @@ class ExecutionTrace:
         self._labels: list[str] = []
         #: (slot, transmitters, listeners, senders) of slots not yet flattened.
         self._pending: list[tuple[int, Ids, Ids, Ids]] = []
+        #: id of every node position when the pending slots hold positions.
+        self._pending_ids: np.ndarray | None = None
         self._slots = _NO_IDS
         self._tx_flat = _NO_IDS
         self._tx_offsets = _START
@@ -108,12 +113,19 @@ class ExecutionTrace:
         listener_ids: np.ndarray,
         sender_ids: np.ndarray,
         label: str,
+        ids: np.ndarray | None = None,
     ) -> None:
-        """Append one slot whose integer id arrays the trace now owns.
+        """Append one slot whose integer arrays the trace now owns.
 
-        The slot engines hand over arrays fresh from a gather and never
-        write them again, so the trace keeps them as they are, unchecked.
+        With ``ids``, the arrays hold node positions and ``ids[p]`` is the
+        id of position ``p``; they are mapped to ids when the trace
+        flattens.  The slot engines hand over fresh arrays they never write
+        again, so the trace keeps them as they are, unchecked.
         """
+        if ids is not self._pending_ids:
+            # The pending slots are mapped with the ids they came with.
+            self._flatten()
+            self._pending_ids = ids
         self._pending.append((slot, transmitter_ids, listener_ids, sender_ids))
         self._labels.append(label)
         self._materialized = None
@@ -134,10 +146,13 @@ class ExecutionTrace:
             return
         slots, tx, rx, src = zip(*self._pending)
         self._pending.clear()
+        ids = self._pending_ids
         self._slots = np.concatenate((self._slots, np.array(slots, dtype=np.int64)))
-        self._tx_flat, self._tx_offsets = _extend(self._tx_flat, self._tx_offsets, tx)
-        self._rx_listeners, self._rx_offsets = _extend(self._rx_listeners, self._rx_offsets, rx)
-        self._rx_senders = np.concatenate((self._rx_senders, *src), dtype=np.int64)
+        self._tx_flat, self._tx_offsets = _extend(self._tx_flat, self._tx_offsets, tx, ids)
+        self._rx_listeners, self._rx_offsets = _extend(
+            self._rx_listeners, self._rx_offsets, rx, ids
+        )
+        self._rx_senders = _concat(self._rx_senders, src, ids)
 
     # -- reading -------------------------------------------------------------
 
@@ -200,9 +215,16 @@ class ExecutionTrace:
         }
 
 
+def _concat(flat: np.ndarray, parts: Sequence[Ids], ids: np.ndarray | None) -> np.ndarray:
+    """``flat`` followed by every part, mapped through ``ids`` when given."""
+    if ids is None:
+        return np.concatenate((flat, *parts), dtype=np.int64)
+    return np.concatenate((flat, ids[np.concatenate(parts)]), dtype=np.int64)
+
+
 def _extend(
-    flat: np.ndarray, offsets: np.ndarray, parts: Sequence[Ids]
+    flat: np.ndarray, offsets: np.ndarray, parts: Sequence[Ids], ids: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``flat`` and its slot ``offsets`` extended by one slot per part."""
     ends = offsets[-1] + np.cumsum([len(part) for part in parts], dtype=np.int64)
-    return np.concatenate((flat, *parts), dtype=np.int64), np.concatenate((offsets, ends))
+    return _concat(flat, parts, ids), np.concatenate((offsets, ends))

@@ -8,8 +8,8 @@ cold-pool trial map, the per-node netsim fault loops, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
 netsim ``Distr-Cap`` builder's forked phase loop, the four forked schedule
 replays (lockstep and netsim, convergecast and broadcast), mean-power
-sampling's object-path slot pair, and the object-level single-link
-threshold test.
+sampling's object-path slot pair, TreeViaCapacity's iteration over Init's
+tree as link objects, and the object-level single-link threshold test.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
@@ -25,10 +25,11 @@ from .decode import decode_reference, link_succeeds
 from .distr_cap import ReferenceNetDistrCapBuilder
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
-from .init import InitAgent, build_init_reference, build_net_init_reference
+from .init import InitAgent, build_init_reference, build_net_init_reference, eager_result_values
 from .mean_power import ReferenceMeanPowerSelector
 from .netsim import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
 from .slot_engine import LegacySimulator
+from .tvc import ReferenceTreeViaCapacity
 from .validation import (
     euclidean_mst_tree_reference,
     is_strongly_connected_reference,
@@ -47,10 +48,12 @@ __all__ = [
     "OracleNetSimulator",
     "ReferenceMeanPowerSelector",
     "ReferenceNetDistrCapBuilder",
+    "ReferenceTreeViaCapacity",
     "build_init_reference",
     "build_net_init_reference",
     "decode_reference",
     "diameter_reference",
+    "eager_result_values",
     "euclidean_mst_tree_reference",
     "is_strongly_connected_reference",
     "link_succeeds",

@@ -114,8 +114,6 @@ def simulate_broadcast_reference(
     tree: BiTree,
     power: PowerAssignment,
     params: SINRParameters,
-    *,
-    payload: object = "broadcast",
 ) -> BroadcastOutcome:
     """Replay the dissemination schedule and flood a message from the root."""
     channel = Channel(params)
@@ -130,7 +128,7 @@ def simulate_broadcast_reference(
             if link.sender.id in informed:
                 senders.setdefault(link.sender.id, link)
         transmissions = [
-            Transmission(sender=link.sender, power=power.power(link), message=payload)
+            Transmission(sender=link.sender, power=power.power(link), message="broadcast")
             for link in senders.values()
         ]
         listeners = [link.receiver for link in group]
@@ -329,7 +327,6 @@ def run_dissemination_reference(
     policy: RetryPolicy | None = None,
     quorum: float = 1.0,
     slot_offset: int = 0,
-    payload: object = "broadcast",
 ) -> NetDisseminationResult:
     """Flood a message down the tree over the transport, retrying lost hops."""
     _check_quorum(quorum)
@@ -359,7 +356,7 @@ def run_dissemination_reference(
                 for link in group
             }
             transmissions = [
-                Transmission(sender=link.sender, power=power.power(link), message=payload)
+                Transmission(sender=link.sender, power=power.power(link), message="broadcast")
                 for link in senders.values()
                 if not transport.is_crashed(link.sender.id, total_slots)
             ]
@@ -399,7 +396,7 @@ def run_dissemination_reference(
                     solo = channel.resolve(
                         [
                             Transmission(
-                                sender=link.sender, power=power.power(link), message=payload
+                                sender=link.sender, power=power.power(link), message="broadcast"
                             )
                         ],
                         [link.receiver],

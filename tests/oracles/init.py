@@ -12,6 +12,10 @@ references step it slot by slot:
   and delayed messages included, and assembles the result from the agents
   as the message-passing builder used to; ``NetInitBuilder.build`` must
   reproduce its result, fault trace, detector views and counters.
+
+:func:`eager_result_values` assembles a result's tree, powers, link rounds
+and stored degrees in the one pass the builder made before the result
+became lazy; each lazily built value must equal it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "ReferenceNetInitBuilder",
     "build_init_reference",
     "build_net_init_reference",
+    "eager_result_values",
     "make_init_agents",
     "state_from_agents",
 ]
@@ -250,6 +255,46 @@ def state_from_agents(agents: Sequence[InitAgent]) -> InitState:
             state.parent_slot_pair[i] = agent.parent_slot_pair
             state.parent_round[i] = agent.parent_round
     return state
+
+
+def eager_result_values(result: InitialTreeResult) -> dict[str, object]:
+    """``result``'s tree, power, link rounds and stored degrees, built eagerly."""
+    node_list, state, params = result.nodes, result.state, result.params
+    ids = [node.id for node in node_list]
+    if len(node_list) == 1:
+        return {
+            "tree": BiTree.from_parent_map(node_list, ids[0], {}),
+            "power": ExplicitPower({}),
+            "link_rounds": {},
+            "stored_degrees": {ids[0]: 0},
+        }
+    root = int(np.flatnonzero(state.active)[0])
+    parent: dict[int, int] = {}
+    slots: dict[int, int] = {}
+    link_rounds: dict[tuple[int, int], int] = {}
+    power_map: dict[tuple[int, int], float] = {}
+    powers: dict[int, float] = {}
+    rows = zip(
+        state.parent_pos.tolist(), state.parent_slot_pair.tolist(), state.parent_round.tolist()
+    )
+    for i, (parent_pos, slot_pair, round_index) in enumerate(rows):
+        if i == root:
+            continue
+        child, parent_id = ids[i], ids[parent_pos]
+        parent[child] = parent_id
+        slots[child] = slot_pair
+        if round_index not in powers:
+            powers[round_index] = round_power(round_index, params)
+        link_rounds[(child, parent_id)] = round_index
+        power_map[(child, parent_id)] = powers[round_index]
+        power_map[(parent_id, child)] = powers[round_index]
+    fallback = UniformPower.for_max_length(params, max(result.delta, 1.0))
+    return {
+        "tree": BiTree.from_parent_map(node_list, ids[root], parent, slots),
+        "power": ExplicitPower(power_map, fallback=fallback),
+        "link_rounds": link_rounds,
+        "stored_degrees": dict(zip(ids, state.stored_degree.tolist())),
+    }
 
 
 def build_init_reference(

@@ -137,7 +137,7 @@ def _pairwise_reference(tree, power, params, source_id, destination_id) -> Pairw
         values={node_id: (1.0 if node_id == source_id else 0.0) for node_id in tree.nodes},
         combine=max,
     )
-    down = simulate_broadcast_reference(tree, power, params, payload=("relay", source_id))
+    down = simulate_broadcast_reference(tree, power, params)
     return PairwiseOutcome(slots=up.slots + down.slots, delivered=up.correct and down.complete)
 
 
@@ -176,8 +176,8 @@ class TestParityWithTheForkedLoops:
                 simulate_convergecast_reference(tree, power, params, values=values, combine=combine),
             ),
             (
-                lambda: simulate_broadcast(tree, power, params, payload="hello"),
-                simulate_broadcast_reference(tree, power, params, payload="hello"),
+                lambda: simulate_broadcast(tree, power, params),
+                simulate_broadcast_reference(tree, power, params),
             ),
             (
                 lambda: pairwise_latency(tree, power, params, source, destination),
@@ -197,8 +197,8 @@ class TestParityWithTheForkedLoops:
             run_convergecast_reference, tree, power, params, values=values, combine=combine, **kwargs
         )
         assert got == expected
-        got = _counted(run_dissemination, tree, power, params, payload="hello", **kwargs)
-        expected = _counted(run_dissemination_reference, tree, power, params, payload="hello", **kwargs)
+        got = _counted(run_dissemination, tree, power, params, **kwargs)
+        expected = _counted(run_dissemination_reference, tree, power, params, **kwargs)
         assert got == expected
 
     def test_faults_reach_every_field(self):

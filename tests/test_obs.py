@@ -159,6 +159,17 @@ class TestKernelTimers:
         assert registry.counter_value("kernel.calls", kernel="pairwise_distances") == 1
         assert registry.counter_value("kernel.time_ns", kernel="pairwise_distances") > 0
 
+    def test_decode_arena_buffer_lookup_stays_unwrapped(self):
+        from repro.sinr import channel
+        from repro.state import DecodeWorkspace
+
+        buffer, decode = DecodeWorkspace.__dict__["_buffer"], channel._decode_received
+        with instrument_kernels() as instrumentation:
+            assert DecodeWorkspace.__dict__["_buffer"] is buffer
+            assert channel._decode_received is not decode
+            assert "_buffer" not in instrumentation.kernel_names
+            assert "_decode_received" in instrumentation.kernel_names
+
     def test_disabled_telemetry_records_nothing_through_wrapper(self):
         from repro.state import kernels as state_kernels
 

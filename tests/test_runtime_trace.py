@@ -76,3 +76,37 @@ def test_handed_over_arrays_are_kept_without_a_copy():
 def test_append_rejects_unpaired_listeners():
     with pytest.raises(ValueError, match="exactly one sender"):
         ExecutionTrace().append_slot(0, [1], [2, 3], [1])
+
+
+#: Two id maps of three positions each, neither the identity.
+ID_MAPS = (np.array([70, 50, 60], dtype=np.int64), np.array([9, 11, 13], dtype=np.int64))
+positions = st.lists(st.integers(0, 2), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run=st.lists(
+        st.tuples(st.sampled_from([None, 0, 1]), positions, positions, st.booleans()),
+        max_size=12,
+    )
+)
+def test_positions_map_to_ids_on_read(run):
+    """Slots handed over as positions (under either id map) mixed with id
+    slots read as if every slot had been appended as ids."""
+    trace = ExecutionTrace()
+    expected: list[SlotRecord] = []
+    for slot, (id_map, tx, rx, read) in enumerate(run):
+        src = rx[::-1]
+        if id_map is None:
+            trace.append_slot(slot, tx, rx, src, "ids")
+            expected.append(reference_record(slot, tx, rx, src, "ids"))
+        else:
+            ids = ID_MAPS[id_map]
+            columns = [np.array(c, dtype=np.intp) for c in (tx, rx, src)]
+            trace._append_owned(slot, *columns, "positions", ids)
+            mapped = [ids[c].tolist() for c in columns]
+            expected.append(reference_record(slot, *mapped, "positions"))
+        if read:
+            assert trace.records == expected
+    assert trace.records == expected
+    assert trace.transmissions_sent == sum(len(r.transmitters) for r in expected)
