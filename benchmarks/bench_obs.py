@@ -21,6 +21,8 @@ as artifacts.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import statistics
 import time
 from pathlib import Path
@@ -48,7 +50,7 @@ N_TRANSMITTERS = 32
 
 N_SLOTS_TIMED = 2000
 N_SLOTS_SMOKE = 120
-REPEATS = 7
+REPEATS = 20
 #: Telemetry off must cost nothing measurable: <= 2% on the slot decode.
 DISABLED_OVERHEAD_CEILING = 1.02
 #: Kernel timers recording on every decode call: <= 15%.
@@ -82,13 +84,19 @@ def _run_decode(channel, tx, powers):
     return outputs
 
 
-def _timed(fn, repeats: int):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed(fn, wrapped: bool):
+    """One timed run of ``fn``, with the kernel wrappers installed if
+    ``wrapped``: (seconds, result).  The collector is held off while the
+    clock runs, so a collection does not land on one state's run alone."""
+    gc.collect()
+    with instrument_kernels() if wrapped else contextlib.nullcontext():
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            result = fn()
+            return time.perf_counter() - start, result
+        finally:
+            gc.enable()
 
 
 def _assert_parity(candidate, reference) -> None:
@@ -141,21 +149,23 @@ def bench_obs_overhead(benchmark):
     # wrapper overhead (the disabled state once measured *slower* than the
     # enabled one purely from ordering).  Each repeat runs the states
     # back-to-back under the same machine conditions, so the per-repeat
-    # ratios are drift-free; the median ratio across repeats then shrugs
-    # off the odd repeat that caught a scheduler hiccup mid-round-robin.
+    # ratios are drift-free, and the order reverses from one repeat to the
+    # next, so no state always runs first; the median ratio across repeats
+    # then shrugs off the odd repeat that caught a scheduler hiccup.
     run_plain()  # warm caches before the first timed repeat
-    plain_ts: list[float] = []
-    disabled_ts: list[float] = []
-    enabled_ts: list[float] = []
-    plain = disabled = enabled = None
-    for _ in range(REPEATS):
-        dt, plain = _timed(run_plain, repeats=1)
-        plain_ts.append(dt)
-        with instrument_kernels():
-            dt, disabled = _timed(run_plain, repeats=1)
-            disabled_ts.append(dt)
-            dt, enabled = _timed(run_enabled, repeats=1)
-            enabled_ts.append(dt)
+    states = (
+        ("plain", run_plain, False),
+        ("disabled", run_plain, True),
+        ("enabled", run_enabled, True),
+    )
+    times: dict[str, list[float]] = {name: [] for name, _, _ in states}
+    outputs: dict[str, list] = {}
+    for repeat in range(REPEATS):
+        for name, fn, wrapped in states if repeat % 2 == 0 else states[::-1]:
+            dt, outputs[name] = _timed(fn, wrapped)
+            times[name].append(dt)
+    plain_ts, disabled_ts, enabled_ts = times["plain"], times["disabled"], times["enabled"]
+    plain, disabled, enabled = outputs["plain"], outputs["disabled"], outputs["enabled"]
     benchmark.pedantic(run_plain, rounds=1, iterations=1)
 
     _assert_parity(disabled, plain)

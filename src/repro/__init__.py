@@ -19,129 +19,43 @@ Quickstart::
     print(result.tree.root_id, result.slots_used)
 """
 
-from .constants import AlgorithmConstants, PaperConstants, PracticalConstants
-from .exceptions import (
-    ConfigurationError,
-    ConvergenceError,
-    DeploymentError,
-    InfeasiblePowerError,
-    ProtocolError,
-    ReproError,
-    ScheduleError,
-)
-from .geometry import (
-    Node,
-    Point,
-    clustered,
-    exponential_chain,
-    grid,
-    linear_chain,
-    two_scale,
-    uniform_random,
-)
-from .links import Link, LinkSet, sparsity
-from .state import NetworkState
-from .sinr import (
-    Channel,
-    ExplicitPower,
-    LinearPower,
-    MeanPower,
-    SINRParameters,
-    UniformPower,
-    affectance_matrix,
-    is_feasible,
-)
+from typing import Any
+
+from ._lazy import LazyExports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # constants
-    "AlgorithmConstants",
-    "PracticalConstants",
-    "PaperConstants",
-    # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "DeploymentError",
-    "InfeasiblePowerError",
-    "ScheduleError",
-    "ProtocolError",
-    "ConvergenceError",
-    # geometry
-    "Point",
-    "Node",
-    "uniform_random",
-    "grid",
-    "clustered",
-    "two_scale",
-    "exponential_chain",
-    "linear_chain",
-    # links
-    "Link",
-    "LinkSet",
-    "sparsity",
-    # state
-    "NetworkState",
-    # sinr
-    "SINRParameters",
-    "UniformPower",
-    "MeanPower",
-    "LinearPower",
-    "ExplicitPower",
-    "Channel",
-    "affectance_matrix",
-    "is_feasible",
-    # core (resolved lazily below)
-    "BiTree",
-    "Schedule",
-    "InitialTreeBuilder",
-    "InitialTreeResult",
-    "ConnectivityProtocol",
-    "TreeViaCapacity",
-    # dynamics (resolved lazily below)
-    "DynamicScenario",
-    "DynamicSimulator",
-    "ChurnProcess",
-    "RandomWalk",
-    "RandomWaypoint",
-    "LogNormalShadowing",
-    "RayleighFading",
-    "DeterministicPathLoss",
-]
-
-
-def __getattr__(name: str):
-    """Lazily re-export the core protocol and dynamics classes.
-
-    The core and dynamics packages import the substrate packages; importing
-    them eagerly here would create a cycle during package initialization, so
-    the headline classes are resolved on first access instead.
-    """
-    core_exports = {
-        "BiTree",
-        "Schedule",
-        "InitialTreeBuilder",
-        "InitialTreeResult",
-        "ConnectivityProtocol",
+_EXPORTS = LazyExports(__name__, {
+    "constants": ("AlgorithmConstants", "PracticalConstants", "PaperConstants"),
+    "exceptions": (
+        "ReproError", "ConfigurationError", "DeploymentError", "InfeasiblePowerError",
+        "ScheduleError", "ProtocolError", "ConvergenceError",
+    ),
+    "geometry": (
+        "Point", "Node", "uniform_random", "grid", "clustered", "two_scale", "exponential_chain",
+        "linear_chain",
+    ),
+    "links": ("Link", "LinkSet", "sparsity"),
+    "state": ("NetworkState",),
+    "sinr": (
+        "SINRParameters", "UniformPower", "MeanPower", "LinearPower", "ExplicitPower", "Channel",
+        "affectance_matrix", "is_feasible",
+    ),
+    "core": (
+        "BiTree", "Schedule", "InitialTreeBuilder", "InitialTreeResult", "ConnectivityProtocol",
         "TreeViaCapacity",
-    }
-    dynamics_exports = {
-        "DynamicScenario",
-        "DynamicSimulator",
-        "ChurnProcess",
-        "RandomWalk",
-        "RandomWaypoint",
-        "LogNormalShadowing",
-        "RayleighFading",
-        "DeterministicPathLoss",
-    }
-    if name in core_exports:
-        from . import core
+    ),
+    "dynamics": (
+        "DynamicScenario", "DynamicSimulator", "ChurnProcess", "RandomWalk", "RandomWaypoint",
+        "LogNormalShadowing", "RayleighFading", "DeterministicPathLoss",
+    ),
+})
+__all__ = ["__version__", *_EXPORTS.names]
 
-        return getattr(core, name)
-    if name in dynamics_exports:
-        from . import dynamics
 
-        return getattr(dynamics, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

@@ -1,60 +1,31 @@
 """Analysis: metrics, latency replay, fault accounting, validation, reporting."""
 
-from .faults import FaultReport, fault_report, overhead_table, round_overhead
-from .latency import (
-    BroadcastOutcome,
-    ConvergecastOutcome,
-    PairwiseOutcome,
-    pairwise_latency,
-    simulate_broadcast,
-    simulate_convergecast,
-)
-from .metrics import (
-    AffectanceStatistics,
-    DegreeStatistics,
-    ScheduleStatistics,
-    affectance_statistics,
-    degree_statistics,
-    loglog_fit,
-    schedule_statistics,
-    tree_sparsity,
-)
-from .reporting import (
-    counters_table,
-    dynamics_health_table,
-    format_markdown_table,
-    format_table,
-    format_value,
-    kernel_time_table,
-)
-from .validation import ValidationReport, validate_bitree, validate_connectivity_solution
+from typing import Any
 
-__all__ = [
-    "ConvergecastOutcome",
-    "BroadcastOutcome",
-    "PairwiseOutcome",
-    "simulate_convergecast",
-    "simulate_broadcast",
-    "pairwise_latency",
-    "DegreeStatistics",
-    "degree_statistics",
-    "ScheduleStatistics",
-    "schedule_statistics",
-    "AffectanceStatistics",
-    "affectance_statistics",
-    "tree_sparsity",
-    "loglog_fit",
-    "format_table",
-    "format_markdown_table",
-    "format_value",
-    "dynamics_health_table",
-    "kernel_time_table",
-    "counters_table",
-    "ValidationReport",
-    "validate_bitree",
-    "validate_connectivity_solution",
-    "FaultReport",
-    "fault_report",
-    "overhead_table",
-    "round_overhead",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "latency": (
+        "ConvergecastOutcome", "BroadcastOutcome", "PairwiseOutcome", "simulate_convergecast",
+        "simulate_broadcast", "pairwise_latency",
+    ),
+    "metrics": (
+        "DegreeStatistics", "degree_statistics", "ScheduleStatistics", "schedule_statistics",
+        "AffectanceStatistics", "affectance_statistics", "tree_sparsity", "loglog_fit",
+    ),
+    "reporting": (
+        "format_table", "format_markdown_table", "format_value", "dynamics_health_table",
+        "kernel_time_table", "counters_table",
+    ),
+    "validation": ("ValidationReport", "validate_bitree", "validate_connectivity_solution"),
+    "faults": ("FaultReport", "fault_report", "overhead_table", "round_overhead"),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

@@ -1,15 +1,22 @@
 """Baselines: centralized MST scheduling, uniform power, naive TDMA."""
 
-from .centralized_mst import CentralizedBaselineResult, CentralizedMSTBaseline, euclidean_mst_tree
-from .naive_tdma import NaiveTdmaResult, naive_tdma_schedule
-from .uniform_scheduling import UniformScheduler, UniformSchedulingResult
+from typing import Any
 
-__all__ = [
-    "CentralizedMSTBaseline",
-    "CentralizedBaselineResult",
-    "euclidean_mst_tree",
-    "UniformScheduler",
-    "UniformSchedulingResult",
-    "naive_tdma_schedule",
-    "NaiveTdmaResult",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "centralized_mst": (
+        "CentralizedMSTBaseline", "CentralizedBaselineResult", "euclidean_mst_tree",
+    ),
+    "uniform_scheduling": ("UniformScheduler", "UniformSchedulingResult"),
+    "naive_tdma": ("naive_tdma_schedule", "NaiveTdmaResult"),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

@@ -32,7 +32,6 @@ from the caller's geometry store when one is given, else from its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError
-from ..geometry import Node
+from ..geometry import nodes_to_array
 from ..links import Link, LinkSet, length_class_index
 from ..sinr import LinearPower, LinkArrayCache, SINRParameters
 from ..state import DecodeWorkspace, NetworkState
@@ -106,23 +105,49 @@ def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> Networ
     sender->receiver block from it; a tiled one serves the same hypot values
     computed from coordinates per slot.
     """
-    endpoints: dict[int, Node] = {}
-    for node in (node for link in links for node in link.endpoints):
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            raise ConfigurationError(f"endpoint {node.id} has a non-finite coordinate {node.position}")
-        if endpoints.setdefault(node.id, node).position != node.position:
-            raise ConfigurationError(f"endpoint {node.id} appears at two positions")
+    ends = [node for link in links for node in (link.sender, link.receiver)]
+    ids = np.array([node.id for node in ends], dtype=np.int64)
+    xy = nodes_to_array(ends)
+    # Each endpoint's first appearance of its id (a stable sort groups the
+    # ids, first appearance leading; np.unique would import numpy.ma).  The
+    # first failing endpoint is the one a check in endpoint order meets first.
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    leads = np.ones(ids.size, dtype=bool)
+    leads[1:] = grouped[1:] != grouped[:-1]
+    first = order[leads]
+    first_of = np.empty_like(order)
+    first_of[order] = first[np.cumsum(leads) - 1]
+    non_finite = ~np.isfinite(xy).all(axis=1)
+    moved = (xy != xy[first_of]).any(axis=1)
+    if non_finite.any() or moved.any():
+        bad = int(non_finite.argmax()) if non_finite.any() else len(ends)
+        if moved[:bad].any():
+            raise ConfigurationError(f"endpoint {ids[moved.argmax()]} appears at two positions")
+        raise ConfigurationError(
+            f"endpoint {ends[bad].id} has a non-finite coordinate {ends[bad].position}"
+        )
+    keep = np.sort(first)
     if state is None:
-        state = NetworkState.for_nodes(endpoints.values())
-    else:
-        missing = [node_id for node_id in endpoints if node_id not in state]
-        if missing:
-            raise ConfigurationError(f"the store lacks endpoint {missing[0]}")
-        ids = list(endpoints)
-        xy = np.array([(node.x, node.y) for node in endpoints.values()], dtype=float)
-        elsewhere = np.any(state.xy[[state.slot_of_id(i) for i in ids]] != xy, axis=1)
-        if elsewhere.any():
-            raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
+        return _materialized(NetworkState.for_nodes([ends[i] for i in keep.tolist()]))
+    ids, xy = ids[keep], xy[keep]
+    live = state.live_slots()
+    live_ids = state.ids[live]
+    order = np.argsort(live_ids)
+    at = np.searchsorted(live_ids, ids, sorter=order)
+    present = at < live.size
+    at[present] = order[at[present]]
+    present[present] = live_ids[at[present]] == ids[present]
+    if not present.all():
+        raise ConfigurationError(f"the store lacks endpoint {ids[present.argmin()]}")
+    elsewhere = np.any(state.xy[live[at]] != xy, axis=1)
+    if elsewhere.any():
+        raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
+    return _materialized(state)
+
+
+def _materialized(state: NetworkState) -> NetworkState:
+    """``state``, with a dense store's distance matrix computed once."""
     if state.materializes_matrices:
         state.distance_matrix()
     return state

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError, ProtocolError
-from ..geometry import Node
+from ..geometry import Node, nodes_to_array
 from ..runtime import ExecutionTrace, LockstepProgram, Simulator, spawn_agent_rngs
 from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
 from ..state import NetworkState
@@ -83,19 +83,23 @@ def round_power(round_index: int, params: SINRParameters, slack: float = 2.0) ->
     return params.beta * reach**params.alpha
 
 
-def validate_init_nodes(nodes: Sequence[Node]) -> None:
+def validate_init_nodes(nodes: Sequence[Node]) -> tuple[np.ndarray, np.ndarray]:
     """Reject an ``Init`` input the protocol cannot run on, before any slot.
+
+    Returns:
+        The nodes' ids and their ``(n, 2)`` coordinates, in order.
 
     Raises:
         ProtocolError: if two nodes share an id.
         ConfigurationError: if a node has a NaN or infinite coordinate, or
             two nodes share a position (a zero distance is an infinite gain).
     """
-    ids = [node.id for node in nodes]
-    if len(set(ids)) != len(ids):
+    ids = np.array([node.id for node in nodes], dtype=np.int64)
+    xy = nodes_to_array(nodes)
+    sorted_ids = np.sort(ids)  # np.unique would import numpy.ma
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
         raise ProtocolError("duplicate node ids among the Init nodes")
-    xs = np.array([node.x for node in nodes], dtype=float)
-    ys = np.array([node.y for node in nodes], dtype=float)
+    xs, ys = xy[:, 0], xy[:, 1]
     finite = np.isfinite(xs) & np.isfinite(ys)
     if not finite.all():
         bad = nodes[int(np.argmin(finite))]
@@ -109,6 +113,7 @@ def validate_init_nodes(nodes: Sequence[Node]) -> None:
         raise ConfigurationError(
             f"nodes {first.id} and {second.id} share the position ({first.x}, {first.y})"
         )
+    return ids, xy
 
 
 @dataclass
@@ -461,6 +466,16 @@ class InitialTreeResult:
         return dict(zip((node.id for node in self.nodes), self.state.stored_degree.tolist()))
 
 
+def _holds_exactly(state: NetworkState, ids: np.ndarray, xy: np.ndarray) -> bool:
+    """Whether ``state``'s live nodes are the given ids at ``xy``, in order."""
+    live = state.live_slots()
+    return (
+        live.size == ids.size
+        and np.array_equal(state.ids[live], ids)
+        and np.array_equal(state.xy[live], xy)
+    )
+
+
 class InitialTreeBuilder:
     """Runs the distributed ``Init`` protocol (Theorem 2).
 
@@ -511,7 +526,7 @@ class InitialTreeBuilder:
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
-        validate_init_nodes(node_list)
+        ids, xy = validate_init_nodes(node_list)
         if len(node_list) == 1:
             return InitialTreeResult(
                 nodes=node_list,
@@ -526,7 +541,7 @@ class InitialTreeBuilder:
 
         if state is None:
             state = NetworkState.for_nodes(node_list)
-        elif list(state) != node_list:
+        elif not _holds_exactly(state, ids, xy):
             raise ConfigurationError("the geometry store must hold exactly the Init nodes, in order")
         delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))

@@ -25,7 +25,7 @@ from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import InfeasiblePowerError, ProtocolError
 from ..geometry import Node
 from ..links import Link, LinkSet
-from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower, is_feasible
+from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower
 from ..state import NetworkState
 from .bitree import BiTree
 from .distr_cap import DistrCapResult, DistrCapSelector

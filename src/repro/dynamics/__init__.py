@@ -22,45 +22,30 @@ harness fans dynamic trials out over worker processes with bit-identical
 results.
 """
 
-from .churn import ChurnEvent, ChurnProcess
-from .gain import (
-    ComposedGain,
-    DeterministicPathLoss,
-    GainModel,
-    LogNormalShadowing,
-    RayleighFading,
-)
-from .mobility import (
-    MobilityModel,
-    RandomWalk,
-    RandomWaypoint,
-    StaticMobility,
-    bounding_rectangle,
-)
-from .simulator import (
-    DynamicRunResult,
-    DynamicScenario,
-    DynamicSimulator,
-    EpochRecord,
-    replay_schedule,
-)
+from typing import Any
 
-__all__ = [
-    "GainModel",
-    "DeterministicPathLoss",
-    "LogNormalShadowing",
-    "RayleighFading",
-    "ComposedGain",
-    "MobilityModel",
-    "StaticMobility",
-    "RandomWalk",
-    "RandomWaypoint",
-    "bounding_rectangle",
-    "ChurnEvent",
-    "ChurnProcess",
-    "DynamicScenario",
-    "DynamicSimulator",
-    "DynamicRunResult",
-    "EpochRecord",
-    "replay_schedule",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "gain": (
+        "GainModel", "DeterministicPathLoss", "LogNormalShadowing", "RayleighFading",
+        "ComposedGain",
+    ),
+    "mobility": (
+        "MobilityModel", "StaticMobility", "RandomWalk", "RandomWaypoint", "bounding_rectangle",
+    ),
+    "churn": ("ChurnEvent", "ChurnProcess"),
+    "simulator": (
+        "DynamicScenario", "DynamicSimulator", "DynamicRunResult", "EpochRecord",
+        "replay_schedule",
+    ),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

@@ -69,8 +69,21 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def _hash_u64(*components: np.ndarray | int) -> np.ndarray:
-    """Combine integer components (scalars or broadcastable arrays) to uint64."""
-    h = np.uint64(0)
+    """Combine integer components (scalars or broadcastable arrays) to uint64.
+
+    The leading scalar components fold in Python ints (:func:`_hash_int`),
+    the rest in NumPy (:func:`_hash_from`); the value is the same.
+    """
+    lead = 0
+    while lead < len(components) and isinstance(components[lead], (int, np.integer)):
+        lead += 1
+    return _hash_from(np.uint64(_hash_int(*components[:lead])), *components[lead:])
+
+
+def _hash_from(h: np.ndarray, *components: np.ndarray | int) -> np.ndarray:
+    """Continue the :func:`_hash_u64` fold from ``h``, the hash of the
+    components before these: ``_hash_from(_hash_u64(a, b), c)`` equals
+    ``_hash_u64(a, b, c)``."""
     with np.errstate(over="ignore"):
         for component in components:
             h = _mix(h ^ np.asarray(component).astype(np.uint64))

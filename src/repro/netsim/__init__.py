@@ -21,63 +21,35 @@ with crash damage repaired through :class:`~repro.core.repair.TreeRepairer`),
 and an explicit partial-result degradation contract).
 """
 
-from .aggregation import (
-    NetConvergecastResult,
-    NetDisseminationResult,
-    run_convergecast,
-    run_dissemination,
-)
-from .delivery import OutstandingSend, ReliableOutbox, RetryPolicy
-from .detector import HeartbeatDetector
-from .distr_cap_builder import NetDistrCapBuilder, NetDistrCapResult
-from .driver import RoundDriver
-from .election import (
-    BullyElection,
-    ElectionResult,
-    FailoverResult,
-    election_priority,
-    run_root_failover,
-)
-from .faults import (
-    CrashSchedule,
-    CrashWindow,
-    FaultPlan,
-    FaultTrace,
-    LatencyModel,
-    Partition,
-)
-from .init_builder import DELIVERY_MODES, NetInitBuilder, NetInitResult
-from .runtime import NetSimulator
-from .transport import FaultyTransport, PerfectTransport, Transport
+from typing import Any
 
-__all__ = [
-    "BullyElection",
-    "CrashSchedule",
-    "CrashWindow",
-    "DELIVERY_MODES",
-    "ElectionResult",
-    "FailoverResult",
-    "FaultPlan",
-    "FaultTrace",
-    "FaultyTransport",
-    "HeartbeatDetector",
-    "LatencyModel",
-    "NetConvergecastResult",
-    "NetDisseminationResult",
-    "NetDistrCapBuilder",
-    "NetDistrCapResult",
-    "NetInitBuilder",
-    "NetInitResult",
-    "NetSimulator",
-    "OutstandingSend",
-    "Partition",
-    "PerfectTransport",
-    "ReliableOutbox",
-    "RetryPolicy",
-    "RoundDriver",
-    "Transport",
-    "election_priority",
-    "run_convergecast",
-    "run_dissemination",
-    "run_root_failover",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "faults": (
+        "CrashSchedule", "CrashWindow", "FaultPlan", "FaultTrace", "LatencyModel", "Partition",
+    ),
+    "transport": ("FaultyTransport", "PerfectTransport", "Transport"),
+    "detector": ("HeartbeatDetector",),
+    "runtime": ("NetSimulator",),
+    "delivery": ("OutstandingSend", "ReliableOutbox", "RetryPolicy"),
+    "driver": ("RoundDriver",),
+    "init_builder": ("DELIVERY_MODES", "NetInitBuilder", "NetInitResult"),
+    "election": (
+        "BullyElection", "ElectionResult", "FailoverResult", "election_priority",
+        "run_root_failover",
+    ),
+    "distr_cap_builder": ("NetDistrCapBuilder", "NetDistrCapResult"),
+    "aggregation": (
+        "NetConvergecastResult", "NetDisseminationResult", "run_convergecast", "run_dissemination",
+    ),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

@@ -88,8 +88,9 @@ class HeartbeatDetector:
         """Whether ``slot`` is a heartbeat slot (all nodes share the phase)."""
         return slot % self._interval == 0
 
-    def _rows(self, node_ids: Sequence[int] | np.ndarray) -> IntpArray:
-        """Monitor positions of ``node_ids``; unknown ids are an error."""
+    def rows(self, node_ids: Sequence[int] | np.ndarray) -> IntpArray:
+        """Monitor rows of ``node_ids``, for :meth:`observe_rows`; unknown
+        ids are an error."""
         ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
         at = np.searchsorted(self._sorted_ids, ids)
         known = at < len(self._sorted_ids)
@@ -116,11 +117,15 @@ class HeartbeatDetector:
             missed: ids whose heartbeat was lost or never sent - a node
                 reaching ``miss_threshold`` consecutive misses is suspected.
         """
-        hit = self._rows(arrived)
+        self.observe_rows(self.rows(arrived), done, self.rows(missed))
+
+    def observe_rows(
+        self, hit: IntpArray, done: Sequence[bool] | np.ndarray, lost: IntpArray
+    ) -> None:
+        """:meth:`observe` with the ids already mapped by :meth:`rows`."""
         self._misses[hit] = 0
         self._suspected[hit] = False
         self._done[hit] = np.asarray(done, dtype=bool)
-        lost = self._rows(missed)
         self._misses[lost] += 1
         tripped = lost[self._misses[lost] >= self._threshold]
         if OBS.enabled:

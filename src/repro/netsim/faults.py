@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .._types import BoolArray, IntpArray
-from ..dynamics.gain import _hash_u64, _uniform_open
+from ..dynamics.gain import _hash_from, _hash_u64, _uniform_open
 from ..exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -353,13 +353,30 @@ class FaultPlan:
             return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=np.intp)
         return self.latency.delays(self.seed, src_ids, dst_ids, slot)
 
-    def heartbeat_dropped(self, node_ids: np.ndarray, slot: int) -> BoolArray:
-        """Which of ``node_ids``' heartbeats at ``slot`` are lost."""
+    @property
+    def heartbeat_loss_prob(self) -> float:
+        """Probability that a heartbeat is lost."""
+        return self.drop_prob if self.heartbeat_drop_prob is None else self.heartbeat_drop_prob
+
+    def heartbeat_keys(self, node_ids: np.ndarray) -> np.ndarray:
+        """Each node's heartbeat hash before the slot: a slot's draws continue
+        from it, so a caller polling a fixed id set can hash it once."""
+        return _hash_u64(_HEARTBEAT_STREAM, self.seed, np.asarray(node_ids, dtype=np.int64))
+
+    def heartbeat_dropped(
+        self, node_ids: np.ndarray, slot: int, keys: np.ndarray | None = None
+    ) -> BoolArray:
+        """Which of ``node_ids``' heartbeats at ``slot`` are lost.
+
+        ``keys``, if given, is :meth:`heartbeat_keys` of ``node_ids``.
+        """
         ids = np.asarray(node_ids, dtype=np.int64)
-        prob = self.drop_prob if self.heartbeat_drop_prob is None else self.heartbeat_drop_prob
+        prob = self.heartbeat_loss_prob
         if prob <= 0.0:
             return np.zeros(ids.shape, dtype=bool)
-        return _uniform_open(_hash_u64(_HEARTBEAT_STREAM, self.seed, ids, slot)) < prob
+        if keys is None:
+            keys = self.heartbeat_keys(ids)
+        return _uniform_open(_hash_from(keys, slot)) < prob
 
 
 class FaultTrace:
@@ -400,8 +417,8 @@ class FaultTrace:
     def record_recovery(self, slot: int, node_id: int) -> None:
         self.recoveries.append((slot, node_id))
 
-    def record_heartbeat_loss(self, hashed_slot: int, node_id: int) -> None:
-        self.heartbeat_losses.append((hashed_slot, node_id))
+    def record_heartbeat_losses(self, hashed_slot: int, node_ids: list[int]) -> None:
+        self.heartbeat_losses.extend([(hashed_slot, node_id) for node_id in node_ids])
 
     def summary(self) -> dict[str, int]:
         return {

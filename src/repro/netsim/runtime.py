@@ -90,6 +90,8 @@ class NetSimulator(Simulator):
             [i for i, node_id in enumerate(self._node_ids) if node_id in monitored],
             dtype=np.intp,
         )
+        #: the detector rows of those positions.
+        self._monitored_rows = self._detector.rows(self._ids[self._monitored_pos])
         #: mature slot -> [(dst, src, message) position arrays], in send order.
         self._late: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         #: per-position transmissions actually attempted (retries included).
@@ -161,13 +163,15 @@ class NetSimulator(Simulator):
         if not detector.expects_heartbeat(slot):
             return
         monitored = self._monitored_pos
+        rows = self._monitored_rows
         down = self._crashed[monitored]
-        live = monitored[~down]
+        up = ~down
+        live = monitored[up]
         delivered = self.transport.heartbeat_delivered(self._ids[live], slot)
-        arrived = live[delivered]
-        missed = np.concatenate((monitored[down], live[~delivered]))
-        done = self.program.done()[arrived]
-        detector.observe(self._ids[arrived], done, self._ids[missed])
+        live_rows = rows[up]
+        missed = np.concatenate((rows[down], live_rows[~delivered]))
+        done = self.program.done()[live[delivered]]
+        detector.observe_rows(live_rows[delivered], done, missed)
 
     def _step_slot(self, label: str) -> None:
         """One slot: crashes, poll, decode, transport, deliver, heartbeats."""

@@ -88,7 +88,7 @@ class FaultyTransport(Transport):
             (main run, then a completion patch) draw from fresh counters.
     """
 
-    __slots__ = ("plan", "slot_offset", "trace")
+    __slots__ = ("_heartbeat_keys", "plan", "slot_offset", "trace")
 
     def __init__(
         self,
@@ -100,6 +100,9 @@ class FaultyTransport(Transport):
         self.plan = plan
         self.trace = trace if trace is not None else FaultTrace()
         self.slot_offset = slot_offset
+        #: (ids, :meth:`FaultPlan.heartbeat_keys` of them) for the id set
+        #: polled last; a run polls the same live set slot after slot.
+        self._heartbeat_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     def admit(
         self, slot: int, src_ids: np.ndarray, dst_ids: np.ndarray
@@ -135,7 +138,13 @@ class FaultyTransport(Transport):
     def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
         ids = np.asarray(node_ids, dtype=np.int64)
         hashed_slot = slot + self.slot_offset
-        lost = self.plan.heartbeat_dropped(ids, hashed_slot)
-        for node_id in ids[lost].tolist():
-            self.trace.record_heartbeat_loss(hashed_slot, node_id)
+        keys = None
+        if self.plan.heartbeat_loss_prob > 0.0:
+            cached = self._heartbeat_keys
+            if cached is None or not np.array_equal(cached[0], ids):
+                cached = self._heartbeat_keys = (ids.copy(), self.plan.heartbeat_keys(ids))
+            keys = cached[1]
+        lost = self.plan.heartbeat_dropped(ids, hashed_slot, keys)
+        if lost.any():
+            self.trace.record_heartbeat_losses(hashed_slot, ids[lost].tolist())
         return ~lost

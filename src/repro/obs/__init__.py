@@ -26,62 +26,32 @@ hot-kernel bodies), and telemetry never perturbs results (no RNG, no input
 mutation — runs are bit-identical on vs. off at any worker count).
 """
 
-from __future__ import annotations
+from typing import Any
 
-from .export import (
-    chrome_trace,
-    prometheus_text,
-    read_jsonl,
-    registry_to_jsonl,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .kernels import (
-    KernelInstrumentation,
-    instrument_kernels,
-    kernel_timers_active,
-    uninstrument_kernels,
-)
-from .profiling import top_allocations
-from .metrics import (
-    DEFAULT_TIME_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SpanEvent,
-)
-from .runtime import OBS, disable, enable, get_registry, telemetry, telemetry_enabled
-from .spans import ActiveSpan, begin_span, end_span, span
+from .._lazy import LazyExports
 
-__all__ = [
-    "ActiveSpan",
-    "Counter",
-    "DEFAULT_TIME_BUCKETS_NS",
-    "Gauge",
-    "Histogram",
-    "KernelInstrumentation",
-    "MetricsRegistry",
-    "OBS",
-    "SpanEvent",
-    "begin_span",
-    "chrome_trace",
-    "disable",
-    "enable",
-    "end_span",
-    "get_registry",
-    "instrument_kernels",
-    "kernel_timers_active",
-    "prometheus_text",
-    "read_jsonl",
-    "registry_to_jsonl",
-    "span",
-    "telemetry",
-    "telemetry_enabled",
-    "top_allocations",
-    "uninstrument_kernels",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = LazyExports(__name__, {
+    "metrics": (
+        "Counter", "DEFAULT_TIME_BUCKETS_NS", "Gauge", "Histogram", "MetricsRegistry", "SpanEvent",
+    ),
+    "runtime": ("OBS", "disable", "enable", "get_registry", "telemetry", "telemetry_enabled"),
+    "spans": ("ActiveSpan", "begin_span", "end_span", "span"),
+    "kernels": (
+        "KernelInstrumentation", "instrument_kernels", "kernel_timers_active",
+        "uninstrument_kernels",
+    ),
+    "export": (
+        "chrome_trace", "prometheus_text", "read_jsonl", "registry_to_jsonl",
+        "validate_chrome_trace", "write_chrome_trace", "write_jsonl",
+    ),
+    "profiling": ("top_allocations",),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

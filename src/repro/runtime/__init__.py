@@ -5,14 +5,21 @@ but a child's ``bit_generator.seed_seq`` holds only its hashed state: it
 cannot ``spawn``.
 """
 
-from .agent import LockstepProgram
-from .simulator import Simulator, spawn_agent_rngs
-from .trace import ExecutionTrace, SlotRecord
+from typing import Any
 
-__all__ = [
-    "LockstepProgram",
-    "Simulator",
-    "spawn_agent_rngs",
-    "ExecutionTrace",
-    "SlotRecord",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "agent": ("LockstepProgram",),
+    "simulator": ("Simulator", "spawn_agent_rngs"),
+    "trace": ("ExecutionTrace", "SlotRecord"),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

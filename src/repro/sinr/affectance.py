@@ -26,7 +26,6 @@ import numpy as np
 
 from ..geometry import Node
 from ..links import Link
-from .arrays import LinkArrayCache
 from .parameters import SINRParameters
 from .power import PowerAssignment
 
@@ -136,5 +135,7 @@ def affectance_matrix(
     case the cached structures are reused; the returned matrix is always a
     fresh writable array.
     """
+    from .arrays import LinkArrayCache  # the array layer loads on first use
+
     cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
     return np.array(cache.affectance_matrix(power, params))

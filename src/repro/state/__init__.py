@@ -12,24 +12,25 @@ O(n) sibling for universes whose dense matrices would not fit;
 reuse instead of allocating per slot.
 """
 
-from .kernels import (
-    attenuation_from_distances,
-    attenuation_rect_from_xy,
-    distance_rect_from_xy,
-    pairwise_distances,
-)
-from .network import DENSE_BUDGET_BYTES, NetworkState
-from .scratch import DecodeWorkspace
-from .tiled import DEFAULT_TILE_BUDGET_BYTES, TiledNetworkState
+from typing import Any
 
-__all__ = [
-    "NetworkState",
-    "TiledNetworkState",
-    "DENSE_BUDGET_BYTES",
-    "DEFAULT_TILE_BUDGET_BYTES",
-    "DecodeWorkspace",
-    "attenuation_from_distances",
-    "attenuation_rect_from_xy",
-    "distance_rect_from_xy",
-    "pairwise_distances",
-]
+from .._lazy import LazyExports
+
+_EXPORTS = LazyExports(__name__, {
+    "network": ("NetworkState", "DENSE_BUDGET_BYTES"),
+    "tiled": ("TiledNetworkState", "DEFAULT_TILE_BUDGET_BYTES"),
+    "scratch": ("DecodeWorkspace",),
+    "kernels": (
+        "attenuation_from_distances", "attenuation_rect_from_xy", "distance_rect_from_xy",
+        "pairwise_distances",
+    ),
+})
+__all__ = _EXPORTS.names
+
+
+def __getattr__(name: str) -> Any:
+    return _EXPORTS.resolve(name)
+
+
+def __dir__() -> list[str]:
+    return _EXPORTS.dir(globals())

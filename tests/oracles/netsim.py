@@ -99,7 +99,7 @@ class OracleFaultyTransport(FaultyTransport):
         if prob > 0.0:
             u = _uniform_open(_hash_u64(_HEARTBEAT_STREAM, plan.seed, node_id, hashed_slot))
             if u < prob:
-                self.trace.record_heartbeat_loss(hashed_slot, node_id)
+                self.trace.record_heartbeat_losses(hashed_slot, [node_id])
                 return False
         return True
 

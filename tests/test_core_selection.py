@@ -22,7 +22,7 @@ from repro.core import (
     is_power_controllable,
     solve_power,
 )
-from repro.core.distr_cap import _within_threshold
+from repro.core.distr_cap import _geometry_state, _within_threshold
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet, sparsity
@@ -295,6 +295,26 @@ def _pair(first, second) -> Link:
     return Link(make_node(*first), make_node(*second))
 
 
+def _endpoint_loop_error(links, state) -> str | None:
+    """The message of the first failing endpoint check, one endpoint at a
+    time (the reference for ``_geometry_state``'s array checks)."""
+    endpoints = {}
+    for node in (node for link in links for node in link.endpoints):
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            return f"endpoint {node.id} has a non-finite coordinate {node.position}"
+        if endpoints.setdefault(node.id, node).position != node.position:
+            return f"endpoint {node.id} appears at two positions"
+    if state is None:
+        return None
+    for node_id in endpoints:
+        if node_id not in state:
+            return f"the store lacks endpoint {node_id}"
+    for node_id, node in endpoints.items():
+        if tuple(state.xy[state.slot_of_id(node_id)]) != (node.x, node.y):
+            return f"the store holds endpoint {node_id} elsewhere"
+    return None
+
+
 class TestDistrCapInput:
     """Bad input is rejected with a typed error before any slot draws."""
 
@@ -334,6 +354,45 @@ class TestDistrCapInput:
         with pytest.raises(ConfigurationError, match="endpoint 4 elsewhere"):
             DistrCapSelector(SINRParameters()).select(self.GOOD, rng, state=NetworkState(nodes))
         assert rng.bit_generator.state == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ends=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                # Mostly each id's own position; now and then another one.
+                st.sampled_from([None] * 6 + [(math.nan, 0.0), (1.0, -math.inf), (2.5, 2.5)]),
+            ),
+            min_size=2,
+            max_size=10,
+        ),
+        store=st.none()
+        | st.lists(st.sampled_from(["held", "moved", "absent"]), min_size=6, max_size=6),
+    )
+    def test_first_failure_matches_an_endpoint_loop(self, ends, store):
+        """The array checks raise what a check of each endpoint in turn raises."""
+        nodes = [make_node(node_id, *(xy or (3.0 * node_id, 0.0))) for node_id, xy in ends]
+        links = [Link(a, b) for a, b in zip(nodes[::2], nodes[1::2]) if a.id != b.id]
+        if not links:
+            return
+        state = None
+        if store is not None:
+            first = {node.id: node for node in reversed(nodes)}
+            held = []
+            for node_id, fate in enumerate(store):
+                node = first.get(node_id, make_node(node_id, 40.0, 40.0))
+                if fate == "moved" or not (math.isfinite(node.x) and math.isfinite(node.y)):
+                    node = make_node(node_id, 50.0 + node_id, 0.0)
+                if fate != "absent":
+                    held.append(node)
+            state = NetworkState(held)
+        expected = _endpoint_loop_error(links, state)
+        if expected is None:
+            _geometry_state(links, state)
+        else:
+            with pytest.raises(ConfigurationError) as raised:
+                _geometry_state(links, state)
+            assert str(raised.value) == expected
 
     def test_store_with_extra_nodes_is_accepted(self):
         nodes = [node for link in self.GOOD for node in link.endpoints] + [make_node(9, 50.0, 0.0)]

@@ -15,7 +15,7 @@ from repro.dynamics import (
     LogNormalShadowing,
     RayleighFading,
 )
-from repro.dynamics.gain import _hash_int, _hash_u64, _uniform_open
+from repro.dynamics.gain import _hash_from, _hash_int, _hash_u64, _uniform_open
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet
@@ -401,7 +401,23 @@ class TestScalarHash:
     @settings(max_examples=200, deadline=None)
     @given(components=st.lists(word, min_size=1, max_size=5))
     def test_matches_numpy_hash(self, components):
-        assert _hash_int(*components) == int(_hash_u64(*components))
+        # ``_hash_from`` folds every component in NumPy, scalars included.
+        numpy_hash = _hash_from(np.uint64(0), *components)
+        assert _hash_int(*components) == int(numpy_hash)
+        assert type(_hash_u64(*components)) is type(numpy_hash)
+        assert _hash_u64(*components) == numpy_hash
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lead=st.lists(word, max_size=3),
+        ids=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+        tail=st.lists(word, max_size=2),
+    )
+    def test_scalar_lead_matches_numpy_fold(self, lead, ids, tail):
+        ids = np.array(ids, dtype=np.int64)
+        expected = _hash_from(np.uint64(0), *lead, ids, *tail)
+        assert np.array_equal(_hash_u64(*lead, ids, *tail), expected)
+        assert np.array_equal(_hash_from(_hash_u64(*lead, ids), *tail), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -420,3 +436,5 @@ class TestScalarHash:
             _hash_u64(1, value)
         with pytest.raises(OverflowError):
             _hash_int(1, value)
+        with pytest.raises(OverflowError):
+            _hash_from(np.uint64(0), 1, value)

@@ -491,9 +491,16 @@ class TestAcceptanceCriteria:
         assert "RL001" in error_codes(findings)
 
     def test_registry_and_linter_agree_on_kernels(self):
-        import repro.sinr  # noqa: F401  - populates the registry
-        import repro.state  # noqa: F401
+        import importlib
+        import pkgutil
+
+        import repro
         from repro.contracts import KERNEL_REGISTRY
+
+        # Packages load their modules on first use: import every module, so
+        # each ``@hot_kernel`` decorator has run.
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
 
         assert len(KERNEL_REGISTRY) == 13
         rect = KERNEL_REGISTRY["repro.state.kernels:attenuation_rect_from_xy"]

@@ -189,6 +189,7 @@ class TestInitOnAGivenStore:
             (nodes[:-1], nodes),  # a node too many
             (nodes, nodes[:-1]),  # a node missing
             (nodes, nodes[::-1]),  # another order
+            (nodes, nodes[:-1] + [Node(nodes[-1].id, Point(nodes[-1].x + 1.0, nodes[-1].y))]),
         ):
             with pytest.raises(ConfigurationError, match="exactly the Init nodes"):
                 builder.build(init_nodes, np.random.default_rng(1), state=NetworkState(store_nodes))
