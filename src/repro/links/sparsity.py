@@ -67,8 +67,12 @@ def sparsity(links: Iterable[Link], length_factor: float = 8.0) -> SparsityRepor
         raise ValueError("length_factor must be positive")
 
     senders, receivers, lengths = _endpoint_arrays(link_list)
-    # Candidate radii: one per distinct link length (ball radius = length / factor).
-    radii = np.unique(lengths) / length_factor
+    # Candidate radii: one per distinct link length (ball radius = length / factor),
+    # ascending.  Sort-and-compare rather than np.unique, which imports numpy.ma.
+    ranked = np.sort(lengths)
+    distinct = np.ones(ranked.shape[0], dtype=bool)
+    distinct[1:] = ranked[1:] != ranked[:-1]
+    radii = ranked[distinct] / length_factor
     # Candidate centers: all link endpoints.
     centers = np.concatenate([senders, receivers])
     center_ids = [l.sender.id for l in link_list] + [l.receiver.id for l in link_list]

@@ -352,7 +352,7 @@ class Channel:
         with np.errstate(divide="ignore", invalid="ignore"):
             received = self._received_from_attenuation(attenuation, powers, workspace)
             if fade is not None:
-                received = self._apply_fade(received, fade, workspace)
+                received = self._apply_fade(received, fade)
             return _decode_received(received, self.params, workspace, decoded_only)
 
     @staticmethod
@@ -364,22 +364,26 @@ class Channel:
     ) -> np.ndarray:
         """``powers[:, None] / attenuation``, into the arena when one is given.
 
-        Callers ignore the divide-by-zero of a colocated pair.
+        Without a workspace the quotient is written over ``attenuation``
+        itself, so the decode holds one ``(k, n)`` block, not two.  That is
+        safe because every allocating ``attenuation_block`` result is a
+        fresh copy the decode owns: a dense row ``take`` or ``np.ix_``
+        gather, the tiled ``cache.rows[positions]`` gather, an uncached
+        over-budget fill or an ``attenuation_rect_from_xy`` rectangle - never
+        a view of a store's matrix or row cache.  Callers ignore the
+        divide-by-zero of a colocated pair.
         """
         power_col = np.asarray(powers, dtype=float)[:, None]
         if workspace is None:
-            return power_col / attenuation
+            return np.divide(power_col, attenuation, out=attenuation)
         received = workspace.floats("decode.received", *attenuation.shape)
         np.divide(power_col, attenuation, out=received)
         return received
 
     @staticmethod
     @hot_kernel()
-    def _apply_fade(
-        received: np.ndarray, fade: np.ndarray, workspace: DecodeWorkspace | None
-    ) -> np.ndarray:
-        if workspace is None:
-            return received * fade
+    def _apply_fade(received: np.ndarray, fade: np.ndarray) -> np.ndarray:
+        """``received * fade``, in place: ``received`` is the decode's own block."""
         np.multiply(received, fade, out=received)
         return received
 

@@ -5,10 +5,10 @@ that used to be duplicated across the caches: ``NodeArrayCache`` and
 ``LinkArrayCache`` each computed their own ``hypot`` distance matrices, and
 the ``d**alpha`` path-loss denominator appeared independently in the node
 attenuation cache, the link gain matrix and the slot decode.  Every
-``NetworkState``-derived matrix and every cache now routes through the two
-functions below, so the patched (incremental) and rebuilt (from-scratch)
+``NetworkState``-derived matrix and every cache now routes through the
+kernels below, so the patched (incremental) and rebuilt (from-scratch)
 code paths are bit-for-bit identical by construction - they literally run
-the same expressions on the same floats.
+the same elementwise operations on the same floats.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ __all__ = [
     "attenuation_from_distances",
     "distance_rect_from_xy",
     "attenuation_rect_from_xy",
+    "fill_attenuation_rows",
+    "FILL_CHUNK_BYTES",
 ]
 
 
@@ -40,12 +42,15 @@ def pairwise_distances(xy_a: FloatArray, xy_b: FloatArray | None = None) -> Floa
     row/column patches of :class:`~repro.state.NetworkState` evaluate the
     same expression on row blocks, so a patched matrix is bitwise equal to a
     rebuilt one (``hypot`` is symmetric in the sign of its arguments, which
-    makes mirroring a row block into the columns exact).
+    makes mirroring a row block into the columns exact).  The differences
+    are two ``(n, m)`` planes, one per coordinate, and ``hypot`` writes into
+    the first: no ``(n, m, 2)`` difference array is built.
     """
     if xy_b is None:
         xy_b = xy_a
-    diff = xy_a[:, None, :] - xy_b[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    dx = np.subtract.outer(xy_a[:, 0], xy_b[:, 0])
+    dy = np.subtract.outer(xy_a[:, 1], xy_b[:, 1])
+    return np.hypot(dx, dy, out=dx)
 
 
 @hot_kernel(oracle="_seed_attenuation", allocates=True)
@@ -107,14 +112,67 @@ def attenuation_rect_from_xy(
     can serve ``attenuation_block`` rectangles without a backing matrix.
     Bitwise-equal to gathering the same rectangle out of a dense
     ``attenuation_matrix`` because every elementwise operation is identical.
+    Without a workspace the rectangle is filled in place in bounded chunks
+    (:func:`fill_attenuation_rows`).
     """
+    shape = (xy_rows.shape[0], xy_cols.shape[0])
     if workspace is None:
-        return attenuation_from_distances(pairwise_distances(xy_rows, xy_cols), alpha)
-    dist = distance_rect_from_xy(xy_rows, xy_cols, workspace, key + ".dist")
-    att = workspace.floats(key + ".att", dist.shape[0], dist.shape[1])
-    colocated = workspace.bools(key + ".colocated", dist.shape[0], dist.shape[1])
-    np.maximum(dist, 1e-300, out=att)
-    np.power(att, alpha, out=att)
-    np.less_equal(dist, 0.0, out=colocated)
-    np.copyto(att, 0.0, where=colocated)
+        return fill_attenuation_rows(np.empty(shape), xy_rows, xy_cols, alpha)
+    att = workspace.floats(key + ".att", *shape)
+    dy = workspace.floats(key + ".dy", *shape)
+    colocated = workspace.bools(key + ".colocated", *shape)
+    _attenuation_into(att, dy, colocated, xy_rows, xy_cols, alpha)
     return att
+
+
+#: Bytes of one float plane of a :func:`fill_attenuation_rows` chunk.  A fill
+#: needs one such plane of y differences and a bool plane of the same shape
+#: beside its output, whatever the number of rows it writes.
+FILL_CHUNK_BYTES = 4 * 1024 * 1024
+
+
+def fill_attenuation_rows(
+    out: FloatArray, xy_rows: FloatArray, xy_cols: FloatArray, alpha: float
+) -> FloatArray:
+    """Write the attenuation rectangle of ``xy_rows`` x ``xy_cols`` into ``out``.
+
+    The floats of ``attenuation_from_distances(pairwise_distances(xy_rows,
+    xy_cols), alpha)``, computed straight into ``out`` (a C-contiguous
+    ``(rows, cols)`` array or a row range of one) in chunks of rows whose y
+    plane stays within :data:`FILL_CHUNK_BYTES`: each chunk runs subtract,
+    ``hypot``, the colocated mask, ``maximum`` and ``power`` with ``out=``,
+    then zeroes the masked entries.  Returns ``out``.
+    """
+    rows, cols = out.shape
+    step = max(1, FILL_CHUNK_BYTES // (8 * max(cols, 1)))
+    dy = np.empty((min(step, rows), cols))
+    colocated = np.empty(dy.shape, dtype=bool)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        _attenuation_into(
+            out[lo:hi], dy[: hi - lo], colocated[: hi - lo], xy_rows[lo:hi], xy_cols, alpha
+        )
+    return out
+
+
+def _attenuation_into(
+    att: FloatArray,
+    dy: FloatArray,
+    colocated: np.ndarray,
+    xy_rows: FloatArray,
+    xy_cols: FloatArray,
+    alpha: float,
+) -> None:
+    """The attenuation rectangle into ``att``, with ``dy``/``colocated`` as scratch.
+
+    ``att`` first holds the x differences, then the distances, then the
+    attenuation: the elementwise operations of :func:`pairwise_distances`
+    and :func:`attenuation_from_distances`, in their order.
+    """
+    np.subtract.outer(xy_rows[:, 0], xy_cols[:, 0], out=att)
+    np.subtract.outer(xy_rows[:, 1], xy_cols[:, 1], out=dy)
+    np.hypot(att, dy, out=att)
+    np.less_equal(att, 0.0, out=colocated)
+    np.maximum(att, 1e-300, out=att)
+    np.power(att, alpha, out=att)
+    np.copyto(att, 0.0, where=colocated)

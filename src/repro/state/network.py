@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from ..geometry import Node, Point
+from ..geometry.point import max_distance_xy
 from .kernels import attenuation_from_distances, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamics/links use state)
@@ -184,17 +185,12 @@ class NetworkState:
     def max_distance(self) -> float:
         """Largest distance between two live nodes (``0.0`` for fewer than two).
 
-        The maximum of the distance matrix, which holds the same ``hypot``
-        values as :func:`~repro.geometry.diameter`; a maximum does not depend
-        on evaluation order, so the two are bitwise equal.
+        :func:`~repro.geometry.point.max_distance_xy` over the live nodes'
+        coordinates, the one diameter kernel (what
+        :func:`~repro.geometry.diameter` computes): the same ``hypot`` values
+        as the distance matrix's maximum, in O(n) memory, on either store.
         """
-        if len(self) < 2:
-            return 0.0
-        dist = self.distance_matrix()
-        if len(self) < self._capacity:
-            live = self.live_slots()
-            dist = dist[np.ix_(live, live)]
-        return float(dist.max())
+        return max_distance_xy(self._xy[self.live_slots()])
 
     # -- membership ----------------------------------------------------------
 

@@ -26,14 +26,8 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .._types import FloatArray, IntpArray
-from ..geometry.point import max_distance_xy
 from ..obs.runtime import OBS
-from .kernels import (
-    attenuation_from_distances,
-    attenuation_rect_from_xy,
-    distance_rect_from_xy,
-    pairwise_distances,
-)
+from .kernels import attenuation_rect_from_xy, distance_rect_from_xy, fill_attenuation_rows
 from .network import NetworkState
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -72,6 +66,46 @@ class _RowCache:
     def resident_bytes(self) -> int:
         row_bytes = int(self.rows.shape[1]) * 8
         return self.used * row_bytes + int(self.slot_at.nbytes)
+
+    def place(self, missing: IntpArray, request: IntpArray) -> IntpArray:
+        """Assign ring rows to ``missing`` (distinct, uncached) and return them.
+
+        One walk of the ring from ``cursor``: the first ``len(missing)`` rows
+        that are empty or hold a slot ``request`` does not need, in ring
+        order - the rows a FIFO placing one slot at a time would pick, since
+        a row it has just filled is needed and so skipped.  Their holders
+        are evicted and ``cursor`` moves past the last of them.  The ring
+        always has enough such rows: a request within the row budget holds
+        at most ``min(budget, capacity)`` distinct slots, the ring's size.
+        """
+        needed = np.zeros(self.row_of.shape[0], dtype=bool)
+        needed[request] = True
+        holders = self.slot_at
+        # An empty row's -1 reads needed[-1]; its own test already passes it.
+        free = np.flatnonzero((holders < 0) | ~needed[holders])
+        start = int(np.searchsorted(free, self.cursor))
+        rows = np.concatenate((free[start:], free[:start]))[: missing.shape[0]]
+        evicted = holders[rows]
+        evicted = evicted[evicted >= 0]
+        self.row_of[evicted] = -1
+        self.used += rows.shape[0] - evicted.shape[0]
+        holders[rows] = missing
+        self.row_of[missing] = rows
+        self.cursor = (int(rows[-1]) + 1) % holders.shape[0]
+        return rows
+
+
+def _first_appearances(slots: IntpArray) -> IntpArray:
+    """Distinct entries of ``slots`` in order of first appearance.
+
+    Sort-and-compare on a stable argsort (``np.unique`` would import
+    ``numpy.ma``): the first of each run of equal values is its earliest.
+    """
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    first = np.ones(slots.shape[0], dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return slots[np.sort(order[first])]
 
 
 class TiledNetworkState(NetworkState):
@@ -174,16 +208,23 @@ class TiledNetworkState(NetworkState):
     ) -> FloatArray:
         """Whole attenuation rows (capacity columns) through the FIFO row cache.
 
-        This is the decode hot path's ``cols=None`` gather.  Cached rows are
-        computed by exactly the kernels the dense store patches with
-        (``attenuation_from_distances(pairwise_distances(...))``), so the
-        result is bitwise equal to ``np.take`` on a dense attenuation
-        matrix.  The row budget is ``(budget_bytes / 2) / (capacity * 8)``
-        rows per exponent, and the cache never holds more than
-        ``capacity`` of them (one per slot); requests larger than the
-        budget are computed fresh (still exact, just uncached).  Any state
-        mutation invalidates the cache wholesale - rows are cheap to
-        recompute and a stale row can never be served.
+        This is the decode hot path's ``cols=None`` gather.  Cached rows hold
+        the floats of ``attenuation_from_distances(pairwise_distances(...))``,
+        the kernels the dense store patches with, so the result is bitwise
+        equal to ``np.take`` on a dense attenuation matrix.  The row budget
+        is ``(budget_bytes / 2) / (capacity * 8)`` rows per exponent, and
+        the cache never holds more than ``capacity`` of them (one per slot).
+
+        A miss costs no per-row Python work: the missing slots (once each,
+        in order of first appearance) get their ring rows by one mask
+        (:meth:`_RowCache.place`), and the rows are computed straight into
+        the ring, one contiguous run of ring rows at a time, by
+        :func:`~repro.state.kernels.fill_attenuation_rows`, whose scratch
+        stays within a fixed chunk.  Requests larger than the budget are
+        filled the same way into an uncached output.  Any state mutation
+        invalidates the cache wholesale - rows are cheap to recompute and a
+        stale row can never be served.  Without a workspace the result is a
+        fresh array the caller owns (the decode divides into it).
         """
         alpha = float(alpha)
         row_slots = np.asarray(row_slots, dtype=np.intp)
@@ -192,7 +233,11 @@ class TiledNetworkState(NetworkState):
         budget_rows = max(1, (self._budget_bytes // 2) // max(1, capacity * 8))
         if k > budget_rows:
             # The request alone exceeds the row budget: serve it uncached.
-            return attenuation_rect_from_xy(self._xy[row_slots], self._xy, alpha, workspace, key)
+            if workspace is None:
+                out = np.empty((k, capacity))
+            else:
+                out = workspace.floats(key, k, capacity)
+            return fill_attenuation_rows(out, self._xy[row_slots], self._xy, alpha)
         # A ring of ``capacity`` rows already holds every slot, so a larger
         # one would only reserve memory; the misses are the same.
         max_rows = max(1, min(capacity, budget_rows))
@@ -205,29 +250,17 @@ class TiledNetworkState(NetworkState):
         positions = cache.row_of[row_slots]
         absent = positions < 0
         if absent.any():
-            # Missing slots once each, in order of first appearance.
-            missing = row_slots[absent]
-            _, first = np.unique(missing, return_index=True)
-            missing = missing[np.sort(first)]
-            fresh = attenuation_from_distances(pairwise_distances(self._xy[missing], self._xy), alpha)
-            needed = np.zeros(capacity, dtype=bool)
-            needed[row_slots] = True
-            for offset, slot in enumerate(missing.tolist()):
-                pos = cache.cursor
-                # FIFO eviction, skipping rows the current request also needs.
-                while True:
-                    holder = int(cache.slot_at[pos])
-                    if holder < 0 or not needed[holder]:
-                        break
-                    pos = (pos + 1) % max_rows
-                if holder >= 0:
-                    cache.row_of[holder] = -1
-                else:
-                    cache.used += 1
-                cache.rows[pos] = fresh[offset]
-                cache.slot_at[pos] = slot
-                cache.row_of[slot] = pos
-                cache.cursor = (pos + 1) % max_rows
+            missing = _first_appearances(row_slots[absent])
+            placed = cache.place(missing, row_slots)
+            # Fill run by run of consecutive ring rows, straight into the ring.
+            order = np.argsort(placed)
+            placed, missing = placed[order], missing[order]
+            cuts = (np.flatnonzero(np.diff(placed) != 1) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, placed.shape[0]]):
+                first = int(placed[lo])
+                fill_attenuation_rows(
+                    cache.rows[first : first + hi - lo], self._xy[missing[lo:hi]], self._xy, alpha
+                )
             positions = cache.row_of[row_slots]
             if OBS.enabled:
                 OBS.registry.inc("tiled.row_cache_miss", int(missing.shape[0]))
@@ -237,15 +270,6 @@ class TiledNetworkState(NetworkState):
         stage = workspace.floats(key, k, self._capacity)
         np.take(cache.rows, positions, axis=0, out=stage)
         return stage
-
-    def max_distance(self) -> float:
-        """Largest distance between two live nodes, in O(n) memory.
-
-        :func:`~repro.geometry.point.max_distance_xy` over the live nodes'
-        coordinates (what :func:`~repro.geometry.diameter` computes): the
-        same ``hypot`` values as the dense store's matrix maximum.
-        """
-        return max_distance_xy(self._xy[self.live_slots()])
 
     # -- dense accessors (refused) ---------------------------------------------
 

@@ -10,9 +10,17 @@ that holds the nodes permuted among extra ones, under no fading, static
 shadowing and per-slot Rayleigh fading, with crashed nodes and a listener
 colocated with a transmitter.  The public index decodes still return a
 winner in every column.
+
+The tiled store's row cache is pinned here too: rows equal the dense
+gather and misses follow ``FifoRowModel`` under repeats, oversize requests
+and moves; a fill allocates no more than its rows and a fixed chunk; and
+the allocating decode, which divides into its gathered block, never writes
+a store's matrix or row cache.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +34,7 @@ from repro.obs import telemetry
 from repro.runtime import LockstepProgram, Simulator
 from repro.sinr import CachedChannel, SINRParameters, Transmission
 from repro.state import NetworkState, TiledNetworkState
+from repro.state.kernels import FILL_CHUNK_BYTES, attenuation_from_distances, pairwise_distances
 
 from .oracles import decode_reference
 
@@ -218,6 +227,146 @@ class TestRowCacheUnderTinyBudget:
                 model.request(slots.tolist())
                 assert registry.counter_value("tiled.row_cache_miss") == model.misses
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        budget_rows=st.integers(1, 6),
+        requests=st.integers(1, 16),
+    )
+    def test_oversize_repeats_and_moves(self, seed, n, budget_rows, requests):
+        # Requests up to twice the budget (the oversize ones are served
+        # uncached and leave the ring alone), repeated slots, and moves that
+        # bump the store's version and so empty the ring.
+        rng = np.random.default_rng(seed)
+        nodes = _deployment(rng, n)
+        alpha = 3.0
+        tiled = TiledNetworkState(nodes, budget_bytes=2 * budget_rows * 8 * n)
+        dense = NetworkState(nodes)
+        model = FifoRowModel(budget_rows)
+        with telemetry() as registry:
+            for _ in range(requests):
+                if rng.random() < 0.2:
+                    moved = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                    xy = rng.uniform(0.0, 60.0, size=(moved.size, 2))
+                    tiled.move_nodes(moved, xy)
+                    dense.move_nodes(moved, xy)
+                    model.clear()
+                k = int(rng.integers(1, 2 * budget_rows + 1))
+                slots = rng.integers(0, n, size=k).astype(np.intp)
+                if rng.random() < 0.5:
+                    slots[rng.integers(0, k)] = slots[0]
+                got = tiled.attenuation_rows(alpha, slots)
+                assert np.array_equal(got, dense.attenuation_matrix(alpha)[slots])
+                if k <= budget_rows:
+                    model.request(slots.tolist())
+                assert registry.counter_value("tiled.row_cache_miss") == model.misses
+                cache = tiled._row_caches.get(alpha)
+                if cache is not None:
+                    held = cache.slot_at[cache.slot_at >= 0]
+                    assert cache.used == held.size
+                    assert np.array_equal(cache.row_of[held], np.flatnonzero(cache.slot_at >= 0))
+
+    @pytest.mark.parametrize("oversize", [False, True])
+    def test_fill_allocates_no_difference_array(self, oversize):
+        # 256 missing rows at n=2048: a fill allocates the rows it returns
+        # plus its fixed chunk scratch, never a (k, n, 2) difference array.
+        n, k = 2048, 256
+        rng = np.random.default_rng(8)
+        nodes = _deployment(rng, n)
+        ring_rows = k // 2 if oversize else k + 44
+        tiled = TiledNetworkState(nodes, budget_bytes=2 * ring_rows * 8 * n)
+        tiled.attenuation_rows(3.0, np.arange(4, dtype=np.intp))  # allocates the ring
+        slots = np.arange(100, 100 + k, dtype=np.intp)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = tiled.attenuation_rows(3.0, slots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        xy = tiled.xy
+        want = attenuation_from_distances(pairwise_distances(xy[slots], xy), 3.0)
+        assert np.array_equal(got, want)
+        # The chunk's float and bool planes, and room for NumPy's iteration
+        # buffers; a (k, n, 2) difference array alone would be 8 MiB.
+        scratch = FILL_CHUNK_BYTES + FILL_CHUNK_BYTES // 8 + 256 * 1024
+        assert peak <= k * n * 8 + scratch
+
+
+def _view_channel(params, nodes, *, store: str, view: str, rng):
+    """A channel over the whole store, or over a permuted (non-contiguous) view of it."""
+    if store == "tiled":
+        state = TiledNetworkState(nodes, budget_bytes=2 * 3 * 8 * len(nodes))
+    else:
+        state = NetworkState(nodes)
+    if view == "contiguous":
+        channel = CachedChannel(params, state=state)
+    else:
+        permuted = [nodes[i] for i in rng.permutation(len(nodes))]
+        channel = CachedChannel(params, permuted, state=state)
+    assert channel.cache._contiguous == (view == "contiguous")
+    return channel
+
+
+class TestDecodeLeavesStoreUnchanged:
+    """The allocating decode divides into its gathered block, never into a store."""
+
+    @pytest.mark.parametrize("store", STORES)
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("gain", sorted(GAIN_MODELS))
+    def test_decodes_do_not_write_the_store(self, store, view, gain, rng):
+        nodes = _deployment(rng, 30)
+        params = SINRParameters(alpha=3.0, beta=1.0, noise=0.01, gain_model=GAIN_MODELS[gain])
+        channel = _view_channel(params, nodes, store=store, view=view, rng=rng)
+        state = channel.cache.state
+        tx = np.array([0, 4, 9], dtype=np.intp)
+        powers = np.array([1.0, 2.0, 3.0])
+        rx = np.arange(10, 30, dtype=np.intp)
+        ids = channel.cache.ids.tolist()
+        sender_ids = [ids[i] for i in tx.tolist()]
+        listener_ids = ids[10:]
+
+        def decode_all():
+            channel.resolve_indices_full(tx, powers, slot=3)
+            channel.resolve_indices(tx, rx, powers, slot=3)
+            channel.decoded_senders(sender_ids, powers.tolist(), listener_ids, slot=3)
+
+        decode_all()  # fills the row cache; the decodes below only read it
+        if store == "dense":
+            snapshot = {"att": state.attenuation_matrix(params.alpha).copy()}
+        else:
+            snapshot = {alpha: cache.rows.copy() for alpha, cache in state._row_caches.items()}
+        decode_all()
+        if store == "dense":
+            assert np.array_equal(state.attenuation_matrix(params.alpha), snapshot["att"])
+        else:
+            assert snapshot.keys() == state._row_caches.keys()
+            for alpha, rows in snapshot.items():
+                # Bitwise, NaN-safe: the ring's unfilled rows are np.empty.
+                assert state._row_caches[alpha].rows.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("store", STORES)
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_attenuation_blocks_are_fresh_copies(self, store, view, rng):
+        # The precondition of the in-place divide: no allocating gather hands
+        # the decode memory a store still owns.
+        nodes = _deployment(rng, 30)
+        channel = _view_channel(SINRParameters(alpha=3.0), nodes, store=store, view=view, rng=rng)
+        state = channel.cache.state
+        owned = (
+            [state.attenuation_matrix(3.0)]
+            if store == "dense"
+            else [cache.rows for cache in state._row_caches.values()]
+        )
+        for tx in ([0, 4], [0, 4, 9, 12, 20]):  # the second is over the tiled budget
+            rows = np.array(tx, dtype=np.intp)
+            for cols in (None, np.arange(10, 30, dtype=np.intp)):
+                block = channel.cache.attenuation_block(3.0, rows, cols)
+                if store == "tiled":
+                    owned = [cache.rows for cache in state._row_caches.values()]
+                assert not any(np.shares_memory(block, array) for array in owned)
+
 
 class FifoRowModel:
     """A FIFO ring of cached rows that never evicts a row the request needs."""
@@ -238,3 +387,8 @@ class FifoRowModel:
             self.ring[pos] = slot
             self.cursor = (pos + 1) % len(self.ring)
             self.misses += 1
+
+    def clear(self) -> None:
+        """Empty the ring (the store's version moved); misses keep counting."""
+        self.ring = [None] * len(self.ring)
+        self.cursor = 0

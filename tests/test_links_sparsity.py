@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.links import Link, LinkSet, is_sparse, sparsity, sparsity_profile
 
 from .conftest import make_node
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _star_links(count: int, length: float) -> LinkSet:
@@ -76,3 +84,44 @@ class TestSparsity:
     def test_mst_like_chain_is_constant_sparse(self, chain_links):
         # A unit chain is the canonical O(1)-sparse structure.
         assert sparsity(chain_links).psi <= 2
+
+
+class TestCandidateRadii:
+    def test_one_radius_per_distinct_length(self):
+        # Three lengths, each shared by several links: 3 radii x 2m centers.
+        lengths = [3.0, 5.0, 3.0, 8.0, 5.0, 3.0]
+        links = [
+            Link(make_node(2 * i, 0.0, 20.0 * i), make_node(2 * i + 1, length, 20.0 * i))
+            for i, length in enumerate(lengths)
+        ]
+        report = sparsity(links)
+        assert report.balls_examined == 3 * 2 * len(links)
+
+    def test_sparsity_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on first call; a fresh interpreter shows
+        # whether a sparsity measurement pulled it in.
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.geometry import Node, Point
+            from repro.links import Link, sparsity
+
+            links = [
+                Link(Node(2 * i, Point(0.0, 9.0 * i)), Node(2 * i + 1, Point(1.0 + i % 3, 9.0 * i)))
+                for i in range(12)
+            ]
+            assert sparsity(links).psi >= 1
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]

@@ -44,10 +44,12 @@ from repro.state import (
     TiledNetworkState,
 )
 from repro.state import network as state_network
+from repro.state import kernels as state_kernels
 from repro.state.kernels import (
     attenuation_from_distances,
     attenuation_rect_from_xy,
     distance_rect_from_xy,
+    fill_attenuation_rows,
     pairwise_distances,
 )
 
@@ -84,6 +86,22 @@ class TestTileKernelParity:
             workspace = DecodeWorkspace()
             got = attenuation_rect_from_xy(a, b, alpha, workspace, "t.att")
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 64])
+    def test_chunked_fill_matches_attenuation_from_distances(self, rng, chunk_rows, monkeypatch):
+        # Chunk boundaries inside and at the end of the rectangle, colocated
+        # pairs and a row range of a larger array as the output.
+        a = rng.uniform(0.0, 50.0, size=(17, 2))
+        b = np.concatenate([rng.uniform(0.0, 50.0, size=(10, 2)), a[:3]])
+        monkeypatch.setattr(state_kernels, "FILL_CHUNK_BYTES", chunk_rows * 8 * b.shape[0])
+        for alpha in ALPHAS:
+            expected = attenuation_from_distances(pairwise_distances(a, b), alpha)
+            host = np.full((a.shape[0] + 4, b.shape[0]), -1.0)
+            got = fill_attenuation_rows(host[2:-2], a, b, alpha)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(host[2:-2], expected)
+            assert (host[:2] == -1.0).all() and (host[-2:] == -1.0).all()
+            assert np.array_equal(attenuation_rect_from_xy(a, b, alpha), expected)
 
 class TestTiledNetworkStateParity:
     def test_rects_and_rows_match_dense_matrices(self, rng):
