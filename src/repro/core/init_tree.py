@@ -505,6 +505,7 @@ class InitialTreeBuilder:
         rng: np.random.Generator,
         *,
         state: NetworkState | None = None,
+        _checked: bool = False,
     ) -> InitialTreeResult:
         """Run ``Init`` on ``nodes`` and return the resulting bi-tree.
 
@@ -515,6 +516,9 @@ class InitialTreeBuilder:
                 ``nodes``, in order (e.g. a :meth:`NetworkState.subset` of a
                 larger run's store).  By default one is built over ``nodes``
                 with :meth:`NetworkState.for_nodes`.
+            _checked: private to :class:`TreeViaCapacity`, whose populations
+                are subsets of a deployment it has validated, each with the
+                store it gathered for them: skips the input and store checks.
 
         Raises:
             ProtocolError: if more than one active node remains after
@@ -526,7 +530,12 @@ class InitialTreeBuilder:
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
-        ids, xy = validate_init_nodes(node_list)
+        if not _checked:
+            ids, xy = validate_init_nodes(node_list)
+            if len(node_list) > 1 and state is not None and not _holds_exactly(state, ids, xy):
+                raise ConfigurationError(
+                    "the geometry store must hold exactly the Init nodes, in order"
+                )
         if len(node_list) == 1:
             return InitialTreeResult(
                 nodes=node_list,
@@ -541,8 +550,6 @@ class InitialTreeBuilder:
 
         if state is None:
             state = NetworkState.for_nodes(node_list)
-        elif not _holds_exactly(state, ids, xy):
-            raise ConfigurationError("the geometry store must hold exactly the Init nodes, in order")
         delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))

@@ -196,7 +196,7 @@ class TreeViaCapacity:
                     f"TreeViaCapacity did not converge within {cap} iterations "
                     f"({len(population)} nodes still active)"
                 )
-            init_result = builder.build(population, rng, state=state)
+            init_result = builder.build(population, rng, state=state, _checked=True)
             # T(M) is read off Init's parent array; only its links (all tree
             # links when it is empty) become Link objects.
             children, parents = init_result.link_positions()

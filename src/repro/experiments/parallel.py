@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import atexit
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
+from .._cpus import usable_cpu_count
 from ..obs.kernels import instrument_kernels, kernel_timers_active, uninstrument_kernels
 from ..obs.runtime import OBS, telemetry
 from ..obs.spans import begin_span, end_span, span
@@ -50,24 +50,6 @@ __all__ = [
 
 _A = TypeVar("_A")
 _R = TypeVar("_R")
-
-
-def usable_cpu_count() -> int | None:
-    """CPUs this process may actually use (affinity-aware).
-
-    Containers and batch schedulers routinely pin a process to a subset of
-    the machine, so the affinity mask (``os.process_cpu_count`` on Python >=
-    3.13, ``sched_getaffinity`` elsewhere) is consulted before the raw
-    ``os.cpu_count``.  This is the one implementation of that probe
-    (``scripts/run_benchmarks.py`` records it in baseline fingerprints).
-    """
-    process_cpu_count = getattr(os, "process_cpu_count", None)
-    if process_cpu_count is not None:
-        return process_cpu_count()
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count()
 
 
 def default_workers() -> int:

@@ -9,9 +9,11 @@ timing wrapper **at its definition sites** (module attribute, class
 modules), and :meth:`KernelInstrumentation.restore` puts the originals
 back.  Uninstrumented processes are byte-for-byte the PR-5 fast path.
 
-The wrapper itself follows the enabled-guard idiom: with telemetry off it
-is one attribute load and a tail call; with telemetry on it adds two
-counter bumps per call —
+The wrapper itself follows the enabled-guard idiom: it is compiled with the
+kernel's own parameter list, so with telemetry off it is one attribute
+load and a call that forwards the arguments as they came, with no
+``*args, **kwargs`` packing; with telemetry on it adds two counter bumps per
+call —
 
 * ``kernel.calls{kernel=<name>}`` — invocation count,
 * ``kernel.time_ns{kernel=<name>}`` — *inclusive* wall time (a kernel that
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import sys
 import time
 from typing import Any, Callable
@@ -60,32 +63,49 @@ _Patch = tuple[Any, str, Any]
 
 
 def _timed_wrapper(kernel_name: str, func: Callable) -> Callable:
-    """Build the timing wrapper for one kernel function."""
+    """Build the timing wrapper for one kernel function.
+
+    The wrapper is compiled with the kernel's own parameter list (every
+    registered kernel takes plain positional-or-keyword parameters) and
+    passes them on by position, so the disabled branch packs no
+    ``*args``/``**kwargs``: one extra frame and one attribute load.
+    """
     # Counter objects are cached per registry identity so the enabled path
     # pays one `is` check instead of two keyed lookups per call.
     cached_registry: Any = None
     calls_counter: Any = None
     time_counter: Any = None
 
-    @functools.wraps(func)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not OBS.enabled:
-            return func(*args, **kwargs)
+    def record(elapsed: int) -> None:
         nonlocal cached_registry, calls_counter, time_counter
-        start = time.perf_counter_ns()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            elapsed = time.perf_counter_ns() - start
-            registry = OBS.registry
-            if registry is not cached_registry:
-                cached_registry = registry
-                calls_counter = registry.counter("kernel.calls", kernel=kernel_name)
-                time_counter = registry.counter("kernel.time_ns", kernel=kernel_name)
-            calls_counter.value += 1
-            time_counter.value += elapsed
+        registry = OBS.registry
+        if registry is not cached_registry:
+            cached_registry = registry
+            calls_counter = registry.counter("kernel.calls", kernel=kernel_name)
+            time_counter = registry.counter("kernel.time_ns", kernel=kernel_name)
+        calls_counter.value += 1
+        time_counter.value += elapsed
 
-    wrapper.__repro_kernel_timer__ = kernel_name  # type: ignore[attr-defined]
+    parameters = inspect.signature(func).parameters.values()
+    if any(parameter.kind is not parameter.POSITIONAL_OR_KEYWORD for parameter in parameters):
+        raise TypeError(f"kernel {kernel_name} must take plain positional-or-keyword parameters")
+    arguments = ", ".join(parameter.name for parameter in parameters)
+    source = (
+        f"def wrapper({arguments}):\n"
+        f"    if not _obs_.enabled:\n"
+        f"        return _kernel_({arguments})\n"
+        f"    _start_ = _clock_()\n"
+        f"    try:\n"
+        f"        return _kernel_({arguments})\n"
+        f"    finally:\n"
+        f"        _record_(_clock_() - _start_)\n"
+    )
+    namespace = {"_obs_": OBS, "_kernel_": func, "_clock_": time.perf_counter_ns, "_record_": record}
+    exec(source, namespace)
+    wrapper = namespace["wrapper"]
+    wrapper.__defaults__ = func.__defaults__
+    functools.update_wrapper(wrapper, func)
+    wrapper.__repro_kernel_timer__ = kernel_name
     return wrapper
 
 

@@ -903,6 +903,20 @@ class NodeArrayCache:
             self._state.attenuation_matrix(alpha), rows, cols, workspace, "cache.att"
         )
 
+    def attenuation_row_source(
+        self, alpha: float, rows: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray | None] | None":
+        """The tiled store's :meth:`~repro.state.TiledNetworkState.row_source`
+        for ``attenuation_block(alpha, rows)``.
+
+        Columns ``:len(self)`` of the source rows are the whole-view block.
+        ``None`` unless this is a contiguous view of a tiled store; the
+        caller then gathers the block.
+        """
+        if self._state.materializes_matrices or not self._contiguous:
+            return None
+        return self._sparse_state().row_source(alpha, self._slots[rows])
+
     def fade_block(
         self,
         model: "GainModel",

@@ -13,7 +13,10 @@ and :meth:`Channel.resolve_indices_full` run ``_decode_block`` ->
 ``_decode_received``, one argmax/SINR/threshold pass over the
 transmitter-to-listener attenuation rectangle of the cache's store.  With a
 ``workspace`` (:class:`~repro.state.DecodeWorkspace`) the kernels write into
-preallocated buffers, bit-identically.  The caller owns the protocol
+preallocated buffers, bit-identically.  The whole-universe decode over a
+tiled store's row cache (``_decode_rows``) runs the same kernels on
+listener-column slabs across the slab workers (``repro.state.slabs``),
+bit-identically at any worker count.  The caller owns the protocol
 invariants (distinct senders, no transmitting listener, positive powers);
 :meth:`CachedChannel.decoded_senders` keeps them for callers in node ids.
 
@@ -35,6 +38,7 @@ from .._types import DecodeTriple
 from ..contracts import hot_kernel
 from ..geometry import Node
 from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..state.slabs import run_slabs, slab_bounds
 from .arrays import NodeArrayCache
 from .parameters import SINRParameters
 
@@ -345,6 +349,10 @@ class Channel:
         ``np.where(dist <= 0, inf, powers / max(dist, 1e-300)**alpha)``
         bit-for-bit without a float power per slot.
         """
+        if rx is None and workspace is None:
+            source = cache.attenuation_row_source(self.params.alpha, tx)
+            if source is not None:
+                return self._decode_rows(source, cache, tx, powers, slot, decoded_only)
         attenuation = cache.attenuation_block(self.params.alpha, tx, rx, workspace=workspace)
         fade = self._index_fade(cache, tx, rx, slot, workspace)
         # One error state for the chain: a power over a zero attenuation is
@@ -354,6 +362,57 @@ class Channel:
             if fade is not None:
                 received = self._apply_fade(received, fade)
             return _decode_received(received, self.params, workspace, decoded_only)
+
+    @hot_kernel(allocates=True)
+    def _decode_rows(
+        self,
+        source: tuple[np.ndarray, np.ndarray | None],
+        cache: NodeArrayCache,
+        tx: np.ndarray,
+        powers: np.ndarray,
+        slot: int | None,
+        decoded_only: bool,
+    ) -> DecodeTriple:
+        """Whole-universe decode of ``tx`` from a tiled store's rows, in
+        listener-column slabs.
+
+        ``source`` is the store's ``(rows, positions)``
+        (:meth:`NodeArrayCache.attenuation_row_source`).  Each slab of
+        :func:`~repro.state.slabs.slab_bounds` gathers its ``(k, cols)``
+        piece with ``rows[positions, lo:hi]`` (a fresh copy; the ring is only
+        read), divides the powers into it, multiplies its fade columns and
+        runs :func:`_decode_received` on it, then writes its columns of the
+        result.  A listener's decode reads only its own column, so the
+        result is bitwise that of the one-block decode at any slab count and
+        worker count.  One slab is a direct call on the calling thread.
+        """
+        rows, positions = source
+        n = len(cache)
+        fade = self._index_fade(cache, tx, None, slot)
+        received_from_attenuation, apply_fade, decode_received = _SLAB_KERNELS
+        params = self.params
+
+        def decode(lo: int, hi: int) -> DecodeTriple:
+            # An uncached (over-budget) block is the decode's own: divide in place.
+            piece = rows[:, lo:hi] if positions is None else rows[positions, lo:hi]
+            received = received_from_attenuation(piece, powers, None)
+            if fade is not None:
+                received = apply_fade(received, fade[:, lo:hi])
+            return decode_received(received, params, None, decoded_only)
+
+        bounds = slab_bounds(n, 8 * tx.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(bounds) == 1:
+                return decode(0, n)
+            best = np.empty(n, dtype=np.intp)
+            sinr = np.empty(n)
+            ok = np.empty(n, dtype=bool)
+
+            def write(lo: int, hi: int) -> None:
+                best[lo:hi], sinr[lo:hi], ok[lo:hi] = decode(lo, hi)
+
+            run_slabs(write, bounds)
+        return best, sinr, ok
 
     @staticmethod
     @hot_kernel()
@@ -424,6 +483,17 @@ class Channel:
                 workspace=workspace,
             )
         return best, sinr, ok
+
+
+#: The raw kernels a :meth:`Channel._decode_rows` slab runs.  Kernel timers
+#: rebind the module and class attributes to wrappers; a slab body, which
+#: may run on a pool thread, calls the functions themselves, so telemetry is
+#: recorded only on the calling thread (around ``_decode_rows``).
+_SLAB_KERNELS = (
+    Channel.__dict__["_received_from_attenuation"].__func__,
+    Channel.__dict__["_apply_fade"].__func__,
+    _decode_received,
+)
 
 
 class CachedChannel(Channel):

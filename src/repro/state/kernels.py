@@ -19,6 +19,7 @@ import numpy as np
 
 from .._types import FloatArray
 from ..contracts import hot_kernel
+from .slabs import run_slabs, slab_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scratch imports nothing back)
     from .scratch import DecodeWorkspace
@@ -29,7 +30,6 @@ __all__ = [
     "distance_rect_from_xy",
     "attenuation_rect_from_xy",
     "fill_attenuation_rows",
-    "FILL_CHUNK_BYTES",
 ]
 
 
@@ -112,7 +112,7 @@ def attenuation_rect_from_xy(
     can serve ``attenuation_block`` rectangles without a backing matrix.
     Bitwise-equal to gathering the same rectangle out of a dense
     ``attenuation_matrix`` because every elementwise operation is identical.
-    Without a workspace the rectangle is filled in place in bounded chunks
+    Without a workspace the rectangle is filled in place in row slabs
     (:func:`fill_attenuation_rows`).
     """
     shape = (xy_rows.shape[0], xy_cols.shape[0])
@@ -125,12 +125,6 @@ def attenuation_rect_from_xy(
     return att
 
 
-#: Bytes of one float plane of a :func:`fill_attenuation_rows` chunk.  A fill
-#: needs one such plane of y differences and a bool plane of the same shape
-#: beside its output, whatever the number of rows it writes.
-FILL_CHUNK_BYTES = 4 * 1024 * 1024
-
-
 def fill_attenuation_rows(
     out: FloatArray, xy_rows: FloatArray, xy_cols: FloatArray, alpha: float
 ) -> FloatArray:
@@ -138,20 +132,22 @@ def fill_attenuation_rows(
 
     The floats of ``attenuation_from_distances(pairwise_distances(xy_rows,
     xy_cols), alpha)``, computed straight into ``out`` (a C-contiguous
-    ``(rows, cols)`` array or a row range of one) in chunks of rows whose y
-    plane stays within :data:`FILL_CHUNK_BYTES`: each chunk runs subtract,
-    ``hypot``, the colocated mask, ``maximum`` and ``power`` with ``out=``,
-    then zeroes the masked entries.  Returns ``out``.
+    ``(rows, cols)`` array or a row range of one) in row slabs of at most
+    :data:`~repro.state.slabs.SLAB_BYTES`, across the slab workers
+    (:func:`~repro.state.slabs.run_slabs`): each slab runs subtract,
+    ``hypot``, the colocated mask, ``maximum`` and ``power`` with ``out=``
+    on its own rows, then zeroes the masked entries.  Each running slab
+    holds one y-difference plane and one bool plane of its own size as
+    scratch.  Returns ``out``.
     """
-    rows, cols = out.shape
-    step = max(1, FILL_CHUNK_BYTES // (8 * max(cols, 1)))
-    dy = np.empty((min(step, rows), cols))
-    colocated = np.empty(dy.shape, dtype=bool)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        _attenuation_into(
-            out[lo:hi], dy[: hi - lo], colocated[: hi - lo], xy_rows[lo:hi], xy_cols, alpha
-        )
+    cols = out.shape[1]
+
+    def fill(lo: int, hi: int) -> None:
+        dy = np.empty((hi - lo, cols))
+        colocated = np.empty(dy.shape, dtype=bool)
+        _attenuation_into(out[lo:hi], dy, colocated, xy_rows[lo:hi], xy_cols, alpha)
+
+    run_slabs(fill, slab_bounds(out.shape[0], 8 * cols))
     return out
 
 

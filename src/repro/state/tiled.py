@@ -208,36 +208,62 @@ class TiledNetworkState(NetworkState):
     ) -> FloatArray:
         """Whole attenuation rows (capacity columns) through the FIFO row cache.
 
-        This is the decode hot path's ``cols=None`` gather.  Cached rows hold
-        the floats of ``attenuation_from_distances(pairwise_distances(...))``,
-        the kernels the dense store patches with, so the result is bitwise
-        equal to ``np.take`` on a dense attenuation matrix.  The row budget
-        is ``(budget_bytes / 2) / (capacity * 8)`` rows per exponent, and
-        the cache never holds more than ``capacity`` of them (one per slot).
+        This is the ``cols=None`` gather of the decode paths that take one
+        block: ``rows[positions]`` over :meth:`row_source`, so it is bitwise
+        equal to ``np.take`` on a dense attenuation matrix.  An over-budget
+        request with a workspace is filled straight into the workspace's
+        stage.  Without a workspace the result is a fresh array the caller
+        owns (the decode divides into it).
+        """
+        alpha = float(alpha)
+        row_slots = np.asarray(row_slots, dtype=np.intp)
+        k = int(row_slots.shape[0])
+        if workspace is not None and k > self._budget_rows():
+            stage = workspace.floats(key, k, self._capacity)
+            return fill_attenuation_rows(stage, self._xy[row_slots], self._xy, alpha)
+        rows, positions = self.row_source(alpha, row_slots)
+        if positions is None:
+            return rows
+        if workspace is None:
+            return rows[positions]
+        stage = workspace.floats(key, k, self._capacity)
+        np.take(rows, positions, axis=0, out=stage)
+        return stage
+
+    def _budget_rows(self) -> int:
+        return max(1, (self._budget_bytes // 2) // max(1, self._capacity * 8))
+
+    def row_source(
+        self, alpha: float, row_slots: IntpArray
+    ) -> tuple[FloatArray, IntpArray | None]:
+        """Attenuation rows of ``row_slots`` as ``(rows, positions)``.
+
+        ``rows[positions]`` (``rows`` itself when ``positions`` is ``None``)
+        holds, per requested slot, its whole attenuation row over the
+        capacity columns: the floats of
+        ``attenuation_from_distances(pairwise_distances(...))``.  Within the
+        row budget, ``(budget_bytes / 2) / (capacity * 8)`` rows per
+        exponent and never more than ``capacity`` of them, ``rows`` is the
+        exponent's FIFO ring, which the caller only reads; a larger request
+        is filled into a fresh uncached array with ``positions`` ``None``.
 
         A miss costs no per-row Python work: the missing slots (once each,
         in order of first appearance) get their ring rows by one mask
         (:meth:`_RowCache.place`), and the rows are computed straight into
         the ring, one contiguous run of ring rows at a time, by
-        :func:`~repro.state.kernels.fill_attenuation_rows`, whose scratch
-        stays within a fixed chunk.  Requests larger than the budget are
-        filled the same way into an uncached output.  Any state mutation
-        invalidates the cache wholesale - rows are cheap to recompute and a
-        stale row can never be served.  Without a workspace the result is a
-        fresh array the caller owns (the decode divides into it).
+        :func:`~repro.state.kernels.fill_attenuation_rows`, in row slabs
+        across the slab workers.  Any state mutation invalidates the cache
+        wholesale - rows are cheap to recompute and a stale row can never
+        be served.
         """
         alpha = float(alpha)
         row_slots = np.asarray(row_slots, dtype=np.intp)
-        k = int(row_slots.shape[0])
         capacity = self._capacity
-        budget_rows = max(1, (self._budget_bytes // 2) // max(1, capacity * 8))
-        if k > budget_rows:
+        budget_rows = self._budget_rows()
+        if row_slots.shape[0] > budget_rows:
             # The request alone exceeds the row budget: serve it uncached.
-            if workspace is None:
-                out = np.empty((k, capacity))
-            else:
-                out = workspace.floats(key, k, capacity)
-            return fill_attenuation_rows(out, self._xy[row_slots], self._xy, alpha)
+            out = np.empty((row_slots.shape[0], capacity))
+            return fill_attenuation_rows(out, self._xy[row_slots], self._xy, alpha), None
         # A ring of ``capacity`` rows already holds every slot, so a larger
         # one would only reserve memory; the misses are the same.
         max_rows = max(1, min(capacity, budget_rows))
@@ -265,11 +291,7 @@ class TiledNetworkState(NetworkState):
             if OBS.enabled:
                 OBS.registry.inc("tiled.row_cache_miss", int(missing.shape[0]))
                 OBS.registry.gauge("tiled.resident_bytes").set(float(self.resident_bytes()))
-        if workspace is None:
-            return cache.rows[positions]
-        stage = workspace.floats(key, k, self._capacity)
-        np.take(cache.rows, positions, axis=0, out=stage)
-        return stage
+        return cache.rows, positions
 
     # -- dense accessors (refused) ---------------------------------------------
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import ConnectivityProtocol, TreeViaCapacity, tree_via_capacity
+from repro.core import ConnectivityProtocol, TreeViaCapacity, init_tree, tree_via_capacity
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.geometry import Node, Point, grid, uniform_random
 from repro.sinr import SINRParameters
@@ -130,6 +130,44 @@ class TestTreeViaCapacityInput:
         nodes = [make_node(0, 0.0, 0.0), make_node(1, 4.0, 2.0), make_node(1, 8.0, 2.0)]
         with pytest.raises(ProtocolError, match="duplicate node ids"):
             TreeViaCapacity(params).build(nodes, rng)
+
+    def test_input_validated_once_per_build(self, params, monkeypatch):
+        # Every iteration's Init population is a subset of the validated
+        # deployment, on the store gathered for it: Init skips both checks,
+        # and the tree is the one Init's checked entry builds.
+        nodes = uniform_random(60, np.random.default_rng(8))
+
+        def outcome(result):
+            return (
+                result.tree.parent,
+                sorted(result.power.as_dict().items()),
+                result.iterations,
+                result.construction_slots,
+            )
+
+        calls = []
+        validate = init_tree.validate_init_nodes
+
+        def counted(node_list):
+            calls.append(len(node_list))
+            return validate(node_list)
+
+        monkeypatch.setattr(init_tree, "validate_init_nodes", counted)
+        monkeypatch.setattr(tree_via_capacity, "validate_init_nodes", counted)
+        trusted = TreeViaCapacity(params).build(nodes, np.random.default_rng(2))
+        assert calls == [60]
+        assert len(trusted.iterations) > 1
+
+        build = init_tree.InitialTreeBuilder.build
+
+        def checked(self, population, rng, *, state=None, _checked=False):
+            return build(self, population, rng, state=state)
+
+        monkeypatch.setattr(init_tree.InitialTreeBuilder, "build", checked)
+        calls.clear()
+        reference = TreeViaCapacity(params).build(nodes, np.random.default_rng(2))
+        assert len(calls) == 1 + len(reference.iterations)
+        assert outcome(trusted) == outcome(reference)
 
 
 class TestConnectivityProtocolFacade:

@@ -34,7 +34,8 @@ from repro.obs import telemetry
 from repro.runtime import LockstepProgram, Simulator
 from repro.sinr import CachedChannel, SINRParameters, Transmission
 from repro.state import NetworkState, TiledNetworkState
-from repro.state.kernels import FILL_CHUNK_BYTES, attenuation_from_distances, pairwise_distances
+from repro.state.kernels import attenuation_from_distances, pairwise_distances
+from repro.state.slabs import SLAB_BYTES, slab_bounds, slab_workers
 
 from .oracles import decode_reference
 
@@ -288,9 +289,11 @@ class TestRowCacheUnderTinyBudget:
         xy = tiled.xy
         want = attenuation_from_distances(pairwise_distances(xy[slots], xy), 3.0)
         assert np.array_equal(got, want)
-        # The chunk's float and bool planes, and room for NumPy's iteration
-        # buffers; a (k, n, 2) difference array alone would be 8 MiB.
-        scratch = FILL_CHUNK_BYTES + FILL_CHUNK_BYTES // 8 + 256 * 1024
+        # One slab's float and bool planes per running slab, each with room
+        # for NumPy's iteration buffers; a (k, n, 2) difference array alone
+        # would be 8 MiB.
+        running = min(slab_workers(), len(slab_bounds(k, 8 * n)))
+        scratch = running * (SLAB_BYTES + SLAB_BYTES // 8 + 256 * 1024)
         assert peak <= k * n * 8 + scratch
 
 

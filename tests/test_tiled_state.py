@@ -44,7 +44,7 @@ from repro.state import (
     TiledNetworkState,
 )
 from repro.state import network as state_network
-from repro.state import kernels as state_kernels
+from repro.state import slabs
 from repro.state.kernels import (
     attenuation_from_distances,
     attenuation_rect_from_xy,
@@ -93,7 +93,7 @@ class TestTileKernelParity:
         # pairs and a row range of a larger array as the output.
         a = rng.uniform(0.0, 50.0, size=(17, 2))
         b = np.concatenate([rng.uniform(0.0, 50.0, size=(10, 2)), a[:3]])
-        monkeypatch.setattr(state_kernels, "FILL_CHUNK_BYTES", chunk_rows * 8 * b.shape[0])
+        monkeypatch.setattr(slabs, "SLAB_BYTES", chunk_rows * 8 * b.shape[0])
         for alpha in ALPHAS:
             expected = attenuation_from_distances(pairwise_distances(a, b), alpha)
             host = np.full((a.shape[0] + 4, b.shape[0]), -1.0)
