@@ -31,6 +31,7 @@ shadowing on top of per-slot Rayleigh fading).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -93,20 +94,26 @@ def _hash_from(h: np.ndarray, *components: np.ndarray | int) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 
 
+def _word(component: int) -> int:
+    """One scalar hash component as the uint64 word the fold XORs in, as a
+    Python int: NumPy's conversion, so a negative value becomes its two's
+    complement and one outside ``[-2**63, 2**64)`` raises ``OverflowError``."""
+    value = int(component)
+    if not -(1 << 63) <= value <= _MASK64:
+        raise OverflowError(f"hash component {value} does not fit in 64 bits")
+    return value & _MASK64
+
+
 def _hash_int(*components: int) -> int:
     """:func:`_hash_u64` of scalar components, in Python int arithmetic.
 
-    A component wraps to uint64 as NumPy converts it: a negative value
-    becomes its two's complement, and one outside ``[-2**63, 2**64)``
-    raises ``OverflowError``.  On scalars it is a few times cheaper than
-    NumPy's scalar arithmetic, which pays a ufunc dispatch per operation.
+    Each component wraps to uint64 through :func:`_word`, as NumPy converts
+    it.  On scalars it is a few times cheaper than NumPy's scalar
+    arithmetic, which pays a ufunc dispatch per operation.
     """
     h = 0
     for component in components:
-        value = int(component)
-        if not -(1 << 63) <= value <= _MASK64:
-            raise OverflowError(f"hash component {value} does not fit in 64 bits")
-        x = (h ^ (value & _MASK64)) + 0x9E3779B97F4A7C15 & _MASK64
+        x = (h ^ _word(component)) + 0x9E3779B97F4A7C15 & _MASK64
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
         x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
         h = x ^ (x >> 31)
@@ -116,6 +123,18 @@ def _hash_int(*components: int) -> int:
 def _uniform_open(h: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to uniforms in the half-open interval (0, 1]."""
     return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0**-53)
+
+
+def _uniform_cut(prob: float) -> np.uint64:
+    """The hash bound ``c`` with ``_uniform_open(h) < prob`` exactly when ``h < c``.
+
+    :func:`_uniform_open` is ``((h >> 11) + 1) * 2**-53``, exact in float64,
+    so for ``prob`` in ``[0, 1]`` the draw is below ``prob`` for the integers
+    ``h >> 11 < ceil(prob * 2**53) - 1`` (``prob * 2**53`` is exact too): one
+    integer comparison replaces the four operations of the float draw.
+    """
+    cut = max(math.ceil(prob * 2.0**53) - 1, 0)
+    return np.uint64(cut << 11)
 
 
 class GainModel(ABC):

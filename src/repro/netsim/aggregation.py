@@ -47,7 +47,7 @@ from ..obs.spans import span
 from ..sinr import CachedChannel, PowerAssignment, SINRParameters
 from ..state import TiledNetworkState
 from .delivery import RetryPolicy
-from .faults import FaultPlan
+from .faults import FaultPlan, FaultRecord, FaultTrace
 from .transport import FaultyTransport, PerfectTransport, Transport
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class NetConvergecastResult:
+class NetConvergecastResult(FaultRecord):
     """Convergecast outcome over the message runtime.
 
     Attributes:
@@ -82,8 +82,8 @@ class NetConvergecastResult:
         quorum_met: whether ``len(contributing) / n`` reached the quorum.
         root_alive: whether the root was up when the run ended.
         fault_summary: transport counters.
-        fault_digest: fault-history fingerprint (``None`` on a perfect
-            transport).
+        fault_trace: the faults the transport injected (``None`` on a
+            perfect transport); ``fault_digest`` is its fingerprint.
     """
 
     slots: int
@@ -99,11 +99,11 @@ class NetConvergecastResult:
     quorum_met: bool
     root_alive: bool
     fault_summary: dict[str, int] = field(default_factory=dict)
-    fault_digest: str | None = None
+    fault_trace: FaultTrace | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
-class NetDisseminationResult:
+class NetDisseminationResult(FaultRecord):
     """Broadcast outcome over the message runtime.
 
     Attributes:
@@ -117,7 +117,8 @@ class NetDisseminationResult:
         degraded: whether anything was lost.
         quorum_met: whether ``reached / total`` reached the quorum.
         fault_summary: transport counters.
-        fault_digest: fault-history fingerprint.
+        fault_trace: the faults the transport injected (``None`` on a
+            perfect transport); ``fault_digest`` is its fingerprint.
     """
 
     slots: int
@@ -130,7 +131,7 @@ class NetDisseminationResult:
     degraded: bool
     quorum_met: bool
     fault_summary: dict[str, int] = field(default_factory=dict)
-    fault_digest: str | None = None
+    fault_trace: FaultTrace | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,7 @@ def run_convergecast(
         quorum_met=len(contributing) >= quorum * len(tree.nodes),
         root_alive=not seam.transport.is_crashed(tree.root_id, max(seam.clock - 1, 0)),
         fault_summary=trace.summary() if trace is not None else {},
-        fault_digest=trace.digest() if trace is not None else None,
+        fault_trace=trace,
     )
 
 
@@ -498,5 +499,5 @@ def run_dissemination(
         degraded=degraded,
         quorum_met=len(informed) >= quorum * len(tree.nodes),
         fault_summary=trace.summary() if trace is not None else {},
-        fault_digest=trace.digest() if trace is not None else None,
+        fault_trace=trace,
     )

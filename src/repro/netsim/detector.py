@@ -3,10 +3,12 @@
 Every alive node emits an out-of-band heartbeat each ``interval`` slots
 carrying its protocol status; the detector suspects a node after
 ``miss_threshold`` consecutive missed heartbeats and un-suspects it on the
-next one that arrives.  Heartbeats ride the control plane: they share the
-transport's loss and partitions (a partitioned node looks dead, which is the
-point of a failure detector) but consume no data-plane channel slots, so a
-zero-fault run costs exactly the lockstep slot count.
+next one that arrives.  Heartbeats ride the control plane: they draw the
+plan's heartbeat loss (``FaultPlan.heartbeat_loss_prob``, by default the
+message drop probability) but not its partitions - a partition cuts
+data-plane messages only, so it never makes a node look dead - and they
+consume no data-plane channel slots, so a zero-fault run costs exactly the
+lockstep slot count.
 
 The detector's *view* - who is alive, who is done - is what the round driver
 and the netsim ``Init`` builder act on, replacing the lockstep simulator's
@@ -21,19 +23,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .._types import IntpArray
+from .._types import BoolArray, IntpArray
 from ..exceptions import ConfigurationError, NodeCrashedError
 from ..obs.runtime import OBS
 
 __all__ = ["HeartbeatDetector"]
 
+#: Heartbeat slots the detector queues before it applies them unasked, so
+#: the queue's memory stays bounded between reads.
+QUEUE_SLOTS = 64
+
 
 class HeartbeatDetector:
     """Tracks per-node liveness and last-reported protocol status.
 
-    The per-node state - consecutive misses, suspicion, last "done" flag -
-    lives in arrays aligned with ``node_ids``, and one :meth:`observe` call
-    applies a whole heartbeat slot.
+    The per-node state - consecutive misses and the last "done" flag - lives
+    in arrays aligned with ``node_ids``; a node is suspected exactly when
+    its misses reach ``miss_threshold``.  Heartbeat slots are queued as
+    masks over those rows and applied in one vectorized pass before any
+    read (:meth:`suspected_ids`, :meth:`alive_view`, :meth:`active_view`,
+    :meth:`require_alive`), or once :data:`QUEUE_SLOTS` of them wait.
 
     Args:
         node_ids: the monitored nodes (distinct).
@@ -47,8 +56,8 @@ class HeartbeatDetector:
         "_interval",
         "_misses",
         "_order",
+        "_queue",
         "_sorted_ids",
-        "_suspected",
         "_threshold",
         "node_ids",
     )
@@ -76,9 +85,10 @@ class HeartbeatDetector:
         self._sorted_ids = self._ids[self._order]
         count = len(self.node_ids)
         self._misses = np.zeros(count, dtype=np.int64)
-        self._suspected = np.zeros(count, dtype=bool)
         #: last status each node reported (protocol "done" flag).
         self._done = np.zeros(count, dtype=bool)
+        #: heartbeat slots not yet applied: (hit, miss, done) row masks.
+        self._queue: list[tuple[BoolArray, BoolArray, BoolArray]] = []
 
     @property
     def interval(self) -> int:
@@ -89,8 +99,7 @@ class HeartbeatDetector:
         return slot % self._interval == 0
 
     def rows(self, node_ids: Sequence[int] | np.ndarray) -> IntpArray:
-        """Monitor rows of ``node_ids``, for :meth:`observe_rows`; unknown
-        ids are an error."""
+        """Monitor rows of ``node_ids``; unknown ids are an error."""
         ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
         at = np.searchsorted(self._sorted_ids, ids)
         known = at < len(self._sorted_ids)
@@ -107,7 +116,7 @@ class HeartbeatDetector:
         done: Sequence[bool] | np.ndarray,
         missed: Sequence[int] | np.ndarray,
     ) -> None:
-        """Apply one heartbeat slot.
+        """Queue one heartbeat slot.
 
         Args:
             arrived: ids whose heartbeat arrived - their misses reset and
@@ -116,40 +125,90 @@ class HeartbeatDetector:
                 aligned with ``arrived``.
             missed: ids whose heartbeat was lost or never sent - a node
                 reaching ``miss_threshold`` consecutive misses is suspected.
+                An id in both lists arrives first, then misses.
         """
-        self.observe_rows(self.rows(arrived), done, self.rows(missed))
+        count = len(self.node_ids)
+        hit_rows = self.rows(arrived)
+        hit = np.zeros(count, dtype=bool)
+        hit[hit_rows] = True
+        flags = np.zeros(count, dtype=bool)
+        flags[hit_rows] = np.asarray(done, dtype=bool)
+        miss = np.zeros(count, dtype=bool)
+        miss[self.rows(missed)] = True
+        self._enqueue(hit, miss, flags)
 
-    def observe_rows(
-        self, hit: IntpArray, done: Sequence[bool] | np.ndarray, lost: IntpArray
-    ) -> None:
-        """:meth:`observe` with the ids already mapped by :meth:`rows`."""
-        self._misses[hit] = 0
-        self._suspected[hit] = False
-        self._done[hit] = np.asarray(done, dtype=bool)
-        self._misses[lost] += 1
-        tripped = lost[self._misses[lost] >= self._threshold]
-        if OBS.enabled:
-            registry = OBS.registry
-            if len(hit):
-                registry.inc("netsim.heartbeats", len(hit))
-            if len(lost):
-                registry.inc("netsim.heartbeat_misses", len(lost))
-            fresh = int(np.count_nonzero(~self._suspected[tripped]))
-            if fresh:
-                registry.inc("netsim.suspicions", fresh)
-        self._suspected[tripped] = True
+    def observe_slot(self, hit: BoolArray, done: BoolArray) -> None:
+        """Queue one heartbeat slot in which every row either arrived
+        (``hit``) or missed; ``done`` is each row's reported status, read
+        where ``hit`` holds.  Both are aligned with ``node_ids`` and are
+        kept, not copied."""
+        self._enqueue(hit, ~hit, done)
+
+    def _enqueue(self, hit: BoolArray, miss: BoolArray, done: BoolArray) -> None:
+        if not OBS.enabled:
+            self._queue.append((hit, miss, done))
+            if len(self._queue) >= QUEUE_SLOTS:
+                self._flush()
+            return
+        # With telemetry on, a slot is applied as it happens, so its counters
+        # land then; slots queued while telemetry was off stay uncounted.
+        self._flush()
+        self._queue.append((hit, miss, done))
+        self._flush()
+        registry = OBS.registry
+        hits = int(np.count_nonzero(hit))
+        if hits:
+            registry.inc("netsim.heartbeats", hits)
+        misses = int(np.count_nonzero(miss))
+        if misses:
+            registry.inc("netsim.heartbeat_misses", misses)
+        # A node turns suspected in the slot where its misses reach the
+        # threshold.
+        tripped = int(np.count_nonzero(miss & (self._misses == self._threshold)))
+        if tripped:
+            registry.inc("netsim.suspicions", tripped)
+
+    def _flush(self) -> None:
+        """Apply the queued slots in order, in one pass.
+
+        A row's misses after the last slot are the misses from its last
+        arrival on (that arrival's own slot included, since a slot's
+        arrival comes before its miss), or its earlier misses plus every
+        queued miss when nothing arrived.
+        """
+        queue = self._queue
+        if not queue:
+            return
+        self._queue = []
+        hit = np.array([entry[0] for entry in queue])
+        miss = np.array([entry[1] for entry in queue])
+        slots = len(queue)
+        # before[k]: each row's misses in the queued slots before slot k.
+        before = np.zeros((slots + 1, hit.shape[1]), dtype=np.int64)
+        np.cumsum(miss, axis=0, out=before[1:])
+        arrived = hit.any(axis=0)
+        last_hit = slots - 1 - np.argmax(hit[::-1], axis=0)
+        rows = np.flatnonzero(arrived)
+        at = last_hit[rows]
+        self._misses += before[slots]
+        self._misses[rows] = before[slots, rows] - before[at, rows]
+        self._done[rows] = np.array([entry[2] for entry in queue])[at, rows]
+
+    def _suspected(self) -> BoolArray:
+        self._flush()
+        return self._misses >= self._threshold
 
     def suspected_ids(self) -> frozenset[int]:
         """Nodes currently suspected crashed."""
-        return frozenset(self._ids[self._suspected].tolist())
+        return frozenset(self._ids[self._suspected()].tolist())
 
     def alive_view(self) -> list[int]:
         """Nodes currently believed alive, in monitor order."""
-        return self._ids[~self._suspected].tolist()
+        return self._ids[~self._suspected()].tolist()
 
     def active_view(self) -> int:
         """Number of alive-believed nodes whose last status was not done."""
-        return int(np.count_nonzero(~(self._suspected | self._done)))
+        return int(np.count_nonzero(~(self._suspected() | self._done)))
 
     def require_alive(self, node_id: int) -> None:
         """Raise :class:`NodeCrashedError` if ``node_id`` is suspected down.
@@ -158,7 +217,7 @@ class HeartbeatDetector:
         """
         at = int(np.searchsorted(self._sorted_ids, node_id))
         monitored = at < len(self._sorted_ids) and self._sorted_ids[at] == node_id
-        if monitored and self._suspected[self._order[at]]:
+        if monitored and self._suspected()[self._order[at]]:
             raise NodeCrashedError(
                 f"node {node_id} is suspected crashed "
                 f"(missed >= {self._threshold} heartbeats)"

@@ -39,14 +39,14 @@ from ..obs.runtime import OBS
 from ..obs.spans import begin_span, end_span
 from ..sinr import SINRParameters
 from .delivery import RetryPolicy
-from .faults import FaultPlan
+from .faults import FaultPlan, FaultRecord, FaultTrace
 from .transport import FaultyTransport, PerfectTransport, Transport
 
 __all__ = ["NetDistrCapBuilder", "NetDistrCapResult"]
 
 
 @dataclass(frozen=True)
-class NetDistrCapResult(DistrCapResult):
+class NetDistrCapResult(DistrCapResult, FaultRecord):
     """Outcome of ``Distr-Cap`` over the message runtime.
 
     The inherited fields are field-for-field identical to
@@ -64,8 +64,8 @@ class NetDistrCapResult(DistrCapResult):
             announcement attempt was delivered.
         degraded: whether faults perturbed the selection at all.
         fault_summary: transport counters (drops, delays, ...).
-        fault_digest: fingerprint of the fault history (``None`` on a
-            perfect transport).
+        fault_trace: the faults the transport injected (``None`` on a
+            perfect transport); ``fault_digest`` is its fingerprint.
     """
 
     crashed_candidates: int = 0
@@ -74,7 +74,7 @@ class NetDistrCapResult(DistrCapResult):
     dropped_winners: int = 0
     degraded: bool = False
     fault_summary: dict[str, int] = field(default_factory=dict)
-    fault_digest: str | None = None
+    fault_trace: FaultTrace | None = field(default=None, repr=False)
 
 
 class NetDistrCapBuilder:
@@ -162,7 +162,7 @@ class NetDistrCapBuilder:
                 seam.crashed_candidates or seam.dropped_winners or (trace is not None and trace.dropped)
             ),
             fault_summary=trace.summary() if trace is not None else {},
-            fault_digest=trace.digest() if trace is not None else None,
+            fault_trace=trace,
         )
 
     # -- internals ----------------------------------------------------------

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .._types import BoolArray, IntpArray
-from ..dynamics.gain import _hash_from, _hash_u64, _uniform_open
+from ..dynamics.gain import _hash_int, _hash_u64, _mix, _uniform_cut, _uniform_open, _word
 from ..exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,6 +40,7 @@ __all__ = [
     "CrashSchedule",
     "CrashWindow",
     "FaultPlan",
+    "FaultRecord",
     "FaultTrace",
     "LatencyModel",
     "Partition",
@@ -135,15 +138,35 @@ class CrashWindow:
 class CrashSchedule:
     """A set of crash windows, queried per slot.
 
+    The down set only changes at a window's start or end slot, so the
+    schedule tables those change slots and the down set from each one on
+    the first time it is asked: a query is a bisection, and every slot
+    between two changes gets the same frozenset object back.
+
     Attributes:
         windows: the node-down intervals; one node may have several.
     """
 
     windows: tuple[CrashWindow, ...] = ()
 
+    @cached_property
+    def _timeline(self) -> tuple[list[int], list[frozenset[int]]]:
+        """``(change slots, down sets)``: ``down[i]`` holds from
+        ``changes[i - 1]`` up to ``changes[i]``, and ``down[0]`` before
+        the first change."""
+        changes = sorted(
+            {w.start_slot for w in self.windows}
+            | {w.end_slot for w in self.windows if w.end_slot is not None}
+        )
+        down = [frozenset()] + [
+            frozenset(w.node_id for w in self.windows if w.covers(slot)) for slot in changes
+        ]
+        return changes, down
+
     def crashed_ids(self, slot: int) -> frozenset[int]:
         """Ids of every node down at ``slot``."""
-        return frozenset(w.node_id for w in self.windows if w.covers(slot))
+        changes, down = self._timeline
+        return down[bisect_right(changes, slot)]
 
     def permanently_crashed_ids(self, horizon_slot: int) -> frozenset[int]:
         """Nodes still (or again) down at ``horizon_slot``."""
@@ -259,10 +282,21 @@ class Partition:
     start_slot: int = 0
     end_slot: int | None = None
 
+    @cached_property
+    def _left_ids(self) -> np.ndarray:
+        """The ``left`` ids, sorted once per partition."""
+        return np.array(sorted(self.left), dtype=np.int64)
+
     def active(self, slot: int) -> bool:
         if slot < self.start_slot:
             return False
         return self.end_slot is None or slot < self.end_slot
+
+    def _on_left(self, ids: np.ndarray) -> BoolArray:
+        cut = self._left_ids
+        if not cut.size:
+            return np.zeros(ids.shape, dtype=bool)
+        return cut[np.minimum(cut.searchsorted(ids), cut.size - 1)] == ids
 
     def severs(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> BoolArray:
         """Which broadcast ``src -> dst`` messages the cut severs at ``slot``."""
@@ -270,8 +304,7 @@ class Partition:
         dst = np.asarray(dst_ids, dtype=np.int64)
         if not self.active(slot):
             return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
-        left = np.fromiter(self.left, dtype=np.int64, count=len(self.left))
-        return np.isin(src, left) != np.isin(dst, left)
+        return self._on_left(src) != self._on_left(dst)
 
 
 @dataclass(frozen=True)
@@ -333,50 +366,96 @@ class FaultPlan:
     # each other: asking about one message or a whole slot's worth in one
     # call yields the same uint64 hash per message.
 
+    @cached_property
+    def _drop_keys(self) -> "_IdKeys":
+        return _IdKeys(_DROP_STREAM, self.seed)
+
+    @cached_property
+    def _heartbeat_keys(self) -> "_IdKeys":
+        return _IdKeys(_HEARTBEAT_STREAM, self.seed)
+
+    @cached_property
+    def _drop_cut(self) -> np.uint64:
+        """The hash bound below which a message is dropped."""
+        return _uniform_cut(self.drop_prob)
+
     def dropped(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> BoolArray:
-        """Drop decisions of ``src -> dst`` messages sent at ``slot``."""
+        """Drop decisions of ``src -> dst`` messages sent at ``slot``.
+
+        Aligned one-dimensional id arrays (a whole slot's deliveries) take
+        the direct path; other shapes are broadcast and flattened first.
+        """
         src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
+        if src.ndim != 1 or src.shape != dst.shape:
+            shape = np.broadcast_shapes(src.shape, dst.shape)
+            flat = [np.broadcast_to(ids, shape).reshape(-1) for ids in (src, dst)]
+            return self.dropped(flat[0], flat[1], slot).reshape(shape)
         if self.drop_prob > 0.0:
-            u = _uniform_open(_hash_u64(_DROP_STREAM, self.seed, src, dst, slot))
-            out |= u < self.drop_prob
+            # _hash_u64(_DROP_STREAM, seed, src, dst, slot), continued from
+            # the senders' keys.
+            h = _mix(self._drop_keys(src) ^ dst.view(np.uint64))
+            out = _mix(h ^ _word(slot)) < self._drop_cut
+        else:
+            out = np.zeros(src.shape, dtype=bool)
         for partition in self.partitions:
             out |= partition.severs(src, dst, slot)
         return out
-
-    def delays(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> IntpArray:
-        """Delivery delays of ``src -> dst`` messages (0 = the send slot)."""
-        if self.latency is None:
-            src = np.asarray(src_ids)
-            dst = np.asarray(dst_ids)
-            return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=np.intp)
-        return self.latency.delays(self.seed, src_ids, dst_ids, slot)
 
     @property
     def heartbeat_loss_prob(self) -> float:
         """Probability that a heartbeat is lost."""
         return self.drop_prob if self.heartbeat_drop_prob is None else self.heartbeat_drop_prob
 
-    def heartbeat_keys(self, node_ids: np.ndarray) -> np.ndarray:
-        """Each node's heartbeat hash before the slot: a slot's draws continue
-        from it, so a caller polling a fixed id set can hash it once."""
-        return _hash_u64(_HEARTBEAT_STREAM, self.seed, np.asarray(node_ids, dtype=np.int64))
+    def heartbeat_losses(self, node_ids: np.ndarray, first_slot: int, slots: int) -> BoolArray:
+        """Loss table of the one-dimensional ``node_ids``' heartbeats over
+        ``slots`` slots, shaped ``(slots, len(node_ids))``.
 
-    def heartbeat_dropped(
-        self, node_ids: np.ndarray, slot: int, keys: np.ndarray | None = None
-    ) -> BoolArray:
-        """Which of ``node_ids``' heartbeats at ``slot`` are lost.
-
-        ``keys``, if given, is :meth:`heartbeat_keys` of ``node_ids``.
+        Row ``k`` says which heartbeats at slot ``first_slot + k`` are lost;
+        it is ``_uniform_open(_hash_u64(_HEARTBEAT_STREAM, seed, id, slot))``
+        below :attr:`heartbeat_loss_prob`, hashed for every row at once.
+        Heartbeats draw loss only: partitions cut data-plane messages, not
+        the detector's control plane.
         """
         ids = np.asarray(node_ids, dtype=np.int64)
         prob = self.heartbeat_loss_prob
         if prob <= 0.0:
-            return np.zeros(ids.shape, dtype=bool)
-        if keys is None:
-            keys = self.heartbeat_keys(ids)
-        return _uniform_open(_hash_from(keys, slot)) < prob
+            return np.zeros((slots, ids.size), dtype=bool)
+        words = np.arange(first_slot, first_slot + slots, dtype=np.int64).view(np.uint64)
+        return _mix(words[:, None] ^ self._heartbeat_keys(ids)[None, :]) < _uniform_cut(prob)
+
+
+class _IdKeys:
+    """One fault stream's per-id hash, ``_hash_u64(stream, seed, id)``, read
+    from a table: a draw continues from its node's key, so the key is
+    hashed once per plan, not once per message.
+
+    The table holds ids ``0 .. size - 1`` at their own positions.  An id
+    past its end doubles it until it fits, up to :data:`_MAX_TABLE_IDS`;
+    an id beyond that, or a negative one (read as a uint64, it is larger
+    than any table), is hashed directly, to the same key.
+    """
+
+    __slots__ = ("_keys", "_lead")
+
+    def __init__(self, stream: int, seed: int) -> None:
+        self._lead = np.uint64(_hash_int(stream, seed))
+        self._keys = np.empty(0, dtype=np.uint64)
+
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
+        """The keys of the one-dimensional int64 ``ids``, in a fresh array."""
+        if ids.size:
+            reach = int(ids.view(np.uint64).max()) + 1
+            if reach > self._keys.size:
+                if reach > _MAX_TABLE_IDS:
+                    return _mix(self._lead ^ ids.view(np.uint64))
+                size = max(1 << (reach - 1).bit_length(), 2 * self._keys.size)
+                self._keys = _mix(self._lead ^ np.arange(size, dtype=np.uint64))
+        return self._keys[ids]
+
+
+#: Most ids an :class:`_IdKeys` table holds: 1 MiB of keys.
+_MAX_TABLE_IDS = 1 << 17
 
 
 class FaultTrace:
@@ -388,7 +467,15 @@ class FaultTrace:
     scheduling orders and worker counts.
     """
 
-    __slots__ = ("crashes", "delayed", "dropped", "heartbeat_losses", "recoveries")
+    __slots__ = (
+        "_heartbeat_chunks",
+        "_heartbeat_count",
+        "_heartbeat_losses",
+        "crashes",
+        "delayed",
+        "dropped",
+        "recoveries",
+    )
 
     def __init__(self) -> None:
         #: (slot, src_id, dst_id) of every dropped delivery.
@@ -399,17 +486,25 @@ class FaultTrace:
         self.crashes: list[tuple[int, int]] = []
         #: (slot, node_id) of every recovery transition.
         self.recoveries: list[tuple[int, int]] = []
-        #: (hashed slot, node_id) of every lost out-of-band heartbeat.  The
-        #: *hashed* slot (protocol slot + transport offset) is recorded so a
-        #: completion patch that continues the streams at a fresh offset is
-        #: distinguishable from a replay of the main run's decisions.
-        self.heartbeat_losses: list[tuple[int, int]] = []
+        self._heartbeat_losses: list[tuple[int, int]] = []
+        #: recorded heartbeat losses not yet listed, as aligned id arrays.
+        self._heartbeat_chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._heartbeat_count = 0
 
-    def record_drop(self, slot: int, src_id: int, dst_id: int) -> None:
-        self.dropped.append((slot, src_id, dst_id))
+    @property
+    def heartbeat_losses(self) -> list[tuple[int, int]]:
+        """(hashed slot, node_id) of every lost out-of-band heartbeat.
 
-    def record_delay(self, slot: int, src_id: int, dst_id: int, delay: int) -> None:
-        self.delayed.append((slot, src_id, dst_id, delay))
+        The *hashed* slot (protocol slot + transport offset) is recorded so
+        a completion patch that continues the streams at a fresh offset is
+        distinguishable from a replay of the main run's decisions.  Losses
+        are kept as arrays until this list is first read.
+        """
+        if self._heartbeat_chunks:
+            for slots, node_ids in self._heartbeat_chunks:
+                self._heartbeat_losses.extend(zip(slots.tolist(), node_ids.tolist()))
+            self._heartbeat_chunks = []
+        return self._heartbeat_losses
 
     def record_crash(self, slot: int, node_id: int) -> None:
         self.crashes.append((slot, node_id))
@@ -417,8 +512,12 @@ class FaultTrace:
     def record_recovery(self, slot: int, node_id: int) -> None:
         self.recoveries.append((slot, node_id))
 
-    def record_heartbeat_losses(self, hashed_slot: int, node_ids: list[int]) -> None:
-        self.heartbeat_losses.extend([(hashed_slot, node_id) for node_id in node_ids])
+    def record_heartbeat_losses(self, hashed_slots: np.ndarray, node_ids: np.ndarray) -> None:
+        """Append lost heartbeats: aligned int arrays of hashed slots and
+        node ids, in the order they happened.  The arrays are kept, not
+        copied."""
+        self._heartbeat_chunks.append((hashed_slots, node_ids))
+        self._heartbeat_count += len(node_ids)
 
     def summary(self) -> dict[str, int]:
         return {
@@ -426,8 +525,17 @@ class FaultTrace:
             "delayed": len(self.delayed),
             "crashes": len(self.crashes),
             "recoveries": len(self.recoveries),
-            "heartbeat_losses": len(self.heartbeat_losses),
+            "heartbeat_losses": self._heartbeat_count,
         }
+
+    def __eq__(self, other: object) -> bool:
+        """Traces are equal when they record the same fault history, in
+        any order: when their digests agree."""
+        if not isinstance(other, FaultTrace):
+            return NotImplemented
+        return self.digest() == other.digest()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
     def digest(self) -> str:
         """Order-normalized fingerprint of the whole fault history."""
@@ -441,3 +549,20 @@ class FaultTrace:
             )
         ).encode("utf-8")
         return hashlib.sha1(payload).hexdigest()
+
+
+class FaultRecord:
+    """Mixin of the netsim result types: the run's :class:`FaultTrace` and
+    its digest, computed on first read.
+
+    A result holds its ``fault_trace`` field (``None`` on a perfect
+    transport); nothing appends to the trace once the run has returned.
+    """
+
+    fault_trace: FaultTrace | None
+
+    @cached_property
+    def fault_digest(self) -> str | None:
+        """Order-normalized fingerprint of the fault history
+        (:meth:`FaultTrace.digest`), ``None`` on a perfect transport."""
+        return None if self.fault_trace is None else self.fault_trace.digest()

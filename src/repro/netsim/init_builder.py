@@ -56,7 +56,7 @@ from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
 from ..state import NetworkState
 from .detector import HeartbeatDetector
 from .driver import RoundDriver
-from .faults import FaultPlan
+from .faults import FaultPlan, FaultRecord, FaultTrace
 from .runtime import NetSimulator
 from .transport import FaultyTransport, PerfectTransport, Transport
 
@@ -66,7 +66,7 @@ DELIVERY_MODES = ("fire-and-forget", "reliable")
 
 
 @dataclass
-class NetInitResult:
+class NetInitResult(FaultRecord):
     """Outcome of running ``Init`` over the message-passing runtime.
 
     The first block of attributes mirrors :class:`~repro.core.init_tree
@@ -89,8 +89,9 @@ class NetInitResult:
         completion_slots: slots the completion patch consumed.
         send_budget: per-node transmissions actually attempted.
         fault_summary: transport counters (drops, delays, crashes, ...).
-        fault_digest: order-normalized fingerprint of the fault history,
-            ``None`` when the run used a perfect transport.
+        fault_trace: the faults the main run's transport injected, ``None``
+            when it was perfect; ``fault_digest`` is its order-normalized
+            fingerprint, computed on first read.
     """
 
     tree: BiTree
@@ -108,7 +109,7 @@ class NetInitResult:
     completion_slots: int = 0
     send_budget: dict[int, int] = field(default_factory=dict)
     fault_summary: dict[str, int] = field(default_factory=dict)
-    fault_digest: str | None = None
+    fault_trace: FaultTrace | None = field(default=None, repr=False)
 
     @classmethod
     def of_lockstep(cls, result: InitialTreeResult, **transport: Any) -> "NetInitResult":
@@ -310,7 +311,7 @@ class NetInitBuilder:
             oracle,
             send_budget=sim.send_budget,
             fault_summary=sim.fault_summary(),
-            fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
+            fault_trace=sim.fault_trace,
         )
 
     def _complete_with_repair(
@@ -416,7 +417,7 @@ class NetInitBuilder:
             completion_slots=repair.slots_used,
             send_budget=sim.send_budget,
             fault_summary=sim.fault_summary(),
-            fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
+            fault_trace=sim.fault_trace,
         )
 
     def _patch_plan(self) -> FaultPlan | None:

@@ -83,6 +83,9 @@ class NetSimulator(Simulator):
                 f"detector monitors ids outside the node set: {sorted(unknown)[:5]}"
             )
         self._crashed = np.zeros(len(self._nodes), dtype=bool)
+        #: the transport's down set at the last synced slot; the same object
+        #: back means nothing changed.
+        self._down_ids: frozenset[int] | None = None
         self._pos_by_id = {node_id: i for i, node_id in enumerate(self._node_ids)}
         monitored = set(self._detector.node_ids)
         #: node positions the detector monitors, in node order.
@@ -92,6 +95,12 @@ class NetSimulator(Simulator):
         )
         #: the detector rows of those positions.
         self._monitored_rows = self._detector.rows(self._ids[self._monitored_pos])
+        #: per detector row, its node position.
+        self._row_pos = np.empty(len(self._detector.node_ids), dtype=np.intp)
+        self._row_pos[self._monitored_rows] = self._monitored_pos
+        #: (ids, detector rows) of the monitored nodes that are up, in node
+        #: order; rebuilt when a crash or recovery changes them.
+        self._heartbeat_set: tuple[np.ndarray, np.ndarray] | None = None
         #: mature slot -> [(dst, src, message) position arrays], in send order.
         self._late: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         #: per-position transmissions actually attempted (retries included).
@@ -128,6 +137,9 @@ class NetSimulator(Simulator):
         """Apply the transport's crash windows, firing the crash hooks of the
         nodes whose state changed, in position order."""
         down_ids = self.transport.crashed_ids(slot)
+        if down_ids is self._down_ids:
+            return
+        self._down_ids = down_ids
         if not down_ids and not self._crashed.any():
             return
         pos_by_id = self._pos_by_id
@@ -137,6 +149,7 @@ class NetSimulator(Simulator):
         if not changed.size:
             return
         self._crashed[changed] = now[changed]
+        self._heartbeat_set = None
         went_down = changed[now[changed]]
         came_up = changed[~now[changed]]
         trace = self.fault_trace
@@ -158,20 +171,21 @@ class NetSimulator(Simulator):
     # -- engine ------------------------------------------------------------
 
     def _emit_heartbeats(self, slot: int) -> None:
-        """One heartbeat slot: crashed nodes miss, live ones are hashed."""
+        """One heartbeat slot: crashed nodes miss, live ones are hashed, and
+        the detector queues the outcome."""
         detector = self._detector
         if not detector.expects_heartbeat(slot):
             return
-        monitored = self._monitored_pos
-        rows = self._monitored_rows
-        down = self._crashed[monitored]
-        up = ~down
-        live = monitored[up]
-        delivered = self.transport.heartbeat_delivered(self._ids[live], slot)
-        live_rows = rows[up]
-        missed = np.concatenate((rows[down], live_rows[~delivered]))
-        done = self.program.done()[live[delivered]]
-        detector.observe_rows(live_rows[delivered], done, missed)
+        if self._heartbeat_set is None:
+            up = ~self._crashed[self._monitored_pos]
+            self._heartbeat_set = (
+                self._ids[self._monitored_pos[up]],
+                self._monitored_rows[up],
+            )
+        live_ids, live_rows = self._heartbeat_set
+        hit = np.zeros(self._row_pos.size, dtype=bool)
+        hit[live_rows] = self.transport.heartbeat_delivered(live_ids, slot)
+        detector.observe_slot(hit, self.program.done()[self._row_pos])
 
     def _step_slot(self, label: str) -> None:
         """One slot: crashes, poll, decode, transport, deliver, heartbeats."""

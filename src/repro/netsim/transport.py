@@ -10,8 +10,10 @@ to a :class:`~repro.netsim.faults.FaultTrace`.
 
 Every query is per slot and batched: :meth:`Transport.admit` decides all of
 a slot's decoded deliveries, :meth:`Transport.heartbeat_delivered` all of its
-heartbeats and :meth:`Transport.crashed_ids` its whole down set, so a slot
-costs one vectorized hash call per fault stream rather than one per node.
+heartbeats and :meth:`Transport.crashed_ids` its whole down set.  The
+answers come from tables built once: the plan's per-sender drop keys, a
+heartbeat loss table per id set and block of :data:`HEARTBEAT_BLOCK` hashed
+slots, and the crash schedule's change slots.
 
 The ``slot_offset`` lets a follow-up run (e.g. the tree-completion patch
 after crashes) continue the same fault streams instead of replaying the
@@ -28,7 +30,15 @@ from .._types import BoolArray, IntpArray
 from ..obs.runtime import OBS
 from .faults import FaultPlan, FaultTrace
 
-__all__ = ["FaultyTransport", "PerfectTransport", "Transport"]
+__all__ = ["HEARTBEAT_BLOCK", "FaultyTransport", "PerfectTransport", "Transport"]
+
+#: Hashed slots per heartbeat loss table: one table costs ``HEARTBEAT_BLOCK``
+#: bytes per polled node, and is hashed in one pass instead of a pass a slot.
+HEARTBEAT_BLOCK = 64
+
+#: The empty down set, one object, so a caller can tell "still nobody" by
+#: identity.
+_NOBODY: frozenset[int] = frozenset()
 
 
 class Transport(ABC):
@@ -49,7 +59,9 @@ class Transport(ABC):
 
     @abstractmethod
     def crashed_ids(self, slot: int) -> frozenset[int]:
-        """Ids of every node down at ``slot``."""
+        """Ids of every node down at ``slot``.  Handing back the same set
+        object while the down set is unchanged lets the runtime skip its
+        crash sync for that slot."""
 
     def is_crashed(self, node_id: int, slot: int) -> bool:
         """Whether ``node_id`` is down at ``slot``."""
@@ -72,10 +84,33 @@ class PerfectTransport(Transport):
         return np.ones(count, dtype=bool), np.zeros(count, dtype=np.intp)
 
     def crashed_ids(self, slot: int) -> frozenset[int]:
-        return frozenset()
+        return _NOBODY
 
     def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
         return np.ones(len(node_ids), dtype=bool)
+
+
+class _HeartbeatBlock:
+    """Heartbeat fates of one id set over :data:`HEARTBEAT_BLOCK` hashed
+    slots from ``first``.
+
+    ``delivered[k]`` (read-only) is the answer for hashed slot ``first + k``,
+    and entries ``bounds[k]:bounds[k + 1]`` of ``loss_slots`` / ``loss_ids``
+    are that slot's lost heartbeats, in id order.
+    """
+
+    __slots__ = ("bounds", "delivered", "first", "key", "loss_ids", "loss_slots")
+
+    def __init__(self, plan: FaultPlan, ids: np.ndarray, first: int) -> None:
+        lost = plan.heartbeat_losses(ids, first, HEARTBEAT_BLOCK)
+        rows, cols = lost.nonzero()
+        self.first = first
+        self.key = ids.tobytes()
+        self.delivered = ~lost
+        self.delivered.flags.writeable = False
+        self.loss_slots = rows + first
+        self.loss_ids = ids[cols]
+        self.bounds = rows.searchsorted(np.arange(HEARTBEAT_BLOCK + 1)).tolist()
 
 
 class FaultyTransport(Transport):
@@ -88,7 +123,7 @@ class FaultyTransport(Transport):
             (main run, then a completion patch) draw from fresh counters.
     """
 
-    __slots__ = ("_heartbeat_keys", "plan", "slot_offset", "trace")
+    __slots__ = ("_heartbeats", "plan", "slot_offset", "trace")
 
     def __init__(
         self,
@@ -100,51 +135,64 @@ class FaultyTransport(Transport):
         self.plan = plan
         self.trace = trace if trace is not None else FaultTrace()
         self.slot_offset = slot_offset
-        #: (ids, :meth:`FaultPlan.heartbeat_keys` of them) for the id set
-        #: polled last; a run polls the same live set slot after slot.
-        self._heartbeat_keys: tuple[np.ndarray, np.ndarray] | None = None
+        #: the heartbeat loss table of the id set polled last; a run polls
+        #: the same live set slot after slot.
+        self._heartbeats: _HeartbeatBlock | None = None
 
     def admit(
         self, slot: int, src_ids: np.ndarray, dst_ids: np.ndarray
     ) -> tuple[BoolArray, IntpArray]:
         src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
+        plan = self.plan
         hashed_slot = slot + self.slot_offset
-        drops = self.plan.dropped(src, dst, hashed_slot)
-        delay = np.where(drops, 0, self.plan.delays(src, dst, hashed_slot))
-        delivered = ~drops
-        delayed = delay > 0
-        if drops.any() or delayed.any():
-            # Trace order: by sender id, then by pair order within a sender.
-            order = np.argsort(src, kind="stable")
-            trace = self.trace
-            for k in order[drops[order]].tolist():
-                trace.record_drop(slot, int(src[k]), int(dst[k]))
-            for k in order[delayed[order]].tolist():
-                trace.record_delay(slot, int(src[k]), int(dst[k]), int(delay[k]))
+        drops = plan.dropped(src, dst, hashed_slot)
+        if plan.latency is None:
+            delay = np.zeros(drops.shape, dtype=np.intp)
+            delayed = None
+        else:
+            delay = plan.latency.delays(plan.seed, src, dst, hashed_slot)
+            delay[drops] = 0
+            delayed = delay.nonzero()[0]
+        dropped = drops.nonzero()[0]
+        trace = self.trace
+        # Trace order: by sender id, then by pair order within a sender.
+        if dropped.size:
+            k = dropped[np.argsort(src[dropped], kind="stable")]
+            trace.dropped.extend(zip([slot] * k.size, src[k].tolist(), dst[k].tolist()))
+        if delayed is not None and delayed.size:
+            k = delayed[np.argsort(src[delayed], kind="stable")]
+            trace.delayed.extend(
+                zip([slot] * k.size, src[k].tolist(), dst[k].tolist(), delay[k].tolist())
+            )
         if OBS.enabled:
             registry = OBS.registry
-            drop_count = int(drops.sum())
-            if drop_count:
-                registry.inc("netsim.dropped", drop_count)
-            delay_count = int(delayed.sum())
-            if delay_count:
-                registry.inc("netsim.delayed", delay_count)
-        return delivered, delay
+            if dropped.size:
+                registry.inc("netsim.dropped", int(dropped.size))
+            if delayed is not None and delayed.size:
+                registry.inc("netsim.delayed", int(delayed.size))
+        return ~drops, delay
 
     def crashed_ids(self, slot: int) -> frozenset[int]:
         return self.plan.crashes.crashed_ids(slot + self.slot_offset)
 
     def heartbeat_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """A read-only row of the loss table of ``node_ids`` (one dimension);
+        a new id set or a slot outside the table's block hashes a fresh
+        table from this slot on."""
         ids = np.asarray(node_ids, dtype=np.int64)
+        if self.plan.heartbeat_loss_prob <= 0.0:
+            return np.ones(ids.shape, dtype=bool)
         hashed_slot = slot + self.slot_offset
-        keys = None
-        if self.plan.heartbeat_loss_prob > 0.0:
-            cached = self._heartbeat_keys
-            if cached is None or not np.array_equal(cached[0], ids):
-                cached = self._heartbeat_keys = (ids.copy(), self.plan.heartbeat_keys(ids))
-            keys = cached[1]
-        lost = self.plan.heartbeat_dropped(ids, hashed_slot, keys)
-        if lost.any():
-            self.trace.record_heartbeat_losses(hashed_slot, ids[lost].tolist())
-        return ~lost
+        block = self._heartbeats
+        if (
+            block is None
+            or not 0 <= hashed_slot - block.first < HEARTBEAT_BLOCK
+            or block.key != ids.tobytes()
+        ):
+            block = self._heartbeats = _HeartbeatBlock(self.plan, ids, hashed_slot)
+        row = hashed_slot - block.first
+        lo, hi = block.bounds[row], block.bounds[row + 1]
+        if lo != hi:
+            self.trace.record_heartbeat_losses(block.loss_slots[lo:hi], block.loss_ids[lo:hi])
+        return block.delivered[row]

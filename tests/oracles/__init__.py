@@ -4,7 +4,8 @@ These are the slow-but-obvious counterparts of the vectorized paths in
 ``src/``: the per-listener decode loop, the per-agent protocol form and the
 two engines that step it (the per-object slot engine and the per-agent
 netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
-cold-pool trial map, the per-node netsim fault loops, the quadratic
+cold-pool trial map, the per-node netsim fault loops and the per-call
+fault draws the fault tables replaced, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
 netsim ``Distr-Cap`` builder's forked phase loop, the four forked schedule
 replays (lockstep and netsim, convergecast and broadcast), mean-power
@@ -27,7 +28,15 @@ from .fabric import map_trials_cold
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference, eager_result_values
 from .mean_power import ReferenceMeanPowerSelector
-from .netsim import OracleFaultyTransport, OracleHeartbeatDetector, OracleNetSimulator
+from .netsim import (
+    OracleFaultyTransport,
+    OracleHeartbeatDetector,
+    OracleNetSimulator,
+    crashed_ids_scan,
+    dropped_per_call,
+    heartbeat_lost_per_slot,
+    severs_per_call,
+)
 from .slot_engine import LegacySimulator
 from .tvc import ReferenceTreeViaCapacity
 from .validation import (
@@ -51,15 +60,19 @@ __all__ = [
     "ReferenceTreeViaCapacity",
     "build_init_reference",
     "build_net_init_reference",
+    "crashed_ids_scan",
     "decode_reference",
     "diameter_reference",
+    "dropped_per_call",
     "eager_result_values",
     "euclidean_mst_tree_reference",
+    "heartbeat_lost_per_slot",
     "is_strongly_connected_reference",
     "link_succeeds",
     "map_trials_cold",
     "run_convergecast_reference",
     "run_dissemination_reference",
+    "severs_per_call",
     "simulate_broadcast_reference",
     "simulate_convergecast_reference",
     "validate_aggregation_order_reference",

@@ -314,7 +314,7 @@ def run_convergecast_reference(
         quorum_met=len(contributing) >= quorum * len(tree.nodes),
         root_alive=not transport.is_crashed(tree.root_id, max(total_slots - 1, 0)),
         fault_summary=trace.summary() if trace is not None else {},
-        fault_digest=trace.digest() if trace is not None else None,
+        fault_trace=trace,
     )
 
 
@@ -430,5 +430,5 @@ def run_dissemination_reference(
         degraded=degraded,
         quorum_met=len(informed) >= quorum * len(tree.nodes),
         fault_summary=trace.summary() if trace is not None else {},
-        fault_digest=trace.digest() if trace is not None else None,
+        fault_trace=trace,
     )

@@ -276,7 +276,7 @@ class ReferenceNetDistrCapBuilder:
                 crashed_candidates or dropped_winners or (trace is not None and trace.dropped)
             ),
             fault_summary=trace.summary() if trace is not None else {},
-            fault_digest=trace.digest() if trace is not None else None,
+            fault_trace=trace,
         )
 
     # -- internals ----------------------------------------------------------

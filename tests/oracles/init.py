@@ -460,7 +460,7 @@ class ReferenceNetInitBuilder(NetInitBuilder):
             stored_degrees=oracle.stored_degrees,
             send_budget=dict(sim.send_budget),
             fault_summary=sim.fault_summary(),
-            fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
+            fault_trace=sim.fault_trace,
         )
 
     def _agent_repair(
@@ -543,7 +543,7 @@ class ReferenceNetInitBuilder(NetInitBuilder):
             completion_slots=repair.slots_used,
             send_budget=dict(sim.send_budget),
             fault_summary=sim.fault_summary(),
-            fault_digest=None if sim.fault_trace is None else sim.fault_trace.digest(),
+            fault_trace=sim.fault_trace,
         )
 
 

@@ -9,6 +9,11 @@ here verbatim in behaviour, so the parity tests can show the batched calls
 make the same uint64 draws, record the same traces in the same order and
 deliver the same frames.  The dict-and-set failure detector those loops fed
 is kept alongside as the oracle of the array-backed ``HeartbeatDetector``.
+
+The per-call forms the fault tables replaced are kept too: drops hashed
+through the whole ``_hash_u64`` fold on every call, heartbeat loss hashed
+one slot at a time, a partition's cut rebuilt for ``np.isin`` on every
+call and a crash schedule scanned window by window.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ import numpy as np
 from repro._types import BoolArray, IntpArray
 from repro.dynamics.gain import _hash_u64, _uniform_open
 from repro.exceptions import ProtocolError
-from repro.netsim import FaultPlan, FaultTrace, FaultyTransport, PerfectTransport, Transport
+from repro.netsim import (
+    CrashSchedule,
+    FaultPlan,
+    FaultTrace,
+    FaultyTransport,
+    Partition,
+    PerfectTransport,
+    Transport,
+)
 from repro.netsim.faults import _DROP_STREAM, _HEARTBEAT_STREAM
 from repro.obs.runtime import OBS
 from repro.runtime import ExecutionTrace
@@ -28,7 +41,57 @@ from repro.sinr import CachedChannel, Channel, Reception, Transmission
 
 from .agent import NodeAgent
 
-__all__ = ["OracleFaultyTransport", "OracleHeartbeatDetector", "OracleNetSimulator"]
+__all__ = [
+    "OracleFaultyTransport",
+    "OracleHeartbeatDetector",
+    "OracleNetSimulator",
+    "crashed_ids_scan",
+    "dropped_per_call",
+    "heartbeat_lost_per_slot",
+    "severs_per_call",
+]
+
+
+def severs_per_call(
+    partition: Partition, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int
+) -> BoolArray:
+    """``Partition.severs`` rebuilding the cut for ``np.isin`` on every call."""
+    src = np.asarray(src_ids, dtype=np.int64)
+    dst = np.asarray(dst_ids, dtype=np.int64)
+    if not partition.active(slot):
+        return np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
+    left = np.fromiter(partition.left, dtype=np.int64, count=len(partition.left))
+    return np.isin(src, left) != np.isin(dst, left)
+
+
+def dropped_per_call(
+    plan: FaultPlan, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int
+) -> BoolArray:
+    """``FaultPlan.dropped`` hashing the whole ``(stream, seed, src, dst,
+    slot)`` fold and drawing the float uniform on every call."""
+    src = np.asarray(src_ids, dtype=np.int64)
+    dst = np.asarray(dst_ids, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
+    if plan.drop_prob > 0.0:
+        out |= _uniform_open(_hash_u64(_DROP_STREAM, plan.seed, src, dst, slot)) < plan.drop_prob
+    for partition in plan.partitions:
+        out |= severs_per_call(partition, src, dst, slot)
+    return out
+
+
+def heartbeat_lost_per_slot(plan: FaultPlan, node_ids: np.ndarray, slot: int) -> BoolArray:
+    """Which of ``node_ids``' heartbeats at hashed ``slot`` are lost, hashed
+    for that one slot."""
+    ids = np.asarray(node_ids, dtype=np.int64)
+    prob = plan.heartbeat_loss_prob
+    if prob <= 0.0:
+        return np.zeros(ids.shape, dtype=bool)
+    return _uniform_open(_hash_u64(_HEARTBEAT_STREAM, plan.seed, ids, slot)) < prob
+
+
+def crashed_ids_scan(schedule: CrashSchedule, slot: int) -> frozenset[int]:
+    """``CrashSchedule.crashed_ids`` scanning every window."""
+    return frozenset(w.node_id for w in schedule.windows if w.covers(slot))
 
 
 def _dropped_one_sender(plan: FaultPlan, src_id: int, dst: np.ndarray, slot: int) -> BoolArray:
@@ -66,14 +129,19 @@ class OracleFaultyTransport(FaultyTransport):
             mask = src == src_id
             targets = dst[mask]
             drops = _dropped_one_sender(self.plan, int(src_id), targets, hashed_slot)
-            delays = self.plan.delays(int(src_id), targets, hashed_slot)
+            latency = self.plan.latency
+            delays = (
+                np.zeros(len(targets), dtype=np.intp)
+                if latency is None
+                else latency.delays(self.plan.seed, int(src_id), targets, hashed_slot)
+            )
             delivered[mask] = ~drops
             delay[mask] = np.where(drops, 0, delays)
             for dst_id, was_dropped, d in zip(targets, drops, delays):
                 if was_dropped:
-                    self.trace.record_drop(slot, int(src_id), int(dst_id))
+                    self.trace.dropped.append((slot, int(src_id), int(dst_id)))
                 elif d:
-                    self.trace.record_delay(slot, int(src_id), int(dst_id), int(d))
+                    self.trace.delayed.append((slot, int(src_id), int(dst_id), int(d)))
         if OBS.enabled:
             registry = OBS.registry
             drop_count = len(dst) - int(delivered.sum())
@@ -99,7 +167,9 @@ class OracleFaultyTransport(FaultyTransport):
         if prob > 0.0:
             u = _uniform_open(_hash_u64(_HEARTBEAT_STREAM, plan.seed, node_id, hashed_slot))
             if u < prob:
-                self.trace.record_heartbeat_losses(hashed_slot, [node_id])
+                self.trace.record_heartbeat_losses(
+                    np.array([hashed_slot]), np.array([node_id])
+                )
                 return False
         return True
 

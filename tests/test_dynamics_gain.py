@@ -15,7 +15,14 @@ from repro.dynamics import (
     LogNormalShadowing,
     RayleighFading,
 )
-from repro.dynamics.gain import _hash_from, _hash_int, _hash_u64, _uniform_open
+from repro.dynamics.gain import (
+    _hash_from,
+    _hash_int,
+    _hash_u64,
+    _uniform_cut,
+    _uniform_open,
+    _word,
+)
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet
@@ -438,3 +445,30 @@ class TestScalarHash:
             _hash_int(1, value)
         with pytest.raises(OverflowError):
             _hash_from(np.uint64(0), 1, value)
+
+
+class TestUniformCut:
+    """``h < _uniform_cut(p)`` is the float draw ``_uniform_open(h) < p``."""
+
+    probs = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.1, 0.5, 1 - 2.0**-53]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob=probs, delta=st.integers(-4096, 4096))
+    def test_matches_float_draw_at_the_bound(self, prob, delta):
+        h = np.array([min(max(int(_uniform_cut(prob)) + delta, 0), 2**64 - 1)], dtype=np.uint64)
+        assert (_uniform_open(h) < prob).tolist() == (h < _uniform_cut(prob)).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob=probs, h=st.integers(0, 2**64 - 1))
+    def test_matches_float_draw_anywhere(self, prob, h):
+        word = np.array([h], dtype=np.uint64)
+        assert (_uniform_open(word) < prob).tolist() == (word < _uniform_cut(prob)).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.integers(-(2**63), 2**64 - 1))
+    def test_word_is_the_folded_component(self, value):
+        assert _word(value) == np.asarray(value).astype(np.uint64)
+        assert _hash_from(np.uint64(7), _word(value)) == _hash_from(np.uint64(7), value)

@@ -1,0 +1,225 @@
+"""A seeded n=64 lossy run pinned to recorded literals.
+
+The parity suites compare the fault plane with oracles that hash through the
+same ``repro.dynamics.gain`` functions, so a changed hash, stream tag or
+uniform mapping would move both sides alike and pass.  These literals were
+recorded from the per-slot fault plane before it answered from tables, and
+catch any such change: a reliable ``NetInit`` with two crashes, a
+convergecast interrupted by a root crash, root failover and the resumed
+convergecast, then a second ``NetInit`` under latency, a partition, separate
+heartbeat loss, a crash-recover window and a slot offset.  Every fault
+digest, fault summary, send budget and ``netsim.*`` counter is pinned.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import InitialTreeBuilder
+from repro.geometry import uniform_random
+from repro.netsim import (
+    CrashSchedule,
+    CrashWindow,
+    FaultPlan,
+    LatencyModel,
+    NetInitBuilder,
+    Partition,
+    run_convergecast,
+    run_root_failover,
+)
+from repro.obs.runtime import telemetry
+from repro.sinr import SINRParameters
+
+PARAMS = SINRParameters(alpha=3.0, beta=1.5, noise=1.0, epsilon=0.1)
+N = 64
+SEED = 5
+
+
+def _fingerprint(obj: object) -> str:
+    return hashlib.sha1(repr(obj).encode()).hexdigest()[:16]
+
+
+def _run() -> dict:
+    nodes = uniform_random(N, np.random.default_rng(SEED))
+    ids = [node.id for node in nodes]
+    oracle = InitialTreeBuilder(PARAMS).build(nodes, np.random.default_rng(SEED + 1))
+    first_sweep = oracle.slots_used // oracle.sweeps_used
+    crashes = CrashSchedule.sample(ids, 2, horizon=first_sweep, seed=SEED, min_slot=1)
+    plan = FaultPlan(seed=SEED, drop_prob=0.1, crashes=crashes)
+    with telemetry() as registry:
+        lossy = NetInitBuilder(PARAMS, max_sweeps=3, plan=plan).build(
+            nodes, np.random.default_rng(SEED + 1)
+        )
+        tree, power = lossy.tree, lossy.power
+        root = tree.root_id
+        crash_slot = max(1, tree.aggregation_schedule.length // 2)
+        root_plan = FaultPlan(
+            seed=SEED, drop_prob=0.1, crashes=CrashSchedule((CrashWindow(root, crash_slot),))
+        )
+        interrupted = run_convergecast(tree, power, PARAMS, plan=root_plan, quorum=0.5)
+        failover = run_root_failover(
+            tree,
+            power,
+            params=PARAMS,
+            plan=root_plan,
+            crashed_ids=[root],
+            rng=np.random.default_rng(SEED + 2),
+            start_slot=interrupted.slots,
+        )
+        resumed = run_convergecast(
+            failover.tree,
+            failover.power,
+            PARAMS,
+            plan=root_plan.without_crashes(),
+            slot_offset=interrupted.slots + failover.slots_used,
+            quorum=0.5,
+        )
+        mixed = FaultPlan(
+            seed=SEED + 1,
+            drop_prob=0.05,
+            heartbeat_drop_prob=0.2,
+            latency=LatencyModel(delay_prob=0.2, mean_slots=2.0, max_slots=3),
+            partitions=(Partition(frozenset(ids[:20]), 30, 90),),
+            crashes=CrashSchedule((CrashWindow(ids[3], 10, 40), CrashWindow(ids[7], 25))),
+        )
+        latent = NetInitBuilder(PARAMS, max_sweeps=2, plan=mixed, slot_offset=7).build(
+            nodes, np.random.default_rng(SEED + 3)
+        )
+    return {
+        "lossy": (
+            lossy.fault_digest,
+            lossy.fault_summary,
+            lossy.slots_used,
+            sum(lossy.send_budget.values()),
+            _fingerprint(sorted(lossy.send_budget.items())),
+            _fingerprint(sorted(lossy.tree.parent.items())),
+        ),
+        "interrupted": (
+            interrupted.fault_digest,
+            interrupted.fault_summary,
+            interrupted.slots,
+            interrupted.retries,
+        ),
+        "failover": (
+            failover.new_root_id,
+            failover.slots_used,
+            _fingerprint(sorted(failover.tree.parent.items())),
+        ),
+        "resumed": (resumed.fault_digest, resumed.fault_summary, resumed.slots, resumed.retries),
+        "latent": (
+            latent.fault_digest,
+            latent.fault_summary,
+            latent.slots_used,
+            sum(latent.send_budget.values()),
+            _fingerprint(sorted(latent.send_budget.items())),
+            _fingerprint(sorted(latent.tree.parent.items())),
+        ),
+        "counters": {
+            name: value
+            for name, value in sorted(registry.counter_totals().items())
+            if name.startswith("netsim.")
+        },
+    }
+
+
+EXPECTED = {
+    "lossy": (
+        "6d5dda4365a18cc6ee849ed00622e2c11cbe55ff",
+        {
+            "dropped": 284,
+            "delayed": 0,
+            "crashes": 2,
+            "recoveries": 0,
+            "heartbeat_losses": 2005,
+            "receiver_busy_drops": 0,
+            "crash_drops": 0,
+            "transmissions": 483,
+        },
+        388,
+        483,
+        "c13ea2011b9017bb",
+        "f28d915cb920d8cf",
+    ),
+    "interrupted": (
+        "bca0fd47cf4875d9855939cea40d84e2aa58409b",
+        {"dropped": 4, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
+        51,
+        8,
+    ),
+    "failover": (29, 2, "ce3d5e5dbbcc734a"),
+    "resumed": (
+        "9a52ef4be5cdd3c5a9bda682ff2af4993ff2ec03",
+        {"dropped": 8, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
+        52,
+        8,
+    ),
+    "latent": (
+        "3b5988606e6ad56268a0ce342fcffabec795881a",
+        {
+            "dropped": 452,
+            "delayed": 888,
+            "crashes": 2,
+            "recoveries": 1,
+            "heartbeat_losses": 5371,
+            "receiver_busy_drops": 300,
+            "crash_drops": 0,
+            "transmissions": 579,
+        },
+        512,
+        579,
+        "69a2b8279f86618e",
+        "235d7686a0b6e1bf",
+    ),
+    "counters": {
+        "netsim.agg_retries": 16,
+        "netsim.crashes": 4,
+        "netsim.degraded_aggregations": 1,
+        "netsim.delayed": 890,
+        "netsim.deliveries": 6588,
+        "netsim.dropped": 759,
+        "netsim.election_rounds": 1,
+        "netsim.elections": 1,
+        "netsim.elections_won": 1,
+        "netsim.heartbeat_misses": 8287,
+        "netsim.heartbeats": 40465,
+        "netsim.receiver_busy_drops": 300,
+        "netsim.recoveries": 1,
+        "netsim.reliable_posts": 60,
+        "netsim.reroot_splices": 1,
+        "netsim.sends": 1096,
+        "netsim.slots": 900,
+        "netsim.suspicions": 165,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def outcome() -> dict:
+    return _run()
+
+
+@pytest.mark.parametrize("part", sorted(EXPECTED))
+def test_lossy_run_matches_recorded_literals(outcome, part):
+    assert outcome[part] == EXPECTED[part]
+
+
+def test_literals_hold_without_telemetry(outcome):
+    """Telemetry on or off, the run (and so every digest) is the same."""
+    nodes = uniform_random(N, np.random.default_rng(SEED))
+    oracle = InitialTreeBuilder(PARAMS).build(nodes, np.random.default_rng(SEED + 1))
+    crashes = CrashSchedule.sample(
+        [node.id for node in nodes],
+        2,
+        horizon=oracle.slots_used // oracle.sweeps_used,
+        seed=SEED,
+        min_slot=1,
+    )
+    plan = FaultPlan(seed=SEED, drop_prob=0.1, crashes=crashes)
+    lossy = NetInitBuilder(PARAMS, max_sweeps=3, plan=plan).build(
+        nodes, np.random.default_rng(SEED + 1)
+    )
+    assert lossy.fault_digest == EXPECTED["lossy"][0]
+    assert lossy.fault_summary == EXPECTED["lossy"][1]

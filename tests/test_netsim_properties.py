@@ -89,9 +89,9 @@ class TestFaultDeterminism:
 
     def test_heartbeat_loss_is_per_identity(self):
         plan = FaultPlan(seed=9, drop_prob=0.0, heartbeat_drop_prob=0.5)
-        history = [bool(plan.heartbeat_dropped(np.array([3]), slot)[0]) for slot in range(100)]
+        history = plan.heartbeat_losses(np.array([3]), 0, 100)[:, 0].tolist()
         assert history == [
-            bool(plan.heartbeat_dropped(np.array([3]), slot)[0]) for slot in range(100)
+            bool(plan.heartbeat_losses(np.array([3]), slot, 1)[0, 0]) for slot in range(100)
         ]
         assert any(history) and not all(history)
 
