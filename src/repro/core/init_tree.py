@@ -64,6 +64,9 @@ __all__ = [
 #: Coins pre-drawn per node each time the array engine refills its stream.
 _COIN_BLOCK = 64
 
+#: Sentinel after each node's coins: a coin is below 1, so it marks a spent row.
+_SPENT = 2.0
+
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
 
@@ -152,18 +155,22 @@ class _CoinStreams:
     A coin is ``Generator.random()``'s double: the top 53 bits of one raw
     64-bit word of the node's bit generator, ``(x >> 11) * 2**-53``.  Row
     ``i`` of the block holds node ``i``'s next raw words
-    (``bit_generator.random_raw``), and a whole block is converted at once,
-    so reading row ``i`` through a per-node cursor replays exactly the
-    coins node ``i`` would draw one at a time.  Only rows that run out are
-    refilled.
+    (``bit_generator.random_raw``), converted at once, then the sentinel
+    ``_SPENT`` (no coin reaches 1).  The block is kept flat and each node's
+    cursor is a flat index, so a draw is one gather; reading row ``i`` in
+    order replays exactly the coins node ``i`` would draw one at a time.  A
+    row is refilled only when its cursor reaches the sentinel.
     """
 
-    __slots__ = ("_bits", "_block", "_cursor")
+    __slots__ = ("_bits", "_rows", "_flat", "_cursor")
 
     def __init__(self, rngs: Sequence[np.random.Generator]):
         self._bits = [rng.bit_generator for rng in rngs]
-        self._block = self._raw_coins(range(len(self._bits)))
-        self._cursor = np.zeros(len(rngs), dtype=np.intp)
+        n = len(self._bits)
+        self._rows = np.full((n, _COIN_BLOCK + 1), _SPENT)
+        self._rows[:, :_COIN_BLOCK] = self._raw_coins(range(n))
+        self._flat = self._rows.reshape(-1)
+        self._cursor = np.arange(n, dtype=np.intp) * (_COIN_BLOCK + 1)
 
     def _raw_coins(self, rows: Iterable[int]) -> np.ndarray:
         """The next block of coins of each node in ``rows``, one row each."""
@@ -174,13 +181,15 @@ class _CoinStreams:
     def draw(self, pos: np.ndarray) -> np.ndarray:
         """One coin for each node position in ``pos`` (distinct positions)."""
         at = self._cursor[pos]
-        spent = at == _COIN_BLOCK
+        coins = self._flat[at]
+        spent = coins == _SPENT
         if np.count_nonzero(spent):
             rows = pos[spent]
-            self._block[rows] = self._raw_coins(rows.tolist())
-            at[spent] = 0
+            self._rows[rows, :_COIN_BLOCK] = self._raw_coins(rows.tolist())
+            at[spent] = rows * (_COIN_BLOCK + 1)
+            coins[spent] = self._flat[at[spent]]
         self._cursor[pos] = at + 1
-        return self._block[pos, at]
+        return coins
 
 
 class _InitProgram(LockstepProgram):

@@ -54,5 +54,10 @@ class Link:
         """Whether this link is exactly the reverse of ``other``."""
         return self.sender.id == other.receiver.id and self.receiver.id == other.sender.id
 
+    def __hash__(self) -> int:
+        # Equal links have equal endpoint ids: hashing the id pair skips
+        # hashing two nodes and their points.
+        return hash((self.sender.id, self.receiver.id))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.sender.id}->{self.receiver.id}, len={self.length:.3f})"

@@ -219,18 +219,17 @@ class Simulator:
         if tx.size == len(self._nodes):
             return _NO_IDS, _NO_IDS
         if self._full_universe:
-            # ``ok`` is a fresh array: mask it in place.  Half-duplex:
-            # transmitter columns never decode, nor do down nodes.  Winners
-            # are picked only where ``ok`` holds: a transmitter's own column
-            # never decodes (its own signal is infinite, the SINR NaN).
+            # Half-duplex holds by itself: a transmitter's own column never
+            # decodes (its own signal is infinite, the SINR NaN).  Winners
+            # come only for the decoding columns; down nodes drop out after.
             best, _, ok = self.channel.resolve_indices_full(
                 tx, powers, slot=slot, _decoded_only=True
             )
-            ok[tx] = False
+            rx, src = ok.nonzero()[0], tx[best]
             if down is not None:
-                ok[down] = False
-            rx = ok.nonzero()[0]
-            return rx, tx[best[rx]]
+                up = ~down[rx]
+                rx, src = rx[up], src[up]
+            return rx, src
         listening = self._listening
         if down is None:
             listening[:] = True
@@ -241,8 +240,7 @@ class Simulator:
         best, _, ok = self.channel.resolve_indices(
             self._cache_idx[tx], self._cache_idx[rx], powers, slot=slot, _decoded_only=True
         )
-        decoded = np.flatnonzero(ok)
-        return rx[decoded], tx[best[decoded]]
+        return rx[ok.nonzero()[0]], tx[best]
 
     def _record(
         self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray, label: str

@@ -689,6 +689,11 @@ class NodeArrayCache:
         return self._state
 
     @property
+    def contiguous(self) -> bool:
+        """Whether dense index ``k`` is state slot ``k`` for every ``k``."""
+        return self._contiguous
+
+    @property
     def slots(self) -> np.ndarray:
         """State slot of each dense index."""
         return self._slots
@@ -902,20 +907,6 @@ class NodeArrayCache:
         return self._gather_block(
             self._state.attenuation_matrix(alpha), rows, cols, workspace, "cache.att"
         )
-
-    def attenuation_row_source(
-        self, alpha: float, rows: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray | None] | None":
-        """The tiled store's :meth:`~repro.state.TiledNetworkState.row_source`
-        for ``attenuation_block(alpha, rows)``.
-
-        Columns ``:len(self)`` of the source rows are the whole-view block.
-        ``None`` unless this is a contiguous view of a tiled store; the
-        caller then gathers the block.
-        """
-        if self._state.materializes_matrices or not self._contiguous:
-            return None
-        return self._sparse_state().row_source(alpha, self._slots[rows])
 
     def fade_block(
         self,

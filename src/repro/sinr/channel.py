@@ -7,20 +7,25 @@ at that node meets the threshold ``beta`` - or nothing.  The channel has no
 notion of time; its callers count slots and pass each slot's index on for
 slot-dependent fading.
 
-There is one decode chain, on integer indices into a
+There is one decode body, on integer indices into a
 :class:`~repro.sinr.arrays.NodeArrayCache`: :meth:`Channel.resolve_indices`
-and :meth:`Channel.resolve_indices_full` run ``_decode_block`` ->
-``_decode_received``, one argmax/SINR/threshold pass over the
-transmitter-to-listener attenuation rectangle of the cache's store.  With a
-``workspace`` (:class:`~repro.state.DecodeWorkspace`) the kernels write into
-preallocated buffers, bit-identically.  The whole-universe decode over a
-tiled store's row cache (``_decode_rows``) runs the same kernels on
-listener-column slabs across the slab workers (``repro.state.slabs``),
-bit-identically at any worker count.  The caller owns the protocol
-invariants (distinct senders, no transmitting listener, positive powers);
-:meth:`CachedChannel.decoded_senders` keeps them for callers in node ids.
+and :meth:`Channel.resolve_indices_full` (and their :class:`CachedChannel`
+forms, which perfbench's tracer probes by name) call
+``Channel._decode_block``, which gathers the transmitters' attenuation rows,
+divides the powers in and runs ``_decode_received``, one argmax/SINR/threshold
+pass over the transmitter-to-listener block, under one ``np.errstate``.  The
+whole-universe decode of a contiguous view takes its rows from the store: a
+row ``take`` of the dense matrix, or the tiled store's row cache in
+listener-column slabs across the slab workers (``repro.state.slabs``), bitwise
+the same at any worker count.  Rectangles and decodes into a ``workspace``
+(:class:`~repro.state.DecodeWorkspace`, preallocated buffers, bit-identical)
+are gathered by the cache's ``attenuation_block``.  The slot engines' private
+``_decoded_only`` takes winners only for the columns that decode.  The caller
+owns the protocol invariants (distinct senders, no transmitting listener,
+positive powers); :meth:`CachedChannel.decoded_senders` keeps them for callers
+in node ids.
 
-Two adapters over the chain remain only because perfbench's tracer probes
+Two adapters over the body remain only because perfbench's tracer probes
 them by name: :meth:`Channel.resolve` (:class:`Transmission` in,
 :class:`Reception` out) and ``resolve_indices_many`` (a loop over trials).
 The seed per-listener loop is the test oracle ``decode_reference``.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, cast
 
 import numpy as np
 
@@ -114,9 +119,10 @@ def _decode_received(
     without interference and noise) and whether it clears ``beta``; the
     arithmetic is elementwise that of the ``decode_reference`` test oracle.
     Callers run it under ``np.errstate(divide="ignore", invalid="ignore")``,
-    once for the whole decode chain.  ``decoded_only`` (allocating path)
-    picks the winner only in the columns that decode and leaves ``best`` 0
-    elsewhere: ``argmax`` is column-wise, so those winners are the same.
+    once per decode.  ``decoded_only`` (allocating path only) returns the
+    winners of the decoding columns alone, ``best[m]`` for column
+    ``ok.nonzero()[0][m]``: each is the first maximum of its column, as
+    ``argmax`` picks it, read from the gathered rows of ``received.T``.
     """
     # The strongest signal is taken with maximum.reduce: the value at the
     # argmax row, bit-identical to a fancy-index gather (a NaN column has
@@ -130,14 +136,18 @@ def _decode_received(
         # nothing, so the nan must propagate here rather than be replaced.
         interference = total - best_signal
         sinr = best_signal / interference
-        sinr[interference <= 0] = np.inf
+        if params.noise <= 0:
+            # Zero interference means SINR inf, even beside no signal (0/0).
+            # With noise it is 0 only beside a positive signal, whose
+            # quotient is inf already: the mask would change nothing.
+            sinr[interference <= 0] = np.inf
         ok = sinr >= params.beta
         if not decoded_only:
             return received.argmax(axis=0), sinr, ok
-        best = np.zeros(received.shape[1], dtype=np.intp)
         decoded = ok.nonzero()[0]
-        best[decoded] = received[:, decoded].argmax(axis=0)
-        return best, sinr, ok
+        if received.shape[0] == 1:
+            return np.zeros(decoded.size, dtype=np.intp), sinr, ok
+        return received.T[decoded].argmax(axis=1), sinr, ok
 
     # Zero-allocation variant: same elementwise operations, destinations
     # reused from the arena.
@@ -238,31 +248,6 @@ class Channel:
             nodes.setdefault(node.id, node)
         return NodeArrayCache(state=TiledNetworkState(nodes.values()))
 
-    def _index_fade(
-        self,
-        cache: NodeArrayCache,
-        tx: np.ndarray,
-        rx: np.ndarray | None,
-        slot: int | None,
-        workspace: DecodeWorkspace | None = None,
-    ) -> np.ndarray | None:
-        """Gain-model fade block for index arrays (``rx=None`` = all nodes).
-
-        Slot-invariant models (static shadowing) are served from the node
-        cache's per-model fade matrix - hashed once, sliced per slot - while
-        slot-dependent models (fast fading) are evaluated fresh.  ``None``
-        means unit gain: the caller skips the multiplication.
-        """
-        model = self.params.effective_gain_model
-        if model is None:
-            return None
-        if model.slot_invariant:
-            # Served from the shared state's per-model fade matrix - hashed
-            # once, patched under churn, gathered per slot.
-            return cache.fade_block(model, tx, rx, workspace=workspace)
-        rx_ids = cache.ids if rx is None else cache.ids[rx]
-        return model.fade(cache.ids[tx], rx_ids, slot)
-
     def resolve_indices(
         self,
         tx_indices: np.ndarray,
@@ -290,18 +275,13 @@ class Channel:
             positions into ``tx_indices`` (see ``_decode_received``).  With
             a ``workspace``, the arrays are views into it, valid until the
             next decode through the same workspace.  The simulator's
-            private ``_decoded_only`` leaves ``best`` 0 where ``ok`` is
-            false instead of picking a winner nobody reads.
+            private ``_decoded_only`` returns ``best`` for the decoding
+            listeners alone, in order, instead of picking a winner nobody
+            reads; it takes no workspace.
         """
-        tx = np.asarray(tx_indices, dtype=np.intp)
-        rx = np.asarray(rx_indices, dtype=np.intp)
-        if tx.size == 0 or rx.size == 0:
-            return (
-                np.zeros(rx.size, dtype=np.intp),
-                np.zeros(rx.size, dtype=float),
-                np.zeros(rx.size, dtype=bool),
-            )
-        return self._decode_block(cache, tx, rx, powers, slot, workspace, _decoded_only)
+        return self._decode_block(
+            cache, tx_indices, rx_indices, powers, slot, workspace, _decoded_only
+        )
 
     def resolve_indices_full(
         self,
@@ -320,18 +300,12 @@ class Channel:
         columns are elementwise identical to a :meth:`resolve_indices` call
         on any listener subset - but the full-row gather here is much
         cheaper than a two-dimensional fancy slice.  Columns belonging to
-        transmitting nodes are *not* masked; the caller applies half-duplex
-        by ignoring them.
+        transmitting nodes are *not* masked: a transmitter's own column
+        holds its infinite signal, so its SINR is NaN and it never decodes.
         """
-        tx = np.asarray(tx_indices, dtype=np.intp)
-        if tx.size == 0 or len(cache) == 0:
-            return (
-                np.zeros(len(cache), dtype=np.intp),
-                np.zeros(len(cache), dtype=float),
-                np.zeros(len(cache), dtype=bool),
-            )
-        return self._decode_block(cache, tx, None, powers, slot, workspace, _decoded_only)
+        return self._decode_block(cache, tx_indices, None, powers, slot, workspace, _decoded_only)
 
+    @hot_kernel(allocates=True)
     def _decode_block(
         self,
         cache: NodeArrayCache,
@@ -344,107 +318,90 @@ class Channel:
     ) -> DecodeTriple:
         """Decode ``tx`` at ``powers`` on the ``rx`` columns (``None`` = all).
 
-        The state stores ``max(d, 1e-300)**alpha`` with colocated pairs
-        zeroed, so the gather-and-divide reproduces the uncached
-        ``np.where(dist <= 0, inf, powers / max(dist, 1e-300)**alpha)``
+        The one body behind every index decode.  It gathers the
+        transmitters' attenuation rows, divides the powers into them,
+        multiplies the gain model's fades in and runs
+        :func:`_decode_received`.  The state stores ``max(d, 1e-300)**alpha``
+        with colocated pairs zeroed, so the gather-and-divide reproduces the
+        uncached ``np.where(dist <= 0, inf, powers / max(dist, 1e-300)**alpha)``
         bit-for-bit without a float power per slot.
-        """
-        if rx is None and workspace is None:
-            source = cache.attenuation_row_source(self.params.alpha, tx)
-            if source is not None:
-                return self._decode_rows(source, cache, tx, powers, slot, decoded_only)
-        attenuation = cache.attenuation_block(self.params.alpha, tx, rx, workspace=workspace)
-        fade = self._index_fade(cache, tx, rx, slot, workspace)
-        # One error state for the chain: a power over a zero attenuation is
-        # the colocated pair's inf, and inf - inf the NaN that decodes nothing.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            received = self._received_from_attenuation(attenuation, powers, workspace)
-            if fade is not None:
-                received = self._apply_fade(received, fade)
-            return _decode_received(received, self.params, workspace, decoded_only)
 
-    @hot_kernel(allocates=True)
-    def _decode_rows(
-        self,
-        source: tuple[np.ndarray, np.ndarray | None],
-        cache: NodeArrayCache,
-        tx: np.ndarray,
-        powers: np.ndarray,
-        slot: int | None,
-        decoded_only: bool,
-    ) -> DecodeTriple:
-        """Whole-universe decode of ``tx`` from a tiled store's rows, in
-        listener-column slabs.
-
-        ``source`` is the store's ``(rows, positions)``
-        (:meth:`NodeArrayCache.attenuation_row_source`).  Each slab of
-        :func:`~repro.state.slabs.slab_bounds` gathers its ``(k, cols)``
-        piece with ``rows[positions, lo:hi]`` (a fresh copy; the ring is only
-        read), divides the powers into it, multiplies its fade columns and
-        runs :func:`_decode_received` on it, then writes its columns of the
-        result.  A listener's decode reads only its own column, so the
-        result is bitwise that of the one-block decode at any slab count and
-        worker count.  One slab is a direct call on the calling thread.
+        The whole-universe decode of a contiguous view (the slot engines'
+        shape) gathers its rows straight from the store: a row ``take`` of
+        the dense matrix, or the tiled store's row cache
+        (:meth:`~repro.state.TiledNetworkState.row_source`) in
+        listener-column slabs of :func:`~repro.state.slabs.slab_bounds`
+        across the slab workers.  A listener's decode reads only its own
+        column, so the slab result is bitwise that of one block at any slab
+        and worker count.  Rectangles and arena decodes are gathered by
+        :meth:`NodeArrayCache.attenuation_block`.  Every gathered block is a
+        fresh copy the decode owns (never a view of a store's matrix or
+        ring), so the quotient is written over it.
         """
-        rows, positions = source
-        n = len(cache)
-        fade = self._index_fade(cache, tx, None, slot)
-        received_from_attenuation, apply_fade, decode_received = _SLAB_KERNELS
+        tx = np.asarray(tx, dtype=np.intp)
+        if rx is not None:
+            rx = np.asarray(rx, dtype=np.intp)
+        n = len(cache) if rx is None else rx.size
+        if not tx.size or not n:
+            return (
+                np.zeros(0 if decoded_only else n, dtype=np.intp),
+                np.zeros(n, dtype=float),
+                np.zeros(n, dtype=bool),
+            )
         params = self.params
-
-        def decode(lo: int, hi: int) -> DecodeTriple:
-            # An uncached (over-budget) block is the decode's own: divide in place.
-            piece = rows[:, lo:hi] if positions is None else rows[positions, lo:hi]
-            received = received_from_attenuation(piece, powers, None)
-            if fade is not None:
-                received = apply_fade(received, fade[:, lo:hi])
-            return decode_received(received, params, None, decoded_only)
-
-        bounds = slab_bounds(n, 8 * tx.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if len(bounds) == 1:
-                return decode(0, n)
-            best = np.empty(n, dtype=np.intp)
-            sinr = np.empty(n)
-            ok = np.empty(n, dtype=bool)
-
-            def write(lo: int, hi: int) -> None:
-                best[lo:hi], sinr[lo:hi], ok[lo:hi] = decode(lo, hi)
-
-            run_slabs(write, bounds)
-        return best, sinr, ok
-
-    @staticmethod
-    @hot_kernel()
-    def _received_from_attenuation(
-        attenuation: np.ndarray,
-        powers: np.ndarray,
-        workspace: DecodeWorkspace | None,
-    ) -> np.ndarray:
-        """``powers[:, None] / attenuation``, into the arena when one is given.
-
-        Without a workspace the quotient is written over ``attenuation``
-        itself, so the decode holds one ``(k, n)`` block, not two.  That is
-        safe because every allocating ``attenuation_block`` result is a
-        fresh copy the decode owns: a dense row ``take`` or ``np.ix_``
-        gather, the tiled ``cache.rows[positions]`` gather, an uncached
-        over-budget fill or an ``attenuation_rect_from_xy`` rectangle - never
-        a view of a store's matrix or row cache.  Callers ignore the
-        divide-by-zero of a colocated pair.
-        """
+        fade = None
+        model = params.effective_gain_model
+        if model is not None:
+            if model.slot_invariant:
+                # Served from the state's per-model fades: hashed once,
+                # patched under churn, gathered per slot.
+                fade = cache.fade_block(model, tx, rx, workspace=workspace)
+            else:
+                fade = model.fade(cache.ids[tx], cache.ids if rx is None else cache.ids[rx], slot)
         power_col = np.asarray(powers, dtype=float)[:, None]
-        if workspace is None:
-            return np.divide(power_col, attenuation, out=attenuation)
-        received = workspace.floats("decode.received", *attenuation.shape)
-        np.divide(power_col, attenuation, out=received)
-        return received
+        state = cache.state
+        whole_rows = rx is None and workspace is None and cache.contiguous
+        # One error state per decode: a power over a zero attenuation is the
+        # colocated pair's inf, and inf - inf the NaN that decodes nothing.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if whole_rows and not state.materializes_matrices:
+                rows, positions = cast(TiledNetworkState, state).row_source(params.alpha, tx)
+                (decode_received,) = _SLAB_KERNELS
 
-    @staticmethod
-    @hot_kernel()
-    def _apply_fade(received: np.ndarray, fade: np.ndarray) -> np.ndarray:
-        """``received * fade``, in place: ``received`` is the decode's own block."""
-        np.multiply(received, fade, out=received)
-        return received
+                def decode(lo: int, hi: int) -> DecodeTriple:
+                    # The ring is only read: the gather is a fresh copy.  An
+                    # uncached (over-budget) block is the decode's own.
+                    piece = rows[:, lo:hi] if positions is None else rows[positions, lo:hi]
+                    np.divide(power_col, piece, out=piece)
+                    if fade is not None:
+                        np.multiply(piece, fade[:, lo:hi], out=piece)
+                    return decode_received(piece, params, None, decoded_only)
+
+                bounds = slab_bounds(n, 8 * tx.size)
+                if len(bounds) == 1:
+                    return decode(0, n)
+                parts: dict[int, DecodeTriple] = {}
+
+                def write(lo: int, hi: int) -> None:
+                    parts[lo] = decode(lo, hi)
+
+                run_slabs(write, bounds)
+                slabs = [parts[lo] for lo, _ in bounds]
+                best, sinr, ok = (np.concatenate(column) for column in zip(*slabs))
+                return best, sinr, ok
+            if whole_rows:
+                received = state.attenuation_matrix(params.alpha).take(tx, axis=0)[:, :n]
+                np.divide(power_col, received, out=received)
+            else:
+                attenuation = cache.attenuation_block(params.alpha, tx, rx, workspace=workspace)
+                if workspace is None:
+                    received = np.divide(power_col, attenuation, out=attenuation)
+                else:
+                    received = workspace.floats("decode.received", *attenuation.shape)
+                    np.divide(power_col, attenuation, out=received)
+            if fade is not None:
+                np.multiply(received, fade, out=received)
+            return _decode_received(received, params, workspace, decoded_only)
 
     def resolve_indices_many(
         self,
@@ -485,15 +442,12 @@ class Channel:
         return best, sinr, ok
 
 
-#: The raw kernels a :meth:`Channel._decode_rows` slab runs.  Kernel timers
-#: rebind the module and class attributes to wrappers; a slab body, which
-#: may run on a pool thread, calls the functions themselves, so telemetry is
-#: recorded only on the calling thread (around ``_decode_rows``).
-_SLAB_KERNELS = (
-    Channel.__dict__["_received_from_attenuation"].__func__,
-    Channel.__dict__["_apply_fade"].__func__,
-    _decode_received,
-)
+#: The raw decode kernel a :meth:`Channel._decode_block` slab runs.  Kernel
+#: timers rebind the module attribute to a wrapper; a slab body, which may run
+#: on a pool thread, calls the function itself (held in a tuple, which the
+#: timers leave alone), so telemetry is recorded only on the calling thread,
+#: around ``_decode_block``.
+_SLAB_KERNELS = (_decode_received,)
 
 
 class CachedChannel(Channel):
@@ -576,8 +530,9 @@ class CachedChannel(Channel):
         tx = np.array([index(node_id) for node_id in sender_ids], dtype=np.intp)
         rx = np.array([index(node_id) for node_id in listening], dtype=np.intp)
         best, _, ok = self.resolve_indices(tx, rx, power_array, slot=slot, _decoded_only=True)
-        winners = best.tolist()
-        return {listening[j]: sender_ids[winners[j]] for j in ok.nonzero()[0].tolist()}
+        return {
+            listening[j]: sender_ids[w] for j, w in zip(ok.nonzero()[0].tolist(), best.tolist())
+        }
 
     def resolve_indices(
         self,
@@ -591,14 +546,9 @@ class CachedChannel(Channel):
         _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index-array fast path; indices address this channel's own cache."""
-        return super().resolve_indices(
-            tx_indices,
-            rx_indices,
-            powers,
-            self.cache if cache is None else cache,
-            slot,
-            workspace=workspace,
-            _decoded_only=_decoded_only,
+        cache = self.cache if cache is None else cache
+        return self._decode_block(
+            cache, tx_indices, rx_indices, powers, slot, workspace, _decoded_only
         )
 
     def resolve_indices_full(
@@ -612,14 +562,8 @@ class CachedChannel(Channel):
         _decoded_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whole-universe fast path; indices address this channel's own cache."""
-        return super().resolve_indices_full(
-            tx_indices,
-            powers,
-            self.cache if cache is None else cache,
-            slot,
-            workspace=workspace,
-            _decoded_only=_decoded_only,
-        )
+        cache = self.cache if cache is None else cache
+        return self._decode_block(cache, tx_indices, None, powers, slot, workspace, _decoded_only)
 
     def resolve_indices_many(
         self,

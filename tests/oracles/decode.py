@@ -31,7 +31,10 @@ def decode_reference(
     for j, listener in enumerate(active_listeners):
         signals = received[:, j]
         best = int(np.argmax(signals))
-        interference = total[j] - signals[best]
+        with np.errstate(invalid="ignore"):
+            # A colocated transmitter's inf signal: inf - inf is the NaN
+            # that decodes nothing.
+            interference = total[j] - signals[best]
         if interference <= 0:
             sinr = np.inf
         else:

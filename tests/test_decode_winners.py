@@ -8,8 +8,11 @@ on the dense and the tiled store (the latter with a row budget small enough
 to evict), on a channel whose cache is the program's node order and on one
 that holds the nodes permuted among extra ones, under no fading, static
 shadowing and per-slot Rayleigh fading, with crashed nodes and a listener
-colocated with a transmitter.  The public index decodes still return a
-winner in every column.
+colocated with a transmitter.  The whole-universe decode's own
+``(ok, winner)`` is held to the same loop on both stores, for one
+transmitter, two nodes, a colocated column and each gain model, with and
+without noise.  The public index decodes still return a winner in every
+column.
 
 The tiled store's row cache is pinned here too: rows equal the dense
 gather and misses follow ``FifoRowModel`` under repeats, oversize requests
@@ -180,6 +183,43 @@ class TestSimulatorWinners:
             assert program.heard[slot] == want
 
 
+#: Folded-decode cases: (nodes, transmitter positions, last node on the first).
+FOLD_CASES = {
+    "one transmitter": (6, [2], False),
+    "two nodes": (2, [1], False),
+    "colocated column": (7, [0, 3], True),
+    "crowd": (12, [0, 2, 5, 7, 9], False),
+}
+
+
+class TestFoldedDecodeMatchesReference:
+    @pytest.mark.parametrize("store", STORES)
+    @pytest.mark.parametrize("gain", sorted(GAIN_MODELS))
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_decoded_winners_are_the_seed_loops(self, store, gain, noise, case):
+        n, tx, colocated = FOLD_CASES[case]
+        rng = np.random.default_rng(n * len(tx))
+        xy = rng.uniform(0.0, 8.0, size=(n, 2))
+        if colocated:
+            xy[-1] = xy[0]
+        nodes = [Node(100 + i, Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+        params = SINRParameters(alpha=3.0, beta=1.0, noise=noise, gain_model=GAIN_MODELS[gain])
+        channel = _channel(params, nodes, store=store, view="contiguous", rng=rng)
+        tx = np.array(tx, dtype=np.intp)
+        powers = rng.uniform(0.5, 4.0, size=tx.size)
+        best, _, ok = channel.resolve_indices_full(tx, powers, slot=3, _decoded_only=True)
+        # A transmitter's own column never decodes: the engines rely on it.
+        assert not ok[tx].any()
+        got = sorted(zip(ok.nonzero()[0].tolist(), tx[best].tolist()))
+        want = _expected(nodes, tx, powers, np.zeros(n, dtype=bool), params, 3)
+        assert got == want and got
+        # The public form picks the same winners in the decoding columns.
+        every, _, every_ok = channel.resolve_indices_full(tx, powers, slot=3)
+        assert np.array_equal(every_ok, ok)
+        assert np.array_equal(every[ok], best)
+
+
 class TestPublicDecodeKeepsEveryWinner:
     @pytest.mark.parametrize("store", STORES)
     def test_every_column_has_its_argmax(self, store, rng):
@@ -196,11 +236,11 @@ class TestPublicDecodeKeepsEveryWinner:
         rx = np.arange(30, dtype=np.intp)
         best, _, _ = channel.resolve_indices(tx, rx, powers)
         assert np.array_equal(best, want)
-        # The engines' private form agrees wherever a listener decodes.
+        # The engines' private form keeps the winners of the decoding
+        # listeners alone, in order.
         best, _, only = channel.resolve_indices_full(tx, powers, _decoded_only=True)
         assert np.array_equal(only, ok)
-        assert np.array_equal(best[ok], want[ok])
-        assert not best[~ok].any()
+        assert np.array_equal(best, want[ok])
 
 
 class TestRowCacheUnderTinyBudget:

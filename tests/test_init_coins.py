@@ -3,7 +3,8 @@
 ``_CoinStreams`` reads each node's block from ``bit_generator.random_raw``
 and converts it with ``Generator.random``'s formula.  Every coin it hands
 out must equal the scalar ``random()`` the node's own generator would give,
-through several refills and with every node's cursor at a different place.
+through several refills and with every node's cursor at a different place,
+also in one draw where some rows cross the refill edge and others do not.
 """
 
 from __future__ import annotations
@@ -47,3 +48,21 @@ def test_empty_draw_moves_no_cursor():
     twin = spawn_agent_rngs(np.random.default_rng(5), 3)[1]
     assert streams.draw(np.zeros(0, dtype=np.intp)).size == 0
     assert streams.draw(np.array([1])).tolist() == [twin.random()]
+
+
+def test_one_draw_refills_only_its_spent_rows():
+    streams = _CoinStreams(spawn_agent_rngs(np.random.default_rng(11), 4))
+    twins = spawn_agent_rngs(np.random.default_rng(11), 4)
+    # Nodes 0 and 2 spend their whole block, node 3 all but its last coin,
+    # node 1 three coins.
+    for i, count in ((0, _COIN_BLOCK), (1, 3), (2, _COIN_BLOCK), (3, _COIN_BLOCK - 1)):
+        for _ in range(count):
+            assert streams.draw(np.array([i])).tolist() == [twins[i].random()]
+    # A spent row is refilled on its next draw, not when it runs out.
+    assert streams._bits[0].state == twins[0].bit_generator.state
+    # One draw: rows 0 and 2 cross the refill edge, rows 1 and 3 do not.
+    pos = np.array([3, 0, 1, 2])
+    assert streams.draw(pos).tolist() == [twins[i].random() for i in pos.tolist()]
+    # Row 3 crosses in the next one.
+    pos = np.array([2, 3, 1, 0])
+    assert streams.draw(pos).tolist() == [twins[i].random() for i in pos.tolist()]

@@ -144,7 +144,8 @@ class TestDecodeParity:
         for j in range(dist.shape[1]):
             signals = received[:, j]
             expected_best = int(np.argmax(signals))
-            interference = total[j] - signals[expected_best]
+            with np.errstate(invalid="ignore"):  # inf - inf beside a colocated transmitter
+                interference = total[j] - signals[expected_best]
             expected_sinr = np.inf if interference <= 0 else float(signals[expected_best] / interference)
             assert int(best[j]) == expected_best
             assert (np.isnan(sinr[j]) and np.isnan(expected_sinr)) or sinr[j] == expected_sinr
