@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.geometry import deployment_by_name
-from repro.runtime import Simulator, spawn_agent_rngs
+from repro.runtime import Simulator
 from repro.sinr import CachedChannel, Channel, SINRParameters
 from tests.beacon import BeaconAgent, BeaconProgram
 from tests.oracles import LegacySimulator, decode_reference
@@ -38,15 +38,32 @@ PERIOD = 8
 
 
 class SeedDecodeChannel(CachedChannel):
-    """The PR-1 channel: cached node distances, per-listener decode loop.
+    """The seed channel: cached node distances, per-listener decode loop.
 
     Subclassing :class:`CachedChannel` keeps the baseline honest - the seed
     path already sliced a precomputed distance matrix; only the decode loop
-    and the object marshalling were scalar.
+    and the object marshalling were scalar.  ``oracle_calls`` counts the
+    slots decoded by ``decode_reference``.
     """
 
-    def _decode(self, transmissions, active_listeners, dist, powers):
-        return decode_reference(transmissions, active_listeners, dist, powers, self.params)
+    __slots__ = ("oracle_calls",)
+
+    def __init__(self, params, nodes):
+        super().__init__(params, nodes)
+        self.oracle_calls = 0
+
+    def resolve(self, transmissions, listeners, slot=None):
+        busy = {t.sender.id for t in transmissions}
+        active = [node for node in listeners if node.id not in busy]
+        if not transmissions or not active:
+            return {}
+        index = self.cache.index_of_id
+        tx = [index(t.sender.id) for t in transmissions]
+        rx = [index(node.id) for node in active]
+        dist = self.cache.distance_matrix()[np.ix_(tx, rx)]
+        powers = np.array([t.power for t in transmissions], dtype=float)
+        self.oracle_calls += 1
+        return decode_reference(transmissions, active, dist, powers, self.params)
 
 
 def _nodes():
@@ -62,11 +79,14 @@ def _run_fast(params: SINRParameters, slots: int):
 
 def _run_seed(params: SINRParameters, slots: int):
     nodes = _nodes()
-    rngs = spawn_agent_rngs(np.random.default_rng(6), N_AGENTS)
+    rngs = np.random.default_rng(6).spawn(N_AGENTS)
     power = params.min_power_for(1.5)
     agents = [BeaconAgent(node, rng, power, period=PERIOD) for node, rng in zip(nodes, rngs)]
-    simulator = LegacySimulator(agents, SeedDecodeChannel(params, nodes))
+    channel = SeedDecodeChannel(params, nodes)
+    simulator = LegacySimulator(agents, channel)
     simulator.run(slots)
+    # Every slot has beacons and listeners, so each one ran the oracle loop.
+    assert channel.oracle_calls == slots
     return simulator.trace, [len(agent.heard) for agent in agents]
 
 

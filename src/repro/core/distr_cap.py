@@ -9,7 +9,9 @@ is a slot-pair:
 
 * **slot 1**: the already-selected set ``T'`` transmits with *linear* power;
   candidate links of the current class transmit with probability ``p``, also
-  with linear power.  A candidate's receiver records a success when the
+  with linear power.  A candidate's coin is the counter hash of its
+  ``(sender id, receiver id, slot)`` under the run's seed
+  (:mod:`repro.coins`).  A candidate's receiver records a success when the
   affectance it measures (from everything else transmitting) is at most
   ``tau / 4`` - a quantity the receiver can derive from the interference power
   it observes, its link length and the globally known power scheme.
@@ -37,6 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..coins import _hash_from, _hash_u64, _uniform_cut, seed_word
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError
 from ..geometry import nodes_to_array
@@ -46,6 +49,9 @@ from ..state import DecodeWorkspace, NetworkState
 from .power_solver import is_power_controllable
 
 __all__ = ["DistrCapResult", "DistrCapSelector", "PhaseSeam"]
+
+#: Stream tag of the candidates' forward-slot coins.
+_DISTR_CAP_STREAM = 0x44434150
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,7 @@ class DistrCapSelector:
 
         Args:
             candidates: candidate links (typically ``T(M)``).
-            rng: source of randomness.
+            rng: source of the run's seed word.
             link_rounds: optional mapping from link endpoint ids to the
                 ``Init`` round in which the link was formed; links formed in
                 the same round share a length class and are processed in the
@@ -224,11 +230,15 @@ class DistrCapSelector:
         # One node-geometry store for the whole run, shared by every phase
         # slot's LinkArrayCache (over its oriented sub-universe).
         state = _geometry_state(link_list, state)
+        # A candidate's coin hashes its ids once; each phase slot folds in one word.
+        ids = [link.endpoint_ids for link in link_list]
+        hashes = _hash_u64(_DISTR_CAP_STREAM, seed_word(rng), *np.array(ids, dtype=np.int64).T)
+        keys = dict(zip(ids, hashes.tolist()))
         linear = LinearPower.for_noise(self.params)
         phases = self._partition_into_phases(link_list, link_rounds)
         tau = self.constants.distr_cap_tau
         gamma = self.constants.duality_gamma
-        probability = self.constants.selection_probability
+        cut = _uniform_cut(self.constants.selection_probability)
 
         selected: list[Link] = []
         used_nodes: set[int] = set()
@@ -240,16 +250,20 @@ class DistrCapSelector:
             standing = seam.stand(eligible, forward_slot)
             if not standing:
                 continue
+            own = np.array([keys[link.endpoint_ids] for link in standing], dtype=np.uint64)
+            heads = (_hash_from(own, forward_slot) < cut).tolist()
+            attempting = [link for link, head in zip(standing, heads) if head]
             survivors = self._phase_slot(
-                standing, selected, linear, rng, probability, tau / 4.0, state, forward=True
+                attempting, selected, linear, tau / 4.0, state, forward=True
             )
             if not survivors:
                 continue
             standing = seam.stand(survivors, forward_slot + 1)
             if not standing:
                 continue
+            # Every survivor checks its dual: no coin.
             winners = self._phase_slot(
-                standing, selected, linear, rng, 1.0, gamma * tau / 4.0, state, forward=False
+                standing, selected, linear, gamma * tau / 4.0, state, forward=False
             )
             if not winners:
                 continue
@@ -288,25 +302,22 @@ class DistrCapSelector:
 
     def _phase_slot(
         self,
-        candidates: Sequence[Link],
+        attempting: Sequence[Link],
         selected: Sequence[Link],
         linear: LinearPower,
-        rng: np.random.Generator,
-        probability: float,
         threshold: float,
         state: NetworkState,
         *,
         forward: bool,
     ) -> list[Link]:
-        """One slot of a phase; returns the candidates whose check passed.
+        """One slot of a phase; returns the attempting links whose check passed.
 
-        In the forward slot the candidates and the selected set transmit in
-        their link direction; in the dual slot both transmit in the reverse
-        direction.  A candidate passes when the affectance measured at the
-        receiving endpoint (from every other transmitter in the slot) is at
-        most ``threshold``.
+        In the forward slot the attempting links and the selected set
+        transmit in their link direction; in the dual slot both transmit in
+        the reverse direction.  A link passes when the affectance measured
+        at the receiving endpoint (from every other transmitter in the slot)
+        is at most ``threshold``.
         """
-        attempting = [link for link in candidates if rng.random() < probability]
         if not attempting:
             return []
 

@@ -10,7 +10,8 @@ the same SINR channel as everything else:
 
 * time is divided into *frames* of two slots (data + acknowledgment);
 * every unscheduled link transmits in a frame with its current probability,
-  using its assigned power; the receiver answers successful data with an
+  using its assigned power (a sender with several heads sends on the one
+  with the smallest tie hash); the receiver answers successful data with an
   acknowledgment at the same power;
 * a link whose data **and** acknowledgment both succeed adopts the current
   frame index as its slot and stops contending; the others adjust their
@@ -21,6 +22,10 @@ the same SINR channel as everything else:
 The resulting slot groups are feasible by construction: the links that
 succeeded together in a frame succeeded in the presence of *more* interference
 than the final schedule will ever have.
+
+A link's coins in frame ``f`` are the counter hashes of its ``(sender id,
+receiver id, f)`` under the call's seed, one stream for the attempt and one
+for the tie (:mod:`repro.coins`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..coins import _hash_u64, _mix, _uniform_open, seed_word
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConvergenceError
 from ..links import Link, LinkSet
@@ -39,6 +45,10 @@ from ..state import NetworkState
 from .schedule import Schedule
 
 __all__ = ["DistributedScheduler", "DistributedScheduleResult"]
+
+#: Stream tags of a link's attempt coin and of its tie hash.
+_ATTEMPT_STREAM = 0x53434844
+_TIE_STREAM = 0x54494553
 
 
 @dataclass(frozen=True)
@@ -57,28 +67,6 @@ class DistributedScheduleResult:
     frames_elapsed: int
     slots_elapsed: int
     power: PowerAssignment
-
-
-class _LinkContender:
-    """Per-link contention state (conceptually owned by the link's sender)."""
-
-    __slots__ = ('index', 'link', 'power', 'probability', 'rng', 'scheduled_frame')
-
-    def __init__(self, link: Link, probability: float, rng: np.random.Generator, index: int):
-        self.link = link
-        self.probability = probability
-        self.rng = rng
-        self.scheduled_frame: int | None = None
-        # Position in the scheduler's contender arrays (sender/receiver cache
-        # indices, powers), fixed for the whole run.
-        self.index = index
-        # Transmit power, fixed for the whole run; filled in by the scheduler
-        # so the per-frame hot loop does not re-evaluate the assignment.
-        self.power: float = 1.0
-
-    @property
-    def done(self) -> bool:
-        return self.scheduled_frame is not None
 
 
 class DistributedScheduler:
@@ -128,7 +116,7 @@ class DistributedScheduler:
         Args:
             links: the links to schedule.
             power: oblivious (or explicit) power assignment used by the links.
-            rng: source of randomness.
+            rng: source of the call's seed word.
             max_frames: frame budget; defaults to ``200 * max(8, len(links))``.
 
         Raises:
@@ -141,56 +129,54 @@ class DistributedScheduler:
             max_frames = 200 * max(8, len(link_list))
 
         base = self.constants.scheduling_base_probability
-        contenders = [
-            _LinkContender(link, base, np.random.default_rng(int(seed)), index)
-            for index, (link, seed) in enumerate(
-                zip(link_list, rng.integers(0, 2**63 - 1, size=len(link_list), dtype=np.int64))
-            )
-        ]
-        for contender in contenders:
-            contender.power = power.power(contender.link)
+        seed = seed_word(rng)
+        senders, receivers = np.array([link.endpoint_ids for link in link_list], dtype=np.int64).T
+        attempt_keys = _hash_u64(_ATTEMPT_STREAM, seed, senders, receivers)
+        tie_keys = _hash_u64(_TIE_STREAM, seed, senders, receivers)
+        probability = np.full(len(link_list), base)
+        waiting = np.ones(len(link_list), dtype=bool)
         # The frame simulation runs on a fixed node universe (the link
         # endpoints), so one NetworkState owns the node-to-node geometry and
         # every frame is resolved on index arrays against it (no
         # Transmission/Reception marshalling).
         channel = CachedChannel(self.params, state=NetworkState.for_links(link_list))
         cache = channel.cache
-        sender_idx = np.array(
-            [cache.index_of_id(c.link.sender.id) for c in contenders], dtype=np.intp
-        )
-        receiver_idx = np.array(
-            [cache.index_of_id(c.link.receiver.id) for c in contenders], dtype=np.intp
-        )
-        power_arr = np.array([c.power for c in contenders], dtype=float)
+        sender_idx = np.array([cache.index_of_id(i) for i in senders.tolist()], dtype=np.intp)
+        receiver_idx = np.array([cache.index_of_id(i) for i in receivers.tolist()], dtype=np.intp)
+        power_arr = np.array([power.power(link) for link in link_list], dtype=float)
         ensure_positive_powers(power_arr)
         schedule = Schedule()
         frames = 0
-        remaining = len(contenders)
 
-        while remaining > 0 and frames < max_frames:
+        while waiting.any() and frames < max_frames:
             frames += 1
-            attempts = self._choose_attempts(contenders)
-            if not attempts:
+            # A link attempts when its coin is heads; a radio sends one
+            # message per slot, so each sender keeps its smallest tie hash.
+            frame = np.uint64(frames)
+            heads = waiting & (_uniform_open(_mix(attempt_keys ^ frame)) < probability)
+            attempts = heads.nonzero()[0]
+            if not attempts.size:
                 continue
+            ties = _mix(tie_keys[attempts] ^ frame)
+            attempts = attempts[np.lexsort((ties, senders[attempts]))]
+            by_sender = senders[attempts]
+            attempts = np.sort(attempts[np.append(True, by_sender[1:] != by_sender[:-1])])
             # Frames are slot pairs: data at 2*(frame-1), ack right after
             # (slot-dependent gain models draw fresh fades per physical slot).
             first_slot = 2 * (frames - 1)
-            successful = self._run_frame_indices(
+            won = self._run_frame_indices(
                 attempts, channel, sender_idx, receiver_idx, power_arr, first_slot
             )
-            for contender in attempts:
-                if contender in successful:
-                    contender.scheduled_frame = frames - 1
-                    schedule.assign(contender.link, frames - 1)
-                    remaining -= 1
-                else:
-                    contender.probability = max(
-                        self.min_probability, contender.probability * self.decay
-                    )
-            for contender in contenders:
-                if not contender.done and contender not in attempts:
-                    contender.probability = min(base, contender.probability * self.recovery)
+            for index in attempts[won].tolist():
+                schedule.assign(link_list[index], frames - 1)
+            waiting[attempts[won]] = False
+            failed = attempts[~won]
+            probability[failed] = np.maximum(self.min_probability, probability[failed] * self.decay)
+            idle = waiting.copy()
+            idle[attempts] = False
+            probability[idle] = np.minimum(base, probability[idle] * self.recovery)
 
+        remaining = int(np.count_nonzero(waiting))
         if remaining > 0:
             raise ConvergenceError(
                 f"{remaining} of {len(link_list)} links unscheduled after {max_frames} frames"
@@ -204,33 +190,16 @@ class DistributedScheduler:
 
     # -- internals ----------------------------------------------------------
 
-    def _choose_attempts(self, contenders: Sequence[_LinkContender]) -> list[_LinkContender]:
-        """Pick this frame's transmitting links, one per sender node at most."""
-        by_sender: dict[int, _LinkContender] = {}
-        for contender in contenders:
-            if contender.done:
-                continue
-            if contender.rng.random() >= contender.probability:
-                continue
-            sender_id = contender.link.sender.id
-            if sender_id in by_sender:
-                # A radio sends one message per slot; keep one attempt per sender.
-                if contender.rng.random() < 0.5:
-                    by_sender[sender_id] = contender
-            else:
-                by_sender[sender_id] = contender
-        return list(by_sender.values())
-
     def _run_frame_indices(
         self,
-        attempts: Sequence[_LinkContender],
+        attempts: np.ndarray,
         channel: CachedChannel,
         sender_idx: np.ndarray,
         receiver_idx: np.ndarray,
         power_arr: np.ndarray,
         first_slot: int = 0,
-    ) -> set[_LinkContender]:
-        """Run the data + acknowledgment slots; return the fully successful links.
+    ) -> np.ndarray:
+        """Run the data + acknowledgment slots; per attempt, whether it fully succeeded.
 
         Both slots are resolved through
         :meth:`~repro.sinr.channel.CachedChannel.resolve_indices`; a link
@@ -240,10 +209,10 @@ class DistributedScheduler:
         exactly as ``Channel.resolve`` does: a listener that is also
         transmitting in the slot hears nothing.
         """
-        rows = np.array([c.index for c in attempts], dtype=np.intp)
-        tx = sender_idx[rows]
-        rx = receiver_idx[rows]
-        pw = power_arr[rows]
+        tx = sender_idx[attempts]
+        rx = receiver_idx[attempts]
+        pw = power_arr[attempts]
+        won = np.zeros(attempts.size, dtype=bool)
 
         # Data slot: all attempt senders transmit; receivers that are
         # themselves transmitting are busy and cannot listen.
@@ -251,7 +220,7 @@ class DistributedScheduler:
         best, _, ok = channel.resolve_indices(tx, rx[listening], pw, slot=first_slot)
         data_ok = listening[ok & (best == listening)]
         if data_ok.size == 0:
-            return set()
+            return won
 
         # Acknowledgment slot: the receivers of successful data answer on the
         # dual link with the same power; the original senders listen (unless
@@ -264,5 +233,5 @@ class DistributedScheduler:
         ack_best, _, ack_ok = channel.resolve_indices(
             ack_tx, ack_rx[ack_listening], pw[data_ok], slot=first_slot + 1
         )
-        final = data_ok[ack_listening[ack_ok & (ack_best == ack_listening)]]
-        return {attempts[int(i)] for i in final}
+        won[data_ok[ack_listening[ack_ok & (ack_best == ack_listening)]]] = True
+        return won

@@ -30,9 +30,13 @@ arrays and each slot is one NumPy step over the whole node set.
 :class:`InitialTreeBuilder` steps it with the lockstep
 :class:`~repro.runtime.Simulator`; ``repro.netsim``'s builder steps the same
 program over a lossy transport, through its crash and recovery hooks and its
-handling of delayed messages.  Every node draws its coins from its own
-stream, so runs are reproducible bit for bit; the test suite keeps a per-node
-state machine of the protocol as the oracle both builders are pinned to.
+handling of delayed messages.  A node's coin in slot ``t`` is the counter
+hash of ``(_INIT_STREAM, seed, node id, t)`` (:mod:`repro.coins`) for one
+seed word read from the builder's generator, so it depends on no polling
+order; the program hashes each round's coins in one table when the round
+opens.  Runs are reproducible bit for bit; the test suite keeps a per-node
+state machine of the protocol, flipping the same coins one at a time, as the
+oracle both builders are pinned to.
 """
 
 from __future__ import annotations
@@ -40,14 +44,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..coins import _hash_u64, _mix, _uniform_cut, seed_word
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError, ProtocolError
 from ..geometry import Node, nodes_to_array
-from ..runtime import ExecutionTrace, LockstepProgram, Simulator, spawn_agent_rngs
+from ..runtime import ExecutionTrace, LockstepProgram, Simulator
 from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
 from ..state import NetworkState
 from .bitree import BiTree
@@ -61,11 +66,9 @@ __all__ = [
     "validate_init_nodes",
 ]
 
-#: Coins pre-drawn per node each time the array engine refills its stream.
-_COIN_BLOCK = 64
-
-#: Sentinel after each node's coins: a coin is below 1, so it marks a spent row.
-_SPENT = 2.0
+#: Stream tag of Init's coins: node ``i``'s coin in slot ``t`` is the hash of
+#: ``(_INIT_STREAM, seed, id_i, t)`` (:mod:`repro.coins`).
+_INIT_STREAM = 0x494E4954
 
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
@@ -149,49 +152,6 @@ class InitState:
         )
 
 
-class _CoinStreams:
-    """Every node's private coin stream, read from pre-drawn blocks.
-
-    A coin is ``Generator.random()``'s double: the top 53 bits of one raw
-    64-bit word of the node's bit generator, ``(x >> 11) * 2**-53``.  Row
-    ``i`` of the block holds node ``i``'s next raw words
-    (``bit_generator.random_raw``), converted at once, then the sentinel
-    ``_SPENT`` (no coin reaches 1).  The block is kept flat and each node's
-    cursor is a flat index, so a draw is one gather; reading row ``i`` in
-    order replays exactly the coins node ``i`` would draw one at a time.  A
-    row is refilled only when its cursor reaches the sentinel.
-    """
-
-    __slots__ = ("_bits", "_rows", "_flat", "_cursor")
-
-    def __init__(self, rngs: Sequence[np.random.Generator]):
-        self._bits = [rng.bit_generator for rng in rngs]
-        n = len(self._bits)
-        self._rows = np.full((n, _COIN_BLOCK + 1), _SPENT)
-        self._rows[:, :_COIN_BLOCK] = self._raw_coins(range(n))
-        self._flat = self._rows.reshape(-1)
-        self._cursor = np.arange(n, dtype=np.intp) * (_COIN_BLOCK + 1)
-
-    def _raw_coins(self, rows: Iterable[int]) -> np.ndarray:
-        """The next block of coins of each node in ``rows``, one row each."""
-        raw = np.array([self._bits[i].random_raw(_COIN_BLOCK) for i in rows], dtype=np.uint64)
-        raw >>= np.uint64(11)
-        return raw.reshape(-1, _COIN_BLOCK) * 2.0**-53
-
-    def draw(self, pos: np.ndarray) -> np.ndarray:
-        """One coin for each node position in ``pos`` (distinct positions)."""
-        at = self._cursor[pos]
-        coins = self._flat[at]
-        spent = coins == _SPENT
-        if np.count_nonzero(spent):
-            rows = pos[spent]
-            self._rows[rows, :_COIN_BLOCK] = self._raw_coins(rows.tolist())
-            at[spent] = rows * (_COIN_BLOCK + 1)
-            coins[spent] = self._flat[at[spent]]
-        self._cursor[pos] = at + 1
-        return coins
-
-
 class _InitProgram(LockstepProgram):
     """``Init`` as an array program: one NumPy step per slot.
 
@@ -213,17 +173,26 @@ class _InitProgram(LockstepProgram):
         node_list: Sequence[Node],
         params: SINRParameters,
         constants: AlgorithmConstants,
-        rngs: Sequence[np.random.Generator],
+        seed: int,
     ):
         n = len(node_list)
         self.nodes = node_list
         self.params = params
-        self.p_broadcast = constants.broadcast_probability
-        self.p_ack = constants.ack_probability
         self.xs = [node.x for node in node_list]
         self.ys = [node.y for node in node_list]
-        self.coins = _CoinStreams(rngs)
         self.state = InitState.fresh(n)
+        #: each node's coin key, the hash of ``(_INIT_STREAM, seed, id)``.
+        ids = np.array([node.id for node in node_list], dtype=np.int64)
+        self._keys = _hash_u64(_INIT_STREAM, seed, ids)
+        #: heads bounds of a round's rows: broadcast and ack slots alternate.
+        p_broadcast, p_ack = constants.broadcast_probability, constants.ack_probability
+        cuts = [_uniform_cut(p_broadcast), _uniform_cut(p_ack)] * constants.slot_pairs_per_round(n)
+        self._cuts = np.array(cuts, dtype=np.uint64)[:, None]
+        #: the round's coins: row ``t`` is slot ``_first_slot + t``, column
+        #: ``_column[i]`` node position ``i``.
+        self._coins = np.zeros((0, 0), dtype=bool)
+        self._first_slot = 0
+        self._column = np.zeros(n, dtype=np.intp)
         self._round = 0
         self._powers = np.empty(n)
         self._lower = self._upper = 0.0
@@ -246,20 +215,32 @@ class _InitProgram(LockstepProgram):
     def active_count(self) -> int:
         return int(np.count_nonzero(self.state.active))
 
-    def begin_round(self, round_index: int) -> None:
-        """Set the fixed power and the length class of round ``round_index``."""
+    def begin_round(self, round_index: int, slot: int) -> None:
+        """Open round ``round_index`` at ``slot`` (a broadcast slot).
+
+        Sets the round's fixed power and length class, and flips every coin
+        of the round in one table: a column per node active now (the active
+        set only shrinks), heads when the node's hash of the slot is below
+        the broadcast or ack bound.
+        """
         self._round = round_index
         self._powers.fill(round_power(round_index, self.params))
         self._lower, self._upper = 2.0 ** (round_index - 1), 2.0**round_index
+        active = self.state.active.nonzero()[0]
+        self._column[active] = np.arange(active.size)
+        slots = np.arange(slot, slot + self._cuts.size, dtype=np.uint64)[:, None]
+        self._coins = _mix(self._keys[active] ^ slots) < self._cuts
+        self._first_slot = slot
 
     def transmit(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
         state = self.state
+        coins = self._coins[slot - self._first_slot]
         if slot % 2 == 0:
             # Broadcast slot: every active node that is up flips its
             # broadcast coin.
             up = state.active if self._down is None else state.active & ~self._down
             active = up.nonzero()[0]
-            broadcasters = active[self.coins.draw(active) < self.p_broadcast]
+            broadcasters = active[coins[self._column[active]]]
             self._broadcasters = broadcasters
             self._stale_hello = False
             return broadcasters, self._powers[: broadcasters.size]
@@ -281,7 +262,7 @@ class _InitProgram(LockstepProgram):
                 for a, b in zip(ackers.tolist(), targets.tolist())
             ]
             ackers, targets = ackers[in_class], targets[in_class]
-            acks = self.coins.draw(ackers) < self.p_ack
+            acks = coins[self._column[ackers]]
             ackers, targets = ackers[acks], targets[acks]
             # An acker stores the link whether or not its ack gets through.
             self._links.append((ackers, targets))
@@ -520,7 +501,7 @@ class InitialTreeBuilder:
 
         Args:
             nodes: the nodes to connect.
-            rng: source of every node's coin stream.
+            rng: source of the one seed word every node's coins hash.
             state: the geometry store to decode from; it must hold exactly
                 ``nodes``, in order (e.g. a :meth:`NetworkState.subset` of a
                 larger run's store).  By default one is built over ``nodes``
@@ -562,9 +543,7 @@ class InitialTreeBuilder:
         delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
-        program = _InitProgram(
-            node_list, self.params, self.constants, spawn_agent_rngs(rng, len(node_list))
-        )
+        program = _InitProgram(node_list, self.params, self.constants, seed_word(rng))
         simulator = Simulator(program, CachedChannel(self.params, state=state))
         step = simulator.step
 
@@ -579,7 +558,7 @@ class InitialTreeBuilder:
                 if sweep > 0 and program.active_count() <= 1:
                     break
                 rounds_used += 1
-                program.begin_round(round_index)
+                program.begin_round(round_index, simulator.current_slot)
                 broadcast = f"init:sweep{sweep}:round{round_index}:broadcast"
                 ack = f"init:sweep{sweep}:round{round_index}:ack"
                 for _ in range(pairs_per_round):

@@ -10,7 +10,9 @@ The implementation runs the sampling as a real slot-pair on the SINR channel:
 a data slot in which every sampled link transmits with mean power, and an
 acknowledgment slot confirming to each sender whether its transmission got
 through (the paper notes this extra acknowledgment slot explicitly in the
-proof of Theorem 16).
+proof of Theorem 16).  A link's sampling coin in attempt ``k`` is the counter
+hash of its ``(sender id, receiver id, k)`` under the call's seed
+(:mod:`repro.coins`).
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
+from ..coins import _hash_from, _hash_u64, _uniform_cut, seed_word
 from ..links import Link, LinkSet
 from ..sinr import CachedChannel, MeanPower, PowerAssignment, SINRParameters
 from ..state import TiledNetworkState
 from .quantities import upsilon
 
 __all__ = ["MeanPowerSelectionResult", "MeanPowerSelector"]
+
+#: Stream tag of the links' sampling coins.
+_MEAN_POWER_STREAM = 0x4D504F57
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class MeanPowerSelector:
 
         Args:
             candidates: the candidate links (typically ``T(M)``).
-            rng: source of randomness.
+            rng: source of the call's seed word.
             n_hint: the network size used in the Upsilon estimate (defaults to
                 the number of candidate nodes).
             delta_hint: the distance ratio used in the Upsilon estimate
@@ -120,10 +126,14 @@ class MeanPowerSelector:
         # The slot pairs decode sender x receiver rectangles only, which a
         # tiled store computes from coordinates without an n x n matrix.
         channel = CachedChannel(self.params, state=TiledNetworkState.from_links(link_list))
+        ends = np.array([link.endpoint_ids for link in link_list], dtype=np.int64).T
+        keys = _hash_u64(_MEAN_POWER_STREAM, seed_word(rng), *ends)
+        cut = _uniform_cut(probability)
 
         slots_used = 0
         for attempt in range(1, max_attempts + 1):
-            sampled = [link for link in link_list if rng.random() < probability]
+            heads = (_hash_from(keys, attempt) < cut).tolist()
+            sampled = [link for link, head in zip(link_list, heads) if head]
             first_slot = slots_used  # data/ack slot indices for fading models
             slots_used += 2
             if not sampled:

@@ -2,9 +2,11 @@
 
 The repair protocol re-runs ``Init`` among the orphaned subtree roots only,
 so its slot cost should track the damage size ``k`` (roughly
-``O(log Delta * log k)``) and stay well below rebuilding from scratch.  This
-experiment kills ``k`` random non-root nodes for growing ``k``, repairs, and
-compares ``slots(repair)`` against ``slots(rebuild)``; a sustained-churn run
+``O(log Delta * log k)``) and stay below rebuilding from scratch on average:
+a patch's sweep costs no more than a rebuild's, but a small patch can need
+more sweeps, so some rows cost more.  This experiment kills ``k`` random
+non-root nodes for growing ``k``, repairs, and compares ``slots(repair)``
+against ``slots(rebuild)`` (summarised by their mean ratio); a sustained-churn run
 through the :class:`~repro.dynamics.simulator.DynamicSimulator` with a
 seeded :class:`~repro.dynamics.churn.ChurnProcess` (failures *and*
 arrivals) accumulates the same accounting across epochs.
@@ -81,7 +83,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     config = config or ExperimentConfig()
     result = ExperimentResult(
         experiment_id="E12",
-        title="Churn: incremental repair cost tracks the damage, not the network (repair < rebuild)",
+        title="Churn: incremental repair cost tracks the damage, not the network (mean repair < rebuild)",
     )
     outcomes = run_sweep(_trial, config)
     result.rows = [row for rows, _ in outcomes for row in rows]
@@ -92,8 +94,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         "mean_repair_slots_by_k": {
             entry["k"]: round(entry["repair_slots"], 1) for entry in by_k
         },
-        "all_repairs_cheaper_than_rebuild": all(
-            row["repair_slots"] < row["rebuild_slots"] for row in result.rows
+        "mean_repair_over_rebuild": round(
+            float(np.mean([row["repair_over_rebuild"] for row in result.rows])), 3
         ),
         "sustained_always_connected": all(entry["always_connected"] for entry in sustained),
         "mean_sustained_repair_slots_per_epoch": round(

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.repair import RepairResult, TreeRepairer
-from ..dynamics.gain import _hash_int
+from ..coins import _hash_int
 from ..exceptions import ConfigurationError, NodeCrashedError
 from ..obs.runtime import OBS
 from ..obs.spans import span
@@ -67,7 +67,7 @@ def election_priority(seed: int, node_id: int) -> tuple[float, int]:
     A pure function of ``(seed, node_id)`` - every node computes the same
     total order with zero messages, and the id tie-break makes it strict.
     """
-    # The uniform of gain._uniform_open, exact in float arithmetic on an int.
+    # The uniform of coins._uniform_open, exact in float arithmetic on an int.
     draw = ((_hash_int(_ELECTION_STREAM, seed, node_id) >> 11) + 1.0) * 2.0**-53
     return (draw, int(node_id))
 

@@ -4,7 +4,7 @@ A :class:`FaultPlan` bundles every way the transport can misbehave - per
 message Bernoulli drops, seeded latency distributions, node crash/recover
 windows and link partitions - behind pure functions of ``(seed, sender,
 receiver, slot)``.  All draws go through the same SplitMix64 counter hash the
-fading models use (see :mod:`repro.dynamics.gain`), never through a shared
+fading models and protocols use (see :mod:`repro.coins`), never through a shared
 RNG stream, so a fault trace is bit-reproducible regardless of query order,
 polling order, node subsets or worker count: the drop decision for message
 ``(u, v, t)`` is the same whether it is the first or the millionth question
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .._types import BoolArray, IntpArray
-from ..dynamics.gain import _hash_int, _hash_u64, _mix, _uniform_cut, _uniform_open, _word
+from ..coins import _hash_int, _hash_u64, _mix, _uniform_cut, _uniform_open, _word
 from ..exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -36,6 +36,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..coins import seed_word
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.bitree import BiTree
 from ..core.init_tree import (
@@ -51,7 +52,7 @@ from ..core.repair import TreeRepairer
 from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
 from ..geometry import Node
 from ..obs.spans import span
-from ..runtime import ExecutionTrace, spawn_agent_rngs
+from ..runtime import ExecutionTrace
 from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
 from ..state import NetworkState
 from .detector import HeartbeatDetector
@@ -204,9 +205,7 @@ class NetInitBuilder:
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
 
-        program = _InitProgram(
-            node_list, self.params, self.constants, spawn_agent_rngs(rng, len(node_list))
-        )
+        program = _InitProgram(node_list, self.params, self.constants, seed_word(rng))
         detector = HeartbeatDetector(
             [node.id for node in node_list],
             interval=1,
@@ -241,7 +240,7 @@ class NetInitBuilder:
                         if sweep > 0 and driver.remaining_active() <= 1:
                             break
                         rounds_used += 1
-                        program.begin_round(round_index)
+                        program.begin_round(round_index, sim.current_slot)
                         broadcast = f"init:sweep{sweep}:round{round_index}:broadcast"
                         ack = f"init:sweep{sweep}:round{round_index}:ack"
                         with span("init.round", sweep=sweep, round=round_index):

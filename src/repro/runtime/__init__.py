@@ -1,8 +1,8 @@
 """Distributed runtime: lockstep programs, the slotted simulator, traces.
 
-:func:`spawn_agent_rngs` children draw the streams of ``default_rng(seed)``,
-but a child's ``bit_generator.seed_seq`` holds only its hashed state: it
-cannot ``spawn``.
+The runtime draws no randomness.  A program's coins are counter hashes of
+``(stream tag, seed, node id, slot)`` (:mod:`repro.coins`), so they do not
+depend on the order the engine polls nodes in.
 """
 
 from typing import Any
@@ -11,7 +11,7 @@ from .._lazy import LazyExports
 
 _EXPORTS = LazyExports(__name__, {
     "agent": ("LockstepProgram",),
-    "simulator": ("Simulator", "spawn_agent_rngs"),
+    "simulator": ("Simulator",),
     "trace": ("ExecutionTrace", "SlotRecord"),
 })
 __all__ = _EXPORTS.names

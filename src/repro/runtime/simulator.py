@@ -20,11 +20,7 @@ parity oracle.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from ..exceptions import ProtocolError
 from ..obs.runtime import OBS
@@ -34,97 +30,10 @@ from ..sinr.channel import ensure_positive_powers
 from .agent import LockstepProgram
 from .trace import ExecutionTrace
 
-__all__ = ["Simulator", "spawn_agent_rngs"]
+__all__ = ["Simulator"]
 
 #: Positions of an empty slot (no transmitter, or no decode).
 _NO_IDS = np.zeros(0, dtype=np.intp)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k mod 2**32`` for ``k = 0 .. count``."""
-    values = [init]
-    for _ in range(count):
-        values.append(values[-1] * mult & 0xFFFFFFFF)
-    return np.array(values, dtype=np.uint32)
-
-
-# NumPy's ``SeedSequence`` hash (pool size 4).  Its hash constant advances
-# by one multiplication per hashed word whatever the word is, so every
-# step's constants are fixed: 16 pool hashes, then 8 output words.  Each
-# step hashes with (xor, mult) = (constant k, constant k + 1), one row per
-# pool word.
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)[:, None]
-_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)[:, None]
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-#: The other three pool words of each source word, in SeedSequence's order.
-_MIX_TARGETS = [[dst for dst in range(4) if dst != src] for src in range(4)]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> _SHIFT)
-
-
-def _seed_states(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed.
-
-    ``seeds`` are non-negative integers below ``2**64``; row ``k`` of the
-    C-contiguous ``(len(seeds), 4)`` uint64 result is seed ``k``'s state.
-    The entropy of a seed is its little-endian uint32 words, and the pool
-    hashes a missing word as 0, so every seed is hashed as two words.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    # Pool word w of every seed is row w.
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds
-    pool[1] = seeds >> np.uint64(32)
-    pool = _hashmix(pool, _POOL_HASH[:4], _POOL_HASH[1:5])
-    # Mix every word into the other three; the three targets of one source
-    # are independent, so they go together.
-    for src, dst in enumerate(_MIX_TARGETS):
-        k = 4 + 3 * src
-        hashed = _hashmix(pool[src], _POOL_HASH[k : k + 3], _POOL_HASH[k + 1 : k + 4])
-        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
-        pool[dst] = mixed ^ (mixed >> _SHIFT)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_HASH[:8], _OUT_HASH[1:9])
-    # Little-endian word pairs, whatever the host's byte order.
-    state = np.empty((seeds.size, 4), dtype=np.uint64)
-    state.T[:] = words[1::2]
-    state <<= np.uint64(32)
-    state.T[:] |= words[0::2]
-    return state
-
-
-class _SeedState(ISeedSequence):
-    """A seed sequence whose PCG64 state words are already hashed.
-
-    It answers only PCG64's request (four uint64 words) and cannot spawn.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a hashed seed state holds exactly four uint64 words")
-        return self._state
-
-
-def spawn_agent_rngs(rng: Generator, count: int) -> list[Generator]:
-    """Create ``count`` independent child generators from a parent generator.
-
-    Child ``i`` has the stream of ``default_rng(seed_i)`` for a 63-bit seed
-    drawn from ``rng``: :func:`_seed_states` hashes every seed at once, and
-    each child's PCG64 is seeded from its row.  A child's
-    ``bit_generator.seed_seq`` holds only that row, so it cannot spawn.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [Generator(PCG64(_SeedState(row))) for row in _seed_states(seeds)]
 
 
 class Simulator:

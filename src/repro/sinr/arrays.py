@@ -60,6 +60,7 @@ from ..state import (
     attenuation_from_distances,
     pairwise_distances,
 )
+from ..state.network import _freeze
 from .parameters import SINRParameters
 from .power import PowerAssignment
 
@@ -73,11 +74,6 @@ __all__ = [
     "affectance_matrix_from_arrays",
     "sinr_values_from_arrays",
 ]
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @hot_kernel()

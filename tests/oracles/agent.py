@@ -66,10 +66,11 @@ class NodeAgent(ABC):
     Args:
         node: the wireless node this agent controls.
         rng: the agent's private source of randomness, so runs are
-            reproducible regardless of the order agents are polled in.
+            reproducible regardless of the order agents are polled in (an
+            agent that hashes its coins needs none).
     """
 
-    def __init__(self, node: Node, rng: np.random.Generator):
+    def __init__(self, node: Node, rng: np.random.Generator | None = None):
         self.node = node
         self.rng = rng
 

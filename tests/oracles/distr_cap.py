@@ -3,11 +3,11 @@
 Before ``Distr-Cap`` had one phase loop with a per-slot seam, the netsim
 builder ran its own copy of the lockstep loop: crashed endpoints sat slots
 out, and each phase's winners announced to a coordinator under the retry
-budget.  That loop is kept here verbatim, with the lockstep selector's
-geometry store, phase partition and per-slot check (early-exit scalar
-admission sum) beside it, so the parity tests can show the seam-driven
-builder makes the same draws, the same transport calls and the same
-selection.
+budget.  That loop is kept here, its coins flipped one link at a time, with
+the lockstep selector's geometry store, phase partition and per-slot check
+(early-exit scalar admission sum) beside it, so the parity tests can show
+the seam-driven builder flips the same coins, makes the same transport
+calls and reaches the same selection.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.coins import _hash_int, _uniform_cut, seed_word
 from repro.constants import DEFAULT_CONSTANTS, AlgorithmConstants
+from repro.core.distr_cap import _DISTR_CAP_STREAM
 from repro.core.power_solver import is_power_controllable
 from repro.exceptions import ConfigurationError
 from repro.links import Link, LinkSet, length_class_index
@@ -72,7 +74,8 @@ class _ReferenceSelector:
         candidates: Sequence[Link],
         selected: Sequence[Link],
         linear: LinearPower,
-        rng: np.random.Generator,
+        seed: int,
+        slot: int,
         probability: float,
         threshold: float,
         state: NetworkState,
@@ -83,11 +86,18 @@ class _ReferenceSelector:
 
         In the forward slot the candidates and the selected set transmit in
         their link direction; in the dual slot both transmit in the reverse
-        direction.  A candidate passes when the affectance measured at the
-        receiving endpoint (from every other transmitter in the slot) is at
-        most ``threshold``.
+        direction.  A candidate attempts when its own coin, hashed on its
+        own, comes up heads (always, at probability 1).  It passes when the
+        affectance measured at the receiving endpoint (from every other
+        transmitter in the slot) is at most ``threshold``.
         """
-        attempting = [link for link in candidates if rng.random() < probability]
+        cut = int(_uniform_cut(probability))
+        attempting = [
+            link
+            for link in candidates
+            if probability >= 1.0
+            or _hash_int(_DISTR_CAP_STREAM, seed, link.sender.id, link.receiver.id, slot) < cut
+        ]
         if not attempting:
             return []
 
@@ -178,6 +188,7 @@ class ReferenceNetDistrCapBuilder:
             return NetDistrCapResult(LinkSet(), 0, 0, True)
         transport = self._make_transport()
         oracle = self._oracle
+        seed = seed_word(rng)
         linear = LinearPower.for_noise(self.params)
         state = oracle._geometry_state(link_list)
         phases = oracle._partition_into_phases(link_list, link_rounds)
@@ -208,9 +219,9 @@ class ReferenceNetDistrCapBuilder:
                     for link in phase_links
                     if link.sender.id not in used_nodes and link.receiver.id not in used_nodes
                 ]
-                # A candidate with a downed endpoint sits the phase out; it
-                # consumes no randomness, matching the runtime's rule that
-                # crashed nodes neither transmit nor draw.
+                # A candidate with a downed endpoint sits the phase out,
+                # matching the runtime's rule that crashed nodes neither
+                # transmit nor flip coins.
                 alive = [
                     link for link in eligible if not self._link_down(transport, link, forward_slot)
                 ]
@@ -218,7 +229,15 @@ class ReferenceNetDistrCapBuilder:
                 if not alive:
                     continue
                 survivors = oracle._phase_slot(
-                    alive, selected, linear, rng, probability, tau / 4.0, state, forward=True
+                    alive,
+                    selected,
+                    linear,
+                    seed,
+                    forward_slot,
+                    probability,
+                    tau / 4.0,
+                    state,
+                    forward=True,
                 )
                 if not survivors:
                     continue
@@ -231,7 +250,15 @@ class ReferenceNetDistrCapBuilder:
                 if not standing:
                     continue
                 winners = oracle._phase_slot(
-                    standing, selected, linear, rng, 1.0, gamma * tau / 4.0, state, forward=False
+                    standing,
+                    selected,
+                    linear,
+                    seed,
+                    dual_slot,
+                    1.0,
+                    gamma * tau / 4.0,
+                    state,
+                    forward=False,
                 )
                 if not winners:
                     continue

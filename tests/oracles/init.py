@@ -25,9 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.coins import _hash_int, _uniform_cut, seed_word
 from repro.constants import AlgorithmConstants
 from repro.core.bitree import BiTree
 from repro.core.init_tree import (
+    _INIT_STREAM,
     InitialTreeBuilder,
     InitialTreeResult,
     InitState,
@@ -40,7 +42,6 @@ from repro.exceptions import NodeCrashedError, ProtocolError
 from repro.geometry import Node, diameter
 from repro.netsim import FaultyTransport, NetInitBuilder, NetInitResult, RoundDriver, Transport
 from repro.obs.spans import span
-from repro.runtime import spawn_agent_rngs
 from repro.sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
 
 from .agent import AckMessage, BroadcastMessage, NodeAgent
@@ -79,13 +80,14 @@ class InitAgent(NodeAgent):
     def __init__(
         self,
         node: Node,
-        rng: np.random.Generator,
+        seed: int,
         params: SINRParameters,
         constants: AlgorithmConstants,
         rounds_per_sweep: int,
         slot_pairs_per_round: int,
     ):
-        super().__init__(node, rng)
+        super().__init__(node)
+        self.seed = seed
         self.params = params
         self.constants = constants
         self.rounds_per_sweep = rounds_per_sweep
@@ -121,6 +123,11 @@ class InitAgent(NodeAgent):
             self._round_powers[round_index] = power
         return power
 
+    def _heads(self, slot: int, probability: float) -> bool:
+        """This node's coin in ``slot``, hashed on its own."""
+        cut = int(_uniform_cut(probability))
+        return _hash_int(_INIT_STREAM, self.seed, self.node_id, slot) < cut
+
     # -- protocol -----------------------------------------------------------
 
     def act(self, slot: int) -> Transmission | None:
@@ -132,7 +139,7 @@ class InitAgent(NodeAgent):
             self._is_broadcaster = False
             if not self.active:
                 return None
-            if self.rng.random() < self.constants.broadcast_probability:
+            if self._heads(slot, self.constants.broadcast_probability):
                 self._is_broadcaster = True
                 return Transmission(
                     self.node,
@@ -153,7 +160,7 @@ class InitAgent(NodeAgent):
         lower, upper = 2.0 ** (round_index - 1), 2.0**round_index
         if not (lower <= distance < upper):
             return None
-        if self.rng.random() >= self.constants.ack_probability:
+        if not self._heads(slot, self.constants.ack_probability):
             return None
         pair = self._slot_pair(slot)
         # Store both directions now (the paper notes this may create stray
@@ -227,19 +234,20 @@ def make_init_agents(
     params: SINRParameters,
     constants: AlgorithmConstants,
 ) -> list[InitAgent]:
-    """One agent per node, each on its own child stream of ``rng``."""
+    """One agent per node, each hashing its coins from one seed word of ``rng``."""
     rounds_per_sweep = num_rounds_for_delta(max(diameter(nodes), 1.0))
     pairs_per_round = constants.slot_pairs_per_round(len(nodes))
+    seed = seed_word(rng)
     return [
         InitAgent(
             node=node,
-            rng=agent_rng,
+            seed=seed,
             params=params,
             constants=constants,
             rounds_per_sweep=rounds_per_sweep,
             slot_pairs_per_round=pairs_per_round,
         )
-        for node, agent_rng in zip(nodes, spawn_agent_rngs(rng, len(nodes)))
+        for node in nodes
     ]
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._types import BoolArray, IntpArray
-from repro.dynamics.gain import _hash_u64, _uniform_open
+from repro.coins import _hash_u64, _uniform_open
 from repro.exceptions import ProtocolError
 from repro.netsim import (
     CrashSchedule,

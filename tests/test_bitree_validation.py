@@ -208,26 +208,27 @@ class TestCentralizedScheduleUnchanged:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_f1_quick_rows(self, workers):
         # Rows of the quadratic-helper implementation; the MST and its
-        # ordered first-fit schedule must not move.
+        # ordered first-fit schedule must not move.  The other columns
+        # follow the protocols' coins.
         result = ALL_EXPERIMENTS["F1"](ExperimentConfig.quick().with_overrides(workers=workers))
         assert result.rows == [
             {
                 "n": 24,
-                "init_stamps": 18.0,
+                "init_stamps": 23.0,
                 "uniform_ff": 8.0,
-                "mean_reschedule": 16.0,
-                "tvc_mean": 14.0,
-                "tvc_arbitrary": 15.0,
+                "mean_reschedule": 18.0,
+                "tvc_mean": 17.0,
+                "tvc_arbitrary": 13.0,
                 "centralized_mst": 16.0,
                 "naive_tdma": 23.0,
             },
             {
                 "n": 48,
-                "init_stamps": 32.0,
+                "init_stamps": 30.0,
                 "uniform_ff": 11.0,
-                "mean_reschedule": 28.0,
+                "mean_reschedule": 26.0,
                 "tvc_mean": 26.0,
-                "tvc_arbitrary": 20.0,
+                "tvc_arbitrary": 16.0,
                 "centralized_mst": 27.0,
                 "naive_tdma": 47.0,
             },

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.constants import DEFAULT_CONSTANTS
 from repro.core import InitialTreeBuilder, TreeRepairer
+from repro.core.quantities import num_rounds_for_delta
 from repro.exceptions import ProtocolError
 from repro.geometry import Node, Point, uniform_random
 from repro.sinr import SINRParameters
@@ -19,6 +21,27 @@ def built_tree():
     nodes = uniform_random(40, rng)
     outcome = InitialTreeBuilder(params).build(nodes, rng)
     return params, nodes, outcome
+
+
+class _RecordingBuilder(InitialTreeBuilder):
+    """The default patch builder, keeping each result for inspection."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.results = []
+
+    def build(self, nodes, rng, **kwargs):
+        result = super().build(nodes, rng, **kwargs)
+        self.results.append(result)
+        return result
+
+
+def _sweep_slots(result):
+    """Slots of one full Init sweep over ``result``'s nodes (its first sweep)."""
+    if len(result.nodes) < 2:
+        return 0
+    pairs = DEFAULT_CONSTANTS.slot_pairs_per_round(len(result.nodes))
+    return num_rounds_for_delta(max(result.delta, 1.0)) * 2 * pairs
 
 
 def _leaves(tree):
@@ -160,9 +183,9 @@ class TestMultiRoundChurnProperties:
     ROUNDS = 4
     KILLS_PER_ROUND = 3
 
-    def _churn_rounds(self, built_tree, seed):
+    def _churn_rounds(self, built_tree, seed, patch_builder=None):
         params, _, outcome = built_tree
-        repairer = TreeRepairer(params)
+        repairer = TreeRepairer(params, patch_builder=patch_builder)
         rng = np.random.default_rng(seed)
         tree, power = outcome.tree, outcome.power
         history = []
@@ -199,24 +222,32 @@ class TestMultiRoundChurnProperties:
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_repair_cost_bounded_by_damage_not_network_size(self, built_tree, seed):
         """Each round's cost matches an Init over the affected nodes only."""
-        params, history = self._churn_rounds(built_tree, seed)
+        params = built_tree[0]
+        patches = _RecordingBuilder(params)
+        _, history = self._churn_rounds(built_tree, seed, patches)
         patch_rng = np.random.default_rng(10_000 + seed)
         total_repair = 0
         total_rebuild = 0
         for result, _, survivors in history:
-            # Far fewer participants than survivors -> cost must stay at or
-            # below a fresh Init over the whole surviving network (measured,
-            # not assumed; a tiny patch occasionally needs as many sweeps as
-            # a rebuild, so the per-round bound is <= and the aggregate <).
+            # The patch's participants are some of the survivors, so a sweep
+            # of it has no more rounds (a subset spans no farther) and no more
+            # slot-pairs a round than a sweep over all survivors.  Sweeps are
+            # random: a patch whose only usable round is its last can need
+            # more of them than the rebuild does (about one round in ten), so
+            # the per-round bound is per sweep and the aggregate is strict.
             assert result.reattached <= set(result.tree.nodes)
             if result.reattached:
                 survivor_nodes = list(result.tree.nodes.values())
                 rebuild = InitialTreeBuilder(params).build(survivor_nodes, patch_rng)
-                assert result.slots_used <= rebuild.slots_used
+                patch = patches.results.pop(0)
+                assert result.slots_used == patch.slots_used
+                assert _sweep_slots(patch) <= _sweep_slots(rebuild) <= rebuild.slots_used
+                assert result.slots_used <= patch.sweeps_used * _sweep_slots(rebuild)
                 total_repair += result.slots_used
                 total_rebuild += rebuild.slots_used
             else:
                 assert result.slots_used == 0
+        assert not patches.results
         if total_rebuild:
             assert total_repair < total_rebuild
 

@@ -223,7 +223,9 @@ class TestFoldedDecodeMatchesReference:
 class TestPublicDecodeKeepsEveryWinner:
     @pytest.mark.parametrize("store", STORES)
     def test_every_column_has_its_argmax(self, store, rng):
-        nodes = _deployment(rng, 30)
+        # A 6 x 5 grid at spacing 3: listeners next to a transmitter decode,
+        # those far from all four do not.
+        nodes = [Node(100 + i, Point(3.0 * (i % 6), 3.0 * (i // 6))) for i in range(30)]
         params = SINRParameters(alpha=3.0, beta=1.0, noise=0.01)
         channel = _channel(params, nodes, store=store, view="contiguous", rng=rng)
         tx = np.array([1, 4, 9, 16], dtype=np.intp)
@@ -232,6 +234,8 @@ class TestPublicDecodeKeepsEveryWinner:
         with np.errstate(divide="ignore"):
             want = (powers[:, None] / att).argmax(axis=0)
         best, _, ok = channel.resolve_indices_full(tx, powers)
+        assert ok.any() and (~ok).any()
+        assert np.unique(want[ok]).size > 1
         assert np.array_equal(best, want)
         rx = np.arange(30, dtype=np.intp)
         best, _, _ = channel.resolve_indices(tx, rx, powers)

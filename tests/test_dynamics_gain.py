@@ -6,8 +6,6 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dynamics import (
     ComposedGain,
@@ -15,20 +13,10 @@ from repro.dynamics import (
     LogNormalShadowing,
     RayleighFading,
 )
-from repro.dynamics.gain import (
-    _hash_from,
-    _hash_int,
-    _hash_u64,
-    _uniform_cut,
-    _uniform_open,
-    _word,
-)
 from repro.exceptions import ConfigurationError
 from repro.geometry import uniform_random
 from repro.links import Link, LinkSet
-from repro.netsim import election_priority
-from repro.netsim.election import _ELECTION_STREAM
-from repro.runtime import Simulator, spawn_agent_rngs
+from repro.runtime import Simulator
 from repro.sinr import (
     CachedChannel,
     Channel,
@@ -226,7 +214,7 @@ class TestFadingChannel:
     def _run_legacy(self, params, slots=60):
         """:meth:`_run` as one agent per node on the seed engine."""
         nodes = self._nodes()
-        rngs = spawn_agent_rngs(np.random.default_rng(43), len(nodes))
+        rngs = np.random.default_rng(43).spawn(len(nodes))
         power = params.min_power_for(2.0)
         agents = [BeaconAgent(node, rng, power, period=5) for node, rng in zip(nodes, rngs)]
         legacy = LegacySimulator(agents, Channel(params))
@@ -398,77 +386,3 @@ class TestFadedLinkMatrices:
         assert not np.array_equal(
             cache.gain_matrix(params), cache.gain_matrix(faded)
         )
-
-
-class TestScalarHash:
-    """The pure-int SplitMix64 is the NumPy hash, value for value."""
-
-    word = st.integers(-(2**63), 2**64 - 1)
-
-    @settings(max_examples=200, deadline=None)
-    @given(components=st.lists(word, min_size=1, max_size=5))
-    def test_matches_numpy_hash(self, components):
-        # ``_hash_from`` folds every component in NumPy, scalars included.
-        numpy_hash = _hash_from(np.uint64(0), *components)
-        assert _hash_int(*components) == int(numpy_hash)
-        assert type(_hash_u64(*components)) is type(numpy_hash)
-        assert _hash_u64(*components) == numpy_hash
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        lead=st.lists(word, max_size=3),
-        ids=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
-        tail=st.lists(word, max_size=2),
-    )
-    def test_scalar_lead_matches_numpy_fold(self, lead, ids, tail):
-        ids = np.array(ids, dtype=np.int64)
-        expected = _hash_from(np.uint64(0), *lead, ids, *tail)
-        assert np.array_equal(_hash_u64(*lead, ids, *tail), expected)
-        assert np.array_equal(_hash_from(_hash_u64(*lead, ids), *tail), expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**63 - 1, 2**63, 2**64 - 1])),
-        node_id=st.integers(-(2**63), 2**63 - 1),
-    )
-    def test_election_priority_unchanged(self, seed, node_id):
-        draw, tie = election_priority(seed, node_id)
-        reference = float(_uniform_open(_hash_u64(_ELECTION_STREAM, seed, node_id)))
-        assert (type(draw), type(tie)) == (float, int)
-        assert (draw, tie) == (reference, node_id)
-
-    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
-    def test_out_of_range_overflows_alike(self, value):
-        with pytest.raises(OverflowError):
-            _hash_u64(1, value)
-        with pytest.raises(OverflowError):
-            _hash_int(1, value)
-        with pytest.raises(OverflowError):
-            _hash_from(np.uint64(0), 1, value)
-
-
-class TestUniformCut:
-    """``h < _uniform_cut(p)`` is the float draw ``_uniform_open(h) < p``."""
-
-    probs = st.one_of(
-        st.floats(0.0, 1.0),
-        st.sampled_from([0.0, 1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-53, 0.1, 0.5, 1 - 2.0**-53]),
-    )
-
-    @settings(max_examples=300, deadline=None)
-    @given(prob=probs, delta=st.integers(-4096, 4096))
-    def test_matches_float_draw_at_the_bound(self, prob, delta):
-        h = np.array([min(max(int(_uniform_cut(prob)) + delta, 0), 2**64 - 1)], dtype=np.uint64)
-        assert (_uniform_open(h) < prob).tolist() == (h < _uniform_cut(prob)).tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(prob=probs, h=st.integers(0, 2**64 - 1))
-    def test_matches_float_draw_anywhere(self, prob, h):
-        word = np.array([h], dtype=np.uint64)
-        assert (_uniform_open(word) < prob).tolist() == (word < _uniform_cut(prob)).tolist()
-
-    @settings(max_examples=100, deadline=None)
-    @given(value=st.integers(-(2**63), 2**64 - 1))
-    def test_word_is_the_folded_component(self, value):
-        assert _word(value) == np.asarray(value).astype(np.uint64)
-        assert _hash_from(np.uint64(7), _word(value)) == _hash_from(np.uint64(7), value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, e10_fading, e11_mobility, e12_churn
@@ -66,12 +67,19 @@ class TestE11Mobility:
 
 
 class TestE12Churn:
-    def test_repair_always_cheaper_than_rebuild(self, small_config):
+    def test_repair_cheaper_than_rebuild(self, small_config):
+        # A repair is one Init over the damage: a sweep of it costs no more
+        # than a rebuild's, and it is cheaper on average.  A small patch can
+        # need more sweeps than the rebuild did, so a few rows cost more
+        # (85 of 1,050 rows over seeds 1-150); the title claims the mean.
         result = e12_churn.run(small_config)
         assert result.experiment_id == "E12"
-        assert result.summary["all_repairs_cheaper_than_rebuild"] is True
-        for row in result.rows:
-            assert row["repair_slots"] < row["rebuild_slots"]
+        assert "mean repair < rebuild" in result.title
+        ratios = [row["repair_over_rebuild"] for row in result.rows]
+        assert result.summary["mean_repair_over_rebuild"] == round(float(np.mean(ratios)), 3)
+        assert result.summary["mean_repair_over_rebuild"] < 1.0
+        cheaper = [row["repair_slots"] < row["rebuild_slots"] for row in result.rows]
+        assert sum(cheaper) > len(cheaper) / 2
 
     def test_sustained_churn_stays_connected(self, tiny_config):
         result = e12_churn.run(tiny_config)

@@ -2,8 +2,8 @@
 
 ``InitialTreeBuilder.build`` runs ``Init`` as one NumPy step per slot; the
 oracle in ``tests/oracles/init.py`` runs one ``InitAgent`` per node through
-``Simulator``.  Both draw every node's coins from the same private stream,
-so they must agree on everything a result carries - tree, slot and round
+``LegacySimulator``.  Both hash every node's coin per slot from the same
+seed word, so they must agree on everything a result carries - tree, slot and round
 counts, link rounds, powers, stored degrees - and on every trace record,
 labels included.
 """
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_CONSTANTS, AlgorithmConstants
-from repro.core import InitialTreeBuilder, init_tree
+from repro.core import InitialTreeBuilder
 from repro.dynamics import RayleighFading
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.geometry import Node, Point, grid, linear_chain, uniform_random
@@ -93,13 +93,6 @@ class TestParity:
         assert engine.sweeps_used > 1
         assert_same_run(engine, oracle)
 
-    def test_stream_refill(self):
-        # The root flips a broadcast coin in every broadcast slot, so a run
-        # longer than one block reads past its first block.
-        engine, oracle = run_both(DEFAULT, linear_chain(30), 5)
-        assert engine.slots_used // 2 > init_tree._COIN_BLOCK
-        assert_same_run(engine, oracle)
-
     def test_forced_tiled_store(self, monkeypatch):
         monkeypatch.setattr(network, "DENSE_BUDGET_BYTES", 0)
         nodes = uniform_random(64, np.random.default_rng(2))
@@ -122,14 +115,6 @@ class TestParity:
         engine = InitialTreeBuilder(DEFAULT).build(nodes, np.random.default_rng(8))
         net = NetInitBuilder(DEFAULT, plan=None).build(nodes, np.random.default_rng(8))
         assert_same_run(engine, net)
-
-
-class TestCoinStreams:
-    def test_block_draw_equals_scalar_draws(self):
-        block = np.random.default_rng(2024).random(init_tree._COIN_BLOCK)
-        scalar_rng = np.random.default_rng(2024)
-        scalars = [scalar_rng.random() for _ in range(init_tree._COIN_BLOCK)]
-        assert block.tolist() == scalars
 
 
 BUILDERS = [InitialTreeBuilder(DEFAULT), NetInitBuilder(DEFAULT, plan=None)]

@@ -129,10 +129,10 @@ class TestParityWithTheForkedLoop:
         )
         kwargs = dict(plan=plan, policy=RetryPolicy(max_attempts=2))
         got = NetDistrCapBuilder(PARAMS, **kwargs).select(
-            links, np.random.default_rng(3), link_rounds=rounds
+            links, np.random.default_rng(4), link_rounds=rounds
         )
         expected = ReferenceNetDistrCapBuilder(PARAMS, **kwargs).select(
-            links, np.random.default_rng(3), link_rounds=rounds
+            links, np.random.default_rng(4), link_rounds=rounds
         )
         assert _result_key(got) == _result_key(expected)
         assert got.crashed_candidates and got.announce_retries and got.announce_timeouts

@@ -43,7 +43,6 @@ from repro.netsim import (
 from repro.netsim.transport import HEARTBEAT_BLOCK
 from repro.obs import MetricsRegistry
 from repro.obs.runtime import OBS, disable, enable, telemetry
-from repro.runtime import spawn_agent_rngs
 from repro.sinr import Channel, SINRParameters
 
 from .oracles import (
@@ -111,22 +110,20 @@ PAIRS = DEFAULT_CONSTANTS.slot_pairs_per_round(N)
 
 
 def _program(seed: int) -> _InitProgram:
-    rngs = spawn_agent_rngs(np.random.default_rng(seed), N)
-    return _InitProgram(NODES, PARAMS, DEFAULT_CONSTANTS, rngs)
+    return _InitProgram(NODES, PARAMS, DEFAULT_CONSTANTS, seed)
 
 
 def _agents(seed: int) -> list[InitAgent]:
-    rngs = spawn_agent_rngs(np.random.default_rng(seed), N)
     return [
         InitAgent(
             node=node,
-            rng=rng,
+            seed=seed,
             params=PARAMS,
             constants=DEFAULT_CONSTANTS,
             rounds_per_sweep=ROUNDS,
             slot_pairs_per_round=PAIRS,
         )
-        for node, rng in zip(NODES, rngs)
+        for node in NODES
     ]
 
 
@@ -136,7 +133,7 @@ def _run(sim, transport, detector, program=None):
     views = []
     for slot in range(SLOTS):
         if program is not None and slot % (2 * PAIRS) == 0:
-            program.begin_round(slot // (2 * PAIRS) % ROUNDS + 1)
+            program.begin_round(slot // (2 * PAIRS) % ROUNDS + 1, slot)
         sim.step("chaos")
         views.append((detector.suspected_ids(), detector.alive_view(), detector.active_view()))
     trace = transport.trace

@@ -188,6 +188,8 @@ def _assert_parity(builder: NetInitBuilder, nodes, seed: int) -> dict:
 #: Seed-38 instance whose delayed acks close a parent cycle.
 CYCLE_NODES = uniform_random(16, np.random.default_rng(38))
 CYCLE_PLAN = FaultPlan(seed=38, latency=LatencyModel(delay_prob=0.5, mean_slots=2.0, max_slots=5))
+#: A build seed whose coins let a stale ack close a parent cycle on CYCLE_NODES.
+CYCLE_SEED = 335
 
 
 class TestNetInitParity:
@@ -237,17 +239,17 @@ class TestNetInitParity:
 
         monkeypatch.setattr(NetInitBuilder, "_cycle_cuts", staticmethod(spy))
         builder = NetInitBuilder(PARAMS, plan=CYCLE_PLAN, delivery="reliable")
-        seen = _assert_parity(builder, CYCLE_NODES, 39)
+        seen = _assert_parity(builder, CYCLE_NODES, CYCLE_SEED)
         assert cuts and cuts[0]
-        outcome = builder.build(CYCLE_NODES, np.random.default_rng(39))
+        outcome = builder.build(CYCLE_NODES, np.random.default_rng(CYCLE_SEED))
         outcome.tree.validate()
         assert seen["outcome"][0] == "result"
 
     def test_stale_ack_cycle_raises_without_repair(self):
         builder = NetInitBuilder(PARAMS, plan=CYCLE_PLAN, delivery="fire-and-forget")
         with pytest.raises(ProtocolError, match="parent cycle"):
-            builder.build(CYCLE_NODES, np.random.default_rng(39))
-        _assert_parity(builder, CYCLE_NODES, 39)
+            builder.build(CYCLE_NODES, np.random.default_rng(CYCLE_SEED))
+        _assert_parity(builder, CYCLE_NODES, CYCLE_SEED)
 
     def test_forced_tiled_store(self, monkeypatch):
         monkeypatch.setattr(network, "DENSE_BUDGET_BYTES", 0)
@@ -260,7 +262,7 @@ class TestNetInitParity:
             crashes=CrashSchedule((CrashWindow(5, 10, 60),)),
         )
         _assert_parity(NetInitBuilder(PARAMS, plan=plan), nodes, 9)
-        _assert_parity(NetInitBuilder(PARAMS, plan=CYCLE_PLAN), CYCLE_NODES, 39)
+        _assert_parity(NetInitBuilder(PARAMS, plan=CYCLE_PLAN), CYCLE_NODES, CYCLE_SEED)
 
 
 @pytest.mark.parametrize("name", ["E13", "E14"])

@@ -1,10 +1,11 @@
 """A seeded n=64 lossy run pinned to recorded literals.
 
 The parity suites compare the fault plane with oracles that hash through the
-same ``repro.dynamics.gain`` functions, so a changed hash, stream tag or
-uniform mapping would move both sides alike and pass.  These literals were
-recorded from the per-slot fault plane before it answered from tables, and
-catch any such change: a reliable ``NetInit`` with two crashes, a
+same ``repro.coins`` functions, so a changed hash, stream tag or uniform
+mapping would move both sides alike and pass.  These literals catch any such
+change.  They were first recorded from the per-slot fault plane before it
+answered from tables, and recorded again when Init's coins became counter
+hashes (the fault-plane hashes themselves did not move): a reliable ``NetInit`` with two crashes, a
 convergecast interrupted by a root crash, root failover and the resumed
 convergecast, then a second ``NetInit`` under latency, a partition, separate
 heartbeat loss, a crash-recover window and a slot offset.  Every fault
@@ -127,71 +128,71 @@ def _run() -> dict:
 
 EXPECTED = {
     "lossy": (
-        "6d5dda4365a18cc6ee849ed00622e2c11cbe55ff",
+        "98297be96af5aea9bcfd1517b66d255e5baf2de1",
         {
-            "dropped": 284,
+            "dropped": 544,
             "delayed": 0,
             "crashes": 2,
             "recoveries": 0,
-            "heartbeat_losses": 2005,
+            "heartbeat_losses": 2442,
             "receiver_busy_drops": 0,
             "crash_drops": 0,
-            "transmissions": 483,
+            "transmissions": 602,
         },
-        388,
-        483,
-        "c13ea2011b9017bb",
-        "f28d915cb920d8cf",
+        396,
+        602,
+        "7223986031fcc102",
+        "161c2d5e34b15dfe",
     ),
     "interrupted": (
-        "bca0fd47cf4875d9855939cea40d84e2aa58409b",
-        {"dropped": 4, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
-        51,
-        8,
+        "05cea7aa45dc0e99f1aec5ef6efe426e676da40c",
+        {"dropped": 3, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
+        69,
+        27,
     ),
-    "failover": (29, 2, "ce3d5e5dbbcc734a"),
+    "failover": (29, 178, "c327112030982291"),
     "resumed": (
-        "9a52ef4be5cdd3c5a9bda682ff2af4993ff2ec03",
-        {"dropped": 8, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
-        52,
-        8,
+        "a3bd2054c1e9f46d98d05e8da0defe630c4d515e",
+        {"dropped": 2, "delayed": 0, "crashes": 0, "recoveries": 0, "heartbeat_losses": 0},
+        46,
+        2,
     ),
     "latent": (
-        "3b5988606e6ad56268a0ce342fcffabec795881a",
+        "cffcb816970134b7467a625d6eda04205cf30571",
         {
-            "dropped": 452,
-            "delayed": 888,
+            "dropped": 502,
+            "delayed": 1116,
             "crashes": 2,
             "recoveries": 1,
             "heartbeat_losses": 5371,
-            "receiver_busy_drops": 300,
+            "receiver_busy_drops": 362,
             "crash_drops": 0,
-            "transmissions": 579,
+            "transmissions": 772,
         },
         512,
-        579,
-        "69a2b8279f86618e",
-        "235d7686a0b6e1bf",
+        772,
+        "66d075bcfabe626f",
+        "49142139efd33c92",
     ),
     "counters": {
-        "netsim.agg_retries": 16,
+        "netsim.agg_retries": 29,
         "netsim.crashes": 4,
         "netsim.degraded_aggregations": 1,
-        "netsim.delayed": 890,
-        "netsim.deliveries": 6588,
-        "netsim.dropped": 759,
+        "netsim.delayed": 1117,
+        "netsim.deliveries": 9465,
+        "netsim.dropped": 1070,
         "netsim.election_rounds": 1,
         "netsim.elections": 1,
         "netsim.elections_won": 1,
-        "netsim.heartbeat_misses": 8287,
-        "netsim.heartbeats": 40465,
-        "netsim.receiver_busy_drops": 300,
+        "netsim.heartbeat_misses": 9078,
+        "netsim.heartbeats": 45130,
+        "netsim.receiver_busy_drops": 363,
         "netsim.recoveries": 1,
         "netsim.reliable_posts": 60,
         "netsim.reroot_splices": 1,
-        "netsim.sends": 1096,
-        "netsim.slots": 900,
-        "netsim.suspicions": 165,
+        "netsim.sends": 1449,
+        "netsim.slots": 1084,
+        "netsim.suspicions": 173,
     },
 }
 

@@ -208,6 +208,68 @@ class TestRngDiscipline:
         )
         assert findings == []
 
+    @pytest.mark.parametrize("package", ["core", "netsim", "runtime"])
+    def test_trigger_generator_draws_in_protocol_code(self, package):
+        findings = lint_source(
+            "import numpy as np\n"
+            "def attempts(links, rng, p):\n"
+            "    kept = [link for link in links if rng.random() < p]\n"
+            "    seeds = rng.integers(0, 2**63 - 1, size=len(links))\n"
+            "    words = rng.bit_generator.random_raw(4)\n"
+            "    pick = rng.choice(kept)\n"
+            "    order = rng.permutation(len(kept))\n"
+            "    streams = [np.random.default_rng(int(seed)) for seed in seeds]\n"
+            "    return kept, words, pick, order, streams\n",
+            filename=f"src/repro/{package}/fixture.py",
+            rules=[RngDiscipline()],
+        )
+        assert codes(findings) == ["RL003"] * 6
+        assert [f.line for f in findings] == [3, 4, 5, 6, 7, 8]
+
+    def test_trigger_other_draws_and_bare_constructors(self):
+        findings = lint_source(
+            "import numpy as np\n"
+            "from numpy.random import Generator, PCG64 as Bits\n"
+            "class Contender:\n"
+            "    def attempts(self, links, stream: np.random.Generator | None, p):\n"
+            "        heads = self.rng.uniform(size=len(links)) < p\n"
+            "        self.order_rng.shuffle(links)\n"
+            "        children = stream.spawn(len(links))\n"
+            "        delay = stream.wald(1.0, 2.0)\n"
+            "        gen = Generator(Bits(7))\n"
+            "        words = gen.bit_generator.random_raw(2)\n"
+            "        return heads, children, delay, words, np.random.SeedSequence(3)\n",
+            filename="src/repro/netsim/fixture.py",
+            rules=[RngDiscipline()],
+        )
+        assert codes(findings) == ["RL003"] * 8
+        assert sorted(f.line for f in findings) == [5, 6, 7, 8, 9, 9, 10, 11]
+
+    def test_near_miss_hashed_coins_and_the_seed_word(self):
+        source = (
+            "from repro.coins import _hash_u64, _uniform_cut, seed_word\n"
+            "def attempts(links, rng, ids, slot, p):\n"
+            "    heads = _hash_u64(0x44434150, seed_word(rng), ids, slot) < _uniform_cut(p)\n"
+            "    power = links[0].power(3.0)\n"
+            "    return [link for link, head in zip(links, heads.tolist()) if head], power\n"
+        )
+        protocol = "src/repro/core/fixture.py"
+        assert lint_source(source, filename=protocol, rules=[RngDiscipline()]) == []
+        # Outside the protocol packages a seeded generator may draw freely:
+        # the seed word itself is such a draw, in ``repro.coins``.
+        draws = "import numpy as np\nrng = np.random.default_rng(3)\nx = rng.random(4)\n"
+        word = (
+            "import numpy as np\n"
+            "def seed_word(rng):\n"
+            "    return int(rng.integers(1 << 64, dtype=np.uint64))\n"
+        )
+        for source, path in (
+            (draws, "src/repro/geometry/fixture.py"),
+            (draws, "src/repro/experiments/fixture.py"),
+            (word, "src/repro/coins.py"),
+        ):
+            assert lint_source(source, filename=path, rules=[RngDiscipline()]) == []
+
 
 # ---------------------------------------------------------------------------
 # RL004 — private writes on a NetworkState parameter

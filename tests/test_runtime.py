@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ProtocolError
 from repro.netsim import NetSimulator
-from repro.runtime import ExecutionTrace, Simulator, SlotRecord, spawn_agent_rngs
+from repro.runtime import ExecutionTrace, Simulator, SlotRecord
 from repro.sinr import Channel
 
 from .beacon import BeaconAgent, BeaconProgram
@@ -39,19 +39,6 @@ class TestMessages:
         assert ack.target_id == 7
 
 
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        parent = np.random.default_rng(1)
-        children = spawn_agent_rngs(parent, 3)
-        assert len(children) == 3
-        draws = {child.integers(0, 2**31) for child in children}
-        assert len(draws) == 3
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_agent_rngs(np.random.default_rng(0), -1)
-
-
 class TestSimulator:
     def test_step_delivers_receptions(self, params):
         simulator, program = _make_simulator(params)
@@ -80,7 +67,7 @@ class TestLockstepProgram:
         simulator, program = _make_simulator(params)
         simulator.run(4, label="beacon")
         power = program.power
-        rngs = spawn_agent_rngs(np.random.default_rng(0), 3)
+        rngs = np.random.default_rng(0).spawn(3)
         agents = [
             BeaconAgent(node, rng, power, sends=node.id == 0) for node, rng in zip(_nodes(), rngs)
         ]

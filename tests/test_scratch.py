@@ -166,7 +166,7 @@ class TestChannelWorkspaceParity:
 
     def test_simulator_batch_engine_unchanged(self, universe):
         """The workspace-backed array engine equals the legacy seed engine."""
-        from repro.runtime import Simulator, spawn_agent_rngs
+        from repro.runtime import Simulator
         from repro.sinr import Channel
 
         from .beacon import BeaconAgent, BeaconProgram
@@ -177,7 +177,7 @@ class TestChannelWorkspaceParity:
         program = BeaconProgram(universe, power, period=5)
         batch = Simulator(program, Channel(params))
         batch.run(60)
-        rngs = spawn_agent_rngs(np.random.default_rng(2), len(universe))
+        rngs = np.random.default_rng(2).spawn(len(universe))
         agents = [BeaconAgent(node, rng, power, period=5) for node, rng in zip(universe, rngs)]
         legacy = LegacySimulator(agents, Channel(params))
         legacy.run(60)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Node, Point
-from repro.runtime import ExecutionTrace, Simulator, SlotRecord, spawn_agent_rngs
+from repro.runtime import ExecutionTrace, Simulator, SlotRecord
 from repro.sinr import (
     CachedChannel,
     Channel,
@@ -275,7 +275,7 @@ def _coin_nodes(n, seed):
 
 def _coin_program(params, n, seed) -> BeaconProgram:
     """Every node beacons on its own 0.3 coin."""
-    rngs = spawn_agent_rngs(np.random.default_rng(seed + 1), n)
+    rngs = np.random.default_rng(seed + 1).spawn(n)
     return BeaconProgram(_coin_nodes(n, seed), params.min_power_for(3.0), rngs=rngs)
 
 
@@ -285,7 +285,7 @@ def _coin_agents(params, n, seed) -> list[BeaconAgent]:
     return [
         BeaconAgent(node, agent_rng, power, coin=True)
         for node, agent_rng in zip(
-            _coin_nodes(n, seed), spawn_agent_rngs(np.random.default_rng(seed + 1), n)
+            _coin_nodes(n, seed), np.random.default_rng(seed + 1).spawn(n)
         )
     ]
 

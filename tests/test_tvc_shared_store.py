@@ -10,9 +10,7 @@ because of it:
 * the store's ``max_distance`` equals ``geometry.diameter`` bit for bit;
 * ``Init`` on a given store equals ``Init`` building its own, in every
   result field, trace included, and a whole TreeViaCapacity run equals one
-  whose every ``Init`` and ``Distr-Cap`` builds its own store;
-* ``spawn_agent_rngs``, which builds every node's generator from the
-  seed's uint32 words, gives the streams ``default_rng(int(seed))`` gives.
+  whose every ``Init`` and ``Distr-Cap`` builds its own store.
 
 The store checks run on the dense store and with every store forced onto
 the tiled path (``DENSE_BUDGET_BYTES = 0``).
@@ -32,7 +30,6 @@ from repro.dynamics import LogNormalShadowing
 from repro.exceptions import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
 from repro.geometry import Node, Point, diameter, uniform_random
-from repro.runtime import spawn_agent_rngs
 from repro.sinr import NodeArrayCache, SINRParameters
 from repro.state import NetworkState, TiledNetworkState, network
 
@@ -225,43 +222,6 @@ def test_tvc_equals_a_run_with_a_fresh_store_per_init(budget, mode, monkeypatch)
         fresh.aggregation_feasible,
         fresh.dissemination_feasible,
     )
-
-
-class _FixedSeeds:
-    """A parent generator stand-in whose 63-bit draws are given."""
-
-    def __init__(self, seeds):
-        self.seeds = np.asarray(seeds, dtype=np.int64)
-
-    def integers(self, low, high, size, dtype):
-        assert (low, high, dtype) == (0, 2**63 - 1, np.int64)
-        return self.seeds[:size]
-
-
-class TestSpawnedStreams:
-    EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63 - 2]
-
-    def test_word_edges(self):
-        children = spawn_agent_rngs(_FixedSeeds(self.EDGES), len(self.EDGES))
-        for seed, child in zip(self.EDGES, children):
-            expected = np.random.default_rng(int(seed))
-            assert child.bit_generator.state == expected.bit_generator.state
-            assert np.array_equal(child.random(8), expected.random(8))
-
-    @settings(max_examples=50, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**63 - 2), min_size=0, max_size=12))
-    def test_any_seeds(self, seeds):
-        children = spawn_agent_rngs(_FixedSeeds(seeds), len(seeds))
-        assert len(children) == len(seeds)
-        for seed, child in zip(seeds, children):
-            assert child.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-
-    def test_drawn_seeds(self):
-        parent, twin = np.random.default_rng(77), np.random.default_rng(77)
-        children = spawn_agent_rngs(parent, 64)
-        seeds = twin.integers(0, 2**63 - 1, size=64, dtype=np.int64)
-        for seed, child in zip(seeds, children):
-            assert np.array_equal(child.random(4), np.random.default_rng(int(seed)).random(4))
 
 
 @pytest.mark.parametrize("name", ["E5", "E6"])

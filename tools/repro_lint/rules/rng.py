@@ -13,6 +13,16 @@ Reproducibility in this repo rests on two conventions:
   RNG object constructed inside the kernel, so that fades are a pure
   function of ``(seed, ids, slot)`` regardless of evaluation order.
 
+* **Protocol code** (``repro.core``, ``repro.netsim``, ``repro.runtime``)
+  flips counter-hashed coins only (``repro.coins``): it calls no method of
+  a generator (a name or attribute ``rng``/``*_rng``, or one annotated
+  ``Generator``), makes no draw by a generator method name (``random``,
+  ``integers``, ``uniform``, ``shuffle``, ``spawn``, ...; ``bit_generator``
+  counts as a generator) and constructs no generator, bit generator or seed
+  sequence, so no coin depends on how many draws came before it.  A call
+  hands its generator to ``repro.coins.seed_word`` (outside these
+  packages), which reads the one seed word its coins hash.
+
 Everywhere, the legacy stateful API (``np.random.seed``/``np.random.rand``/
 ...), the stdlib ``random`` module, and unseeded ``np.random.default_rng()``
 are banned — they smuggle hidden global state into results.
@@ -21,6 +31,7 @@ are banned — they smuggle hidden global state into results.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterable
 
 from ..astutil import dotted_parts, enclosing_functions
@@ -40,6 +51,46 @@ _FADE_KERNELS = frozenset({"_pair_fade", "fade", "fade_pairs", "fade_stack"})
 
 #: callables whose first argument is dispatched as a trial function.
 _DISPATCHERS = frozenset({"map_trials", "map_trials_cold", "run_sweep", "map"})
+
+#: packages whose coins must all be counter hashes.
+_PROTOCOL_PACKAGES = frozenset({"core", "netsim", "runtime"})
+
+#: Generator / BitGenerator methods that draw from, reorder by or split a stream.
+_DRAWS = frozenset({
+    "random", "integers", "random_raw", "choice", "permutation", "permuted",
+    "shuffle", "uniform", "normal", "standard_normal", "exponential",
+    "binomial", "poisson", "geometric", "bytes", "spawn", "jumped", "advance",
+})
+
+
+def _generator_like(node: ast.expr, annotated: set[str]) -> bool:
+    """``rng``, ``*_rng``, ``self.rng``, ``x.bit_generator`` or a name annotated ``Generator``."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return False
+    return name in ("rng", "bit_generator") or name.endswith("_rng") or name in annotated
+
+
+def _generator_annotated(tree: ast.Module) -> set[str]:
+    """Parameters and locals whose annotation names a ``Generator``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            name, annotation = node.arg, node.annotation
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name, annotation = node.target.id, node.annotation
+        else:
+            continue
+        if annotation is not None and any(
+            dotted_parts(part)[-1:] == ("Generator",)
+            for part in ast.walk(annotation)
+            if isinstance(part, (ast.Name, ast.Attribute))
+        ):
+            names.add(name)
+    return names
 
 
 def _np_random_member(node: ast.expr) -> str | None:
@@ -121,6 +172,7 @@ class RngDiscipline(Rule):
         findings.extend(self._global_checks(module))
         findings.extend(self._trial_function_checks(module))
         findings.extend(self._fade_kernel_checks(module))
+        findings.extend(self._protocol_checks(module))
         return findings
 
     # -- global discipline -------------------------------------------------
@@ -225,6 +277,43 @@ class RngDiscipline(Rule):
                             severity=self.severity,
                             symbol=f"{cls.name}.{item.name}",
                         )
+
+    # -- protocol packages -------------------------------------------------
+
+    def _protocol_checks(self, module: Module) -> Iterable[Finding]:
+        parts = Path(module.path).parts
+        if not any(
+            parts[i] == "repro" and parts[i + 1] in _PROTOCOL_PACKAGES
+            for i in range(len(parts) - 1)
+        ):
+            return
+        annotated = _generator_annotated(module.tree)
+        imported = {  # `from numpy.random import PCG64 as Bits` -> {"Bits"}
+            alias.asname or alias.name
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+            for alias in node.names
+            if alias.name in _ALLOWED_RANDOM_MEMBERS
+        }
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if _np_random_member(node.func) in _ALLOWED_RANDOM_MEMBERS or (
+                isinstance(node.func, ast.Name)
+                and node.func.id in imported | {"default_rng"}
+            ):
+                what = "generator construction"
+            elif isinstance(node.func, ast.Attribute) and (
+                node.func.attr in _DRAWS or _generator_like(node.func.value, annotated)
+            ):
+                what = f"Generator draw .{node.func.attr}(...)"
+            else:
+                continue
+            yield self._finding(
+                module, node,
+                f"{what} in protocol code; flip counter-hashed coins "
+                "(repro.coins) keyed by ids and slot from the call's seed word",
+            )
 
     def _finding(self, module: Module, node: ast.AST, message: str) -> Finding:
         return Finding(
