@@ -28,13 +28,18 @@ per slot" structure the final schedule needs.
 
 :meth:`DistrCapSelector.run_phases` is the one phase loop; a
 :class:`PhaseSeam` decides which candidates sit a slot out and which winners
-join ``T'`` (the netsim builder passes a fault-aware one).  The loop decodes
-from the caller's geometry store when one is given, else from its own.
+join ``T'`` (the netsim builder passes a fault-aware one).  The loop runs on
+positions: candidates are (sender, receiver) slots of one geometry store
+(:class:`~repro.sinr.PositionedLinks`), so a phase slot is a handful of array
+steps over index arrays.  ``TreeViaCapacity`` passes its ``T(M)`` that way;
+``Link`` candidates are mapped to slots of the caller's store, or of one
+built over their endpoints, once at entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,8 +49,8 @@ from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError
 from ..geometry import nodes_to_array
 from ..links import Link, LinkSet, length_class_index
-from ..sinr import LinearPower, LinkArrayCache, SINRParameters
-from ..state import DecodeWorkspace, NetworkState
+from ..sinr import LinearPower, PositionedLinks, SINRParameters
+from ..state import DecodeWorkspace, NetworkState, first_positions
 from .power_solver import is_power_controllable
 
 __all__ = ["DistrCapResult", "DistrCapSelector", "PhaseSeam"]
@@ -63,20 +68,33 @@ class DistrCapResult:
         slots_used: channel slots consumed (two per phase, plus any extra
             slots the seam's admission spent).
         phases: number of length-class phases executed.
-        power_controllable: whether the selected set passed the exact
-            power-control feasibility test (it should, by Lemmas 17-18).
+        power_controllable: whether the selected set passes the exact
+            power-control feasibility test (it should, by Lemmas 17-18);
+            given, or run under ``params`` on first read.
+        params: the physical-model parameters of the run.
     """
 
     selected: LinkSet
     slots_used: int
     phases: int
-    power_controllable: bool
+    power_controllable: InitVar[bool | None] = None
+    params: SINRParameters | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self, power_controllable: object) -> None:
+        # Without a given verdict the field's default is the cached property
+        # below, whose first read runs the test.
+        if isinstance(power_controllable, bool):
+            self.__dict__["power_controllable"] = power_controllable
+
+    @cached_property
+    def power_controllable(self) -> bool:  # type: ignore[no-redef]
+        return is_power_controllable(list(self.selected), self.params)
 
 
 class PhaseSeam:
     """The per-slot hooks of the phase loop.  This base is the lockstep seam:
     every candidate takes part in every slot, and every winner joins ``T'``
-    at no extra slot cost."""
+    at no extra slot cost; the loop then skips the hooks altogether."""
 
     __slots__ = ()
 
@@ -102,8 +120,9 @@ def _within_threshold(block: np.ndarray, threshold: float) -> np.ndarray:
     return np.add.accumulate(block, axis=0)[-1] <= threshold
 
 
-def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> NetworkState:
-    """The store every slot of the run decodes from, after checking the input.
+def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> PositionedLinks:
+    """The links as slots of the store every slot of the run decodes from,
+    after checking the input.
 
     A given store must hold every endpoint where the links have it; without
     one, a store over the links' endpoints is built.  A dense store
@@ -134,29 +153,54 @@ def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> Networ
             f"endpoint {ends[bad].id} has a non-finite coordinate {ends[bad].position}"
         )
     keep = np.sort(first)
+    # Every endpoint's rank among the distinct endpoints, in first-appearance order.
+    rank = np.searchsorted(keep, first_of)
     if state is None:
-        return _materialized(NetworkState.for_nodes([ends[i] for i in keep.tolist()]))
-    ids, xy = ids[keep], xy[keep]
-    live = state.live_slots()
-    live_ids = state.ids[live]
-    order = np.argsort(live_ids)
-    at = np.searchsorted(live_ids, ids, sorter=order)
-    present = at < live.size
-    at[present] = order[at[present]]
-    present[present] = live_ids[at[present]] == ids[present]
-    if not present.all():
-        raise ConfigurationError(f"the store lacks endpoint {ids[present.argmin()]}")
-    elsewhere = np.any(state.xy[live[at]] != xy, axis=1)
-    if elsewhere.any():
-        raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
-    return _materialized(state)
-
-
-def _materialized(state: NetworkState) -> NetworkState:
-    """``state``, with a dense store's distance matrix computed once."""
+        state = NetworkState.for_nodes([ends[i] for i in keep.tolist()])
+        slots = rank
+    else:
+        ids, xy = ids[keep], xy[keep]
+        live = state.live_slots()
+        live_ids = state.ids[live]
+        order = np.argsort(live_ids)
+        at = np.searchsorted(live_ids, ids, sorter=order)
+        present = at < live.size
+        at[present] = order[at[present]]
+        present[present] = live_ids[at[present]] == ids[present]
+        if not present.all():
+            raise ConfigurationError(f"the store lacks endpoint {ids[present.argmin()]}")
+        elsewhere = np.any(state.xy[live[at]] != xy, axis=1)
+        if elsewhere.any():
+            raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
+        slots = live[at][rank]
     if state.materializes_matrices:
         state.distance_matrix()
-    return state
+    return PositionedLinks(state, slots[0::2], slots[1::2])
+
+
+def _length_classes(lengths: np.ndarray) -> np.ndarray:
+    """Each link's length class, relative to the shortest link (at most 1)."""
+    min_length = min(float(lengths.min()), 1.0)
+    classes = [length_class_index(length, min_length=min_length) for length in lengths.tolist()]
+    return np.array(classes, dtype=np.int64)
+
+
+def _phases(candidates: PositionedLinks) -> list[np.ndarray]:
+    """The candidates of each phase, phases by ascending key, each in
+    candidate order; keys are the given rounds, else the length classes."""
+    keys = candidates.rounds
+    if keys is None:
+        keys = _length_classes(candidates.lengths)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
+
+
+def _kept(kept: list[Link], links: list[Link], indices: np.ndarray) -> np.ndarray:
+    """The entries of ``indices`` whose links a seam kept (an in-order sub-list)."""
+    positions = iter(indices.tolist())
+    out = [next(i for i in positions if links[i] is link) for link in kept]
+    return np.array(out, dtype=np.intp)
 
 
 class DistrCapSelector:
@@ -185,7 +229,7 @@ class DistrCapSelector:
 
     def select(
         self,
-        candidates: Sequence[Link] | LinkSet,
+        candidates: Sequence[Link] | LinkSet | PositionedLinks,
         rng: np.random.Generator,
         *,
         link_rounds: Mapping[tuple[int, int], int] | None = None,
@@ -194,14 +238,16 @@ class DistrCapSelector:
         """Run the phased selection over the candidate set.
 
         Args:
-            candidates: candidate links (typically ``T(M)``).
+            candidates: candidate links (typically ``T(M)``), as ``Link``
+                objects or as slots of a store, with their rounds.
             rng: source of the run's seed word.
             link_rounds: optional mapping from link endpoint ids to the
                 ``Init`` round in which the link was formed; links formed in
                 the same round share a length class and are processed in the
                 same phase.  When absent, phases are derived from link lengths.
-            state: a geometry store holding every candidate endpoint at the
-                link's position, to decode from instead of building one.
+            state: a geometry store holding every ``Link`` candidate's
+                endpoints at the link's position, to decode from instead of
+                building one.
 
         Raises:
             ConfigurationError: if an endpoint has a non-finite coordinate,
@@ -212,7 +258,7 @@ class DistrCapSelector:
 
     def run_phases(
         self,
-        candidates: Sequence[Link] | LinkSet,
+        candidates: Sequence[Link] | LinkSet | PositionedLinks,
         rng: np.random.Generator,
         seam: PhaseSeam,
         *,
@@ -221,134 +267,137 @@ class DistrCapSelector:
     ) -> DistrCapResult:
         """The phase loop, with ``seam`` deciding sit-outs and admission.
 
-        Arguments as for :meth:`select`.
+        Arguments as for :meth:`select`; positional candidates carry their
+        store and rounds, so ``link_rounds`` and ``state`` apply to ``Link``
+        candidates only.
         """
-        link_list = list(candidates)
-        if not link_list:
+        link_list: list[Link] | None = None
+        if isinstance(candidates, PositionedLinks):
+            positioned = candidates
+        else:
+            link_list = list(candidates)
+            if not link_list:
+                return DistrCapResult(LinkSet(), 0, 0, True)
+            positioned = _geometry_state(link_list, state)
+            if link_rounds is not None:
+                # A link without a known round is phased by its length class.
+                classes = _length_classes(positioned.lengths).tolist()
+                positioned.rounds = np.array(
+                    [int(link_rounds.get(link.endpoint_ids, c)) for link, c in zip(link_list, classes)],
+                    dtype=np.int64,
+                )
+        if not len(positioned):
             return DistrCapResult(LinkSet(), 0, 0, True)
+        # The lockstep seam keeps every link: its hooks are skipped, and a
+        # positional run builds no Link objects but those of T'.
+        lockstep = type(seam) is PhaseSeam
+        if not lockstep and link_list is None:
+            link_list = positioned.links()
 
-        # One node-geometry store for the whole run, shared by every phase
-        # slot's LinkArrayCache (over its oriented sub-universe).
-        state = _geometry_state(link_list, state)
+        senders, receivers = positioned.senders, positioned.receivers
+        ids = positioned.state.ids
         # A candidate's coin hashes its ids once; each phase slot folds in one word.
-        ids = [link.endpoint_ids for link in link_list]
-        hashes = _hash_u64(_DISTR_CAP_STREAM, seed_word(rng), *np.array(ids, dtype=np.int64).T)
-        keys = dict(zip(ids, hashes.tolist()))
+        keys = _hash_u64(_DISTR_CAP_STREAM, seed_word(rng), ids[senders], ids[receivers])
         linear = LinearPower.for_noise(self.params)
-        phases = self._partition_into_phases(link_list, link_rounds)
+        powers = np.array([linear.of_length(length) for length in positioned.lengths.tolist()])
+        phases = _phases(positioned)
         tau = self.constants.distr_cap_tau
         gamma = self.constants.duality_gamma
         cut = _uniform_cut(self.constants.selection_probability)
 
-        selected: list[Link] = []
-        used_nodes: set[int] = set()
+        def stand(indices: np.ndarray, slot: int) -> np.ndarray:
+            if lockstep:
+                return indices
+            links = [link_list[i] for i in indices.tolist()]
+            return _kept(seam.stand(links, slot), link_list, indices)
+
+        selected = np.empty(0, dtype=np.intp)
+        used = np.zeros(positioned.state.capacity, dtype=bool)
         slots_used = 0
-        for _, phase_links in sorted(phases.items()):
+        for phase in phases:
             forward_slot = slots_used
             slots_used += 2
-            eligible = [link for link in phase_links if used_nodes.isdisjoint(link.endpoint_ids)]
-            standing = seam.stand(eligible, forward_slot)
-            if not standing:
+            eligible = phase[~(used[senders[phase]] | used[receivers[phase]])]
+            standing = stand(eligible, forward_slot)
+            if not standing.size:
                 continue
-            own = np.array([keys[link.endpoint_ids] for link in standing], dtype=np.uint64)
-            heads = (_hash_from(own, forward_slot) < cut).tolist()
-            attempting = [link for link, head in zip(standing, heads) if head]
+            heads = _hash_from(keys[standing], forward_slot) < cut
             survivors = self._phase_slot(
-                attempting, selected, linear, tau / 4.0, state, forward=True
+                positioned, standing[heads], selected, powers, tau / 4.0, forward=True
             )
-            if not survivors:
+            if not survivors.size:
                 continue
-            standing = seam.stand(survivors, forward_slot + 1)
-            if not standing:
+            standing = stand(survivors, forward_slot + 1)
+            if not standing.size:
                 continue
             # Every survivor checks its dual: no coin.
             winners = self._phase_slot(
-                standing, selected, linear, gamma * tau / 4.0, state, forward=False
+                positioned, standing, selected, powers, gamma * tau / 4.0, forward=False
             )
-            if not winners:
+            if not winners.size:
                 continue
-            admitted, extra_slots = seam.admit(winners, forward_slot + 1)
-            slots_used += extra_slots
-            for link in admitted:
-                if used_nodes.isdisjoint(link.endpoint_ids):
-                    selected.append(link)
-                    used_nodes.update(link.endpoint_ids)
+            if not lockstep:
+                links = [link_list[i] for i in winners.tolist()]
+                admitted, extra_slots = seam.admit(links, forward_slot + 1)
+                winners = _kept(admitted, link_list, winners)
+                slots_used += extra_slots
+            joined = []
+            for k in winners.tolist():
+                sender, receiver = senders[k], receivers[k]
+                if not (used[sender] or used[receiver]):
+                    joined.append(k)
+                    used[sender] = used[receiver] = True
+            selected = np.concatenate((selected, np.array(joined, dtype=np.intp)))
 
-        selected_set = LinkSet(selected)
-        controllable = is_power_controllable(list(selected_set), self.params)
-        return DistrCapResult(selected_set, slots_used, len(phases), controllable)
+        chosen = (
+            positioned.links(selected)
+            if link_list is None
+            else [link_list[i] for i in selected.tolist()]
+        )
+        return DistrCapResult(LinkSet(chosen), slots_used, len(phases), params=self.params)
 
     # -- internals ----------------------------------------------------------
 
-    def _partition_into_phases(
-        self,
-        links: Sequence[Link],
-        link_rounds: Mapping[tuple[int, int], int] | None,
-    ) -> dict[int, list[Link]]:
-        rounds = {} if link_rounds is None else link_rounds
-        phases: dict[int, list[Link]] = {}
-        # Links without a formation round are phased by length class; the
-        # shortest link is measured only when some link needs it.
-        min_length: float | None = None
-        for link in links:
-            if link.endpoint_ids in rounds:
-                key = int(rounds[link.endpoint_ids])
-            else:
-                if min_length is None:
-                    min_length = min(min(other.length for other in links), 1.0)
-                key = length_class_index(link.length, min_length=min_length)
-            phases.setdefault(key, []).append(link)
-        return phases
-
     def _phase_slot(
         self,
-        attempting: Sequence[Link],
-        selected: Sequence[Link],
-        linear: LinearPower,
+        candidates: PositionedLinks,
+        attempting: np.ndarray,
+        selected: np.ndarray,
+        powers: np.ndarray,
         threshold: float,
-        state: NetworkState,
         *,
         forward: bool,
-    ) -> list[Link]:
-        """One slot of a phase; returns the attempting links whose check passed.
+    ) -> np.ndarray:
+        """One slot of a phase; returns the attempting candidates whose check passed.
 
         In the forward slot the attempting links and the selected set
         transmit in their link direction; in the dual slot both transmit in
-        the reverse direction.  A link passes when the affectance measured
-        at the receiving endpoint (from every other transmitter in the slot)
-        is at most ``threshold``.
+        the reverse direction, each with linear power (a link's dual has its
+        length).  A link passes when the affectance measured at the
+        receiving endpoint (from every other transmitter in the slot) is at
+        most ``threshold``.
         """
-        if not attempting:
-            return []
-
-        # All transmitters in this slot: the selected set plus the attempting
-        # candidates, each transmitting on its (oriented) link with linear
-        # power.  Linear power of a link equals that of its dual (same length).
-        # Only the transmitters x attempting block of pairwise affectances is
-        # ever read, so compute exactly that from the slot's LinkArrayCache
-        # (same-sender pairs are zero there, matching the scalar rule that a
-        # sender does not affect itself).
-        universe = [link if forward else link.dual for link in [*selected, *attempting]]
+        if not attempting.size:
+            return attempting
+        universe = np.concatenate((selected, attempting))
+        tx, rx = (
+            (candidates.senders, candidates.receivers)
+            if forward
+            else (candidates.receivers, candidates.senders)
+        )
+        transmitters = tx[universe]
         # Each sender transmits once, on its first link in the universe.
-        first_link_of: dict[int, int] = {}
-        for index, o in enumerate(universe):
-            first_link_of.setdefault(o.sender.id, index)
-
-        cache = LinkArrayCache(universe, state=state)
-        offset = len(universe) - len(attempting)
-        block = cache.affectance_block(
-            list(first_link_of.values()),
-            np.arange(offset, len(universe)),
-            linear,
+        # Only the transmitters x attempting block of affectances is read.
+        block = candidates.affectance_block(
+            universe[first_positions(transmitters)],
+            attempting,
+            powers,
             self.params,
+            dual=not forward,
             workspace=self._workspace,
         )
-
-        passed = _within_threshold(block, threshold).tolist()
         # A receiving endpoint that is itself transmitting in this slot
         # cannot measure anything (half-duplex).
-        return [
-            link
-            for position, link in enumerate(attempting)
-            if passed[position] and universe[offset + position].receiver.id not in first_link_of
-        ]
+        sending = np.zeros(candidates.state.capacity, dtype=bool)
+        sending[transmitters] = True
+        return attempting[_within_threshold(block, threshold) & ~sending[rx[attempting]]]

@@ -13,19 +13,27 @@ through (the paper notes this extra acknowledgment slot explicitly in the
 proof of Theorem 16).  A link's sampling coin in attempt ``k`` is the counter
 hash of its ``(sender id, receiver id, k)`` under the call's seed
 (:mod:`repro.coins`).
+
+The slot pairs run on positions: candidates are (sender, receiver) slots of
+one geometry store (:class:`~repro.sinr.PositionedLinks`), decoded through
+that store's channel.  ``TreeViaCapacity`` passes its ``T(M)`` as slots of
+the population's store; ``Link`` candidates get a tiled store over their
+endpoints, which decodes sender x receiver rectangles without an n x n
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..coins import _hash_from, _hash_u64, _uniform_cut, seed_word
 from ..links import Link, LinkSet
-from ..sinr import CachedChannel, MeanPower, PowerAssignment, SINRParameters
-from ..state import TiledNetworkState
+from ..sinr import CachedChannel, MeanPower, PositionedLinks, PowerAssignment, SINRParameters
+from ..sinr.power import _LengthPower
+from ..state import TiledNetworkState, first_positions
 from .quantities import upsilon
 
 __all__ = ["MeanPowerSelectionResult", "MeanPowerSelector"]
@@ -87,7 +95,7 @@ class MeanPowerSelector:
 
     def select(
         self,
-        candidates: Sequence[Link] | LinkSet,
+        candidates: Sequence[Link] | LinkSet | PositionedLinks,
         rng: np.random.Generator,
         *,
         n_hint: int | None = None,
@@ -98,7 +106,8 @@ class MeanPowerSelector:
         """Run slot-pairs of mean-power sampling until a non-empty set succeeds.
 
         Args:
-            candidates: the candidate links (typically ``T(M)``).
+            candidates: the candidate links (typically ``T(M)``), as ``Link``
+                objects or as slots of a store to decode from.
             rng: source of the call's seed word.
             n_hint: the network size used in the Upsilon estimate (defaults to
                 the number of candidate nodes).
@@ -111,37 +120,62 @@ class MeanPowerSelector:
                 with, because mean-power feasibility is not scale-invariant in
                 the presence of noise.
         """
-        link_list = list(candidates)
-        empty_power = MeanPower.for_max_length(self.params, 1.0)
-        if not link_list:
-            return MeanPowerSelectionResult(LinkSet(), empty_power, 0, 0, 0.0)
+        link_list: list[Link] | None = None
+        if isinstance(candidates, PositionedLinks):
+            positioned = candidates
+        else:
+            link_list = list(candidates)
+            store = TiledNetworkState.from_links(link_list)
+            slots = np.array(
+                [store.slot_of_id(node_id) for link in link_list for node_id in link.endpoint_ids],
+                dtype=np.intp,
+            )
+            lengths = [link.length for link in link_list]
+            positioned = PositionedLinks(store, slots[0::2], slots[1::2], lengths=lengths)
+        if not len(positioned):
+            return MeanPowerSelectionResult(
+                LinkSet(), MeanPower.for_max_length(self.params, 1.0), 0, 0, 0.0
+            )
 
-        longest = max(link.length for link in link_list)
-        shortest = min(link.length for link in link_list)
-        n = n_hint if n_hint is not None else len({l.sender.id for l in link_list} | {l.receiver.id for l in link_list})
+        state, senders, receivers = positioned.state, positioned.senders, positioned.receivers
+        lengths = positioned.lengths.tolist()
+        longest, shortest = max(lengths), min(lengths)
+        n = n_hint
+        if n is None:
+            endpoint = np.zeros(state.capacity, dtype=bool)
+            endpoint[senders] = endpoint[receivers] = True
+            n = int(endpoint.sum())
         delta = delta_hint if delta_hint is not None else max(longest / max(shortest, 1e-12), 1.0)
         probability = self.sampling_probability(max(n, 2), max(delta, 1.0))
         if power is None:
             power = MeanPower.for_max_length(self.params, max(longest, 1.0))
-        # The slot pairs decode sender x receiver rectangles only, which a
-        # tiled store computes from coordinates without an n x n matrix.
-        channel = CachedChannel(self.params, state=TiledNetworkState.from_links(link_list))
-        ends = np.array([link.endpoint_ids for link in link_list], dtype=np.int64).T
+
+        def links_at(indices: np.ndarray) -> list[Link]:
+            if link_list is None:
+                return positioned.links(indices)
+            return [link_list[i] for i in indices.tolist()]
+
+        def levels(indices: np.ndarray) -> np.ndarray:
+            if isinstance(power, _LengthPower):  # oblivious: by length, no Link objects
+                return np.array([power.of_length(lengths[i]) for i in indices.tolist()])
+            return np.array(power.powers(links_at(indices)), dtype=float)
+
+        channel = CachedChannel(self.params, state=state)
+        ends = (state.ids[senders], state.ids[receivers])
         keys = _hash_u64(_MEAN_POWER_STREAM, seed_word(rng), *ends)
         cut = _uniform_cut(probability)
 
         slots_used = 0
         for attempt in range(1, max_attempts + 1):
-            heads = (_hash_from(keys, attempt) < cut).tolist()
-            sampled = [link for link, head in zip(link_list, heads) if head]
+            sampled = np.flatnonzero(_hash_from(keys, attempt) < cut)
             first_slot = slots_used  # data/ack slot indices for fading models
             slots_used += 2
-            if not sampled:
+            if not sampled.size:
                 continue
-            selected = self._run_slot_pair(sampled, power, channel, first_slot)
-            if selected:
+            won = self._run_slot_pair(ends, sampled, levels, channel, first_slot)
+            if won.size:
                 return MeanPowerSelectionResult(
-                    selected=LinkSet(selected),
+                    selected=LinkSet(links_at(won)),
                     power=power,
                     slots_used=slots_used,
                     attempts=attempt,
@@ -153,32 +187,27 @@ class MeanPowerSelector:
 
     def _run_slot_pair(
         self,
-        sampled: Sequence[Link],
-        power: PowerAssignment,
+        ends: tuple[np.ndarray, np.ndarray],
+        sampled: np.ndarray,
+        levels: Callable[[np.ndarray], np.ndarray],
         channel: CachedChannel,
         first_slot: int = 0,
-    ) -> list[Link]:
-        """Data + acknowledgment slot for the sampled links; return the winners."""
-        by_sender: dict[int, Link] = {}
-        for link in sampled:
-            # One transmission per radio per slot.
-            by_sender.setdefault(link.sender.id, link)
-        attempts = list(by_sender.values())
-        heard = channel.decoded_senders(
-            list(by_sender),
-            [power.power(link) for link in attempts],
-            [link.receiver.id for link in attempts],
-            first_slot,
-        )
-        data_ok = [link for link in attempts if heard.get(link.receiver.id) == link.sender.id]
-        if not data_ok:
-            return []
+    ) -> np.ndarray:
+        """Data + acknowledgment slot for the sampled candidates; return the winners.
+
+        ``ends`` holds every candidate's sender and receiver id, ``levels``
+        gives the candidates' powers at some of their indices.
+        """
+        senders, receivers = ends
+        # One transmission per radio per slot.
+        attempts = sampled[first_positions(senders[sampled])]
+        tx, rx = senders[attempts].tolist(), receivers[attempts].tolist()
+        heard = channel.decoded_senders(tx, levels(attempts), rx, first_slot)
+        data_ok = attempts[[heard.get(r) == t for t, r in zip(tx, rx)]]
+        if not data_ok.size:
+            return data_ok
         # A receiver decodes one sender, so the acknowledging receivers are
         # distinct radios too.
-        acked = channel.decoded_senders(
-            [link.receiver.id for link in data_ok],
-            [power.power(link) for link in data_ok],
-            [link.sender.id for link in data_ok],
-            first_slot + 1,
-        )
-        return [link for link in data_ok if acked.get(link.sender.id) == link.receiver.id]
+        tx, rx = senders[data_ok].tolist(), receivers[data_ok].tolist()
+        acked = channel.decoded_senders(rx, levels(data_ok), tx, first_slot + 1)
+        return data_ok[[acked.get(t) == r for t, r in zip(tx, rx)]]

@@ -25,7 +25,15 @@ from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import InfeasiblePowerError, ProtocolError
 from ..geometry import Node
 from ..links import Link, LinkSet
-from ..sinr import ExplicitPower, MeanPower, PowerAssignment, SINRParameters, UniformPower
+from ..obs.runtime import OBS
+from ..sinr import (
+    ExplicitPower,
+    MeanPower,
+    PositionedLinks,
+    PowerAssignment,
+    SINRParameters,
+    UniformPower,
+)
 from ..state import NetworkState
 from .bitree import BiTree
 from .distr_cap import DistrCapResult, DistrCapSelector
@@ -42,11 +50,6 @@ PowerMode = Literal["arbitrary", "mean"]
 # solution sits exactly on the feasibility boundary, which floating point and
 # large dynamic ranges (high-Delta instances) can tip over.
 _POWER_MARGIN = 1.05
-
-
-def _links(nodes: Sequence[Node], children: np.ndarray, parents: np.ndarray) -> list[Link]:
-    """The links ``nodes[children[k]] -> nodes[parents[k]]``, in that order."""
-    return [Link(nodes[c], nodes[p]) for c, p in zip(children.tolist(), parents.tolist())]
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,11 @@ class TreeViaCapacity:
     def build(self, nodes: Sequence[Node], rng: np.random.Generator) -> TreeViaCapacityResult:
         """Run the full framework on ``nodes``.
 
-        Every iteration's ``Init`` and ``Distr-Cap`` decode from one
-        geometry store: the deployment's, then at each iteration a
+        Every iteration's ``Init`` and selection decode from one geometry
+        store: the deployment's, then at each iteration a
         :meth:`NetworkState.subset` of the previous one over the shrinking
-        population.  One selector serves every iteration.
+        population's slots.  The selection takes ``T(M)`` by position; one
+        selector serves every iteration.
 
         Raises:
             ProtocolError: if the population does not shrink to one node
@@ -197,29 +201,29 @@ class TreeViaCapacity:
                     f"({len(population)} nodes still active)"
                 )
             init_result = builder.build(population, rng, state=state, _checked=True)
-            # T(M) is read off Init's parent array; only its links (all tree
-            # links when it is empty) become Link objects.
+            # T(M) is read off Init's parent array as (child, parent)
+            # positions, which are slots of P_i's store (the one its Init
+            # just decoded from): every tree link when it is empty.
             children, parents = init_result.link_positions()
             tree_size = children.size
             in_subset = degree_bounded_mask(children, parents, len(population), rho)
             if in_subset.any():
                 children, parents = children[in_subset], parents[in_subset]
-            candidates = _links(population, children, parents)
-
-            # Every candidate is a tree link over P_i, so P_i's store (the one
-            # its Init just decoded from) holds them all.
+            # The candidates are not kept: P_i's store must be free to go
+            # once P_{i+1}'s is gathered.
             outcome: DistrCapResult | MeanPowerSelectionResult
             if isinstance(selector, DistrCapSelector):
-                rounds = init_result.state.parent_round[children].tolist()
-                link_rounds = {link.endpoint_ids: r for link, r in zip(candidates, rounds)}
-                outcome = selector.select(candidates, rng, link_rounds=link_rounds, state=state)
+                rounds = init_result.state.parent_round[children]
+                outcome = selector.select(PositionedLinks(state, children, parents, rounds), rng)
             else:
-                outcome = selector.select(candidates, rng, power=self._mean_power)
+                outcome = selector.select(
+                    PositionedLinks(state, children, parents), rng, power=self._mean_power
+                )
             selected, selection_slots = outcome.selected, outcome.slots_used
             if len(selected) == 0:
                 # Guarantee progress: fall back to the single shortest tree
                 # link, which is trivially feasible on its own.
-                tree_links = _links(population, *init_result.link_positions())
+                tree_links = PositionedLinks(state, *init_result.link_positions()).links()
                 shortest = min(tree_links, key=lambda link: (link.length, link.endpoint_ids))
                 selected = LinkSet([shortest])
             selected = self._enforce_slot_structure(selected)
@@ -230,18 +234,21 @@ class TreeViaCapacity:
                 slot_of_node[link.sender.id] = iteration
                 power_map[link.endpoint_ids] = slot_power.power(link)
 
-            retired = {link.sender.id for link in selected}
-            population = [node for node in population if node.id not in retired]
-            # P_{i+1} is a subset of P_i: gather its store from this one and
-            # let this one go, so at most two are alive at a time.
-            state = state.subset(population)
+            # P_{i+1} is P_i without T''s senders: gather its store from this
+            # one by slot and let this one go, so at most two are alive at a
+            # time.
+            alive = np.ones(len(population), dtype=bool)
+            alive[[state.slot_of_id(link.sender.id) for link in selected]] = False
+            kept = np.flatnonzero(alive)
+            population = [population[k] for k in kept.tolist()]
+            state = state.subset(kept)
             construction_slots += init_result.slots_used + selection_slots
             iterations.append(
                 IterationRecord(
                     index=iteration,
-                    population=len(retired) + len(population),
+                    population=alive.size,
                     tree_links=tree_size,
-                    candidate_links=len(candidates),
+                    candidate_links=children.size,
                     selected_links=len(selected),
                     init_slots=init_result.slots_used,
                     selection_slots=selection_slots,
@@ -250,6 +257,10 @@ class TreeViaCapacity:
             )
             iteration += 1
 
+        if OBS.enabled:
+            registry = OBS.registry
+            registry.inc("core.tvc.iterations", len(iterations))
+            registry.inc("core.tvc.construction_slots", construction_slots)
         root_id = population[0].id
         tree = BiTree.from_parent_map(list(all_nodes.values()), root_id, parent, slot_of_node)
         power = self._finalize_power(tree, power_map, delta)

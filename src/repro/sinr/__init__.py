@@ -16,6 +16,7 @@ _EXPORTS = LazyExports(__name__, {
         "sinr_values", "violates_half_duplex", "duplicate_senders", "FEASIBILITY_TOLERANCE",
     ),
     "channel": ("Channel", "CachedChannel", "Transmission", "Reception"),
+    "positioned": ("PositionedLinks",),
     "arrays": (
         "LinkArrayCache", "NodeArrayCache", "AffectanceAccumulator",
         "affectance_matrix_from_arrays", "sinr_values_from_arrays",

@@ -191,6 +191,45 @@ def _affectance_kernel(
     return raw
 
 
+def _affectance_block(
+    dist: np.ndarray,
+    ids: tuple[np.ndarray, np.ndarray, np.ndarray],
+    col_lengths: np.ndarray,
+    row_powers: np.ndarray,
+    col_powers: np.ndarray,
+    params: SINRParameters,
+    workspace: DecodeWorkspace | None,
+) -> np.ndarray:
+    """An affectance block from its distances and endpoint ids.
+
+    ``ids`` holds the row senders' ids and the column links' sender and
+    receiver ids.  Pairs sharing a sender are zero (a link and itself among
+    them); a gain model's fades are drawn by id pair, slot-free.
+    """
+    row_tx, col_tx, col_rx = ids
+    if workspace is None:
+        zero_mask = row_tx[:, None] == col_tx[None, :]
+    else:
+        zero_mask = workspace.bools("aff.zero", row_tx.size, col_tx.size)
+        np.equal(row_tx[:, None], col_tx[None, :], out=zero_mask)
+    cross_fade = signal_fade = None
+    model = params.effective_gain_model
+    if model is not None:
+        cross_fade = model.fade(row_tx, col_rx)
+        signal_fade = model.fade_pairs(col_tx, col_rx)
+    return _affectance_kernel(
+        dist,
+        zero_mask,
+        col_lengths,
+        row_powers,
+        col_powers,
+        params,
+        cross_fade,
+        signal_fade,
+        workspace,
+    )
+
+
 @hot_kernel(oracle="_seed_affectance_matrix", allocates=True)
 def affectance_matrix_from_arrays(
     dist: FloatArray,
@@ -502,30 +541,13 @@ class LinkArrayCache(Sequence):
             )
         else:
             dist = pairwise_distances(self.sender_xy[rows], self.receiver_xy[cols])
-        if workspace is None:
-            zero_mask = (
-                self.sender_ids[rows][:, None] == self.sender_ids[cols][None, :]
-            ) | (rows[:, None] == cols[None, :])
-        else:
-            zero_mask = workspace.bools("aff.zero", rows.size, cols.size)
-            np.equal(
-                self.sender_ids[rows][:, None],
-                self.sender_ids[cols][None, :],
-                out=zero_mask,
-            )
-            same_index = workspace.bools("aff.self", rows.size, cols.size)
-            np.equal(rows[:, None], cols[None, :], out=same_index)
-            np.logical_or(zero_mask, same_index, out=zero_mask)
-        cross_fade, signal_fade = self._fades(params, rows, cols)
-        return _affectance_kernel(
+        return _affectance_block(
             dist,
-            zero_mask,
+            (self.sender_ids[rows], self.sender_ids[cols], self.receiver_ids[cols]),
             self.lengths[cols],
             powers[rows],
             powers[cols],
             params,
-            cross_fade,
-            signal_fade,
             workspace,
         )
 

@@ -87,7 +87,11 @@ class _LengthPower(PowerAssignment):
         self.scale = float(scale)
 
     def power(self, link: Link) -> float:
-        return self.scale * link.length**self.exponent
+        return self.of_length(link.length)
+
+    def of_length(self, length: float) -> float:
+        """The power of a link of the given length (what :meth:`power` gives)."""
+        return self.scale * length**self.exponent
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(exponent={self.exponent:.3g}, scale={self.scale:.4g})"

@@ -22,7 +22,7 @@ _EXPORTS = LazyExports(__name__, {
     "scratch": ("DecodeWorkspace",),
     "kernels": (
         "attenuation_from_distances", "attenuation_rect_from_xy", "distance_rect_from_xy",
-        "pairwise_distances",
+        "pairwise_distances", "first_positions",
     ),
 })
 __all__ = _EXPORTS.names

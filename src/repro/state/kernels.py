@@ -30,6 +30,7 @@ __all__ = [
     "distance_rect_from_xy",
     "attenuation_rect_from_xy",
     "fill_attenuation_rows",
+    "first_positions",
 ]
 
 
@@ -172,3 +173,16 @@ def _attenuation_into(
     np.maximum(att, 1e-300, out=att)
     np.power(att, alpha, out=att)
     np.copyto(att, 0.0, where=colocated)
+
+
+def first_positions(values: np.ndarray) -> np.ndarray:
+    """Positions of the first appearance of each distinct entry, ascending.
+
+    Sort-and-compare on a stable argsort (``np.unique`` would import
+    ``numpy.ma``): the first of each run of equal values is its earliest.
+    """
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    first = np.ones(values.shape[0], dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[first])

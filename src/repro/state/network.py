@@ -91,19 +91,26 @@ class NetworkState:
         ids = [node.id for node in node_list]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate node ids in the initial universe")
-        self._capacity = cap
-        self._xy = np.zeros((cap, 2), dtype=float)
-        self._ids = np.full(cap, -1, dtype=np.int64)
-        self._nodes: list[Node | None] = [None] * cap
+        xy = np.zeros((cap, 2), dtype=float)
+        id_array = np.full(cap, -1, dtype=np.int64)
         if n:
-            self._xy[:n] = [[node.x, node.y] for node in node_list]
-            self._ids[:n] = ids
-            self._nodes[:n] = node_list
-        _freeze(self._xy)
-        _freeze(self._ids)
-        self._slot_by_id: dict[int, int] = {node.id: i for i, node in enumerate(node_list)}
+            xy[:n] = [[node.x, node.y] for node in node_list]
+            id_array[:n] = ids
+        self._hold(xy, id_array, node_list)
+
+    def _hold(self, xy: np.ndarray, ids: np.ndarray, nodes: list[Node]) -> None:
+        """Take ``xy`` and ``ids`` (one row per slot, the first ``len(nodes)``
+        holding ``nodes`` in order, the rest free) as this store's arrays,
+        with no derived matrix built yet."""
+        n = len(nodes)
+        cap = ids.shape[0]
+        self._capacity = cap
+        self._xy = _freeze(xy)
+        self._ids = _freeze(ids)
+        self._nodes: list[Node | None] = [*nodes, *[None] * (cap - n)]
+        self._slot_by_id: dict[int, int] = {node.id: slot for slot, node in enumerate(nodes)}
+        # An ascending list is a heap already.
         self._free: list[int] = list(range(n, cap))
-        heapq.heapify(self._free)
         self._distances: np.ndarray | None = None
         self._attenuation: dict[float, np.ndarray] = {}
         self._fades: dict[object, np.ndarray | None] = {}
@@ -131,53 +138,72 @@ class NetworkState:
         :data:`DENSE_BUDGET_BYTES`, tiled above.  This is the one place that
         decides between the two stores by size.  The exception are callers
         that decode explicit sender x receiver rectangles only (the schedule
-        replays of ``repro.netsim.aggregation`` and mean-power sampling):
-        they build a :class:`~repro.state.TiledNetworkState` at any size,
-        which computes those rectangles from coordinates without first
-        building the n x n matrices.
+        replays of ``repro.netsim.aggregation`` and mean-power sampling of
+        ``Link`` candidates): they build a
+        :class:`~repro.state.TiledNetworkState` at any size, which computes
+        those rectangles from coordinates without first building the n x n
+        matrices.
         """
         node_list = list(nodes)
-        if 16 * len(node_list) ** 2 <= DENSE_BUDGET_BYTES:
-            return NetworkState(node_list)
+        return NetworkState._store_type(len(node_list))(node_list)
+
+    @staticmethod
+    def _store_type(n: int) -> type["NetworkState"]:
+        """The store class :meth:`for_nodes` picks for ``n`` nodes."""
+        if 16 * n**2 <= DENSE_BUDGET_BYTES:
+            return NetworkState
         from .tiled import TiledNetworkState  # the subclass imports this module
 
-        return TiledNetworkState(node_list)
+        return TiledNetworkState
 
     @staticmethod
     def for_links(links: Iterable["Link"]) -> "NetworkState":
         """:meth:`for_nodes` over the unique endpoints of a link collection."""
         return NetworkState.for_nodes(_link_endpoints(links))
 
-    def subset(self, nodes: Iterable[Node]) -> "NetworkState":
-        """The store for ``nodes``, a subset of this store's live nodes.
+    def subset(self, slots: np.ndarray) -> "NetworkState":
+        """The store for the live nodes at ``slots``, in that order.
 
-        The result is a fresh store over ``nodes`` in the given order, chosen
-        by :meth:`for_nodes`.  When both stores are dense, every matrix this
-        store has materialized is gathered (``np.ix_``) instead of
+        The result is a fresh store of the kind :meth:`for_nodes` picks,
+        whose slot ``k`` holds the node at ``slots[k]``.  When both stores
+        are dense, every matrix this store has materialized is gathered (a
+        row ``take``, then a column one, by blocks of rows) instead of
         recomputed: the same floats a fresh store would derive, without the
         pairwise work.  Callers that shrink a population step by step chain
         these, so each step pays one gather.
 
         Raises:
-            ValueError: if a node is not live here, sits elsewhere than this
-                store holds it, or appears twice.
+            ValueError: if a slot is out of range or free, or appears twice.
         """
-        node_list = list(nodes)
-        try:
-            slots = np.array([self._slot_by_id[node.id] for node in node_list], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"node {exc.args[0]!r} is not live in this store") from None
-        sub = NetworkState.for_nodes(node_list)
-        if not np.array_equal(sub.xy, self._xy[slots], equal_nan=True):
-            raise ValueError("the subset's nodes must sit where this store holds them")
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.size and not (0 <= slots.min() and slots.max() < self._capacity):
+            raise ValueError("slots must lie in this store's capacity")
+        nodes = [self._nodes[slot] for slot in slots.tolist()]
+        free = [slot for slot, node in zip(slots.tolist(), nodes) if node is None]
+        if free:
+            raise ValueError(f"slot {free[0]} is free")
+        if np.count_nonzero(np.bincount(slots, minlength=1) > 1):
+            raise ValueError("duplicate slots in the subset")
+        sub = NetworkState._store_type(slots.size)()
+        sub._hold(self._xy[slots], self._ids[slots], nodes)  # type: ignore[arg-type]
         if self._distances is not None and sub.materializes_matrices:
-            grid = np.ix_(slots, slots)
-            sub._distances = _freeze(self._distances[grid])
-            sub._attenuation = {
-                alpha: _freeze(att[grid]) for alpha, att in self._attenuation.items()
-            }
+
+            def gather(matrix: np.ndarray) -> np.ndarray:
+                # Blocks of rows of about 32 KB, each taken into the result
+                # column by column, so no k x capacity copy is staged; the
+                # slots are in range, so "clip" only skips take's buffering
+                # of ``out``.
+                out = np.empty((slots.size, slots.size), dtype=matrix.dtype)
+                step = max(1, 4096 // matrix.shape[1])
+                for lo in range(0, slots.size, step):
+                    rows = matrix.take(slots[lo : lo + step], axis=0)
+                    rows.take(slots, axis=1, out=out[lo : lo + step], mode="clip")
+                return _freeze(out)
+
+            sub._distances = gather(self._distances)
+            sub._attenuation = {alpha: gather(att) for alpha, att in self._attenuation.items()}
             sub._fades = {
-                model: None if fade is None else _freeze(fade[grid])
+                model: None if fade is None else gather(fade)
                 for model, fade in self._fades.items()
             }
         return sub

@@ -27,7 +27,12 @@ import numpy as np
 
 from .._types import FloatArray, IntpArray
 from ..obs.runtime import OBS
-from .kernels import attenuation_rect_from_xy, distance_rect_from_xy, fill_attenuation_rows
+from .kernels import (
+    attenuation_rect_from_xy,
+    distance_rect_from_xy,
+    fill_attenuation_rows,
+    first_positions,
+)
 from .network import NetworkState
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -93,19 +98,6 @@ class _RowCache:
         self.row_of[missing] = rows
         self.cursor = (int(rows[-1]) + 1) % holders.shape[0]
         return rows
-
-
-def _first_appearances(slots: IntpArray) -> IntpArray:
-    """Distinct entries of ``slots`` in order of first appearance.
-
-    Sort-and-compare on a stable argsort (``np.unique`` would import
-    ``numpy.ma``): the first of each run of equal values is its earliest.
-    """
-    order = np.argsort(slots, kind="stable")
-    ranked = slots[order]
-    first = np.ones(slots.shape[0], dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    return slots[np.sort(order[first])]
 
 
 class TiledNetworkState(NetworkState):
@@ -276,7 +268,8 @@ class TiledNetworkState(NetworkState):
         positions = cache.row_of[row_slots]
         absent = positions < 0
         if absent.any():
-            missing = _first_appearances(row_slots[absent])
+            missing = row_slots[absent]
+            missing = missing[first_positions(missing)]
             placed = cache.place(missing, row_slots)
             # Fill run by run of consecutive ring rows, straight into the ring.
             order = np.argsort(placed)

@@ -7,10 +7,11 @@ netsim runtime), the per-agent ``Init`` (lockstep and over netsim), the
 cold-pool trial map, the per-node netsim fault loops and the per-call
 fault draws the fault tables replaced, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
-netsim ``Distr-Cap`` builder's forked phase loop, the four forked schedule
-replays (lockstep and netsim, convergecast and broadcast), mean-power
-sampling's object-path slot pair, TreeViaCapacity's iteration over Init's
-tree as link objects, and the object-level single-link threshold test.
+netsim ``Distr-Cap`` builder's forked phase loop, ``Distr-Cap`` and
+mean-power sampling on link objects (before they selected by position), the
+four forked schedule replays (lockstep and netsim, convergecast and
+broadcast), mean-power sampling's object-path slot pair, TreeViaCapacity's
+iteration over Init's tree as link objects, and the object-level single-link threshold test.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
@@ -23,11 +24,11 @@ from .aggregation import (
     simulate_convergecast_reference,
 )
 from .decode import decode_reference, link_succeeds
-from .distr_cap import ReferenceNetDistrCapBuilder
+from .distr_cap import LinkPathDistrCapSelector, ReferenceNetDistrCapBuilder
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference, eager_result_values
-from .mean_power import ReferenceMeanPowerSelector
+from .mean_power import LinkPathMeanPowerSelector, ReferenceMeanPowerSelector
 from .netsim import (
     OracleFaultyTransport,
     OracleHeartbeatDetector,
@@ -51,6 +52,8 @@ __all__ = [
     "BroadcastMessage",
     "InitAgent",
     "LegacySimulator",
+    "LinkPathDistrCapSelector",
+    "LinkPathMeanPowerSelector",
     "NodeAgent",
     "OracleFaultyTransport",
     "OracleHeartbeatDetector",

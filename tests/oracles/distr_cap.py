@@ -1,4 +1,12 @@
-"""The forked ``Distr-Cap`` phase loop over the transport (oracle of ``NetDistrCapBuilder``).
+"""``Distr-Cap`` on link objects: the lockstep phase loop before it selected
+by position, and the forked loop over the transport (oracle of
+``NetDistrCapBuilder``).
+
+:class:`LinkPathDistrCapSelector` is :meth:`~repro.core.DistrCapSelector.run_phases`
+as it ran on ``Link`` objects: eligibility by a set of used node ids, one
+coin lookup per link by its endpoint ids, and every phase slot a fresh
+:class:`~repro.sinr.LinkArrayCache` over its (oriented) links, whose
+``affectance_block`` the positional slot must reproduce bit for bit.
 
 Before ``Distr-Cap`` had one phase loop with a per-slot seam, the netsim
 builder ran its own copy of the lockstep loop: crashed endpoints sat slots
@@ -16,9 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.coins import _hash_int, _uniform_cut, seed_word
+from repro.coins import _hash_from, _hash_int, _hash_u64, _uniform_cut, seed_word
 from repro.constants import DEFAULT_CONSTANTS, AlgorithmConstants
-from repro.core.distr_cap import _DISTR_CAP_STREAM
+from repro.core import DistrCapResult, DistrCapSelector
+from repro.core.distr_cap import _DISTR_CAP_STREAM, PhaseSeam, _geometry_state, _within_threshold
 from repro.core.power_solver import is_power_controllable
 from repro.exceptions import ConfigurationError
 from repro.links import Link, LinkSet, length_class_index
@@ -28,7 +37,119 @@ from repro.obs.spans import span
 from repro.sinr import LinearPower, LinkArrayCache, SINRParameters
 from repro.state import DecodeWorkspace, NetworkState
 
-__all__ = ["ReferenceNetDistrCapBuilder"]
+__all__ = ["LinkPathDistrCapSelector", "ReferenceNetDistrCapBuilder"]
+
+
+class LinkPathDistrCapSelector(DistrCapSelector):
+    """:class:`DistrCapSelector` with the phase loop on link objects."""
+
+    __slots__ = ()
+
+    def run_phases(  # type: ignore[override]
+        self,
+        candidates: Sequence[Link] | LinkSet,
+        rng: np.random.Generator,
+        seam: PhaseSeam,
+        *,
+        link_rounds: Mapping[tuple[int, int], int] | None = None,
+        state: NetworkState | None = None,
+    ) -> DistrCapResult:
+        link_list = list(candidates)
+        if not link_list:
+            return DistrCapResult(LinkSet(), 0, 0, True)
+        state = _geometry_state(link_list, state).state
+        ids = [link.endpoint_ids for link in link_list]
+        hashes = _hash_u64(_DISTR_CAP_STREAM, seed_word(rng), *np.array(ids, dtype=np.int64).T)
+        keys = dict(zip(ids, hashes.tolist()))
+        linear = LinearPower.for_noise(self.params)
+        phases = self._link_phases(link_list, link_rounds)
+        tau = self.constants.distr_cap_tau
+        gamma = self.constants.duality_gamma
+        cut = _uniform_cut(self.constants.selection_probability)
+
+        selected: list[Link] = []
+        used_nodes: set[int] = set()
+        slots_used = 0
+        for _, phase_links in sorted(phases.items()):
+            forward_slot = slots_used
+            slots_used += 2
+            eligible = [link for link in phase_links if used_nodes.isdisjoint(link.endpoint_ids)]
+            standing = seam.stand(eligible, forward_slot)
+            if not standing:
+                continue
+            own = np.array([keys[link.endpoint_ids] for link in standing], dtype=np.uint64)
+            heads = (_hash_from(own, forward_slot) < cut).tolist()
+            attempting = [link for link, head in zip(standing, heads) if head]
+            survivors = self._link_slot(attempting, selected, linear, tau / 4.0, state, forward=True)
+            if not survivors:
+                continue
+            standing = seam.stand(survivors, forward_slot + 1)
+            if not standing:
+                continue
+            winners = self._link_slot(
+                standing, selected, linear, gamma * tau / 4.0, state, forward=False
+            )
+            if not winners:
+                continue
+            admitted, extra_slots = seam.admit(winners, forward_slot + 1)
+            slots_used += extra_slots
+            for link in admitted:
+                if used_nodes.isdisjoint(link.endpoint_ids):
+                    selected.append(link)
+                    used_nodes.update(link.endpoint_ids)
+
+        selected_set = LinkSet(selected)
+        controllable = is_power_controllable(list(selected_set), self.params)
+        return DistrCapResult(selected_set, slots_used, len(phases), controllable)
+
+    @staticmethod
+    def _link_phases(
+        links: Sequence[Link], link_rounds: Mapping[tuple[int, int], int] | None
+    ) -> dict[int, list[Link]]:
+        rounds = {} if link_rounds is None else link_rounds
+        phases: dict[int, list[Link]] = {}
+        min_length: float | None = None
+        for link in links:
+            if link.endpoint_ids in rounds:
+                key = int(rounds[link.endpoint_ids])
+            else:
+                if min_length is None:
+                    min_length = min(min(other.length for other in links), 1.0)
+                key = length_class_index(link.length, min_length=min_length)
+            phases.setdefault(key, []).append(link)
+        return phases
+
+    def _link_slot(
+        self,
+        attempting: Sequence[Link],
+        selected: Sequence[Link],
+        linear: LinearPower,
+        threshold: float,
+        state: NetworkState,
+        *,
+        forward: bool,
+    ) -> list[Link]:
+        if not attempting:
+            return []
+        universe = [link if forward else link.dual for link in [*selected, *attempting]]
+        first_link_of: dict[int, int] = {}
+        for index, o in enumerate(universe):
+            first_link_of.setdefault(o.sender.id, index)
+        cache = LinkArrayCache(universe, state=state)
+        offset = len(universe) - len(attempting)
+        block = cache.affectance_block(
+            list(first_link_of.values()),
+            np.arange(offset, len(universe)),
+            linear,
+            self.params,
+            workspace=self._workspace,
+        )
+        passed = _within_threshold(block, threshold).tolist()
+        return [
+            link
+            for position, link in enumerate(attempting)
+            if passed[position] and universe[offset + position].receiver.id not in first_link_of
+        ]
 
 
 class _ReferenceSelector:

@@ -1,12 +1,15 @@
-"""``TreeViaCapacity`` on Init's objects (oracle of the array-read iteration).
+"""``TreeViaCapacity`` on Init's objects (oracle of the positional iteration).
 
-Before TreeViaCapacity read ``T(M)`` off Init's parent array, every
-iteration took the Init result's bi-tree, listed its aggregation links as a
-:class:`LinkSet`, computed ``T(M)`` with :func:`degree_bounded_subset` and
-handed the subset (or every tree link, when it was empty) to the selector
-together with the result's full ``link_rounds``.  That loop is kept here
-verbatim, so the parity tests can show the array-read one makes the same
-draws, the same selections and the same tree.
+Before TreeViaCapacity read ``T(M)`` off Init's parent array and selected by
+position, every iteration took the Init result's bi-tree, listed its
+aggregation links as a :class:`LinkSet`, computed ``T(M)`` with
+:func:`degree_bounded_subset` and handed the subset (or every tree link,
+when it was empty) to the selector on link objects together with the
+result's full ``link_rounds``; the next population's store was gathered
+for its nodes.  That loop is kept here, its selectors the link-object ones
+(:class:`LinkPathDistrCapSelector`, :class:`LinkPathMeanPowerSelector`), so
+the parity tests can show the positional one makes the same draws, the
+same selections and the same tree.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ import numpy as np
 
 from repro.core import (
     DistrCapResult,
-    DistrCapSelector,
     InitialTreeBuilder,
-    MeanPowerSelector,
     TreeViaCapacity,
     TreeViaCapacityResult,
     degree_bounded_subset,
@@ -34,6 +35,9 @@ from repro.geometry import Node
 from repro.links import LinkSet
 from repro.sinr import ExplicitPower, MeanPower
 from repro.state import NetworkState
+
+from .distr_cap import LinkPathDistrCapSelector
+from .mean_power import LinkPathMeanPowerSelector
 
 __all__ = ["ReferenceTreeViaCapacity"]
 
@@ -61,10 +65,10 @@ class ReferenceTreeViaCapacity(TreeViaCapacity):
 
         self._mean_power = MeanPower.for_max_length(self.params, max(delta, 1.0))
         builder = InitialTreeBuilder(self.params, self.constants)
-        selector: DistrCapSelector | MeanPowerSelector = (
-            DistrCapSelector(self.params, self.constants)
+        selector: LinkPathDistrCapSelector | LinkPathMeanPowerSelector = (
+            LinkPathDistrCapSelector(self.params, self.constants)
             if self.power_mode == "arbitrary"
-            else MeanPowerSelector(self.params)
+            else LinkPathMeanPowerSelector(self.params)
         )
         population = list(node_list)
         parent: dict[int, int] = {}
@@ -87,7 +91,7 @@ class ReferenceTreeViaCapacity(TreeViaCapacity):
 
             outcome: DistrCapResult | MeanPowerSelectionResult = (
                 selector.select(candidates, rng, link_rounds=init_result.link_rounds, state=state)
-                if isinstance(selector, DistrCapSelector)
+                if isinstance(selector, LinkPathDistrCapSelector)
                 else selector.select(candidates, rng, power=self._mean_power)
             )
             selected, selection_slots = outcome.selected, outcome.slots_used
@@ -104,7 +108,7 @@ class ReferenceTreeViaCapacity(TreeViaCapacity):
 
             retired = {link.sender.id for link in selected}
             population = [node for node in population if node.id not in retired]
-            state = state.subset(population)
+            state = state.subset([state.slot_of_id(node.id) for node in population])
             construction_slots += init_result.slots_used + selection_slots
             iterations.append(
                 IterationRecord(

@@ -43,7 +43,7 @@ from repro.core import (
     MeanPowerSelector,
     distributed_scheduling,
 )
-from repro.core.distr_cap import _DISTR_CAP_STREAM
+from repro.core.distr_cap import _DISTR_CAP_STREAM, _geometry_state, _phases
 from repro.core.init_tree import _INIT_STREAM, _InitProgram
 from repro.core.mean_power_selection import _MEAN_POWER_STREAM
 from repro.exceptions import ConvergenceError
@@ -295,20 +295,22 @@ class TestLinkCoins:
         links = scattered_links(40, 7, 10)
         forward_calls: list[list[Link]] = []
 
-        def record(self, attempting, *rest, forward):
+        def record(self, candidates, attempting, *rest, forward):
             if forward:
-                forward_calls.append(list(attempting))
-            return []
+                forward_calls.append([links[i] for i in attempting.tolist()])
+            return attempting[:0]
 
         selector = DistrCapSelector(PARAMS, constants=AlgorithmConstants(selection_probability=p))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(DistrCapSelector, "_phase_slot", record)
             result = selector.select(links, np.random.default_rng(rng_seed))
         seed = seed_word(np.random.default_rng(rng_seed))
-        phases = sorted(selector._partition_into_phases(links, None).items())
+        phases = [
+            [links[i] for i in phase.tolist()] for phase in _phases(_geometry_state(links, None))
+        ]
         want = [
             [link for link in phase if link_heads(_DISTR_CAP_STREAM, seed, link, 2 * i, p=p)]
-            for i, (_, phase) in enumerate(phases)
+            for i, phase in enumerate(phases)
         ]
         assert len(phases) > 2
         assert result.slots_used == 2 * len(phases) and forward_calls == want
@@ -317,9 +319,9 @@ class TestLinkCoins:
         links = scattered_links(40, 2, 12)
         sampled: list[list[Link]] = []
 
-        def record(self, links, *rest):
-            sampled.append(links)
-            return []
+        def record(self, ends, picked, *rest):
+            sampled.append([links[i] for i in picked.tolist()])
+            return picked[:0]
 
         monkeypatch.setattr(MeanPowerSelector, "_run_slot_pair", record)
         selector = MeanPowerSelector(PARAMS, probability=0.3)

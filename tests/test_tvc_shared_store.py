@@ -43,6 +43,11 @@ BUDGETS = pytest.mark.parametrize(
 )
 
 
+def slots_of(state, nodes):
+    """The slots of ``nodes`` (live in ``state``), in their order."""
+    return [state.slot_of_id(node.id) for node in nodes]
+
+
 @st.composite
 def nested_subsets(draw):
     """A deployment and a chain of nested node subsets, each reordered."""
@@ -127,7 +132,7 @@ class TestSubsetStore:
                 state.attenuation_matrix(PARAMS.alpha)
                 state.fade_matrix(SHADOWING)
             for nodes in chain[1:]:
-                state = state.subset(nodes)
+                state = state.subset(slots_of(state, nodes))
                 assert_same_store(state, NetworkState.for_nodes(nodes))
 
     @BUDGETS
@@ -138,7 +143,7 @@ class TestSubsetStore:
             patch.setattr(network, "DENSE_BUDGET_BYTES", budget)
             state = NetworkState.for_nodes(chain[0])
             for nodes in chain:
-                state = state if nodes is chain[0] else state.subset(nodes)
+                state = state if nodes is chain[0] else state.subset(slots_of(state, nodes))
                 # Bitwise: the same hypot values, and a max has no order.
                 assert state.max_distance() == diameter(nodes)
 
@@ -150,16 +155,23 @@ class TestSubsetStore:
         assert NetworkState([]).max_distance() == 0.0
         assert TiledNetworkState(nodes[:1]).max_distance() == 0.0
 
-    def test_subset_rejects_foreign_and_moved_nodes(self):
+    def test_subset_rejects_free_outside_and_repeated_slots(self):
         nodes = uniform_random(8, np.random.default_rng(4))
-        state = NetworkState.for_nodes(nodes)
-        with pytest.raises(ValueError, match="not live"):
-            state.subset(nodes[:3] + [Node(500, Point(1.0, 1.0))])
-        moved = Node(nodes[2].id, Point(nodes[2].x + 1.0, nodes[2].y))
-        with pytest.raises(ValueError, match="sit where"):
-            state.subset([nodes[0], moved])
+        state = NetworkState(nodes, capacity=10)
+        with pytest.raises(ValueError, match="slot 9 is free"):
+            state.subset([0, 1, 9])
+        state.remove_nodes([nodes[2].id])
+        with pytest.raises(ValueError, match="slot 2 is free"):
+            state.subset([0, 2])
+        for outside in ([0, 10], [-1, 0]):
+            with pytest.raises(ValueError, match="capacity"):
+                state.subset(outside)
         with pytest.raises(ValueError, match="duplicate"):
-            state.subset([nodes[0], nodes[0]])
+            state.subset([0, 0])
+        # Slot k of the result holds the node at slots[k].
+        sub = state.subset([7, 0, 3])
+        assert list(sub) == [nodes[7], nodes[0], nodes[3]]
+        assert NetworkState(nodes).subset([]).capacity == 0
 
 
 class TestInitOnAGivenStore:
@@ -172,7 +184,7 @@ class TestInitOnAGivenStore:
             patch.setattr(network, "DENSE_BUDGET_BYTES", budget)
             state = NetworkState.for_nodes(chain[0])
             for nodes in chain[1:]:
-                state = state.subset(nodes)
+                state = state.subset(slots_of(state, nodes))
                 if len(nodes) < 2:
                     continue
                 got = builder.build(nodes, np.random.default_rng(seed), state=state)
