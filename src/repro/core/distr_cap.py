@@ -125,10 +125,8 @@ def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> Positi
     after checking the input.
 
     A given store must hold every endpoint where the links have it; without
-    one, a store over the links' endpoints is built.  A dense store
-    materializes its distance matrix once, so every slot gathers its
-    sender->receiver block from it; a tiled one serves the same hypot values
-    computed from coordinates per slot.
+    one, a store over the links' endpoints is built.  Every slot asks the
+    store for its sender->receiver distance rectangle.
     """
     ends = [node for link in links for node in (link.sender, link.receiver)]
     ids = np.array([node.id for node in ends], dtype=np.int64)
@@ -173,8 +171,6 @@ def _geometry_state(links: Sequence[Link], state: NetworkState | None) -> Positi
         if elsewhere.any():
             raise ConfigurationError(f"the store holds endpoint {ids[elsewhere.argmax()]} elsewhere")
         slots = live[at][rank]
-    if state.materializes_matrices:
-        state.distance_matrix()
     return PositionedLinks(state, slots[0::2], slots[1::2])
 
 

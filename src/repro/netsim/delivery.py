@@ -97,10 +97,6 @@ class ReliableOutbox:
     def __len__(self) -> int:
         return len(self._outstanding)
 
-    @property
-    def pending_keys(self) -> list[int]:
-        return sorted(self._outstanding)
-
     def post(self, key: int, payload: Any, dst_id: int, slot: int) -> Any:
         """Register a new reliable send; returns the payload to transmit now."""
         if key in self._outstanding:

@@ -168,10 +168,6 @@ class CrashSchedule:
         changes, down = self._timeline
         return down[bisect_right(changes, slot)]
 
-    def permanently_crashed_ids(self, horizon_slot: int) -> frozenset[int]:
-        """Nodes still (or again) down at ``horizon_slot``."""
-        return self.crashed_ids(horizon_slot)
-
     @property
     def node_ids(self) -> frozenset[int]:
         """Every node that crashes at least once."""

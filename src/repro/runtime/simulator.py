@@ -65,28 +65,29 @@ class Simulator:
         missing = ProtocolError("a lockstep program needs a CachedChannel holding all its nodes")
         if type(channel) is not CachedChannel:
             raise missing
-        try:
-            # Index of each node in the channel's node cache.
-            self._cache_idx = np.array(
-                [channel.cache.index_of_id(node_id) for node_id in ids], dtype=np.intp
-            )
-        except KeyError:
-            raise missing from None
+        self._ids = np.asarray(ids, dtype=np.int64)
+        # Node position == cache index (the simulator built the channel
+        # itself, or an identical universe was passed): the decode can run
+        # against all columns with a cheap row gather and mask transmitters
+        # afterwards.
+        self._full_universe = bool(np.array_equal(channel.cache.ids, self._ids))
+        if self._full_universe:
+            self._cache_idx = np.arange(len(ids), dtype=np.intp)
+        else:
+            try:
+                # Index of each node in the channel's node cache.
+                self._cache_idx = np.array(
+                    [channel.cache.index_of_id(node_id) for node_id in ids], dtype=np.intp
+                )
+            except KeyError:
+                raise missing from None
         self.channel = channel
         self.program = program
         self.trace = ExecutionTrace()
         self._slot = 0
         self._node_ids: list[int] = ids
-        self._ids = np.asarray(ids, dtype=np.int64)
         self._nodes = nodes
         self._listening = np.empty(len(nodes), dtype=bool)
-        # Node position == cache index (the simulator built the channel
-        # itself, or an identical universe was passed): the decode can run
-        # against all columns with a cheap row gather and mask transmitters
-        # afterwards.
-        self._full_universe = len(channel.cache) == len(ids) and bool(
-            np.array_equal(self._cache_idx, np.arange(len(ids)))
-        )
 
     @property
     def current_slot(self) -> int:

@@ -45,7 +45,7 @@ mutated afterwards; call :meth:`LinkArrayCache.invalidate` after mutating an
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from ..links import Link
 from ..state import (
     DecodeWorkspace,
     NetworkState,
-    TiledNetworkState,
     attenuation_from_distances,
     pairwise_distances,
 )
@@ -74,31 +73,6 @@ __all__ = [
     "affectance_matrix_from_arrays",
     "sinr_values_from_arrays",
 ]
-
-
-@hot_kernel()
-def _take_block(
-    base: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    workspace: DecodeWorkspace | None,
-    key: str,
-) -> np.ndarray:
-    """``base[np.ix_(rows, cols)]``, gathered into arena buffers when given.
-
-    The flat-index ``np.take`` copies exactly the cells of the requested
-    rectangle - the same values as the fancy ``np.ix_`` slice, bitwise -
-    without allocating and without staging whole base rows; the result is a
-    view into the arena.
-    """
-    if workspace is None or not base.flags.c_contiguous:
-        return base[np.ix_(rows, cols)]
-    flat = workspace.ints(key + ".idx", rows.size, cols.size)
-    np.multiply(rows[:, None], base.shape[1], out=flat)
-    np.add(flat, cols[None, :], out=flat)
-    block = workspace.floats(key + ".block", rows.size, cols.size)
-    np.take(base.reshape(-1), flat, out=block)
-    return block
 
 
 @hot_kernel()
@@ -189,45 +163,6 @@ def _affectance_kernel(
     np.minimum(raw, cap, out=raw)
     np.copyto(raw, 0.0, where=zero_mask)
     return raw
-
-
-def _affectance_block(
-    dist: np.ndarray,
-    ids: tuple[np.ndarray, np.ndarray, np.ndarray],
-    col_lengths: np.ndarray,
-    row_powers: np.ndarray,
-    col_powers: np.ndarray,
-    params: SINRParameters,
-    workspace: DecodeWorkspace | None,
-) -> np.ndarray:
-    """An affectance block from its distances and endpoint ids.
-
-    ``ids`` holds the row senders' ids and the column links' sender and
-    receiver ids.  Pairs sharing a sender are zero (a link and itself among
-    them); a gain model's fades are drawn by id pair, slot-free.
-    """
-    row_tx, col_tx, col_rx = ids
-    if workspace is None:
-        zero_mask = row_tx[:, None] == col_tx[None, :]
-    else:
-        zero_mask = workspace.bools("aff.zero", row_tx.size, col_tx.size)
-        np.equal(row_tx[:, None], col_tx[None, :], out=zero_mask)
-    cross_fade = signal_fade = None
-    model = params.effective_gain_model
-    if model is not None:
-        cross_fade = model.fade(row_tx, col_rx)
-        signal_fade = model.fade_pairs(col_tx, col_rx)
-    return _affectance_kernel(
-        dist,
-        zero_mask,
-        col_lengths,
-        row_powers,
-        col_powers,
-        params,
-        cross_fade,
-        signal_fade,
-        workspace,
-    )
 
 
 @hot_kernel(oracle="_seed_affectance_matrix", allocates=True)
@@ -432,22 +367,18 @@ class LinkArrayCache(Sequence):
     def distance_matrix(self) -> np.ndarray:
         """``D[i, j]`` = distance from link ``i``'s sender to link ``j``'s receiver.
 
-        Gathered from the backing state's node-distance matrix when that is
-        already materialized (several caches then share one O(n^2) store);
-        otherwise computed directly from the endpoint coordinates.  Both
-        paths evaluate the same ``hypot`` kernel on the same floats, so the
-        results are bitwise identical.
+        The backing state's distance rectangle when one was shared
+        (gathered once its node-distance matrix is materialized, so several
+        caches share one O(n^2) store); otherwise computed directly from the
+        endpoint coordinates.  Every path evaluates the same ``hypot``
+        kernel on the same floats, so the results are bitwise identical.
         """
         if self._distances is None:
-            if self._state is not None and self._state.has_distances:
-                full = self._state.distance_matrix()
-                self._distances = _freeze(
-                    full[np.ix_(self.sender_slots, self.receiver_slots)]
-                )
+            if self._state is None:
+                distances = pairwise_distances(self.sender_xy, self.receiver_xy)
             else:
-                self._distances = _freeze(
-                    pairwise_distances(self.sender_xy, self.receiver_xy)
-                )
+                distances = self._state.distance_rect(self.sender_slots, self.receiver_slots)
+            self._distances = _freeze(distances)
         return self._distances
 
     def same_sender_mask(self) -> np.ndarray:
@@ -498,58 +429,6 @@ class LinkArrayCache(Sequence):
             return matrix
         idx = np.asarray(indices, dtype=np.intp)
         return matrix[np.ix_(idx, idx)]
-
-    def affectance_block(
-        self,
-        rows: Sequence[int] | np.ndarray,
-        cols: Sequence[int] | np.ndarray,
-        power: PowerAssignment,
-        params: SINRParameters,
-        *,
-        workspace: DecodeWorkspace | None = None,
-    ) -> np.ndarray:
-        """Affectance of ``rows``' senders on the ``cols`` links.
-
-        Elementwise equal to ``affectance_matrix(power, params)[np.ix_(rows,
-        cols)]`` but costs only O(|rows| * |cols|), so callers that read a
-        rectangular block (e.g. transmitters x candidates in a ``Distr-Cap``
-        slot) need not materialize the full universe matrix.  If the full
-        matrix happens to be cached already, it is sliced instead.  With a
-        ``workspace``, the distance gather and the kernel run on arena
-        buffers (the returned block is a view valid until the next call
-        through the same workspace).
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        full = self._affectance.get((id(power), params))
-        if full is not None:
-            return full[np.ix_(rows, cols)]
-        powers = self.powers(power)
-        if np.any(powers <= 0):
-            raise ValueError("all link powers must be positive")
-        if rows.size == 0 or cols.size == 0:
-            return np.zeros((rows.size, cols.size), dtype=float)
-        if self._distances is not None:
-            dist = _take_block(self._distances, rows, cols, workspace, "aff.dist")
-        elif self._state is not None and self._state.has_distances:
-            dist = _take_block(
-                self._state.distance_matrix(),
-                self.sender_slots[rows],
-                self.receiver_slots[cols],
-                workspace,
-                "aff.dist",
-            )
-        else:
-            dist = pairwise_distances(self.sender_xy[rows], self.receiver_xy[cols])
-        return _affectance_block(
-            dist,
-            (self.sender_ids[rows], self.sender_ids[cols], self.receiver_ids[cols]),
-            self.lengths[cols],
-            powers[rows],
-            powers[cols],
-            params,
-            workspace,
-        )
 
     def sinr_values(
         self,
@@ -644,8 +523,8 @@ class NodeArrayCache:
     the O(n^2) distance/attenuation/fade matrices.  Whole-universe matrices
     are served as zero-copy basic slices while the view is *contiguous*
     (slots ``0..n-1``, the static common case) and as cached gathers
-    otherwise; the slot-decode hot paths use the block accessors, which
-    gather exactly the requested rectangle straight from the state.
+    otherwise; the slot-decode hot paths use the block accessors, which ask
+    the state, dense or tiled, for exactly the requested rectangle.
 
     Membership changes flow through :meth:`add_nodes`/:meth:`remove_ids`/
     :meth:`sync`: the state patches only the damaged rows (O(k * capacity))
@@ -690,7 +569,8 @@ class NodeArrayCache:
         """(Re)anchor the view: dense index ``k`` maps to state slot ``slots[k]``."""
         self._slots = _freeze(np.asarray(slots, dtype=np.intp).copy())
         self.ids = _freeze(self._state.ids[self._slots].astype(np.int64))
-        self._index_by_id = {int(node_id): k for k, node_id in enumerate(self.ids)}
+        # Built on the first id lookup: most views are only read by index.
+        self._index_by_id: dict[int, int] | None = None
         self._contiguous = bool(
             np.array_equal(self._slots, np.arange(self._slots.size, dtype=np.intp))
         )
@@ -724,12 +604,17 @@ class NodeArrayCache:
     def __len__(self) -> int:
         return self._slots.size
 
+    def _id_index(self) -> dict[int, int]:
+        if self._index_by_id is None:
+            self._index_by_id = {node_id: k for k, node_id in enumerate(self.ids.tolist())}
+        return self._index_by_id
+
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._index_by_id
+        return node_id in self._id_index()
 
     def index_of_id(self, node_id: int) -> int:
         """Universe index of the node with the given id (KeyError if absent)."""
-        return self._index_by_id[node_id]
+        return self._id_index()[node_id]
 
     def add_nodes(self, nodes: Iterable[Node]) -> np.ndarray:
         """Add brand-new nodes to the shared state and append them to the view.
@@ -835,68 +720,18 @@ class NodeArrayCache:
 
     def _slot_rows_cols(
         self, rows: np.ndarray, cols: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        r = self._slots[np.asarray(rows, dtype=np.intp)]
-        c = self._slots if cols is None else self._slots[np.asarray(cols, dtype=np.intp)]
-        return r, c
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """State slots of the view's ``rows`` and ``cols``.
 
-    @hot_kernel()
-    def _gather_block(
-        self,
-        base: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray | None,
-        workspace: DecodeWorkspace | None,
-        key: str,
-    ) -> np.ndarray:
-        """Rectangle gather from a capacity-sized state matrix.
-
-        The whole-view contiguous case (the static hot path) is a single
-        row-take - dense index ``k`` is slot ``k``, and the leading ``n``
-        columns of the gathered rows *are* the block - into the arena when
-        one is given.  General rectangles are two-stage takes into the
-        arena, or one allocating ``np.ix_`` gather without it.  All paths
-        copy the same cells bit-for-bit.
+        ``cols=None`` (the whole view) stays ``None`` on a contiguous view:
+        the leading ``n`` columns of whole state rows are then the block.
         """
-        if cols is None and self._contiguous:
-            n = self._slots.size
-            if workspace is None:
-                return base.take(rows, axis=0)[:, :n]
-            stage = workspace.floats(key + ".rows", len(rows), base.shape[1])
-            np.take(base, rows, axis=0, out=stage)
-            return stage[:, :n]
-        r, c = self._slot_rows_cols(rows, cols)
-        if workspace is None:
-            return base[np.ix_(r, c)]
-        return _take_block(base, r, c, workspace, key)
-
-    def _sparse_state(self) -> "TiledNetworkState":
-        # The dispatch contract is the materializes_matrices flag, not the
-        # concrete type; the cast records that a non-materializing state
-        # speaks the TiledNetworkState rectangle protocol.
-        return cast("TiledNetworkState", self._state)
-
-    def distance_block(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray | None = None,
-        *,
-        workspace: DecodeWorkspace | None = None,
-    ) -> np.ndarray:
-        """Distance rectangle ``rows x cols`` (``cols=None`` = whole view).
-
-        Gathered straight from the state matrix - O(|rows| * |cols|), no
-        dense (n, n) copy even when the view is non-contiguous.  Over a
-        non-materializing (tiled) state the same rectangle is computed from
-        coordinates by the shared kernels - bitwise-equal values, still
-        O(|rows| * |cols|), no matrix behind it.
-        """
-        if not self._state.materializes_matrices:
-            r, c = self._slot_rows_cols(rows, cols)
-            return self._sparse_state().distance_rect(r, c, workspace=workspace, key="cache.dist")
-        return self._gather_block(
-            self._state.distance_matrix(), rows, cols, workspace, "cache.dist"
-        )
+        rows = np.asarray(rows, dtype=np.intp)
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+        if self._contiguous:
+            return rows, cols
+        return self._slots[rows], self._slots if cols is None else self._slots[cols]
 
     def attenuation_block(
         self,
@@ -908,23 +743,13 @@ class NodeArrayCache:
     ) -> np.ndarray:
         """Attenuation rectangle ``rows x cols`` (``cols=None`` = whole view).
 
-        Over a tiled state the whole-view row gather (the decode hot path's
-        ``cols=None`` shape) is served through the state's budget-bounded
-        FIFO row cache; explicit rectangles are computed fresh from
-        coordinates.  Both are bitwise equal to a dense-matrix gather.
+        One :meth:`~repro.state.NetworkState.attenuation_rect` call on the
+        state's slots - O(|rows| * |cols|), no dense (n, n) copy even when
+        the view is non-contiguous.  Either store gives the same floats.
         """
-        if not self._state.materializes_matrices:
-            r, c = self._slot_rows_cols(rows, cols)
-            sparse = self._sparse_state()
-            if cols is None and self._contiguous:
-                full_rows = sparse.attenuation_rows(
-                    alpha, r, workspace=workspace, key="cache.att.rows"
-                )
-                return full_rows[:, : self._slots.size]
-            return sparse.attenuation_rect(alpha, r, c, workspace=workspace, key="cache.att")
-        return self._gather_block(
-            self._state.attenuation_matrix(alpha), rows, cols, workspace, "cache.att"
-        )
+        r, c = self._slot_rows_cols(rows, cols)
+        block = self._state.attenuation_rect(alpha, r, c, workspace=workspace, key="cache.att")
+        return block if c is not None else block[:, : self._slots.size]
 
     def fade_block(
         self,
@@ -935,13 +760,9 @@ class NodeArrayCache:
         workspace: DecodeWorkspace | None = None,
     ) -> np.ndarray | None:
         """Slot-invariant fade rectangle, or ``None`` for unit gain."""
-        if not self._state.materializes_matrices:
-            r, c = self._slot_rows_cols(rows, cols)
-            return self._sparse_state().fade_rect(model, r, c)
-        base = self._state.fade_matrix(model)
-        if base is None:
-            return None
-        return self._gather_block(base, rows, cols, workspace, "cache.fade")
+        r, c = self._slot_rows_cols(rows, cols)
+        block = self._state.fade_rect(model, r, c, workspace=workspace, key="cache.fade")
+        return block if block is None or c is not None else block[:, : self._slots.size]
 
     # -- mutation ------------------------------------------------------------
 

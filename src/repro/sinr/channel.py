@@ -14,9 +14,10 @@ forms, which perfbench's tracer probes by name) call
 ``Channel._decode_block``, which gathers the transmitters' attenuation rows,
 divides the powers in and runs ``_decode_received``, one argmax/SINR/threshold
 pass over the transmitter-to-listener block, under one ``np.errstate``.  The
-whole-universe decode of a contiguous view takes its rows from the store: a
-row ``take`` of the dense matrix, or the tiled store's row cache in
-listener-column slabs across the slab workers (``repro.state.slabs``), bitwise
+whole-universe decode of a contiguous view takes its rows from the store's
+``row_source`` (the dense matrix or the tiled store's row cache, the channel
+does not ask which): one row ``take``, or listener-column slabs across the
+slab workers (``repro.state.slabs``) when the block spans several, bitwise
 the same at any worker count.  Rectangles and decodes into a ``workspace``
 (:class:`~repro.state.DecodeWorkspace`, preallocated buffers, bit-identical)
 are gathered by the cache's ``attenuation_block``.  The slot engines' private
@@ -35,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence, cast
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .._types import DecodeTriple
 from ..contracts import hot_kernel
 from ..geometry import Node
-from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..state import DecodeWorkspace, NetworkState, TiledNetworkState, slabs
 from ..state.slabs import run_slabs, slab_bounds
 from .arrays import NodeArrayCache
 from .parameters import SINRParameters
@@ -327,10 +328,11 @@ class Channel:
         bit-for-bit without a float power per slot.
 
         The whole-universe decode of a contiguous view (the slot engines'
-        shape) gathers its rows straight from the store: a row ``take`` of
-        the dense matrix, or the tiled store's row cache
-        (:meth:`~repro.state.TiledNetworkState.row_source`) in
-        listener-column slabs of :func:`~repro.state.slabs.slab_bounds`
+        shape) reads its rows from the store's
+        :meth:`~repro.state.NetworkState.row_source`, whichever store it is
+        (the dense matrix, or the tiled store's row cache): one row ``take``
+        when the block fits one slab of
+        :func:`~repro.state.slabs.slab_bounds`, else listener-column slabs
         across the slab workers.  A listener's decode reads only its own
         column, so the slab result is bitwise that of one block at any slab
         and worker count.  Rectangles and arena decodes are gathered by
@@ -359,46 +361,40 @@ class Channel:
             else:
                 fade = model.fade(cache.ids[tx], cache.ids if rx is None else cache.ids[rx], slot)
         power_col = np.asarray(powers, dtype=float)[:, None]
-        state = cache.state
         whole_rows = rx is None and workspace is None and cache.contiguous
         # One error state per decode: a power over a zero attenuation is the
         # colocated pair's inf, and inf - inf the NaN that decodes nothing.
         with np.errstate(divide="ignore", invalid="ignore"):
-            if whole_rows and not state.materializes_matrices:
-                rows, positions = cast(TiledNetworkState, state).row_source(params.alpha, tx)
-                (decode_received,) = _SLAB_KERNELS
-
-                def decode(lo: int, hi: int) -> DecodeTriple:
-                    # The ring is only read: the gather is a fresh copy.  An
-                    # uncached (over-budget) block is the decode's own.
-                    piece = rows[:, lo:hi] if positions is None else rows[positions, lo:hi]
-                    np.divide(power_col, piece, out=piece)
-                    if fade is not None:
-                        np.multiply(piece, fade[:, lo:hi], out=piece)
-                    return decode_received(piece, params, None, decoded_only)
-
-                bounds = slab_bounds(n, 8 * tx.size)
-                if len(bounds) == 1:
-                    return decode(0, n)
-                parts: dict[int, DecodeTriple] = {}
-
-                def write(lo: int, hi: int) -> None:
-                    parts[lo] = decode(lo, hi)
-
-                run_slabs(write, bounds)
-                slabs = [parts[lo] for lo, _ in bounds]
-                best, sinr, ok = (np.concatenate(column) for column in zip(*slabs))
-                return best, sinr, ok
             if whole_rows:
-                received = state.attenuation_matrix(params.alpha).take(tx, axis=0)[:, :n]
-                np.divide(power_col, received, out=received)
+                rows, positions = cache.state.row_source(params.alpha, tx)
+                # A block within one slab's bytes is one slab: no bounds needed.
+                unit = 8 * tx.size
+                if n * unit > slabs.SLAB_BYTES and len(bounds := slab_bounds(n, unit)) > 1:
+                    (decode_received,) = _SLAB_KERNELS
+                    parts: dict[int, DecodeTriple] = {}
+
+                    def write(lo: int, hi: int) -> None:
+                        # A fresh gather (the store's rows are only read), or
+                        # the decode's own uncached block.
+                        piece = rows[:, lo:hi] if positions is None else rows[positions, lo:hi]
+                        np.divide(power_col, piece, out=piece)
+                        if fade is not None:
+                            np.multiply(piece, fade[:, lo:hi], out=piece)
+                        parts[lo] = decode_received(piece, params, None, decoded_only)
+
+                    run_slabs(write, bounds)
+                    pieces = [parts[lo] for lo, _ in bounds]
+                    best, sinr, ok = (np.concatenate(column) for column in zip(*pieces))
+                    return best, sinr, ok
+                # One slab: a row take, whose leading n columns are the block.
+                attenuation = (rows if positions is None else rows.take(positions, axis=0))[:, :n]
             else:
                 attenuation = cache.attenuation_block(params.alpha, tx, rx, workspace=workspace)
-                if workspace is None:
-                    received = np.divide(power_col, attenuation, out=attenuation)
-                else:
-                    received = workspace.floats("decode.received", *attenuation.shape)
-                    np.divide(power_col, attenuation, out=received)
+            if workspace is None:
+                received = np.divide(power_col, attenuation, out=attenuation)
+            else:
+                received = workspace.floats("decode.received", *attenuation.shape)
+                np.divide(power_col, attenuation, out=received)
             if fade is not None:
                 np.multiply(received, fade, out=received)
             return _decode_received(received, params, workspace, decoded_only)
@@ -442,11 +438,12 @@ class Channel:
         return best, sinr, ok
 
 
-#: The raw decode kernel a :meth:`Channel._decode_block` slab runs.  Kernel
-#: timers rebind the module attribute to a wrapper; a slab body, which may run
-#: on a pool thread, calls the function itself (held in a tuple, which the
-#: timers leave alone), so telemetry is recorded only on the calling thread,
-#: around ``_decode_block``.
+#: The raw decode kernel the slabs of a multi-slab
+#: :meth:`Channel._decode_block` run.  Kernel timers rebind the module
+#: attribute to a wrapper; a slab body, which may run on a pool thread, calls
+#: the function itself (held in a tuple, which the timers leave alone), so
+#: telemetry is recorded only on the calling thread, around ``_decode_block``.
+#: A one-slab decode runs on the calling thread and calls the module attribute.
 _SLAB_KERNELS = (_decode_received,)
 
 

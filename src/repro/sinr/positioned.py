@@ -15,11 +15,50 @@ from typing import Sequence
 import numpy as np
 
 from ..links import Link
-from ..state import DecodeWorkspace, NetworkState, pairwise_distances
-from .arrays import _affectance_block, _take_block
+from ..state import DecodeWorkspace, NetworkState
+from .arrays import _affectance_kernel
 from .parameters import SINRParameters
 
 __all__ = ["PositionedLinks"]
+
+
+def _affectance_block(
+    dist: np.ndarray,
+    ids: tuple[np.ndarray, np.ndarray, np.ndarray],
+    col_lengths: np.ndarray,
+    row_powers: np.ndarray,
+    col_powers: np.ndarray,
+    params: SINRParameters,
+    workspace: DecodeWorkspace | None,
+) -> np.ndarray:
+    """An affectance block from its distances and endpoint ids.
+
+    ``ids`` holds the row senders' ids and the column links' sender and
+    receiver ids.  Pairs sharing a sender are zero (a link and itself among
+    them); a gain model's fades are drawn by id pair, slot-free.
+    """
+    row_tx, col_tx, col_rx = ids
+    if workspace is None:
+        zero_mask = row_tx[:, None] == col_tx[None, :]
+    else:
+        zero_mask = workspace.bools("aff.zero", row_tx.size, col_tx.size)
+        np.equal(row_tx[:, None], col_tx[None, :], out=zero_mask)
+    cross_fade = signal_fade = None
+    model = params.effective_gain_model
+    if model is not None:
+        cross_fade = model.fade(row_tx, col_rx)
+        signal_fade = model.fade_pairs(col_tx, col_rx)
+    return _affectance_kernel(
+        dist,
+        zero_mask,
+        col_lengths,
+        row_powers,
+        col_powers,
+        params,
+        cross_fade,
+        signal_fade,
+        workspace,
+    )
 
 
 class PositionedLinks:
@@ -92,22 +131,20 @@ class PositionedLinks:
 
         ``powers`` holds every link's power; with ``dual`` each link
         transmits from its receiver (a link and its dual share a length).
-        Elementwise what :meth:`LinkArrayCache.affectance_block` gives on a
-        universe of these (oriented) links over the same store: distances
-        gathered from a materialized distance matrix or computed from the
-        coordinates, pairs sharing a sender slot zero.
+        Elementwise the affectance matrix of a
+        :class:`~repro.sinr.LinkArrayCache` over these (oriented) links,
+        sliced to the block, as the test oracle ``link_affectance_block``
+        (``tests/oracles/distr_cap.py``) computes it: distances from the
+        store's :meth:`~repro.state.NetworkState.distance_rect`, pairs
+        sharing a sender slot zero.
         """
         tx, rx = (self.receivers, self.senders) if dual else (self.senders, self.receivers)
         row_tx, col_tx, col_rx = tx[rows], tx[cols], rx[cols]
         row_powers, col_powers = powers[rows], powers[cols]
         if (row_powers <= 0).any() or (col_powers <= 0).any():
             raise ValueError("all link powers must be positive")
-        state = self.state
-        if state.has_distances:
-            dist = _take_block(state.distance_matrix(), row_tx, col_rx, workspace, "aff.dist")
-        else:
-            dist = pairwise_distances(state.xy[row_tx], state.xy[col_rx])
-        ids = state.ids
+        dist = self.state.distance_rect(row_tx, col_rx, workspace=workspace, key="aff.dist")
+        ids = self.state.ids
         return _affectance_block(
             dist,
             (ids[row_tx], ids[col_tx], ids[col_rx]),

@@ -22,10 +22,13 @@ per-id-pair hashes) on row blocks, and ``hypot`` is symmetric, so mirroring
 a row block into the columns is exact.  The parity tests pin this across
 random add/remove/move sequences, including capacity growth.
 
-Consumers never index the capacity-sized arrays directly; the caches of
-``repro.sinr.arrays`` are thin *views* holding an array of live slots and
-gathering blocks on demand, so one state instance can back a node cache, a
-cached channel and any number of link caches at once.
+Consumers never index the capacity-sized arrays directly: they ask the
+store for rectangles by slot (:meth:`NetworkState.distance_rect`,
+``attenuation_rect``, ``fade_rect``, ``row_source``), which the tiled
+sibling answers with the same floats, so no consumer asks which store it
+holds.  The caches of ``repro.sinr.arrays`` are thin *views* holding an
+array of live slots, so one state instance can back a node cache, a cached
+channel and any number of link caches at once.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
+from .._types import FloatArray, IntpArray
+from ..contracts import hot_kernel
 from ..geometry import Node, Point
 from ..geometry.point import max_distance_xy
-from .kernels import attenuation_from_distances, pairwise_distances
+from .kernels import attenuation_from_distances, distance_rect_from_xy, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamics/links use state)
     from ..dynamics.gain import GainModel
     from ..links import Link
+    from .scratch import DecodeWorkspace
 
 __all__ = ["DENSE_BUDGET_BYTES", "NetworkState"]
 
@@ -56,6 +62,37 @@ DENSE_BUDGET_BYTES = 64 * 1024 * 1024
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+@hot_kernel()
+def _take_block(
+    base: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray | None,
+    workspace: "DecodeWorkspace | None",
+    key: str,
+) -> np.ndarray:
+    """``base[np.ix_(rows, cols)]`` (``cols=None``: whole rows), gathered into
+    arena buffers when given.
+
+    Whole rows are one row ``take``.  A rectangle is a flat-index ``np.take``
+    into the arena, which copies exactly its cells - the values of the fancy
+    ``np.ix_`` slice, bitwise - without staging whole base rows; the result
+    is then a view into the arena.
+    """
+    if cols is None:
+        if workspace is None:
+            return base.take(rows, axis=0)
+        stage = workspace.floats(key + ".rows", rows.size, base.shape[1])
+        return np.take(base, rows, axis=0, out=stage)
+    if workspace is None or not base.flags.c_contiguous:
+        return base[np.ix_(rows, cols)]
+    flat = workspace.ints(key + ".idx", rows.size, cols.size)
+    np.multiply(rows[:, None], base.shape[1], out=flat)
+    np.add(flat, cols[None, :], out=flat)
+    block = workspace.floats(key + ".block", rows.size, cols.size)
+    np.take(base.reshape(-1), flat, out=block)
+    return block
 
 
 def _link_endpoints(links: Iterable["Link"]) -> list[Node]:
@@ -77,9 +114,8 @@ class NetworkState:
             callers can pre-reserve headroom to defer the first growth).
     """
 
-    #: Whether whole derived matrices exist to be gathered from.  Consumers
-    #: such as ``NodeArrayCache`` dispatch on this instead of isinstance, so
-    #: third-party stores can opt in to either protocol.
+    #: Whether whole derived matrices exist to be gathered from.  Only the
+    #: stores read it (:meth:`subset`); consumers ask for rectangles.
     materializes_matrices: bool = True
 
     def __init__(self, nodes: Iterable[Node] = (), *, capacity: int | None = None) -> None:
@@ -390,6 +426,71 @@ class NetworkState:
             fade = model.fade(self._ids, self._ids, None)
             self._fades[model] = None if fade is None else _freeze(fade)
         return self._fades[model]
+
+    # -- rectangles (what every consumer reads) -------------------------------
+    #
+    # Both stores answer with the same floats.  ``col_slots=None`` means
+    # whole rows (all capacity columns).  With a workspace a result may be a
+    # view into its arena, valid until the next call through the same ``key``.
+
+    def distance_rect(
+        self,
+        row_slots: IntpArray,
+        col_slots: IntpArray,
+        *,
+        workspace: "DecodeWorkspace | None" = None,
+        key: str = "state.dist",
+    ) -> FloatArray:
+        """Distances from the ``row_slots`` nodes to the ``col_slots`` nodes.
+
+        Gathered from the distance matrix once it is materialized; until
+        then computed from the coordinates, so a rectangle never builds the
+        ``(capacity, capacity)`` matrix.
+        """
+        if self._distances is None:
+            return distance_rect_from_xy(self._xy[row_slots], self._xy[col_slots], workspace, key)
+        return _take_block(self._distances, row_slots, col_slots, workspace, key)
+
+    def attenuation_rect(
+        self,
+        alpha: float,
+        row_slots: IntpArray,
+        col_slots: IntpArray | None,
+        *,
+        workspace: "DecodeWorkspace | None" = None,
+        key: str = "state.att",
+    ) -> FloatArray:
+        """``d**alpha`` of the ``row_slots`` x ``col_slots`` pairs (colocated 0).
+
+        A gather from :meth:`attenuation_matrix`; without a workspace the
+        result is a fresh array the caller owns.
+        """
+        return _take_block(self.attenuation_matrix(alpha), row_slots, col_slots, workspace, key)
+
+    def fade_rect(
+        self,
+        model: "GainModel",
+        row_slots: IntpArray,
+        col_slots: IntpArray | None,
+        *,
+        workspace: "DecodeWorkspace | None" = None,
+        key: str = "state.fade",
+    ) -> FloatArray | None:
+        """Fades of a slot-invariant gain model on the pairs, ``None`` for unit gain."""
+        fade = self.fade_matrix(model)
+        return None if fade is None else _take_block(fade, row_slots, col_slots, workspace, key)
+
+    def row_source(
+        self, alpha: float, row_slots: IntpArray
+    ) -> tuple[FloatArray, IntpArray | None]:
+        """Attenuation rows of ``row_slots`` as ``(rows, positions)``.
+
+        ``rows[positions]`` (``rows`` itself when ``positions`` is ``None``)
+        holds each requested slot's whole attenuation row.  ``rows`` is
+        only read by the caller.  Here it is the attenuation matrix and
+        ``positions`` the slots, as given.
+        """
+        return self.attenuation_matrix(alpha), row_slots
 
     # -- internals -----------------------------------------------------------
 

@@ -29,7 +29,6 @@ from .._types import FloatArray, IntpArray
 from ..obs.runtime import OBS
 from .kernels import (
     attenuation_rect_from_xy,
-    distance_rect_from_xy,
     fill_attenuation_rows,
     first_positions,
 )
@@ -103,9 +102,10 @@ class _RowCache:
 class TiledNetworkState(NetworkState):
     """Exact O(n) geometry store: rectangles from coordinates, no O(n^2) matrices.
 
-    Drop-in for :class:`NetworkState` behind every consumer that dispatches
-    on :attr:`materializes_matrices` (the caches and the channel);
-    the whole-matrix accessors raise instead of allocating quadratically.
+    Answers the same rectangles as :class:`NetworkState`
+    (``distance_rect``, ``attenuation_rect``, ``fade_rect``, ``row_source``),
+    bitwise, so no consumer needs to know which store it holds; the
+    whole-matrix accessors raise instead of allocating quadratically.
 
     Args:
         nodes: initial node universe (same as the dense store).
@@ -146,81 +146,68 @@ class TiledNetworkState(NetworkState):
         return sum(cache.resident_bytes for cache in self._row_caches.values())
 
     # -- exact rectangles (the dense-gather replacements) ----------------------
-
-    def distance_rect(
-        self,
-        row_slots: IntpArray,
-        col_slots: IntpArray,
-        *,
-        workspace: "DecodeWorkspace | None" = None,
-        key: str = "tiled.dist",
-    ) -> FloatArray:
-        """Exact distance rectangle - bitwise equal to a dense matrix gather."""
-        return distance_rect_from_xy(self._xy[row_slots], self._xy[col_slots], workspace, key)
+    #
+    # ``distance_rect`` is inherited: with no distance matrix, the dense
+    # store's computes the rectangle from coordinates.
 
     def attenuation_rect(
         self,
         alpha: float,
         row_slots: IntpArray,
-        col_slots: IntpArray,
+        col_slots: IntpArray | None,
         *,
         workspace: "DecodeWorkspace | None" = None,
         key: str = "tiled.att",
     ) -> FloatArray:
-        """Exact attenuation rectangle - bitwise equal to a dense matrix gather."""
-        return attenuation_rect_from_xy(
-            self._xy[row_slots], self._xy[col_slots], alpha, workspace, key
-        )
+        """Exact attenuation rectangle - bitwise equal to a dense matrix gather.
 
-    def fade_rect(
-        self,
-        model: "GainModel",
-        row_slots: IntpArray,
-        col_slots: IntpArray | None,
-    ) -> FloatArray | None:
-        """Fade rectangle of a slot-invariant gain model (pure id-pair hash).
-
-        ``col_slots=None`` means all capacity columns, mirroring the dense
-        fade-matrix row layout.  Exact by construction: the model's fade is
-        an elementwise function of the id pair, so computing the subset
-        equals gathering it.
+        Whole rows (``col_slots=None``, the decode paths' shape) are
+        ``rows[positions]`` over :meth:`row_source`, through the FIFO row
+        cache; an over-budget request with a workspace is filled straight
+        into the workspace's stage.  Explicit rectangles are computed fresh
+        from coordinates.  Without a workspace the result is a fresh array
+        the caller owns (the decode divides into it).
         """
-        if not getattr(model, "slot_invariant", False):
-            raise ValueError(f"{model!r} is slot-dependent; its fades cannot be cached")
-        cols = self._ids if col_slots is None else self._ids[col_slots]
-        return model.fade(self._ids[row_slots], cols, None)
-
-    def attenuation_rows(
-        self,
-        alpha: float,
-        row_slots: IntpArray,
-        *,
-        workspace: "DecodeWorkspace | None" = None,
-        key: str = "tiled.rows",
-    ) -> FloatArray:
-        """Whole attenuation rows (capacity columns) through the FIFO row cache.
-
-        This is the ``cols=None`` gather of the decode paths that take one
-        block: ``rows[positions]`` over :meth:`row_source`, so it is bitwise
-        equal to ``np.take`` on a dense attenuation matrix.  An over-budget
-        request with a workspace is filled straight into the workspace's
-        stage.  Without a workspace the result is a fresh array the caller
-        owns (the decode divides into it).
-        """
+        if col_slots is not None:
+            return attenuation_rect_from_xy(
+                self._xy[row_slots], self._xy[col_slots], alpha, workspace, key
+            )
         alpha = float(alpha)
         row_slots = np.asarray(row_slots, dtype=np.intp)
         k = int(row_slots.shape[0])
         if workspace is not None and k > self._budget_rows():
-            stage = workspace.floats(key, k, self._capacity)
+            stage = workspace.floats(key + ".rows", k, self._capacity)
             return fill_attenuation_rows(stage, self._xy[row_slots], self._xy, alpha)
         rows, positions = self.row_source(alpha, row_slots)
         if positions is None:
             return rows
         if workspace is None:
             return rows[positions]
-        stage = workspace.floats(key, k, self._capacity)
+        stage = workspace.floats(key + ".rows", k, self._capacity)
         np.take(rows, positions, axis=0, out=stage)
         return stage
+
+    def fade_rect(
+        self,
+        model: "GainModel",
+        row_slots: IntpArray,
+        col_slots: IntpArray | None,
+        *,
+        workspace: "DecodeWorkspace | None" = None,
+        key: str = "tiled.fade",
+    ) -> FloatArray | None:
+        """Fade rectangle of a slot-invariant gain model (pure id-pair hash).
+
+        ``col_slots=None`` means all capacity columns, the dense fade
+        matrix's row layout.  Exact by construction: the model's fade is an
+        elementwise function of the id pair, so computing the subset equals
+        gathering it.  The hash allocates its result; ``workspace`` and
+        ``key`` are accepted for the shared signature.
+        """
+        if not getattr(model, "slot_invariant", False):
+            raise ValueError(f"{model!r} is slot-dependent; its fades cannot be cached")
+        cols = self._ids if col_slots is None else self._ids[col_slots]
+        return model.fade(self._ids[row_slots], cols, None)
 
     def _budget_rows(self) -> int:
         return max(1, (self._budget_bytes // 2) // max(1, self._capacity * 8))
@@ -291,13 +278,13 @@ class TiledNetworkState(NetworkState):
     def distance_matrix(self) -> np.ndarray:
         raise RuntimeError(
             "TiledNetworkState does not materialize the O(n^2) distance "
-            "matrix; use distance_rect()/attenuation_rows()"
+            "matrix; use distance_rect()"
         )
 
     def attenuation_matrix(self, alpha: float) -> np.ndarray:
         raise RuntimeError(
             "TiledNetworkState does not materialize the O(n^2) attenuation "
-            "matrix; use attenuation_rect()/attenuation_rows()"
+            "matrix; use attenuation_rect()"
         )
 
     def fade_matrix(self, model: "GainModel") -> np.ndarray | None:

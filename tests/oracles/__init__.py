@@ -8,7 +8,8 @@ cold-pool trial map, the per-node netsim fault loops and the per-call
 fault draws the fault tables replaced, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
 netsim ``Distr-Cap`` builder's forked phase loop, ``Distr-Cap`` and
-mean-power sampling on link objects (before they selected by position), the
+mean-power sampling on link objects (before they selected by position) with
+the link cache's affectance block they read, the
 four forked schedule replays (lockstep and netsim, convergecast and
 broadcast), mean-power sampling's object-path slot pair, TreeViaCapacity's
 iteration over Init's tree as link objects, and the object-level single-link threshold test.
@@ -24,7 +25,7 @@ from .aggregation import (
     simulate_convergecast_reference,
 )
 from .decode import decode_reference, link_succeeds
-from .distr_cap import LinkPathDistrCapSelector, ReferenceNetDistrCapBuilder
+from .distr_cap import LinkPathDistrCapSelector, ReferenceNetDistrCapBuilder, link_affectance_block
 from .fabric import map_trials_cold
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference, eager_result_values
@@ -71,6 +72,7 @@ __all__ = [
     "euclidean_mst_tree_reference",
     "heartbeat_lost_per_slot",
     "is_strongly_connected_reference",
+    "link_affectance_block",
     "link_succeeds",
     "map_trials_cold",
     "run_convergecast_reference",

@@ -113,6 +113,6 @@ def _distances_to_node(channel: Channel, receiver: Node, nodes: Sequence[Node]) 
         except KeyError:
             pass
         else:
-            return cache.distance_block(idx, np.array([rx], dtype=np.intp))[:, 0]
+            return cache.state.distance_rect(cache.slots[idx], cache.slots[[rx]])[:, 0]
     xy = np.array([[n.x, n.y] for n in nodes], dtype=float)
     return np.hypot(xy[:, 0] - receiver.x, xy[:, 1] - receiver.y)

@@ -6,7 +6,8 @@ by position, and the forked loop over the transport (oracle of
 as it ran on ``Link`` objects: eligibility by a set of used node ids, one
 coin lookup per link by its endpoint ids, and every phase slot a fresh
 :class:`~repro.sinr.LinkArrayCache` over its (oriented) links, whose
-``affectance_block`` the positional slot must reproduce bit for bit.
+affectance block (:func:`link_affectance_block`) the positional slot must
+reproduce bit for bit.
 
 Before ``Distr-Cap`` had one phase loop with a per-slot seam, the netsim
 builder ran its own copy of the lockstep loop: crashed endpoints sat slots
@@ -34,10 +35,58 @@ from repro.links import Link, LinkSet, length_class_index
 from repro.netsim import FaultPlan, FaultyTransport, NetDistrCapResult, PerfectTransport, RetryPolicy, Transport
 from repro.obs.runtime import OBS
 from repro.obs.spans import span
-from repro.sinr import LinearPower, LinkArrayCache, SINRParameters
+from repro.sinr import LinearPower, LinkArrayCache, PowerAssignment, SINRParameters
+from repro.sinr.positioned import _affectance_block
 from repro.state import DecodeWorkspace, NetworkState
+from repro.state.network import _take_block
 
-__all__ = ["LinkPathDistrCapSelector", "ReferenceNetDistrCapBuilder"]
+__all__ = ["LinkPathDistrCapSelector", "ReferenceNetDistrCapBuilder", "link_affectance_block"]
+
+
+def link_affectance_block(
+    cache: LinkArrayCache,
+    rows: Sequence[int] | np.ndarray,
+    cols: Sequence[int] | np.ndarray,
+    power: PowerAssignment,
+    params: SINRParameters,
+    *,
+    workspace: DecodeWorkspace | None = None,
+) -> np.ndarray:
+    """Affectance of the cache's ``rows`` links' senders on its ``cols`` links.
+
+    Elementwise ``cache.affectance_matrix(power, params)[np.ix_(rows,
+    cols)]``, at O(|rows| * |cols|) cost: what ``Distr-Cap``'s phase slot
+    read from its per-slot link cache before it selected by position.  A
+    full matrix the cache holds already is sliced; otherwise the distances
+    come from the cache's link-distance matrix when computed, else from its
+    store's rectangle.  With a ``workspace`` the result is a view into it.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    full = cache._affectance.get((id(power), params))
+    if full is not None:
+        return full[np.ix_(rows, cols)]
+    powers = cache.powers(power)
+    if np.any(powers <= 0):
+        raise ValueError("all link powers must be positive")
+    if rows.size == 0 or cols.size == 0:
+        return np.zeros((rows.size, cols.size), dtype=float)
+    if cache._distances is not None:
+        dist = _take_block(cache._distances, rows, cols, workspace, "aff.dist")
+    else:
+        state = cache.state
+        dist = state.distance_rect(
+            cache.sender_slots[rows], cache.receiver_slots[cols], workspace=workspace, key="aff.dist"
+        )
+    return _affectance_block(
+        dist,
+        (cache.sender_ids[rows], cache.sender_ids[cols], cache.receiver_ids[cols]),
+        cache.lengths[cols],
+        powers[rows],
+        powers[cols],
+        params,
+        workspace,
+    )
 
 
 class LinkPathDistrCapSelector(DistrCapSelector):
@@ -137,7 +186,8 @@ class LinkPathDistrCapSelector(DistrCapSelector):
             first_link_of.setdefault(o.sender.id, index)
         cache = LinkArrayCache(universe, state=state)
         offset = len(universe) - len(attempting)
-        block = cache.affectance_block(
+        block = link_affectance_block(
+            cache,
             list(first_link_of.values()),
             np.arange(offset, len(universe)),
             linear,
@@ -243,7 +293,8 @@ class _ReferenceSelector:
 
         cache = LinkArrayCache(universe, state=state)
         offset = len(universe) - len(attempting)
-        block = cache.affectance_block(
+        block = link_affectance_block(
+            cache,
             transmitter_indices,
             np.arange(offset, len(universe)),
             linear,

@@ -267,7 +267,7 @@ class TestRowCacheUnderTinyBudget:
                 k = int(rng.integers(1, budget_rows + 1))
                 # Requests may repeat a slot; k never exceeds the budget.
                 slots = rng.integers(0, n, size=k).astype(np.intp)
-                got = tiled.attenuation_rows(alpha, slots)
+                got = tiled.attenuation_rect(alpha, slots, None)
                 assert np.array_equal(got, dense[slots])
                 model.request(slots.tolist())
                 assert registry.counter_value("tiled.row_cache_miss") == model.misses
@@ -301,7 +301,7 @@ class TestRowCacheUnderTinyBudget:
                 slots = rng.integers(0, n, size=k).astype(np.intp)
                 if rng.random() < 0.5:
                     slots[rng.integers(0, k)] = slots[0]
-                got = tiled.attenuation_rows(alpha, slots)
+                got = tiled.attenuation_rect(alpha, slots, None)
                 assert np.array_equal(got, dense.attenuation_matrix(alpha)[slots])
                 if k <= budget_rows:
                     model.request(slots.tolist())
@@ -321,12 +321,12 @@ class TestRowCacheUnderTinyBudget:
         nodes = _deployment(rng, n)
         ring_rows = k // 2 if oversize else k + 44
         tiled = TiledNetworkState(nodes, budget_bytes=2 * ring_rows * 8 * n)
-        tiled.attenuation_rows(3.0, np.arange(4, dtype=np.intp))  # allocates the ring
+        tiled.attenuation_rect(3.0, np.arange(4, dtype=np.intp), None)  # allocates the ring
         slots = np.arange(100, 100 + k, dtype=np.intp)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            got = tiled.attenuation_rows(3.0, slots)
+            got = tiled.attenuation_rect(3.0, slots, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

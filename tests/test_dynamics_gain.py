@@ -29,7 +29,7 @@ from repro.sinr import (
 
 from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
-from .oracles import LegacySimulator, decode_reference
+from .oracles import LegacySimulator, decode_reference, link_affectance_block
 
 
 class TestModelProperties:
@@ -159,8 +159,8 @@ class TestDeterministicParity:
         )
         rows, cols = np.array([0, 3, 7]), np.array([2, 4, 11, 20])
         assert np.array_equal(
-            plain_cache.affectance_block(rows, cols, power, params),
-            tagged_cache.affectance_block(rows, cols, power, tagged),
+            link_affectance_block(plain_cache, rows, cols, power, params),
+            link_affectance_block(tagged_cache, rows, cols, power, tagged),
         )
 
     def test_channel_resolve_parity(self, params, rng):
@@ -351,7 +351,7 @@ class TestFadedLinkMatrices:
             cache.affectance_matrix(power, faded, idx), full[np.ix_(idx, idx)]
         )
         assert np.array_equal(
-            cache.affectance_block(idx, idx, power, faded), full[np.ix_(idx, idx)]
+            link_affectance_block(cache, idx, idx, power, faded), full[np.ix_(idx, idx)]
         )
 
     def test_scalar_affectance_consistent_with_matrix_under_fading(self, params, rng):

@@ -27,6 +27,8 @@ from repro.sinr import (
 )
 from repro.state import NetworkState, attenuation_from_distances, pairwise_distances
 
+from .oracles import link_affectance_block
+
 ALPHAS = (2.5, 3.0)
 SHADOW = LogNormalShadowing(sigma_db=5.0, seed=42)
 
@@ -235,7 +237,7 @@ class TestChurnSequenceProperty:
         rows = np.array([1, 4], dtype=np.intp)
         cols = np.array([0, 2, 7], dtype=np.intp)
         assert np.array_equal(
-            cache.distance_block(rows, cols),
+            cache.state.distance_rect(cache.slots[rows], cache.slots[cols]),
             cache.distance_matrix()[np.ix_(rows, cols)],
         )
         assert np.array_equal(
@@ -297,8 +299,8 @@ class TestSharedStateViews:
         rows = np.array([0, 4], dtype=np.intp)
         cols = np.array([1, 2, 9], dtype=np.intp)
         assert np.array_equal(
-            via_state.affectance_block(rows, cols, power, params),
-            private.affectance_block(rows, cols, power, params),
+            link_affectance_block(via_state, rows, cols, power, params),
+            link_affectance_block(private, rows, cols, power, params),
         )
 
     def test_link_cache_rejects_unknown_endpoints(self, rng):

@@ -9,8 +9,8 @@ fresh ``LinkArrayCache`` per phase slot, mean power with a private
 ``TiledNetworkState.from_links`` per call.  Everything must match them bit
 for bit:
 
-* a positional block equals ``LinkArrayCache.affectance_block`` over the
-  same oriented links, on either store, with and without fades;
+* a positional block equals the link cache's block
+  (``link_affectance_block``) over the same oriented links, on either store, with and without fades;
 * both selectors, on positions over a caller's store (dense or tiled) and on
   ``Link`` objects, select what the oracles select, flip the same coins and
   read one seed word;
@@ -50,6 +50,7 @@ from .oracles import (
     LinkPathDistrCapSelector,
     LinkPathMeanPowerSelector,
     ReferenceTreeViaCapacity,
+    link_affectance_block,
 )
 from .test_tvc_arrays import _run_both, assert_same_tvc
 
@@ -149,7 +150,7 @@ class TestPositionedLinks:
         got = positioned.affectance_block(
             rows, cols, powers, params, dual=dual, workspace=DecodeWorkspace() if arena else None
         )
-        expected = cache.affectance_block(rows, cols, linear, params)
+        expected = link_affectance_block(cache, rows, cols, linear, params)
         assert got.tobytes() == expected.tobytes()
 
     def test_lengths_and_links_are_the_link_objects(self):
@@ -237,7 +238,8 @@ class TestDistrCapByPosition:
         universe = [link if forward else link.dual for link in links]
         cache = LinkArrayCache(universe, state=state)
         firsts = sorted({link.sender.id: k for k, link in reversed(list(enumerate(universe)))}.values())
-        sums = np.add.accumulate(cache.affectance_block(firsts, attempting, linear, params), axis=0)
+        block = link_affectance_block(cache, firsts, attempting, linear, params)
+        sums = np.add.accumulate(block, axis=0)
         finite = sums[np.isfinite(sums)].tolist()
         total = finite[pick % len(finite)] if finite else 1.0
         for threshold in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf), 1e9):

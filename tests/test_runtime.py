@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.netsim import NetSimulator
 from repro.runtime import ExecutionTrace, Simulator, SlotRecord
-from repro.sinr import Channel
+from repro.sinr import CachedChannel, Channel
 
 from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
@@ -85,6 +85,25 @@ class TestLockstepProgram:
         program = BeaconProgram(_nodes(), 1.0)
         with pytest.raises(ProtocolError, match="CachedChannel"):
             Simulator(program, OpaqueChannel(params)).step()
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["same-nodes", "superset"])
+    def test_channel_in_another_node_order_decodes_the_same(self, params, extra):
+        """A channel holding the program's nodes in another order (or more
+        nodes) is addressed through its id map, not position by position."""
+        xy = np.random.default_rng(3).uniform(0.0, 8.0, size=(6, 2))
+        nodes = [make_node(i, x, y) for i, (x, y) in enumerate(xy.tolist())]
+        power = params.min_power_for(4.0)
+
+        def run(channel: Channel) -> tuple[list, list]:
+            program = BeaconProgram(nodes, power, senders=[0, 4])
+            simulator = Simulator(program, channel)
+            simulator.run(6, label="beacon")
+            return simulator.trace.records, program.heard
+
+        universe = nodes[::-1] + ([make_node(9, 40.0, 40.0)] if extra else [])
+        reordered = run(CachedChannel(params, universe))
+        assert reordered == run(Channel(params))
+        assert any(reordered[1])
 
     def test_program_duplicate_ids_rejected(self, params):
         node = make_node(0, 0, 0)

@@ -27,7 +27,7 @@ from repro.sinr import (
 from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 from repro.state.kernels import pairwise_distances
 
-from .oracles import decode_reference
+from .oracles import decode_reference, link_affectance_block
 
 GAIN_MODELS = (
     None,
@@ -320,8 +320,8 @@ class TestAffectanceWorkspaceParity:
             cache = LinkArrayCache(links)
             rows = np.sort(rng.choice(len(links), size=5, replace=False)).astype(np.intp)
             cols = np.sort(rng.choice(len(links), size=7, replace=False)).astype(np.intp)
-            expected = cache.affectance_block(rows, cols, power, params)
-            got = cache.affectance_block(rows, cols, power, params, workspace=ws)
+            expected = link_affectance_block(cache, rows, cols, power, params)
+            got = link_affectance_block(cache, rows, cols, power, params, workspace=ws)
             assert np.array_equal(got, expected)
 
     def test_affectance_block_with_fading_falls_back(self):
@@ -331,6 +331,6 @@ class TestAffectanceWorkspaceParity:
         power = LinearPower.for_noise(params)
         rows = np.arange(4, dtype=np.intp)
         cols = np.arange(4, 10, dtype=np.intp)
-        expected = cache.affectance_block(rows, cols, power, params)
-        got = cache.affectance_block(rows, cols, power, params, workspace=DecodeWorkspace())
+        expected = link_affectance_block(cache, rows, cols, power, params)
+        got = link_affectance_block(cache, rows, cols, power, params, workspace=DecodeWorkspace())
         assert np.array_equal(got, expected)

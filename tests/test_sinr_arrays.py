@@ -35,6 +35,7 @@ from repro.core.power_solver import gain_matrix
 from repro.sinr.arrays import affectance_matrix_from_arrays, sinr_values_from_arrays
 
 from .conftest import make_node
+from .oracles import link_affectance_block
 
 
 # -- frozen seed implementations (do not modify) ----------------------------
@@ -234,9 +235,9 @@ def test_affectance_block_matches_full_matrix_slice(seed, warm, params):
     for _ in range(4):
         rows = rng.choice(len(links), size=int(rng.integers(1, 12)), replace=False)
         cols = rng.choice(len(links), size=int(rng.integers(1, 12)), replace=False)
-        block = cache.affectance_block(rows, cols, power, params)
+        block = link_affectance_block(cache, rows, cols, power, params)
         assert np.array_equal(block, expected_full[np.ix_(rows, cols)])
-    assert cache.affectance_block([], [0, 1], power, params).shape == (0, 2)
+    assert link_affectance_block(cache, [], [0, 1], power, params).shape == (0, 2)
 
 
 def test_feasibility_matches_on_randomized_instances(params):

@@ -1,13 +1,14 @@
 """Slab parallelism (``repro.state.slabs``): bit-identical at every worker count.
 
-The row-cache fill and the tiled whole-universe decode split their blocks
+The row-cache fill and the whole-universe decode split their blocks
 into slabs whose bounds depend only on the block's shape, and run them on
 ``slab_workers()`` threads.  These tests pin:
 
 * the fill and the decode equal the one-slab result bitwise at 1, 2 and 3
   workers (Hypothesis: slab sizes with uneven edges, ``_decoded_only`` on
   and off, colocated transmitter columns, k from 1 past the row budget,
-  three gain models);
+  three gain models), and so does the dense store's decode in slabs at 1
+  and 2 workers;
 * Init on a ~2,500-node tiled store gives the same tree, trace and slots at
   1 and 2 workers, and telemetry counts the same at both;
 * a worker thread raises no RuntimeWarning under ``-W error``;
@@ -206,6 +207,13 @@ class TestDecodeParity:
         for workers in WORKER_COUNTS:
             with slab_config(slab_cols * 8 * k, workers):
                 _assert_same_decode(_decode(*args), single)
+        # The dense store decodes in the same slabs, from its matrix rows
+        # (wider than the view when capacity is reserved).
+        roomy = CachedChannel(params, state=NetworkState(nodes, capacity=n + 3))
+        for workers in (1, 2):
+            with slab_config(slab_cols * 8 * k, workers):
+                got = roomy.resolve_indices_full(tx, powers, slot=7, _decoded_only=decoded_only)
+            _assert_same_decode(got, single)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_slab_decode_leaves_the_ring_unchanged(self, workers):

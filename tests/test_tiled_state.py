@@ -29,7 +29,7 @@ from repro.core import (
     InitialTreeBuilder,
     TreeRepairer,
 )
-from repro.dynamics import LogNormalShadowing, RayleighFading
+from repro.dynamics import DeterministicPathLoss, LogNormalShadowing, RayleighFading
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
 from repro.experiments.parallel import shutdown_fabrics
 from repro.geometry import Node, Point
@@ -104,21 +104,71 @@ class TestTileKernelParity:
             assert np.array_equal(attenuation_rect_from_xy(a, b, alpha), expected)
 
 class TestTiledNetworkStateParity:
-    def test_rects_and_rows_match_dense_matrices(self, rng):
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "never-built"])
+    @pytest.mark.parametrize("staged", [False, True], ids=["fresh", "workspace"])
+    def test_rects_and_rows_match_dense_matrices(self, rng, built, staged):
+        """Both stores answer every rectangle with the same bits: after
+        removals (capacity above the live count, slots out of order), on a
+        colocated pair, with and without a workspace, and on a dense store
+        that never built its matrices (whose distance rectangles then build
+        none)."""
         nodes = _make_nodes(rng, 120)
+        nodes[7] = Node(id=nodes[7].id, position=nodes[3].position)  # colocated with 3
         dense = NetworkState(nodes)
         tiled = TiledNetworkState(nodes)
+        if built:
+            dense.distance_matrix()
+            for alpha in ALPHAS:
+                dense.attenuation_matrix(alpha)
+            dense.fade_matrix(SHADOW)
+        gone = [node.id for node in nodes[10:60:3]]
+        dense.remove_nodes(gone)
+        tiled.remove_nodes(gone)
         live = tiled.live_slots()
-        some = live[rng.permutation(live.size)[:25]]
-        assert np.array_equal(
-            tiled.distance_rect(some, live), dense.distance_matrix()[np.ix_(some, live)]
-        )
+        assert np.array_equal(live, dense.live_slots()) and live.size < tiled.capacity
+        some = np.concatenate(([3, 7], live[rng.permutation(live.size)[:25]]))
+        cols = live[rng.permutation(live.size)]
+        workspaces = {id(dense): DecodeWorkspace(), id(tiled): DecodeWorkspace()}
+
+        def same(method, *args):
+            """``method`` on both stores, bitwise equal; a copy of the answer."""
+            answers = []
+            for store in (dense, tiled):
+                workspace = workspaces[id(store)] if staged else None
+                got = getattr(store, method)(*args, workspace=workspace)
+                answers.append(None if got is None else np.array(got))
+            first, second = answers
+            if first is None:
+                assert second is None
+            else:
+                assert first.shape == second.shape and first.tobytes() == second.tobytes()
+            return first
+
+        dist = same("distance_rect", some, cols)
+        assert built == dense.has_distances
+        assert dist[0, np.flatnonzero(cols == 7)[0]] == 0.0
+        assert np.array_equal(dist, pairwise_distances(dense.xy[some], dense.xy[cols]))
         for alpha in ALPHAS:
+            att = same("attenuation_rect", alpha, some, cols)
+            assert att[0, np.flatnonzero(cols == 7)[0]] == 0.0
+            whole = same("attenuation_rect", alpha, some, None)
+            assert whole.shape == (some.size, tiled.capacity)
+            assert np.array_equal(whole[:, cols], att)
             dense_att = dense.attenuation_matrix(alpha)
-            assert np.array_equal(
-                tiled.attenuation_rect(alpha, some, live), dense_att[np.ix_(some, live)]
-            )
-            assert np.array_equal(tiled.attenuation_rows(alpha, some), dense_att[some, :])
+            assert np.array_equal(att, dense_att[np.ix_(some, cols)])
+            sources = [store.row_source(alpha, some) for store in (dense, tiled)]
+            dense_rows, tiled_rows = (rows if at is None else rows[at] for rows, at in sources)
+            assert dense_rows.tobytes() == tiled_rows.tobytes() == whole.tobytes()
+        fade = same("fade_rect", SHADOW, some, cols)
+        assert fade.shape == (some.size, cols.size)
+        # Whole fade rows agree on the live columns; a free slot's column is
+        # never read (the dense store keeps its stale hash, the tiled one
+        # hashes id -1).
+        for store in (dense, tiled):
+            whole_fade = store.fade_rect(SHADOW, some, None)
+            assert whole_fade.shape == (some.size, tiled.capacity)
+            assert whole_fade[:, cols].tobytes() == fade.tobytes()
+        assert same("fade_rect", DeterministicPathLoss(), some, cols) is None
 
     def test_churn_matches_fresh_dense_rebuild(self, rng):
         """Seeded add/remove/move churn, asserted bitwise after every step."""
@@ -146,7 +196,7 @@ class TestTiledNetworkStateParity:
                 assert np.array_equal(
                     tiled.attenuation_rect(alpha, live, live), fresh_att
                 )
-                rows = tiled.attenuation_rows(alpha, live)
+                rows = tiled.attenuation_rect(alpha, live, None)
                 assert np.array_equal(rows[:, live], fresh_att)
 
     def test_free_list_reuse_and_capacity_growth(self, rng):
@@ -165,18 +215,18 @@ class TestTiledNetworkStateParity:
         tiled = TiledNetworkState(nodes)
         dense = NetworkState(nodes)
         live = tiled.live_slots()
-        first = tiled.attenuation_rows(2.5, live[:10])
-        again = tiled.attenuation_rows(2.5, live[:10])
+        first = tiled.attenuation_rect(2.5, live[:10], None)
+        again = tiled.attenuation_rect(2.5, live[:10], None)
         assert np.array_equal(first, again)
         # workspace-staged gather is bitwise identical to the cached rows
         workspace = DecodeWorkspace()
-        staged = tiled.attenuation_rows(2.5, live[:10], workspace=workspace)
+        staged = tiled.attenuation_rect(2.5, live[:10], None, workspace=workspace)
         assert np.array_equal(staged, first)
         # mutation invalidates wholesale; served rows track the new geometry
         tiled.move_nodes(live[:2], rng.uniform(0.0, 100.0, size=(2, 2)))
         dense.move_nodes(live[:2], tiled.xy[live[:2]])
         assert np.array_equal(
-            tiled.attenuation_rows(2.5, live[:10]), dense.attenuation_matrix(2.5)[live[:10], :]
+            tiled.attenuation_rect(2.5, live[:10], None), dense.attenuation_matrix(2.5)[live[:10], :]
         )
 
     def test_attenuation_rows_tiny_budget_still_exact(self, rng):
@@ -189,7 +239,7 @@ class TestTiledNetworkStateParity:
         for _ in range(4):
             request = live[rng.permutation(live.size)[: int(rng.integers(1, 9))]]
             assert np.array_equal(
-                tiled.attenuation_rows(3.0, request), expected[request, :]
+                tiled.attenuation_rect(3.0, request, None), expected[request, :]
             )
 
     def test_fade_rect_matches_dense_fade_matrix(self, rng):
@@ -235,7 +285,10 @@ class TestNodeArrayCacheTiledDispatch:
         dense, tiled = caches
         rows = rng.permutation(80)[:12].astype(np.intp)
         cols = rng.permutation(80)[:30].astype(np.intp)
-        assert np.array_equal(tiled.distance_block(rows, cols), dense.distance_block(rows, cols))
+        assert np.array_equal(
+            tiled.state.distance_rect(tiled.slots[rows], tiled.slots[cols]),
+            dense.state.distance_rect(dense.slots[rows], dense.slots[cols]),
+        )
         for alpha in ALPHAS:
             assert np.array_equal(
                 tiled.attenuation_block(alpha, rows, cols),
@@ -277,10 +330,10 @@ class TestTiledObservability:
         nodes = _make_nodes(rng, 30)
         with telemetry() as registry:
             tiled = TiledNetworkState(nodes)
-            tiled.attenuation_rows(2.5, tiled.live_slots()[:4])
+            tiled.attenuation_rect(2.5, tiled.live_slots()[:4], None)
             assert registry.counter_value("tiled.row_cache_miss") == 4
             # A second gather of cached rows records no new misses.
-            tiled.attenuation_rows(2.5, tiled.live_slots()[:4])
+            tiled.attenuation_rect(2.5, tiled.live_slots()[:4], None)
             assert registry.counter_value("tiled.row_cache_miss") == 4
             gauges = {name: value for name, _, value in registry.gauges()}
             assert gauges["tiled.resident_bytes"] == tiled.resident_bytes() > 0
@@ -292,7 +345,7 @@ class TestTiledObservability:
         OBS.registry = registry
         try:
             tiled = TiledNetworkState(_make_nodes(rng, 10))
-            tiled.attenuation_rows(2.5, tiled.live_slots()[:2])
+            tiled.attenuation_rect(2.5, tiled.live_slots()[:2], None)
         finally:
             OBS.registry = previous
         assert registry.counter_value("tiled.row_cache_miss") == 0

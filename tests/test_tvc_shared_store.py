@@ -71,7 +71,10 @@ def assert_same_store(got: NetworkState, fresh: NetworkState) -> None:
     assert np.array_equal(got.xy, fresh.xy) and np.array_equal(got.ids, fresh.ids)
     rows = np.arange(len(fresh), dtype=np.intp)
     got_view, fresh_view = NodeArrayCache(state=got), NodeArrayCache(state=fresh)
-    assert np.array_equal(got_view.distance_block(rows), fresh_view.distance_block(rows))
+    got_slots, fresh_slots = got_view.slots, fresh_view.slots
+    assert np.array_equal(
+        got.distance_rect(got_slots, got_slots), fresh.distance_rect(fresh_slots, fresh_slots)
+    )
     assert np.array_equal(
         got_view.attenuation_block(PARAMS.alpha, rows),
         fresh_view.attenuation_block(PARAMS.alpha, rows),
