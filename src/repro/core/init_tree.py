@@ -37,6 +37,18 @@ order; the program hashes each round's coins in one table when the round
 opens.  Runs are reproducible bit for bit; the test suite keeps a per-node
 state machine of the protocol, flipping the same coins one at a time, as the
 oracle both builders are pinned to.
+
+TreeViaCapacity's inner builds, whose trace nobody reads, also skip the
+slot-pairs that provably form no link.  A listener acks only a hello from the
+round's length class, so a pair in which no broadcaster has an active node at
+such a distance sends no ack, stores no link and retires nobody.  Each round
+opens with the list of active pairs in the class (a superset of the pairs
+``transmit``'s class test admits), read from the store's attenuations; a
+broadcast slot whose broadcasters have no listed partner is neither decoded
+nor followed by its ack slot, and once no pair remains the rest of the round
+passes without a slot stepped.  Every coin is a hash of its slot, so the
+skipped slots change no later coin: the tree, the stored degrees and the
+slot, round and sweep counts are those of a run that steps every slot.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +64,7 @@ from ..coins import _hash_u64, _mix, _uniform_cut, seed_word
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ConfigurationError, ProtocolError
 from ..geometry import Node, nodes_to_array
+from ..obs.runtime import OBS
 from ..runtime import ExecutionTrace, LockstepProgram, Simulator
 from ..sinr import CachedChannel, ExplicitPower, SINRParameters, UniformPower
 from ..state import NetworkState
@@ -71,6 +84,53 @@ __all__ = [
 _INIT_STREAM = 0x494E4954
 
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
+
+#: Relative widening of a round's attenuation class bounds.  It dwarfs the
+#: few ulps between the store's ``d**alpha`` and ``math.hypot(...)**alpha``,
+#: so the pair certificate covers every pair ``transmit``'s class test admits.
+_WIDEN = 1e-9
+
+#: Cells of the attenuation rows the certificate gathers at a time.
+_BLOCK_CELLS = 1 << 15
+
+
+def _row_blocks(
+    store: NetworkState, slots: np.ndarray, alpha: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, att)`` over blocks of ``slots``: ``att`` holds the rows'
+    whole attenuation rows (every capacity column), a fresh array per block."""
+    step = max(1, _BLOCK_CELLS // store.capacity)
+    for lo in range(0, slots.size, step):
+        rows = slots[lo : lo + step]
+        yield rows, store.attenuation_rect(alpha, rows, None)
+
+
+def _nearest_attenuation(store: NetworkState, alpha: float, n: int) -> np.ndarray:
+    """Each of the first ``n`` slots' smallest attenuation to another slot."""
+    nearest = []
+    for rows, att in _row_blocks(store, np.arange(n, dtype=np.intp), alpha):
+        att[np.arange(rows.size), rows] = np.inf
+        nearest.append(att.min(axis=1))
+    return np.concatenate(nearest)
+
+
+def _class_pairs(
+    store: NetworkState,
+    alpha: float,
+    rows: np.ndarray,
+    col_mask: np.ndarray,
+    low: float,
+    high: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(row, col)`` slot pairs, ``row`` in ``rows`` and ``col_mask[col]``
+    true, whose attenuation lies in ``[low, high)``."""
+    firsts, seconds = [_NO_POSITIONS], [_NO_POSITIONS]
+    for block, att in _row_blocks(store, rows, alpha):
+        i, j = ((att >= low) & (att < high)).nonzero()
+        kept = col_mask[j]
+        firsts.append(block[i[kept]])
+        seconds.append(j[kept])
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def round_power(round_index: int, params: SINRParameters, slack: float = 2.0) -> float:
@@ -166,6 +226,12 @@ class _InitProgram(LockstepProgram):
     it matures in: a hello heard in a broadcast slot counts as heard, an ack
     in an ack slot is adopted by an active broadcaster of the pair it
     targets, and anything else is ignored.
+
+    Given a ``store`` (slot ``i`` holding node ``i``, no free slot), the
+    program also keeps the pair certificate of TreeViaCapacity's inner
+    builds (module docstring): a broadcast slot whose broadcasters have no
+    listed partner transmits nothing, and :attr:`live` turns false once no
+    pair remains.
     """
 
     def __init__(
@@ -174,6 +240,7 @@ class _InitProgram(LockstepProgram):
         params: SINRParameters,
         constants: AlgorithmConstants,
         seed: int,
+        store: NetworkState | None = None,
     ):
         n = len(node_list)
         self.nodes = node_list
@@ -211,6 +278,19 @@ class _InitProgram(LockstepProgram):
         self._down: np.ndarray | None = None
         #: (node, peer) positions of every stored link, both directions alike.
         self._links: list[tuple[np.ndarray, np.ndarray]] = []
+        #: the store the certificate reads, ``None`` when every pair is stepped.
+        self._store = store
+        #: each position's smallest attenuation within the node set, which
+        #: bounds it within every active subset.
+        self._nearest = None if store is None else _nearest_attenuation(store, params.alpha, n)
+        #: the round's listed pairs whose ends are both still active.
+        self._pairs = (_NO_POSITIONS, _NO_POSITIONS)
+        #: per position, whether it is an end of a listed pair.
+        self._partner: np.ndarray | None = None
+        #: whether a listed pair remains in the round.
+        self.live = True
+        #: slot-pairs skipped: no broadcast decode, no ack slot.
+        self.skipped_pairs = 0
 
     def active_count(self) -> int:
         return int(np.count_nonzero(self.state.active))
@@ -221,12 +301,24 @@ class _InitProgram(LockstepProgram):
         Sets the round's fixed power and length class, and flips every coin
         of the round in one table: a column per node active now (the active
         set only shrinks), heads when the node's hash of the slot is below
-        the broadcast or ack bound.
+        the broadcast or ack bound.  With a store it first lists the round's
+        pairs, and flips no coin in a round with none.
         """
         self._round = round_index
         self._powers.fill(round_power(round_index, self.params))
         self._lower, self._upper = 2.0 ** (round_index - 1), 2.0**round_index
         active = self.state.active.nonzero()[0]
+        if self._store is not None:
+            alpha = self.params.alpha
+            high = self._upper**alpha * (1 + _WIDEN)
+            candidates = active[self._nearest[active] < high]
+            low = self._lower**alpha * (1 - _WIDEN)
+            self._pairs = _class_pairs(
+                self._store, alpha, candidates, self.state.active, low, high
+            )
+            self._refresh_partners()
+            if not self.live:
+                return
         self._column[active] = np.arange(active.size)
         slots = np.arange(slot, slot + self._cuts.size, dtype=np.uint64)[:, None]
         self._coins = _mix(self._keys[active] ^ slots) < self._cuts
@@ -241,6 +333,10 @@ class _InitProgram(LockstepProgram):
             up = state.active if self._down is None else state.active & ~self._down
             active = up.nonzero()[0]
             broadcasters = active[coins[self._column[active]]]
+            if self._partner is not None and not self._partner[broadcasters].any():
+                # No ack can follow: skip the decode (and the ack slot).
+                broadcasters = _NO_POSITIONS
+                self.skipped_pairs += 1
             self._broadcasters = broadcasters
             self._stale_hello = False
             return broadcasters, self._powers[: broadcasters.size]
@@ -289,6 +385,26 @@ class _InitProgram(LockstepProgram):
         state.parent_round[children] = self._round
         state.active[children] = False
         self._links.append((children, parents))
+        if self._partner is not None and children.size:
+            self._refresh_partners()
+
+    def _refresh_partners(self) -> None:
+        """Drop the listed pairs with a retired end; mark the remaining ends."""
+        first, second = self._pairs
+        active = self.state.active
+        kept = active[first] & active[second]
+        first, second = first[kept], second[kept]
+        self._pairs = (first, second)
+        partner = np.zeros(len(self.nodes), dtype=bool)
+        partner[first] = True
+        partner[second] = True
+        self._partner = partner
+        self.live = bool(first.size)
+
+    def heard_any(self) -> bool:
+        """Whether a hello was decoded in the current pair's broadcast slot;
+        without one its ack slot sends nothing."""
+        return bool(self._heard[0].size)
 
     def _broadcast_now(self, positions: np.ndarray) -> np.ndarray:
         """Which of ``positions`` are active and broadcast in this pair."""
@@ -383,7 +499,8 @@ class InitialTreeResult:
             single-pass guarantee; more indicate the practical constants
             needed extra passes).
         delta: the distance ratio of the instance.
-        trace: the slot-by-slot execution trace.
+        trace: the slot-by-slot execution trace; empty for TreeViaCapacity's
+            inner builds, which record none.
     """
 
     nodes: list[Node]
@@ -495,7 +612,7 @@ class InitialTreeBuilder:
         rng: np.random.Generator,
         *,
         state: NetworkState | None = None,
-        _checked: bool = False,
+        _inner: bool = False,
     ) -> InitialTreeResult:
         """Run ``Init`` on ``nodes`` and return the resulting bi-tree.
 
@@ -506,9 +623,14 @@ class InitialTreeBuilder:
                 ``nodes``, in order (e.g. a :meth:`NetworkState.subset` of a
                 larger run's store).  By default one is built over ``nodes``
                 with :meth:`NetworkState.for_nodes`.
-            _checked: private to :class:`TreeViaCapacity`, whose populations
-                are subsets of a deployment it has validated, each with the
-                store it gathered for them: skips the input and store checks.
+            _inner: private to :class:`TreeViaCapacity`, for its own
+                populations: subsets of a deployment it has validated, each
+                with the store it gathered for them (slot ``i`` holding
+                ``nodes[i]``, no free slot), and a trace it never reads.  Skips the input
+                and store checks, records no trace (the result's stays
+                empty) and skips the slot-pairs that provably form no link
+                (module docstring); the state and the slot, round and sweep
+                counts are those of a full run.
 
         Raises:
             ProtocolError: if more than one active node remains after
@@ -520,7 +642,7 @@ class InitialTreeBuilder:
         node_list = list(nodes)
         if not node_list:
             raise ProtocolError("cannot build a tree on zero nodes")
-        if not _checked:
+        if not _inner:
             ids, xy = validate_init_nodes(node_list)
             if len(node_list) > 1 and state is not None and not _holds_exactly(state, ids, xy):
                 raise ConfigurationError(
@@ -543,9 +665,11 @@ class InitialTreeBuilder:
         delta = state.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
         pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
-        program = _InitProgram(node_list, self.params, self.constants, seed_word(rng))
-        simulator = Simulator(program, CachedChannel(self.params, state=state))
-        step = simulator.step
+        program = _InitProgram(
+            node_list, self.params, self.constants, seed_word(rng), state if _inner else None
+        )
+        simulator = Simulator(program, CachedChannel(self.params, state=state), record=not _inner)
+        step, advance = simulator.step, simulator.advance
 
         rounds_used = 0
         sweeps_used = 0
@@ -561,15 +685,28 @@ class InitialTreeBuilder:
                 program.begin_round(round_index, simulator.current_slot)
                 broadcast = f"init:sweep{sweep}:round{round_index}:broadcast"
                 ack = f"init:sweep{sweep}:round{round_index}:ack"
-                for _ in range(pairs_per_round):
+                if not _inner:
+                    for _ in range(pairs_per_round):
+                        step(broadcast)
+                        step(ack)
+                    continue
+                end = simulator.current_slot + 2 * pairs_per_round
+                while program.live and simulator.current_slot < end:
                     step(broadcast)
-                    step(ack)
+                    if program.heard_any():
+                        step(ack)
+                    else:
+                        advance(1)
+                program.skipped_pairs += (end - simulator.current_slot) // 2
+                advance(end - simulator.current_slot)
             if program.active_count() <= 1:
                 break
         if program.active_count() > 1:
             raise ProtocolError(
                 f"Init did not converge to a single active node within {self.max_sweeps} sweeps"
             )
+        if _inner and OBS.enabled:
+            OBS.registry.inc("core.init.skipped_pairs", program.skipped_pairs)
 
         return self._extract_result(
             node_list,

@@ -200,7 +200,7 @@ class TreeViaCapacity:
                     f"TreeViaCapacity did not converge within {cap} iterations "
                     f"({len(population)} nodes still active)"
                 )
-            init_result = builder.build(population, rng, state=state, _checked=True)
+            init_result = builder.build(population, rng, state=state, _inner=True)
             # T(M) is read off Init's parent array as (child, parent)
             # positions, which are slots of P_i's store (the one its Init
             # just decoded from): every tree link when it is empty.

@@ -13,9 +13,12 @@ The decode goes through
 whole-universe form) in one vectorized pass that gathers its
 attenuation/fade blocks from the channel's backing
 :class:`~repro.state.NetworkState`; no per-node Python runs in between.
-Every slot lands in a columnar :class:`~repro.runtime.trace.ExecutionTrace`.
-The per-agent slot engine this replaced is kept in the test suite as its
-parity oracle.
+Every stepped slot lands in a columnar
+:class:`~repro.runtime.trace.ExecutionTrace`, unless the simulator was made
+with ``record=False`` (a caller that never reads the trace);
+:meth:`Simulator.advance` lets idle slots pass without stepping them.  The
+per-agent slot engine this replaced is kept in the test suite as its parity
+oracle.
 """
 
 from __future__ import annotations
@@ -44,13 +47,15 @@ class Simulator:
         channel: the SINR channel instance.  A plain :class:`Channel` is
             upgraded to a :class:`CachedChannel` over the program's nodes;
             any other channel must be a :class:`CachedChannel` holding them.
+        record: whether stepped slots are appended to :attr:`trace`; without
+            it the trace stays empty.
 
     Raises:
         ProtocolError: for duplicate node ids, or a channel that cannot
             decode the program's nodes by index.
     """
 
-    def __init__(self, program: LockstepProgram, channel: Channel):
+    def __init__(self, program: LockstepProgram, channel: Channel, *, record: bool = True):
         nodes = list(program.nodes)
         ids = [node.id for node in nodes]
         if len(ids) != len(set(ids)):
@@ -84,6 +89,7 @@ class Simulator:
         self.channel = channel
         self.program = program
         self.trace = ExecutionTrace()
+        self._tracing = record
         self._slot = 0
         self._node_ids: list[int] = ids
         self._nodes = nodes
@@ -93,6 +99,13 @@ class Simulator:
     def current_slot(self) -> int:
         """Index of the next slot to execute."""
         return self._slot
+
+    def advance(self, slots: int) -> None:
+        """Let ``slots`` idle slots pass: the clock moves on, and nothing is
+        polled, decoded, traced or counted (``sim.slots`` counts stepped
+        slots only).  For a caller that knows the program would neither
+        transmit nor change state in them."""
+        self._slot += slots
 
     def step(self, label: str = "") -> None:
         """Execute one slot."""
@@ -156,7 +169,8 @@ class Simulator:
         self, slot: int, tx: np.ndarray, rx: np.ndarray, src: np.ndarray, label: str
     ) -> None:
         """Trace the slot (by position), count it and advance the clock."""
-        self.trace._append_owned(slot, tx, rx, src, label, self._ids)
+        if self._tracing:
+            self.trace._append_owned(slot, tx, rx, src, label, self._ids)
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("sim.slots")

@@ -187,8 +187,8 @@ class _TransmitSpy:
         self.slots: list[tuple] = []
         real_init, real_transmit = _InitProgram.__init__, _InitProgram.transmit
 
-        def init(program, nodes, params, constants, seed):
-            real_init(program, nodes, params, constants, seed)
+        def init(program, nodes, params, constants, seed, *store):
+            real_init(program, nodes, params, constants, seed, *store)
             program.spied = (seed, [node.id for node in nodes], constants)
 
         def transmit(program, slot):

@@ -133,13 +133,17 @@ class TestTreeViaCapacityInput:
 
     def test_input_validated_once_per_build(self, params, monkeypatch):
         # Every iteration's Init population is a subset of the validated
-        # deployment, on the store gathered for it: Init skips both checks,
-        # and the tree is the one Init's checked entry builds.
+        # deployment, on the store gathered for it: Init skips both checks
+        # and the slot-pairs that form no link, and the tree, powers and
+        # per-iteration records (Init slots included) are those of Init's
+        # checked entry, which steps every slot.
         nodes = uniform_random(60, np.random.default_rng(8))
 
         def outcome(result):
             return (
+                result.tree.root_id,
                 result.tree.parent,
+                result.tree.slot_stamps(),
                 sorted(result.power.as_dict().items()),
                 result.iterations,
                 result.construction_slots,
@@ -160,7 +164,7 @@ class TestTreeViaCapacityInput:
 
         build = init_tree.InitialTreeBuilder.build
 
-        def checked(self, population, rng, *, state=None, _checked=False):
+        def checked(self, population, rng, *, state=None, _inner=False):
             return build(self, population, rng, state=state)
 
         monkeypatch.setattr(init_tree.InitialTreeBuilder, "build", checked)

@@ -216,7 +216,7 @@ def test_tvc_equals_a_run_with_a_fresh_store_per_init(budget, mode, monkeypatch)
     plain_build = InitialTreeBuilder.build
     plain_select = DistrCapSelector.select
 
-    def build_own_store(self, nodes, rng, *, state=None, _checked=False):
+    def build_own_store(self, nodes, rng, *, state=None, _inner=False):
         return plain_build(self, nodes, rng)
 
     def select_own_store(self, candidates, rng, *, link_rounds=None, state=None):
