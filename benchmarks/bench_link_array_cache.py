@@ -1,6 +1,7 @@
-"""Micro-benchmarks of the cached link-array engine (``repro.sinr.arrays``).
+"""Micro-benchmarks of the greedy capacity/scheduling loops on whole-set link arrays.
 
-Times the capacity/scheduling hot path at 500-2000 links and pins down the
+Times the capacity/scheduling hot path at 500-1000 links, whose affectance
+matrices come from ``repro.sinr.PositionedLinks``, and pins down the
 headline claim: the incremental-accumulator greedy loop is at least 3x faster
 than the seed's full-matrix-recompute loop at 500+ links (in practice ~10x,
 growing with instance size), while producing the identical schedule.
@@ -17,12 +18,7 @@ from repro.core.capacity import first_fit_schedule, select_feasible_subset
 from repro.core.schedule import Schedule
 from repro.geometry import uniform_random
 from repro.links import Link
-from repro.sinr import (
-    LinkArrayCache,
-    MeanPower,
-    SINRParameters,
-    affectance_matrix,
-)
+from repro.sinr import MeanPower, SINRParameters, affectance_matrix
 
 PARAMS = SINRParameters(alpha=3.0, beta=1.0, noise=0.5, epsilon=0.1)
 
@@ -120,20 +116,3 @@ def bench_select_feasible_subset_cached_1000(benchmark, instance_1000):
     )
     assert len(result.selected) > 0
 
-
-def bench_affectance_matrix_subset_slicing_2000(benchmark):
-    """100 subset queries against one 2000-link cache vs per-call rebuilds."""
-    links, power = _instance(9, 2000, side=500.0)
-    cache = LinkArrayCache(links)
-    rng = np.random.default_rng(9)
-    subsets = [rng.choice(len(links), size=64, replace=False) for _ in range(100)]
-    # Warm the full-universe matrix once, as the greedy loops do.
-    cache.affectance_matrix(power, PARAMS)
-
-    def query_all():
-        total = 0.0
-        for indices in subsets:
-            total += float(cache.affectance_matrix(power, PARAMS, indices).sum())
-        return total
-
-    benchmark.pedantic(query_all, rounds=3, iterations=1)

@@ -29,8 +29,10 @@ from ..exceptions import ProtocolError
 from ..geometry import Node
 from ..links import Link, LinkSet
 from ..sinr import (
+    AffectanceAccumulator,
     LinearPower,
     MeanPower,
+    PositionedLinks,
     PowerAssignment,
     SINRParameters,
     UniformPower,
@@ -170,45 +172,45 @@ def ordered_first_fit_schedule(tree: BiTree, power: PowerAssignment, params) -> 
     the sender's subtree links, (b) feasible with the slot's existing members
     under ``power``, and (c) free of node reuse.  The result is a valid
     aggregation-tree schedule whose reversal is a valid dissemination order.
-    """
-    from ..sinr import affectance_matrix
 
+    As in :func:`~repro.core.capacity.first_fit_schedule`, the affectance
+    matrix is computed once over every link and each slot keeps an
+    :class:`~repro.sinr.AffectanceAccumulator`, so a placement test costs
+    O(slot size).
+    """
     depth = tree.depths()
     children = tree.children_map()
     order = sorted(tree.parent, key=lambda child: -depth[child])
+    links = [Link(tree.nodes[child], tree.nodes[tree.parent[child]]) for child in order]
+    matrix = PositionedLinks.from_links(links).affectance_matrix(
+        np.array(power.powers(links), dtype=float), params
+    )
     schedule = Schedule()
-    slot_members: list[list[Link]] = []
+    slots: list[AffectanceAccumulator] = []
     slot_nodes: list[set[int]] = []
     child_slot: dict[int, int] = {}
 
-    for child in order:
-        link = Link(tree.nodes[child], tree.nodes[tree.parent[child]])
+    for index, (child, link) in enumerate(zip(order, links)):
         earliest = 0
         for grandchild in children.get(child, ()):
             if grandchild in child_slot:
                 earliest = max(earliest, child_slot[grandchild] + 1)
-        placed = False
-        for slot_index in range(earliest, len(slot_members)):
+        for slot_index in range(earliest, len(slots)):
             if link.sender.id in slot_nodes[slot_index] or link.receiver.id in slot_nodes[slot_index]:
                 continue
-            candidate = slot_members[slot_index] + [link]
-            matrix = affectance_matrix(candidate, power, params)
-            if float(matrix.sum(axis=0).max()) <= 1.0 + 1e-9:
-                slot_members[slot_index].append(link)
-                slot_nodes[slot_index].update(link.endpoint_ids)
-                schedule.assign(link, slot_index)
-                child_slot[child] = slot_index
-                placed = True
+            if slots[slot_index].max_total_with(index) <= 1.0 + 1e-9:
+                slots[slot_index].add(index)
                 break
-        if not placed:
+        else:
             # Open a fresh slot no earlier than the ordering constraint allows,
             # padding with empty slots if the constraint points past the end.
-            while len(slot_members) < earliest:
-                slot_members.append([])
+            while len(slots) < earliest:
+                slots.append(AffectanceAccumulator(matrix))
                 slot_nodes.append(set())
-            slot_members.append([link])
-            slot_nodes.append(set(link.endpoint_ids))
-            slot_index = len(slot_members) - 1
-            schedule.assign(link, slot_index)
-            child_slot[child] = slot_index
+            slots.append(AffectanceAccumulator(matrix, members=(index,)))
+            slot_nodes.append(set())
+            slot_index = len(slots) - 1
+        slot_nodes[slot_index].update(link.endpoint_ids)
+        schedule.assign(link, slot_index)
+        child_slot[child] = slot_index
     return schedule

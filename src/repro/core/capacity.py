@@ -29,17 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..links import Link, LinkSet
 from ..sinr import (
     AffectanceAccumulator,
     LinearPower,
-    LinkArrayCache,
+    PositionedLinks,
     PowerAssignment,
     SINRParameters,
     UniformPower,
     affectance_between_links,
 )
-from ..state import NetworkState
 from .schedule import Schedule
 
 __all__ = [
@@ -63,6 +64,10 @@ def _default_linear(params: SINRParameters) -> LinearPower:
     return LinearPower.for_noise(params)
 
 
+def _powers(links: Sequence[Link], power: PowerAssignment) -> np.ndarray:
+    return np.array(power.powers(links), dtype=float)
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     """Outcome of the centralized capacity selection.
@@ -84,7 +89,6 @@ def select_feasible_subset(
     *,
     tau: float = 0.8,
     exclusive_nodes: bool = True,
-    state: NetworkState | None = None,
 ) -> CapacityResult:
     """Kesselheim's ascending-length greedy capacity selection (Eqn. 3).
 
@@ -92,9 +96,6 @@ def select_feasible_subset(
         links: candidate links.
         params: physical-model parameters.
         tau: admission threshold; smaller is more conservative.
-        state: optional shared :class:`~repro.state.NetworkState` covering
-            the link endpoints; the candidate universe's distance block is
-            then gathered from its node store instead of recomputed.
         exclusive_nodes: additionally require that no node appears in two
             admitted links.  The paper's connectivity use-case needs this (a
             feasible set in one slot cannot reuse a node); pure capacity
@@ -115,9 +116,13 @@ def select_feasible_subset(
     # universe; the greedy loop then runs on incremental accumulators: O(1)
     # admission tests and one O(m) row/column update per accepted link,
     # instead of rescanning the selected set per candidate.
-    cache = LinkArrayCache(link_list, state=state)
-    incoming = AffectanceAccumulator(cache.affectance_matrix(linear, params))
-    outgoing = AffectanceAccumulator(cache.affectance_matrix(uniform, params).T)
+    positioned = PositionedLinks.from_links(link_list)
+    incoming = AffectanceAccumulator(
+        positioned.affectance_matrix(_powers(link_list, linear), params)
+    )
+    outgoing = AffectanceAccumulator(
+        positioned.affectance_matrix(_powers(link_list, uniform), params).T
+    )
     selected: list[Link] = []
     used_nodes: set[int] = set()
     for index, candidate in enumerate(link_list):
@@ -200,7 +205,6 @@ def first_fit_schedule(
     params: SINRParameters,
     *,
     exclusive_nodes: bool = True,
-    state: NetworkState | None = None,
 ) -> Schedule:
     """Greedy first-fit scheduling of a link set under a fixed power assignment.
 
@@ -213,13 +217,12 @@ def first_fit_schedule(
     each slot keeps an incremental :class:`AffectanceAccumulator`, so a
     placement test costs O(slot size) and an accepted link one O(m) vector
     update - the seed implementation rebuilt the full slot matrix per test.
-    ``state`` optionally shares a node-geometry store with the caller (see
-    :func:`select_feasible_subset`).
     """
     link_list = sorted(links, key=lambda link: (-link.length, link.endpoint_ids))
     schedule = Schedule()
-    cache = LinkArrayCache(link_list, state=state)
-    matrix = cache.affectance_matrix(power, params)
+    matrix = PositionedLinks.from_links(link_list).affectance_matrix(
+        _powers(link_list, power), params
+    )
     slot_accumulators: list[AffectanceAccumulator] = []
     slot_nodes: list[set[int]] = []
     for index, link in enumerate(link_list):

@@ -120,18 +120,12 @@ class MeanPowerSelector:
                 with, because mean-power feasibility is not scale-invariant in
                 the presence of noise.
         """
-        link_list: list[Link] | None = None
         if isinstance(candidates, PositionedLinks):
             positioned = candidates
         else:
             link_list = list(candidates)
             store = TiledNetworkState.from_links(link_list)
-            slots = np.array(
-                [store.slot_of_id(node_id) for link in link_list for node_id in link.endpoint_ids],
-                dtype=np.intp,
-            )
-            lengths = [link.length for link in link_list]
-            positioned = PositionedLinks(store, slots[0::2], slots[1::2], lengths=lengths)
+            positioned = PositionedLinks.from_links(link_list, store)
         if not len(positioned):
             return MeanPowerSelectionResult(
                 LinkSet(), MeanPower.for_max_length(self.params, 1.0), 0, 0, 0.0
@@ -150,15 +144,10 @@ class MeanPowerSelector:
         if power is None:
             power = MeanPower.for_max_length(self.params, max(longest, 1.0))
 
-        def links_at(indices: np.ndarray) -> list[Link]:
-            if link_list is None:
-                return positioned.links(indices)
-            return [link_list[i] for i in indices.tolist()]
-
         def levels(indices: np.ndarray) -> np.ndarray:
             if isinstance(power, _LengthPower):  # oblivious: by length, no Link objects
                 return np.array([power.of_length(lengths[i]) for i in indices.tolist()])
-            return np.array(power.powers(links_at(indices)), dtype=float)
+            return np.array(power.powers(positioned.links(indices)), dtype=float)
 
         channel = CachedChannel(self.params, state=state)
         ends = (state.ids[senders], state.ids[receivers])
@@ -175,7 +164,7 @@ class MeanPowerSelector:
             won = self._run_slot_pair(ends, sampled, levels, channel, first_slot)
             if won.size:
                 return MeanPowerSelectionResult(
-                    selected=LinkSet(links_at(won)),
+                    selected=LinkSet(positioned.links(won)),
                     power=power,
                     slots_used=slots_used,
                     attempts=attempt,

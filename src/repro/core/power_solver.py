@@ -23,7 +23,7 @@ import numpy as np
 
 from ..exceptions import ConvergenceError, InfeasiblePowerError
 from ..links import Link
-from ..sinr import ExplicitPower, LinkArrayCache, SINRParameters
+from ..sinr import ExplicitPower, PositionedLinks, SINRParameters, as_positioned_links
 
 __all__ = [
     "gain_matrix",
@@ -35,32 +35,26 @@ __all__ = [
 ]
 
 
-def gain_matrix(links: Sequence[Link], params: SINRParameters) -> np.ndarray:
+def gain_matrix(links: Sequence[Link] | PositionedLinks, params: SINRParameters) -> np.ndarray:
     """Channel gain matrix ``G`` with ``G[i, j] = 1 / d(sender_j, receiver_i)**alpha``.
 
     Row ``i`` is link ``i``'s receiver; column ``j`` is link ``j``'s sender.
     Pairs with coincident sender and receiver positions get an infinite gain.
-
-    ``links`` may be a :class:`~repro.sinr.arrays.LinkArrayCache` to reuse its
-    cached distance matrix; a fresh writable array is returned either way.
     """
-    if len(links) == 0:
-        return np.zeros((0, 0), dtype=float)
-    cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
-    return np.array(cache.gain_matrix(params))
+    return as_positioned_links(links).gain_matrix(params)
 
 
 def _normalized_interference_matrix(
-    links: Sequence[Link], params: SINRParameters, margin: float
+    links: Sequence[Link] | PositionedLinks, params: SINRParameters, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrix ``B`` and vector ``c`` of the power-control fixed point."""
-    cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
-    gains = cache.gain_matrix(params)
+    positioned = as_positioned_links(links)
+    gains = positioned.gain_matrix(params)
     diag = np.diag(gains).copy()
     if np.any(~np.isfinite(diag)) or np.any(diag <= 0):
         raise InfeasiblePowerError("some link has a degenerate (zero-length) geometry")
-    same_sender = cache.same_sender_mask()
-    off = np.where(same_sender, 0.0, gains)
+    senders = positioned.senders  # one slot per node id
+    off = np.where(senders[:, None] == senders[None, :], 0.0, gains)
     np.fill_diagonal(off, 0.0)
     if np.any(~np.isfinite(off)):
         raise InfeasiblePowerError("two distinct links share a sender/receiver position")

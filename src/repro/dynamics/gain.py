@@ -6,7 +6,7 @@ a multiplicative *fade factor* ``F`` on received power, so the signal from
 ``u`` at ``v`` in slot ``t`` becomes ``P_u * F(u, v, t) / d(u, v)**alpha``.
 A model plugs into the physical model through
 ``SINRParameters(gain_model=...)``; every kernel (the channel's decode
-chain, the :class:`~repro.sinr.arrays.LinkArrayCache` affectance/SINR/gain
+chain, the :class:`~repro.sinr.PositionedLinks` affectance/SINR/gain
 matrices) consults it.
 
 Two design rules keep the existing machinery intact:

@@ -36,7 +36,7 @@ from ..exceptions import ConfigurationError
 from ..geometry import Node
 from ..obs.runtime import OBS
 from ..obs.spans import begin_span, end_span, span
-from ..sinr import CachedChannel, ExplicitPower, LinkArrayCache, SINRParameters, is_feasible
+from ..sinr import CachedChannel, ExplicitPower, PositionedLinks, SINRParameters, is_feasible
 from ..sinr.power import PowerAssignment
 from ..state import DecodeWorkspace, NetworkState
 from .churn import ChurnProcess
@@ -317,14 +317,14 @@ class DynamicSimulator:
             schedule = tree.aggregation_schedule
             groups = [group for _, group in sorted(schedule.slot_groups().items())]
             if groups:
-                # Per-group link caches view the run's shared state, so the
+                # Each group is positioned on the run's shared state, so the
                 # feasibility checks gather from the one distance store the
                 # replay materialized instead of recomputing coordinates.
                 feasible = sum(
                     1
                     for group in groups
                     if is_feasible(
-                        LinkArrayCache(group, state=state), power, self.eval_params
+                        PositionedLinks.from_links(group, state), power, self.eval_params
                     )
                 )
                 feasible_fraction = feasible / len(groups)

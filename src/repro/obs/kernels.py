@@ -49,7 +49,7 @@ __all__ = [
 #: what the caller happened to import first.
 _KERNEL_HOME_MODULES = (
     "repro.state.kernels",
-    "repro.sinr.arrays",
+    "repro.sinr.positioned",
     "repro.sinr.channel",
 )
 

@@ -20,7 +20,7 @@ validators and benchmarks).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from ..geometry import Node
 from ..links import Link
 from .parameters import SINRParameters
 from .power import PowerAssignment
+
+if TYPE_CHECKING:  # pragma: no cover - the array layer loads on first use
+    from .positioned import PositionedLinks
 
 __all__ = [
     "link_cost",
@@ -80,7 +83,7 @@ def affectance(
     co-located with the link's receiver saturates at ``1 + epsilon``.
     Gain-model fades scale both the interferer's landed power and the link's
     own signal, keeping this scalar form consistent with the
-    :class:`~repro.sinr.arrays.LinkArrayCache` matrix path.
+    :meth:`~repro.sinr.PositionedLinks.affectance_matrix` path.
     """
     if interferer.id == link.sender.id:
         return 0.0
@@ -120,7 +123,7 @@ def affectance_between_links(
 
 
 def affectance_matrix(
-    links: Sequence[Link],
+    links: Sequence[Link] | PositionedLinks,
     power: PowerAssignment,
     params: SINRParameters,
 ) -> np.ndarray:
@@ -131,11 +134,11 @@ def affectance_matrix(
     are entries where two links share the same sender node (a sender does not
     interfere with its own transmissions).
 
-    ``links`` may be a :class:`~repro.sinr.arrays.LinkArrayCache`, in which
-    case the cached structures are reused; the returned matrix is always a
-    fresh writable array.
+    ``links`` may be :class:`~repro.sinr.PositionedLinks` over a shared
+    store; the returned matrix is always a fresh writable array.
     """
-    from .arrays import LinkArrayCache  # the array layer loads on first use
+    from .positioned import as_positioned_links  # the array layer loads on first use
 
-    cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
-    return np.array(cache.affectance_matrix(power, params))
+    positioned = as_positioned_links(links)
+    powers = np.array(power.powers(positioned.links()), dtype=float)
+    return positioned.affectance_matrix(powers, params)

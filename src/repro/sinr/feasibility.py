@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..links import Link
-from .arrays import LinkArrayCache
 from .parameters import SINRParameters
+from .positioned import PositionedLinks, as_positioned_links
 from .power import PowerAssignment
 
 __all__ = [
@@ -61,16 +61,16 @@ class FeasibilityReport:
 
 
 def sinr_values(
-    links: Sequence[Link], power: PowerAssignment, params: SINRParameters
+    links: Sequence[Link] | PositionedLinks, power: PowerAssignment, params: SINRParameters
 ) -> np.ndarray:
     """SINR achieved at each link's receiver with all the set's senders active.
 
     This is the raw Eqn. (1) quantity (not the thresholded affectance), useful
-    for reporting margins.  ``links`` may be a
-    :class:`~repro.sinr.arrays.LinkArrayCache` to reuse cached structures.
+    for reporting margins.
     """
-    cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
-    return np.array(cache.sinr_values(power, params))
+    positioned = as_positioned_links(links)
+    powers = np.array(power.powers(positioned.links()), dtype=float)
+    return positioned.sinr_values(powers, params)
 
 
 def violates_half_duplex(links: Iterable[Link]) -> bool:
@@ -92,25 +92,27 @@ def duplicate_senders(links: Iterable[Link]) -> bool:
 
 
 def feasibility_report(
-    links: Sequence[Link],
+    links: Sequence[Link] | PositionedLinks,
     power: PowerAssignment,
     params: SINRParameters,
     *,
     check_structure: bool = True,
 ) -> FeasibilityReport:
     """Full feasibility diagnosis of a candidate single-slot link set."""
-    cache = links if isinstance(links, LinkArrayCache) else LinkArrayCache(links)
-    link_list = list(cache)
+    positioned = as_positioned_links(links)
+    link_list = positioned.links()
     if not link_list:
         return FeasibilityReport(True, True, True, True, 0.0, None)
-    matrix = cache.affectance_matrix(power, params)
+    # The affectance condition folds noise into the link cost c(u, v), which is
+    # infinite (and the affectance cap hides it) when a link cannot even beat
+    # noise on its own; the raw SINR is checked as well so such links are
+    # rejected.  Both come from one distance rectangle.
+    matrix, raw_sinr = positioned.affectance_and_sinr(
+        np.array(power.powers(link_list), dtype=float), params
+    )
     incoming = matrix.sum(axis=0)
     worst_index = int(np.argmax(incoming))
     worst = float(incoming[worst_index])
-    # The affectance condition folds noise into the link cost c(u, v), which is
-    # infinite (and the affectance cap hides it) when a link cannot even beat
-    # noise on its own; check the raw SINR as well so such links are rejected.
-    raw_sinr = cache.sinr_values(power, params)
     noise_ok = bool(np.all(raw_sinr >= params.beta * (1.0 - 1e-9)))
     sinr_ok = bool(worst <= 1.0 + FEASIBILITY_TOLERANCE) and noise_ok
     half_duplex_ok = not violates_half_duplex(link_list)
@@ -130,7 +132,7 @@ def feasibility_report(
 
 
 def is_feasible(
-    links: Sequence[Link],
+    links: Sequence[Link] | PositionedLinks,
     power: PowerAssignment,
     params: SINRParameters,
     *,

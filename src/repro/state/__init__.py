@@ -3,8 +3,9 @@
 This package sits between the geometry primitives and the SINR caches in
 the layer stack (see ``ARCHITECTURE.md``): a :class:`NetworkState` owns the
 over-allocated position/distance/attenuation/fade matrices for one node
-universe and supports O(damage) incremental add/remove/move; the caches of
-``repro.sinr.arrays`` are views over it, and the dynamics drivers patch it
+universe and supports O(damage) incremental add/remove/move; the node view
+of ``repro.sinr.arrays`` and the link arrays of ``repro.sinr.positioned``
+address it by slot, and the dynamics drivers patch it
 instead of rebuilding per event.  :class:`TiledNetworkState` is the exact
 O(n) sibling for universes whose dense matrices would not fit;
 :meth:`NetworkState.for_nodes` chooses between the two by size.

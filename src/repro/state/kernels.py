@@ -1,12 +1,12 @@
 """Shared array kernels of the network-state layer.
 
 These are the *single* implementations of the geometry/path-loss formulas
-that used to be duplicated across the caches: ``NodeArrayCache`` and
-``LinkArrayCache`` each computed their own ``hypot`` distance matrices, and
-the ``d**alpha`` path-loss denominator appeared independently in the node
-attenuation cache, the link gain matrix and the slot decode.  Every
-``NetworkState``-derived matrix and every cache now routes through the
-kernels below, so the patched (incremental) and rebuilt (from-scratch)
+that used to be duplicated: the node view and the link arrays each
+computed their own ``hypot`` distance matrices, and the ``d**alpha``
+path-loss denominator appeared independently in the node attenuation
+cache, the link gain matrix and the slot decode.  Every
+``NetworkState``-derived matrix, node view and link array now routes
+through the kernels below, so the patched (incremental) and rebuilt (from-scratch)
 code paths are bit-for-bit identical by construction - they literally run
 the same elementwise operations on the same floats.
 """

@@ -26,9 +26,10 @@ Consumers never index the capacity-sized arrays directly: they ask the
 store for rectangles by slot (:meth:`NetworkState.distance_rect`,
 ``attenuation_rect``, ``fade_rect``, ``row_source``), which the tiled
 sibling answers with the same floats, so no consumer asks which store it
-holds.  The caches of ``repro.sinr.arrays`` are thin *views* holding an
-array of live slots, so one state instance can back a node cache, a cached
-channel and any number of link caches at once.
+holds.  The node view of ``repro.sinr.arrays`` and the link arrays of
+``repro.sinr.positioned`` hold arrays of live slots, so one state instance
+can back a node view, a cached channel and any number of link arrays at
+once.
 """
 
 from __future__ import annotations
@@ -130,7 +131,10 @@ class NetworkState:
         xy = np.zeros((cap, 2), dtype=float)
         id_array = np.full(cap, -1, dtype=np.int64)
         if n:
-            xy[:n] = [[node.x, node.y] for node in node_list]
+            # One column at a time: a list of pairs converts several times slower.
+            positions = [node.position for node in node_list]
+            xy[:n, 0] = [point.x for point in positions]
+            xy[:n, 1] = [point.y for point in positions]
             id_array[:n] = ids
         self._hold(xy, id_array, node_list)
 

@@ -7,8 +7,9 @@ rates the allocator, not the arithmetic, becomes the bottleneck - the arrays
 are small enough that ``malloc``/``free`` and ufunc dispatch dominate.
 
 A :class:`DecodeWorkspace` removes that: it owns a set of named, capacity-
-grown buffer pools, and the decode kernels (``repro.sinr.channel`` and the
-block accessors of ``repro.sinr.arrays``) write into them via ``out=`` and
+grown buffer pools, and the decode kernels (``repro.sinr.channel``, the
+block accessors of ``repro.sinr.arrays`` and the affectance blocks of
+``repro.sinr.positioned``) write into them via ``out=`` and
 in-place ufuncs.  Results are **bit-for-bit identical** to the allocating
 paths - the same elementwise operations run in the same order, only the
 destination memory is reused - and the parity tests pin that.

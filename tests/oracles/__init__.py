@@ -9,10 +9,14 @@ fault draws the fault tables replaced, the quadratic
 bi-tree checks with the networkx MST, the all-pairs diameter scan, the
 netsim ``Distr-Cap`` builder's forked phase loop, ``Distr-Cap`` and
 mean-power sampling on link objects (before they selected by position) with
-the link cache's affectance block they read, the
+the link cache's affectance block they read, that ``Link``-keyed cache
+itself (the whole-set affectance, SINR and gain matrices before links were
+positioned on a store), the
 four forked schedule replays (lockstep and netsim, convergecast and
 broadcast), mean-power sampling's object-path slot pair, TreeViaCapacity's
-iteration over Init's tree as link objects, and the object-level single-link threshold test.
+iteration over Init's tree as link objects, the centralized MST baseline's
+ordered first fit with a matrix per placement test, and the object-level
+single-link threshold test.
 They live with the tests because no production path runs them; each is compared
 bit-for-bit against the implementation that replaced it.
 """
@@ -27,8 +31,10 @@ from .aggregation import (
 from .decode import decode_reference, link_succeeds
 from .distr_cap import LinkPathDistrCapSelector, ReferenceNetDistrCapBuilder, link_affectance_block
 from .fabric import map_trials_cold
+from .first_fit import ordered_first_fit_reference
 from .geometry import diameter_reference
 from .init import InitAgent, build_init_reference, build_net_init_reference, eager_result_values
+from .link_arrays import LinkArrayCache
 from .mean_power import LinkPathMeanPowerSelector, ReferenceMeanPowerSelector
 from .netsim import (
     OracleFaultyTransport,
@@ -53,6 +59,7 @@ __all__ = [
     "BroadcastMessage",
     "InitAgent",
     "LegacySimulator",
+    "LinkArrayCache",
     "LinkPathDistrCapSelector",
     "LinkPathMeanPowerSelector",
     "NodeAgent",
@@ -75,6 +82,7 @@ __all__ = [
     "link_affectance_block",
     "link_succeeds",
     "map_trials_cold",
+    "ordered_first_fit_reference",
     "run_convergecast_reference",
     "run_dissemination_reference",
     "severs_per_call",

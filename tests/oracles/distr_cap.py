@@ -5,7 +5,7 @@ by position, and the forked loop over the transport (oracle of
 :class:`LinkPathDistrCapSelector` is :meth:`~repro.core.DistrCapSelector.run_phases`
 as it ran on ``Link`` objects: eligibility by a set of used node ids, one
 coin lookup per link by its endpoint ids, and every phase slot a fresh
-:class:`~repro.sinr.LinkArrayCache` over its (oriented) links, whose
+:class:`~tests.oracles.link_arrays.LinkArrayCache` over its (oriented) links, whose
 affectance block (:func:`link_affectance_block`) the positional slot must
 reproduce bit for bit.
 
@@ -35,10 +35,12 @@ from repro.links import Link, LinkSet, length_class_index
 from repro.netsim import FaultPlan, FaultyTransport, NetDistrCapResult, PerfectTransport, RetryPolicy, Transport
 from repro.obs.runtime import OBS
 from repro.obs.spans import span
-from repro.sinr import LinearPower, LinkArrayCache, PowerAssignment, SINRParameters
+from repro.sinr import LinearPower, PowerAssignment, SINRParameters
 from repro.sinr.positioned import _affectance_block
 from repro.state import DecodeWorkspace, NetworkState
 from repro.state.network import _take_block
+
+from .link_arrays import LinkArrayCache
 
 __all__ = ["LinkPathDistrCapSelector", "ReferenceNetDistrCapBuilder", "link_affectance_block"]
 

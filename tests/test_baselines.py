@@ -11,11 +11,15 @@ from repro.baselines import (
     euclidean_mst_tree,
     naive_tdma_schedule,
 )
+from repro.baselines.centralized_mst import ordered_first_fit_schedule
 from repro.exceptions import ProtocolError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import make_deployment
 from repro.geometry import grid, uniform_random
 from repro.links import Link, LinkSet, sparsity
 
 from .conftest import make_node
+from .oracles import ordered_first_fit_reference
 
 
 class TestEuclideanMST:
@@ -80,6 +84,20 @@ class TestCentralizedBaseline:
     def test_single_node(self, params):
         result = CentralizedMSTBaseline(params).build([make_node(0, 0, 0)])
         assert result.schedule_length == 0
+
+    @pytest.mark.parametrize("scheme", ["mean", "linear", "uniform"])
+    @pytest.mark.parametrize("n,seed", [(24, 1), (48, 1), (32, 1), (32, 2), (64, 1), (64, 2), (128, 1), (128, 2)])
+    def test_ordered_first_fit_matches_the_per_test_matrix_loop(self, n, seed, scheme):
+        """F1's centralized-MST cells (quick and default sizes and seeds):
+        the accumulator schedule is the seed loop's, slot for slot."""
+        config = ExperimentConfig()
+        baseline = CentralizedMSTBaseline(config.params, power_scheme=scheme)
+        tree = euclidean_mst_tree(make_deployment(config, n, seed))
+        power = baseline._power_for(tree.aggregation_links())
+        got = ordered_first_fit_schedule(tree, power, config.params)
+        expected = ordered_first_fit_reference(tree, power, config.params)
+        assert dict(got.items()) == dict(expected.items())
+        assert got.length == expected.length
 
 
 class TestUniformScheduler:

@@ -20,7 +20,6 @@ from repro.runtime import Simulator
 from repro.sinr import (
     CachedChannel,
     Channel,
-    LinkArrayCache,
     Reception,
     SINRParameters,
     Transmission,
@@ -29,7 +28,7 @@ from repro.sinr import (
 
 from .beacon import BeaconAgent, BeaconProgram
 from .conftest import make_node
-from .oracles import LegacySimulator, decode_reference, link_affectance_block
+from .oracles import LegacySimulator, LinkArrayCache, decode_reference, link_affectance_block
 
 
 class TestModelProperties:

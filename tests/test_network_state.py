@@ -20,14 +20,13 @@ from repro.geometry import Node, Point, uniform_random
 from repro.links import Link
 from repro.sinr import (
     CachedChannel,
-    LinkArrayCache,
     NodeArrayCache,
     SINRParameters,
     UniformPower,
 )
 from repro.state import NetworkState, attenuation_from_distances, pairwise_distances
 
-from .oracles import link_affectance_block
+from .oracles import LinkArrayCache, link_affectance_block
 
 ALPHAS = (2.5, 3.0)
 SHADOW = LogNormalShadowing(sigma_db=5.0, seed=42)

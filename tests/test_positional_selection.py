@@ -43,10 +43,11 @@ from repro.geometry import Node, uniform_random
 from repro.links import Link, LinkSet
 from repro.netsim import NetDistrCapResult
 from repro.obs.runtime import telemetry
-from repro.sinr import LinearPower, LinkArrayCache, PositionedLinks, SINRParameters
+from repro.sinr import LinearPower, PositionedLinks, SINRParameters
 from repro.state import DecodeWorkspace, NetworkState, network
 
 from .oracles import (
+    LinkArrayCache,
     LinkPathDistrCapSelector,
     LinkPathMeanPowerSelector,
     ReferenceTreeViaCapacity,

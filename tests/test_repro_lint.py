@@ -564,7 +564,7 @@ class TestAcceptanceCriteria:
         for module in pkgutil.walk_packages(repro.__path__, "repro."):
             importlib.import_module(module.name)
 
-        assert len(KERNEL_REGISTRY) == 11
+        assert len(KERNEL_REGISTRY) == 9
         rect = KERNEL_REGISTRY["repro.state.kernels:attenuation_rect_from_xy"]
         assert rect.oracle == "attenuation_from_distances"
         assert rect.allocates is False

@@ -19,7 +19,6 @@ from repro.links import Link
 from repro.sinr import (
     CachedChannel,
     LinearPower,
-    LinkArrayCache,
     NodeArrayCache,
     SINRParameters,
     Transmission,
@@ -27,7 +26,7 @@ from repro.sinr import (
 from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 from repro.state.kernels import pairwise_distances
 
-from .oracles import decode_reference, link_affectance_block
+from .oracles import LinkArrayCache, decode_reference, link_affectance_block
 
 GAIN_MODELS = (
     None,

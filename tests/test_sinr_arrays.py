@@ -1,11 +1,13 @@
-"""Parity and consistency tests for the cached link-array engine.
+"""Parity and consistency tests for the whole-set link arrays.
 
 The seed implementations of ``affectance_matrix``, ``sinr_values`` and
-``gain_matrix`` are frozen below, verbatim, and the cached engine is required
-to match them **bit-for-bit** (``np.array_equal``, no tolerance) across
-randomized instances, power schemes and subset slices.  The incremental
-:class:`AffectanceAccumulator` and the greedy loops built on it are checked
-against brute-force recomputation.
+``gain_matrix`` are frozen below, verbatim, and
+:class:`~repro.sinr.PositionedLinks`' whole-set forms are required to match
+them and the ``Link``-keyed cache they replaced
+(``tests/oracles/link_arrays.py``) **bit-for-bit** (``np.array_equal``, no
+tolerance) across randomized instances, power schemes, gain models and
+degenerate sets.  The incremental :class:`AffectanceAccumulator` and the
+greedy loops built on it are checked against brute-force recomputation.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import numpy as np
 import pytest
 
 from repro.core.capacity import first_fit_schedule, select_feasible_subset
+from repro.dynamics import LogNormalShadowing, RayleighFading
 from repro.geometry import uniform_random
 from repro.links import Link
 from repro.sinr import (
     AffectanceAccumulator,
     CachedChannel,
     Channel,
+    ExplicitPower,
     LinearPower,
-    LinkArrayCache,
     MeanPower,
+    PositionedLinks,
     SINRParameters,
     Transmission,
     UniformPower,
@@ -32,10 +36,11 @@ from repro.sinr import (
     sinr_values,
 )
 from repro.core.power_solver import gain_matrix
-from repro.sinr.arrays import affectance_matrix_from_arrays, sinr_values_from_arrays
+from repro.state import NetworkState
 
 from .conftest import make_node
-from .oracles import link_affectance_block
+from .oracles import LinkArrayCache, link_affectance_block
+from .oracles.link_arrays import affectance_matrix_from_arrays, sinr_values_from_arrays
 
 
 # -- frozen seed implementations (do not modify) ----------------------------
@@ -168,27 +173,33 @@ def test_from_arrays_kernels_match_seed_exactly(seed, count, params):
         )
 
 
+def _powers(links, power):
+    return np.array(power.powers(links), dtype=float)
+
+
 @pytest.mark.parametrize("seed,count", [(1, 8), (2, 20), (3, 40), (4, 64)])
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_affectance_matrix_matches_seed_exactly(seed, count, params):
     links = _random_links(seed, count)
-    cache = LinkArrayCache(links)
+    positioned = PositionedLinks.from_links(links)
     for power in _power_schemes(links, params):
         expected = _seed_affectance_matrix(links, power, params)
-        assert np.array_equal(cache.affectance_matrix(power, params), expected)
-        # The public wrapper, with and without a pre-built cache.
+        assert np.array_equal(positioned.affectance_matrix(_powers(links, power), params), expected)
+        assert np.array_equal(LinkArrayCache(links).affectance_matrix(power, params), expected)
+        # The public wrapper, on links and on positioned links.
         assert np.array_equal(affectance_matrix(links, power, params), expected)
-        assert np.array_equal(affectance_matrix(cache, power, params), expected)
+        assert np.array_equal(affectance_matrix(positioned, power, params), expected)
 
 
 @pytest.mark.parametrize("seed,count", [(5, 12), (6, 32)])
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_sinr_values_matches_seed_exactly(seed, count, params):
     links = _random_links(seed, count)
-    cache = LinkArrayCache(links)
+    positioned = PositionedLinks.from_links(links)
     for power in _power_schemes(links, params):
         expected = _seed_sinr_values(links, power, params)
-        assert np.array_equal(cache.sinr_values(power, params), expected)
+        assert np.array_equal(positioned.sinr_values(_powers(links, power), params), expected)
+        assert np.array_equal(LinkArrayCache(links).sinr_values(power, params), expected)
         assert np.array_equal(sinr_values(links, power, params), expected)
 
 
@@ -196,28 +207,32 @@ def test_sinr_values_matches_seed_exactly(seed, count, params):
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_gain_matrix_matches_seed_exactly(seed, count, params):
     links = _random_links(seed, count)
-    cache = LinkArrayCache(links)
+    positioned = PositionedLinks.from_links(links)
     expected = _seed_gain_matrix(links, params)
-    assert np.array_equal(cache.gain_matrix(params), expected)
+    assert np.array_equal(positioned.gain_matrix(params), expected)
+    assert np.array_equal(LinkArrayCache(links).gain_matrix(params), expected)
     assert np.array_equal(gain_matrix(links, params), expected)
-    assert np.array_equal(gain_matrix(cache, params), expected)
+    assert np.array_equal(gain_matrix(positioned, params), expected)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_subset_slices_match_direct_computation(seed, params):
     links = _random_links(seed, 30)
-    cache = LinkArrayCache(links)
+    positioned = PositionedLinks.from_links(links)
     power = MeanPower.for_max_length(params, max(l.length for l in links))
+    powers = _powers(links, power)
     rng = np.random.default_rng(seed)
     for size in (1, 5, 17):
         indices = rng.choice(len(links), size=size, replace=False)
         sublist = [links[i] for i in indices]
         assert np.array_equal(
-            cache.affectance_matrix(power, params, indices),
+            positioned.affectance_block(indices, indices, powers, params),
             _seed_affectance_matrix(sublist, power, params),
         )
         assert np.array_equal(
-            cache.sinr_values(power, params, indices),
+            PositionedLinks.from_links(sublist, positioned.state).sinr_values(
+                powers[indices], params
+            ),
             _seed_sinr_values(sublist, power, params),
         )
 
@@ -253,68 +268,139 @@ def test_feasibility_matches_on_randomized_instances(params):
             noise_ok = bool(np.all(raw >= params.beta * (1.0 - 1e-9)))
             expected_sinr_ok = bool(incoming.max() <= 1.0 + 1e-9) and noise_ok
             assert report.sinr_ok == expected_sinr_ok
-            assert is_feasible(links, power, params) == report.feasible or True
             # is_feasible defaults to SINR-only feasibility:
             assert is_feasible(links, power, params) == expected_sinr_ok
+            assert feasibility_report(PositionedLinks.from_links(links), power, params) == report
 
 
 def test_empty_and_degenerate_universes(params):
     power = UniformPower(1.0)
-    cache = LinkArrayCache([])
-    assert cache.affectance_matrix(power, params).shape == (0, 0)
-    assert cache.sinr_values(power, params).shape == (0,)
-    assert cache.gain_matrix(params).shape == (0, 0)
+    empty = PositionedLinks.from_links([])
+    assert empty.affectance_matrix(np.zeros(0), params).shape == (0, 0)
+    assert empty.sinr_values(np.zeros(0), params).shape == (0,)
+    assert empty.gain_matrix(params).shape == (0, 0)
+    assert feasibility_report([], power, params).feasible
     # Co-located interferer saturates at the cap, exactly as the seed did.
     a = make_node(0, 0.0, 0.0)
     b = make_node(1, 1.0, 0.0)
     c = make_node(2, 5.0, 0.0)
     links = [Link(a, b), Link(b, c)]
     assert np.array_equal(
-        LinkArrayCache(links).affectance_matrix(power, params),
+        PositionedLinks.from_links(links).affectance_matrix(_powers(links, power), params),
         _seed_affectance_matrix(links, power, params),
     )
 
 
-def test_cache_index_lookup_and_sequence_protocol():
-    links = _random_links(31, 9)
-    cache = LinkArrayCache(links)
-    assert len(cache) == 9
-    assert list(cache) == links
-    assert cache[3] is links[3]
-    for i, link in enumerate(links):
-        assert cache.index_of(link) == i
-    assert np.array_equal(cache.indices_of(links[::-1]), np.arange(9)[::-1])
-
-
-def test_cached_arrays_are_read_only(params):
-    cache = LinkArrayCache(_random_links(32, 6))
-    power = UniformPower(2.0)
-    with pytest.raises(ValueError):
-        cache.affectance_matrix(power, params)[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        cache.distance_matrix()[0, 0] = 1.0
-    # ...but the public wrapper returns a fresh writable copy.
-    matrix = affectance_matrix(cache, power, params)
-    matrix[0, 0] = 123.0
-    assert cache.affectance_matrix(power, params)[0, 0] == 0.0
-
-
-def test_invalidate_after_explicit_power_mutation(params):
-    from repro.sinr import ExplicitPower
-
+def test_explicit_power_mutation_is_seen(params):
+    """Nothing is memoised per assignment: an ``ExplicitPower`` changed in
+    place is read afresh by the next call."""
     links = _random_links(33, 4)
     power = ExplicitPower({link.endpoint_ids: 50.0 for link in links})
-    cache = LinkArrayCache(links)
-    before = cache.affectance_matrix(power, params)
-    stale_powers = cache.powers(power)
+    before = sinr_values(links, power, params)
     power.set_power(links[0], 500.0)
-    # Stale until invalidated:
-    assert cache.affectance_matrix(power, params) is before
-    assert cache.powers(power) is stale_powers
-    cache.invalidate(power)
-    assert np.array_equal(cache.powers(power), np.array(power.powers(links)))
-    after = cache.affectance_matrix(power, params)
-    assert np.array_equal(after, _seed_affectance_matrix(links, power, params))
+    after = sinr_values(links, power, params)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _seed_sinr_values(links, power, params))
+    assert np.array_equal(
+        affectance_matrix(links, power, params), _seed_affectance_matrix(links, power, params)
+    )
+
+
+# -- whole-set forms against the Link-keyed cache ----------------------------
+
+
+def _degenerate_sets() -> dict[str, list[Link]]:
+    """Small sets with colocated endpoints, shared senders and m in {1, 2}."""
+    a, b, c = make_node(0, 0.0, 0.0), make_node(1, 2.0, 0.0), make_node(2, 2.0, 3.0)
+    twin = make_node(3, 2.0, 0.0)  # a distinct node at b's position
+    far = make_node(4, 9.0, 1.0)
+    return {
+        "one": [Link(a, b)],
+        "two": [Link(a, b), Link(c, far)],
+        "receiver-sends": [Link(a, b), Link(b, c)],
+        "colocated": [Link(a, b), Link(twin, c), Link(far, twin)],
+        "shared-sender": [Link(a, b), Link(a, c), Link(far, c)],
+    }
+
+
+GAIN_MODELS = {
+    "none": None,
+    "log-normal": LogNormalShadowing(sigma_db=6.0, seed=3),
+    "rayleigh": RayleighFading(seed=5),
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # one link, no noise
+@pytest.mark.parametrize("gain", sorted(GAIN_MODELS))
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+@pytest.mark.parametrize("case", ["random", *sorted(_degenerate_sets())])
+def test_whole_set_forms_match_the_link_cache_bitwise(case, noise, gain):
+    params = SINRParameters(alpha=3.0, beta=1.0, noise=noise, gain_model=GAIN_MODELS[gain])
+    links = _random_links(81, 24) if case == "random" else _degenerate_sets()[case]
+    cache = LinkArrayCache(links)
+    private = PositionedLinks.from_links(links)
+    shared = NetworkState.for_nodes({n.id: n for l in links for n in (l.sender, l.receiver)}.values())
+    if shared.materializes_matrices:
+        shared.distance_matrix()  # rectangles are gathered from the matrix
+    on_shared = PositionedLinks.from_links(links, shared)
+    for power in _power_schemes(links, params):
+        powers = _powers(links, power)
+        for positioned in (private, on_shared):
+            matrix, sinr = positioned.affectance_and_sinr(powers, params)
+            assert matrix.tobytes() == cache.affectance_matrix(power, params).tobytes()
+            assert sinr.tobytes() == cache.sinr_values(power, params).tobytes()
+            assert positioned.affectance_matrix(powers, params).tobytes() == matrix.tobytes()
+            assert positioned.sinr_values(powers, params).tobytes() == sinr.tobytes()
+        if gain == "none":
+            assert matrix.tobytes() == _seed_affectance_matrix(links, power, params).tobytes()
+            assert sinr.tobytes() == _seed_sinr_values(links, power, params).tobytes()
+    for positioned in (private, on_shared):
+        assert positioned.gain_matrix(params).tobytes() == cache.gain_matrix(params).tobytes()
+    if gain == "none":
+        assert private.gain_matrix(params).tobytes() == _seed_gain_matrix(links, params).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_small_sets(m, params):
+    links = _random_links(91, 2)[:m]
+    positioned = PositionedLinks.from_links(links)
+    cache = LinkArrayCache(links)
+    power = UniformPower(50.0)
+    powers = _powers(links, power)
+    assert len(positioned) == m
+    assert positioned.affectance_matrix(powers, params).tobytes() == (
+        cache.affectance_matrix(power, params).tobytes()
+    )
+    assert positioned.sinr_values(powers, params).tobytes() == (
+        cache.sinr_values(power, params).tobytes()
+    )
+    assert positioned.gain_matrix(params).tobytes() == cache.gain_matrix(params).tobytes()
+
+
+def test_from_links_keeps_the_links_and_their_lengths():
+    links = _random_links(31, 9)
+    positioned = PositionedLinks.from_links(links)
+    assert positioned.links() == links
+    assert positioned.links(np.array([3, 1])) == [links[3], links[1]]
+    assert positioned.lengths.tolist() == [link.length for link in links]
+    assert positioned.state.ids[positioned.senders].tolist() == [l.sender.id for l in links]
+
+
+def test_from_links_rejects_an_absent_endpoint():
+    nodes = [make_node(i, float(i), 0.0) for i in range(4)]
+    state = NetworkState(nodes[:2])
+    with pytest.raises(ValueError, match="not in the shared NetworkState"):
+        PositionedLinks.from_links([Link(nodes[2], nodes[3])], state)
+
+
+def test_non_positive_powers_are_rejected(params):
+    links = _random_links(32, 3)
+    positioned = PositionedLinks.from_links(links)
+    for bad in (np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0, -2.0])):
+        with pytest.raises(ValueError, match="must be positive"):
+            positioned.affectance_matrix(bad, params)
+        with pytest.raises(ValueError, match="must be positive"):
+            positioned.affectance_and_sinr(bad, params)
 
 
 # -- incremental accumulator -------------------------------------------------
@@ -323,7 +409,7 @@ def test_invalidate_after_explicit_power_mutation(params):
 def test_accumulator_add_remove_consistency(params):
     links = _random_links(41, 24)
     power = MeanPower.for_max_length(params, max(l.length for l in links))
-    matrix = np.array(LinkArrayCache(links).affectance_matrix(power, params))
+    matrix = affectance_matrix(links, power, params)
     accumulator = AffectanceAccumulator(matrix)
     rng = np.random.default_rng(41)
     members: list[int] = []
@@ -346,7 +432,7 @@ def test_accumulator_add_remove_consistency(params):
 def test_accumulator_max_total_with_matches_recomputation(params):
     links = _random_links(42, 16)
     power = MeanPower.for_max_length(params, max(l.length for l in links))
-    matrix = np.array(LinkArrayCache(links).affectance_matrix(power, params))
+    matrix = affectance_matrix(links, power, params)
     accumulator = AffectanceAccumulator(matrix, members=(0, 3, 7))
     for candidate in (1, 2, 5, 11):
         group = [0, 3, 7, candidate]
